@@ -5,8 +5,7 @@
 //! Experiments: `table1`, `breakeven`, `fig2`, `fig3a`, `fig3b`, `fig3c`,
 //! `fig3x` (the C = 85 % variant mentioned in §IV-C without a figure),
 //! `sim`, `ablation`, `comparison`, `format`, `sensitivity`, `frontier`,
-//! `map`, `custom`, `grid`, `refine`, `shard-worker`, `bench`, or `all`
-//! (default).
+//! `map`, `custom`, `grid`, `refine`, `shard-worker`, or `all` (default).
 //!
 //! `harness grid [--rates N] [--threads N] [--full-csv] [--validate SECS]`
 //! explores the scenario grid (devices × workloads × rates × goals) in
@@ -36,25 +35,19 @@
 //! `MEMSTREAM_FAULT_PLAN=shard=K:PLAN` environment variable on a worker)
 //! injects deterministic worker faults for tests and CI smoke runs.
 //!
-//! `harness shard-worker --shard i/N --lease --cache PATH ...` is the
-//! worker side of that protocol (not for interactive use): request
-//! leases over stderr, receive grants over stdin, evaluate and flush
-//! each granted range (`docs/CACHE_FORMAT.md`, `docs/SHARD_PROTOCOL.md`).
-//!
-//! `harness bench [--quick] [--out PATH]` runs the canonical performance
-//! scenarios — cold/warm cached grid, refinement, two-shard fan-out —
-//! and writes the versioned `BENCH_grid.json` trajectory document
-//! (`docs/OBSERVABILITY.md`). The human summary goes to stderr.
+//! `harness shard-worker --shard i/N --cache PATH ...` is the worker
+//! side of that protocol (not for interactive use): request leases over
+//! stderr, receive grants over stdin, evaluate and flush each granted
+//! range (`docs/CACHE_FORMAT.md`, `docs/SHARD_PROTOCOL.md`).
 //!
 //! `grid`, `refine` and `shard-worker` all accept `--stats` (telemetry
-//! table on stderr) and `--stats-json PATH` (snapshot as JSON), and —
-//! together with `bench` — `--trace PATH` (the run's timeline as a
-//! Chrome/Perfetto-loadable trace, shard worker events merged in); none
-//! of them ever changes stdout. `--cache-format v1|v2` (with `--cache` or
-//! `--shards`) selects the cache file encoding — `v1` is the TSV
-//! interchange format, `v2` the binary fast-load format; readers
-//! auto-detect, and the choice never changes a stdout byte
-//! (`docs/CACHE_FORMAT.md`).
+//! table on stderr), `--stats-json PATH` (snapshot as JSON) and `--trace
+//! PATH` (the run's timeline as a Chrome/Perfetto-loadable trace, shard
+//! worker events merged in); none of them ever changes stdout.
+//! `--cache-format v1|v2` (with `--cache` or `--shards`) selects the
+//! cache file encoding — `v1` is the TSV interchange format, `v2` the
+//! binary fast-load format; readers auto-detect, and the choice never
+//! changes a stdout byte (`docs/CACHE_FORMAT.md`).
 
 use memstream_bench::{
     ablation_best_effort, ablation_probe_ratings, breakeven_rows, comparison_rows, fig2_rows,
@@ -858,10 +851,11 @@ fn refine(args: &[String]) {
 /// `harness shard-worker --shard i/N --cache PATH [--warm PATH]
 /// [--threads N] [--rates N] [--classic] [--rate-list F,F,...]` — the
 /// worker side of the shard protocol (spawned by `--shards`, not meant
-/// for interactive use): evaluate slice `i/N` of the recipe grid's
-/// deduplicated cell range and write it as a result-cache file. Prints
-/// nothing to stdout; its accounting line goes to stderr, which the
-/// coordinator captures and forwards.
+/// for interactive use): request cell-range leases of the recipe grid's
+/// deduplicated cell range over stderr, receive grants on stdin, and
+/// flush each granted range to the `--cache` stream. Prints nothing to
+/// stdout; its accounting line goes to stderr, which the coordinator
+/// captures and forwards.
 fn shard_worker(args: &[String]) {
     use memstream_shard::{run_worker_with_metrics, WorkerSpec};
     let mut spec = WorkerSpec::from_args(args).unwrap_or_else(|e| {
@@ -914,69 +908,6 @@ fn shard_worker(args: &[String]) {
         Err(e) => {
             eprintln!("shard {}/{} failed: {e}", spec.shard, spec.shard_count);
             std::process::exit(1);
-        }
-    }
-}
-
-/// `harness bench [--quick] [--out PATH]` — run the canonical perf
-/// scenarios and write the versioned trajectory document (default
-/// `BENCH_grid.json` in the current directory). Summary on stderr;
-/// stdout stays silent so the subcommand composes with shell pipelines.
-fn bench(args: &[String]) {
-    let mut quick = false;
-    let mut out = std::path::PathBuf::from("BENCH_grid.json");
-    let mut trace: Option<String> = None;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next().cloned().unwrap_or_else(|| {
-                eprintln!("missing value for {flag}");
-                std::process::exit(2);
-            })
-        };
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => out = std::path::PathBuf::from(value()),
-            "--trace" => trace = Some(value()),
-            other => {
-                eprintln!("unknown flag `{other}`; try --quick, --out PATH, --trace PATH");
-                std::process::exit(2);
-            }
-        }
-    }
-    let program = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("bench: cannot locate own binary for shard scenario: {e}");
-        std::process::exit(2);
-    });
-    let config = if quick {
-        memstream_bench::perf::BenchConfig::quick(program)
-    } else {
-        memstream_bench::perf::BenchConfig::standard(program)
-    };
-    let tracer = if trace.is_some() {
-        memstream_grid::telemetry::Tracer::enabled()
-    } else {
-        memstream_grid::telemetry::Tracer::disabled()
-    };
-    let (report, worker_traces) = memstream_bench::perf::run_bench_traced(&config, &tracer)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(1);
-        });
-    eprint!("{}", report.render_summary());
-    if let Err(e) = memstream_bench::perf::write_bench(&report, &out) {
-        eprintln!("bench write error: {}: {e}", out.display());
-        std::process::exit(2);
-    }
-    eprintln!("bench: wrote {}", out.display());
-    if let Some(path) = &trace {
-        let mut snapshot = tracer.snapshot();
-        for fragment in worker_traces {
-            snapshot.merge(fragment);
-        }
-        if let Err(e) = std::fs::write(path, snapshot.to_chrome_json()) {
-            eprintln!("trace write error: {path}: {e}");
-            std::process::exit(2);
         }
     }
 }
@@ -1050,12 +981,6 @@ fn main() {
                 .filter(|a| a != "--")
                 .collect::<Vec<_>>(),
         ),
-        "bench" => bench(
-            &std::env::args()
-                .skip(2)
-                .filter(|a| a != "--")
-                .collect::<Vec<_>>(),
-        ),
         "shard-worker" => shard_worker(
             &std::env::args()
                 .skip(2)
@@ -1083,7 +1008,7 @@ fn main() {
                 "unknown experiment `{other}`; try table1, breakeven, fig2, \
                  fig3a, fig3b, fig3c, fig3x, sim, ablation, comparison, format, \
                  sensitivity, frontier, map, custom, grid, refine, shard-worker, \
-                 bench, all"
+                 all"
             );
             std::process::exit(2);
         }

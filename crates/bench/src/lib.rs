@@ -9,7 +9,6 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
-pub mod perf;
 pub mod render;
 
 pub use experiments::{

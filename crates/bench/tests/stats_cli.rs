@@ -1,13 +1,11 @@
 //! End-to-end tests of the observability surface: `--stats` /
 //! `--stats-json` must never perturb stdout, the stderr accounting lines
 //! must agree with the JSON snapshot (they are two views of one tally),
-//! unwritable output paths must fail attributed, and `harness bench`
-//! must emit a sane, versioned `BENCH_grid.json`.
+//! and unwritable output paths must fail attributed.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-use memstream_bench::perf::BENCH_SCHEMA;
 use memstream_grid::telemetry::json::{parse, Json};
 use memstream_grid::telemetry::SNAPSHOT_SCHEMA;
 
@@ -324,67 +322,4 @@ fn sharded_traced_refinement_is_byte_identical_and_observable() {
     for p in [cache, trace, json] {
         std::fs::remove_file(p).unwrap();
     }
-}
-
-#[test]
-fn bench_quick_emits_a_sane_versioned_trajectory() {
-    let out = temp_path("BENCH_grid.json");
-    let out_str = out.to_str().expect("utf-8 temp path");
-    let output = run(&["bench", "--quick", "--out", out_str]);
-    assert!(
-        output.status.success(),
-        "bench --quick failed: {}",
-        String::from_utf8_lossy(&output.stderr)
-    );
-    assert!(
-        output.stdout.is_empty(),
-        "bench must keep stdout silent (summary goes to stderr)"
-    );
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("bench (quick):"),
-        "summary on stderr:\n{stderr}"
-    );
-
-    let doc = parse(&std::fs::read_to_string(&out).expect("BENCH written")).expect("BENCH parses");
-    assert_eq!(doc.get("schema").and_then(Json::as_str), Some(BENCH_SCHEMA));
-    let grid = doc.get("grid").expect("grid section");
-    let cold = grid
-        .get("cold_cells_per_sec")
-        .and_then(Json::as_f64)
-        .expect("cold rate");
-    let warm = grid
-        .get("warm_cells_per_sec")
-        .and_then(Json::as_f64)
-        .expect("warm rate");
-    assert!(cold > 0.0, "cold rate must be positive, got {cold}");
-    assert!(
-        warm >= cold,
-        "warm rate ({warm}) must be at least the cold rate ({cold}): \
-         a warm exploration skips every evaluation"
-    );
-    let knees_per_round = doc
-        .get("refine")
-        .and_then(|r| r.get("knees_per_round"))
-        .and_then(Json::as_f64)
-        .expect("knees_per_round");
-    assert!(knees_per_round > 0.0);
-    let merge_rate = doc
-        .get("shard")
-        .and_then(|s| s.get("merge_mb_per_sec"))
-        .and_then(Json::as_f64)
-        .expect("merge_mb_per_sec");
-    assert!(merge_rate > 0.0, "shard merge must move bytes");
-    std::fs::remove_file(out).unwrap();
-}
-
-#[test]
-fn unwritable_bench_out_fails_attributed() {
-    let output = run(&["bench", "--quick", "--out", "/nonexistent-dir/BENCH.json"]);
-    assert_eq!(output.status.code(), Some(2));
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(
-        stderr.contains("bench write error: /nonexistent-dir/BENCH.json"),
-        "failure must name the path:\n{stderr}"
-    );
 }

@@ -24,21 +24,23 @@
 //! trailing malformed records (v2) are ignored — they simply become
 //! cache misses — so format evolution never poisons a run.
 //!
-//! The cache file is also the workspace's **shard interchange format**:
-//! `memstream_shard` workers each emit their slice of a grid as a cache
-//! file, and the coordinator reassembles the run by
-//! [`ResultCache::merge`]-union. That path uses the strict reader
-//! ([`ResultCache::load_strict`]) — a wire format must fail loudly on
-//! version mismatch or corruption, where a warm-start convenience may
-//! shrug — and the union's conflict rule is byte-equality of the encoded
-//! entry (see `docs/CACHE_FORMAT.md` § "Union/merge semantics").
+//! The cache is also the workspace's **shard interchange format**:
+//! `memstream_shard` workers flush their records as v2 record streams
+//! ([`CacheAppender`], tailed by [`FlushReader`]), and the coordinator
+//! reassembles the run by [`ResultCache::merge`]-union, whose conflict
+//! rule is byte-equality of the encoded entry (see
+//! `docs/CACHE_FORMAT.md` § "Union/merge semantics"). Where a cache file
+//! is exchanged rather than used as a warm start, the strict reader
+//! ([`ResultCache::load_strict`]) fails loudly on version mismatch or
+//! corruption instead of shrugging.
 
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::io::Write as _;
-use std::path::Path;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use memstream_core::Requirement;
@@ -321,64 +323,15 @@ impl ResultCache {
     /// drops it plus everything after it (the length-prefixed stream
     /// cannot be resynchronised past damage).
     ///
-    /// For a structurally valid v2 file large enough to amortise thread
-    /// startup, the record index is partitioned across scoped worker
-    /// threads and decoded in parallel (see
-    /// [`ResultCache::load_with_workers`] to pin the worker count).
-    ///
     /// # Errors
     ///
     /// Propagates I/O errors other than "not found".
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        Self::load_with_workers(path, 0)
-    }
-
-    /// [`ResultCache::load`] with an explicit decode worker count:
-    /// `0` picks automatically (serial below a few thousand records),
-    /// `1` forces the serial decode, higher values cap the scoped
-    /// threads the v2 index is partitioned across. v1 files always
-    /// decode serially (a text parse has no index to partition).
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "not found".
-    pub fn load_with_workers(path: impl AsRef<Path>, workers: usize) -> io::Result<Self> {
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ResultCache::new()),
-            Err(e) => return Err(e),
-        };
-        if bytes.starts_with(V2_MAGIC) {
-            if let Ok(offsets) = validate_v2(&bytes) {
-                let workers = if workers == 0 {
-                    auto_load_workers(offsets.len())
-                } else {
-                    workers
-                };
-                if workers > 1 {
-                    if let Some(entries) = decode_index_parallel(&bytes, &offsets, workers) {
-                        let mut cache = ResultCache::new();
-                        cache.entries = entries;
-                        return Ok(cache);
-                    }
-                    // A malformed payload despite a valid index: fall
-                    // through to the serial prefix scan for the usual
-                    // lenient keep-the-prefix semantics.
-                }
-            }
+        match fs::read(path) {
+            Ok(bytes) => Ok(Self::from_bytes_eager(&bytes)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(ResultCache::new()),
+            Err(e) => Err(e),
         }
-        Ok(Self::from_bytes_eager(&bytes))
-    }
-
-    /// The decode worker count [`ResultCache::load`] resolves for a v2
-    /// file of `records` entries on this host: serial below the
-    /// parallelisation threshold, otherwise capped by the available
-    /// parallelism. Exposed so benchmarks and diagnostics report the
-    /// *actual* fan-out instead of re-deriving (and drifting from) the
-    /// policy.
-    #[must_use]
-    pub fn planned_load_workers(records: usize) -> usize {
-        auto_load_workers(records)
     }
 
     /// Opens a cache file **lazily**: a structurally valid v2 file is
@@ -621,6 +574,13 @@ impl ResultCache {
     /// preserves entry order). Entries stream through a [`io::BufWriter`]
     /// — the whole file is never materialised in memory.
     ///
+    /// The save is atomic with respect to readers: the bytes go to a
+    /// process-unique sibling temp file that is then renamed over
+    /// `path`, so a crash or a concurrent run leaves either the old file
+    /// or the new one, never a truncated mix. (No fsync: durability
+    /// across power loss is not promised, and every re-save would pay
+    /// for it.)
+    ///
     /// A lazily loaded cache that was never extended or shadowed
     /// re-saves to v2 **verbatim**: the view's validation guarantees its
     /// entries re-encode to exactly the bytes it was opened over, so the
@@ -628,15 +588,17 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors.
+    /// Propagates I/O errors; on error `path` is left untouched and the
+    /// temp file is removed.
     pub fn save_as(&self, path: impl AsRef<Path>, format: CacheFormat) -> io::Result<()> {
         let _save_timer = self.telemetry.save_span.start();
+        let path = path.as_ref();
         if format == CacheFormat::V2 && self.overlay_new == 0 && !self.shadowed {
             if let Some(view) = self.view.as_deref() {
-                fs::write(path, view.file_bytes())?;
-                let written = view.file_bytes().len() as u64;
-                self.telemetry.save_bytes.add(written);
-                self.telemetry.v2_save_bytes.add(written);
+                let bytes = view.file_bytes();
+                write_replacing(path, |out| out.write_all(bytes))?;
+                self.telemetry.save_bytes.add(bytes.len() as u64);
+                self.telemetry.v2_save_bytes.add(bytes.len() as u64);
                 return Ok(());
             }
         }
@@ -649,12 +611,10 @@ impl ResultCache {
             .into_iter()
             .filter_map(|key| Some((key, self.fetch(key)?)))
             .collect();
-        let mut out = io::BufWriter::new(fs::File::create(path)?);
-        let written = match format {
-            CacheFormat::V1 => write_v1(&mut out, &entries)?,
-            CacheFormat::V2 => write_v2(&mut out, &entries)?,
-        };
-        out.flush()?;
+        let written = write_replacing(path, |out| match format {
+            CacheFormat::V1 => write_v1(out, &entries),
+            CacheFormat::V2 => write_v2(out, &entries),
+        })?;
         self.telemetry.save_bytes.add(written);
         if format == CacheFormat::V2 {
             self.telemetry.v2_save_bytes.add(written);
@@ -1134,20 +1094,6 @@ fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
     entries
 }
 
-/// Serial-below-this record count, the parallel load's thread startup
-/// costs more than it saves.
-const PARALLEL_LOAD_MIN_RECORDS: usize = 4096;
-
-/// Decode workers for an eager v2 load of `records` records: serial for
-/// small files, then one worker per ~2k records up to a modest cap.
-fn auto_load_workers(records: usize) -> usize {
-    if records < PARALLEL_LOAD_MIN_RECORDS {
-        return 1;
-    }
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    available.min(records / 2048).clamp(1, 8)
-}
-
 /// Merge workers for unioning `records` entries in: serial for small
 /// shard caches, then one worker per ~128 entries up to a modest cap.
 fn auto_merge_workers(records: usize) -> usize {
@@ -1156,43 +1102,6 @@ fn auto_merge_workers(records: usize) -> usize {
     }
     let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
     available.min(records / 128).clamp(1, 8)
-}
-
-/// Decodes a validated v2 record index in parallel: contiguous index
-/// slices fan out across scoped worker threads, each decoding into its
-/// own pre-sized shard map, and a single writer stitches the shards
-/// into the final map. Returns `None` if any record payload fails to
-/// decode (the caller falls back to the serial lenient scan).
-fn decode_index_parallel(
-    bytes: &[u8],
-    offsets: &[usize],
-    workers: usize,
-) -> Option<HashMap<String, CellOutcome>> {
-    let chunk = offsets.len().div_ceil(workers.max(1)).max(1);
-    let shards: Vec<Option<HashMap<String, CellOutcome>>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = offsets
-            .chunks(chunk)
-            .map(|slice| {
-                scope.spawn(move || {
-                    let mut shard = HashMap::with_capacity(slice.len());
-                    for &offset in slice {
-                        let (key, outcome) = decode_record(record_body(bytes, offset))?;
-                        shard.insert(key, outcome);
-                    }
-                    Some(shard)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("load worker panicked"))
-            .collect()
-    });
-    let mut entries = HashMap::with_capacity(offsets.len());
-    for shard in shards {
-        entries.extend(shard?);
-    }
-    Some(entries)
 }
 
 /// What one merge worker found in its slice of the source's keys.
@@ -1281,6 +1190,35 @@ fn scan_merge_slice(
         }
     }
     scan
+}
+
+/// Writes `path` through a process-unique sibling temp file renamed
+/// over it, so readers only ever see a complete file. The temp file is
+/// removed if writing or the rename fails.
+fn write_replacing<T>(
+    path: &Path,
+    write: impl FnOnce(&mut io::BufWriter<fs::File>) -> io::Result<T>,
+) -> io::Result<T> {
+    static SEQUENCE: AtomicUsize = AtomicUsize::new(0);
+    let mut temp = path.as_os_str().to_owned();
+    temp.push(format!(
+        ".{}-{}.tmp",
+        std::process::id(),
+        SEQUENCE.fetch_add(1, Ordering::Relaxed)
+    ));
+    let temp = PathBuf::from(temp);
+    let result = fs::File::create(&temp)
+        .and_then(|file| {
+            let mut out = io::BufWriter::new(file);
+            let value = write(&mut out)?;
+            out.flush()?;
+            Ok(value)
+        })
+        .and_then(|value| fs::rename(&temp, path).map(|()| value));
+    if result.is_err() {
+        let _ = fs::remove_file(&temp);
+    }
+    result
 }
 
 /// Streams the v1 text encoding of pre-resolved entries, returning the
@@ -1613,6 +1551,43 @@ mod tests {
             "warm cache must reproduce cold bytes"
         );
         fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn save_replaces_the_file_instead_of_rewriting_it_in_place() {
+        let path = temp_path("atomic.cache");
+        let mut cache = ResultCache::new();
+        let outcome = |detail: &str| CellOutcome::Unmodelled {
+            detail: detail.to_owned(),
+        };
+        cache.insert("first".to_owned(), outcome("before"));
+        cache.save(&path).unwrap();
+        let old_bytes = fs::read(&path).unwrap();
+        // A reader that opened the old file keeps reading the old bytes.
+        let mut reader = fs::File::open(&path).unwrap();
+
+        cache.insert("second".to_owned(), outcome("after"));
+        for format in [CacheFormat::V1, CacheFormat::V2] {
+            cache.save_as(&path, format).unwrap();
+            assert_eq!(ResultCache::load_strict(&path).unwrap().len(), 2);
+        }
+        let mut seen = Vec::new();
+        io::Read::read_to_end(&mut reader, &mut seen).unwrap();
+        assert_eq!(seen, old_bytes, "the open reader saw a rewrite");
+
+        // A save that cannot complete (the target is a directory) cleans
+        // up its temp file.
+        let dir = temp_path("atomic-dir");
+        fs::create_dir_all(&dir).unwrap();
+        assert!(cache.save(&dir).is_err());
+        let leftovers: Vec<_> = fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.starts_with("atomic") && name.ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
+        fs::remove_file(path).unwrap();
+        fs::remove_dir(dir).unwrap();
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Property equivalences for the warm-path machinery: the lazy
-//! [`CacheView`] must answer exactly like an eager load, the parallel
-//! k-way merge must be byte-for-byte the serial merge, and the
-//! incremental frontier must survive exactly the batch non-domination
-//! scan. Each property runs over arbitrary subsets of a real explored
-//! corpus, so every outcome variant the models actually produce is
-//! exercised — not just hand-built fixtures.
+//! [`CacheView`] must answer exactly like an eager load (and warm probes
+//! must not decode a record), the parallel k-way merge must be
+//! byte-for-byte the serial merge, and the incremental frontier must
+//! survive exactly the batch non-domination scan. Each property runs
+//! over arbitrary subsets of a real explored corpus, so every outcome
+//! variant the models actually produce is exercised — not just
+//! hand-built fixtures.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use memstream_grid::{
-    non_dominated, CacheFormat, CacheView, CellOutcome, FrontierBuilder, GridExecutor, ResultCache,
-    ScenarioGrid,
+    non_dominated, CacheFormat, CacheView, CellOutcome, FrontierBuilder, GridExecutor, Metrics,
+    ResultCache, ScenarioGrid,
 };
 use proptest::prelude::*;
 
@@ -71,6 +72,28 @@ fn next_case() -> u64 {
     CASE.fetch_add(1, Ordering::Relaxed)
 }
 
+/// Warm planning over a lazily opened v2 file answers every probe from
+/// the record index alone: not a single record is decoded.
+#[test]
+fn warm_probes_decode_no_records() {
+    let path = temp_path("warm-probes", next_case());
+    let entries: BTreeMap<String, CellOutcome> = corpus().iter().cloned().collect();
+    cache_of(&entries)
+        .save_as(&path, CacheFormat::V2)
+        .expect("save v2");
+
+    let metrics = Metrics::enabled();
+    let mut cache = ResultCache::load_lazy(&path).expect("lazy load");
+    cache.set_metrics(&metrics);
+    for key in entries.keys() {
+        assert!(cache.contains_key(key), "warm probe missed `{key}`");
+    }
+    let snapshot = metrics.snapshot();
+    assert_eq!(snapshot.counter("cache.records_decoded"), Some(0));
+    assert!(snapshot.counter("cache.index_lookups").unwrap_or(0) > 0);
+    std::fs::remove_file(path).ok();
+}
+
 proptest! {
     /// Every lookup against the lazy view — `get`, `contains_key`, and
     /// the `load_lazy` cache built over it — answers exactly like the
@@ -86,20 +109,15 @@ proptest! {
         let eager = ResultCache::load(&path).expect("eager load");
         let lazy = ResultCache::load_lazy(&path).expect("lazy load");
         let view = CacheView::open(&path).expect("view opens");
-        // An explicitly parallel decode (below the auto threshold, so
-        // the partitioned path must be forced) agrees entry for entry.
-        let parallel = ResultCache::load_with_workers(&path, 3).expect("parallel load");
 
         prop_assert_eq!(eager.len(), entries.len());
         prop_assert_eq!(lazy.len(), entries.len());
         prop_assert_eq!(view.len(), entries.len());
-        prop_assert_eq!(parallel.len(), entries.len());
         // Probe the *whole* corpus: selected keys are hits, the rest
         // must miss identically in all three readers.
         for (key, _) in corpus() {
             prop_assert_eq!(eager.get(key), view.get(key));
             prop_assert_eq!(eager.get(key), lazy.get(key));
-            prop_assert_eq!(eager.get(key), parallel.get(key));
             prop_assert_eq!(eager.contains_key(key), view.contains_key(key));
             prop_assert_eq!(eager.contains_key(key), lazy.contains_key(key));
         }

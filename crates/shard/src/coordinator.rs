@@ -3,9 +3,9 @@
 //! [`explore_sharded`] is one fan-out. The grid's canonical deduplicated
 //! cell range is split into small lease chunks owned by a
 //! [`LeaseQueue`]; one worker process per shard is spawned (a re-exec of
-//! the current binary's `shard-worker` subcommand with `--lease`,
-//! stdin/stdout/stderr all piped), and a per-child **collector thread**
-//! speaks the lease protocol with it: `lease-request` lines on the
+//! the current binary's `shard-worker` subcommand, stdin/stdout/stderr
+//! all piped), and a per-child **collector thread** speaks the lease
+//! protocol with it: `lease-request` lines on the
 //! worker's stderr are answered with `lease-grant`/`lease-retire` lines
 //! on its stdin, `lease-done` lines trigger a poll of the worker's
 //! incremental flush stream ([`FlushReader`]), and `shard-progress`
@@ -44,33 +44,6 @@ use crate::protocol::{
     WorkerSpec,
 };
 use crate::recipe::GridRecipe;
-
-/// The contiguous slice of a `len`-element canonical cell range owned by
-/// shard `index` of `count`: `len*i/N .. len*(i+1)/N`. Slices partition
-/// the range (no gaps, no overlap) and differ in length by at most one.
-/// (The lease scheduler supersedes static slices for scheduling; this
-/// stays as the reference partition shape and the static-mode worker's
-/// contract.)
-///
-/// # Panics
-///
-/// Panics if `count` is zero or `index >= count`.
-#[must_use]
-pub fn shard_range(len: usize, index: usize, count: usize) -> Range<usize> {
-    assert!(count > 0, "shard count must be positive");
-    assert!(index < count, "shard index {index} out of range 0..{count}");
-    (len * index / count)..(len * (index + 1) / count)
-}
-
-/// All `count` shard slices of a `len`-element range, in order.
-///
-/// # Panics
-///
-/// Panics if `count` is zero.
-#[must_use]
-pub fn shard_ranges(len: usize, count: usize) -> Vec<Range<usize>> {
-    (0..count).map(|i| shard_range(len, i, count)).collect()
-}
 
 /// How a shard failed (the ledger's classification).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -927,8 +900,6 @@ pub fn explore_sharded(
             trace: opts
                 .trace
                 .then(|| scratch.join(format!("shard-{index}.trace.json"))),
-            cache_format: opts.cache_format,
-            lease: true,
             fault: opts
                 .fault_plans
                 .iter()
@@ -1153,28 +1124,6 @@ pub fn explore_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_ranges_partition_without_gaps_or_overlap() {
-        for (len, count) in [(0, 1), (1, 3), (10, 3), (17, 4), (8, 8), (5, 7)] {
-            let ranges = shard_ranges(len, count);
-            assert_eq!(ranges.len(), count);
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, len);
-            for pair in ranges.windows(2) {
-                assert_eq!(pair[0].end, pair[1].start);
-            }
-            let sizes: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-            let (min, max) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
-            assert!(max - min <= 1, "balanced: {sizes:?}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "shard count")]
-    fn zero_shards_are_rejected() {
-        let _ = shard_range(10, 0, 0);
-    }
 
     /// A fake worker: any shell script stands in for the spawned
     /// process. `$1 $2 ...` receive the encoded [`WorkerSpec`]; the

@@ -254,10 +254,8 @@ impl LeaseQueue {
 mod tests {
     use super::*;
 
-    /// The static-partition invariant test extended to the lease
-    /// scheduler: chunks partition the range with no gaps or overlap for
-    /// any chunk size (the lease-layer sibling of
-    /// `shard_ranges_partition_without_gaps_or_overlap`).
+    /// Chunks partition the range with no gaps or overlap for any chunk
+    /// size.
     #[test]
     fn lease_chunks_partition_without_gaps_or_overlap() {
         for (len, chunk) in [(0, 1), (1, 3), (10, 3), (17, 4), (8, 8), (5, 7), (120, 1)] {

@@ -18,8 +18,8 @@
 //!    [`LeaseQueue`]; the chunk layout depends on the grid alone, never
 //!    on cache temperature.
 //! 2. **Fan out** — workers are spawned processes (a re-exec of the
-//!    harness: `harness shard-worker --shard i/N --lease --cache PATH
-//!    ...`). Each worker asks for work over its **stderr** side-channel
+//!    harness: `harness shard-worker --shard i/N --cache PATH ...`).
+//!    Each worker asks for work over its **stderr** side-channel
 //!    (`lease-request`), receives grants over **stdin**
 //!    (`lease-grant a..b`), evaluates the granted cells and **flushes
 //!    completed records incrementally** to its per-worker scratch file
@@ -58,15 +58,15 @@
 //!
 //! ```
 //! use memstream_grid::{GridExecutor, ResultCache};
-//! use memstream_shard::{shard_ranges, GridRecipe};
+//! use memstream_shard::{lease_chunks, GridRecipe};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let grid = GridRecipe::baseline(6).build();
 //! let unique = grid.unique_cells();
 //!
-//! // Evaluate three contiguous shards independently...
+//! // Evaluate each contiguous lease chunk independently...
 //! let mut shards = Vec::new();
-//! for range in shard_ranges(unique.len(), 3) {
+//! for range in lease_chunks(unique.len(), unique.len().div_ceil(3)) {
 //!     let mut shard = ResultCache::new();
 //!     GridExecutor::serial().resolve_cells(&grid, &unique[range], &mut shard);
 //!     shards.push(shard);
@@ -96,8 +96,8 @@ mod round;
 mod worker;
 
 pub use coordinator::{
-    explore_sharded, shard_range, shard_ranges, ShardError, ShardFailure, ShardFailureKind,
-    ShardOptions, ShardRun, WorkerReport,
+    explore_sharded, ShardError, ShardFailure, ShardFailureKind, ShardOptions, ShardRun,
+    WorkerReport,
 };
 pub use fault::{FaultPlan, FAULT_PLAN_ENV};
 pub use lease::{lease_chunks, LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};

@@ -11,15 +11,14 @@
 //!
 //! Beyond the command line, this module also defines the **lease line
 //! protocol** (`docs/SHARD_PROTOCOL.md`): newline-delimited request/done
-//! lines a lease-mode worker writes to stderr alongside its
-//! `shard-progress` heartbeats, and the grant/retire replies the
-//! coordinator writes to the worker's stdin.
+//! lines a worker writes to stderr alongside its `shard-progress`
+//! heartbeats, and the grant/retire replies the coordinator writes to
+//! the worker's stdin.
 
 use std::fmt;
 use std::ops::Range;
 use std::path::PathBuf;
 
-use memstream_grid::CacheFormat;
 use memstream_units::BitRate;
 
 use crate::fault::FaultPlan;
@@ -55,15 +54,14 @@ impl std::error::Error for ProtocolError {}
 pub struct WorkerSpec {
     /// 0-based shard index.
     pub shard: usize,
-    /// Total shard count; this worker owns contiguous slice
-    /// `shard`/`shard_count` of the grid's canonical deduplicated cell
-    /// range (see [`crate::shard_range`]).
+    /// Total shard count (the number of workers sharing the lease queue).
     pub shard_count: usize,
-    /// Where the worker must write its slice as a [`memstream_grid::ResultCache`] file.
+    /// Where the worker appends its flush stream
+    /// ([`memstream_grid::CacheAppender`] framing).
     pub cache: PathBuf,
     /// An optional warm cache to read before evaluating (the
-    /// coordinator's accumulated entries); cells found there are not
-    /// re-evaluated.
+    /// coordinator's accumulated entries, in either cache format); cells
+    /// found there are not re-evaluated.
     pub warm: Option<PathBuf>,
     /// Worker-internal thread count (`0` = machine width).
     pub threads: usize,
@@ -78,20 +76,10 @@ pub struct WorkerSpec {
     /// when the run completes (the coordinator collects the fragments and
     /// merges them into the run-wide timeline).
     pub trace: Option<PathBuf>,
-    /// The encoding of the cache file the worker writes (and the
-    /// coordinator's warm file). The flag is only emitted for non-default
-    /// formats, so v1 command lines are byte-identical to older builds.
-    pub cache_format: CacheFormat,
-    /// Lease mode: instead of evaluating the static `shard/shard_count`
-    /// slice, the worker requests cell-range leases over the stderr/stdin
-    /// line protocol and appends results incrementally to
-    /// [`WorkerSpec::cache`] as a flush stream. The flag is only emitted
-    /// when set, so static command lines parse on older builds.
-    pub lease: bool,
     /// A deterministic misbehaviour for the fault-injection test layer
     /// (hidden `--fault-plan`; absent from the wire when `None`).
     pub fault: Option<FaultPlan>,
-    /// The grid to build and slice.
+    /// The grid whose cells the leases index.
     pub recipe: GridRecipe,
 }
 
@@ -136,13 +124,6 @@ impl WorkerSpec {
             args.push("--trace".to_owned());
             args.push(path.display().to_string());
         }
-        if self.cache_format != CacheFormat::default() {
-            args.push("--cache-format".to_owned());
-            args.push(self.cache_format.flag().to_owned());
-        }
-        if self.lease {
-            args.push("--lease".to_owned());
-        }
         if let Some(plan) = &self.fault {
             args.push("--fault-plan".to_owned());
             args.push(plan.to_string());
@@ -167,8 +148,6 @@ impl WorkerSpec {
         let mut stats = false;
         let mut stats_json: Option<PathBuf> = None;
         let mut trace: Option<PathBuf> = None;
-        let mut cache_format = CacheFormat::default();
-        let mut lease = false;
         let mut fault: Option<FaultPlan> = None;
 
         let mut it = args.iter();
@@ -207,13 +186,6 @@ impl WorkerSpec {
                 "--stats" => stats = true,
                 "--stats-json" => stats_json = Some(PathBuf::from(value()?)),
                 "--trace" => trace = Some(PathBuf::from(value()?)),
-                "--cache-format" => {
-                    let raw = value()?;
-                    cache_format = CacheFormat::parse_flag(&raw).ok_or_else(|| {
-                        ProtocolError::new(format!("--cache-format `{raw}` is not v1 or v2"))
-                    })?;
-                }
-                "--lease" => lease = true,
                 "--fault-plan" => {
                     fault = Some(value()?.parse().map_err(ProtocolError::new)?);
                 }
@@ -256,8 +228,6 @@ impl WorkerSpec {
             stats,
             stats_json,
             trace,
-            cache_format,
-            lease,
             fault,
             recipe,
         })
@@ -303,7 +273,7 @@ pub fn format_lease_reply(reply: &LeaseReply) -> String {
 }
 
 /// Parses a [`format_lease_reply`] line. Any other line returns `None` —
-/// lease-mode workers treat that as a protocol error and exit.
+/// workers treat that as a protocol error and exit.
 #[must_use]
 pub fn parse_lease_reply(line: &str) -> Option<LeaseReply> {
     if line == "lease-retire" {
@@ -378,8 +348,6 @@ mod tests {
             stats: true,
             stats_json: Some(PathBuf::from("/tmp/shard-2-stats.json")),
             trace: Some(PathBuf::from("/tmp/shard-2.trace.json")),
-            cache_format: CacheFormat::V2,
-            lease: true,
             fault: Some(FaultPlan::DieAfterCells(9)),
             recipe: GridRecipe::classic(7).with_rate_axis([
                 BitRate::from_kbps(32.0),
@@ -403,13 +371,11 @@ mod tests {
             stats: false,
             stats_json: None,
             trace: None,
-            cache_format: CacheFormat::V1,
-            lease: false,
             fault: None,
             recipe: GridRecipe::baseline(24),
         };
         let args = spec.to_args();
-        for absent in ["--cache-format", "--trace", "--lease", "--fault-plan"] {
+        for absent in ["--trace", "--fault-plan"] {
             assert!(
                 !args.iter().any(|a| a == absent),
                 "`{absent}` off must stay off the wire (old coordinators reject it)"
@@ -479,7 +445,6 @@ mod tests {
             &["--shard", "0/2", "--cache", "x", "--bogus"],
             &["--shard", "0/2", "--cache", "x", "--rate-list", "1,zap"],
             &["--shard", "0/2", "--cache", "x", "--rates", "1"],
-            &["--shard", "0/2", "--cache", "x", "--cache-format", "v9"],
         ];
         for case in cases {
             let args: Vec<String> = case.iter().map(|s| (*s).to_owned()).collect();

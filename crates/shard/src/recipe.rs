@@ -17,7 +17,7 @@ use memstream_units::BitRate;
 /// (the same ones `harness grid` / `harness refine` explore): a wire
 /// format can only carry what both ends can reconstruct. Library callers
 /// sharding an arbitrary [`ScenarioGrid`] in-process can partition it
-/// directly with [`crate::shard_ranges`] over
+/// directly with [`crate::lease_chunks`] over
 /// [`ScenarioGrid::unique_cells`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridRecipe {

@@ -2,40 +2,33 @@
 //! cell range and emit them as cache records.
 //!
 //! A worker is deliberately dumb; all scheduling, merging and failure
-//! policy live in the coordinator. It runs in one of two modes:
+//! policy live in the coordinator. It repeatedly asks the coordinator
+//! for a cell-range lease over the stderr/stdin line protocol, resolves
+//! the granted cells, **flushes** the freshly evaluated records to the
+//! output path incrementally ([`CacheAppender`]) and announces
+//! `lease-done` — so a worker that dies mid-run has still delivered
+//! every lease it completed.
 //!
-//! - **Static** (`lease: false`, the legacy path): slice the `i/N`
-//!   range, resolve it, write exactly that slice as one versioned
-//!   [`ResultCache`] file at exit.
-//! - **Leased** (`lease: true`): repeatedly ask the coordinator for a
-//!   cell-range lease over the stderr/stdin line protocol, resolve the
-//!   granted cells, **flush** the freshly evaluated records to the
-//!   output path incrementally ([`CacheAppender`]) and announce
-//!   `lease-done` — so a worker that dies mid-run has still delivered
-//!   every lease it completed.
-//!
-//! A [`FaultPlan`] makes a lease-mode worker misbehave at a
-//! deterministic point; the fault-injection suite drives it to prove the
-//! coordinator's recovery machinery preserves byte-identity.
+//! A [`FaultPlan`] makes a worker misbehave at a deterministic point;
+//! the fault-injection suite drives it to prove the coordinator's
+//! recovery machinery preserves byte-identity.
 
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
 use memstream_grid::{CacheAppender, CellOutcome, GridExecutor, KeyInterner, Metrics, ResultCache};
 
-use crate::coordinator::shard_range;
 use crate::fault::FaultPlan;
 use crate::protocol::{
     format_lease_done, format_lease_request, format_progress, parse_lease_reply, LeaseReply,
     WorkerSpec,
 };
 
-/// How many heartbeat chunks a worker splits its work into. In static
-/// mode this is chunks per slice; in lease mode it is flush batches per
-/// lease. Each chunk is one `resolve_cells` pass, so more chunks mean
-/// finer-grained liveness at the cost of re-planning series across chunk
-/// boundaries; four keeps that overhead marginal while a stuck worker is
-/// still spotted within a quarter of its work.
+/// How many flush batches a worker splits each lease into. Each batch
+/// is one `resolve_cells` pass followed by a heartbeat, so more batches
+/// mean finer-grained liveness at the cost of re-planning series across
+/// batch boundaries; four keeps that overhead marginal while a stuck
+/// worker is still spotted within a quarter of its lease.
 const PROGRESS_CHUNKS: usize = 4;
 
 /// The exit code of a worker killed by its own [`FaultPlan`] — distinct
@@ -46,8 +39,7 @@ const FAULT_EXIT: i32 = 86;
 /// What one worker run did (the numbers the harness prints to stderr).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkerSummary {
-    /// Cells assigned to this worker: the static slice, or the union of
-    /// completed leases.
+    /// Cells assigned to this worker: the union of its completed leases.
     pub assigned: usize,
     /// Cells resolved from the warm cache without evaluation.
     pub warm_hits: usize,
@@ -55,14 +47,13 @@ pub struct WorkerSummary {
     pub evaluated: usize,
 }
 
-/// Runs one shard worker to completion (see module docs for the two
-/// modes). Lease-mode workers talk to the coordinator over this
-/// process's real stdin/stderr.
+/// Runs one shard worker to completion (see module docs), talking to
+/// the coordinator over this process's real stdin/stderr.
 ///
 /// # Errors
 ///
-/// I/O errors from the cache files or, in lease mode, a coordinator
-/// reply that is not part of the protocol.
+/// I/O errors from the cache files, or a coordinator reply that is not
+/// part of the protocol.
 pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
     run_worker_with_metrics(spec, &Metrics::disabled())
 }
@@ -72,8 +63,8 @@ pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
 /// `shard-worker --stats` path). Telemetry never changes the records a
 /// worker writes.
 ///
-/// In both modes the worker emits machine-parseable heartbeat lines on
-/// **stderr** (`shard-progress i/N: cells_done/cells_total`, see
+/// The worker emits machine-parseable heartbeat lines on **stderr**
+/// (`shard-progress i/N: cells_done/cells_total`, see
 /// [`format_progress`]). The coordinator consumes these lines into its
 /// aggregated progress display instead of forwarding them; stdout is
 /// untouched, so the byte-identity contract holds.
@@ -82,57 +73,10 @@ pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
 ///
 /// As [`run_worker`].
 pub fn run_worker_with_metrics(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<WorkerSummary> {
-    if spec.lease {
-        let stdin = io::stdin();
-        let mut replies = stdin.lock();
-        let mut control = io::stderr().lock();
-        run_lease_worker(spec, metrics, &mut replies, &mut control)
-    } else {
-        run_static_worker(spec, metrics)
-    }
-}
-
-/// The legacy static path: resolve the fixed `i/N` slice, save it as one
-/// strict-loadable cache file at exit.
-fn run_static_worker(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<WorkerSummary> {
-    let grid = spec.recipe.build();
-    let unique = grid.unique_cells();
-    let cells = &unique[shard_range(unique.len(), spec.shard, spec.shard_count)];
-
-    let mut working = load_warm(spec)?;
-    working.set_metrics(metrics);
-    let executor = GridExecutor::parallel(spec.threads).with_metrics(metrics);
-    let chunk_size = cells.len().div_ceil(PROGRESS_CHUNKS).max(1);
-    let mut done = 0usize;
-    if cells.is_empty() {
-        eprintln!("{}", format_progress(spec.shard, spec.shard_count, 0, 0));
-    }
-    for chunk in cells.chunks(chunk_size) {
-        executor.resolve_cells(&grid, chunk, &mut working);
-        done += chunk.len();
-        eprintln!(
-            "{}",
-            format_progress(spec.shard, spec.shard_count, done, cells.len())
-        );
-    }
-
-    let interner = KeyInterner::new(&grid);
-    let mut slice = ResultCache::new();
-    slice.set_metrics(metrics);
-    for cell in cells {
-        let key = interner.resolve(interner.key(cell));
-        let outcome = working
-            .get(&key)
-            .expect("resolve_cells covered every assigned cell");
-        slice.insert(key, outcome);
-    }
-    slice.save_as(&spec.cache, spec.cache_format)?;
-
-    Ok(WorkerSummary {
-        assigned: cells.len(),
-        warm_hits: working.hits(),
-        evaluated: working.misses(),
-    })
+    let stdin = io::stdin();
+    let mut replies = stdin.lock();
+    let mut control = io::stderr().lock();
+    run_lease_worker(spec, metrics, &mut replies, &mut control)
 }
 
 /// The lease loop, factored over abstract reply/control streams so the
@@ -295,10 +239,10 @@ fn run_lease_worker(
 
 /// Lenient warm load: a stale or truncated warm file costs
 /// re-evaluation, never correctness. (The coordinator reads *our*
-/// output with the strict reader or the flush reader — those are the
-/// wire format.) Lazy: a v2 warm file is indexed, not decoded — warm
-/// planning probes the index and only the cells this worker actually
-/// touches are ever decoded.
+/// output with the flush reader — that is the wire format.) The format
+/// is auto-detected, and the load is lazy: a v2 warm file is indexed,
+/// not decoded — warm planning probes the index and only the cells this
+/// worker actually touches are ever decoded.
 fn load_warm(spec: &WorkerSpec) -> io::Result<ResultCache> {
     match &spec.warm {
         Some(path) => ResultCache::load_lazy(path),
@@ -342,43 +286,35 @@ mod tests {
             stats: false,
             stats_json: None,
             trace: None,
-            cache_format: CacheFormat::V2,
-            lease: true,
             fault: None,
             recipe,
         }
     }
 
+    /// The coordinator's side of a conversation: one reply line each.
+    fn script(replies: &[LeaseReply]) -> Cursor<Vec<u8>> {
+        let lines: Vec<String> = replies.iter().map(format_lease_reply).collect();
+        Cursor::new((lines.join("\n") + "\n").into_bytes())
+    }
+
     #[test]
     fn worker_emits_exactly_its_slice() {
+        // A lease from the middle of the range: exactly its cells reach
+        // the flush stream, nothing before or after it.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
         let unique = grid.unique_cells();
+        let range = unique.len() / 3..2 * unique.len() / 3;
         let path = temp_path("slice.cache");
-        // v2 output: the strict reader below doubles as the coordinator's
-        // auto-detecting merge path.
-        let summary = run_worker(&WorkerSpec {
-            shard: 1,
-            shard_count: 3,
-            cache: path.clone(),
-            warm: None,
-            threads: 1,
-            stats: false,
-            stats_json: None,
-            trace: None,
-            cache_format: CacheFormat::V2,
-            lease: false,
-            fault: None,
-            recipe,
-        })
-        .expect("worker runs");
-
-        let range = shard_range(unique.len(), 1, 3);
+        let mut replies = script(&[LeaseReply::Grant(range.clone()), LeaseReply::Retire]);
+        let spec = lease_spec(path.clone(), recipe);
+        let summary =
+            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut Vec::new()).unwrap();
         assert_eq!(summary.assigned, range.len());
         assert_eq!(summary.evaluated, range.len());
         assert_eq!(summary.warm_hits, 0);
 
-        let slice = ResultCache::load_strict(&path).expect("strict-readable output");
+        let slice = ResultCache::load(&path).expect("lenient-readable flush stream");
         assert_eq!(slice.len(), range.len());
         for cell in &unique[range] {
             assert!(slice.contains_key(&grid.dedup_key(cell)));
@@ -388,33 +324,29 @@ mod tests {
 
     #[test]
     fn warm_cells_are_not_re_evaluated() {
+        // A fully warm v2 file, read through the lazy view: the worker
+        // evaluates nothing and flushes nothing.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
+        let len = grid.unique_cells().len();
         let warm_path = temp_path("warm.cache");
         let mut warm = ResultCache::new();
         GridExecutor::serial()
             .explore_cached(&grid, &mut warm)
             .unwrap();
-        warm.save(&warm_path).unwrap();
+        warm.save_as(&warm_path, CacheFormat::V2).unwrap();
 
         let out = temp_path("warm-slice.cache");
-        let summary = run_worker(&WorkerSpec {
-            shard: 0,
-            shard_count: 2,
-            cache: out.clone(),
-            warm: Some(warm_path.clone()),
-            threads: 1,
-            stats: false,
-            stats_json: None,
-            trace: None,
-            cache_format: CacheFormat::V1,
-            lease: false,
-            fault: None,
-            recipe,
-        })
-        .expect("worker runs");
+        let mut replies = script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]);
+        let mut spec = lease_spec(out.clone(), recipe);
+        spec.warm = Some(warm_path.clone());
+        let summary =
+            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut Vec::new()).unwrap();
         assert_eq!(summary.evaluated, 0);
         assert_eq!(summary.warm_hits, summary.assigned);
+        assert_eq!(summary.assigned, len);
+        let poll = FlushReader::new(out.clone()).poll().unwrap();
+        assert!(poll.records.is_empty(), "warm cells are not flushed");
         for p in [warm_path, out] {
             std::fs::remove_file(p).unwrap();
         }
@@ -430,14 +362,11 @@ mod tests {
         let split = len / 2;
         let path = temp_path("lease-flush.cache");
 
-        let script = [
-            format_lease_reply(&LeaseReply::Grant(0..split)),
-            format_lease_reply(&LeaseReply::Grant(split..len)),
-            format_lease_reply(&LeaseReply::Retire),
-        ]
-        .join("\n")
-            + "\n";
-        let mut replies = Cursor::new(script.into_bytes());
+        let mut replies = script(&[
+            LeaseReply::Grant(0..split),
+            LeaseReply::Grant(split..len),
+            LeaseReply::Retire,
+        ]);
         let mut control = Vec::new();
 
         let spec = lease_spec(path.clone(), recipe);
@@ -534,18 +463,11 @@ mod tests {
         warm.save(&warm_path).unwrap();
 
         let path = temp_path("lease-warm-out.cache");
-        let script = [
-            format_lease_reply(&LeaseReply::Grant(0..len)),
-            format_lease_reply(&LeaseReply::Retire),
-        ]
-        .join("\n")
-            + "\n";
-        let mut replies = Cursor::new(script.into_bytes());
-        let mut control = Vec::new();
+        let mut replies = script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]);
         let mut spec = lease_spec(path.clone(), recipe);
         spec.warm = Some(warm_path.clone());
         let summary =
-            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut control).unwrap();
+            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut Vec::new()).unwrap();
         assert_eq!(summary.assigned, len);
         assert_eq!(summary.evaluated, len - 2);
         assert_eq!(summary.warm_hits, 2);

@@ -2,8 +2,8 @@
 //!
 //! The build environment has no registry access, so there is no serde;
 //! this module is the workspace's JSON substrate instead. The writer
-//! ([`JsonObject`]) builds the two documents the workspace emits —
-//! telemetry snapshots and `BENCH_grid.json` — and the reader
+//! ([`JsonObject`]) builds the documents the workspace emits —
+//! telemetry snapshots and Chrome traces — and the reader
 //! ([`parse`]) exists so tests (and CI smokes) can validate those
 //! documents structurally instead of by fragile string matching.
 //!
@@ -151,8 +151,8 @@ impl JsonObject {
     }
 
     /// Renders with one top-level field per line (nested objects stay
-    /// compact) and a trailing newline — the shape checked-in artifacts
-    /// like `BENCH_grid.json` use, so diffs stay line-oriented.
+    /// compact) and a trailing newline, so diffs of checked-in
+    /// documents stay line-oriented.
     #[must_use]
     pub fn render_pretty(&self) -> String {
         let mut out = String::from("{\n");

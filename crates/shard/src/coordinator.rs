@@ -14,6 +14,11 @@
 //! [`ShardOptions::lease_deadline`] (killing the stragglers), so their
 //! chunks are re-issued to live workers.
 //!
+//! Nothing here polls: collectors waiting for work and the watchdog
+//! waiting for the next deadline park on one condvar, which every lease
+//! transition (grant, completion, reclaim, worker EOF, shutdown)
+//! notifies.
+//!
 //! Every anomaly — a worker that failed to spawn, died or stalled
 //! mid-lease, damaged its flush stream, announced a lease it never
 //! flushed, or disagreed byte-wise with an existing entry — lands in a
@@ -30,12 +35,14 @@ use std::io::Write as _;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use memstream_grid::telemetry::{parse_histograms, Histogram, TraceSnapshot};
-use memstream_grid::{CacheFormat, FlushReader, GridError, MergeStats, Metrics, ResultCache};
+use memstream_grid::{
+    CacheFormat, FlushReader, GridError, KeyInterner, MergeStats, Metrics, ResultCache,
+};
 
 use crate::fault::FaultPlan;
 use crate::lease::{LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};
@@ -348,10 +355,6 @@ impl ShardOptions {
 /// How often the aggregated `shard progress:` line is re-printed at most.
 const PROGRESS_THROTTLE: Duration = Duration::from_millis(200);
 
-/// How often a collector waiting for lease-queue work re-checks the
-/// queue (a condvar wakeup normally arrives much sooner).
-const GRANT_POLL: Duration = Duration::from_millis(50);
-
 /// The throttled `shard progress: done/total cells` stderr line, shared
 /// by every collector thread. Never touches stdout.
 #[derive(Default)]
@@ -374,30 +377,49 @@ impl ProgressPrinter {
 /// The immutable work map every collector verifies against: the
 /// canonical dedup keys, which cells the coordinator already held, and
 /// the key universe (for spotting a worker that evaluated a different
-/// grid).
+/// grid). Both key collections share one allocation per key.
 struct WorkPlan {
-    keys: Vec<String>,
+    keys: Vec<Arc<str>>,
     covered: Vec<bool>,
-    key_set: HashSet<String>,
+    key_set: HashSet<Arc<str>>,
 }
 
 /// The mutable scheduler state shared by collectors and the watchdog.
 struct LeaseState {
     queue: LeaseQueue,
-    /// Per worker: when its last stderr line (of any kind) arrived.
+    /// Per worker: when its last stderr line (of any kind) arrived or
+    /// its current lease was granted, whichever is later — the start of
+    /// its stall deadline.
     last_activity: Vec<Instant>,
     /// Per worker: the watchdog's stall attribution, once declared.
     stalled: Vec<Option<String>>,
+    /// Every collector is joined; the watchdog exits.
+    stopping: bool,
 }
 
-/// [`LeaseState`] plus the condvar that wakes collectors blocked waiting
-/// for reclaimed or newly completed work.
+/// [`LeaseState`] plus the condvar every state transition notifies.
+/// Collectors blocked waiting for reclaimed or newly completed work and
+/// the watchdog waiting for its next deadline both park on it.
 struct LeaseShared {
     state: Mutex<LeaseState>,
     wakeup: Condvar,
 }
 
 impl LeaseShared {
+    fn new(queue: LeaseQueue, workers: usize) -> Self {
+        LeaseShared {
+            state: Mutex::new(LeaseState {
+                queue,
+                last_activity: vec![Instant::now(); workers],
+                stalled: vec![None; workers],
+                stopping: false,
+            }),
+            wakeup: Condvar::new(),
+        }
+    }
+
+    /// A heartbeat only postpones `worker`'s deadline, so it wakes
+    /// nobody: a watchdog that wakes early just recomputes.
     fn touch(&self, worker: usize) {
         if let Ok(mut state) = self.state.lock() {
             state.last_activity[worker] = Instant::now();
@@ -412,18 +434,22 @@ impl LeaseShared {
     /// Blocks until the queue has a decisive answer for `worker` — a
     /// grant or a retirement, never `Wait`. Waiters hold no lock while
     /// parked; completions, reclaims and worker deaths all notify.
+    ///
+    /// A grant restarts the worker's stall clock — time spent waiting
+    /// for work is not silence — and notifies the watchdog, which now
+    /// has a new lease holder to time.
     fn await_grant(&self, worker: usize) -> LeaseResponse {
         let mut state = self.state.lock().expect("lease state");
         loop {
             match state.queue.request(worker) {
-                LeaseResponse::Wait => {
-                    state = self
-                        .wakeup
-                        .wait_timeout(state, GRANT_POLL)
-                        .expect("lease state")
-                        .0;
+                LeaseResponse::Wait => state = self.wakeup.wait(state).expect("lease state"),
+                LeaseResponse::Grant(range) => {
+                    state.last_activity[worker] = Instant::now();
+                    drop(state);
+                    self.wakeup.notify_all();
+                    return LeaseResponse::Grant(range);
                 }
-                decisive => return decisive,
+                LeaseResponse::Retire => return LeaseResponse::Retire,
             }
         }
     }
@@ -471,6 +497,13 @@ impl LeaseShared {
         drop(state);
         self.wakeup.notify_all();
         (reclaimed, drained)
+    }
+
+    /// Ends the watchdog. The flag is set under the lock, so a watchdog
+    /// between its scan and its park cannot miss it.
+    fn stop(&self) {
+        self.state.lock().expect("lease state").stopping = true;
+        self.wakeup.notify_all();
     }
 
     fn stalled_detail(&self, worker: usize) -> Option<String> {
@@ -536,7 +569,7 @@ fn absorb_flush(
         .map_err(|e| (ShardFailureKind::FlushCorrupt, format!("flush stream: {e}")))?;
     let count = poll.records.len();
     for (key, outcome) in poll.records {
-        if !plan.key_set.contains(&key) {
+        if !plan.key_set.contains(key.as_str()) {
             return Err((
                 ShardFailureKind::Incompatible,
                 format!("flushed key `{key}` is not in the planned grid"),
@@ -718,33 +751,34 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
     }
 }
 
-/// The stall watchdog: ticks until stopped, reclaiming (and killing)
-/// workers that hold leases but have written nothing for the deadline.
+/// The stall watchdog: reclaims (and kills) workers that hold leases but
+/// have been silent for the deadline since their last line or grant.
 /// Once the queue is drained it also kills any unresponsive straggler so
-/// the run can end.
-fn run_watchdog(
-    shared: &Arc<LeaseShared>,
-    children: &[Option<SharedChild>],
-    deadline: Duration,
-    stop: &AtomicBool,
-) {
-    let tick = (deadline / 4).clamp(Duration::from_millis(10), Duration::from_millis(200));
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(tick);
-        let Ok(mut state) = shared.state.lock() else {
-            return;
-        };
+/// the run can end. Runs until [`LeaseShared::stop`].
+///
+/// Between scans it parks on the lease condvar until the earliest
+/// pending deadline, so a stall is caught at its deadline. A worker past
+/// its deadline without a lease is waiting for work or between leases:
+/// only a grant (which restarts its clock) or the queue draining can
+/// make it actionable, and both notify.
+fn run_watchdog(shared: &LeaseShared, children: &[Option<SharedChild>], deadline: Duration) {
+    let mut killed = vec![false; children.len()];
+    let Ok(mut state) = shared.state.lock() else {
+        return;
+    };
+    while !state.stopping {
         let now = Instant::now();
         let mut kill_list = Vec::new();
+        let mut next_due: Option<Duration> = None;
         for (worker, child) in children.iter().enumerate() {
-            if state.stalled[worker].is_some() || child.is_none() {
+            if killed[worker] || child.is_none() {
                 continue;
             }
             let idle = now.saturating_duration_since(state.last_activity[worker]);
             if idle < deadline {
-                continue;
-            }
-            if state.queue.outstanding(worker) > 0 {
+                let due = deadline - idle;
+                next_due = Some(next_due.map_or(due, |next| next.min(due)));
+            } else if state.queue.outstanding(worker) > 0 {
                 let reclaimed = state.queue.reclaim(worker);
                 state.stalled[worker] = Some(format!(
                     "no heartbeat for {:.1}s; killed, {reclaimed} lease(s) reclaimed",
@@ -756,12 +790,27 @@ fn run_watchdog(
                 kill_list.push(worker);
             }
         }
-        drop(state);
-        for worker in kill_list {
-            if let Some(child) = &children[worker] {
-                kill_child(child);
+        let parked = if kill_list.is_empty() {
+            match next_due {
+                Some(due) => shared.wakeup.wait_timeout(state, due).ok().map(|(s, _)| s),
+                None => shared.wakeup.wait(state).ok(),
             }
-        }
+        } else {
+            // Kill unlocked; the rescan that follows catches whatever
+            // moved meanwhile.
+            drop(state);
+            for worker in kill_list {
+                killed[worker] = true;
+                if let Some(child) = &children[worker] {
+                    kill_child(child);
+                }
+            }
+            shared.state.lock().ok()
+        };
+        let Some(parked) = parked else {
+            return;
+        };
+        state = parked;
     }
 }
 
@@ -802,14 +851,23 @@ pub fn explore_sharded(
     cache: &mut ResultCache,
     opts: &ShardOptions,
 ) -> Result<ShardRun, ShardError> {
+    let metrics = &opts.metrics;
+    let _fanout = metrics.span("shard.fanout").start();
     let grid = recipe.build();
     let unique = grid.unique_cells();
-    let keys: Vec<String> = unique.iter().map(|c| grid.dedup_key(c)).collect();
+    let interner = KeyInterner::new(&grid);
+    let mut key = String::new();
+    let keys: Vec<Arc<str>> = unique
+        .iter()
+        .map(|cell| {
+            interner.resolve_into(interner.key(cell), &mut key);
+            Arc::from(key.as_str())
+        })
+        .collect();
     let covered: Vec<bool> = keys.iter().map(|k| cache.contains_key(k)).collect();
     let cached = covered.iter().filter(|&&warm| warm).count();
     let missing = unique.len() - cached;
 
-    let metrics = &opts.metrics;
     metrics.counter("shard.runs").incr();
     metrics
         .counter("shard.unique_cells")
@@ -857,20 +915,16 @@ pub fn explore_sharded(
         Some(path)
     };
 
-    let key_set: HashSet<String> = keys.iter().cloned().collect();
+    let key_set: HashSet<Arc<str>> = keys.iter().cloned().collect();
     let plan = Arc::new(WorkPlan {
         keys,
         covered,
         key_set,
     });
-    let shared = Arc::new(LeaseShared {
-        state: Mutex::new(LeaseState {
-            queue: LeaseQueue::new(unique.len(), chunk_cells, shards, &plan.covered),
-            last_activity: vec![Instant::now(); shards],
-            stalled: vec![None; shards],
-        }),
-        wakeup: Condvar::new(),
-    });
+    let shared = Arc::new(LeaseShared::new(
+        LeaseQueue::new(unique.len(), chunk_cells, shards, &plan.covered),
+        shards,
+    ));
     let printer = Arc::new(ProgressPrinter::default());
     let lease_wait = metrics.histogram("shard.lease_wait");
 
@@ -951,13 +1005,11 @@ pub fn explore_sharded(
 
     // The watchdog lives as long as the collectors do: joins below rely
     // on it to unstick stalled workers.
-    let stop = Arc::new(AtomicBool::new(false));
     let watchdog = children.iter().any(Option::is_some).then(|| {
         let shared = Arc::clone(&shared);
         let children = children.clone();
-        let stop = Arc::clone(&stop);
         let deadline = opts.lease_deadline;
-        std::thread::spawn(move || run_watchdog(&shared, &children, deadline, &stop))
+        std::thread::spawn(move || run_watchdog(&shared, &children, deadline))
     });
 
     let wait_span = metrics.span("shard.wait");
@@ -1069,7 +1121,7 @@ pub fn explore_sharded(
         }
         workers.push(report);
     }
-    stop.store(true, Ordering::Relaxed);
+    shared.stop();
     if let Some(watchdog) = watchdog {
         let _ = watchdog.join();
     }
@@ -1314,6 +1366,23 @@ mod tests {
             "the partial fragment must be dropped, not kept"
         );
         cleanup(&run);
+    }
+
+    #[test]
+    fn a_grant_restarts_the_stall_clock() {
+        // Worker 1 waited an hour for work. When it inherits worker 0's
+        // reclaimed chunk, its deadline must run from the grant, or the
+        // watchdog's next scan would declare it stalled on the spot.
+        let shared = LeaseShared::new(LeaseQueue::new(4, 4, 2, &[false; 4]), 2);
+        assert_eq!(shared.await_grant(0), LeaseResponse::Grant(0..4));
+        shared.state.lock().unwrap().last_activity[1] = Instant::now() - Duration::from_secs(3600);
+        assert_eq!(shared.reclaim(0), 1);
+        assert_eq!(shared.await_grant(1), LeaseResponse::Grant(0..4));
+        let idle = shared.state.lock().unwrap().last_activity[1].elapsed();
+        assert!(
+            idle < Duration::from_secs(60),
+            "clock not restarted: {idle:?}"
+        );
     }
 
     #[test]

@@ -8,6 +8,8 @@
 //! least one worker survives, and the ledger attributes exactly what
 //! happened to the faulty shard.
 
+#[cfg(unix)]
+use std::path::Path;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -60,6 +62,57 @@ fn ledger_kinds(run: &ShardRun) -> Vec<ShardFailureKind> {
     run.failures.iter().map(|f| f.kind).collect()
 }
 
+/// Wraps every worker of `opts` in a shell that starts the healthy
+/// workers only once shard 0 — the faulty one — has exited and been
+/// reaped. Shard 0 is then always the first to ask for a lease, so its
+/// fault always fires: started together, a healthy worker can drain a
+/// small queue before shard 0 asks for anything. `prelude` runs in shard
+/// 0's shell just before it execs the worker; `gate` is the file that
+/// hands shard 0's pid to the others (see [`gate_path`]).
+#[cfg(unix)]
+fn faulty_shard_first(opts: ShardOptions, gate: &Path, prelude: &str) -> ShardOptions {
+    let _ = std::fs::remove_file(gate);
+    let script = format!(
+        r#"
+        gate='{gate}'
+        case "$*" in
+            *"--shard 0/"*)
+                echo $$ > "$gate.tmp" && mv "$gate.tmp" "$gate"
+                {prelude}
+                exec "$0" "$@";;
+            *)
+                until [ -s "$gate" ]; do sleep 0.01; done
+                while kill -0 "$(cat "$gate")" 2>/dev/null; do sleep 0.01; done
+                exec "$0" "$@";;
+        esac
+        "#,
+        gate = gate.display()
+    );
+    in_shell(opts, script)
+}
+
+/// Runs every worker of `opts` through `/bin/sh -c script`, with the
+/// worker binary as `$0` and its encoded arguments as `$@`.
+#[cfg(unix)]
+fn in_shell(mut opts: ShardOptions, script: String) -> ShardOptions {
+    opts.leading_args = vec![
+        "-c".to_owned(),
+        script,
+        worker_program().display().to_string(),
+    ];
+    opts.program = PathBuf::from("/bin/sh");
+    opts
+}
+
+/// A gate file for [`faulty_shard_first`], unique per test and process.
+#[cfg(unix)]
+fn gate_path(test: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "memstream-fault-gate-{}-{test}",
+        std::process::id()
+    ))
+}
+
 #[test]
 fn fault_free_lease_run_is_byte_identical_and_counts_leases() {
     let recipe = GridRecipe::classic(2);
@@ -104,6 +157,29 @@ fn fault_free_lease_run_is_byte_identical_and_counts_leases() {
 }
 
 #[test]
+fn fault_free_fan_out_does_not_wait_on_a_timer() {
+    // With the default 30 s deadline, a healthy fan-out spends its time
+    // spawning, collecting and merging. What the `shard.fanout` span
+    // holds beyond those — planning, the watchdog's join — is small.
+    let recipe = GridRecipe::classic(2);
+    let metrics = Metrics::enabled();
+    let opts = worker_opts(2).with_metrics(&metrics);
+    assert_eq!(opts.lease_deadline, Duration::from_secs(30));
+    let mut merged = ResultCache::new();
+    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    assert!(run.is_complete(), "ledger: {:?}", run.failures);
+    assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
+    let snapshot = metrics.snapshot();
+    let span = |name: &str| snapshot.span_seconds(name).expect(name);
+    let rest =
+        span("shard.fanout") - span("shard.spawn") - span("shard.wait") - span("shard.merge");
+    assert!(
+        rest < 0.1,
+        "fan-out spent {rest:.3}s outside spawn/wait/merge"
+    );
+}
+
+#[test]
 fn lease_sizes_and_worker_counts_do_not_change_the_bytes() {
     let recipe = GridRecipe::classic(2);
     let reference = reference_stdout(&recipe);
@@ -124,14 +200,18 @@ fn lease_sizes_and_worker_counts_do_not_change_the_bytes() {
     }
 }
 
+#[cfg(unix)]
 #[test]
 fn worker_dying_mid_run_is_reclaimed_and_output_stays_byte_identical() {
     let recipe = GridRecipe::classic(2);
+    let gate = gate_path("die");
     let opts = worker_opts(2)
         .with_lease_cells(4)
         .with_fault_plan(0, FaultPlan::DieAfterCells(1));
+    let opts = faulty_shard_first(opts, &gate, "");
     let mut merged = ResultCache::new();
     let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let _ = std::fs::remove_file(&gate);
     assert!(
         run.is_complete(),
         "the survivor must absorb the dead worker's chunks: {:?}",
@@ -151,28 +231,20 @@ fn worker_dying_mid_run_is_reclaimed_and_output_stays_byte_identical() {
 #[cfg(unix)]
 #[test]
 fn sigkilled_worker_is_reclaimed_and_output_stays_byte_identical() {
-    // Shard 0 is wrapped in a shell that SIGKILLs it 300ms in; the
-    // stall plan guarantees it is holding a lease (not already retired)
-    // when the kill lands. No clean exit path runs — this is the
-    // pull-the-plug scenario.
+    // Shard 0's shell SIGKILLs it 300ms in; the stall plan guarantees it
+    // is holding a lease (not already retired) when the kill lands. No
+    // clean exit path runs — this is the pull-the-plug scenario.
     let recipe = GridRecipe::classic(2);
-    let script = r#"
-        case "$*" in
-            *"--shard 0/"*)
-                (sleep 0.3; kill -KILL $$) &
-                MEMSTREAM_FAULT_PLAN='shard=0:stall-after-cells=1' exec "$0" "$@";;
-            *) exec "$0" "$@";;
-        esac
-    "#;
-    let mut opts = worker_opts(2).with_lease_cells(4);
-    opts.leading_args = vec![
-        "-c".to_owned(),
-        script.to_owned(),
-        worker_program().display().to_string(),
-    ];
-    opts.program = PathBuf::from("/bin/sh");
+    let gate = gate_path("sigkill");
+    let opts = faulty_shard_first(
+        worker_opts(2).with_lease_cells(4),
+        &gate,
+        "(sleep 0.3; kill -KILL $$) &
+         export MEMSTREAM_FAULT_PLAN='shard=0:stall-after-cells=1'",
+    );
     let mut merged = ResultCache::new();
     let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let _ = std::fs::remove_file(&gate);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
     assert_eq!(run.failures[0].shard, 0);
@@ -180,16 +252,20 @@ fn sigkilled_worker_is_reclaimed_and_output_stays_byte_identical() {
     assert_byte_identical(&recipe, &mut merged, "SIGKILL on shard 0");
 }
 
+#[cfg(unix)]
 #[test]
 fn stalled_worker_is_killed_reclaimed_and_output_stays_byte_identical() {
     let recipe = GridRecipe::classic(2);
+    let gate = gate_path("stall");
     let opts = worker_opts(2)
         .with_lease_cells(4)
         .with_lease_deadline(Duration::from_millis(250))
         .with_fault_plan(0, FaultPlan::StallAfterCells(1));
+    let opts = faulty_shard_first(opts, &gate, "");
     let started = Instant::now();
     let mut merged = ResultCache::new();
     let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let _ = std::fs::remove_file(&gate);
     assert!(
         started.elapsed() < Duration::from_secs(30),
         "the watchdog, not the worker's 60s stall naps, must end the run"
@@ -204,6 +280,49 @@ fn stalled_worker_is_killed_reclaimed_and_output_stays_byte_identical() {
     );
     assert!(run.leases_reclaimed >= 1);
     assert_byte_identical(&recipe, &mut merged, "stall-after-cells=1 on shard 0");
+}
+
+#[cfg(unix)]
+#[test]
+fn waiting_longer_than_the_deadline_for_a_reclaimed_chunk_is_not_a_stall() {
+    // Shard 0 is a scripted worker: it takes the only chunk, stays busy
+    // (one stderr line every 50ms) for 0.6s, then dies holding it. The
+    // real shard 1 asks for work meanwhile and waits about 0.5s — past
+    // its 0.3s deadline — until the chunk is reclaimed. Its deadline
+    // must run from that grant, so it finishes the run.
+    let recipe = GridRecipe::classic(2);
+    let gate = gate_path("wait");
+    let _ = std::fs::remove_file(&gate);
+    let script = format!(
+        r#"
+        gate='{gate}'
+        case "$*" in
+            *"--shard 0/"*)
+                echo "lease-request 0/2" >&2
+                read -r reply range
+                touch "$gate"
+                for beat in 1 2 3 4 5 6 7 8 9 10 11 12; do echo "busy" >&2; sleep 0.05; done
+                exit 3;;
+            *)
+                until [ -e "$gate" ]; do sleep 0.01; done
+                exec "$0" "$@";;
+        esac
+        "#,
+        gate = gate.display()
+    );
+    let opts = worker_opts(2)
+        .with_lease_cells(48)
+        .with_lease_deadline(Duration::from_millis(300));
+    let opts = in_shell(opts, script);
+    let mut merged = ResultCache::new();
+    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let _ = std::fs::remove_file(&gate);
+    assert_eq!(run.lease_chunks, 1);
+    assert!(run.is_complete(), "ledger: {:?}", run.failures);
+    assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
+    assert_eq!(run.failures[0].shard, 0);
+    assert_eq!(run.leases_issued, 2, "the one chunk, then its re-issue");
+    assert_byte_identical(&recipe, &mut merged, "chunk reclaimed after a long wait");
 }
 
 #[test]
@@ -242,17 +361,21 @@ fn truncated_flush_keeps_the_committed_prefix() {
     assert_byte_identical(&recipe, &mut merged, "retry after a torn flush");
 }
 
+#[cfg(unix)]
 #[test]
 fn corrupt_flush_is_attributed_and_output_stays_byte_identical() {
     // Shard 0 writes an undecodable record and *lies* with `lease-done`.
     // The collector must catch the damaged stream at the announcement,
     // attribute it, and let the survivor redo the work.
     let recipe = GridRecipe::classic(2);
+    let gate = gate_path("corrupt");
     let opts = worker_opts(2)
         .with_lease_cells(4)
         .with_fault_plan(0, FaultPlan::CorruptFlush);
+    let opts = faulty_shard_first(opts, &gate, "");
     let mut merged = ResultCache::new();
     let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let _ = std::fs::remove_file(&gate);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::FlushCorrupt]);
     assert_eq!(run.failures[0].shard, 0);

@@ -44,10 +44,8 @@
 //! table on stderr), `--stats-json PATH` (snapshot as JSON) and `--trace
 //! PATH` (the run's timeline as a Chrome/Perfetto-loadable trace, shard
 //! worker events merged in); none of them ever changes stdout.
-//! `--cache-format v1|v2` (with `--cache` or `--shards`) selects the
-//! cache file encoding — `v1` is the TSV interchange format, `v2` the
-//! binary fast-load format; readers auto-detect, and the choice never
-//! changes a stdout byte (`docs/CACHE_FORMAT.md`).
+//! `--cache PATH` files use one binary format (`docs/CACHE_FORMAT.md`);
+//! a run that adds nothing to the file leaves it untouched.
 
 use memstream_bench::{
     ablation_best_effort, ablation_probe_ratings, breakeven_rows, comparison_rows, fig2_rows,
@@ -303,7 +301,6 @@ struct SharedFlags {
     rates: usize,
     threads: usize,
     cache_path: Option<String>,
-    cache_format: memstream_grid::CacheFormat,
     classic: bool,
     shards: Option<usize>,
     lease_cells: usize,
@@ -320,7 +317,6 @@ impl SharedFlags {
             rates: 24,
             threads: 0, // 0 = machine width
             cache_path: None,
-            cache_format: memstream_grid::CacheFormat::default(),
             classic: false,
             shards: None,
             lease_cells: 0, // 0 = auto: ~LEASE_CHUNKS_PER_WORKER chunks each
@@ -349,14 +345,6 @@ impl SharedFlags {
             "--rates" => self.rates = parse_flag(flag, &value()),
             "--threads" => self.threads = parse_flag(flag, &value()),
             "--cache" => self.cache_path = Some(value()),
-            "--cache-format" => {
-                let raw = value();
-                self.cache_format =
-                    memstream_grid::CacheFormat::parse_flag(&raw).unwrap_or_else(|| {
-                        eprintln!("bad value for --cache-format: `{raw}` is not v1 or v2");
-                        std::process::exit(2);
-                    });
-            }
             "--classic" => self.classic = true,
             "--shards" => self.shards = Some(parse_flag(flag, &value())),
             "--lease-cells" => self.lease_cells = parse_flag(flag, &value()),
@@ -453,7 +441,6 @@ impl SharedFlags {
             std::process::exit(2);
         });
         let mut opts = memstream_shard::ShardOptions::new(program, shards)
-            .with_cache_format(self.cache_format)
             .with_trace(self.trace.is_some())
             .with_lease_cells(self.lease_cells)
             .with_lease_deadline(std::time::Duration::from_secs_f64(self.lease_deadline));
@@ -522,27 +509,27 @@ fn reference_grid(rates: usize, classic: bool) -> memstream_grid::ScenarioGrid {
     }
 }
 
-/// Loads the result cache at `path`, exiting 2 on I/O errors (shared by
-/// the `grid` and `refine` subcommands). Lazy: a valid v2 file is
-/// indexed, not decoded — warm planning probes the index and only
-/// looked-up records are ever decoded (`cache.records_decoded`).
-fn load_cache(path: &str) -> memstream_grid::ResultCache {
-    memstream_grid::ResultCache::load_lazy(path).unwrap_or_else(|e| {
+/// Opens the result cache at `path` inside the `cache.load` span,
+/// reporting into `metrics`, and exits 2 on I/O errors (shared by the
+/// `grid` and `refine` subcommands). Lazy: the file is indexed, not
+/// decoded — warm planning probes the index and only looked-up records
+/// are ever decoded (`cache.records_decoded`).
+fn load_cache(path: &str, metrics: &memstream_grid::Metrics) -> memstream_grid::ResultCache {
+    memstream_grid::ResultCache::open(path, metrics).unwrap_or_else(|e| {
         eprintln!("cache load error: {e}");
         std::process::exit(2);
     })
 }
 
-/// Saves `cache` to `path` in `format`, exiting 2 on I/O errors.
-fn save_cache(
-    cache: &memstream_grid::ResultCache,
-    path: &str,
-    format: memstream_grid::CacheFormat,
-) {
-    cache.save_as(path, format).unwrap_or_else(|e| {
-        eprintln!("cache save error: {e}");
-        std::process::exit(2);
-    });
+/// Saves `cache` to `path`, exiting 2 on I/O errors. A cache that gained
+/// nothing since it was opened from `path` writes nothing.
+fn save_cache(cache: &memstream_grid::ResultCache, path: &str) {
+    cache
+        .save_as(path, memstream_grid::CacheFormat::default())
+        .unwrap_or_else(|e| {
+            eprintln!("cache save error: {e}");
+            std::process::exit(2);
+        });
 }
 
 /// One cached exploration with the `grid` subcommand's error handling,
@@ -559,7 +546,7 @@ fn explore_cached_or_exit(
 }
 
 /// `harness grid [--rates N] [--threads N] [--full-csv] [--validate SECS]
-/// [--cache PATH] [--cache-format v1|v2] [--classic] [--shards N]
+/// [--cache PATH] [--classic] [--shards N]
 /// [--lease-cells N] [--lease-deadline SECS] [--fault-plan SHARD:PLAN]`
 /// — the parallel scenario-grid
 /// exploration (see module docs). `--cache` loads/saves evaluated cells
@@ -593,7 +580,7 @@ fn grid(args: &[String]) {
             other => {
                 eprintln!(
                     "unknown flag `{other}`; try --rates, --threads, --full-csv, \
-                     --validate, --cache, --cache-format, --classic, --shards, \
+                     --validate, --cache, --classic, --shards, \
                      --lease-cells, --lease-deadline, --fault-plan, \
                      --stats, --stats-json, --trace"
                 );
@@ -624,7 +611,9 @@ fn grid(args: &[String]) {
         );
         let mut cache = cache_path
             .as_deref()
-            .map_or_else(memstream_grid::ResultCache::new, load_cache);
+            .map_or_else(memstream_grid::ResultCache::new, |path| {
+                load_cache(path, &metrics)
+            });
         cache.set_metrics(&metrics);
         let run = memstream_shard::explore_sharded(
             &shared.recipe(),
@@ -642,7 +631,7 @@ fn grid(args: &[String]) {
             // the healthy shards' work — persist it before failing and a
             // retry proceeds warm from everything that did complete.
             if let Some(path) = &cache_path {
-                save_cache(&cache, path, shared.cache_format);
+                save_cache(&cache, path);
                 eprintln!(
                     "cache file: {} entries saved (healthy shards only)",
                     cache.len()
@@ -653,7 +642,7 @@ fn grid(args: &[String]) {
         }
         let results = explore_cached_or_exit(executor, &spec, &mut cache);
         if let Some(path) = &cache_path {
-            save_cache(&cache, path, shared.cache_format);
+            save_cache(&cache, path);
             eprintln!("cache file: {} entries saved", cache.len());
         }
         results
@@ -665,12 +654,11 @@ fn grid(args: &[String]) {
         );
         match &cache_path {
             Some(path) => {
-                let mut cache = load_cache(path);
-                cache.set_metrics(&metrics);
+                let mut cache = load_cache(path, &metrics);
                 let results = explore_cached_or_exit(executor, &spec, &mut cache);
                 // The accounting line is driven from the telemetry
-                // counters (attached right after load, so they equal the
-                // cache's own tallies) — one source for stderr and
+                // counters (attached at load, so they equal the cache's
+                // own tallies) — one source for stderr and
                 // `--stats-json`.
                 let snapshot = metrics.snapshot();
                 eprintln!(
@@ -679,7 +667,7 @@ fn grid(args: &[String]) {
                     snapshot.counter("cache.misses").unwrap_or(0),
                     cache.len()
                 );
-                save_cache(&cache, path, shared.cache_format);
+                save_cache(&cache, path);
                 results
             }
             None => executor.explore(&spec).unwrap_or_else(|e| {
@@ -714,8 +702,7 @@ fn grid(args: &[String]) {
 }
 
 /// `harness refine [--rates N] [--threads N] [--cache PATH]
-/// [--cache-format v1|v2] [--width-bound F] [--max-rounds N] [--classic]
-/// [--shards N]` — the
+/// [--width-bound F] [--max-rounds N] [--classic] [--shards N]` — the
 /// adaptive refinement loop (see module docs). `--width-bound` is the
 /// relative interval width a knee must be localised to (default 0.01 =
 /// 1 %); `--cache` makes re-runs evaluate nothing while reproducing
@@ -745,7 +732,7 @@ fn refine(args: &[String]) {
             other => {
                 eprintln!(
                     "unknown flag `{other}`; try --rates, --threads, --cache, \
-                     --cache-format, --width-bound, --max-rounds, --classic, \
+                     --width-bound, --max-rounds, --classic, \
                      --shards, --lease-cells, --lease-deadline, --fault-plan, \
                      --stats, --stats-json, --trace"
                 );
@@ -776,10 +763,7 @@ fn refine(args: &[String]) {
             .with_width_bound(width_bound)
             .with_max_rounds(max_rounds),
     );
-    let mut cache = cache_path.as_deref().map(load_cache);
-    if let Some(cache) = cache.as_mut() {
-        cache.set_metrics(&metrics);
-    }
+    let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
     let mut worker_traces = Vec::new();
     let outcome = if let Some(shards) = shared.shards {
         // Sharded: every round fans only its new rates out to worker
@@ -806,7 +790,7 @@ fn refine(args: &[String]) {
             // healthy work of every completed round (plus the failed
             // round's healthy shards) — persist it so a retry runs warm.
             if let (Some(cache), Some(path)) = (&cache, &cache_path) {
-                save_cache(cache, path, shared.cache_format);
+                save_cache(cache, path);
                 eprintln!(
                     "cache file: {} entries saved (completed work only)",
                     cache.len()
@@ -840,7 +824,7 @@ fn refine(args: &[String]) {
         )
     );
     if let (Some(cache), Some(path)) = (&cache, &cache_path) {
-        save_cache(cache, path, shared.cache_format);
+        save_cache(cache, path);
         eprintln!("cache file: {} entries saved", cache.len());
     }
     shared.emit_stats(&metrics);

@@ -135,6 +135,106 @@ fn grid_stderr_accounting_agrees_with_the_json_snapshot() {
     }
 }
 
+/// How many times span `name` was entered, per a `--stats-json` snapshot.
+fn span_entries(doc: &Json, name: &str) -> u64 {
+    doc.get("spans")
+        .and_then(|s| s.get(name))
+        .and_then(|s| s.get("entries"))
+        .and_then(Json::as_u64)
+        .unwrap_or_else(|| panic!("snapshot lacks span {name}"))
+}
+
+#[test]
+fn a_warm_run_opens_its_cache_in_a_span_and_skips_the_save() {
+    let cache = temp_path("grid-skip.cache");
+    let _ = std::fs::remove_file(&cache);
+    let cache_str = cache.to_str().expect("utf-8 temp path");
+    let json = temp_path("grid-skip.json");
+    let json_str = json.to_str().expect("utf-8 temp path");
+    let args = [
+        "grid",
+        "--rates",
+        "5",
+        "--cache",
+        cache_str,
+        "--stats-json",
+        json_str,
+    ];
+    let snapshot =
+        || parse(&std::fs::read_to_string(&json).expect("snapshot written")).expect("parses");
+
+    // Cold: the file is written, not skipped.
+    stdout_of(&args);
+    let doc = snapshot();
+    assert_eq!(span_entries(&doc, "cache.load"), 1);
+    assert_eq!(counter(&doc, "cache.saves_skipped"), 0);
+    assert!(counter(&doc, "cache.save_bytes") > 0);
+    let before = std::fs::metadata(&cache).expect("cache written");
+    let bytes = std::fs::read(&cache).expect("cache readable");
+
+    // Warm: every cell hits, so the save writes nothing at all.
+    stdout_of(&args);
+    let doc = snapshot();
+    assert_eq!(span_entries(&doc, "cache.load"), 1);
+    assert_eq!(counter(&doc, "cache.misses"), 0);
+    assert_eq!(counter(&doc, "cache.saves_skipped"), 1);
+    assert_eq!(counter(&doc, "cache.save_bytes"), 0);
+    let after = std::fs::metadata(&cache).expect("cache still there");
+    assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+    assert_eq!(std::fs::read(&cache).unwrap(), bytes);
+    for p in [cache, json] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
+#[test]
+fn a_foreign_cache_file_is_named_and_replaced() {
+    // A cache written by an older version (here a hand-written v1 text
+    // file) is named on stderr, counted, and replaced by the save; the
+    // run itself proceeds cold, with the cold run's stdout.
+    let cache = temp_path("grid-foreign.cache");
+    std::fs::write(&cache, "memstream-grid-cache v1\nsome-key\tU\tdetail\n").unwrap();
+    let cache_str = cache.to_str().expect("utf-8 temp path");
+    let json = temp_path("grid-foreign.json");
+    let json_str = json.to_str().expect("utf-8 temp path");
+
+    let reference = stdout_of(&["grid", "--rates", "5"]);
+    let args = [
+        "grid",
+        "--rates",
+        "5",
+        "--cache",
+        cache_str,
+        "--stats-json",
+        json_str,
+    ];
+    let output = run(&args);
+    assert!(output.status.success());
+    assert_eq!(String::from_utf8(output.stdout).unwrap(), reference);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    let notes: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("memstream-grid-cache v1"))
+        .collect();
+    assert_eq!(notes.len(), 1, "one line names the file:\n{stderr}");
+    assert!(notes[0].contains(cache_str), "{}", notes[0]);
+    let doc = parse(&std::fs::read_to_string(&json).expect("snapshot written")).expect("parses");
+    assert_eq!(counter(&doc, "cache.foreign_files"), 1);
+    assert!(std::fs::read(&cache)
+        .unwrap()
+        .starts_with(b"memstream-grid-cache v3\n"));
+
+    // The replacement warms the next run, which names nothing.
+    let output = run(&args);
+    assert_eq!(String::from_utf8(output.stdout).unwrap(), reference);
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains(" hits, 0 misses"), "{stderr}");
+    assert!(!stderr.contains("memstream-grid-cache v1"), "{stderr}");
+    for p in [cache, json] {
+        std::fs::remove_file(p).unwrap();
+    }
+}
+
 #[test]
 fn refine_stderr_accounting_agrees_with_the_json_snapshot() {
     let json = temp_path("refine-equiv.json");

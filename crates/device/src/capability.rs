@@ -18,6 +18,7 @@
 //! file and register the device on a grid. No enum surgery anywhere.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use memstream_units::{DataSize, Duration};
 
@@ -187,7 +188,10 @@ pub trait StorageDevice: fmt::Debug + Send + Sync {
     fn kind(&self) -> &'static str;
 
     /// A canonical content key: two devices with equal tokens model the
-    /// same physics regardless of display names.
+    /// same physics regardless of display names. It is part of the
+    /// result-cache key, so it lists the parameters the models read in a
+    /// fixed order (`docs/CACHE_FORMAT.md` § "Key grammar"); a device's
+    /// `Debug` output is not a contract and must not be used here.
     fn dedup_token(&self) -> String;
 
     /// Raw media capacity.
@@ -227,6 +231,23 @@ pub trait StorageDevice: fmt::Debug + Send + Sync {
 
     /// Boxed clone, for registries.
     fn clone_box(&self) -> Box<dyn StorageDevice>;
+}
+
+/// Renders a device's dedup token: `kind`, a colon, then `values`
+/// comma-separated in the device's documented parameter order. Each value
+/// is its shortest round-trip decimal (`f64`'s `Display`: bit-exact and
+/// never in exponent form), with no field names.
+pub(crate) fn parameter_token(kind: &str, values: &[f64]) -> String {
+    let mut token = String::with_capacity(kind.len() + 1 + 12 * values.len());
+    token.push_str(kind);
+    token.push(':');
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            token.push(',');
+        }
+        let _ = write!(token, "{value}");
+    }
+    token
 }
 
 impl Clone for Box<dyn StorageDevice> {
@@ -337,6 +358,179 @@ mod tests {
         assert!(FlashDevice::mobile_mlc()
             .dedup_token()
             .starts_with("flash:"));
+    }
+
+    /// Asserts that every variant's token differs from `base`'s and from
+    /// each other's, and that a renamed `base` keeps its token (the name
+    /// is a report label no model reads).
+    fn assert_tokens_distinct<D: StorageDevice>(base: &D, renamed: &D, variants: &[D]) {
+        assert_eq!(renamed.dedup_token(), base.dedup_token());
+        let mut seen = std::collections::HashSet::from([base.dedup_token()]);
+        for (i, variant) in variants.iter().enumerate() {
+            let token = variant.dedup_token();
+            assert!(
+                seen.insert(token.clone()),
+                "variant {i} repeats a token: {token}"
+            );
+        }
+    }
+
+    #[test]
+    fn every_mems_builder_parameter_moves_the_token() {
+        use crate::ProbeArray;
+        use memstream_units::{BitRate, DataSize, Duration, Power};
+        let b = MemsDevice::builder;
+        let array = |rows, cols, active, side| ProbeArray::new(rows, cols, active, side).unwrap();
+        let variants = [
+            b().array(array(32, 64, 1024, 100.0)).build().unwrap(),
+            b().array(array(64, 32, 1024, 100.0)).build().unwrap(),
+            b().array(array(64, 64, 512, 100.0)).build().unwrap(),
+            b().array(array(64, 64, 1024, 50.0)).build().unwrap(),
+            b().capacity(DataSize::from_gigabytes(60.0))
+                .build()
+                .unwrap(),
+            b().per_probe_rate(BitRate::from_kbps(200.0))
+                .build()
+                .unwrap(),
+            b().seek_time(Duration::from_millis(3.0)).build().unwrap(),
+            b().shutdown_time(Duration::from_millis(3.0))
+                .build()
+                .unwrap(),
+            b().io_overhead_time(Duration::from_millis(3.0))
+                .build()
+                .unwrap(),
+            b().read_write_power(Power::from_milliwatts(300.0))
+                .build()
+                .unwrap(),
+            b().seek_power(Power::from_milliwatts(600.0))
+                .build()
+                .unwrap(),
+            b().standby_power(Power::from_milliwatts(4.0))
+                .build()
+                .unwrap(),
+            b().idle_power(Power::from_milliwatts(100.0))
+                .build()
+                .unwrap(),
+            b().shutdown_power(Power::from_milliwatts(600.0))
+                .build()
+                .unwrap(),
+            b().probe_write_cycles(200.0).build().unwrap(),
+            b().spring_duty_cycles(1e12).build().unwrap(),
+        ];
+        let renamed = b().name("renamed").build().unwrap();
+        assert_tokens_distinct(&MemsDevice::table1(), &renamed, &variants);
+    }
+
+    #[test]
+    fn every_disk_builder_parameter_moves_the_token() {
+        use memstream_units::{BitRate, DataSize, Duration, Power};
+        let b = DiskDevice::builder;
+        let variants = [
+            b().capacity(DataSize::from_gigabytes(40.0))
+                .build()
+                .unwrap(),
+            b().media_rate(BitRate::from_mbps(50.0)).build().unwrap(),
+            b().spin_up_time(Duration::from_seconds(2.0))
+                .build()
+                .unwrap(),
+            b().spin_down_time(Duration::from_seconds(2.0))
+                .build()
+                .unwrap(),
+            b().spin_up_power(Power::from_watts(2.0)).build().unwrap(),
+            b().spin_down_power(Power::from_watts(0.7)).build().unwrap(),
+            b().read_write_power(Power::from_watts(1.3))
+                .build()
+                .unwrap(),
+            b().idle_power(Power::from_milliwatts(300.0))
+                .build()
+                .unwrap(),
+            b().standby_power(Power::from_milliwatts(90.0))
+                .build()
+                .unwrap(),
+            b().start_stop_cycles(3e5).build().unwrap(),
+            b().format_utilization(0.9).build().unwrap(),
+        ];
+        let renamed = b().name("renamed").build().unwrap();
+        assert_tokens_distinct(&DiskDevice::calibrated_1p8_inch(), &renamed, &variants);
+    }
+
+    #[test]
+    fn every_flash_builder_parameter_moves_the_token() {
+        use memstream_units::{BitRate, DataSize, Duration, Power};
+        let b = FlashDevice::builder;
+        let variants = [
+            b().capacity(DataSize::from_gigabytes(32.0))
+                .build()
+                .unwrap(),
+            b().media_rate(BitRate::from_mbps(80.0)).build().unwrap(),
+            b().resume_time(Duration::from_millis(0.4)).build().unwrap(),
+            b().power_down_time(Duration::from_millis(0.4))
+                .build()
+                .unwrap(),
+            b().io_overhead_time(Duration::from_millis(0.4))
+                .build()
+                .unwrap(),
+            b().transition_power(Power::from_milliwatts(50.0))
+                .build()
+                .unwrap(),
+            b().read_write_power(Power::from_milliwatts(200.0))
+                .build()
+                .unwrap(),
+            b().idle_power(Power::from_milliwatts(70.0))
+                .build()
+                .unwrap(),
+            b().deep_power_down(Power::from_milliwatts(0.2))
+                .build()
+                .unwrap(),
+            b().erase_block(DataSize::from_kibibytes(256.0))
+                .build()
+                .unwrap(),
+            b().pe_cycles(10_000.0).build().unwrap(),
+            b().waf_floor(1.2).build().unwrap(),
+            b().fixed_utilization(0.9).build().unwrap(),
+        ];
+        let renamed = b().name("renamed").build().unwrap();
+        assert_tokens_distinct(&FlashDevice::mobile_mlc(), &renamed, &variants);
+    }
+
+    #[test]
+    fn tokens_write_floats_exactly_without_field_names() {
+        // One ulp apart must still be two tokens: values are written as
+        // shortest round-trip decimals, never rounded.
+        let a = FlashDevice::builder().waf_floor(1.1).build().unwrap();
+        let b = FlashDevice::builder()
+            .waf_floor(f64::from_bits(1.1f64.to_bits() + 1))
+            .build()
+            .unwrap();
+        assert_ne!(a.dedup_token(), b.dedup_token());
+        // Every value parses back to the bits it was written from, and
+        // the token carries no Rust type or field names.
+        let token = MemsDevice::table1().dedup_token();
+        let values = token.strip_prefix("mems:").expect("kind prefix");
+        assert_eq!(values.split(',').count(), 16);
+        for value in values.split(',') {
+            let parsed: f64 = value.parse().expect("a plain decimal");
+            assert_eq!(parsed.to_string(), value, "not shortest round-trip");
+        }
+        assert!(!token.contains(['{', '}', '_', ' ']), "{token}");
+        assert!(token.len() < 120, "{} bytes: {token}", token.len());
+    }
+
+    #[test]
+    fn energy_only_token_differs_from_the_inner_device() {
+        let (mems, disk, flash) = (
+            MemsDevice::table1(),
+            DiskDevice::calibrated_1p8_inch(),
+            FlashDevice::mobile_mlc(),
+        );
+        for (inner, masked) in [
+            (mems.dedup_token(), EnergyOnly::new(mems).dedup_token()),
+            (disk.dedup_token(), EnergyOnly::new(disk).dedup_token()),
+            (flash.dedup_token(), EnergyOnly::new(flash).dedup_token()),
+        ] {
+            assert_ne!(masked, inner);
+            assert_eq!(masked, format!("energy-only:{inner}"));
+        }
     }
 
     #[test]

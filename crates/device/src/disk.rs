@@ -11,7 +11,9 @@ use std::fmt;
 
 use memstream_units::{BitRate, DataSize, Duration, Power};
 
-use crate::capability::{StorageDevice, UtilizationSpec, WearChannel, WearModelled};
+use crate::capability::{
+    parameter_token, StorageDevice, UtilizationSpec, WearChannel, WearModelled,
+};
 use crate::error::DeviceError;
 use crate::power::{EnergyModelled, MechanicalDevice, PowerState};
 
@@ -137,8 +139,27 @@ impl StorageDevice for DiskDevice {
         "disk"
     }
 
+    /// `disk:` and every physical parameter in builder order: capacity
+    /// (bits), media rate (bit/s), spin-up and spin-down times (s),
+    /// spin-up, spin-down, read/write, idle and standby powers (W),
+    /// start/stop cycles, format utilisation. The name is left out.
     fn dedup_token(&self) -> String {
-        format!("disk:{self:?}")
+        parameter_token(
+            "disk",
+            &[
+                self.capacity.bits(),
+                self.media_rate.bits_per_second(),
+                self.spin_up_time.seconds(),
+                self.spin_down_time.seconds(),
+                self.spin_up_power.watts(),
+                self.spin_down_power.watts(),
+                self.read_write_power.watts(),
+                self.idle_power.watts(),
+                self.standby_power.watts(),
+                self.start_stop_cycles,
+                self.format_utilization,
+            ],
+        )
     }
 
     fn capacity(&self) -> DataSize {

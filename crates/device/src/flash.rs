@@ -20,7 +20,7 @@ use std::fmt;
 use memstream_units::{BitRate, DataSize, Duration, Power};
 
 use crate::capability::{
-    SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
+    parameter_token, SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
 };
 use crate::error::DeviceError;
 use crate::power::{EnergyModelled, PowerState};
@@ -214,8 +214,30 @@ impl StorageDevice for FlashDevice {
         "flash"
     }
 
+    /// `flash:` and every physical parameter in builder order: capacity
+    /// (bits), media rate (bit/s), resume, power-down and I/O overhead
+    /// times (s), transition, read/write, idle and deep power-down powers
+    /// (W), erase block (bits), P/E cycles, write-amplification floor,
+    /// fixed utilisation. The name is left out.
     fn dedup_token(&self) -> String {
-        format!("flash:{self:?}")
+        parameter_token(
+            "flash",
+            &[
+                self.capacity.bits(),
+                self.media_rate.bits_per_second(),
+                self.resume_time.seconds(),
+                self.power_down_time.seconds(),
+                self.io_overhead_time.seconds(),
+                self.transition_power.watts(),
+                self.read_write_power.watts(),
+                self.idle_power.watts(),
+                self.deep_power_down.watts(),
+                self.erase_block.bits(),
+                self.pe_cycles,
+                self.waf_floor,
+                self.fixed_utilization,
+            ],
+        )
     }
 
     fn capacity(&self) -> DataSize {

@@ -5,7 +5,7 @@ use std::fmt;
 use memstream_units::{BitRate, DataSize, Duration, Power};
 
 use crate::capability::{
-    SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
+    parameter_token, SimBacked, StorageDevice, UtilizationSpec, WearChannel, WearModelled, WearSpec,
 };
 use crate::error::DeviceError;
 use crate::power::{EnergyModelled, MechanicalDevice, PowerState};
@@ -323,8 +323,34 @@ impl StorageDevice for MemsDevice {
         "mems"
     }
 
+    /// `mems:` and every physical parameter in builder order: rows,
+    /// columns, active probes, field side (µm), capacity (bits),
+    /// per-probe rate (bit/s), seek, shutdown and I/O overhead times (s),
+    /// read/write, seek, standby, idle and shutdown powers (W), probe
+    /// write cycles, spring duty cycles. The name is a report label no
+    /// model reads, so it is left out.
     fn dedup_token(&self) -> String {
-        format!("mems:{self:?}")
+        parameter_token(
+            "mems",
+            &[
+                f64::from(self.array.rows),
+                f64::from(self.array.cols),
+                f64::from(self.array.active),
+                self.array.field_side_um,
+                self.capacity.bits(),
+                self.per_probe_rate.bits_per_second(),
+                self.seek_time.seconds(),
+                self.shutdown_time.seconds(),
+                self.io_overhead_time.seconds(),
+                self.read_write_power.watts(),
+                self.seek_power.watts(),
+                self.standby_power.watts(),
+                self.idle_power.watts(),
+                self.shutdown_power.watts(),
+                self.probe_write_cycles,
+                self.spring_duty_cycles,
+            ],
+        )
     }
 
     fn capacity(&self) -> DataSize {

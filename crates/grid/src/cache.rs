@@ -3,116 +3,82 @@
 //! explorations (CI re-runs, interactive sweeps) skip already-evaluated
 //! cells across process boundaries.
 //!
-//! Two on-disk formats live here, both specified in
-//! `docs/CACHE_FORMAT.md` at the repository root and both fully
-//! interchangeable ([`ResultCache::load`] sniffs the header):
+//! There is one on-disk format, `memstream-grid-cache v3`, specified in
+//! `docs/CACHE_FORMAT.md` at the repository root: length-prefixed binary
+//! records sorted by key, closed by a record index. Floats are raw
+//! IEEE-754 bits, so a warm run reproduces the cold run's reports
+//! **byte-identically** — the property the CI determinism smoke asserts —
+//! and a warm start parses nothing up front: [`ResultCache::load_lazy`]
+//! validates the index and decodes only the records a run looks up. A
+//! run that adds nothing does not rewrite the file at all
+//! ([`ResultCache::save_as`]).
 //!
-//! * **v1** (`memstream-grid-cache v1`) — a tab-separated text line
-//!   store, the *interchange* default. Floats are written with Rust's
-//!   shortest-roundtrip formatting, so a warm-cache exploration
-//!   reproduces the cold run's reports **byte-identically** — the
-//!   property the CI determinism smoke asserts.
-//! * **v2** (`memstream-grid-cache v2`) — a length-prefixed binary
-//!   record store with a sorted key index, written by
-//!   [`ResultCache::save_as`] with [`CacheFormat::V2`]. Floats are raw
-//!   IEEE-754 bits, keys raw UTF-8; loading needs no float parsing or
-//!   unescaping, which is what makes warm loads fast. Conversion
-//!   between the formats is lossless: `v1 → v2 → v1` reproduces the
-//!   original file bytes exactly.
-//!
-//! Under [`ResultCache::load`], unknown or corrupt lines (v1) and
-//! trailing malformed records (v2) are ignored — they simply become
-//! cache misses — so format evolution never poisons a run.
+//! The lenient readers never fail a run over file contents: a damaged
+//! file keeps its intact record prefix, and a foreign file (another
+//! format or version) opens as an empty cache, named on stderr, that the
+//! next save replaces.
 //!
 //! The cache is also the workspace's **shard interchange format**:
-//! `memstream_shard` workers flush their records as v2 record streams
+//! `memstream_shard` workers flush their records as record streams
 //! ([`CacheAppender`], tailed by [`FlushReader`]), and the coordinator
 //! reassembles the run by [`ResultCache::merge`]-union, whose conflict
-//! rule is byte-equality of the encoded entry (see
-//! `docs/CACHE_FORMAT.md` § "Union/merge semantics"). Where a cache file
-//! is exchanged rather than used as a warm start, the strict reader
-//! ([`ResultCache::load_strict`]) fails loudly on version mismatch or
-//! corruption instead of shrugging.
+//! rule is byte-equality of the encoded records (see
+//! `docs/CACHE_FORMAT.md` § "Union/merge semantics").
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::SystemTime;
 
 use memstream_core::Requirement;
 use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle};
 use memstream_units::{DataSize, EnergyPerBit, Ratio, Years};
 
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
-use crate::view::{record_body, validate_v2, CacheView};
+use crate::view::{validate, CacheView};
 
-const HEADER: &str = "memstream-grid-cache v1";
-const HEADER_V2: &str = "memstream-grid-cache v2";
-/// The sniffable v2 magic: the header line including its terminator.
-pub(crate) const V2_MAGIC: &[u8] = b"memstream-grid-cache v2\n";
+/// The header line every cache file and flush stream starts with.
+const HEADER: &str = "memstream-grid-cache v3";
+/// The sniffable magic: the header line including its terminator.
+pub(crate) const MAGIC: &[u8] = b"memstream-grid-cache v3\n";
 
-/// Which on-disk encoding a [`ResultCache::save_as`] writes. Loading
-/// auto-detects, so the format is a producer-side choice only.
+/// The on-disk encoding [`ResultCache::save_as`] writes. There is only
+/// one, the binary record format; the type is retained so that callers
+/// written against the earlier two-format API (the benchmark's replay
+/// among them) keep compiling. It selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheFormat {
-    /// The tab-separated text format (`memstream-grid-cache v1`): the
-    /// interchange default, diff-able and greppable.
+    /// The length-prefixed binary format (`memstream-grid-cache v3`).
     #[default]
-    V1,
-    /// The length-prefixed binary format (`memstream-grid-cache v2`):
-    /// raw IEEE-754 floats and unescaped keys behind a sorted record
-    /// index — the fast warm-start encoding.
-    V2,
+    Binary,
 }
 
-impl CacheFormat {
-    /// Parses a CLI flag value (`"v1"` / `"v2"`).
-    #[must_use]
-    pub fn parse_flag(s: &str) -> Option<Self> {
-        match s {
-            "v1" => Some(CacheFormat::V1),
-            "v2" => Some(CacheFormat::V2),
-            _ => None,
-        }
-    }
-
-    /// The CLI flag value this format parses from.
-    #[must_use]
-    pub fn flag(self) -> &'static str {
-        match self {
-            CacheFormat::V1 => "v1",
-            CacheFormat::V2 => "v2",
-        }
-    }
-}
-
-/// Why a strict cache read ([`ResultCache::load_strict`]) rejected a file.
+/// Why a strict read ([`CacheView::open`]) rejected a cache file.
 ///
-/// The lenient reader ([`ResultCache::load`]) maps every non-I/O failure
-/// below to "empty cache / skipped line"; the strict reader exists for the
-/// shard interchange path, where silently dropping entries would corrupt a
-/// distributed run instead of merely slowing a warm start.
+/// The lenient readers ([`ResultCache::load`], [`ResultCache::open`])
+/// map every non-I/O failure below to "empty cache" or "intact prefix";
+/// the strict reader exists for files that must be whole.
 #[derive(Debug)]
 pub enum CacheFileError {
     /// The file could not be read at all.
     Io(io::Error),
-    /// The first line is not the supported header.
+    /// The file does not start with the `memstream-grid-cache v3` magic.
     VersionMismatch {
-        /// The header line actually found (empty for an empty file).
+        /// The first line actually found (empty for an empty file).
         found: String,
     },
-    /// A body line (v1) or record (v2) failed to parse as a cache entry.
+    /// A record's key framing is broken or out of key order.
     Malformed {
-        /// 1-based position of the offending entry: the file line for
-        /// v1, and `record ordinal + 2` for v2 (so entry *n* reports the
-        /// same position in either encoding).
-        line: usize,
+        /// 0-based ordinal of the offending record.
+        record: usize,
     },
-    /// The v2 structure around the records — the count field, the
+    /// The structure around the records — the count field, the
     /// trailing record index, or the trailer — is damaged: truncated,
     /// pointing outside the file, or disagreeing with the record
     /// framing. Attributed by byte offset because this damage has no
@@ -130,10 +96,10 @@ impl fmt::Display for CacheFileError {
             CacheFileError::Io(e) => write!(f, "cache file unreadable: {e}"),
             CacheFileError::VersionMismatch { found } => write!(
                 f,
-                "cache version mismatch: expected `{HEADER}` or `{HEADER_V2}`, found `{found}`"
+                "cache version mismatch: expected `{HEADER}`, found `{found}`"
             ),
-            CacheFileError::Malformed { line } => {
-                write!(f, "cache file line {line} is not a valid entry")
+            CacheFileError::Malformed { record } => {
+                write!(f, "cache record {record} is not a valid entry")
             }
             CacheFileError::MalformedIndex { offset } => {
                 write!(
@@ -160,8 +126,15 @@ impl From<io::Error> for CacheFileError {
     }
 }
 
-/// A union conflict: two caches carry the same dedup key with entries
-/// that are **not byte-equal** in their encoded form.
+/// The first line of `bytes` (at most 80 bytes of it, rendered lossily):
+/// how a file that is not ours gets named in messages.
+pub(crate) fn header_line(bytes: &[u8]) -> String {
+    let line = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
+    String::from_utf8_lossy(&line[..line.len().min(80)]).into_owned()
+}
+
+/// A union conflict: two caches carry the same dedup key with outcomes
+/// whose encoded records are **not byte-equal**.
 ///
 /// Because evaluation is pure and floats round-trip exactly, two honest
 /// explorations of the same scenario can never disagree — a conflict
@@ -171,9 +144,9 @@ impl From<io::Error> for CacheFileError {
 pub struct CacheConflict {
     /// The dedup key both caches claim.
     pub key: String,
-    /// The encoded entry already held by the merge target.
+    /// The outcome already held by the merge target, rendered for humans.
     pub ours: String,
-    /// The encoded entry the merged-in cache carries.
+    /// The outcome the merged-in cache carries, rendered for humans.
     pub theirs: String,
 }
 
@@ -201,7 +174,7 @@ pub struct MergeStats {
 /// A persistent map from scenario dedup keys to evaluated outcomes.
 ///
 /// ```
-/// use memstream_grid::{GridExecutor, ResultCache, ScenarioGrid};
+/// use memstream_grid::{CacheFormat, GridExecutor, ResultCache, ScenarioGrid};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Process-unique path: concurrent doc-test runs must not collide.
@@ -211,39 +184,74 @@ pub struct MergeStats {
 /// # let _ = std::fs::remove_file(&path);
 /// let grid = ScenarioGrid::paper_baseline(3);
 ///
-/// let mut cache = ResultCache::load(&path)?; // empty on first run
+/// let mut cache = ResultCache::load_lazy(&path)?; // empty on first run
 /// let cold = GridExecutor::serial().explore_cached(&grid, &mut cache)?;
-/// cache.save(&path)?;
+/// cache.save_as(&path, CacheFormat::default())?;
 ///
-/// let mut warm = ResultCache::load(&path)?; // every cell hits
+/// let mut warm = ResultCache::load_lazy(&path)?; // every cell hits
 /// let rerun = GridExecutor::serial().explore_cached(&grid, &mut warm)?;
 /// assert_eq!(warm.hits(), rerun.unique_evaluations());
 /// assert_eq!(
 ///     memstream_grid::report::cells_csv(&cold),
 ///     memstream_grid::report::cells_csv(&rerun),
 /// );
+/// warm.save_as(&path, CacheFormat::default())?; // unchanged: nothing is written
 /// # std::fs::remove_file(&path)?;
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
-    /// The overlay map: fresh inserts plus outcomes memoized from the
-    /// lazy view. Without a view this is simply *the* map.
+    /// Entries inserted or merged in. Without a view this is simply
+    /// *the* map; with one it is the overlay over the file.
     entries: HashMap<String, CellOutcome>,
-    /// The lazy backing file ([`ResultCache::load_lazy`]): probes hit
-    /// its index, records decode on demand and memoize into `entries`.
+    /// The lazily opened file ([`ResultCache::open`]): probes hit its
+    /// index and records decode on demand.
     view: Option<Arc<CacheView>>,
+    /// Outcomes decoded from the view by lookups, by record ordinal
+    /// (sized on the first view hit), so a hot record decodes once.
+    decoded: Vec<Option<CellOutcome>>,
+    /// The file the view was read from, as it was then.
+    origin: Option<Origin>,
     /// Overlay keys the view does not hold, so `len()` is
     /// `view.len() + overlay_new` without iterating either side.
     overlay_new: usize,
-    /// Whether a public insert replaced a view-held key: disables the
-    /// verbatim re-save fast path (the file bytes are no longer the
-    /// truth).
-    shadowed: bool,
+    /// Whether an insert or merge changed the cache since it was opened:
+    /// an unchanged view needs no save at all (or a verbatim copy).
+    modified: bool,
     hits: usize,
     misses: usize,
     telemetry: CacheTelemetry,
+}
+
+/// Where a view was opened from: the path, and the file's length and
+/// modification time at that moment. [`ResultCache::save_as`] skips the
+/// write when one `stat` still shows the same file.
+#[derive(Debug, Clone)]
+struct Origin {
+    path: PathBuf,
+    len: u64,
+    modified: Option<SystemTime>,
+}
+
+impl Origin {
+    fn new(path: &Path, meta: &fs::Metadata) -> Self {
+        Origin {
+            path: path.to_owned(),
+            len: meta.len(),
+            modified: meta.modified().ok(),
+        }
+    }
+
+    /// Whether `path` is the opened file, still unchanged on disk.
+    fn unchanged_at(&self, path: &Path) -> bool {
+        self.path == path
+            && fs::metadata(path).is_ok_and(|meta| {
+                meta.len() == self.len
+                    && self.modified.is_some()
+                    && meta.modified().ok() == self.modified
+            })
+    }
 }
 
 /// The cache's pre-resolved telemetry handles (see `docs/OBSERVABILITY.md`,
@@ -259,15 +267,16 @@ struct CacheTelemetry {
     merge_duplicates: Counter,
     merge_bytes: Counter,
     merge_span: SpanHandle,
-    /// Worker threads used across parallel merges (cumulative).
-    merge_workers: Counter,
     save_bytes: Counter,
-    v2_save_bytes: Counter,
+    /// Saves that found the opened file unchanged and wrote nothing.
+    saves_skipped: Counter,
     save_span: SpanHandle,
+    /// Files opened that were not cache files of this version.
+    foreign_files: Counter,
     /// Records decoded on demand from a lazy [`CacheView`] — the number
     /// a warm run must keep proportional to the work requested, not the
     /// cache size. Eager loads do not count here (they are load-time
-    /// cost, visible through spans and byte counters instead).
+    /// cost, visible through spans instead).
     records_decoded: Counter,
     /// Binary-search probes into a lazy view's record index.
     index_lookups: Counter,
@@ -287,19 +296,29 @@ impl CacheTelemetry {
             merge_duplicates: metrics.counter("cache.merge_duplicates"),
             merge_bytes: metrics.counter("cache.merge_bytes"),
             merge_span: metrics.span("cache.merge"),
-            merge_workers: metrics.counter("cache.merge_workers"),
             save_bytes: metrics.counter("cache.save_bytes"),
-            v2_save_bytes: metrics.counter("cache.v2_save_bytes"),
+            saves_skipped: metrics.counter("cache.saves_skipped"),
             save_span: metrics.span("cache.save"),
+            foreign_files: metrics.counter("cache.foreign_files"),
             records_decoded: metrics.counter("cache.records_decoded"),
             index_lookups: metrics.counter("cache.index_lookups"),
             lookup_latency: metrics.histogram("cache.lookup"),
         }
     }
+}
 
-    fn is_enabled(&self) -> bool {
-        self.merge_bytes.is_live()
-    }
+/// Reads the file at `path` with the metadata of the very handle it was
+/// read through; `None` if there is no such file.
+fn read_file(path: &Path) -> io::Result<Option<(Vec<u8>, fs::Metadata)>> {
+    let mut file = match fs::File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    let meta = file.metadata()?;
+    let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
+    file.read_to_end(&mut bytes)?;
+    Ok(Some((bytes, meta)))
 }
 
 impl ResultCache {
@@ -317,221 +336,144 @@ impl ResultCache {
         self.telemetry = CacheTelemetry::resolve(metrics);
     }
 
-    /// Loads a cache file eagerly, auto-detecting the format from its
-    /// header (text v1 or binary v2). A missing file yields an empty
-    /// cache; unparseable v1 lines are skipped and a malformed v2 record
-    /// drops it plus everything after it (the length-prefixed stream
-    /// cannot be resynchronised past damage).
+    /// Loads a cache file eagerly, decoding every record into memory. A
+    /// missing file or a foreign one (not `memstream-grid-cache v3`)
+    /// yields an empty cache, silently; a malformed record drops it and
+    /// everything after it (the length-prefixed stream cannot be
+    /// resynchronised past damage). Flush streams load like any cache
+    /// file. Warm starts use [`ResultCache::open`] instead.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors other than "not found".
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        match fs::read(path) {
-            Ok(bytes) => Ok(Self::from_bytes_eager(&bytes)),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(ResultCache::new()),
-            Err(e) => Err(e),
+        let mut cache = ResultCache::new();
+        if let Some((bytes, _)) = read_file(path.as_ref())? {
+            if bytes.starts_with(MAGIC) {
+                cache.entries = parse_lenient(&bytes);
+            }
         }
+        Ok(cache)
     }
 
-    /// Opens a cache file **lazily**: a structurally valid v2 file is
-    /// held as a [`CacheView`] — only its record index is read — and
-    /// records decode on demand as lookups touch them (memoized, so a
-    /// hot cell decodes once). Probes ([`ResultCache::contains_key`],
-    /// planning) never decode at all. A missing file is an empty cache,
-    /// and anything the view cannot validate (v1, flush streams,
-    /// structural damage) falls back to the eager lenient
-    /// [`ResultCache::load`] semantics, so `load_lazy` is a drop-in
-    /// replacement for warm-start reads.
+    /// [`ResultCache::open`] without telemetry.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors other than "not found".
     pub fn load_lazy(path: impl AsRef<Path>) -> io::Result<Self> {
-        let bytes = match fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(ResultCache::new()),
-            Err(e) => return Err(e),
-        };
-        if bytes.starts_with(V2_MAGIC) {
-            if let Ok(offsets) = validate_v2(&bytes) {
-                let mut cache = ResultCache::new();
-                cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
-                return Ok(cache);
-            }
-        }
-        Ok(Self::from_bytes_eager(&bytes))
+        ResultCache::open(path, &Metrics::disabled())
     }
 
-    /// The eager lenient decode shared by the `load` family: v2 prefix
-    /// scan, v1 line-at-a-time, or empty for unknown headers.
-    fn from_bytes_eager(bytes: &[u8]) -> Self {
-        let mut cache = ResultCache::new();
-        if bytes.starts_with(V2_MAGIC) {
-            cache.entries = parse_v2_lenient(bytes);
-            return cache;
-        }
-        // Unknown version or non-UTF-8 garbage: empty rather than failing.
-        let Ok(text) = std::str::from_utf8(bytes) else {
-            return cache;
-        };
-        let mut lines = text.lines();
-        if lines.next() != Some(HEADER) {
-            return cache;
-        }
-        for line in lines {
-            if let Some((key, outcome)) = parse_line(line) {
-                cache.entries.insert(key, outcome);
-            }
-        }
-        cache
-    }
-
-    /// Loads a cache file as a **wire format**: unlike [`ResultCache::load`],
-    /// a missing file, a version mismatch or any unparseable line is a hard
-    /// error. This is the reader the shard coordinator uses on worker
-    /// output — an interchange file that half-parses must never silently
-    /// shrink a distributed run.
+    /// Opens a cache file **lazily** and attaches the cache to
+    /// `metrics`, all inside the `cache.load` span.
+    ///
+    /// A structurally valid file is held as a [`CacheView`] — only its
+    /// record index is checked — and records decode on demand as lookups
+    /// touch them (memoized, so a hot cell decodes once). Probes
+    /// ([`ResultCache::contains_key`], planning) never decode at all.
+    /// The cache remembers the file's path, length and modification
+    /// time, so that saving it unchanged to the same path writes
+    /// nothing ([`ResultCache::save_as`]).
+    ///
+    /// The read is lenient: a missing file is an empty cache, a damaged
+    /// one (or a flush stream, which has no index) keeps its intact
+    /// record prefix, and a foreign file — another format or version —
+    /// is an empty cache named in one stderr line and counted as
+    /// `cache.foreign_files`; the next save replaces it.
     ///
     /// # Errors
     ///
-    /// [`CacheFileError::Io`] on any read failure (including "not found"),
-    /// [`CacheFileError::VersionMismatch`] if the header line is neither
-    /// `memstream-grid-cache v1` nor `memstream-grid-cache v2`,
-    /// [`CacheFileError::MalformedIndex`] (attributed by byte offset) if
-    /// the v2 count, record index or trailer disagrees with the records
-    /// actually present, and [`CacheFileError::Malformed`] on the first
-    /// entry that fails to parse.
-    pub fn load_strict(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
-        let bytes = fs::read(path)?;
+    /// Propagates I/O errors other than "not found".
+    pub fn open(path: impl AsRef<Path>, metrics: &Metrics) -> io::Result<Self> {
+        let _load = metrics.span("cache.load").start();
+        let path = path.as_ref();
         let mut cache = ResultCache::new();
-        if bytes.starts_with(V2_MAGIC) {
-            // Structure first (count/index/trailer, attributed by byte
-            // offset), then every record payload (attributed by ordinal).
-            let offsets = validate_v2(&bytes)?;
-            cache.entries = HashMap::with_capacity(offsets.len());
-            for (ordinal, &offset) in offsets.iter().enumerate() {
-                let (key, outcome) = decode_record(record_body(&bytes, offset))
-                    .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
-                cache.entries.insert(key, outcome);
-            }
+        cache.set_metrics(metrics);
+        let Some((bytes, meta)) = read_file(path)? else {
+            return Ok(cache);
+        };
+        if !bytes.starts_with(MAGIC) {
+            eprintln!(
+                "cache: {} is not a `{HEADER}` file (found `{}`); starting empty, the save replaces it",
+                path.display(),
+                header_line(&bytes)
+            );
+            cache.telemetry.foreign_files.incr();
             return Ok(cache);
         }
-        let text = match String::from_utf8(bytes) {
-            Ok(text) => text,
-            Err(e) => {
-                // Binary, but not our magic: attribute by the bytes up to
-                // the first newline, rendered lossily.
-                let bytes = e.into_bytes();
-                let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
-                return Err(CacheFileError::VersionMismatch {
-                    found: String::from_utf8_lossy(first).into_owned(),
-                });
+        match validate(&bytes) {
+            Ok(offsets) => {
+                cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
+                cache.origin = Some(Origin::new(path, &meta));
             }
-        };
-        let mut lines = text.lines();
-        let header = lines.next().unwrap_or_default();
-        if header != HEADER {
-            return Err(CacheFileError::VersionMismatch {
-                found: header.to_owned(),
-            });
-        }
-        for (i, line) in lines.enumerate() {
-            let (key, outcome) =
-                parse_line(line).ok_or(CacheFileError::Malformed { line: i + 2 })?;
-            cache.entries.insert(key, outcome);
+            Err(_) => cache.entries = parse_lenient(&bytes),
         }
         Ok(cache)
     }
 
     /// Unions `other` into `self`. Keys held by both caches must encode to
-    /// byte-identical entries; the union is therefore order-independent —
+    /// byte-identical records; the union is therefore order-independent —
     /// merging shard caches in any order yields the same entry set, and
-    /// [`ResultCache::save`] (which sorts by key) the same file bytes.
+    /// [`ResultCache::save_as`] (which sorts by key) the same file bytes.
     ///
     /// Hit/miss counters of both caches are left untouched: a merge is
     /// bookkeeping, not a lookup.
     ///
-    /// The merge is **atomic**: on a conflict, `self` is left completely
-    /// untouched — a shard whose cache disagrees contributes *nothing*,
-    /// it cannot half-poison the target before the conflict is noticed.
+    /// The merge is **atomic**: every key is checked before any is
+    /// inserted, so on a conflict `self` is left completely untouched — a
+    /// shard whose cache disagrees contributes *nothing*, it cannot
+    /// half-poison the target before the conflict is noticed.
     ///
     /// # Errors
     ///
     /// [`CacheConflict`] on the lowest-key conflicting entry.
     pub fn merge(&mut self, other: &ResultCache) -> Result<MergeStats, CacheConflict> {
-        self.merge_with_workers(other, auto_merge_workers(other.len()))
-    }
-
-    /// [`ResultCache::merge`] with an explicit worker count: `other`'s
-    /// key list is partitioned into `workers` contiguous slices, each
-    /// scanned for conflicts/duplicates/additions on its own scoped
-    /// thread (the detect pass is read-only, so it shares both caches
-    /// freely), and a single writer then stitches the additions in.
-    /// Detection still completes **before** any mutation, so the merge
-    /// stays atomic, and the union is a set — worker partitioning cannot
-    /// change the result, the stats, or the saved file bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`CacheConflict`] on the lowest-key conflicting entry (`self` is
-    /// left untouched).
-    pub fn merge_with_workers(
-        &mut self,
-        other: &ResultCache,
-        workers: usize,
-    ) -> Result<MergeStats, CacheConflict> {
         let _merge_timer = self.telemetry.merge_span.start();
-        let keys = other.key_list();
-        let workers = workers.clamp(1, keys.len().max(1));
-        let count_bytes = self.telemetry.is_enabled();
-        let scans: Vec<MergeScan> = if workers <= 1 {
-            vec![scan_merge_slice(self, other, &keys, count_bytes)]
-        } else {
-            let target = &*self;
-            let chunk = keys.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = keys
-                    .chunks(chunk)
-                    .map(|slice| {
-                        scope.spawn(move || scan_merge_slice(target, other, slice, count_bytes))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("merge worker panicked"))
-                    .collect()
-            })
-        };
-        self.telemetry.merge_workers.add(workers as u64);
-        let mut probes = 0u64;
-        let mut decoded = 0u64;
-        for scan in &scans {
-            probes += scan.probes;
-            decoded += scan.decoded;
-        }
-        self.telemetry.index_lookups.add(probes);
-        self.telemetry.records_decoded.add(decoded);
-        if let Some(conflict) = scans
-            .iter()
-            .filter_map(|scan| scan.conflict.as_ref())
-            .min_by(|a, b| a.key.cmp(&b.key))
-        {
-            return Err(conflict.clone());
-        }
-        let mut stats = MergeStats::default();
+        let count_bytes = self.telemetry.merge_bytes.is_live();
+        let mut additions: Vec<(&str, CellOutcome)> = Vec::new();
+        let mut duplicates = 0usize;
         let mut bytes = 0u64;
-        for scan in scans {
-            stats.duplicates += scan.duplicates;
-            bytes += scan.bytes;
-            for (key, outcome) in scan.additions {
-                self.entries.insert(key, outcome);
-                stats.added += 1;
+        let mut conflict: Option<CacheConflict> = None;
+        for key in other.keys() {
+            let theirs = other
+                .get(key)
+                .expect("listed keys resolve in their own cache");
+            match self.get(key) {
+                // The conflict rule is byte-equality of the *encoded*
+                // records (the wire form), not structural equality: it
+                // is the file bytes two shards must agree on, and it
+                // treats equal NaN payloads as the duplicates they are.
+                Some(ours) if encode_record(key, &ours) == encode_record(key, &theirs) => {
+                    duplicates += 1;
+                }
+                Some(ours) => {
+                    if conflict.as_ref().is_none_or(|held| key < held.key.as_str()) {
+                        conflict = Some(CacheConflict {
+                            key: key.to_owned(),
+                            ours: format!("{ours:?}"),
+                            theirs: format!("{theirs:?}"),
+                        });
+                    }
+                }
+                None => {
+                    if count_bytes {
+                        bytes += 4 + encode_record(key, &theirs).len() as u64;
+                    }
+                    additions.push((key, theirs));
+                }
             }
         }
-        // Every addition was absent from view *and* overlay (the scan
-        // checked), so the length bookkeeping is a plain bump.
-        self.overlay_new += stats.added;
+        if let Some(conflict) = conflict {
+            return Err(conflict);
+        }
+        let stats = MergeStats {
+            added: additions.len(),
+            duplicates,
+        };
+        for (key, outcome) in additions {
+            self.put(key.to_owned(), outcome);
+        }
         self.telemetry.merge_bytes.add(bytes);
         self.telemetry.merges.incr();
         self.telemetry.merge_added.add(stats.added as u64);
@@ -539,86 +481,54 @@ impl ResultCache {
         Ok(stats)
     }
 
-    /// Every key this cache holds: overlay keys first (excluding ones
-    /// the view also holds), then the view's sorted keys. Arbitrary
-    /// overall order.
-    fn key_list(&self) -> Vec<&str> {
-        match self.view.as_deref() {
-            None => self.entries.keys().map(String::as_str).collect(),
-            Some(view) => {
-                let mut keys: Vec<&str> = self
-                    .entries
-                    .keys()
-                    .map(String::as_str)
-                    .filter(|key| view.find(key).is_none())
-                    .collect();
-                keys.extend(view.keys());
-                keys
-            }
-        }
-    }
-
-    /// Writes the cache to `path` in the v1 text format, sorted by key
-    /// for reproducible bytes. Shorthand for [`ResultCache::save_as`]
-    /// with [`CacheFormat::V1`].
+    /// Writes the cache to `path`, records sorted by key for
+    /// reproducible bytes. Records stream through an [`io::BufWriter`]
+    /// — the whole file is never materialised in memory — and records
+    /// still in the lazily opened file are copied as raw bytes, never
+    /// decoded.
     ///
-    /// # Errors
+    /// A cache opened lazily from `path` that nothing was inserted into
+    /// or merged into since **writes nothing**, provided one `stat`
+    /// shows the file still has the length and modification time it was
+    /// opened with (counted as `cache.saves_skipped`). Saved anywhere
+    /// else, such a cache is copied verbatim.
     ///
-    /// Propagates I/O errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        self.save_as(path, CacheFormat::V1)
-    }
-
-    /// Writes the cache to `path` in `format`, sorted by key for
-    /// reproducible bytes (both formats sort identically, so conversion
-    /// preserves entry order). Entries stream through a [`io::BufWriter`]
-    /// — the whole file is never materialised in memory.
-    ///
-    /// The save is atomic with respect to readers: the bytes go to a
+    /// Every write is atomic with respect to readers: the bytes go to a
     /// process-unique sibling temp file that is then renamed over
     /// `path`, so a crash or a concurrent run leaves either the old file
     /// or the new one, never a truncated mix. (No fsync: durability
-    /// across power loss is not promised, and every re-save would pay
-    /// for it.)
-    ///
-    /// A lazily loaded cache that was never extended or shadowed
-    /// re-saves to v2 **verbatim**: the view's validation guarantees its
-    /// entries re-encode to exactly the bytes it was opened over, so the
-    /// file is rewritten without decoding a single record.
+    /// across power loss is not promised, and every save would pay for
+    /// it.)
     ///
     /// # Errors
     ///
     /// Propagates I/O errors; on error `path` is left untouched and the
     /// temp file is removed.
     pub fn save_as(&self, path: impl AsRef<Path>, format: CacheFormat) -> io::Result<()> {
+        let CacheFormat::Binary = format;
         let _save_timer = self.telemetry.save_span.start();
         let path = path.as_ref();
-        if format == CacheFormat::V2 && self.overlay_new == 0 && !self.shadowed {
-            if let Some(view) = self.view.as_deref() {
-                let bytes = view.file_bytes();
-                write_replacing(path, |out| out.write_all(bytes))?;
-                self.telemetry.save_bytes.add(bytes.len() as u64);
-                self.telemetry.v2_save_bytes.add(bytes.len() as u64);
+        if let (Some(view), false) = (self.view.as_deref(), self.modified) {
+            if self.origin.as_ref().is_some_and(|o| o.unchanged_at(path)) {
+                self.telemetry.saves_skipped.incr();
                 return Ok(());
             }
+            let bytes = view.file_bytes();
+            write_replacing(path, |out| out.write_all(bytes))?;
+            self.telemetry.save_bytes.add(bytes.len() as u64);
+            return Ok(());
         }
-        let mut keys = self.key_list();
+        let mut keys: Vec<&str> = self.keys().collect();
         keys.sort_unstable();
-        // Resolve outcomes up front (decoding any still-lazy records —
-        // a converting save is inherently eager), so the writers can
-        // stream over plain data.
-        let entries: Vec<(&str, CellOutcome)> = keys
-            .into_iter()
-            .filter_map(|key| Some((key, self.fetch(key)?)))
-            .collect();
-        let written = write_replacing(path, |out| match format {
-            CacheFormat::V1 => write_v1(out, &entries),
-            CacheFormat::V2 => write_v2(out, &entries),
-        })?;
+        let bodies = keys.iter().map(|&key| match self.entries.get(key) {
+            Some(outcome) => Cow::Owned(encode_record(key, outcome)),
+            None => {
+                let view = self.view.as_deref().expect("a key outside the overlay");
+                Cow::Borrowed(view.body(view.find(key).expect("a listed view key")))
+            }
+        });
+        let written = write_replacing(path, |out| write_file(out, bodies))?;
         self.telemetry.save_bytes.add(written);
-        if format == CacheFormat::V2 {
-            self.telemetry.v2_save_bytes.add(written);
-        }
         Ok(())
     }
 
@@ -649,27 +559,65 @@ impl ResultCache {
         self.misses
     }
 
+    /// The overlay entry under `key`. A warm run's overlay is empty, so
+    /// its lookups skip the hash probe entirely.
+    fn overlay(&self, key: &str) -> Option<&CellOutcome> {
+        if self.entries.is_empty() {
+            None
+        } else {
+            self.entries.get(key)
+        }
+    }
+
+    /// Binary-searches the view's index for `key` (counted), returning
+    /// the record ordinal.
+    fn view_ordinal(&self, key: &str) -> Option<usize> {
+        let view = self.view.as_deref()?;
+        self.telemetry.index_lookups.incr();
+        view.find(key)
+    }
+
+    /// The outcome of view record `ordinal`: memoized, or decoded from
+    /// its payload (counted; `None` if the payload is malformed).
+    fn view_outcome(&self, ordinal: usize) -> Option<CellOutcome> {
+        if let Some(outcome) = self.decoded.get(ordinal).and_then(Option::as_ref) {
+            return Some(outcome.clone());
+        }
+        let outcome = self.view.as_deref()?.decode(ordinal)?;
+        self.telemetry.records_decoded.incr();
+        Some(outcome)
+    }
+
+    /// [`ResultCache::view_outcome`], memoized for later lookups.
+    fn memoized_outcome(&mut self, ordinal: usize) -> Option<CellOutcome> {
+        if self.decoded.is_empty() {
+            self.decoded = vec![None; self.view.as_deref().map_or(0, CacheView::len)];
+        }
+        if self.decoded[ordinal].is_none() {
+            self.decoded[ordinal] = self.view_outcome(ordinal);
+        }
+        self.decoded[ordinal].clone()
+    }
+
     /// Looks up an outcome, counting the hit/miss and timing the probe
     /// into the `cache.lookup` histogram when telemetry is enabled.
     ///
-    /// On a lazy cache, a view hit decodes that one record and memoizes
-    /// it into the overlay map — repeated lookups of a hot cell decode
-    /// once, so `cache.records_decoded` tracks *distinct* cells touched.
+    /// On a lazy cache, a view hit decodes that one record's payload —
+    /// never its key — and memoizes the outcome by record ordinal, so
+    /// repeated lookups of a hot cell decode once and
+    /// `cache.records_decoded` tracks *distinct* records touched.
     pub(crate) fn lookup(&mut self, key: &str) -> Option<CellOutcome> {
         let started = self
             .telemetry
             .lookup_latency
             .is_live()
             .then(std::time::Instant::now);
-        let mut found = self.entries.get(key).cloned();
-        if found.is_none() {
-            if let Some((owned_key, outcome)) = self.view_fetch(key) {
-                // Memoize without touching `overlay_new`: the key is a
-                // view key, already counted by `len()`.
-                self.entries.insert(owned_key, outcome.clone());
-                found = Some(outcome);
-            }
-        }
+        let found = match self.overlay(key) {
+            Some(outcome) => Some(outcome.clone()),
+            None => self
+                .view_ordinal(key)
+                .and_then(|ordinal| self.memoized_outcome(ordinal)),
+        };
         if let Some(started) = started {
             self.telemetry.lookup_latency.record(started.elapsed());
         }
@@ -687,16 +635,6 @@ impl ResultCache {
         }
     }
 
-    /// Probes the lazy view: one index binary search, and on a hit one
-    /// record decode. Counts both.
-    fn view_fetch(&self, key: &str) -> Option<(String, CellOutcome)> {
-        let view = self.view.as_deref()?;
-        self.telemetry.index_lookups.incr();
-        let decoded = view.decode(view.find(key)?)?;
-        self.telemetry.records_decoded.incr();
-        Some(decoded)
-    }
-
     /// Peeks at an outcome without touching the hit/miss counters (the
     /// shard planner asks "is this cell already known?" without it being
     /// a lookup of record). Returns an owned outcome: on a lazy cache
@@ -704,16 +642,10 @@ impl ResultCache {
     /// take `&self`).
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        if let Some(outcome) = self.entries.get(key) {
-            return Some(outcome.clone());
+        match self.overlay(key) {
+            Some(outcome) => Some(outcome.clone()),
+            None => self.view_outcome(self.view_ordinal(key)?),
         }
-        self.view_fetch(key).map(|(_, outcome)| outcome)
-    }
-
-    /// [`ResultCache::get`] without clone-avoidance niceties — the
-    /// resolve-everything path converting saves use.
-    fn fetch(&self, key: &str) -> Option<CellOutcome> {
-        self.get(key)
     }
 
     /// Whether `key` is cached, without counting a hit or miss. On a
@@ -721,16 +653,7 @@ impl ResultCache {
     /// is what keeps fully-warm planning decode-free.
     #[must_use]
     pub fn contains_key(&self, key: &str) -> bool {
-        if self.entries.contains_key(key) {
-            return true;
-        }
-        match self.view.as_deref() {
-            Some(view) => {
-                self.telemetry.index_lookups.incr();
-                view.find(key).is_some()
-            }
-            None => false,
-        }
+        self.overlay(key).is_some() || self.view_ordinal(key).is_some()
     }
 
     /// Iterates the cached dedup keys in arbitrary order (sort before
@@ -740,10 +663,7 @@ impl ResultCache {
         self.entries
             .keys()
             .map(String::as_str)
-            .filter(move |key| match view {
-                Some(view) => view.find(key).is_none(),
-                None => true,
-            })
+            .filter(move |key| view.is_none_or(|view| view.find(key).is_none()))
             .chain(view.into_iter().flat_map(CacheView::keys))
     }
 
@@ -755,75 +675,24 @@ impl ResultCache {
     /// of overwriting.
     pub fn insert(&mut self, key: String, outcome: CellOutcome) {
         self.telemetry.inserts.incr();
-        let in_view = match self.view.as_deref() {
-            Some(view) => {
-                self.telemetry.index_lookups.incr();
-                view.find(&key).is_some()
-            }
-            None => false,
-        };
+        self.put(key, outcome);
+    }
+
+    /// Adds an entry to the overlay, keeping `len()` and the save-skip
+    /// state right.
+    fn put(&mut self, key: String, outcome: CellOutcome) {
+        let in_view = self.view_ordinal(&key).is_some();
         let replaced = self.entries.insert(key, outcome).is_some();
-        if in_view {
-            // Overwriting a view-held key: the file bytes are no longer
-            // the truth, so the verbatim re-save fast path must not run.
-            self.shadowed = true;
-        } else if self.view.is_some() && !replaced {
+        if self.view.is_some() && !in_view && !replaced {
             self.overlay_new += 1;
         }
+        self.modified = true;
     }
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('\t', "\\t")
-        .replace('\n', "\\n")
-}
-
-fn unescape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('\\') => out.push('\\'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
-fn fmt_f64(v: f64) -> String {
-    format!("{v:?}")
-}
-
-fn fmt_opt(v: Option<f64>) -> String {
-    v.map_or_else(|| "-".to_owned(), fmt_f64)
-}
-
-fn parse_f64(s: &str) -> Option<f64> {
-    s.parse::<f64>().ok()
-}
-
-fn parse_opt(s: &str) -> Option<Option<f64>> {
-    if s == "-" {
-        Some(None)
-    } else {
-        parse_f64(s).map(Some)
-    }
-}
-
-/// Maps a parsed region/dominant label back to the `&'static str` the
+/// Maps a decoded region/dominant label back to the `&'static str` the
 /// outcome types carry. Only labels the evaluator can produce round-trip;
-/// anything else rejects the line.
+/// anything else rejects the record.
 fn static_label(s: &str) -> Option<&'static str> {
     for requirement in Requirement::ALL {
         if requirement.label() == s {
@@ -838,71 +707,12 @@ fn static_label(s: &str) -> Option<&'static str> {
     }
 }
 
-fn encode_line(key: &str, outcome: &CellOutcome) -> String {
-    let payload = match outcome {
-        CellOutcome::Feasible(p) => format!(
-            "F\t{}\t{}\t{}\t{}\t{}\t{}",
-            fmt_f64(p.buffer.bits()),
-            p.dominant,
-            fmt_opt(p.saving),
-            fmt_f64(p.utilization.fraction()),
-            fmt_f64(p.lifetime.get()),
-            fmt_opt(p.energy_per_bit.map(EnergyPerBit::joules_per_bit)),
-        ),
-        CellOutcome::Infeasible { region, detail } => {
-            format!("X\t{}\t{}", region, escape(detail))
-        }
-        CellOutcome::EnergyOnly(p) => format!(
-            "D\t{}\t{}\t{}",
-            fmt_opt(p.break_even.map(DataSize::bits)),
-            fmt_opt(p.buffer_for_saving.map(DataSize::bits)),
-            fmt_opt(p.saving),
-        ),
-        CellOutcome::Unmodelled { detail } => format!("U\t{}", escape(detail)),
-    };
-    format!("{}\t{}", escape(key), payload)
-}
-
-fn parse_line(line: &str) -> Option<(String, CellOutcome)> {
-    let fields: Vec<&str> = line.split('\t').collect();
-    let (&key, rest) = fields.split_first()?;
-    let (&tag, payload) = rest.split_first()?;
-    let outcome = match (tag, payload) {
-        ("F", [buffer, dominant, saving, utilization, lifetime, energy]) => {
-            CellOutcome::Feasible(PlannedPoint {
-                buffer: DataSize::from_bits(parse_f64(buffer)?),
-                dominant: static_label(dominant)?,
-                saving: parse_opt(saving)?,
-                utilization: Ratio::from_fraction(parse_f64(utilization)?),
-                lifetime: Years::new(parse_f64(lifetime)?),
-                energy_per_bit: parse_opt(energy)?.map(EnergyPerBit::from_joules_per_bit),
-            })
-        }
-        ("X", [region, detail]) => CellOutcome::Infeasible {
-            region: static_label(region)?,
-            detail: unescape(detail),
-        },
-        ("D", [break_even, buffer_for_saving, saving]) => {
-            CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                break_even: parse_opt(break_even)?.map(DataSize::from_bits),
-                buffer_for_saving: parse_opt(buffer_for_saving)?.map(DataSize::from_bits),
-                saving: parse_opt(saving)?,
-            })
-        }
-        ("U", [detail]) => CellOutcome::Unmodelled {
-            detail: unescape(detail),
-        },
-        _ => return None,
-    };
-    Some((unescape(key), outcome))
-}
-
 // ---------------------------------------------------------------------
-// The v2 binary encoding (docs/CACHE_FORMAT.md § "v2 binary format").
-// Scalars are little-endian; floats are raw IEEE-754 bits, so the
-// round-trip through v2 is exact by construction. Strings are
-// `u32 length + UTF-8 bytes`, unescaped. Each record is
-// `u32 body length + body`, body = `key string, tag byte, payload`.
+// The record encoding (docs/CACHE_FORMAT.md § "Records"). Scalars are
+// little-endian; floats are raw IEEE-754 bits, so the round-trip is
+// exact by construction. Strings are `u32 length + UTF-8 bytes`. Each
+// record is `u32 body length + body`, body = `key string, tag byte,
+// payload`.
 // ---------------------------------------------------------------------
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -967,9 +777,8 @@ fn encode_record(key: &str, outcome: &CellOutcome) -> Vec<u8> {
     body
 }
 
-/// A bounds-checked cursor over a v2 byte stream. Every reader returns
-/// `None` past the end — truncation surfaces as a parse failure, never
-/// a panic.
+/// A bounds-checked cursor over cache bytes. Every reader returns `None`
+/// past the end — truncation surfaces as a parse failure, never a panic.
 struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -1019,61 +828,72 @@ impl<'a> ByteReader<'a> {
         self.str_slice().and_then(static_label)
     }
 
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
+    /// The outcome (tag and payload) at the cursor, which must end
+    /// exactly at the end of the bytes — the length prefix and the
+    /// payload must agree.
+    fn outcome(&mut self) -> Option<CellOutcome> {
+        let outcome = match self.take(1)?[0] {
+            b'F' => CellOutcome::Feasible(PlannedPoint {
+                buffer: DataSize::from_bits(self.f64()?),
+                dominant: self.label()?,
+                saving: self.opt_f64()?,
+                utilization: Ratio::from_fraction(self.f64()?),
+                lifetime: Years::new(self.f64()?),
+                energy_per_bit: self.opt_f64()?.map(EnergyPerBit::from_joules_per_bit),
+            }),
+            b'X' => CellOutcome::Infeasible {
+                region: self.label()?,
+                detail: self.string()?,
+            },
+            b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
+                break_even: self.opt_f64()?.map(DataSize::from_bits),
+                buffer_for_saving: self.opt_f64()?.map(DataSize::from_bits),
+                saving: self.opt_f64()?,
+            }),
+            b'U' => CellOutcome::Unmodelled {
+                detail: self.string()?,
+            },
+            _ => return None,
+        };
+        (self.pos == self.bytes.len()).then_some(outcome)
     }
 }
 
-/// Decodes one record body. Trailing garbage within the body rejects the
-/// record — the length prefix and the payload must agree exactly.
+/// Decodes one record body into its key and outcome.
 pub(crate) fn decode_record(body: &[u8]) -> Option<(String, CellOutcome)> {
     let mut r = ByteReader {
         bytes: body,
         pos: 0,
     };
     let key = r.string()?;
-    let outcome = match r.take(1)?[0] {
-        b'F' => CellOutcome::Feasible(PlannedPoint {
-            buffer: DataSize::from_bits(r.f64()?),
-            dominant: r.label()?,
-            saving: r.opt_f64()?,
-            utilization: Ratio::from_fraction(r.f64()?),
-            lifetime: Years::new(r.f64()?),
-            energy_per_bit: r.opt_f64()?.map(EnergyPerBit::from_joules_per_bit),
-        }),
-        b'X' => CellOutcome::Infeasible {
-            region: r.label()?,
-            detail: r.string()?,
-        },
-        b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
-            break_even: r.opt_f64()?.map(DataSize::from_bits),
-            buffer_for_saving: r.opt_f64()?.map(DataSize::from_bits),
-            saving: r.opt_f64()?,
-        }),
-        b'U' => CellOutcome::Unmodelled {
-            detail: r.string()?,
-        },
-        _ => return None,
-    };
-    r.done().then_some((key, outcome))
+    Some((key, r.outcome()?))
 }
 
-/// Leniently scans the records of a v2 file (`bytes` starts with
-/// [`V2_MAGIC`]): every entry parsed before the first malformation is
-/// kept, damage and everything after it is dropped. This reader never
-/// consults the index, which lets it double as the flush-stream loader
-/// (flush streams have no index at all).
+/// Decodes the outcome of one record body, skipping over its key
+/// without copying it — the lazy hit path.
+pub(crate) fn decode_outcome(body: &[u8]) -> Option<CellOutcome> {
+    let mut r = ByteReader {
+        bytes: body,
+        pos: 0,
+    };
+    let key_len = r.u32()? as usize;
+    r.take(key_len)?;
+    r.outcome()
+}
+
+/// Leniently scans the records of a cache file (`bytes` starts with
+/// [`MAGIC`]): every entry parsed before the first malformation is kept,
+/// damage and everything after it is dropped. This reader never consults
+/// the index, which lets it double as the flush-stream loader (flush
+/// streams have no index at all).
 ///
-/// Entries land directly in the cache's map shape, pre-sized from the
-/// header count — the binary format knows its cardinality up front, so
-/// a v2 load never rehashes (an edge the line-at-a-time v1 parse cannot
-/// have). Pre-sizing is capped against the honest minimum record
-/// footprint, so a hostile count cannot balloon the allocation past the
-/// actual file size.
-fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
+/// The map is pre-sized from the header count, capped against the
+/// honest minimum record footprint so a hostile count cannot balloon
+/// the allocation past the actual file size.
+fn parse_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
     let mut r = ByteReader {
         bytes,
-        pos: V2_MAGIC.len(),
+        pos: MAGIC.len(),
     };
     let Some(count) = r.u64().and_then(|c| usize::try_from(c).ok()) else {
         return HashMap::new();
@@ -1092,104 +912,6 @@ fn parse_v2_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
         }
     }
     entries
-}
-
-/// Merge workers for unioning `records` entries in: serial for small
-/// shard caches, then one worker per ~128 entries up to a modest cap.
-fn auto_merge_workers(records: usize) -> usize {
-    if records < 256 {
-        return 1;
-    }
-    let available = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-    available.min(records / 128).clamp(1, 8)
-}
-
-/// What one merge worker found in its slice of the source's keys.
-struct MergeScan {
-    duplicates: usize,
-    /// Entries absent from the target, cloned and ready to stitch in.
-    additions: Vec<(String, CellOutcome)>,
-    /// Wire bytes of the additions (only computed when telemetry is
-    /// live — it exists for merge-throughput reporting).
-    bytes: u64,
-    /// Index probes / on-demand decodes performed against either
-    /// cache's lazy view, merged into the counters after the join.
-    probes: u64,
-    decoded: u64,
-    /// The lowest-key conflict in this slice, if any.
-    conflict: Option<CacheConflict>,
-}
-
-/// Resolves `key` in a cache without telemetry (merge workers run off
-/// the counter path and account in bulk after the join).
-fn fetch_quiet(
-    cache: &ResultCache,
-    key: &str,
-    probes: &mut u64,
-    decoded: &mut u64,
-) -> Option<CellOutcome> {
-    if let Some(outcome) = cache.entries.get(key) {
-        return Some(outcome.clone());
-    }
-    let view = cache.view.as_deref()?;
-    *probes += 1;
-    let (_, outcome) = view.decode(view.find(key)?)?;
-    *decoded += 1;
-    Some(outcome)
-}
-
-/// The merge detect pass over one contiguous slice of the source's
-/// keys: classify every key as duplicate (byte-equal wire encoding),
-/// addition, or conflict. Read-only — safe to run on many slices of the
-/// same two caches concurrently.
-fn scan_merge_slice(
-    target: &ResultCache,
-    source: &ResultCache,
-    keys: &[&str],
-    count_bytes: bool,
-) -> MergeScan {
-    let mut scan = MergeScan {
-        duplicates: 0,
-        additions: Vec::new(),
-        bytes: 0,
-        probes: 0,
-        decoded: 0,
-        conflict: None,
-    };
-    for &key in keys {
-        let theirs = fetch_quiet(source, key, &mut scan.probes, &mut scan.decoded)
-            .expect("key list entries resolve in their own cache");
-        match fetch_quiet(target, key, &mut scan.probes, &mut scan.decoded) {
-            Some(ours) => {
-                // The conflict rule is byte-equality of the *encoded*
-                // entry (the wire form), not structural equality: it is
-                // the file bytes two shards must agree on, and it treats
-                // equal NaN payloads as the duplicates they are.
-                let ours = encode_line(key, &ours);
-                let theirs = encode_line(key, &theirs);
-                if ours == theirs {
-                    scan.duplicates += 1;
-                } else if scan
-                    .conflict
-                    .as_ref()
-                    .is_none_or(|held| key < held.key.as_str())
-                {
-                    scan.conflict = Some(CacheConflict {
-                        key: key.to_owned(),
-                        ours,
-                        theirs,
-                    });
-                }
-            }
-            None => {
-                if count_bytes {
-                    scan.bytes += encode_line(key, &theirs).len() as u64 + 1;
-                }
-                scan.additions.push((key.to_owned(), theirs));
-            }
-        }
-    }
-    scan
 }
 
 /// Writes `path` through a process-unique sibling temp file renamed
@@ -1221,31 +943,18 @@ fn write_replacing<T>(
     result
 }
 
-/// Streams the v1 text encoding of pre-resolved entries, returning the
-/// bytes written.
-fn write_v1(out: &mut impl io::Write, entries: &[(&str, CellOutcome)]) -> io::Result<u64> {
-    out.write_all(HEADER.as_bytes())?;
-    out.write_all(b"\n")?;
-    let mut written = HEADER.len() as u64 + 1;
-    for (key, outcome) in entries {
-        let line = encode_line(key, outcome);
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-        written += line.len() as u64 + 1;
-    }
-    Ok(written)
-}
-
-/// Streams the v2 binary encoding (records then index) of pre-resolved
-/// entries, returning the bytes written.
-fn write_v2(out: &mut impl io::Write, entries: &[(&str, CellOutcome)]) -> io::Result<u64> {
-    out.write_all(V2_MAGIC)?;
-    out.write_all(&(entries.len() as u64).to_le_bytes())?;
-    let mut offset = V2_MAGIC.len() as u64 + 8;
-    let mut index: Vec<u64> = Vec::with_capacity(entries.len());
-    for (key, outcome) in entries {
+/// Streams a cache file — magic, count, the record bodies (already in
+/// key order), the index and the trailer — returning the bytes written.
+fn write_file<'a>(
+    out: &mut impl io::Write,
+    bodies: impl ExactSizeIterator<Item = Cow<'a, [u8]>>,
+) -> io::Result<u64> {
+    out.write_all(MAGIC)?;
+    out.write_all(&(bodies.len() as u64).to_le_bytes())?;
+    let mut offset = MAGIC.len() as u64 + 8;
+    let mut index: Vec<u64> = Vec::with_capacity(bodies.len());
+    for body in bodies {
         index.push(offset);
-        let body = encode_record(key, outcome);
         let len = u32::try_from(body.len()).expect("cache record exceeds u32 length");
         out.write_all(&len.to_le_bytes())?;
         out.write_all(&body)?;
@@ -1261,22 +970,22 @@ fn write_v2(out: &mut impl io::Write, entries: &[(&str, CellOutcome)]) -> io::Re
 
 // ---------------------------------------------------------------------
 // Incremental flush streams (docs/SHARD_PROTOCOL.md § "Flush files"):
-// an append-only v2-record stream shard workers write between leases and
+// an append-only record stream shard workers write between leases and
 // the coordinator tails while the worker is still running.
 // ---------------------------------------------------------------------
 
-/// An append-only incremental writer of v2 cache records — the shard
+/// An append-only incremental writer of cache records — the shard
 /// workers' **flush stream**.
 ///
-/// The file layout is a v2 prefix without the trailing index: magic,
+/// The file layout is a cache file without the trailing index: magic,
 /// `u64` record count, then length-prefixed records. Each [`CacheAppender::append`]
 /// writes the new records at the end of the file *first* and only then
 /// rewrites the count field, so a writer dying mid-append leaves the
 /// count pointing at the last fully-flushed batch: the lenient
 /// [`ResultCache::load`] reads exactly the valid prefix, and a
 /// [`FlushReader`] tailing the stream drops the torn bytes. The strict
-/// [`ResultCache::load_strict`] rejects flush streams (no index) —
-/// deliberately, they are scratch, not interchange.
+/// [`CacheView::open`] rejects flush streams (no index) — deliberately,
+/// they are scratch, not cache files.
 #[derive(Debug)]
 pub struct CacheAppender {
     file: fs::File,
@@ -1292,7 +1001,7 @@ impl CacheAppender {
     /// Propagates I/O errors.
     pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
         let mut file = fs::File::create(path)?;
-        file.write_all(V2_MAGIC)?;
+        file.write_all(MAGIC)?;
         file.write_all(&0u64.to_le_bytes())?;
         Ok(CacheAppender { file, count: 0 })
     }
@@ -1324,7 +1033,7 @@ impl CacheAppender {
         self.file.seek(io::SeekFrom::End(0))?;
         self.file.write_all(&batch)?;
         self.count += appended as u64;
-        self.file.seek(io::SeekFrom::Start(V2_MAGIC.len() as u64))?;
+        self.file.seek(io::SeekFrom::Start(MAGIC.len() as u64))?;
         self.file.write_all(&self.count.to_le_bytes())?;
         Ok(appended)
     }
@@ -1408,11 +1117,11 @@ impl FlushReader {
         let buf = &self.buf;
         let mut pos = 0usize;
         if self.offset == 0 {
-            let header = V2_MAGIC.len() + 8;
+            let header = MAGIC.len() + 8;
             if buf.len() < header {
                 return Ok(FlushPoll::default());
             }
-            if !buf.starts_with(V2_MAGIC) {
+            if !buf.starts_with(MAGIC) {
                 self.damaged = true;
                 return Ok(FlushPoll {
                     records: Vec::new(),
@@ -1469,6 +1178,20 @@ mod tests {
         dir.join(name)
     }
 
+    fn save(cache: &ResultCache, path: &Path) {
+        cache.save_as(path, CacheFormat::default()).unwrap();
+    }
+
+    fn round_trip(key: &str, outcome: &CellOutcome) -> (String, CellOutcome) {
+        let body = encode_record(key, outcome);
+        assert_eq!(
+            decode_outcome(&body).as_ref(),
+            Some(outcome),
+            "the key-skipping decoder agrees"
+        );
+        decode_record(&body).expect("record decodes")
+    }
+
     #[test]
     fn every_outcome_kind_round_trips_exactly() {
         // The baseline plus an energy-only-masked disk covers all four
@@ -1482,8 +1205,7 @@ mod tests {
         let mut seen_kinds = std::collections::HashSet::new();
         for (cell, outcome) in results.records() {
             let key = grid.dedup_key(&cell);
-            let line = encode_line(&key, outcome);
-            let (parsed_key, parsed) = parse_line(&line).expect("line parses");
+            let (parsed_key, parsed) = round_trip(&key, outcome);
             assert_eq!(parsed_key, key);
             assert_eq!(&parsed, outcome, "roundtrip drift for {key}");
             seen_kinds.insert(std::mem::discriminant(outcome));
@@ -1495,8 +1217,7 @@ mod tests {
         let unmodelled = CellOutcome::Unmodelled {
             detail: "missing capability: wear".to_owned(),
         };
-        let (_, parsed) = parse_line(&encode_line("k", &unmodelled)).expect("unmodelled parses");
-        assert_eq!(parsed, unmodelled);
+        assert_eq!(round_trip("k", &unmodelled).1, unmodelled);
     }
 
     #[test]
@@ -1509,22 +1230,29 @@ mod tests {
             lifetime: Years::unbounded(),
             energy_per_bit: None,
         });
-        let line = encode_line("k", &outcome);
-        let (_, parsed) = parse_line(&line).unwrap();
-        assert_eq!(parsed, outcome);
+        assert_eq!(round_trip("k", &outcome).1, outcome);
     }
 
     #[test]
     fn hostile_strings_are_escaped() {
+        // Records are length-prefixed, so keys and details travel raw:
+        // tabs, newlines and backslashes come back byte for byte, in
+        // memory and through a saved file.
         let outcome = CellOutcome::Infeasible {
             region: "X",
             detail: "tab\there\nnewline\\backslash".to_owned(),
         };
-        let line = encode_line("key\twith\ttabs", &outcome);
-        assert_eq!(line.lines().count(), 1, "escaping keeps one line per entry");
-        let (key, parsed) = parse_line(&line).unwrap();
-        assert_eq!(key, "key\twith\ttabs");
-        assert_eq!(parsed, outcome);
+        let key = "key\twith\ttabs\nand\\newlines";
+        assert_eq!(round_trip(key, &outcome), (key.to_owned(), outcome.clone()));
+        let path = temp_path("hostile.cache");
+        let mut cache = ResultCache::new();
+        cache.insert(key.to_owned(), outcome.clone());
+        save(&cache, &path);
+        assert_eq!(
+            ResultCache::load_lazy(&path).unwrap().get(key),
+            Some(outcome)
+        );
+        fs::remove_file(path).unwrap();
     }
 
     #[test]
@@ -1536,7 +1264,7 @@ mod tests {
             .explore_cached(&grid, &mut cache)
             .unwrap();
         assert_eq!(cache.misses(), results.unique_evaluations());
-        cache.save(&path).unwrap();
+        save(&cache, &path);
 
         let mut loaded = ResultCache::load(&path).unwrap();
         assert_eq!(loaded.len(), cache.len());
@@ -1561,16 +1289,14 @@ mod tests {
             detail: detail.to_owned(),
         };
         cache.insert("first".to_owned(), outcome("before"));
-        cache.save(&path).unwrap();
+        save(&cache, &path);
         let old_bytes = fs::read(&path).unwrap();
         // A reader that opened the old file keeps reading the old bytes.
         let mut reader = fs::File::open(&path).unwrap();
 
         cache.insert("second".to_owned(), outcome("after"));
-        for format in [CacheFormat::V1, CacheFormat::V2] {
-            cache.save_as(&path, format).unwrap();
-            assert_eq!(ResultCache::load_strict(&path).unwrap().len(), 2);
-        }
+        save(&cache, &path);
+        assert_eq!(CacheView::open(&path).unwrap().len(), 2);
         let mut seen = Vec::new();
         io::Read::read_to_end(&mut reader, &mut seen).unwrap();
         assert_eq!(seen, old_bytes, "the open reader saw a rewrite");
@@ -1579,7 +1305,7 @@ mod tests {
         // up its temp file.
         let dir = temp_path("atomic-dir");
         fs::create_dir_all(&dir).unwrap();
-        assert!(cache.save(&dir).is_err());
+        assert!(cache.save_as(&dir, CacheFormat::default()).is_err());
         let leftovers: Vec<_> = fs::read_dir(path.parent().unwrap())
             .unwrap()
             .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
@@ -1591,26 +1317,117 @@ mod tests {
     }
 
     #[test]
+    fn unchanged_lazy_cache_is_not_rewritten() {
+        let path = temp_path("skip.cache");
+        let grid = ScenarioGrid::paper_baseline(3);
+        let mut cold = ResultCache::new();
+        GridExecutor::serial()
+            .explore_cached(&grid, &mut cold)
+            .unwrap();
+        save(&cold, &path);
+        let before = fs::metadata(&path).unwrap();
+
+        // A fully warm run inserts nothing: its save writes nothing —
+        // the file is the same inode, untouched.
+        let metrics = Metrics::enabled();
+        let mut warm = ResultCache::open(&path, &metrics).unwrap();
+        GridExecutor::serial()
+            .explore_cached(&grid, &mut warm)
+            .unwrap();
+        save(&warm, &path);
+        let after = fs::metadata(&path).unwrap();
+        assert_eq!(after.modified().unwrap(), before.modified().unwrap());
+        #[cfg(unix)]
+        {
+            use std::os::unix::fs::MetadataExt as _;
+            assert_eq!(after.ino(), before.ino(), "the file was replaced");
+        }
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.counter("cache.saves_skipped"), Some(1));
+        assert_eq!(snapshot.counter("cache.save_bytes"), Some(0));
+
+        // Saved elsewhere, the same cache is a verbatim copy.
+        let copy = temp_path("skip-copy.cache");
+        save(&warm, &copy);
+        assert_eq!(fs::read(&copy).unwrap(), fs::read(&path).unwrap());
+
+        // A file that changed since it was opened is written again ...
+        let mut stale = ResultCache::load_lazy(&path).unwrap();
+        fs::write(&path, b"clobbered").unwrap();
+        save(&stale, &path);
+        assert_eq!(fs::read(&path).unwrap(), fs::read(&copy).unwrap());
+        // ... and so is a cache that gained an entry.
+        stale.insert(
+            "new".to_owned(),
+            CellOutcome::Unmodelled {
+                detail: "x".to_owned(),
+            },
+        );
+        save(&stale, &path);
+        assert_eq!(CacheView::open(&path).unwrap().len(), cold.len() + 1);
+        for p in [path, copy] {
+            fs::remove_file(p).unwrap();
+        }
+    }
+
+    #[test]
     fn corrupt_lines_become_misses() {
+        // A record whose frame and key are intact but whose payload is
+        // garbage passes structural validation; the lazy lookup treats
+        // it as a miss, the run re-evaluates it, and the save repairs it.
         let path = temp_path("corrupt.cache");
-        fs::write(&path, format!("{HEADER}\nnot-a-valid-line\nk\tF\tbogus\n")).unwrap();
-        let cache = ResultCache::load(&path).unwrap();
-        assert!(cache.is_empty());
+        let mut cache = ResultCache::new();
+        for key in ["a", "b"] {
+            cache.insert(
+                key.to_owned(),
+                CellOutcome::Unmodelled {
+                    detail: format!("detail {key}"),
+                },
+            );
+        }
+        save(&cache, &path);
+        let mut bytes = fs::read(&path).unwrap();
+        // The first record's tag byte sits after its length prefix and
+        // its `u32 + "a"` key.
+        let tag = MAGIC.len() + 8 + 4 + 4 + 1;
+        assert_eq!(bytes[tag], b'U');
+        bytes[tag] = b'?';
+        fs::write(&path, &bytes).unwrap();
+
+        let mut lazy = ResultCache::load_lazy(&path).unwrap();
+        assert_eq!(lazy.len(), 2, "the structure is intact");
+        assert!(lazy.lookup("a").is_none(), "a corrupt payload is a miss");
+        assert!(lazy.lookup("b").is_some());
+        lazy.insert("a".to_owned(), cache.get("a").unwrap());
+        save(&lazy, &path);
+        let repaired = ResultCache::load(&path).unwrap();
+        assert_eq!(repaired.get("a"), cache.get("a"));
+        assert_eq!(repaired.len(), 2);
         fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn unknown_header_is_an_empty_cache() {
+        // A foreign file — here an old text-format cache — opens empty,
+        // is counted, and the next save replaces it.
         let path = temp_path("future.cache");
-        fs::write(&path, "memstream-grid-cache v99\nwhatever\n").unwrap();
-        let cache = ResultCache::load(&path).unwrap();
+        fs::write(&path, "memstream-grid-cache v1\nk\tU\tdetail\n").unwrap();
+        let metrics = Metrics::enabled();
+        let cache = ResultCache::open(&path, &metrics).unwrap();
         assert!(cache.is_empty());
+        assert_eq!(metrics.snapshot().counter("cache.foreign_files"), Some(1));
+        assert!(ResultCache::load(&path).unwrap().is_empty());
+        save(&cache, &path);
+        assert!(fs::read(&path).unwrap().starts_with(MAGIC));
+        assert!(CacheView::open(&path).unwrap().is_empty());
         fs::remove_file(path).unwrap();
     }
 
     #[test]
     fn missing_file_is_an_empty_cache() {
         let cache = ResultCache::load(temp_path("does-not-exist.cache")).unwrap();
+        assert!(cache.is_empty());
+        let cache = ResultCache::load_lazy(temp_path("does-not-exist.cache")).unwrap();
         assert!(cache.is_empty());
     }
 
@@ -1652,9 +1469,9 @@ mod tests {
             temp_path("union-fwd.cache"),
             temp_path("union-bwd.cache"),
         );
-        whole.save(&p1).unwrap();
-        forward.save(&p2).unwrap();
-        backward.save(&p3).unwrap();
+        save(&whole, &p1);
+        save(&forward, &p2);
+        save(&backward, &p3);
         let reference = fs::read(&p1).unwrap();
         assert_eq!(reference, fs::read(&p2).unwrap());
         assert_eq!(reference, fs::read(&p3).unwrap());
@@ -1719,10 +1536,38 @@ mod tests {
     }
 
     #[test]
+    fn merge_into_a_lazy_cache_checks_the_file_records() {
+        // The target's entries may still sit undecoded in its view: a
+        // duplicate is recognised byte for byte, a disagreement is a
+        // conflict, and additions land in the overlay.
+        let path = temp_path("merge-lazy.cache");
+        let outcome = |detail: &str| CellOutcome::Unmodelled {
+            detail: detail.to_owned(),
+        };
+        let mut file = ResultCache::new();
+        file.insert("held".to_owned(), outcome("held"));
+        save(&file, &path);
+
+        let mut lazy = ResultCache::load_lazy(&path).unwrap();
+        let mut theirs = ResultCache::new();
+        theirs.insert("held".to_owned(), outcome("held"));
+        theirs.insert("new".to_owned(), outcome("new"));
+        let stats = lazy.merge(&theirs).unwrap();
+        assert_eq!((stats.added, stats.duplicates), (1, 1));
+        assert_eq!(lazy.len(), 2);
+
+        let mut liar = ResultCache::new();
+        liar.insert("held".to_owned(), outcome("different"));
+        assert_eq!(lazy.merge(&liar).unwrap_err().key, "held");
+        fs::remove_file(path).unwrap();
+    }
+
+    #[test]
     fn strict_load_rejects_version_mismatch_and_corruption() {
+        // The strict reader is `CacheView::open`: no lenient fallback.
         let versioned = temp_path("strict-version.cache");
         fs::write(&versioned, "memstream-grid-cache v99\nanything\n").unwrap();
-        match ResultCache::load_strict(&versioned).unwrap_err() {
+        match CacheView::open(&versioned).unwrap_err() {
             CacheFileError::VersionMismatch { found } => {
                 assert_eq!(found, "memstream-grid-cache v99");
             }
@@ -1731,21 +1576,23 @@ mod tests {
         fs::remove_file(versioned).unwrap();
 
         let corrupt = temp_path("strict-corrupt.cache");
-        fs::write(&corrupt, format!("{HEADER}\nk\tU\tok\nbroken line\n")).unwrap();
-        match ResultCache::load_strict(&corrupt).unwrap_err() {
-            CacheFileError::Malformed { line } => assert_eq!(line, 3),
-            other => panic!("expected malformed line, got {other}"),
-        }
+        save(&hostile_cache(), &corrupt);
+        let mut bytes = fs::read(&corrupt).unwrap();
+        bytes.truncate(bytes.len() - 3);
+        fs::write(&corrupt, &bytes).unwrap();
+        assert!(matches!(
+            CacheView::open(&corrupt).unwrap_err(),
+            CacheFileError::MalformedIndex { .. }
+        ));
         fs::remove_file(corrupt).unwrap();
 
         assert!(matches!(
-            ResultCache::load_strict(temp_path("strict-missing.cache")).unwrap_err(),
+            CacheView::open(temp_path("strict-missing.cache")).unwrap_err(),
             CacheFileError::Io(_)
         ));
     }
 
-    /// A cache holding every outcome kind plus hostile keys/details —
-    /// the conversion fixtures.
+    /// A cache holding every outcome kind plus hostile keys/details.
     fn hostile_cache() -> ResultCache {
         let grid = ScenarioGrid::paper_baseline(4);
         let mut cache = ResultCache::new();
@@ -1780,14 +1627,14 @@ mod tests {
     fn v2_save_load_round_trips_in_both_readers() {
         let path = temp_path("v2-roundtrip.cache");
         let cache = hostile_cache();
-        cache.save_as(&path, CacheFormat::V2).unwrap();
+        save(&cache, &path);
         assert!(
-            fs::read(&path).unwrap().starts_with(V2_MAGIC),
-            "v2 files carry the sniffable magic"
+            fs::read(&path).unwrap().starts_with(MAGIC),
+            "cache files carry the sniffable magic"
         );
         for loaded in [
             ResultCache::load(&path).unwrap(),
-            ResultCache::load_strict(&path).unwrap(),
+            ResultCache::load_lazy(&path).unwrap(),
         ] {
             assert_eq!(loaded.len(), cache.len());
             for key in cache.keys() {
@@ -1798,32 +1645,27 @@ mod tests {
     }
 
     #[test]
-    fn v1_v2_v1_conversion_is_byte_identical() {
+    fn resave_of_a_loaded_cache_is_byte_identical() {
         let (p1, p2, p3) = (
-            temp_path("convert-a.cache"),
-            temp_path("convert-b.cache"),
-            temp_path("convert-c.cache"),
+            temp_path("resave-a.cache"),
+            temp_path("resave-b.cache"),
+            temp_path("resave-c.cache"),
         );
         let cache = hostile_cache();
-        cache.save_as(&p1, CacheFormat::V1).unwrap();
-        ResultCache::load_strict(&p1)
-            .unwrap()
-            .save_as(&p2, CacheFormat::V2)
-            .unwrap();
-        ResultCache::load_strict(&p2)
-            .unwrap()
-            .save_as(&p3, CacheFormat::V1)
-            .unwrap();
-        assert_eq!(
-            fs::read(&p1).unwrap(),
-            fs::read(&p3).unwrap(),
-            "v1 → v2 → v1 must reproduce the original file bytes"
-        );
-        // And converting the same entries twice gives identical v2 bytes.
-        let p4 = temp_path("convert-d.cache");
-        cache.save_as(&p4, CacheFormat::V2).unwrap();
-        assert_eq!(fs::read(&p2).unwrap(), fs::read(&p4).unwrap());
-        for p in [p1, p2, p3, p4] {
+        save(&cache, &p1);
+        // Decoded and re-encoded (eager), or copied from the view with
+        // one extra entry merged in and out again: the same bytes.
+        save(&ResultCache::load(&p1).unwrap(), &p2);
+        assert_eq!(fs::read(&p1).unwrap(), fs::read(&p2).unwrap());
+        let mut lazy = ResultCache::load_lazy(&p1).unwrap();
+        lazy.insert("zz-extra".to_owned(), cache.get("unmodelled").unwrap());
+        save(&lazy, &p3);
+        let mut extended = ResultCache::load(&p3).unwrap();
+        assert_eq!(extended.len(), cache.len() + 1);
+        extended.entries.remove("zz-extra");
+        save(&extended, &p3);
+        assert_eq!(fs::read(&p1).unwrap(), fs::read(&p3).unwrap());
+        for p in [p1, p2, p3] {
             fs::remove_file(p).unwrap();
         }
     }
@@ -1840,23 +1682,25 @@ mod tests {
                 },
             );
         }
-        cache.save_as(&path, CacheFormat::V2).unwrap();
+        save(&cache, &path);
         let bytes = fs::read(&path).unwrap();
         // Keep the magic, the count and the first record only.
-        let first_len = u32::from_le_bytes(
-            bytes[V2_MAGIC.len() + 8..V2_MAGIC.len() + 12]
-                .try_into()
-                .unwrap(),
-        ) as usize;
-        fs::write(&path, &bytes[..V2_MAGIC.len() + 8 + 4 + first_len]).unwrap();
+        let first_len =
+            u32::from_le_bytes(bytes[MAGIC.len() + 8..MAGIC.len() + 12].try_into().unwrap())
+                as usize;
+        fs::write(&path, &bytes[..MAGIC.len() + 8 + 4 + first_len]).unwrap();
 
-        let lenient = ResultCache::load(&path).unwrap();
-        assert_eq!(lenient.len(), 1, "the intact prefix survives");
-        assert!(lenient.contains_key("a"), "records sort by key");
+        for lenient in [
+            ResultCache::load(&path).unwrap(),
+            ResultCache::load_lazy(&path).unwrap(),
+        ] {
+            assert_eq!(lenient.len(), 1, "the intact prefix survives");
+            assert!(lenient.contains_key("a"), "records sort by key");
+        }
         // Truncation tears off the record index entirely, so the strict
         // reader attributes the damage to the (garbage) trailer bytes.
         let len = fs::metadata(&path).unwrap().len();
-        match ResultCache::load_strict(&path).unwrap_err() {
+        match CacheView::open(&path).unwrap_err() {
             CacheFileError::MalformedIndex { offset } => assert_eq!(offset, len - 8),
             other => panic!("expected index damage, got {other}"),
         }
@@ -1866,32 +1710,23 @@ mod tests {
     #[test]
     fn v2_strict_load_verifies_the_record_index() {
         let path = temp_path("v2-bad-index.cache");
-        hostile_cache().save_as(&path, CacheFormat::V2).unwrap();
+        save(&hostile_cache(), &path);
         let mut bytes = fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        // The records themselves are intact: the lenient reader (which
-        // never consults the index) still loads everything.
+        // The records themselves are intact: the lenient readers (which
+        // fall back to the record scan) still load everything.
         assert_eq!(
-            ResultCache::load(&path).unwrap().len(),
+            ResultCache::load_lazy(&path).unwrap().len(),
             hostile_cache().len()
         );
-        match ResultCache::load_strict(&path).unwrap_err() {
+        match CacheView::open(&path).unwrap_err() {
             CacheFileError::MalformedIndex { offset } => {
                 assert_eq!(offset, bytes.len() as u64 - 8, "attributed at the trailer");
             }
             other => panic!("expected malformed index, got {other}"),
         }
         fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn cache_format_flags_round_trip() {
-        for format in [CacheFormat::V1, CacheFormat::V2] {
-            assert_eq!(CacheFormat::parse_flag(format.flag()), Some(format));
-        }
-        assert_eq!(CacheFormat::parse_flag("v3"), None);
-        assert_eq!(CacheFormat::default(), CacheFormat::V1);
     }
 
     #[test]
@@ -1902,12 +1737,30 @@ mod tests {
         GridExecutor::serial()
             .explore_cached(&grid, &mut cache)
             .unwrap();
-        cache.save(&path).unwrap();
-        let strict = ResultCache::load_strict(&path).unwrap();
+        save(&cache, &path);
+        let strict = CacheView::open(&path).unwrap();
         assert_eq!(strict.len(), cache.len());
         for key in cache.keys() {
             assert_eq!(strict.get(key), cache.get(key));
         }
+        fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn lazy_hits_decode_each_record_once() {
+        let path = temp_path("decode-once.cache");
+        save(&hostile_cache(), &path);
+        let metrics = Metrics::enabled();
+        let mut lazy = ResultCache::open(&path, &metrics).unwrap();
+        for _ in 0..3 {
+            assert!(lazy.lookup("unmodelled").is_some());
+        }
+        assert!(lazy.lookup("absent").is_none());
+        let snapshot = metrics.snapshot();
+        assert_eq!(snapshot.counter("cache.records_decoded"), Some(1));
+        assert_eq!(snapshot.counter("cache.hits"), Some(3));
+        let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
+        assert_eq!(load.map(|s| s.entries), Some(1));
         fs::remove_file(path).unwrap();
     }
 
@@ -1945,10 +1798,11 @@ mod tests {
         assert!(reader.poll().unwrap().records.is_empty());
 
         // The stream doubles as a lenient warm file but is rejected by
-        // the strict interchange reader (no index — scratch only).
+        // the strict reader (no index — scratch only).
         let lenient = ResultCache::load(&path).unwrap();
         assert_eq!(lenient.len(), 3);
-        assert!(ResultCache::load_strict(&path).is_err());
+        assert_eq!(ResultCache::load_lazy(&path).unwrap().len(), 3);
+        assert!(CacheView::open(&path).is_err());
         fs::remove_file(path).unwrap();
     }
 
@@ -2050,7 +1904,7 @@ mod tests {
         let poll = reader.poll().unwrap();
         assert!(poll.records.is_empty() && !poll.damaged);
         // A file shorter than the header is "not ready", not damage.
-        fs::write(&path, &V2_MAGIC[..4]).unwrap();
+        fs::write(&path, &MAGIC[..4]).unwrap();
         let poll = reader.poll().unwrap();
         assert!(poll.records.is_empty() && !poll.damaged);
         fs::remove_file(path).unwrap();

@@ -196,8 +196,8 @@ impl GridExecutor {
     /// byte-identical to an uncached exploration.
     ///
     /// Cache keys are interned [`crate::CellKey`]s resolved into one
-    /// reused string buffer; the canonical bytes match the legacy
-    /// [`ScenarioGrid::dedup_key`] exactly, so v1 cache files stay valid.
+    /// reused string buffer; the canonical bytes match
+    /// [`ScenarioGrid::dedup_key`] exactly.
     ///
     /// # Errors
     ///

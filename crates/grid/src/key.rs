@@ -1,31 +1,131 @@
-//! Interned dedup keys: axis-class identifiers for the cell hot path.
+//! Cell identity: the dedup-key grammar, and interned keys for the cell
+//! hot path.
 //!
-//! [`ScenarioGrid::dedup_key`] formats a `String` per cell — five
-//! `format!` fragments, two of them `f64` shortest-roundtrip renderings.
-//! On every `resolve_cells`/`explore` that cost multiplies by the full
-//! cell count. The [`KeyInterner`] computes each fragment **once per axis
-//! value**, collapses content-identical axis entries into *classes* (two
+//! A cell's key is five `|`-separated fragments
+//! (`docs/CACHE_FORMAT.md` § "Key grammar"):
+//!
+//! ```text
+//! <device> | <workload> | <rate> | <goal> | <settings>
+//! ```
+//!
+//! The fragment functions below are the grammar's only definition:
+//! [`ScenarioGrid::dedup_key`] and [`KeyInterner`] both compose keys from
+//! them through one joiner, so the two cannot drift apart. Every value is
+//! written from the parameters the models read, as shortest round-trip
+//! decimals (bit-exact); no fragment is a type's `Debug` output.
+//!
+//! [`ScenarioGrid::dedup_key`] formats a `String` per cell. On every
+//! `resolve_cells`/`explore` that cost multiplies by the full cell count,
+//! so the [`KeyInterner`] computes each fragment **once per axis value**,
+//! collapses content-identical axis entries into *classes* (two
 //! registered devices with equal dedup tokens share a class, exactly as
 //! they share a dedup key), and hands out [`CellKey`] identifiers — four
 //! `u32` class indices — that are `Eq`/`Hash` in a few machine words.
-//!
-//! Canonical strings are materialised only at cache-file and report
-//! boundaries via [`KeyInterner::resolve`], which concatenates the
-//! pre-formatted fragments and is **byte-identical** to the legacy
+//! Key strings are materialised only at cache boundaries via
+//! [`KeyInterner::resolve`], byte-identical to
 //! [`ScenarioGrid::dedup_key`] for every cell (the equivalence suite in
 //! `crates/grid/tests/key_equivalence.rs` pins this).
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
-use crate::spec::{GridCell, ScenarioGrid};
+use memstream_core::{BestEffortPolicy, DesignGoal};
+use memstream_units::BitRate;
+
+use crate::spec::{DeviceEntry, GridCell, ScenarioGrid, WorkloadProfile};
+
+/// Appends `values` comma-separated, each as its shortest round-trip
+/// decimal (`f64`'s `Display`: bit-exact, never in exponent form), an
+/// absent value as `-`.
+fn push_values(out: &mut String, values: &[Option<f64>]) {
+    for (i, value) in values.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match value {
+            Some(value) => {
+                let _ = write!(out, "{value}");
+            }
+            None => out.push('-'),
+        }
+    }
+}
+
+fn values(values: &[Option<f64>]) -> String {
+    let mut out = String::new();
+    push_values(&mut out, values);
+    out
+}
+
+/// The device fragment: the device's own
+/// [`dedup_token`](memstream_device::StorageDevice::dedup_token). The
+/// registry entry's display name is not part of it.
+pub(crate) fn device_fragment(entry: &DeviceEntry) -> String {
+    entry.device().dedup_token()
+}
+
+/// The workload fragment: write fraction, hours per day, days per year,
+/// best-effort fraction. The profile's rate is excluded: the rate axis
+/// overrides it cell by cell.
+pub(crate) fn workload_fragment(profile: &WorkloadProfile) -> String {
+    let workload = profile.workload();
+    let calendar = workload.calendar();
+    values(&[
+        Some(workload.write_fraction().fraction()),
+        Some(calendar.hours_per_day()),
+        Some(calendar.days_per_year()),
+        Some(workload.best_effort_fraction().fraction()),
+    ])
+}
+
+/// The rate fragment: the stream rate in bit/s.
+pub(crate) fn rate_fragment(rate: BitRate) -> String {
+    values(&[Some(rate.bits_per_second())])
+}
+
+/// The goal fragment: energy-saving target, capacity-utilisation target
+/// (fractions) and lifetime target (years), `-` where the goal sets none.
+pub(crate) fn goal_fragment(goal: &DesignGoal) -> String {
+    values(&[
+        goal.energy_saving_target().map(|r| r.fraction()),
+        goal.capacity_target().map(|r| r.fraction()),
+        goal.lifetime_target().map(|y| y.get()),
+    ])
+}
+
+/// The grid-wide settings fragment shared by every key of a grid:
+/// `dram` or `nodram`, then the best-effort policy (`rw`, `idle` or
+/// `excluded`).
+pub(crate) fn settings_fragment(dram: bool, policy: BestEffortPolicy) -> String {
+    let dram = if dram { "dram" } else { "nodram" };
+    let policy = match policy {
+        BestEffortPolicy::AtReadWrite => "rw",
+        BestEffortPolicy::AtIdle => "idle",
+        BestEffortPolicy::Excluded => "excluded",
+    };
+    format!("{dram},{policy}")
+}
+
+/// Replaces `out` with the key made of `fragments` (device, workload,
+/// rate, goal, settings), reusing its allocation.
+pub(crate) fn join_into(out: &mut String, fragments: [&str; 5]) {
+    out.clear();
+    out.reserve(fragments.iter().map(|f| f.len() + 1).sum());
+    for (i, fragment) in fragments.iter().enumerate() {
+        if i > 0 {
+            out.push('|');
+        }
+        out.push_str(fragment);
+    }
+}
 
 /// A cell's dedup identity as four axis-**class** indices
 /// (device, workload, rate, goal).
 ///
-/// Two cells compare equal iff their legacy dedup-key strings are
-/// byte-equal: the class maps are built by string equality of the
-/// per-axis key fragments, and the grid-wide `dram`/`policy` suffix is
-/// shared by construction.
+/// Two cells compare equal iff their dedup-key strings are byte-equal:
+/// the class maps are built by string equality of the per-axis key
+/// fragments, and the grid-wide settings fragment is shared by
+/// construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CellKey(pub u32, pub u32, pub u32, pub u32);
 
@@ -44,8 +144,8 @@ pub struct KeyInterner {
     workload_fragments: Vec<String>,
     rate_fragments: Vec<String>,
     goal_fragments: Vec<String>,
-    /// The grid-wide `dram=…|pol=…` tail shared by every key.
-    suffix: String,
+    /// The grid-wide settings fragment shared by every key.
+    settings: String,
 }
 
 /// Maps each axis entry to a class id by fragment string equality,
@@ -71,17 +171,12 @@ impl KeyInterner {
     /// and assigns content classes.
     #[must_use]
     pub fn new(grid: &ScenarioGrid) -> Self {
-        let (device_class, device_fragments) =
-            classify(grid.devices().iter().map(|d| d.device().dedup_token()));
-        let (workload_class, workload_fragments) = classify(
-            grid.workloads()
-                .iter()
-                .map(crate::spec::WorkloadProfile::dedup_key),
-        );
+        let (device_class, device_fragments) = classify(grid.devices().iter().map(device_fragment));
+        let (workload_class, workload_fragments) =
+            classify(grid.workloads().iter().map(workload_fragment));
         let (rate_class, rate_fragments) =
-            classify(grid.rates().iter().map(|r| format!("r={r:?}")));
-        let (goal_class, goal_fragments) =
-            classify(grid.goals().iter().map(|g| format!("g={g:?}")));
+            classify(grid.rates().iter().map(|&rate| rate_fragment(rate)));
+        let (goal_class, goal_fragments) = classify(grid.goals().iter().map(goal_fragment));
         KeyInterner {
             device_class,
             workload_class,
@@ -91,11 +186,7 @@ impl KeyInterner {
             workload_fragments,
             rate_fragments,
             goal_fragments,
-            suffix: format!(
-                "dram={}|pol={:?}",
-                grid.dram_enabled(),
-                grid.best_effort_policy()
-            ),
+            settings: settings_fragment(grid.dram_enabled(), grid.best_effort_policy()),
         }
     }
 
@@ -119,34 +210,25 @@ impl KeyInterner {
     /// [`ScenarioGrid::dedup_key`] of any cell that interns to `key`.
     #[must_use]
     pub fn resolve(&self, key: CellKey) -> String {
-        let mut out = String::with_capacity(self.resolved_capacity(key));
+        let mut out = String::new();
         self.resolve_into(key, &mut out);
         out
     }
 
-    /// Appends the canonical key string to `out` (cleared first), reusing
-    /// its allocation — the cache-lookup loop's zero-garbage variant.
+    /// Writes the canonical key string into `out` (cleared first),
+    /// reusing its allocation — the cache-lookup loop's zero-garbage
+    /// variant.
     pub fn resolve_into(&self, key: CellKey, out: &mut String) {
-        out.clear();
-        out.reserve(self.resolved_capacity(key));
-        out.push_str(&self.device_fragments[key.0 as usize]);
-        out.push('|');
-        out.push_str(&self.workload_fragments[key.1 as usize]);
-        out.push('|');
-        out.push_str(&self.rate_fragments[key.2 as usize]);
-        out.push('|');
-        out.push_str(&self.goal_fragments[key.3 as usize]);
-        out.push('|');
-        out.push_str(&self.suffix);
-    }
-
-    fn resolved_capacity(&self, key: CellKey) -> usize {
-        self.device_fragments[key.0 as usize].len()
-            + self.workload_fragments[key.1 as usize].len()
-            + self.rate_fragments[key.2 as usize].len()
-            + self.goal_fragments[key.3 as usize].len()
-            + self.suffix.len()
-            + 4
+        join_into(
+            out,
+            [
+                &self.device_fragments[key.0 as usize],
+                &self.workload_fragments[key.1 as usize],
+                &self.rate_fragments[key.2 as usize],
+                &self.goal_fragments[key.3 as usize],
+                &self.settings,
+            ],
+        );
     }
 
     /// Number of distinct classes per axis, in
@@ -161,8 +243,8 @@ impl KeyInterner {
         ]
     }
 
-    /// Total interned fragments across all axes (plus the shared suffix)
-    /// — the `grid.interner.keys` telemetry payload.
+    /// Total interned fragments across all axes (plus the shared
+    /// settings fragment) — the `grid.interner.keys` telemetry payload.
     #[must_use]
     pub fn interned_strings(&self) -> usize {
         self.device_fragments.len()
@@ -247,6 +329,86 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_axis_parameter_moves_the_key() {
+        use memstream_core::BestEffortPolicy;
+        use memstream_units::{BitRate, Ratio, Years};
+        use memstream_workload::{PlaybackCalendar, StreamSpec, Workload};
+
+        let workload = |write: f64, calendar: PlaybackCalendar, best_effort: f64| {
+            let stream = StreamSpec::new(BitRate::from_kbps(1024.0), Ratio::from_fraction(write))
+                .expect("positive rate");
+            WorkloadProfile::new(
+                "w",
+                Workload::new(stream, calendar, Ratio::from_fraction(best_effort))
+                    .expect("valid workload"),
+            )
+        };
+        let paper = PlaybackCalendar::paper_default();
+        let workloads = [
+            workload(0.4, paper, 0.05),
+            workload(0.5, paper, 0.05),
+            workload(0.4, PlaybackCalendar::new(10.0, 365.0).unwrap(), 0.05),
+            workload(0.4, PlaybackCalendar::new(8.0, 300.0).unwrap(), 0.05),
+            workload(0.4, paper, 0.1),
+        ];
+        let goals = [
+            DesignGoal::fig3b(),
+            DesignGoal::new(),
+            DesignGoal::fig3b().energy_saving(Ratio::from_percent(60.0)),
+            DesignGoal::fig3b().capacity_utilization(Ratio::from_percent(85.0)),
+            DesignGoal::fig3b().lifetime(Years::new(5.0)),
+        ];
+        let base = ScenarioGrid::new()
+            .device(DeviceEntry::new("mems", MemsDevice::table1()))
+            .with_rates([BitRate::from_kbps(512.0), BitRate::from_kbps(513.0)]);
+        let mut keys = std::collections::HashSet::new();
+        for grid in [
+            base.clone(),
+            base.clone().without_dram(),
+            base.clone().policy(BestEffortPolicy::AtIdle),
+            base.clone().policy(BestEffortPolicy::Excluded),
+        ] {
+            let grid = workloads.iter().fold(grid, |g, w| g.workload(w.clone()));
+            let grid = goals.iter().fold(grid, |g, &goal| g.goal(goal));
+            let interner = KeyInterner::new(&grid);
+            for cell in grid.cells() {
+                let key = grid.dedup_key(&cell);
+                assert_eq!(interner.resolve(interner.key(&cell)), key);
+                assert!(keys.insert(key.clone()), "two cells share `{key}`");
+                assert!(!key.contains(['{', '}', ' ']), "not compact: {key}");
+            }
+        }
+        // 4 settings × 5 workloads × 2 rates × 5 goals, all distinct.
+        assert_eq!(keys.len(), 4 * 5 * 2 * 5);
+    }
+
+    #[test]
+    fn the_key_grammar_is_pinned() {
+        // A change to these bytes orphans every cache file: it must come
+        // with a magic bump (docs/CACHE_FORMAT.md § "Evolution rule").
+        let grid = ScenarioGrid::new()
+            .device(DeviceEntry::new("table1", MemsDevice::table1()))
+            .workload(crate::spec::WorkloadProfile::paper())
+            .with_rates([memstream_units::BitRate::from_kbps(32.0)])
+            .goal(DesignGoal::fig3a());
+        assert_eq!(
+            grid.dedup_key(&grid.cell(0)),
+            "mems:64,64,1024,100,960000000000,100000,0.002,0.001,0.002,\
+             0.316,0.672,0.005,0.12,0.672,100,100000000\
+             |0.4,8,365,0.05|32000|0.8,0.88,7|dram,rw"
+        );
+    }
+
+    #[test]
+    fn reference_grids_keep_their_unique_cell_counts() {
+        // Every cell of the reference grids is a distinct scenario; the
+        // CI smokes' hit counts rest on these numbers.
+        assert_eq!(ScenarioGrid::paper_baseline(24).unique_cells().len(), 720);
+        assert_eq!(ScenarioGrid::paper_classic(24).unique_cells().len(), 576);
+        assert_eq!(ScenarioGrid::paper_baseline(20).unique_cells().len(), 600);
     }
 
     #[test]

@@ -7,6 +7,8 @@ use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice, StorageD
 use memstream_units::{BitRate, Ratio};
 use memstream_workload::{PlaybackCalendar, StreamMix, Workload};
 
+use crate::key;
+
 /// Errors raised while building or exploring a grid.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum GridError {
@@ -72,14 +74,6 @@ impl DeviceEntry {
     #[must_use]
     pub fn device(&self) -> &dyn StorageDevice {
         &*self.device
-    }
-
-    /// A canonical content key for deduplication: two entries with equal
-    /// keys model the same physics regardless of their display names.
-    /// Byte-stable across the registry refactor for the paper's devices
-    /// (`mems:…` / `disk:…` tokens).
-    pub(crate) fn dedup_key(&self) -> String {
-        self.device.dedup_token()
     }
 }
 
@@ -151,16 +145,6 @@ impl WorkloadProfile {
     #[must_use]
     pub fn workload(&self) -> &Workload {
         &self.workload
-    }
-
-    pub(crate) fn dedup_key(&self) -> String {
-        // Rate is excluded: it is overridden by the rate axis.
-        format!(
-            "w={:?},cal={:?},be={:?}",
-            self.workload.write_fraction(),
-            self.workload.calendar(),
-            self.workload.best_effort_fraction()
-        )
     }
 }
 
@@ -481,18 +465,23 @@ impl ScenarioGrid {
     }
 
     /// The content key a cell evaluates under — cells with equal keys are
-    /// physically identical scenarios and share one evaluation.
+    /// physically identical scenarios and share one evaluation. The
+    /// grammar is defined once, in the crate's `key` module
+    /// (`docs/CACHE_FORMAT.md` § "Key grammar").
     #[must_use]
     pub fn dedup_key(&self, cell: &GridCell) -> String {
-        format!(
-            "{}|{}|r={:?}|g={:?}|dram={}|pol={:?}",
-            self.devices[cell.device].dedup_key(),
-            self.workloads[cell.workload].dedup_key(),
-            self.rates[cell.rate],
-            self.goals[cell.goal],
-            self.with_dram,
-            self.policy,
-        )
+        let mut out = String::new();
+        key::join_into(
+            &mut out,
+            [
+                &key::device_fragment(&self.devices[cell.device]),
+                &key::workload_fragment(&self.workloads[cell.workload]),
+                &key::rate_fragment(self.rates[cell.rate]),
+                &key::goal_fragment(&self.goals[cell.goal]),
+                &key::settings_fragment(self.with_dram, self.policy),
+            ],
+        );
+        out
     }
 }
 
@@ -574,19 +563,19 @@ mod tests {
     fn duplicate_devices_share_dedup_keys() {
         let a = DeviceEntry::new("one", MemsDevice::table1());
         let b = DeviceEntry::new("two", MemsDevice::table1());
-        assert_eq!(a.dedup_key(), b.dedup_key());
+        assert_eq!(key::device_fragment(&a), key::device_fragment(&b));
         let c = DeviceEntry::new("three", MemsDevice::table1().with_probe_write_cycles(200.0));
-        assert_ne!(a.dedup_key(), c.dedup_key());
-        // The registry keeps the paper devices' keys byte-stable.
-        assert!(a.dedup_key().starts_with("mems:"));
+        assert_ne!(key::device_fragment(&a), key::device_fragment(&c));
+        // Device fragments are kind-prefixed.
+        assert!(key::device_fragment(&a).starts_with("mems:"));
         let d = DeviceEntry::new("disk", DiskDevice::calibrated_1p8_inch());
-        assert!(d.dedup_key().starts_with("disk:"));
+        assert!(key::device_fragment(&d).starts_with("disk:"));
     }
 
     #[test]
     fn workload_profile_rate_is_excluded_from_key() {
         let a = WorkloadProfile::new("a", Workload::paper_default(BitRate::from_kbps(64.0)));
         let b = WorkloadProfile::new("b", Workload::paper_default(BitRate::from_kbps(4096.0)));
-        assert_eq!(a.dedup_key(), b.dedup_key());
+        assert_eq!(key::workload_fragment(&a), key::workload_fragment(&b));
     }
 }

@@ -27,7 +27,7 @@ impl ResultStore {
 
     /// [`ResultStore::plan`] against a pre-built interner: no key strings
     /// are formatted or hashed — deduplication is a dense lookup table
-    /// over axis-class indices, which represent exactly the legacy
+    /// over axis-class indices, which represent exactly the dedup-key
     /// string-equality classes.
     #[must_use]
     pub(crate) fn plan_with(

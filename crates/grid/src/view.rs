@@ -1,4 +1,4 @@
-//! Lazy, index-backed reading of v2 cache files (`docs/CACHE_FORMAT.md`
+//! Lazy, index-backed reading of cache files (`docs/CACHE_FORMAT.md`
 //! § "Record index and lazy decode").
 //!
 //! A [`CacheView`] holds the raw file bytes plus the validated record
@@ -12,19 +12,17 @@
 //! requested instead of the cache size: a fully-warm exploration that
 //! only *plans* against the cache touches the index alone.
 //!
-//! The validation performed by [`CacheView::open`] is deliberately the
-//! same as the strict loader's structural pass (they share the crate's
-//! `validate_v2`): a view is only ever constructed over a file whose
-//! index provably describes its records. Consequently an unmodified
-//! view can be re-saved *verbatim* — byte-for-byte — without decoding,
-//! which [`ResultCache::save_as`](crate::ResultCache::save_as) exploits
-//! for warm-run re-saves.
+//! [`CacheView::open`] is the workspace's strict cache reader: a view is
+//! only ever constructed over a file whose index provably describes its
+//! records. Consequently an unmodified view can be re-saved *verbatim* —
+//! byte-for-byte — without decoding, which
+//! [`ResultCache::save_as`](crate::ResultCache::save_as) exploits.
 
 use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use crate::cache::{decode_record, CacheFileError, V2_MAGIC};
+use crate::cache::{decode_outcome, header_line, CacheFileError, MAGIC};
 use crate::eval::CellOutcome;
 
 /// Reads a little-endian `u32` at `pos`, if the file holds one there.
@@ -41,8 +39,8 @@ fn u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
 
 /// The body slice (everything after the `u32` length prefix) of the
 /// record starting at `offset`. Only valid for offsets produced by
-/// [`validate_v2`] over the same bytes.
-pub(crate) fn record_body(bytes: &[u8], offset: usize) -> &[u8] {
+/// [`validate`] over the same bytes.
+fn record_body(bytes: &[u8], offset: usize) -> &[u8] {
     let len = u32_at(bytes, offset).expect("validated record offset") as usize;
     &bytes[offset + 4..offset + 4 + len]
 }
@@ -54,8 +52,8 @@ fn body_key(body: &[u8]) -> Option<&[u8]> {
     body.get(4..4usize.checked_add(len)?)
 }
 
-/// Structurally validates a v2 cache file (`bytes` starts with the v2
-/// magic) and returns the byte offset of every record, in file order.
+/// Structurally validates a cache file (`bytes` starts with the magic)
+/// and returns the byte offset of every record, in file order.
 ///
 /// Checked, in order: the count field is readable; the trailer points at
 /// an index of exactly `count` entries sitting between the records and
@@ -70,14 +68,13 @@ fn body_key(body: &[u8]) -> Option<&[u8]> {
 /// [`CacheFileError::MalformedIndex`] at the byte offset of the damaged
 /// structure (count, trailer, or index entry), or
 /// [`CacheFileError::Malformed`] for a record whose key framing is
-/// broken or out of order (attributed like the strict record decoders:
-/// `record ordinal + 2`).
-pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
-    debug_assert!(bytes.starts_with(V2_MAGIC));
-    let header_end = V2_MAGIC.len() + 8;
-    let Some(count) = u64_at(bytes, V2_MAGIC.len()).and_then(|c| usize::try_from(c).ok()) else {
+/// broken or out of order, attributed by record ordinal.
+pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
+    debug_assert!(bytes.starts_with(MAGIC));
+    let header_end = MAGIC.len() + 8;
+    let Some(count) = u64_at(bytes, MAGIC.len()).and_then(|c| usize::try_from(c).ok()) else {
         return Err(CacheFileError::MalformedIndex {
-            offset: V2_MAGIC.len() as u64,
+            offset: MAGIC.len() as u64,
         });
     };
     if bytes.len() < header_end + 8 {
@@ -122,9 +119,9 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
         };
         let key = body_key(&bytes[cursor + 4..body_end])
             .filter(|key| std::str::from_utf8(key).is_ok())
-            .ok_or(CacheFileError::Malformed { line: ordinal + 2 })?;
+            .ok_or(CacheFileError::Malformed { record: ordinal })?;
         if prev_key.is_some_and(|prev| prev >= key) {
-            return Err(CacheFileError::Malformed { line: ordinal + 2 });
+            return Err(CacheFileError::Malformed { record: ordinal });
         }
         prev_key = Some(key);
         offsets.push(cursor);
@@ -139,7 +136,7 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
     Ok(offsets)
 }
 
-/// A lazy, read-only view of a v2 cache file: the raw bytes plus the
+/// A lazy, read-only view of a cache file: the raw bytes plus the
 /// validated record index. See the module docs for the contract.
 ///
 /// ```
@@ -153,7 +150,7 @@ pub(crate) fn validate_v2(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
 /// cache.insert("cell-a".into(), memstream_grid::CellOutcome::Unmodelled {
 ///     detail: "doc".into(),
 /// });
-/// cache.save_as(&path, CacheFormat::V2)?;
+/// cache.save_as(&path, CacheFormat::default())?;
 ///
 /// let view = CacheView::open(&path)?;
 /// assert_eq!(view.len(), 1);
@@ -178,7 +175,7 @@ impl fmt::Debug for CacheView {
 }
 
 impl CacheView {
-    /// Opens a v2 cache file lazily: reads the bytes, validates the
+    /// Opens a cache file lazily: reads the bytes, validates the
     /// structure (magic, count, index, trailer, record framing, key
     /// order) and decodes **nothing**.
     ///
@@ -186,23 +183,22 @@ impl CacheView {
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not
     /// found"), [`CacheFileError::VersionMismatch`] if the file does not
-    /// carry the v2 magic, and [`CacheFileError::MalformedIndex`] /
-    /// [`CacheFileError::Malformed`] attributions for structural damage
-    /// (see the module docs).
+    /// carry the `memstream-grid-cache v3` magic, and
+    /// [`CacheFileError::MalformedIndex`] / [`CacheFileError::Malformed`]
+    /// attributions for structural damage (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
         let bytes = fs::read(path)?;
-        if !bytes.starts_with(V2_MAGIC) {
-            let first = bytes.split(|&b| b == b'\n').next().unwrap_or(&[]);
+        if !bytes.starts_with(MAGIC) {
             return Err(CacheFileError::VersionMismatch {
-                found: String::from_utf8_lossy(first).into_owned(),
+                found: header_line(&bytes),
             });
         }
-        let offsets = validate_v2(&bytes)?;
+        let offsets = validate(&bytes)?;
         Ok(CacheView { bytes, offsets })
     }
 
     /// Wraps already-validated bytes (offsets must come from
-    /// [`validate_v2`] over the same buffer).
+    /// [`validate`] over the same buffer).
     pub(crate) fn from_validated(bytes: Vec<u8>, offsets: Vec<usize>) -> Self {
         CacheView { bytes, offsets }
     }
@@ -220,8 +216,8 @@ impl CacheView {
     }
 
     /// Binary-searches the index for `key`, returning its record
-    /// ordinal. Compares raw key bytes — exact, because v2 stores keys
-    /// in strictly ascending byte order.
+    /// ordinal. Compares raw key bytes — exact, because the file stores
+    /// keys in strictly ascending byte order.
     pub(crate) fn find(&self, key: &str) -> Option<usize> {
         self.offsets
             .binary_search_by(|&offset| {
@@ -238,23 +234,29 @@ impl CacheView {
         self.find(key).is_some()
     }
 
-    /// Decodes the record at `ordinal` (`None` if the payload is
-    /// malformed — structural validation does not cover payloads).
-    pub(crate) fn decode(&self, ordinal: usize) -> Option<(String, CellOutcome)> {
-        decode_record(record_body(&self.bytes, self.offsets[ordinal]))
+    /// The body of the record at `ordinal` (key, tag and payload; the
+    /// length prefix excluded) — a save copies it without decoding.
+    pub(crate) fn body(&self, ordinal: usize) -> &[u8] {
+        record_body(&self.bytes, self.offsets[ordinal])
+    }
+
+    /// Decodes the outcome of the record at `ordinal`, skipping its key
+    /// (`None` if the payload is malformed — structural validation does
+    /// not cover payloads).
+    pub(crate) fn decode(&self, ordinal: usize) -> Option<CellOutcome> {
+        decode_outcome(self.body(ordinal))
     }
 
     /// Decodes the outcome stored under `key`, if present and well
     /// formed. Exactly one record is decoded.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        self.decode(self.find(key)?).map(|(_, outcome)| outcome)
+        self.decode(self.find(key)?)
     }
 
     /// The key at `ordinal`, straight from the file bytes (no decode).
     pub(crate) fn key_at(&self, ordinal: usize) -> &str {
-        let key = body_key(record_body(&self.bytes, self.offsets[ordinal]))
-            .expect("validated key framing");
+        let key = body_key(self.body(ordinal)).expect("validated key framing");
         std::str::from_utf8(key).expect("validated UTF-8 key")
     }
 
@@ -274,6 +276,10 @@ impl CacheView {
 mod tests {
     use super::*;
     use crate::cache::{CacheFormat, ResultCache};
+
+    fn save(cache: &ResultCache, path: &Path) {
+        cache.save_as(path, CacheFormat::default()).unwrap();
+    }
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir =
@@ -299,7 +305,7 @@ mod tests {
     fn view_probes_and_decodes_match_the_eager_map() {
         let path = temp_path("view-basic.cache");
         let cache = fixture(&["alpha", "beta", "gamma"]);
-        cache.save_as(&path, CacheFormat::V2).unwrap();
+        save(&cache, &path);
         let view = CacheView::open(&path).unwrap();
         assert_eq!(view.len(), 3);
         assert_eq!(view.keys().collect::<Vec<_>>(), ["alpha", "beta", "gamma"]);
@@ -315,11 +321,13 @@ mod tests {
     #[test]
     fn open_rejects_v1_and_missing_files() {
         let path = temp_path("view-v1.cache");
-        fixture(&["a"]).save_as(&path, CacheFormat::V1).unwrap();
-        assert!(matches!(
-            CacheView::open(&path).unwrap_err(),
-            CacheFileError::VersionMismatch { .. }
-        ));
+        fs::write(&path, "memstream-grid-cache v1\na\tU\tdetail a\n").unwrap();
+        match CacheView::open(&path).unwrap_err() {
+            CacheFileError::VersionMismatch { found } => {
+                assert_eq!(found, "memstream-grid-cache v1");
+            }
+            other => panic!("expected a version mismatch, got {other}"),
+        }
         fs::remove_file(&path).unwrap();
         assert!(matches!(
             CacheView::open(&path).unwrap_err(),
@@ -332,9 +340,7 @@ mod tests {
         // Truncating mid-index leaves intact records but a trailer that
         // can no longer describe an index of `count` entries.
         let path = temp_path("view-torn-index.cache");
-        fixture(&["a", "b", "c"])
-            .save_as(&path, CacheFormat::V2)
-            .unwrap();
+        save(&fixture(&["a", "b", "c"]), &path);
         let bytes = fs::read(&path).unwrap();
         let torn = &bytes[..bytes.len() - 12]; // lose the trailer + part of the index
         fs::write(&path, torn).unwrap();
@@ -350,9 +356,7 @@ mod tests {
     #[test]
     fn index_entry_past_eof_is_attributed_by_byte_offset() {
         let path = temp_path("view-index-past-eof.cache");
-        fixture(&["a", "b", "c"])
-            .save_as(&path, CacheFormat::V2)
-            .unwrap();
+        save(&fixture(&["a", "b", "c"]), &path);
         let mut bytes = fs::read(&path).unwrap();
         // Patch the second index entry to point far past the end.
         let trailer_pos = bytes.len() - 8;
@@ -378,18 +382,18 @@ mod tests {
         let a = fixture(&["aa"]);
         let b = fixture(&["bb"]);
         let (pa, pb) = (temp_path("view-unsorted-a"), temp_path("view-unsorted-b"));
-        a.save_as(&pa, CacheFormat::V2).unwrap();
-        b.save_as(&pb, CacheFormat::V2).unwrap();
+        save(&a, &pa);
+        save(&b, &pb);
         let (ba, bb) = (fs::read(&pa).unwrap(), fs::read(&pb).unwrap());
         let record = |bytes: &[u8]| {
-            let start = V2_MAGIC.len() + 8;
+            let start = MAGIC.len() + 8;
             let len = u32_at(bytes, start).unwrap() as usize;
             bytes[start..start + 4 + len].to_vec()
         };
         let (ra, rb) = (record(&ba), record(&bb));
         assert_eq!(ra.len(), rb.len(), "fixtures frame identically");
         let mut swapped = Vec::new();
-        swapped.extend_from_slice(V2_MAGIC);
+        swapped.extend_from_slice(MAGIC);
         swapped.extend_from_slice(&2u64.to_le_bytes());
         let first = swapped.len();
         swapped.extend_from_slice(&rb);
@@ -401,7 +405,7 @@ mod tests {
         swapped.extend_from_slice(&index_offset.to_le_bytes());
         fs::write(&path, &swapped).unwrap();
         match CacheView::open(&path).unwrap_err() {
-            CacheFileError::Malformed { line } => assert_eq!(line, 3, "second record"),
+            CacheFileError::Malformed { record } => assert_eq!(record, 1, "second record"),
             other => panic!("expected record attribution, got {other}"),
         }
         for p in [path, pa, pb] {
@@ -412,7 +416,7 @@ mod tests {
     #[test]
     fn empty_v2_file_is_a_valid_empty_view() {
         let path = temp_path("view-empty.cache");
-        ResultCache::new().save_as(&path, CacheFormat::V2).unwrap();
+        save(&ResultCache::new(), &path);
         let view = CacheView::open(&path).unwrap();
         assert!(view.is_empty());
         assert!(!view.contains_key("anything"));

@@ -1,13 +1,13 @@
 //! The key-compatibility acceptance suite: interned [`CellKey`]s must
-//! resolve to the legacy [`ScenarioGrid::dedup_key`] bytes for every
-//! cell (old v1 cache files stay warm across the interner migration),
-//! and cache files must convert v1 → v2 → v1 without a byte of drift.
+//! resolve to the [`ScenarioGrid::dedup_key`] bytes for every cell (a
+//! cache written under either warms the other), and cache files must
+//! survive a load and re-save without a byte of drift.
 
 use memstream_core::DesignGoal;
 use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice};
 use memstream_grid::{
-    CacheFormat, CellOutcome, DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid,
-    WorkloadProfile,
+    CacheAppender, CacheFormat, CellOutcome, DeviceEntry, GridExecutor, KeyInterner, ResultCache,
+    ScenarioGrid, WorkloadProfile,
 };
 
 /// A per-process temp path (concurrent `cargo test` runs share the OS
@@ -68,8 +68,8 @@ fn interned_keys_match_legacy_dedup_keys_for_every_cell() {
 
 #[test]
 fn interner_resolved_keys_hit_caches_written_with_legacy_keys() {
-    // A cache keyed by legacy `dedup_key` strings (how every pre-interner
-    // cache file was produced) must be fully warm under the interner.
+    // A cache keyed by `dedup_key` strings (the uninterned path) must be
+    // fully warm under the interner.
     let grid = ScenarioGrid::paper_baseline(5);
     let mut legacy = ResultCache::new();
     let results = GridExecutor::serial().explore(&grid).expect("explore");
@@ -85,13 +85,14 @@ fn interner_resolved_keys_hit_caches_written_with_legacy_keys() {
 }
 
 #[test]
-fn cache_conversion_v1_v2_v1_is_byte_identical() {
+fn cache_resave_is_byte_identical() {
     let grid = flash_grid(6);
     let mut cache = ResultCache::new();
     GridExecutor::serial()
         .explore_cached(&grid, &mut cache)
         .expect("explore");
-    // Hostile entries: keys and details carrying every escaped byte.
+    // A hostile entry: the key and detail carry tabs, newlines and
+    // backslashes, which the length-prefixed records keep verbatim.
     cache.insert(
         "hostile\tkey\nwith\\everything".to_owned(),
         CellOutcome::Unmodelled {
@@ -99,32 +100,39 @@ fn cache_conversion_v1_v2_v1_is_byte_identical() {
         },
     );
 
-    let (v1_a, v2, v1_b) = (
-        temp_path("conv-1.cache"),
-        temp_path("conv-2.cache"),
-        temp_path("conv-3.cache"),
+    let (first, eager, lazy) = (
+        temp_path("resave-1.cache"),
+        temp_path("resave-2.cache"),
+        temp_path("resave-3.cache"),
     );
-    cache.save_as(&v1_a, CacheFormat::V1).expect("save v1");
-    ResultCache::load_strict(&v1_a)
-        .expect("strict v1 load")
-        .save_as(&v2, CacheFormat::V2)
-        .expect("save v2");
-    ResultCache::load_strict(&v2)
-        .expect("strict v2 load")
-        .save_as(&v1_b, CacheFormat::V1)
-        .expect("save v1 again");
-    assert_eq!(
-        std::fs::read(&v1_a).expect("read"),
-        std::fs::read(&v1_b).expect("read"),
-        "v1 → v2 → v1 conversion must be lossless to the byte"
-    );
-    for p in [v1_a, v2, v1_b] {
+    let format = CacheFormat::default();
+    cache.save_as(&first, format).expect("save");
+    ResultCache::load(&first)
+        .expect("eager load")
+        .save_as(&eager, format)
+        .expect("re-save decoded");
+    ResultCache::load_lazy(&first)
+        .expect("lazy load")
+        .save_as(&lazy, format)
+        .expect("re-save verbatim");
+    let reference = std::fs::read(&first).expect("read");
+    for path in [&eager, &lazy] {
+        assert_eq!(
+            std::fs::read(path).expect("read"),
+            reference,
+            "a load and re-save must be lossless to the byte"
+        );
+    }
+    for p in [first, eager, lazy] {
         std::fs::remove_file(p).expect("cleanup");
     }
 }
 
 #[test]
 fn warm_explorations_are_byte_identical_across_cache_formats() {
+    // The two framings of the record format — the indexed cache file
+    // and the append-only flush stream shard workers write — warm a
+    // re-run equally, through the eager and the lazy reader alike.
     let grid = ScenarioGrid::paper_baseline(7);
     let mut cold_cache = ResultCache::new();
     let cold = GridExecutor::parallel(2)
@@ -132,25 +140,42 @@ fn warm_explorations_are_byte_identical_across_cache_formats() {
         .expect("cold explore");
     let reference = memstream_grid::report::cells_csv(&cold);
 
-    for format in [CacheFormat::V1, CacheFormat::V2] {
-        let path = temp_path(&format!("warm-{}.cache", format.flag()));
-        cold_cache.save_as(&path, format).expect("save");
-        let mut warm_cache = ResultCache::load(&path).expect("load");
-        let warm = GridExecutor::parallel(3)
-            .explore_cached(&grid, &mut warm_cache)
-            .expect("warm explore");
-        assert_eq!(
-            warm_cache.misses(),
-            0,
-            "{} cache must be fully warm",
-            format.flag()
-        );
-        assert_eq!(
-            memstream_grid::report::cells_csv(&warm),
-            reference,
-            "{} warm run must reproduce the cold bytes",
-            format.flag()
-        );
-        std::fs::remove_file(path).expect("cleanup");
+    let file = temp_path("warm.cache");
+    cold_cache
+        .save_as(&file, CacheFormat::default())
+        .expect("save");
+    let stream = temp_path("warm.flush");
+    let mut appender = CacheAppender::create(&stream).expect("create stream");
+    let outcomes: Vec<(String, CellOutcome)> = cold_cache
+        .keys()
+        .map(|key| (key.to_owned(), cold_cache.get(key).expect("listed")))
+        .collect();
+    appender
+        .append(
+            outcomes
+                .iter()
+                .map(|(key, outcome)| (key.as_str(), outcome)),
+        )
+        .expect("append");
+
+    for path in [&file, &stream] {
+        for (reader, mut warm_cache) in [
+            ("eager", ResultCache::load(path).expect("load")),
+            ("lazy", ResultCache::load_lazy(path).expect("load")),
+        ] {
+            let warm = GridExecutor::parallel(3)
+                .explore_cached(&grid, &mut warm_cache)
+                .expect("warm explore");
+            let what = format!("{reader} read of {}", path.display());
+            assert_eq!(warm_cache.misses(), 0, "{what} must be fully warm");
+            assert_eq!(
+                memstream_grid::report::cells_csv(&warm),
+                reference,
+                "{what} must reproduce the cold bytes"
+            );
+        }
+    }
+    for p in [file, stream] {
+        std::fs::remove_file(p).expect("cleanup");
     }
 }

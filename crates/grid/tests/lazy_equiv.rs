@@ -1,8 +1,9 @@
 //! Property equivalences for the warm-path machinery: the lazy
 //! [`CacheView`] must answer exactly like an eager load (and warm probes
-//! must not decode a record), the parallel k-way merge must be
-//! byte-for-byte the serial merge, and the incremental frontier must
-//! survive exactly the batch non-domination scan. Each property runs
+//! must not decode a record), a merge must give the same bytes whichever
+//! side holds which entries and whether the target is still lazily
+//! backed by its file, and the incremental frontier must survive exactly
+//! the batch non-domination scan. Each property runs
 //! over arbitrary subsets of a real explored corpus, so every outcome
 //! variant the models actually produce is exercised — not just
 //! hand-built fixtures.
@@ -72,15 +73,19 @@ fn next_case() -> u64 {
     CASE.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Warm planning over a lazily opened v2 file answers every probe from
-/// the record index alone: not a single record is decoded.
+fn save(cache: &ResultCache, path: &PathBuf) {
+    cache
+        .save_as(path, CacheFormat::default())
+        .expect("save cache file");
+}
+
+/// Warm planning over a lazily opened cache file answers every probe
+/// from the record index alone: not a single record is decoded.
 #[test]
 fn warm_probes_decode_no_records() {
     let path = temp_path("warm-probes", next_case());
     let entries: BTreeMap<String, CellOutcome> = corpus().iter().cloned().collect();
-    cache_of(&entries)
-        .save_as(&path, CacheFormat::V2)
-        .expect("save v2");
+    save(&cache_of(&entries), &path);
 
     let metrics = Metrics::enabled();
     let mut cache = ResultCache::load_lazy(&path).expect("lazy load");
@@ -104,7 +109,7 @@ proptest! {
     ) {
         let entries = select(&picks);
         let path = temp_path("view", next_case());
-        cache_of(&entries).save_as(&path, CacheFormat::V2).expect("save v2");
+        save(&cache_of(&entries), &path);
 
         let eager = ResultCache::load(&path).expect("eager load");
         let lazy = ResultCache::load_lazy(&path).expect("lazy load");
@@ -130,47 +135,54 @@ proptest! {
         std::fs::remove_file(path).ok();
     }
 
-    /// The index-partitioned parallel merge is the serial merge: same
-    /// stats, and the merged caches save to byte-identical files for
-    /// any worker count.
+    /// Merging is a set union: the same stats and the same saved bytes
+    /// whichever cache is the target, and whether the target is an
+    /// in-memory map or still lazily backed by its file.
     #[test]
-    fn parallel_merge_is_byte_identical_to_serial(
+    fn merge_order_is_byte_identical(
         ours in prop::collection::vec(0usize..1_000_000, 0..30),
         theirs in prop::collection::vec(0usize..1_000_000, 1..30),
-        workers in 2usize..6,
     ) {
-        let ours = select(&ours);
-        let theirs = cache_of(&select(&theirs));
-
-        let mut serial = cache_of(&ours);
-        let mut parallel = cache_of(&ours);
-        let serial_stats = serial.merge_with_workers(&theirs, 1).expect("no conflicts");
-        let parallel_stats = parallel
-            .merge_with_workers(&theirs, workers)
-            .expect("no conflicts");
-        prop_assert_eq!(serial_stats, parallel_stats);
-        prop_assert_eq!(serial.len(), parallel.len());
-
+        let (ours, theirs) = (select(&ours), select(&theirs));
         let case = next_case();
-        let serial_path = temp_path("merge-serial", case);
-        let parallel_path = temp_path("merge-parallel", case);
-        serial.save_as(&serial_path, CacheFormat::V2).expect("save");
-        parallel.save_as(&parallel_path, CacheFormat::V2).expect("save");
-        let serial_bytes = std::fs::read(&serial_path).expect("read");
-        let parallel_bytes = std::fs::read(&parallel_path).expect("read");
-        prop_assert_eq!(serial_bytes, parallel_bytes);
-        std::fs::remove_file(serial_path).ok();
-        std::fs::remove_file(parallel_path).ok();
+        let file = temp_path("merge-file", case);
+        save(&cache_of(&ours), &file);
+
+        let mut eager = cache_of(&ours);
+        let mut lazy = ResultCache::load_lazy(&file).expect("lazy load");
+        let mut reversed = cache_of(&theirs);
+        let eager_stats = eager.merge(&cache_of(&theirs)).expect("no conflicts");
+        let lazy_stats = lazy.merge(&cache_of(&theirs)).expect("no conflicts");
+        reversed.merge(&cache_of(&ours)).expect("no conflicts");
+        prop_assert_eq!(eager_stats, lazy_stats);
+        prop_assert_eq!(eager.len(), lazy.len());
+        prop_assert_eq!(eager.len(), reversed.len());
+
+        let paths = [
+            temp_path("merge-eager", case),
+            temp_path("merge-lazy", case),
+            temp_path("merge-reversed", case),
+        ];
+        for (cache, path) in [&eager, &lazy, &reversed].into_iter().zip(&paths) {
+            save(cache, path);
+        }
+        let reference = std::fs::read(&paths[0]).expect("read");
+        for path in &paths[1..] {
+            prop_assert_eq!(&std::fs::read(path).expect("read"), &reference);
+        }
+        for path in paths.iter().chain([&file]) {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     /// A conflicting key is reported identically — same attributed key,
-    /// same encoded entries — whether the detect pass runs on one
-    /// thread or several, and the target cache is untouched either way.
+    /// same rendered outcomes — whether the target holds its entries in
+    /// memory or still undecoded in its file, and the target is
+    /// untouched either way.
     #[test]
-    fn parallel_merge_attributes_the_same_conflict_as_serial(
+    fn merge_into_a_lazy_target_attributes_the_same_conflict(
         ours in prop::collection::vec(0usize..1_000_000, 0..20),
         poison in 0usize..1_000_000,
-        workers in 2usize..6,
     ) {
         let corpus = corpus();
         let (poison_key, genuine) = &corpus[poison % corpus.len()];
@@ -184,17 +196,18 @@ proptest! {
         let mut theirs = ResultCache::new();
         theirs.insert(poison_key.clone(), genuine.clone());
 
-        let mut serial = cache_of(&entries);
-        let mut parallel = cache_of(&entries);
-        let len_before = parallel.len();
-        let serial_err = serial.merge_with_workers(&theirs, 1).expect_err("conflict");
-        let parallel_err = parallel
-            .merge_with_workers(&theirs, workers)
-            .expect_err("conflict");
-        prop_assert_eq!(&serial_err.key, poison_key);
-        prop_assert_eq!(serial_err, parallel_err);
+        let file = temp_path("conflict-file", next_case());
+        save(&cache_of(&entries), &file);
+        let mut eager = cache_of(&entries);
+        let mut lazy = ResultCache::load_lazy(&file).expect("lazy load");
+        let len_before = lazy.len();
+        let eager_err = eager.merge(&theirs).expect_err("conflict");
+        let lazy_err = lazy.merge(&theirs).expect_err("conflict");
+        prop_assert_eq!(&eager_err.key, poison_key);
+        prop_assert_eq!(eager_err, lazy_err);
         // A failed merge mutates nothing.
-        prop_assert_eq!(parallel.len(), len_before);
+        prop_assert_eq!(lazy.len(), len_before);
+        std::fs::remove_file(file).ok();
     }
 
     /// The incremental frontier builder keeps exactly the batch

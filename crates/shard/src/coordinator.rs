@@ -252,10 +252,6 @@ pub struct ShardOptions {
     /// `shard.lease_wait` histogram — see `docs/OBSERVABILITY.md`).
     /// Disabled by default.
     pub metrics: Metrics,
-    /// Encoding of the warm cache file the coordinator ships to workers.
-    /// (Workers' flush streams are always the v2 binary framing —
-    /// [`memstream_grid::CacheAppender`] — regardless of this setting.)
-    pub cache_format: CacheFormat,
     /// Whether workers are asked to record a timeline trace. Each worker
     /// writes a Chrome-trace fragment into the scratch directory; the
     /// coordinator reads the fragments back into
@@ -292,7 +288,6 @@ impl ShardOptions {
             program,
             leading_args: vec!["shard-worker".to_owned()],
             metrics: Metrics::disabled(),
-            cache_format: CacheFormat::default(),
             trace: false,
             lease_cells: 0,
             lease_deadline: Duration::from_secs(30),
@@ -314,10 +309,13 @@ impl ShardOptions {
         self
     }
 
-    /// Sets the encoding of the fan-out's warm cache file.
+    /// Accepts the encoding of the fan-out's warm cache file. The cache
+    /// has a single on-disk format, so this changes nothing; it is kept
+    /// so that callers written against the earlier two-format API (the
+    /// benchmark's replay among them) keep compiling.
     #[must_use]
-    pub fn with_cache_format(mut self, format: CacheFormat) -> Self {
-        self.cache_format = format;
+    pub fn with_cache_format(self, format: CacheFormat) -> Self {
+        let CacheFormat::Binary = format;
         self
     }
 
@@ -910,7 +908,7 @@ pub fn explore_sharded(
     } else {
         let path = scratch.join("warm.cache");
         cache
-            .save_as(&path, opts.cache_format)
+            .save_as(&path, CacheFormat::default())
             .map_err(ShardError::Scratch)?;
         Some(path)
     };
@@ -1188,7 +1186,6 @@ mod tests {
             program: PathBuf::from("/bin/sh"),
             leading_args: vec!["-c".to_owned(), script.to_owned(), "fake-worker".to_owned()],
             metrics: Metrics::disabled(),
-            cache_format: CacheFormat::V1,
             trace: false,
             lease_cells: 0,
             lease_deadline: Duration::from_secs(30),

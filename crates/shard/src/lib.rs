@@ -4,7 +4,7 @@
 //! One process already explores a grid on every core with byte-stable
 //! output; the next scale step is **many processes** (and eventually many
 //! hosts). This crate adds exactly that, without inventing a new wire
-//! format: the versioned [`memstream_grid::ResultCache`] TSV file —
+//! format: the versioned [`memstream_grid::ResultCache`] record file —
 //! until now a warm-start convenience — *is* the distribution protocol
 //! (spec: `docs/CACHE_FORMAT.md`).
 //!

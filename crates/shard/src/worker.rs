@@ -93,7 +93,7 @@ fn run_lease_worker(
     let unique = grid.unique_cells();
     let interner = KeyInterner::new(&grid);
 
-    let mut working = load_warm(spec)?;
+    let mut working = load_warm(spec, metrics)?;
     working.set_metrics(metrics);
     let executor = GridExecutor::parallel(spec.threads).with_metrics(metrics);
     // The header goes out immediately, so the coordinator's flush reader
@@ -237,15 +237,15 @@ fn run_lease_worker(
     })
 }
 
-/// Lenient warm load: a stale or truncated warm file costs
-/// re-evaluation, never correctness. (The coordinator reads *our*
-/// output with the flush reader — that is the wire format.) The format
-/// is auto-detected, and the load is lazy: a v2 warm file is indexed,
-/// not decoded — warm planning probes the index and only the cells this
+/// Lenient warm load, inside the `cache.load` span: a stale or
+/// truncated warm file costs re-evaluation, never correctness. (The
+/// coordinator reads *our* output with the flush reader — that is the
+/// wire format.) The load is lazy: the warm file is indexed, not
+/// decoded — warm planning probes the index and only the cells this
 /// worker actually touches are ever decoded.
-fn load_warm(spec: &WorkerSpec) -> io::Result<ResultCache> {
+fn load_warm(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<ResultCache> {
     match &spec.warm {
-        Some(path) => ResultCache::load_lazy(path),
+        Some(path) => ResultCache::open(path, metrics),
         None => Ok(ResultCache::new()),
     }
 }
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn warm_cells_are_not_re_evaluated() {
-        // A fully warm v2 file, read through the lazy view: the worker
+        // A fully warm file, read through the lazy view: the worker
         // evaluates nothing and flushes nothing.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
@@ -334,7 +334,7 @@ mod tests {
         GridExecutor::serial()
             .explore_cached(&grid, &mut warm)
             .unwrap();
-        warm.save_as(&warm_path, CacheFormat::V2).unwrap();
+        warm.save_as(&warm_path, CacheFormat::default()).unwrap();
 
         let out = temp_path("warm-slice.cache");
         let mut replies = script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]);
@@ -460,7 +460,7 @@ mod tests {
         let warm_path = temp_path("lease-warm.cache");
         let mut warm = ResultCache::new();
         GridExecutor::serial().resolve_cells(&grid, &unique[0..2], &mut warm);
-        warm.save(&warm_path).unwrap();
+        warm.save_as(&warm_path, CacheFormat::default()).unwrap();
 
         let path = temp_path("lease-warm-out.cache");
         let mut replies = script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]);

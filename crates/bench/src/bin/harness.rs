@@ -24,26 +24,31 @@
 //! spawned worker **processes** — re-execs of this binary's
 //! `shard-worker` subcommand — under a leased work-stealing scheduler
 //! (`memstream_shard`, spec in `docs/SHARD_PROTOCOL.md`): workers pull
-//! small cell-range leases from the coordinator, flush completed records
-//! incrementally, and leases held by dead or stalled workers are
-//! reclaimed and re-issued. Stdout stays byte-identical to the
-//! single-process run for any shard count, lease size or failure pattern
-//! that leaves one live worker; shard accounting and the per-shard error
-//! ledger go to stderr, and an *incomplete* run (coverage lost) fails
-//! with exit code 1. `--lease-cells`/`--lease-deadline` tune the
-//! scheduler; `--fault-plan SHARD:PLAN` (or the
-//! `MEMSTREAM_FAULT_PLAN=shard=K:PLAN` environment variable on a worker)
-//! injects deterministic worker faults for tests and CI smoke runs.
+//! small cell-range leases from the coordinator, send each batch of
+//! records back as it completes, and leases held by dead or stalled
+//! workers are reclaimed and re-issued. Stdout stays byte-identical to
+//! the single-process run for any shard count, lease size or failure
+//! pattern that leaves one live worker; shard accounting and the
+//! per-shard error ledger go to stderr, and an *incomplete* run
+//! (coverage lost) fails with exit code 1.
+//! `--lease-cells`/`--lease-deadline` tune the scheduler; `--fault-plan
+//! SHARD:PLAN` (or the `MEMSTREAM_FAULT_PLAN=shard=K:PLAN` environment
+//! variable on a worker) injects deterministic worker faults for tests
+//! and CI smoke runs.
 //!
-//! `harness shard-worker --shard i/N --cache PATH ...` is the worker
-//! side of that protocol (not for interactive use): request leases over
-//! stderr, receive grants over stdin, evaluate and flush each granted
-//! range (`docs/CACHE_FORMAT.md`, `docs/SHARD_PROTOCOL.md`).
+//! `harness shard-worker --shard i/N ...` is the worker side of that
+//! protocol (`memstream_shard::worker_main`; not for interactive use):
+//! its stdout is the machine channel — lease requests, heartbeats and
+//! each batch's records as a length-prefixed frame — grants arrive on
+//! its stdin, and its stderr is plain text the coordinator forwards
+//! (`docs/SHARD_PROTOCOL.md`).
 //!
-//! `grid`, `refine` and `shard-worker` all accept `--stats` (telemetry
-//! table on stderr), `--stats-json PATH` (snapshot as JSON) and `--trace
-//! PATH` (the run's timeline as a Chrome/Perfetto-loadable trace, shard
-//! worker events merged in); none of them ever changes stdout.
+//! `grid` and `refine` accept `--stats` (telemetry table on stderr),
+//! `--stats-json PATH` (snapshot as JSON) and `--trace PATH` (the run's
+//! timeline as a Chrome/Perfetto-loadable trace, shard worker events
+//! merged in); none of them ever changes the report on stdout. A shard
+//! worker writes its `--stats-json` and `--trace` files for the
+//! coordinator to merge.
 //! `--cache PATH` files use one binary format (`docs/CACHE_FORMAT.md`);
 //! a run that adds nothing to the file leaves it untouched.
 
@@ -498,17 +503,6 @@ fn report_shard_run(run: &memstream_shard::ShardRun) {
     }
 }
 
-/// The reference grid the `grid` and `refine` subcommands share:
-/// flash-inclusive by default, the paper's four devices under `--classic`.
-fn reference_grid(rates: usize, classic: bool) -> memstream_grid::ScenarioGrid {
-    use memstream_grid::ScenarioGrid;
-    if classic {
-        ScenarioGrid::paper_classic(rates)
-    } else {
-        ScenarioGrid::paper_baseline(rates)
-    }
-}
-
 /// Opens the result cache at `path` inside the `cache.load` span,
 /// reporting into `metrics`, and exits 2 on I/O errors (shared by the
 /// `grid` and `refine` subcommands). Lazy: the file is indexed, not
@@ -597,12 +591,12 @@ fn grid(args: &[String]) {
     // whether or not anyone asked for stats or a trace.
     let tracer = shared.tracer();
     let metrics = memstream_grid::Metrics::enabled_with_tracer(&tracer);
-    let spec = reference_grid(shared.rates, shared.classic);
+    let spec = shared.recipe().build();
     let executor = GridExecutor::parallel(shared.threads).with_metrics(&metrics);
     let mut worker_traces = Vec::new();
     let results = if let Some(shards) = shared.shards {
         // Sharded: fan missing cells out to worker processes, union
-        // their cache files, then assemble locally from pure hits —
+        // their records, then assemble locally from pure hits —
         // stdout bytes identical to the single-process run.
         eprintln!(
             "exploring {} cells across {} shard worker process(es)...",
@@ -755,7 +749,7 @@ fn refine(args: &[String]) {
     // the `grid` subcommand).
     let tracer = shared.tracer();
     let metrics = memstream_grid::Metrics::enabled_with_tracer(&tracer);
-    let spec = reference_grid(shared.rates, shared.classic);
+    let spec = shared.recipe().build();
     let executor = GridExecutor::parallel(shared.threads).with_metrics(&metrics);
     let engine = RefinementEngine::new(
         executor.clone(),
@@ -832,70 +826,6 @@ fn refine(args: &[String]) {
     print!("{}", report::refine_stdout(&outcome));
 }
 
-/// `harness shard-worker --shard i/N --cache PATH [--warm PATH]
-/// [--threads N] [--rates N] [--classic] [--rate-list F,F,...]` — the
-/// worker side of the shard protocol (spawned by `--shards`, not meant
-/// for interactive use): request cell-range leases of the recipe grid's
-/// deduplicated cell range over stderr, receive grants on stdin, and
-/// flush each granted range to the `--cache` stream. Prints nothing to
-/// stdout; its accounting line goes to stderr, which the coordinator
-/// captures and forwards.
-fn shard_worker(args: &[String]) {
-    use memstream_shard::{run_worker_with_metrics, WorkerSpec};
-    let mut spec = WorkerSpec::from_args(args).unwrap_or_else(|e| {
-        eprintln!("{e}");
-        std::process::exit(2);
-    });
-    // The env seam (`MEMSTREAM_FAULT_PLAN=shard=K:PLAN`) injects a fault
-    // without the coordinator's cooperation — how CI kills one worker of
-    // a real `--shards` run. An explicit --fault-plan flag wins.
-    if spec.fault.is_none() {
-        spec.fault = memstream_shard::FaultPlan::from_env(spec.shard);
-    }
-    // The tracer is live exactly when the coordinator asked for a
-    // fragment file: the worker's span events (and their thread ids)
-    // land in the merged timeline alongside the coordinator's own.
-    let tracer = if spec.trace.is_some() {
-        memstream_grid::telemetry::Tracer::enabled()
-    } else {
-        memstream_grid::telemetry::Tracer::disabled()
-    };
-    let metrics = memstream_grid::Metrics::enabled_with_tracer(&tracer);
-    match run_worker_with_metrics(&spec, &metrics) {
-        Ok(summary) => {
-            eprintln!(
-                "shard {}/{}: {} cells assigned, {} warm hits, {} evaluated",
-                spec.shard,
-                spec.shard_count,
-                summary.assigned,
-                summary.warm_hits,
-                summary.evaluated
-            );
-            let snapshot = metrics.snapshot();
-            if spec.stats {
-                // Stderr only: the coordinator captures and forwards it.
-                eprint!("{}", snapshot.render_table());
-            }
-            if let Some(path) = &spec.stats_json {
-                if let Err(e) = std::fs::write(path, snapshot.to_json()) {
-                    eprintln!("stats-json write error: {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-            if let Some(path) = &spec.trace {
-                if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
-                    eprintln!("trace write error: {}: {e}", path.display());
-                    std::process::exit(2);
-                }
-            }
-        }
-        Err(e) => {
-            eprintln!("shard {}/{} failed: {e}", spec.shard, spec.shard_count);
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `harness custom --rate 1024kbps [--buffer 20KiB] [--saving 70%]
 /// [--capacity 88%] [--lifetime 7y]` — full report for one operating point.
 fn custom(args: &[String]) {
@@ -965,12 +895,12 @@ fn main() {
                 .filter(|a| a != "--")
                 .collect::<Vec<_>>(),
         ),
-        "shard-worker" => shard_worker(
+        "shard-worker" => std::process::exit(memstream_shard::worker_main(
             &std::env::args()
                 .skip(2)
                 .filter(|a| a != "--")
                 .collect::<Vec<_>>(),
-        ),
+        )),
         "all" => {
             table1();
             breakeven();

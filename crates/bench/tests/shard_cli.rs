@@ -149,7 +149,7 @@ fn worker_heartbeats_become_an_aggregated_progress_line() {
 
 #[test]
 fn worker_subcommand_rejects_malformed_specs() {
-    let output = run(&["shard-worker", "--shard", "5/2", "--cache", "x"]);
+    let output = run(&["shard-worker", "--shard", "5/2"]);
     assert_eq!(output.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&output.stderr).contains("out of range"));
 }

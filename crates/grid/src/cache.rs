@@ -18,12 +18,13 @@
 //! format or version) opens as an empty cache, named on stderr, that the
 //! next save replaces.
 //!
-//! The cache is also the workspace's **shard interchange format**:
-//! `memstream_shard` workers flush their records as record streams
-//! ([`CacheAppender`], tailed by [`FlushReader`]), and the coordinator
-//! reassembles the run by [`ResultCache::merge`]-union, whose conflict
-//! rule is byte-equality of the encoded records (see
-//! `docs/CACHE_FORMAT.md` § "Union/merge semantics").
+//! The record encoding is also the workspace's **shard interchange
+//! format**: `memstream_shard` workers send their records to the
+//! coordinator as record frames on their stdout ([`encode_frame`],
+//! read back with [`decode_frame`]), and the coordinator reassembles the
+//! run by [`ResultCache::merge`]-union, whose conflict rule is
+//! byte-equality of the encoded records (see `docs/CACHE_FORMAT.md`
+//! § "Union/merge semantics").
 
 use std::borrow::Cow;
 use std::collections::HashMap;
@@ -43,7 +44,7 @@ use memstream_units::{DataSize, EnergyPerBit, Ratio, Years};
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 use crate::view::{validate, CacheView};
 
-/// The header line every cache file and flush stream starts with.
+/// The header line every cache file starts with.
 const HEADER: &str = "memstream-grid-cache v3";
 /// The sniffable magic: the header line including its terminator.
 pub(crate) const MAGIC: &[u8] = b"memstream-grid-cache v3\n";
@@ -340,8 +341,8 @@ impl ResultCache {
     /// missing file or a foreign one (not `memstream-grid-cache v3`)
     /// yields an empty cache, silently; a malformed record drops it and
     /// everything after it (the length-prefixed stream cannot be
-    /// resynchronised past damage). Flush streams load like any cache
-    /// file. Warm starts use [`ResultCache::open`] instead.
+    /// resynchronised past damage). Warm starts use
+    /// [`ResultCache::open`] instead.
     ///
     /// # Errors
     ///
@@ -377,10 +378,9 @@ impl ResultCache {
     /// nothing ([`ResultCache::save_as`]).
     ///
     /// The read is lenient: a missing file is an empty cache, a damaged
-    /// one (or a flush stream, which has no index) keeps its intact
-    /// record prefix, and a foreign file — another format or version —
-    /// is an empty cache named in one stderr line and counted as
-    /// `cache.foreign_files`; the next save replaces it.
+    /// one keeps its intact record prefix, and a foreign file — another
+    /// format or version — is an empty cache named in one stderr line
+    /// and counted as `cache.foreign_files`; the next save replaces it.
     ///
     /// # Errors
     ///
@@ -881,11 +881,63 @@ pub(crate) fn decode_outcome(body: &[u8]) -> Option<CellOutcome> {
     r.outcome()
 }
 
+/// Encodes entries as one **record frame**: their records back to back,
+/// each `u32 body length + body` — the bytes a shard worker sends after
+/// a `lease-records` line (`docs/SHARD_PROTOCOL.md` § "Record frames").
+pub fn encode_frame<'a>(entries: impl IntoIterator<Item = (&'a str, &'a CellOutcome)>) -> Vec<u8> {
+    let mut frame = Vec::new();
+    for (key, outcome) in entries {
+        let body = encode_record(key, outcome);
+        let len = u32::try_from(body.len()).expect("cache record exceeds u32 length");
+        frame.extend_from_slice(&len.to_le_bytes());
+        frame.extend_from_slice(&body);
+    }
+    frame
+}
+
+/// Decodes a complete record frame ([`encode_frame`]). Returns the
+/// records in frame order and, if a record is torn (its length runs past
+/// the frame's end) or undecodable, the byte offset of that record: the
+/// records before it are returned, nothing after it is read.
+#[must_use]
+pub fn decode_frame(frame: &[u8]) -> (Vec<(String, CellOutcome)>, Option<usize>) {
+    let mut r = ByteReader {
+        bytes: frame,
+        pos: 0,
+    };
+    let mut records = Vec::new();
+    scan_records(&mut r, usize::MAX, &mut records);
+    let damage = (r.pos < frame.len()).then_some(r.pos);
+    (records, damage)
+}
+
+/// The crate's one lenient record loop: decodes up to `limit` records
+/// at the cursor into `entries`, stopping at the first that is torn or
+/// undecodable, and leaves the cursor at the start of that record.
+fn scan_records(
+    r: &mut ByteReader<'_>,
+    limit: usize,
+    entries: &mut impl Extend<(String, CellOutcome)>,
+) {
+    for _ in 0..limit {
+        let start = r.pos;
+        let entry = r
+            .u32()
+            .and_then(|len| r.take(len as usize))
+            .and_then(decode_record);
+        let Some(entry) = entry else {
+            r.pos = start;
+            return;
+        };
+        entries.extend([entry]);
+    }
+}
+
 /// Leniently scans the records of a cache file (`bytes` starts with
-/// [`MAGIC`]): every entry parsed before the first malformation is kept,
-/// damage and everything after it is dropped. This reader never consults
-/// the index, which lets it double as the flush-stream loader (flush
-/// streams have no index at all).
+/// [`MAGIC`]): the record loop of [`decode_frame`], bounded by the
+/// header count. Every entry parsed before the first malformation is
+/// kept, damage and everything after it is dropped. This reader never
+/// consults the index.
 ///
 /// The map is pre-sized from the header count, capped against the
 /// honest minimum record footprint so a hostile count cannot balloon
@@ -899,18 +951,7 @@ fn parse_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
         return HashMap::new();
     };
     let mut entries = HashMap::with_capacity(count.min(bytes.len() / 10));
-    for _ in 0..count {
-        let entry = r
-            .u32()
-            .and_then(|len| r.take(len as usize))
-            .and_then(decode_record);
-        match entry {
-            Some((key, outcome)) => {
-                entries.insert(key, outcome);
-            }
-            None => break,
-        }
-    }
+    scan_records(&mut r, count, &mut entries);
     entries
 }
 
@@ -966,199 +1007,6 @@ fn write_file<'a>(
     }
     out.write_all(&index_offset.to_le_bytes())?;
     Ok(offset + 8 * (index.len() as u64 + 1))
-}
-
-// ---------------------------------------------------------------------
-// Incremental flush streams (docs/SHARD_PROTOCOL.md § "Flush files"):
-// an append-only record stream shard workers write between leases and
-// the coordinator tails while the worker is still running.
-// ---------------------------------------------------------------------
-
-/// An append-only incremental writer of cache records — the shard
-/// workers' **flush stream**.
-///
-/// The file layout is a cache file without the trailing index: magic,
-/// `u64` record count, then length-prefixed records. Each [`CacheAppender::append`]
-/// writes the new records at the end of the file *first* and only then
-/// rewrites the count field, so a writer dying mid-append leaves the
-/// count pointing at the last fully-flushed batch: the lenient
-/// [`ResultCache::load`] reads exactly the valid prefix, and a
-/// [`FlushReader`] tailing the stream drops the torn bytes. The strict
-/// [`CacheView::open`] rejects flush streams (no index) — deliberately,
-/// they are scratch, not cache files.
-#[derive(Debug)]
-pub struct CacheAppender {
-    file: fs::File,
-    count: u64,
-}
-
-impl CacheAppender {
-    /// Creates (truncating) the flush stream at `path` and writes the
-    /// empty header.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors.
-    pub fn create(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut file = fs::File::create(path)?;
-        file.write_all(MAGIC)?;
-        file.write_all(&0u64.to_le_bytes())?;
-        Ok(CacheAppender { file, count: 0 })
-    }
-
-    /// Appends one batch of records and then commits it by rewriting the
-    /// header count. Returns the number of records written.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors; on error the batch is not committed (the
-    /// count still covers only previously committed records).
-    pub fn append<'a, I>(&mut self, entries: I) -> io::Result<usize>
-    where
-        I: IntoIterator<Item = (&'a str, &'a CellOutcome)>,
-    {
-        use std::io::Seek as _;
-        let mut batch = Vec::new();
-        let mut appended = 0usize;
-        for (key, outcome) in entries {
-            let body = encode_record(key, outcome);
-            let len = u32::try_from(body.len()).expect("cache record exceeds u32 length");
-            batch.extend_from_slice(&len.to_le_bytes());
-            batch.extend_from_slice(&body);
-            appended += 1;
-        }
-        if appended == 0 {
-            return Ok(0);
-        }
-        self.file.seek(io::SeekFrom::End(0))?;
-        self.file.write_all(&batch)?;
-        self.count += appended as u64;
-        self.file.seek(io::SeekFrom::Start(MAGIC.len() as u64))?;
-        self.file.write_all(&self.count.to_le_bytes())?;
-        Ok(appended)
-    }
-
-    /// Records committed so far.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-}
-
-/// What one [`FlushReader::poll`] yielded.
-#[derive(Debug, Default)]
-pub struct FlushPoll {
-    /// Records fully flushed since the previous poll, in file order.
-    pub records: Vec<(String, CellOutcome)>,
-    /// A *complete* record failed to decode (or the magic is wrong): the
-    /// length-prefixed stream cannot be resynchronised past damage, so
-    /// the reader is permanently stuck — everything before the damage
-    /// was returned, nothing after it ever will be.
-    pub damaged: bool,
-}
-
-/// An incremental tail-reader over a [`CacheAppender`] flush stream,
-/// tolerant of a writer that is still appending (or died mid-append).
-///
-/// Records are self-delimiting, so the reader ignores the header count
-/// entirely: a length prefix promising more bytes than the file holds is
-/// treated as *not flushed yet* and re-examined on the next poll — if the
-/// writer is dead, those torn trailing bytes are simply never returned.
-/// A complete record that fails to decode marks the stream damaged
-/// (sticky; see [`FlushPoll::damaged`]).
-#[derive(Debug)]
-pub struct FlushReader {
-    path: std::path::PathBuf,
-    offset: u64,
-    damaged: bool,
-    /// The tail-read scratch buffer, reused across polls: the
-    /// coordinator polls every heartbeat tick, and most polls read a
-    /// few records (or nothing) — reallocating per poll is pure churn.
-    buf: Vec<u8>,
-}
-
-impl FlushReader {
-    /// A reader tailing the flush stream at `path` (which need not exist
-    /// yet — polls before the writer creates it return nothing).
-    #[must_use]
-    pub fn new(path: impl Into<std::path::PathBuf>) -> Self {
-        FlushReader {
-            path: path.into(),
-            offset: 0,
-            damaged: false,
-            buf: Vec::new(),
-        }
-    }
-
-    /// Reads every record fully flushed since the last poll.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O errors other than "not found" (a missing file is an
-    /// empty poll — the writer just hasn't created it yet).
-    pub fn poll(&mut self) -> io::Result<FlushPoll> {
-        if self.damaged {
-            return Ok(FlushPoll {
-                records: Vec::new(),
-                damaged: true,
-            });
-        }
-        let mut file = match fs::File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(FlushPoll::default()),
-            Err(e) => return Err(e),
-        };
-        self.buf.clear();
-        if self.offset > 0 {
-            use std::io::Seek as _;
-            file.seek(io::SeekFrom::Start(self.offset))?;
-        }
-        io::Read::read_to_end(&mut file, &mut self.buf)?;
-        let buf = &self.buf;
-        let mut pos = 0usize;
-        if self.offset == 0 {
-            let header = MAGIC.len() + 8;
-            if buf.len() < header {
-                return Ok(FlushPoll::default());
-            }
-            if !buf.starts_with(MAGIC) {
-                self.damaged = true;
-                return Ok(FlushPoll {
-                    records: Vec::new(),
-                    damaged: true,
-                });
-            }
-            pos = header;
-        }
-        let mut records = Vec::new();
-        loop {
-            let rest = &buf[pos..];
-            let Some(len) = rest
-                .get(..4)
-                .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes")) as usize)
-            else {
-                break;
-            };
-            let Some(body) = rest.get(4..4 + len) else {
-                break; // torn or still being written: retry next poll
-            };
-            match decode_record(body) {
-                Some(entry) => {
-                    records.push(entry);
-                    pos += 4 + len;
-                }
-                None => {
-                    self.damaged = true;
-                    break;
-                }
-            }
-        }
-        self.offset += pos as u64;
-        Ok(FlushPoll {
-            records,
-            damaged: self.damaged,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1771,142 +1619,74 @@ mod tests {
     }
 
     #[test]
-    fn flush_stream_is_incrementally_readable_and_leniently_loadable() {
-        let path = temp_path("flush-basic.cache");
-        let mut writer = CacheAppender::create(&path).unwrap();
-        let mut reader = FlushReader::new(&path);
+    fn frames_round_trip_through_the_one_record_loop() {
+        let (a, b) = (unmodelled("a"), unmodelled("b"));
+        let frame = encode_frame([("a", &a), ("b", &b)]);
+        let expected = vec![("a".to_owned(), a), ("b".to_owned(), b)];
+        assert_eq!(decode_frame(&frame), (expected.clone(), None));
+        assert_eq!(decode_frame(&[]), (Vec::new(), None));
 
-        let (a, b, c) = (unmodelled("a"), unmodelled("b"), unmodelled("c"));
-        assert_eq!(writer.append([("a", &a), ("b", &b)]).unwrap(), 2);
-        let poll = reader.poll().unwrap();
-        assert!(!poll.damaged);
-        assert_eq!(
-            poll.records
-                .iter()
-                .map(|(k, _)| k.as_str())
-                .collect::<Vec<_>>(),
-            ["a", "b"]
-        );
-
-        // A second batch arrives only on the next poll — nothing is
-        // returned twice.
-        assert_eq!(writer.append([("c", &c)]).unwrap(), 1);
-        assert_eq!(writer.count(), 3);
-        let poll = reader.poll().unwrap();
-        assert_eq!(poll.records.len(), 1);
-        assert_eq!(poll.records[0].0, "c");
-        assert!(reader.poll().unwrap().records.is_empty());
-
-        // The stream doubles as a lenient warm file but is rejected by
-        // the strict reader (no index — scratch only).
-        let lenient = ResultCache::load(&path).unwrap();
-        assert_eq!(lenient.len(), 3);
-        assert_eq!(ResultCache::load_lazy(&path).unwrap().len(), 3);
-        assert!(CacheView::open(&path).is_err());
-        fs::remove_file(path).unwrap();
+        // The lenient file reader is the same loop bounded by the
+        // header count: the frame's records behind a cache header load
+        // as a cache, and a smaller count stops the loop early.
+        for count in [2u64, 1] {
+            let mut file = MAGIC.to_vec();
+            file.extend_from_slice(&count.to_le_bytes());
+            file.extend_from_slice(&frame);
+            let loaded = parse_lenient(&file);
+            assert_eq!(loaded.len(), count as usize);
+            assert_eq!(loaded.get("a"), Some(&expected[0].1));
+        }
     }
 
     #[test]
     fn torn_flush_tail_is_dropped_but_the_committed_prefix_survives() {
-        // A writer that died mid-append leaves a length prefix promising
-        // more bytes than the file holds. The tail must never surface:
-        // not from the tailing reader, not from the lenient loader.
-        let path = temp_path("flush-torn.cache");
-        let mut writer = CacheAppender::create(&path).unwrap();
+        // A record whose length prefix promises more bytes than its
+        // frame holds never surfaces; the records before it do, from
+        // the frame decoder and the lenient file reader alike.
         let (a, b) = (unmodelled("a"), unmodelled("b"));
-        writer.append([("a", &a), ("b", &b)]).unwrap();
-        let mut torn = 64u32.to_le_bytes().to_vec();
-        torn.extend_from_slice(&[0xAB; 7]);
-        let mut raw = fs::OpenOptions::new().append(true).open(&path).unwrap();
-        raw.write_all(&torn).unwrap();
-        drop(raw);
+        let mut frame = encode_frame([("a", &a), ("b", &b)]);
+        let committed = frame.len();
+        frame.extend_from_slice(&64u32.to_le_bytes());
+        frame.extend_from_slice(&[0xAB; 7]);
+        let (records, damage) = decode_frame(&frame);
+        assert_eq!(records.len(), 2);
+        assert_eq!(damage, Some(committed), "attributed at the torn record");
 
-        let mut reader = FlushReader::new(&path);
-        let poll = reader.poll().unwrap();
-        assert!(!poll.damaged, "a tear is not damage");
-        assert_eq!(poll.records.len(), 2);
-        // The tear never completes: later polls stay empty and undamaged.
-        let poll = reader.poll().unwrap();
-        assert!(poll.records.is_empty() && !poll.damaged);
+        let mut file = MAGIC.to_vec();
+        file.extend_from_slice(&3u64.to_le_bytes());
+        file.extend_from_slice(&frame);
+        assert_eq!(parse_lenient(&file).len(), 2);
 
-        let lenient = ResultCache::load(&path).unwrap();
-        assert_eq!(lenient.len(), 2, "count covers only committed records");
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn flush_reader_resumes_once_a_partial_record_completes() {
-        // The same byte split as a torn tail — but the writer is alive
-        // and finishes the record, so the reader must pick it up whole.
-        let path = temp_path("flush-resume.cache");
-        let mut writer = CacheAppender::create(&path).unwrap();
-        let a = unmodelled("a");
-        writer.append([("a", &a)]).unwrap();
-        let full = fs::read(&path).unwrap();
-
-        // Replay the file one byte at a time into a sibling path.
-        let partial = temp_path("flush-resume-partial.cache");
-        let mut reader = FlushReader::new(&partial);
-        let mut seen = Vec::new();
-        for end in 0..=full.len() {
-            fs::write(&partial, &full[..end]).unwrap();
-            let poll = reader.poll().unwrap();
-            assert!(!poll.damaged, "a growing file is never damage");
-            seen.extend(poll.records);
-        }
-        assert_eq!(seen.len(), 1);
-        assert_eq!(seen[0].0, "a");
-        for p in [path, partial] {
-            fs::remove_file(p).unwrap();
+        // Cut anywhere, a frame yields exactly a prefix of its records.
+        let whole = encode_frame([("a", &a), ("b", &b)]);
+        for end in 0..whole.len() {
+            let (records, damage) = decode_frame(&whole[..end]);
+            assert!(records.len() < 2 && damage.is_none_or(|at| at < end));
+            assert!(records.iter().all(|(key, _)| key == "a"));
         }
     }
 
     #[test]
     fn corrupt_flush_record_marks_the_stream_damaged_keeping_the_prefix() {
-        let path = temp_path("flush-corrupt.cache");
-        let mut writer = CacheAppender::create(&path).unwrap();
         let a = unmodelled("a");
-        writer.append([("a", &a)]).unwrap();
-        // A complete but undecodable record: well-formed length, garbage
-        // body.
+        let good = encode_frame([("a", &a)]);
+        // A complete but undecodable record (well-formed length, garbage
+        // body), and a record whose key is not UTF-8.
         let mut garbage = 8u32.to_le_bytes().to_vec();
         garbage.extend_from_slice(&[0xAB; 8]);
-        let mut raw = fs::OpenOptions::new().append(true).open(&path).unwrap();
-        raw.write_all(&garbage).unwrap();
-        drop(raw);
-
-        let mut reader = FlushReader::new(&path);
-        let poll = reader.poll().unwrap();
-        assert!(poll.damaged, "a decodable-length garbage record is damage");
-        assert_eq!(poll.records.len(), 1, "the valid prefix is returned");
-        // Damage is sticky: the writer appending more afterwards changes
-        // nothing.
-        writer.append([("b", &a)]).unwrap();
-        let poll = reader.poll().unwrap();
-        assert!(poll.damaged && poll.records.is_empty());
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn flush_reader_rejects_a_wrong_magic() {
-        let path = temp_path("flush-magic.cache");
-        fs::write(&path, b"memstream-grid-cache v99\nxxxxxxxxxxx").unwrap();
-        let mut reader = FlushReader::new(&path);
-        assert!(reader.poll().unwrap().damaged);
-        fs::remove_file(path).unwrap();
-    }
-
-    #[test]
-    fn flush_reader_tolerates_a_missing_or_headerless_file() {
-        let path = temp_path("flush-missing.cache");
-        let _ = fs::remove_file(&path);
-        let mut reader = FlushReader::new(&path);
-        let poll = reader.poll().unwrap();
-        assert!(poll.records.is_empty() && !poll.damaged);
-        // A file shorter than the header is "not ready", not damage.
-        fs::write(&path, &MAGIC[..4]).unwrap();
-        let poll = reader.poll().unwrap();
-        assert!(poll.records.is_empty() && !poll.damaged);
-        fs::remove_file(path).unwrap();
+        let mut bad_key = encode_record("ab", &a);
+        bad_key[4..6].copy_from_slice(&[0xFF, 0xFE]);
+        let mut non_utf8 = (bad_key.len() as u32).to_le_bytes().to_vec();
+        non_utf8.extend_from_slice(&bad_key);
+        for damaged in [garbage, non_utf8] {
+            let mut frame = good.clone();
+            frame.extend_from_slice(&damaged);
+            // Nothing after the damage is read, not even a good record.
+            frame.extend_from_slice(&good);
+            let (records, damage) = decode_frame(&frame);
+            assert_eq!(records, vec![("a".to_owned(), a.clone())]);
+            assert_eq!(damage, Some(good.len()));
+        }
     }
 }

@@ -60,8 +60,7 @@ mod validate;
 mod view;
 
 pub use cache::{
-    CacheAppender, CacheConflict, CacheFileError, CacheFormat, FlushPoll, FlushReader, MergeStats,
-    ResultCache,
+    decode_frame, encode_frame, CacheConflict, CacheFileError, CacheFormat, MergeStats, ResultCache,
 };
 pub use view::CacheView;
 // The instrumentation layer, re-exported so downstream crates (refine,

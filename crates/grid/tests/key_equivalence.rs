@@ -6,8 +6,8 @@
 use memstream_core::DesignGoal;
 use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice};
 use memstream_grid::{
-    CacheAppender, CacheFormat, CellOutcome, DeviceEntry, GridExecutor, KeyInterner, ResultCache,
-    ScenarioGrid, WorkloadProfile,
+    CacheFormat, CellOutcome, DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid,
+    WorkloadProfile,
 };
 
 /// A per-process temp path (concurrent `cargo test` runs share the OS
@@ -130,9 +130,8 @@ fn cache_resave_is_byte_identical() {
 
 #[test]
 fn warm_explorations_are_byte_identical_across_cache_formats() {
-    // The two framings of the record format — the indexed cache file
-    // and the append-only flush stream shard workers write — warm a
-    // re-run equally, through the eager and the lazy reader alike.
+    // The one cache format warms a re-run equally through the eager and
+    // the lazy reader.
     let grid = ScenarioGrid::paper_baseline(7);
     let mut cold_cache = ResultCache::new();
     let cold = GridExecutor::parallel(2)
@@ -144,38 +143,19 @@ fn warm_explorations_are_byte_identical_across_cache_formats() {
     cold_cache
         .save_as(&file, CacheFormat::default())
         .expect("save");
-    let stream = temp_path("warm.flush");
-    let mut appender = CacheAppender::create(&stream).expect("create stream");
-    let outcomes: Vec<(String, CellOutcome)> = cold_cache
-        .keys()
-        .map(|key| (key.to_owned(), cold_cache.get(key).expect("listed")))
-        .collect();
-    appender
-        .append(
-            outcomes
-                .iter()
-                .map(|(key, outcome)| (key.as_str(), outcome)),
-        )
-        .expect("append");
-
-    for path in [&file, &stream] {
-        for (reader, mut warm_cache) in [
-            ("eager", ResultCache::load(path).expect("load")),
-            ("lazy", ResultCache::load_lazy(path).expect("load")),
-        ] {
-            let warm = GridExecutor::parallel(3)
-                .explore_cached(&grid, &mut warm_cache)
-                .expect("warm explore");
-            let what = format!("{reader} read of {}", path.display());
-            assert_eq!(warm_cache.misses(), 0, "{what} must be fully warm");
-            assert_eq!(
-                memstream_grid::report::cells_csv(&warm),
-                reference,
-                "{what} must reproduce the cold bytes"
-            );
-        }
+    for (reader, mut warm_cache) in [
+        ("eager", ResultCache::load(&file).expect("load")),
+        ("lazy", ResultCache::load_lazy(&file).expect("load")),
+    ] {
+        let warm = GridExecutor::parallel(3)
+            .explore_cached(&grid, &mut warm_cache)
+            .expect("warm explore");
+        assert_eq!(warm_cache.misses(), 0, "{reader} read must be fully warm");
+        assert_eq!(
+            memstream_grid::report::cells_csv(&warm),
+            reference,
+            "{reader} read must reproduce the cold bytes"
+        );
     }
-    for p in [file, stream] {
-        std::fs::remove_file(p).expect("cleanup");
-    }
+    std::fs::remove_file(file).expect("cleanup");
 }

@@ -1,50 +1,10 @@
-//! A bare spawnable shard worker for the crate's integration tests.
-//!
-//! The production worker is the harness's `shard-worker` subcommand
-//! (`crates/bench`); this binary is the same [`memstream_shard::run_worker`]
-//! entry point without the harness's CLI surface, so the shard crate's
-//! own test suite has a real process to fan out to
-//! (`CARGO_BIN_EXE_memstream-shard-worker` is only defined for binaries
-//! of the crate under test).
-//!
-//! Protocol discipline is identical: machine-readable cells go to the
-//! cache file, accounting to stderr, nothing to stdout.
+//! The shard worker as a binary of this crate, for its integration
+//! tests: `CARGO_BIN_EXE_memstream-shard-worker` is only defined for
+//! binaries of the crate under test. It runs [`memstream_shard::worker_main`],
+//! the same body as the harness's `shard-worker` subcommand, so the
+//! fault suites spawn the worker that users run.
 
-use std::process::ExitCode;
-
-use memstream_shard::{FaultPlan, WorkerSpec};
-
-fn main() -> ExitCode {
+fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut spec = match WorkerSpec::from_args(&args) {
-        Ok(spec) => spec,
-        Err(e) => {
-            eprintln!("memstream-shard-worker: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    // The env seam lets a test inject a fault without threading it
-    // through the coordinator (e.g. wrapping the worker in a shell that
-    // sets the variable for one shard only). An explicit --fault-plan
-    // wins.
-    if spec.fault.is_none() {
-        spec.fault = FaultPlan::from_env(spec.shard);
-    }
-    match memstream_shard::run_worker(&spec) {
-        Ok(summary) => {
-            eprintln!(
-                "shard {}/{}: {} cells ({} warm, {} evaluated)",
-                spec.shard,
-                spec.shard_count,
-                summary.assigned,
-                summary.warm_hits,
-                summary.evaluated
-            );
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("memstream-shard-worker: shard {}: {e}", spec.shard);
-            ExitCode::FAILURE
-        }
-    }
+    std::process::exit(memstream_shard::worker_main(&args));
 }

@@ -4,15 +4,15 @@
 //! cell range is split into small lease chunks owned by a
 //! [`LeaseQueue`]; one worker process per shard is spawned (a re-exec of
 //! the current binary's `shard-worker` subcommand, stdin/stdout/stderr
-//! all piped), and a per-child **collector thread** speaks the lease
-//! protocol with it: `lease-request` lines on the
-//! worker's stderr are answered with `lease-grant`/`lease-retire` lines
-//! on its stdin, `lease-done` lines trigger a poll of the worker's
-//! incremental flush stream ([`FlushReader`]), and `shard-progress`
-//! heartbeats feed the aggregated progress display. A watchdog thread
-//! reclaims leases from workers that stop heartbeating past
-//! [`ShardOptions::lease_deadline`] (killing the stragglers), so their
-//! chunks are re-issued to live workers.
+//! all piped), and a per-child **collector thread** reads the worker's
+//! stdout, its one machine channel: `lease-request` lines are answered
+//! with `lease-grant`/`lease-retire` lines on its stdin, record frames
+//! are decoded into the worker's collected records as they arrive,
+//! `lease-done` lines are checked against them, and `shard-progress`
+//! heartbeats feed the aggregated progress display. The worker's stderr
+//! is plain text, kept verbatim. A watchdog thread reclaims leases from
+//! workers that go silent past [`ShardOptions::lease_deadline`] (killing
+//! the stragglers), so their chunks are re-issued to live workers.
 //!
 //! Nothing here polls: collectors waiting for work and the watchdog
 //! waiting for the next deadline park on one condvar, which every lease
@@ -20,8 +20,8 @@
 //! notifies.
 //!
 //! Every anomaly — a worker that failed to spawn, died or stalled
-//! mid-lease, damaged its flush stream, announced a lease it never
-//! flushed, or disagreed byte-wise with an existing entry — lands in a
+//! mid-lease, sent a damaged record frame, announced a lease it never
+//! delivered, or disagreed byte-wise with an existing entry — lands in a
 //! per-shard **error ledger** instead of poisoning the merged cache.
 //! The run is *complete* when the union of collected records covers the
 //! whole range conflict-free, which holds for any worker count, lease
@@ -30,8 +30,7 @@
 use std::collections::HashSet;
 use std::fmt;
 use std::io;
-use std::io::BufRead as _;
-use std::io::Write as _;
+use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
@@ -41,15 +40,12 @@ use std::time::{Duration, Instant};
 
 use memstream_grid::telemetry::{parse_histograms, Histogram, TraceSnapshot};
 use memstream_grid::{
-    CacheFormat, FlushReader, GridError, KeyInterner, MergeStats, Metrics, ResultCache,
+    decode_frame, CacheFormat, GridError, KeyInterner, MergeStats, Metrics, ResultCache,
 };
 
 use crate::fault::FaultPlan;
 use crate::lease::{LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};
-use crate::protocol::{
-    format_lease_reply, parse_lease_done, parse_lease_request, parse_progress, LeaseReply,
-    WorkerSpec,
-};
+use crate::protocol::{format_lease_reply, read_message, LeaseReply, WorkerMessage, WorkerSpec};
 use crate::recipe::GridRecipe;
 
 /// How a shard failed (the ledger's classification).
@@ -63,16 +59,17 @@ pub enum ShardFailureKind {
     /// The worker stopped heartbeating past the lease deadline; the
     /// watchdog killed it and reclaimed its leases.
     Stalled,
-    /// The worker's incremental flush stream was damaged (bad magic or
-    /// an undecodable record).
+    /// The worker's stdout carried damage: a complete record frame
+    /// holding an undecodable record, or a `lease-records` line that
+    /// does not parse. The records before the damage are kept.
     FlushCorrupt,
-    /// The worker announced a lease it never delivered, flushed keys
+    /// The worker announced a lease it never delivered, sent keys
     /// outside the planned grid, or the final merge left cells
     /// uncovered — it evaluated a different grid than the coordinator
     /// planned.
     Incompatible,
-    /// An entry of the worker's flush stream conflicts byte-wise with
-    /// one the coordinator already holds.
+    /// An entry the worker sent conflicts byte-wise with one the
+    /// coordinator already holds.
     Conflict,
 }
 
@@ -117,24 +114,22 @@ pub struct WorkerReport {
     /// Cells of those completed leases (warm cells inside the chunks
     /// included).
     pub cells: usize,
-    /// Records collected from this worker's incremental flush stream —
-    /// including the committed prefix of a worker that later died.
+    /// Records collected from this worker's record frames — including
+    /// those of a worker that later died or sent a damaged frame.
     pub flushed: usize,
     /// What the union merge of this worker's collected records did.
     /// `None` when the worker never spawned or its records conflicted.
     pub merged: Option<MergeStats>,
-    /// The worker's captured stderr (its own accounting lines; forwarded
-    /// to the coordinator's stderr by the harness, never to stdout).
-    /// Protocol lines (heartbeats, lease traffic) are consumed, not kept,
-    /// and a partial trailing line from a worker that died mid-write is
-    /// dropped.
+    /// The worker's stderr, verbatim: plain text for humans (its
+    /// accounting line, diagnostics), forwarded to the coordinator's
+    /// stderr by the harness, never to stdout. No protocol travels here.
     pub stderr: String,
     /// Wall-clock seconds from spawn to exit (also recorded into the
     /// `shard.worker_wall` histogram when metrics are enabled). Zero for
     /// a worker that never spawned.
     pub wall_seconds: f64,
     /// `shard-progress` heartbeat lines the coordinator consumed from
-    /// this worker's stderr.
+    /// this worker's stdout.
     pub heartbeats: usize,
     /// The worker's timeline-trace fragment, when the fan-out ran with
     /// tracing ([`ShardOptions::with_trace`]) and the worker wrote one.
@@ -172,8 +167,9 @@ pub struct ShardRun {
     /// Whether the merged cache covers the whole canonical range
     /// conflict-free — the property [`ShardRun::is_complete`] reports.
     pub complete: bool,
-    /// The scratch directory holding flush/warm files; kept (for a
-    /// post-mortem) exactly when the run is incomplete.
+    /// The scratch directory holding the warm file and the workers'
+    /// stats and trace files; kept (for a post-mortem) exactly when the
+    /// run is incomplete.
     pub scratch: Option<PathBuf>,
 }
 
@@ -261,9 +257,9 @@ pub struct ShardOptions {
     /// Cells per lease chunk; `0` (the default) sizes chunks so each
     /// worker gets roughly [`LEASE_CHUNKS_PER_WORKER`] of them.
     pub lease_cells: usize,
-    /// How long a worker may go without writing a single stderr line
-    /// while holding a lease before the watchdog declares it stalled,
-    /// kills it and reclaims its leases.
+    /// How long a worker may go without writing a single stdout line or
+    /// frame while holding a lease before the watchdog declares it
+    /// stalled, kills it and reclaims its leases.
     pub lease_deadline: Duration,
     /// Deterministic misbehaviours injected into specific workers
     /// (`(shard index, plan)`), threaded through the hidden
@@ -385,9 +381,9 @@ struct WorkPlan {
 /// The mutable scheduler state shared by collectors and the watchdog.
 struct LeaseState {
     queue: LeaseQueue,
-    /// Per worker: when its last stderr line (of any kind) arrived or
-    /// its current lease was granted, whichever is later — the start of
-    /// its stall deadline.
+    /// Per worker: when its last stdout line or frame arrived or its
+    /// current lease was granted, whichever is later — the start of its
+    /// stall deadline.
     last_activity: Vec<Instant>,
     /// Per worker: the watchdog's stall attribution, once declared.
     stalled: Vec<Option<String>>,
@@ -484,7 +480,7 @@ impl LeaseShared {
         count
     }
 
-    /// Bookkeeping when a worker's stderr hits EOF: any leases it still
+    /// Bookkeeping when a worker's stdout hits EOF: any leases it still
     /// holds go back to the queue. Returns `(reclaimed, drained)` at
     /// that moment — a worker that exited cleanly *after* retirement
     /// sees `(0, true)`.
@@ -530,7 +526,6 @@ struct CollectorCtx {
     stdin: Option<ChildStdin>,
     stdout: Option<std::process::ChildStdout>,
     stderr: Option<std::process::ChildStderr>,
-    flush_path: PathBuf,
     lease_wait: Histogram,
     started: Instant,
 }
@@ -541,7 +536,7 @@ struct CollectedWorker {
     stderr: String,
     heartbeats: usize,
     wall: Duration,
-    /// Records collected from the worker's flush stream.
+    /// Records collected from the worker's record frames.
     local: ResultCache,
     flushed: usize,
     leases: usize,
@@ -554,34 +549,33 @@ struct CollectedWorker {
     failure: Option<(ShardFailureKind, String)>,
 }
 
-/// Polls the flush stream into `local`, verifying every record's key is
-/// part of the planned grid. Records decoded before any damage are kept
-/// — a dead worker's committed prefix still merges.
-fn absorb_flush(
-    reader: &mut FlushReader,
+/// Decodes one record frame into `local`, verifying every record's key
+/// is part of the planned grid. Records before any damage are kept — a
+/// worker condemned for a bad frame still delivers what preceded it.
+/// Returns how many records were kept, and the failure to attribute.
+fn absorb_frame(
+    frame: &[u8],
     plan: &WorkPlan,
     local: &mut ResultCache,
-) -> Result<usize, (ShardFailureKind, String)> {
-    let poll = reader
-        .poll()
-        .map_err(|e| (ShardFailureKind::FlushCorrupt, format!("flush stream: {e}")))?;
-    let count = poll.records.len();
-    for (key, outcome) in poll.records {
+) -> (usize, Option<(ShardFailureKind, String)>) {
+    let (records, damage) = decode_frame(frame);
+    let mut kept = 0;
+    for (key, outcome) in records {
         if !plan.key_set.contains(key.as_str()) {
-            return Err((
-                ShardFailureKind::Incompatible,
-                format!("flushed key `{key}` is not in the planned grid"),
-            ));
+            let why = format!("sent key `{key}` is not in the planned grid");
+            return (kept, Some((ShardFailureKind::Incompatible, why)));
         }
         local.insert(key, outcome);
+        kept += 1;
     }
-    if poll.damaged {
-        return Err((
-            ShardFailureKind::FlushCorrupt,
-            "flush stream damaged (bad magic or undecodable record)".to_owned(),
-        ));
-    }
-    Ok(count)
+    let failure = damage.map(|offset| {
+        let why = format!(
+            "record frame of {} bytes is damaged at byte {offset}",
+            frame.len()
+        );
+        (ShardFailureKind::FlushCorrupt, why)
+    });
+    (kept, failure)
 }
 
 /// The first cell of `range` the coordinator needed and `local` does not
@@ -600,10 +594,10 @@ fn kill_child(child: &SharedChild) {
     }
 }
 
-/// One worker's collector: drains the child's pipes as they fill (a
-/// worker blocked on a full pipe against a coordinator waiting on a
-/// sibling would deadlock), answering lease traffic and tailing the
-/// flush stream along the way.
+/// One worker's collector: reads the child's stdout as it fills,
+/// answering lease traffic and collecting record frames, while a second
+/// thread drains its stderr (a worker blocked on a full pipe against a
+/// coordinator waiting on a sibling would deadlock).
 fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
     let CollectorCtx {
         worker,
@@ -613,126 +607,109 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
         child,
         mut stdin,
         stdout,
-        stderr: stderr_pipe,
-        flush_path,
+        stderr,
         lease_wait,
         started,
     } = ctx;
-    // Workers write nothing to stdout, but drain it anyway: an unexpected
-    // chatty worker must never wedge the run on a full pipe.
-    let drain = stdout.map(|mut out| {
+    let stderr = stderr.map(|mut pipe| {
         std::thread::spawn(move || {
-            let mut sink = Vec::new();
-            let _ = io::Read::read_to_end(&mut out, &mut sink);
+            let mut text = Vec::new();
+            let _ = pipe.read_to_end(&mut text);
+            text
         })
     });
 
-    let mut flush = FlushReader::new(flush_path);
     let mut local = ResultCache::new();
-    let mut stderr = String::new();
     let mut heartbeats = 0usize;
     let mut flushed = 0usize;
     let mut leases = 0usize;
     let mut cells = 0usize;
     let mut failure: Option<(ShardFailureKind, String)> = None;
 
-    if let Some(pipe) = stderr_pipe {
+    if let Some(pipe) = stdout {
         let mut reader = io::BufReader::new(pipe);
-        let mut line = Vec::new();
-        'lines: loop {
-            line.clear();
-            match reader.read_until(b'\n', &mut line) {
-                Ok(0) | Err(_) => break,
-                Ok(_) => {}
-            }
-            // A worker that dies mid-write leaves a partial trailing
-            // line (`read_until` without its delimiter means the pipe
-            // closed). It is not a complete protocol line and must not
-            // pollute the kept stderr — drop it and fall through to the
-            // EOF path.
-            if line.last() != Some(&b'\n') {
-                break;
-            }
+        let mut frame = Vec::new();
+        // A read error is the end of the stream, like EOF: the exit
+        // status decides the ledger entry.
+        while let Ok(Some(message)) = read_message(&mut reader, &mut frame) {
             shared.touch(worker);
-            let text = String::from_utf8_lossy(&line);
-            let trimmed = text.trim_end();
-            if parse_progress(trimmed).is_some() {
-                heartbeats += 1;
-                let (done, total) = shared.progress();
-                printer.update(done, total, false);
-            } else if parse_lease_request(trimmed).is_some() {
-                let asked = Instant::now();
-                let response = shared.await_grant(worker);
-                lease_wait.record(asked.elapsed());
-                let reply = match response {
-                    LeaseResponse::Grant(range) => LeaseReply::Grant(range),
-                    LeaseResponse::Wait | LeaseResponse::Retire => LeaseReply::Retire,
-                };
-                let delivered = stdin.as_mut().is_some_and(|pipe| {
-                    writeln!(pipe, "{}", format_lease_reply(&reply))
-                        .and_then(|()| pipe.flush())
-                        .is_ok()
-                });
-                if !delivered {
-                    // The grant channel is gone (the worker is dying):
-                    // put any grant straight back and keep draining.
-                    shared.reclaim(worker);
-                    stdin = None;
+            match message {
+                WorkerMessage::Progress => {
+                    heartbeats += 1;
+                    let (done, total) = shared.progress();
+                    printer.update(done, total, false);
                 }
-            } else if let Some((_, _, range)) = parse_lease_done(trimmed) {
-                // Only a lease this worker actually holds counts; a
-                // stale `lease-done` (its leases were reclaimed) or a
-                // bogus range is ignored — the final coverage check
-                // still guards correctness.
-                if !shared.holds(worker, &range) {
-                    continue;
-                }
-                match absorb_flush(&mut flush, &plan, &mut local) {
-                    Ok(count) => flushed += count,
-                    Err(why) => {
-                        failure = Some(why);
+                WorkerMessage::Request => {
+                    let asked = Instant::now();
+                    let response = shared.await_grant(worker);
+                    lease_wait.record(asked.elapsed());
+                    let reply = match response {
+                        LeaseResponse::Grant(range) => LeaseReply::Grant(range),
+                        LeaseResponse::Wait | LeaseResponse::Retire => LeaseReply::Retire,
+                    };
+                    let delivered = stdin.as_mut().is_some_and(|pipe| {
+                        writeln!(pipe, "{}", format_lease_reply(&reply))
+                            .and_then(|()| pipe.flush())
+                            .is_ok()
+                    });
+                    if !delivered {
+                        // The grant channel is gone (the worker is dying):
+                        // put any grant straight back and keep draining.
                         shared.reclaim(worker);
-                        kill_child(&child);
-                        break 'lines;
+                        stdin = None;
                     }
                 }
-                if let Some(idx) = uncovered_cell(&plan, &range, &local) {
+                WorkerMessage::Records => {
+                    let (kept, why) = absorb_frame(&frame, &plan, &mut local);
+                    flushed += kept;
+                    failure = why;
+                }
+                WorkerMessage::BadRecords(line) => {
                     failure = Some((
-                        ShardFailureKind::Incompatible,
-                        format!(
-                            "lease-done {}..{} lacks a flushed record for key `{}`",
-                            range.start, range.end, plan.keys[idx]
-                        ),
+                        ShardFailureKind::FlushCorrupt,
+                        format!("unparseable record frame header `{line}`"),
                     ));
-                    shared.reclaim(worker);
-                    kill_child(&child);
-                    break 'lines;
                 }
-                if shared.complete(worker, &range) {
-                    leases += 1;
-                    cells += range.len();
-                    let (done, total) = shared.progress();
-                    printer.update(done, total, done == total);
+                WorkerMessage::Done(range) => {
+                    // Only a lease this worker actually holds counts; a
+                    // stale `lease-done` (its leases were reclaimed) or a
+                    // bogus range is ignored — the final coverage check
+                    // still guards correctness.
+                    if !shared.holds(worker, &range) {
+                        continue;
+                    }
+                    if let Some(idx) = uncovered_cell(&plan, &range, &local) {
+                        failure = Some((
+                            ShardFailureKind::Incompatible,
+                            format!(
+                                "lease-done {}..{} lacks a flushed record for key `{}`",
+                                range.start, range.end, plan.keys[idx]
+                            ),
+                        ));
+                    } else if shared.complete(worker, &range) {
+                        leases += 1;
+                        cells += range.len();
+                        let (done, total) = shared.progress();
+                        printer.update(done, total, done == total);
+                    }
                 }
-            } else {
-                stderr.push_str(&text);
+                WorkerMessage::Unknown => {}
+            }
+            if failure.is_some() {
+                // Condemned: nothing more it sends is trusted.
+                shared.reclaim(worker);
+                kill_child(&child);
+                break;
             }
         }
     }
 
-    // Straggler records flushed after the last `lease-done` — notably
-    // the committed prefix of a worker that died mid-lease.
-    if failure.is_none() {
-        match absorb_flush(&mut flush, &plan, &mut local) {
-            Ok(count) => flushed += count,
-            Err(why) => failure = Some(why),
-        }
-    }
     drop(stdin); // EOF the grant channel, in case the worker still reads
     let status = child.lock().expect("child handle").wait();
-    if let Some(drain) = drain {
-        let _ = drain.join();
-    }
+    let stderr = stderr
+        .and_then(|drain| drain.join().ok())
+        .map(|text| String::from_utf8_lossy(&text).into_owned())
+        .unwrap_or_default();
     let (eof_reclaimed, drained_at_eof) = shared.on_eof(worker);
     CollectedWorker {
         status,
@@ -826,8 +803,8 @@ fn scratch_dir() -> io::Result<PathBuf> {
 
 /// One coordinated fan-out: resolve every unique cell of the recipe's
 /// grid into `cache`, evaluating missing cells on spawned worker
-/// processes under the lease scheduler and merging their incrementally
-/// flushed records by strict union.
+/// processes under the lease scheduler and merging the records they
+/// send by strict union.
 ///
 /// A fully warm cache short-circuits: no scratch files, no processes.
 /// Otherwise the **full** canonical range is chunked (workers skip warm
@@ -836,9 +813,9 @@ fn scratch_dir() -> io::Result<PathBuf> {
 ///
 /// Failures of individual workers land in [`ShardRun::failures`]; their
 /// leases are reclaimed and re-issued, so the run still completes —
-/// byte-identically — as long as one worker survives. Everything that
-/// was flushed is merged regardless, so even an incomplete run leaves
-/// the cache warmer for a retry.
+/// byte-identically — as long as one worker survives. Every record that
+/// arrived is merged regardless, so even an incomplete run leaves the
+/// cache warmer for a retry.
 ///
 /// # Errors
 ///
@@ -938,10 +915,8 @@ pub fn explore_sharded(
         let spec = WorkerSpec {
             shard: index,
             shard_count: shards,
-            cache: scratch.join(format!("shard-{index}.cache")),
             warm: warm.clone(),
             threads: opts.worker_threads,
-            stats: false,
             // Workers with live telemetry write their registry (and its
             // latency histograms) into scratch; the coordinator merges
             // the histograms back so eval/cache latency distributions
@@ -983,7 +958,6 @@ pub fn explore_sharded(
                     stdin,
                     stdout,
                     stderr,
-                    flush_path: spec.cache.clone(),
                     lease_wait: lease_wait.clone(),
                     started,
                 };
@@ -1012,7 +986,6 @@ pub fn explore_sharded(
 
     let wait_span = metrics.span("shard.wait");
     let merge_span = metrics.span("shard.merge");
-    let merge_bytes = metrics.counter("shard.merge_bytes");
     let wall_histogram = metrics.histogram("shard.worker_wall");
     let mut workers = Vec::with_capacity(shards);
     let mut conflicted = false;
@@ -1059,20 +1032,13 @@ pub fn explore_sharded(
                     report.trace = TraceSnapshot::from_chrome_json(&text).ok();
                 }
             }
-            // Merge whatever the worker delivered — a dead worker's
-            // committed prefix included. Duplicates from a reclaimed
-            // lease finished twice must be byte-equal or the merge is a
-            // hard conflict.
+            // Merge whatever the worker delivered — the frames of a
+            // worker that died or was condemned included. Duplicates
+            // from a reclaimed lease finished twice must be byte-equal
+            // or the merge is a hard conflict.
             let merge_timer = merge_span.start();
             match cache.merge(&collected.local) {
-                Ok(stats) => {
-                    report.merged = Some(stats);
-                    if merge_bytes.is_live() {
-                        if let Ok(meta) = std::fs::metadata(&spec.cache) {
-                            merge_bytes.add(meta.len());
-                        }
-                    }
-                }
+                Ok(stats) => report.merged = Some(stats),
                 Err(conflict) => {
                     conflicted = true;
                     failures.push(ShardFailure {
@@ -1174,10 +1140,12 @@ pub fn explore_sharded(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::format_lease_records;
+    use memstream_grid::encode_frame;
 
     /// A fake worker: any shell script stands in for the spawned
     /// process. `$1 $2 ...` receive the encoded [`WorkerSpec`]; the
-    /// script can speak the lease protocol over stderr/stdin.
+    /// script can speak the lease protocol over stdout/stdin.
     #[cfg(unix)]
     fn sh_options(script: &str, shards: usize) -> ShardOptions {
         ShardOptions {
@@ -1198,6 +1166,45 @@ mod tests {
         if let Some(dir) = &run.scratch {
             let _ = std::fs::remove_dir_all(dir);
         }
+    }
+
+    /// The start of a scripted worker: parse `--shard` into `$S`, ask for
+    /// a lease and read the grant into `$reply $range`.
+    #[cfg(unix)]
+    const TAKE_LEASE: &str = r#"
+        while [ "$#" -gt 0 ]; do case "$1" in
+            --shard) S="$2"; shift 2;;
+            *) shift;;
+        esac; done
+        echo "lease-request $S"
+        read -r reply range
+    "#;
+
+    /// A one-worker fan-out of `classic(3)` whose worker takes a lease,
+    /// writes `bytes` to its stdout and then runs `then`. Returns the
+    /// run and the merged cache.
+    #[cfg(unix)]
+    fn lease_then_send(name: &str, bytes: &[u8], then: &str) -> (ShardRun, ResultCache) {
+        let path = std::env::temp_dir().join(format!(
+            "memstream-coordinator-tests-{}-{name}.out",
+            std::process::id()
+        ));
+        std::fs::write(&path, bytes).expect("scripted stdout");
+        let script = format!("{TAKE_LEASE}\ncat '{}'\n{then}\n", path.display());
+        let mut cache = ResultCache::new();
+        let run = explore_sharded(&GridRecipe::classic(3), &mut cache, &sh_options(&script, 1))
+            .expect("run");
+        let _ = std::fs::remove_file(path);
+        cleanup(&run);
+        (run, cache)
+    }
+
+    /// A `lease-records` line and its frame.
+    #[cfg(unix)]
+    fn records_message(frame: &[u8]) -> Vec<u8> {
+        let mut bytes = format!("{}\n", format_lease_records(0, 1, frame.len())).into_bytes();
+        bytes.extend_from_slice(frame);
+        bytes
     }
 
     #[cfg(unix)]
@@ -1230,18 +1237,14 @@ mod tests {
         // kill the worker.
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
-        let script = r#"
-            while [ "$#" -gt 0 ]; do case "$1" in
-                --shard) S="$2"; shift 2;;
-                *) shift;;
-            esac; done
-            echo "lease-request $S" >&2
-            read -r reply range
+        let script = format!(
+            r#"{TAKE_LEASE}
             case "$reply" in
-                lease-grant) echo "lease-done $S: $range" >&2; exec sleep 5;;
+                lease-grant) echo "lease-done $S: $range"; exec sleep 5;;
             esac
-        "#;
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).expect("run");
+            "#
+        );
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(&script, 1)).expect("run");
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::Incompatible);
         assert!(
@@ -1258,30 +1261,82 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn damaged_flush_stream_is_attributed_as_flush_corrupt() {
-        // The fake worker writes garbage where its flush stream should
-        // be, then announces a lease completion: the poll must flag the
-        // stream, not merge nonsense.
-        let recipe = GridRecipe::classic(3);
-        let mut cache = ResultCache::new();
-        let script = r#"
-            while [ "$#" -gt 0 ]; do case "$1" in
-                --shard) S="$2"; shift 2;;
-                --cache) C="$2"; shift 2;;
-                *) shift;;
-            esac; done
-            printf 'memstream-grid-cache v99\nXXXXXXXXXXXXXXXX' > "$C"
-            echo "lease-request $S" >&2
-            read -r reply range
-            case "$reply" in
-                lease-grant) echo "lease-done $S: $range" >&2; exec sleep 5;;
-            esac
-        "#;
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).expect("run");
+        // The fake worker sends a frame holding a garbage record, then
+        // announces a lease completion: the frame must condemn it before
+        // the announcement is believed, and nothing is merged.
+        let mut junk = 8u32.to_le_bytes().to_vec();
+        junk.extend_from_slice(&[0xAB; 8]);
+        let then = r#"echo "lease-done $S: $range"; exec sleep 5"#;
+        let (run, cache) = lease_then_send("damaged", &records_message(&junk), then);
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::FlushCorrupt);
+        assert!(
+            run.failures[0].detail.contains("damaged at byte 0"),
+            "detail: {}",
+            run.failures[0].detail
+        );
         assert!(!run.is_complete());
         assert!(cache.is_empty());
-        cleanup(&run);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn hostile_frames_keep_the_earlier_records_and_are_attributed() {
+        // An honest frame holding cell 0's record, then one hostile
+        // input. Whatever follows, the honest record is kept and merged.
+        // Damage is `FlushCorrupt` and the coordinator kills the worker;
+        // a stream that ends inside a frame is not damage, and the
+        // worker's exit status decides the entry.
+        let recipe = GridRecipe::classic(3);
+        let grid = recipe.build();
+        let cell = grid.unique_cells()[0];
+        let key = grid.dedup_key(&cell);
+        let mut evaluated = ResultCache::new();
+        memstream_grid::GridExecutor::serial().resolve_cells(&grid, &[cell], &mut evaluated);
+        let outcome = evaluated.get(&key).expect("evaluated");
+        let honest = records_message(&encode_frame([(key.as_str(), &outcome)]));
+
+        let mut junk = 8u32.to_le_bytes().to_vec();
+        junk.extend_from_slice(&[0xAB; 8]);
+        // Key length 2, key bytes that are not UTF-8, an empty `U` record.
+        let mut bad_key = 11u32.to_le_bytes().to_vec();
+        bad_key.extend_from_slice(&[2, 0, 0, 0, 0xFF, 0xFE, b'U', 0, 0, 0, 0]);
+        let torn = [b"lease-records 0/1: 64\n".as_slice(), &[0xAB; 7]].concat();
+        let huge = [
+            b"lease-records 0/1: 18446744073709551615\n".as_slice(),
+            &[0xAB; 16],
+        ]
+        .concat();
+        let cases: [(&str, Vec<u8>, &str, ShardFailureKind); 5] = [
+            ("torn", torn, "exit 3", ShardFailureKind::Died),
+            ("huge", huge, "exit 3", ShardFailureKind::Died),
+            (
+                "undecodable",
+                records_message(&junk),
+                "exec sleep 5",
+                ShardFailureKind::FlushCorrupt,
+            ),
+            (
+                "non-utf8",
+                records_message(&bad_key),
+                "exec sleep 5",
+                ShardFailureKind::FlushCorrupt,
+            ),
+            (
+                "bad-header",
+                b"lease-records 0/1: lots\n".to_vec(),
+                "exec sleep 5",
+                ShardFailureKind::FlushCorrupt,
+            ),
+        ];
+        for (name, hostile, then, kind) in cases {
+            let (run, cache) = lease_then_send(name, &[honest.as_slice(), &hostile].concat(), then);
+            let kinds: Vec<_> = run.failures.iter().map(|f| f.kind).collect();
+            assert_eq!(kinds, [kind], "{name}: {:?}", run.failures);
+            assert_eq!(run.workers[0].flushed, 1, "{name}");
+            assert_eq!(cache.get(&key), Some(outcome.clone()), "{name}");
+            assert_eq!(cache.len(), 1, "{name}");
+        }
     }
 
     #[cfg(unix)]
@@ -1291,16 +1346,8 @@ mod tests {
         // must declare it stalled, kill it and reclaim the lease.
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
-        let script = r#"
-            while [ "$#" -gt 0 ]; do case "$1" in
-                --shard) S="$2"; shift 2;;
-                *) shift;;
-            esac; done
-            echo "lease-request $S" >&2
-            read -r reply range
-            exec sleep 60
-        "#;
-        let mut opts = sh_options(script, 1);
+        let script = format!("{TAKE_LEASE}\nexec sleep 60\n");
+        let mut opts = sh_options(&script, 1);
         opts.lease_deadline = Duration::from_millis(150);
         let started = Instant::now();
         let run = explore_sharded(&recipe, &mut cache, &opts).expect("run");
@@ -1326,17 +1373,16 @@ mod tests {
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
         let script = r#"
-            echo 'shard-progress 0/1: 3/6' >&2
+            echo 'shard-progress 0/1: 3/6'
             echo 'ordinary accounting line' >&2
-            echo 'shard-progress 0/1: 6/6' >&2
+            echo 'shard-progress 0/1: 6/6'
+            printf 'kept verbatim, even unterminated' >&2
         "#;
         let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).expect("run");
         assert_eq!(run.workers[0].heartbeats, 2);
-        assert!(run.workers[0].stderr.contains("ordinary accounting line"));
-        assert!(
-            !run.workers[0].stderr.contains("shard-progress"),
-            "heartbeats must be consumed, kept stderr was {:?}",
-            run.workers[0].stderr
+        assert_eq!(
+            run.workers[0].stderr,
+            "ordinary accounting line\nkept verbatim, even unterminated"
         );
         assert!(run.workers[0].wall_seconds > 0.0);
         assert!(run.workers[0].trace.is_none(), "tracing was off");
@@ -1353,8 +1399,8 @@ mod tests {
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
         let script = r#"
-            echo 'shard-progress 0/1: 3/6' >&2
-            printf 'shard-progress 0/1: 6' >&2
+            echo 'shard-progress 0/1: 3/6'
+            printf 'shard-progress 0/1: 6'
         "#;
         let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).expect("run");
         assert_eq!(run.workers[0].heartbeats, 1, "only the complete line");

@@ -8,10 +8,10 @@
 //! coordinator that knows nothing about faults — with an optional
 //! `shard=K:` selector so one worker of a fan-out can be targeted.
 //!
-//! Plans only ever make a worker *worse* (die, stall, damage its own
-//! flush stream); the coordinator's recovery machinery is what turns an
-//! injected fault into a byte-identical run, and the fault-injection
-//! suite asserts exactly that.
+//! Plans only ever make a worker *worse* (die, stall, tear or damage its
+//! own record frames); the coordinator's recovery machinery is what
+//! turns an injected fault into a byte-identical run, and the
+//! fault-injection suite asserts exactly that.
 
 use std::fmt;
 use std::str::FromStr;
@@ -24,20 +24,21 @@ pub const FAULT_PLAN_ENV: &str = "MEMSTREAM_FAULT_PLAN";
 /// One deterministic worker misbehaviour (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlan {
-    /// Exit abruptly — no flush, no `lease-done` — once the worker has
-    /// evaluated at least this many cells (checked at flush-batch
-    /// granularity). `0` dies on the first batch.
+    /// Exit abruptly — no frame for the batch, no `lease-done` — once
+    /// the worker has evaluated at least this many cells (checked at
+    /// batch granularity). `0` dies on the first batch.
     DieAfterCells(usize),
     /// Stop responding (no heartbeats, no protocol lines, the current
     /// lease held forever) once the worker has evaluated at least this
     /// many cells. The coordinator's lease deadline must reclaim it.
     StallAfterCells(usize),
-    /// Tear the first flush: commit half the batch, append a length
-    /// prefix promising bytes that never arrive, then die.
+    /// Tear the first record frame: send half the batch as a frame,
+    /// then a `lease-records` header whose bytes never arrive, then die.
     TruncateFlush,
-    /// Damage the first flush: append a complete-but-undecodable record
-    /// instead of the batch, then carry on as if nothing happened
-    /// (including sending `lease-done` for unflushed work).
+    /// Damage the first record frame: send a complete frame holding an
+    /// undecodable record instead of the batch, then carry on as if
+    /// nothing happened (including sending `lease-done` for undelivered
+    /// work).
     CorruptFlush,
 }
 

@@ -3,9 +3,9 @@
 //!
 //! One process already explores a grid on every core with byte-stable
 //! output; the next scale step is **many processes** (and eventually many
-//! hosts). This crate adds exactly that, without inventing a new wire
-//! format: the versioned [`memstream_grid::ResultCache`] record file —
-//! until now a warm-start convenience — *is* the distribution protocol
+//! hosts). This crate adds exactly that, without inventing a new record
+//! encoding: the versioned [`memstream_grid::ResultCache`] record —
+//! until now a warm-start convenience — *is* what workers send back
 //! (spec: `docs/CACHE_FORMAT.md`).
 //!
 //! The model is coordinator/worker with a leased work queue
@@ -18,17 +18,17 @@
 //!    [`LeaseQueue`]; the chunk layout depends on the grid alone, never
 //!    on cache temperature.
 //! 2. **Fan out** — workers are spawned processes (a re-exec of the
-//!    harness: `harness shard-worker --shard i/N --cache PATH ...`).
-//!    Each worker asks for work over its **stderr** side-channel
-//!    (`lease-request`), receives grants over **stdin**
-//!    (`lease-grant a..b`), evaluates the granted cells and **flushes
-//!    completed records incrementally** to its per-worker scratch file
-//!    ([`memstream_grid::CacheAppender`]) before announcing
-//!    `lease-done` ([`run_worker`]).
-//! 3. **Collect & reclaim** — a per-worker collector thread tails the
-//!    flush stream ([`memstream_grid::FlushReader`]) as leases complete,
-//!    and a watchdog reclaims leases held by workers that die or stop
-//!    heartbeating past a deadline, re-issuing them to live workers.
+//!    harness: `harness shard-worker --shard i/N ...`, whose body is
+//!    [`worker_main`]). A worker's **stdout** is its one machine
+//!    channel: it asks for work there (`lease-request`), receives grants
+//!    over **stdin** (`lease-grant a..b`), evaluates the granted cells
+//!    and sends each batch of fresh records as a **record frame**
+//!    ([`memstream_grid::encode_frame`]) before announcing `lease-done`.
+//!    Its stderr is plain text for humans.
+//! 3. **Collect & reclaim** — a per-worker collector thread reads that
+//!    stdout, decoding frames as they arrive, and a watchdog reclaims
+//!    leases held by workers that die or go silent past a deadline,
+//!    re-issuing them to live workers.
 //!    Failures land in a per-shard error ledger ([`ShardRun::failures`])
 //!    without poisoning the healthy shards' entries.
 //! 4. **Union & assemble** — collected records merge by
@@ -43,9 +43,9 @@
 //!
 //! A deterministic fault-injection seam ([`FaultPlan`], the hidden
 //! `--fault-plan` flag and the [`FAULT_PLAN_ENV`] environment variable)
-//! lets the test suites make workers die, stall or damage their flush
-//! streams at exact points, and assert the recovery machinery holds the
-//! byte-identity guarantee.
+//! lets the test suites make workers die, stall, tear or damage their
+//! record frames at exact points, and assert the recovery machinery
+//! holds the byte-identity guarantee.
 //!
 //! The refinement loop consumes the same machinery through
 //! [`ShardedRoundExplorer`]: each round fans only the rates new to that
@@ -107,7 +107,7 @@ pub use protocol::{
 };
 pub use recipe::GridRecipe;
 pub use round::ShardedRoundExplorer;
-pub use worker::{run_worker, run_worker_with_metrics, WorkerSummary};
+pub use worker::worker_main;
 
 #[cfg(test)]
 mod tests {
@@ -124,7 +124,6 @@ mod tests {
         assert_send_sync::<ShardFailure>();
         assert_send_sync::<ShardError>();
         assert_send_sync::<ShardedRoundExplorer>();
-        assert_send_sync::<WorkerSummary>();
         assert_send_sync::<LeaseQueue>();
         assert_send_sync::<FaultPlan>();
         assert_send_sync::<LeaseReply>();

@@ -9,13 +9,16 @@
 //! dedup keys are byte-identical to the coordinator's — the property the
 //! whole cache-union merge rests on.
 //!
-//! Beyond the command line, this module also defines the **lease line
-//! protocol** (`docs/SHARD_PROTOCOL.md`): newline-delimited request/done
-//! lines a worker writes to stderr alongside its `shard-progress`
-//! heartbeats, and the grant/retire replies the coordinator writes to
-//! the worker's stdin.
+//! Beyond the command line, this module also defines the **lease
+//! protocol** (`docs/SHARD_PROTOCOL.md`): the worker's stdout is its one
+//! machine channel — newline-delimited request/done lines, its
+//! `shard-progress` heartbeats and its records, each batch a
+//! `lease-records` line followed by a record frame — read back by
+//! [`read_message`]; the coordinator writes grant/retire replies to the
+//! worker's stdin.
 
 use std::fmt;
+use std::io::{self, BufRead, Read as _};
 use std::ops::Range;
 use std::path::PathBuf;
 
@@ -56,19 +59,12 @@ pub struct WorkerSpec {
     pub shard: usize,
     /// Total shard count (the number of workers sharing the lease queue).
     pub shard_count: usize,
-    /// Where the worker appends its flush stream
-    /// ([`memstream_grid::CacheAppender`] framing).
-    pub cache: PathBuf,
     /// An optional warm cache to read before evaluating (the
-    /// coordinator's accumulated entries, in either cache format); cells
-    /// found there are not re-evaluated.
+    /// coordinator's accumulated entries); cells found there are not
+    /// re-evaluated.
     pub warm: Option<PathBuf>,
     /// Worker-internal thread count (`0` = machine width).
     pub threads: usize,
-    /// Print a telemetry snapshot table to the worker's stderr when the
-    /// run completes (forwarded to the coordinator's stderr by the
-    /// harness — never stdout).
-    pub stats: bool,
     /// Write the worker's telemetry snapshot as JSON to this path when
     /// the run completes.
     pub stats_json: Option<PathBuf>,
@@ -90,8 +86,6 @@ impl WorkerSpec {
         let mut args = vec![
             "--shard".to_owned(),
             format!("{}/{}", self.shard, self.shard_count),
-            "--cache".to_owned(),
-            self.cache.display().to_string(),
             "--threads".to_owned(),
             self.threads.to_string(),
             "--rates".to_owned(),
@@ -112,9 +106,6 @@ impl WorkerSpec {
         if let Some(warm) = &self.warm {
             args.push("--warm".to_owned());
             args.push(warm.display().to_string());
-        }
-        if self.stats {
-            args.push("--stats".to_owned());
         }
         if let Some(path) = &self.stats_json {
             args.push("--stats-json".to_owned());
@@ -139,13 +130,11 @@ impl WorkerSpec {
     /// shard coordinates or unparseable numbers.
     pub fn from_args(args: &[String]) -> Result<Self, ProtocolError> {
         let mut shard: Option<(usize, usize)> = None;
-        let mut cache: Option<PathBuf> = None;
         let mut warm: Option<PathBuf> = None;
         let mut threads = 0usize;
         let mut rates = 2usize;
         let mut classic = false;
         let mut rate_list: Option<Vec<BitRate>> = None;
-        let mut stats = false;
         let mut stats_json: Option<PathBuf> = None;
         let mut trace: Option<PathBuf> = None;
         let mut fault: Option<FaultPlan> = None;
@@ -170,7 +159,6 @@ impl WorkerSpec {
                     };
                     shard = Some((parse(i)?, parse(n)?));
                 }
-                "--cache" => cache = Some(PathBuf::from(value()?)),
                 "--warm" => warm = Some(PathBuf::from(value()?)),
                 "--threads" => {
                     threads = value()?
@@ -183,7 +171,6 @@ impl WorkerSpec {
                         .map_err(|e| ProtocolError::new(format!("bad --rates: {e}")))?;
                 }
                 "--classic" => classic = true,
-                "--stats" => stats = true,
                 "--stats-json" => stats_json = Some(PathBuf::from(value()?)),
                 "--trace" => trace = Some(PathBuf::from(value()?)),
                 "--fault-plan" => {
@@ -214,7 +201,6 @@ impl WorkerSpec {
         if rates < 2 {
             return Err(ProtocolError::new("--rates must be at least 2"));
         }
-        let cache = cache.ok_or_else(|| ProtocolError::new("--cache PATH is required"))?;
         let mut recipe = GridRecipe::reference(classic, rates);
         if let Some(axis) = rate_list {
             recipe = recipe.with_rate_axis(axis);
@@ -222,10 +208,8 @@ impl WorkerSpec {
         Ok(WorkerSpec {
             shard,
             shard_count,
-            cache,
             warm,
             threads,
-            stats,
             stats_json,
             trace,
             fault,
@@ -239,14 +223,14 @@ impl WorkerSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseReply {
     /// Evaluate cells `range` of the grid's canonical deduplicated cell
-    /// range, flush the results, then send `lease-done`.
+    /// range, send the fresh records, then send `lease-done`.
     Grant(Range<usize>),
     /// The queue is drained (or this worker is condemned): exit cleanly.
     Retire,
 }
 
 /// Renders a worker's lease request line: `lease-request i/N`. Sent on
-/// stderr whenever the worker is idle; the coordinator answers on stdin
+/// stdout whenever the worker is idle; the coordinator answers on stdin
 /// with a [`LeaseReply`] line.
 #[must_use]
 pub fn format_lease_request(shard: usize, shard_count: usize) -> String {
@@ -286,7 +270,7 @@ pub fn parse_lease_reply(line: &str) -> Option<LeaseReply> {
 }
 
 /// Renders a worker's lease completion line: `lease-done i/N: a..b`,
-/// sent on stderr after the lease's records are flushed and committed.
+/// sent on stdout after every record frame of the lease.
 #[must_use]
 pub fn format_lease_done(shard: usize, shard_count: usize, range: &Range<usize>) -> String {
     format!(
@@ -307,10 +291,10 @@ pub fn parse_lease_done(line: &str) -> Option<(usize, usize, Range<usize>)> {
     (start <= end).then_some((shard.parse().ok()?, count.parse().ok()?, start..end))
 }
 
-/// Renders one worker heartbeat line for the shard-progress stderr
-/// protocol: `shard-progress i/N: done/total`. Workers emit these lines
-/// on **stderr** (stdout stays byte-identical); the coordinator consumes
-/// them with [`parse_progress`] instead of forwarding them.
+/// Renders one worker heartbeat line: `shard-progress i/N: done/total`.
+/// Workers emit these lines on their stdout, the machine channel; the
+/// coordinator consumes them with [`parse_progress`] and never forwards
+/// them.
 #[must_use]
 pub fn format_progress(shard: usize, shard_count: usize, done: usize, total: usize) -> String {
     format!("shard-progress {shard}/{shard_count}: {done}/{total}")
@@ -318,7 +302,7 @@ pub fn format_progress(shard: usize, shard_count: usize, done: usize, total: usi
 
 /// Parses a worker heartbeat line produced by [`format_progress`],
 /// returning `(shard, shard_count, cells_done, cells_total)`. Any other
-/// line — including ordinary worker stderr — returns `None`.
+/// line returns `None`.
 #[must_use]
 pub fn parse_progress(line: &str) -> Option<(usize, usize, usize, usize)> {
     let rest = line.strip_prefix("shard-progress ")?;
@@ -333,6 +317,87 @@ pub fn parse_progress(line: &str) -> Option<(usize, usize, usize, usize)> {
     ))
 }
 
+/// Renders the header of a record frame: `lease-records i/N: BYTES`,
+/// sent on stdout and followed by exactly `BYTES` bytes of records
+/// ([`memstream_grid::encode_frame`]).
+#[must_use]
+pub(crate) fn format_lease_records(shard: usize, shard_count: usize, bytes: usize) -> String {
+    format!("lease-records {shard}/{shard_count}: {bytes}")
+}
+
+/// Parses a [`format_lease_records`] line into `(shard, shard_count,
+/// bytes)`. Any other line returns `None`.
+#[must_use]
+pub(crate) fn parse_lease_records(line: &str) -> Option<(usize, usize, u64)> {
+    let rest = line.strip_prefix("lease-records ")?;
+    let (coords, bytes) = rest.split_once(": ")?;
+    let (shard, count) = coords.split_once('/')?;
+    Some((
+        shard.parse().ok()?,
+        count.parse().ok()?,
+        bytes.parse().ok()?,
+    ))
+}
+
+/// One message of a worker's stdout, as [`read_message`] reads it.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum WorkerMessage {
+    /// `lease-request i/N`.
+    Request,
+    /// `shard-progress i/N: done/total`.
+    Progress,
+    /// A `lease-records` line and the record frame that followed it,
+    /// now in the caller's frame buffer.
+    Records,
+    /// `lease-done i/N: a..b`.
+    Done(Range<usize>),
+    /// A `lease-records` line that does not parse. Its frame length is
+    /// unknown, so nothing after it can be read.
+    BadRecords(String),
+    /// Any other complete line: ignored, so new line forms can be added
+    /// without breaking older coordinators.
+    Unknown,
+}
+
+/// Reads the next message of a worker's stdout; a record frame replaces
+/// the contents of `frame`, which grows only as the frame's bytes
+/// arrive, whatever its header claims. `None` is the end of the stream,
+/// and that includes a partial trailing line or a torn frame (the
+/// stream ended inside it): both are dropped, never parsed.
+///
+/// # Errors
+///
+/// Propagates read errors of `reader`.
+pub(crate) fn read_message(
+    reader: &mut impl BufRead,
+    frame: &mut Vec<u8>,
+) -> io::Result<Option<WorkerMessage>> {
+    let mut line = Vec::new();
+    reader.read_until(b'\n', &mut line)?;
+    if line.pop() != Some(b'\n') {
+        return Ok(None);
+    }
+    let line = String::from_utf8_lossy(&line);
+    let line = line.trim_end();
+    if line.starts_with("lease-records") {
+        let Some((_, _, bytes)) = parse_lease_records(line) else {
+            return Ok(Some(WorkerMessage::BadRecords(line.to_owned())));
+        };
+        frame.clear();
+        reader.take(bytes).read_to_end(frame)?;
+        return Ok((frame.len() as u64 == bytes).then_some(WorkerMessage::Records));
+    }
+    Ok(Some(if parse_lease_request(line).is_some() {
+        WorkerMessage::Request
+    } else if parse_progress(line).is_some() {
+        WorkerMessage::Progress
+    } else if let Some((_, _, range)) = parse_lease_done(line) {
+        WorkerMessage::Done(range)
+    } else {
+        WorkerMessage::Unknown
+    }))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,10 +407,8 @@ mod tests {
         let spec = WorkerSpec {
             shard: 2,
             shard_count: 5,
-            cache: PathBuf::from("/tmp/shard-2.cache"),
             warm: Some(PathBuf::from("/tmp/warm.cache")),
             threads: 3,
-            stats: true,
             stats_json: Some(PathBuf::from("/tmp/shard-2-stats.json")),
             trace: Some(PathBuf::from("/tmp/shard-2.trace.json")),
             fault: Some(FaultPlan::DieAfterCells(9)),
@@ -365,10 +428,8 @@ mod tests {
         let spec = WorkerSpec {
             shard: 0,
             shard_count: 1,
-            cache: PathBuf::from("out.cache"),
             warm: None,
             threads: 0,
-            stats: false,
             stats_json: None,
             trace: None,
             fault: None,
@@ -400,6 +461,11 @@ mod tests {
         assert_eq!(parse_lease_reply("lease-retire"), Some(LeaseReply::Retire));
         assert_eq!(format_lease_done(0, 2, &(5..9)), "lease-done 0/2: 5..9");
         assert_eq!(parse_lease_done("lease-done 0/2: 5..9"), Some((0, 2, 5..9)));
+        assert_eq!(format_lease_records(1, 3, 77), "lease-records 1/3: 77");
+        assert_eq!(
+            parse_lease_records("lease-records 1/3: 18446744073709551615"),
+            Some((1, 3, u64::MAX))
+        );
         for junk in [
             "",
             "worker log line",
@@ -410,10 +476,14 @@ mod tests {
             "lease-done 0/2: 9..3",
             "lease-done 0/2 5..9",
             "shard-progress 0/2: 3/4",
+            "lease-records 0/2",
+            "lease-records 0/2: -1",
+            "lease-records 0/2: 18446744073709551616",
         ] {
             assert_eq!(parse_lease_request(junk), None, "{junk:?}");
             assert_eq!(parse_lease_reply(junk), None, "{junk:?}");
             assert_eq!(parse_lease_done(junk), None, "{junk:?}");
+            assert_eq!(parse_lease_records(junk), None, "{junk:?}");
         }
     }
 
@@ -440,16 +510,106 @@ mod tests {
         let cases: &[&[&str]] = &[
             &[],
             &["--shard", "3"],
-            &["--shard", "3/3", "--cache", "x"],
-            &["--shard", "0/2"],
-            &["--shard", "0/2", "--cache", "x", "--bogus"],
-            &["--shard", "0/2", "--cache", "x", "--rate-list", "1,zap"],
-            &["--shard", "0/2", "--cache", "x", "--rates", "1"],
+            &["--shard", "3/3"],
+            &["--shard", "0/2", "--bogus"],
+            &["--shard", "0/2", "--cache", "x"],
+            &["--shard", "0/2", "--stats"],
+            &["--shard", "0/2", "--rate-list", "1,zap"],
+            &["--shard", "0/2", "--rates", "1"],
         ];
         for case in cases {
             let args: Vec<String> = case.iter().map(|s| (*s).to_owned()).collect();
             let err = WorkerSpec::from_args(&args).unwrap_err();
             assert!(!err.to_string().is_empty(), "case {case:?}");
+        }
+    }
+
+    /// A worker stdout stream: `lines`, each newline-terminated, with a
+    /// record frame of `frame` inserted after the line that announces it.
+    fn stream(lines: &[&str], frame: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for line in lines {
+            out.extend_from_slice(line.as_bytes());
+            out.push(b'\n');
+            if line.starts_with("lease-records") {
+                out.extend_from_slice(frame);
+            }
+        }
+        out
+    }
+
+    /// Every message of `input`, each with the frame buffer as it left
+    /// it, until the stream ends.
+    fn messages(mut input: impl BufRead) -> Vec<(WorkerMessage, Vec<u8>)> {
+        let mut frame = Vec::new();
+        let mut seen = Vec::new();
+        while let Some(message) = read_message(&mut input, &mut frame).unwrap() {
+            seen.push((message, frame.clone()));
+        }
+        seen
+    }
+
+    #[test]
+    fn worker_stdout_reads_as_lines_and_frames() {
+        let frame = b"\n binary\x00bytes \n".to_vec();
+        let mut input = stream(
+            &[
+                "lease-request 0/1",
+                &format_lease_records(0, 1, frame.len()),
+                "shard-progress 0/1: 1/2",
+                "a line form this coordinator does not know",
+                "lease-done 0/1: 0..2",
+            ],
+            &frame,
+        );
+        // A partial trailing line is the end of the stream, not a message.
+        input.extend_from_slice(b"lease-done 0/1: 2..");
+        let kinds: Vec<WorkerMessage> = messages(io::Cursor::new(input.clone()))
+            .into_iter()
+            .map(|(message, _)| message)
+            .collect();
+        use WorkerMessage::*;
+        assert_eq!(kinds, [Request, Records, Progress, Unknown, Done(0..2)]);
+
+        // A pipe delivering one byte per read changes nothing: a frame
+        // split across reads arrives whole.
+        struct OneByte(io::Cursor<Vec<u8>>);
+        impl io::Read for OneByte {
+            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+                let n = buf.len().min(1);
+                self.0.read(&mut buf[..n])
+            }
+        }
+        let trickled = messages(io::BufReader::new(OneByte(io::Cursor::new(input))));
+        assert_eq!(trickled[1], (Records, frame));
+        assert_eq!(trickled.len(), 5);
+    }
+
+    #[test]
+    fn torn_and_oversized_frames_end_the_stream_buffering_only_what_arrived() {
+        for claimed in [64, u64::MAX / 2, u64::MAX] {
+            let header = format!("lease-records 0/1: {claimed}");
+            let input = stream(&["lease-request 0/1", &header], b"only these bytes");
+            let mut input = io::Cursor::new(input);
+            let mut frame = Vec::new();
+            let first = read_message(&mut input, &mut frame).unwrap();
+            assert_eq!(first, Some(WorkerMessage::Request));
+            assert_eq!(read_message(&mut input, &mut frame).unwrap(), None);
+            assert_eq!(frame, b"only these bytes", "claimed {claimed}");
+            assert!(frame.capacity() < 4096, "reserved {}", frame.capacity());
+        }
+    }
+
+    #[test]
+    fn an_unparseable_records_line_is_damage_not_an_unknown_line() {
+        for bad in [
+            "lease-records 0/1: lots",
+            "lease-records 0/1",
+            "lease-records",
+        ] {
+            let input = stream(&[bad, "lease-done 0/1: 0..1"], b"");
+            let seen = messages(io::Cursor::new(input));
+            assert_eq!(seen[0].0, WorkerMessage::BadRecords(bad.to_owned()));
         }
     }
 }

@@ -1,13 +1,14 @@
 //! The worker side: evaluate cells of a grid's canonical deduplicated
-//! cell range and emit them as cache records.
+//! cell range and send them to the coordinator as cache records.
 //!
 //! A worker is deliberately dumb; all scheduling, merging and failure
 //! policy live in the coordinator. It repeatedly asks the coordinator
-//! for a cell-range lease over the stderr/stdin line protocol, resolves
-//! the granted cells, **flushes** the freshly evaluated records to the
-//! output path incrementally ([`CacheAppender`]) and announces
+//! for a cell-range lease (a `lease-request` line on stdout, answered on
+//! stdin), resolves the granted cells batch by batch, sends each batch's
+//! freshly evaluated records as a record frame on stdout and announces
 //! `lease-done` — so a worker that dies mid-run has still delivered
-//! every lease it completed.
+//! every batch it sent. Stdout is the worker's one machine channel;
+//! stderr is plain text for humans.
 //!
 //! A [`FaultPlan`] makes a worker misbehave at a deterministic point;
 //! the fault-injection suite drives it to prove the coordinator's
@@ -16,19 +17,21 @@
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
-use memstream_grid::{CacheAppender, CellOutcome, GridExecutor, KeyInterner, Metrics, ResultCache};
+use memstream_grid::telemetry::Tracer;
+use memstream_grid::{encode_frame, CellOutcome, GridExecutor, KeyInterner, Metrics, ResultCache};
 
 use crate::fault::FaultPlan;
 use crate::protocol::{
-    format_lease_done, format_lease_request, format_progress, parse_lease_reply, LeaseReply,
-    WorkerSpec,
+    format_lease_done, format_lease_records, format_lease_request, format_progress,
+    parse_lease_reply, LeaseReply, WorkerSpec,
 };
 
-/// How many flush batches a worker splits each lease into. Each batch
-/// is one `resolve_cells` pass followed by a heartbeat, so more batches
-/// mean finer-grained liveness at the cost of re-planning series across
-/// batch boundaries; four keeps that overhead marginal while a stuck
-/// worker is still spotted within a quarter of its lease.
+/// How many batches a worker splits each lease into. Each batch is one
+/// `resolve_cells` pass followed by its record frame and a heartbeat,
+/// so more batches mean finer-grained liveness at the cost of
+/// re-planning series across batch boundaries; four keeps that overhead
+/// marginal while a stuck worker is still spotted within a quarter of
+/// its lease.
 const PROGRESS_CHUNKS: usize = 4;
 
 /// The exit code of a worker killed by its own [`FaultPlan`] — distinct
@@ -36,58 +39,100 @@ const PROGRESS_CHUNKS: usize = 4;
 /// reason is distinguishable in the ledger.
 const FAULT_EXIT: i32 = 86;
 
-/// What one worker run did (the numbers the harness prints to stderr).
+/// What one worker run did (the numbers of its stderr accounting line).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WorkerSummary {
+struct WorkerSummary {
     /// Cells assigned to this worker: the union of its completed leases.
-    pub assigned: usize,
+    assigned: usize,
     /// Cells resolved from the warm cache without evaluation.
-    pub warm_hits: usize,
+    warm_hits: usize,
     /// Cells freshly evaluated by this worker.
-    pub evaluated: usize,
+    evaluated: usize,
 }
 
-/// Runs one shard worker to completion (see module docs), talking to
-/// the coordinator over this process's real stdin/stderr.
+/// The `shard-worker` process: the one entry point behind
+/// `harness shard-worker` and the crate's test worker binary.
 ///
-/// # Errors
-///
-/// I/O errors from the cache files, or a coordinator reply that is not
-/// part of the protocol.
-pub fn run_worker(spec: &WorkerSpec) -> io::Result<WorkerSummary> {
-    run_worker_with_metrics(spec, &Metrics::disabled())
+/// Decodes a [`WorkerSpec`] from `args` (a [`crate::FAULT_PLAN_ENV`]
+/// plan applies when `--fault-plan` is absent), runs the lease loop over
+/// this process's stdin and stdout, then prints its accounting line to
+/// stderr and writes the `--stats-json` snapshot and `--trace` fragment
+/// it was asked for. Returns the process exit code: 0 on success, 1 if
+/// the run failed, 2 for malformed arguments or an unwritable stats or
+/// trace file.
+#[must_use]
+pub fn worker_main(args: &[String]) -> i32 {
+    let mut spec = match WorkerSpec::from_args(args) {
+        Ok(spec) => spec,
+        Err(e) => {
+            eprintln!("{e}");
+            return 2;
+        }
+    };
+    // The env seam (`MEMSTREAM_FAULT_PLAN=shard=K:PLAN`) injects a fault
+    // without the coordinator's cooperation — how CI kills one worker of
+    // a real `--shards` run. An explicit --fault-plan wins.
+    if spec.fault.is_none() {
+        spec.fault = FaultPlan::from_env(spec.shard);
+    }
+    // The tracer is live exactly when the coordinator asked for a
+    // fragment file: the worker's span events (and their thread ids)
+    // land in the merged timeline alongside the coordinator's own.
+    let tracer = if spec.trace.is_some() {
+        Tracer::enabled()
+    } else {
+        Tracer::disabled()
+    };
+    let metrics = Metrics::enabled_with_tracer(&tracer);
+    let mut stdout = io::BufWriter::new(io::stdout().lock());
+    let run = run_lease_worker(&spec, &metrics, &mut io::stdin().lock(), &mut stdout)
+        .and_then(|summary| stdout.flush().map(|()| summary));
+    let summary = match run {
+        Ok(summary) => summary,
+        Err(e) => {
+            eprintln!("shard {}/{} failed: {e}", spec.shard, spec.shard_count);
+            return 1;
+        }
+    };
+    eprintln!(
+        "shard {}/{}: {} cells assigned, {} warm hits, {} evaluated",
+        spec.shard, spec.shard_count, summary.assigned, summary.warm_hits, summary.evaluated
+    );
+    if let Some(path) = &spec.stats_json {
+        if let Err(e) = std::fs::write(path, metrics.snapshot().to_json()) {
+            eprintln!("stats-json write error: {}: {e}", path.display());
+            return 2;
+        }
+    }
+    if let Some(path) = &spec.trace {
+        if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
+            eprintln!("trace write error: {}: {e}", path.display());
+            return 2;
+        }
+    }
+    0
 }
 
-/// [`run_worker`] reporting into `metrics`: the worker's evaluation and
-/// cache traffic land in the `grid.*`/`cache.*` catalogues (the harness's
-/// `shard-worker --stats` path). Telemetry never changes the records a
-/// worker writes.
-///
-/// The worker emits machine-parseable heartbeat lines on **stderr**
-/// (`shard-progress i/N: cells_done/cells_total`, see
-/// [`format_progress`]). The coordinator consumes these lines into its
-/// aggregated progress display instead of forwarding them; stdout is
-/// untouched, so the byte-identity contract holds.
-///
-/// # Errors
-///
-/// As [`run_worker`].
-pub fn run_worker_with_metrics(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<WorkerSummary> {
-    let stdin = io::stdin();
-    let mut replies = stdin.lock();
-    let mut control = io::stderr().lock();
-    run_lease_worker(spec, metrics, &mut replies, &mut control)
+/// Writes one record frame: its `lease-records` header line, then the
+/// frame's bytes.
+fn write_frame(out: &mut dyn Write, spec: &WorkerSpec, frame: &[u8]) -> io::Result<()> {
+    writeln!(
+        out,
+        "{}",
+        format_lease_records(spec.shard, spec.shard_count, frame.len())
+    )?;
+    out.write_all(frame)
 }
 
-/// The lease loop, factored over abstract reply/control streams so the
+/// The lease loop, factored over abstract reply/output streams so the
 /// protocol state machine is unit-testable with scripted replies.
-/// `control` is the worker's stderr (requests, `lease-done`, heartbeats);
-/// `replies` is its stdin (grants, retire).
+/// `out` is the worker's stdout (requests, record frames, heartbeats,
+/// `lease-done`); `replies` is its stdin (grants, retire).
 fn run_lease_worker(
     spec: &WorkerSpec,
     metrics: &Metrics,
     replies: &mut dyn BufRead,
-    control: &mut dyn Write,
+    out: &mut dyn Write,
 ) -> io::Result<WorkerSummary> {
     let grid = spec.recipe.build();
     let unique = grid.unique_cells();
@@ -96,26 +141,24 @@ fn run_lease_worker(
     let mut working = load_warm(spec, metrics)?;
     working.set_metrics(metrics);
     let executor = GridExecutor::parallel(spec.threads).with_metrics(metrics);
-    // The header goes out immediately, so the coordinator's flush reader
-    // can distinguish "no results yet" from "wrong file".
-    let mut appender = CacheAppender::create(&spec.cache)?;
 
     let mut evaluated = 0usize; // fresh cells so far — the fault trigger
     let mut completed = 0usize; // cells of fully completed leases
     let mut granted = 0usize; // cells ever granted
-    let mut flushed_any = false;
+    let mut sent_any = false;
 
     loop {
         writeln!(
-            control,
+            out,
             "{}",
             format_lease_request(spec.shard, spec.shard_count)
         )?;
-        control.flush()?;
+        // The reply is read next: everything before it must be out.
+        out.flush()?;
         let mut line = String::new();
         if replies.read_line(&mut line)? == 0 {
             // Coordinator hung up (it may have died); delivered leases are
-            // already flushed, so just stop asking.
+            // already sent, so just stop asking.
             break;
         }
         let range = match parse_lease_reply(line.trim_end()) {
@@ -156,7 +199,7 @@ fn run_lease_worker(
 
             match spec.fault {
                 Some(FaultPlan::DieAfterCells(k)) if evaluated >= k => {
-                    // Abrupt death: nothing flushed for this batch, no
+                    // Abrupt death: no frame for this batch, no
                     // lease-done — the coordinator must reclaim.
                     std::process::exit(FAULT_EXIT);
                 }
@@ -181,36 +224,37 @@ fn run_lease_worker(
                 .map(String::as_str)
                 .zip(outcomes.iter())
                 .collect();
-            let first_flush = !flushed_any && !records.is_empty();
-            flushed_any = flushed_any || !records.is_empty();
+            let first_frame = !sent_any && !records.is_empty();
+            sent_any = sent_any || !records.is_empty();
             match spec.fault {
-                Some(FaultPlan::TruncateFlush) if first_flush => {
-                    // Commit half the batch, tear the stream mid-record,
-                    // die. The committed prefix must survive recovery.
-                    appender.append(records[..records.len() / 2].iter().copied())?;
-                    append_raw(spec, &{
-                        let mut torn = 64u32.to_le_bytes().to_vec();
-                        torn.extend_from_slice(&[0xAB; 7]);
-                        torn
-                    })?;
+                Some(FaultPlan::TruncateFlush) if first_frame => {
+                    // Send half the batch, then tear the stream inside a
+                    // frame whose bytes never arrive, and die. The frame
+                    // sent whole must survive recovery.
+                    let half = records.len() / 2;
+                    write_frame(out, spec, &encode_frame(records[..half].iter().copied()))?;
+                    writeln!(
+                        out,
+                        "{}",
+                        format_lease_records(spec.shard, spec.shard_count, 64)
+                    )?;
+                    out.write_all(&[0xAB; 7])?;
+                    out.flush()?;
                     std::process::exit(FAULT_EXIT);
                 }
-                Some(FaultPlan::CorruptFlush) if first_flush => {
-                    // A complete-but-undecodable record instead of the
-                    // batch; then carry on lying (`lease-done` below for
-                    // work that was never delivered).
-                    append_raw(spec, &{
-                        let mut junk = 8u32.to_le_bytes().to_vec();
-                        junk.extend_from_slice(&[0xAB; 8]);
-                        junk
-                    })?;
+                Some(FaultPlan::CorruptFlush) if first_frame => {
+                    // A complete frame holding one undecodable record
+                    // instead of the batch; then carry on lying
+                    // (`lease-done` below for work never delivered).
+                    let mut junk = 8u32.to_le_bytes().to_vec();
+                    junk.extend_from_slice(&[0xAB; 8]);
+                    write_frame(out, spec, &junk)?;
                 }
-                _ => {
-                    appender.append(records)?;
-                }
+                _ if records.is_empty() => {}
+                _ => write_frame(out, spec, &encode_frame(records))?,
             }
             writeln!(
-                control,
+                out,
                 "{}",
                 format_progress(
                     spec.shard,
@@ -219,15 +263,15 @@ fn run_lease_worker(
                     granted
                 )
             )?;
+            out.flush()?;
         }
 
         completed += cells.len();
         writeln!(
-            control,
+            out,
             "{}",
             format_lease_done(spec.shard, spec.shard_count, &range)
         )?;
-        control.flush()?;
     }
 
     Ok(WorkerSummary {
@@ -238,11 +282,10 @@ fn run_lease_worker(
 }
 
 /// Lenient warm load, inside the `cache.load` span: a stale or
-/// truncated warm file costs re-evaluation, never correctness. (The
-/// coordinator reads *our* output with the flush reader — that is the
-/// wire format.) The load is lazy: the warm file is indexed, not
-/// decoded — warm planning probes the index and only the cells this
-/// worker actually touches are ever decoded.
+/// truncated warm file costs re-evaluation, never correctness. The load
+/// is lazy: the warm file is indexed, not decoded — warm planning probes
+/// the index and only the cells this worker actually touches are ever
+/// decoded.
 fn load_warm(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<ResultCache> {
     match &spec.warm {
         Some(path) => ResultCache::open(path, metrics),
@@ -250,20 +293,12 @@ fn load_warm(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<ResultCache> {
     }
 }
 
-/// Appends raw bytes to the flush stream behind the appender's back —
-/// the fault plans' way of producing torn or undecodable tails.
-fn append_raw(spec: &WorkerSpec, bytes: &[u8]) -> io::Result<()> {
-    use std::fs::OpenOptions;
-    let mut file = OpenOptions::new().append(true).open(&spec.cache)?;
-    file.write_all(bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{format_lease_reply, parse_lease_done, parse_lease_request};
+    use crate::protocol::{format_lease_reply, read_message, WorkerMessage};
     use crate::recipe::GridRecipe;
-    use memstream_grid::{CacheFormat, FlushReader};
+    use memstream_grid::{decode_frame, CacheFormat};
     use std::io::Cursor;
     use std::path::PathBuf;
 
@@ -276,14 +311,12 @@ mod tests {
         dir.join(name)
     }
 
-    fn lease_spec(cache: PathBuf, recipe: GridRecipe) -> WorkerSpec {
+    fn lease_spec(recipe: GridRecipe) -> WorkerSpec {
         WorkerSpec {
             shard: 0,
             shard_count: 1,
-            cache,
             warm: None,
             threads: 1,
-            stats: false,
             stats_json: None,
             trace: None,
             fault: None,
@@ -297,35 +330,57 @@ mod tests {
         Cursor::new((lines.join("\n") + "\n").into_bytes())
     }
 
+    /// One lease loop run: its summary, and its stdout read back the
+    /// coordinator's way — the messages in order and every record the
+    /// frames carried.
+    struct Run {
+        summary: WorkerSummary,
+        messages: Vec<WorkerMessage>,
+        records: Vec<(String, CellOutcome)>,
+    }
+
+    fn run(spec: &WorkerSpec, mut replies: Cursor<Vec<u8>>) -> io::Result<Run> {
+        let mut out = Vec::new();
+        let summary = run_lease_worker(spec, &Metrics::disabled(), &mut replies, &mut out)?;
+        let mut stdout = Cursor::new(out);
+        let (mut messages, mut records, mut frame) = (Vec::new(), Vec::new(), Vec::new());
+        while let Some(message) = read_message(&mut stdout, &mut frame).unwrap() {
+            if message == WorkerMessage::Records {
+                let (decoded, damage) = decode_frame(&frame);
+                assert_eq!(damage, None, "an honest worker sends whole frames");
+                records.extend(decoded);
+            }
+            messages.push(message);
+        }
+        Ok(Run {
+            summary,
+            messages,
+            records,
+        })
+    }
+
     #[test]
     fn worker_emits_exactly_its_slice() {
         // A lease from the middle of the range: exactly its cells reach
-        // the flush stream, nothing before or after it.
+        // stdout, nothing before or after it.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
         let unique = grid.unique_cells();
         let range = unique.len() / 3..2 * unique.len() / 3;
-        let path = temp_path("slice.cache");
-        let mut replies = script(&[LeaseReply::Grant(range.clone()), LeaseReply::Retire]);
-        let spec = lease_spec(path.clone(), recipe);
-        let summary =
-            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut Vec::new()).unwrap();
-        assert_eq!(summary.assigned, range.len());
-        assert_eq!(summary.evaluated, range.len());
-        assert_eq!(summary.warm_hits, 0);
-
-        let slice = ResultCache::load(&path).expect("lenient-readable flush stream");
-        assert_eq!(slice.len(), range.len());
-        for cell in &unique[range] {
-            assert!(slice.contains_key(&grid.dedup_key(cell)));
-        }
-        std::fs::remove_file(path).unwrap();
+        let replies = script(&[LeaseReply::Grant(range.clone()), LeaseReply::Retire]);
+        let run = run(&lease_spec(recipe), replies).unwrap();
+        assert_eq!(run.summary.assigned, range.len());
+        assert_eq!(run.summary.evaluated, range.len());
+        assert_eq!(run.summary.warm_hits, 0);
+        let keys: Vec<String> = unique[range].iter().map(|c| grid.dedup_key(c)).collect();
+        let sent: Vec<String> = run.records.into_iter().map(|(key, _)| key).collect();
+        assert_eq!(sent, keys);
     }
 
     #[test]
     fn warm_cells_are_not_re_evaluated() {
         // A fully warm file, read through the lazy view: the worker
-        // evaluates nothing and flushes nothing.
+        // evaluates nothing and sends no frame.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
         let len = grid.unique_cells().len();
@@ -336,20 +391,18 @@ mod tests {
             .unwrap();
         warm.save_as(&warm_path, CacheFormat::default()).unwrap();
 
-        let out = temp_path("warm-slice.cache");
-        let mut replies = script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]);
-        let mut spec = lease_spec(out.clone(), recipe);
+        let mut spec = lease_spec(recipe);
         spec.warm = Some(warm_path.clone());
-        let summary =
-            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut Vec::new()).unwrap();
-        assert_eq!(summary.evaluated, 0);
-        assert_eq!(summary.warm_hits, summary.assigned);
-        assert_eq!(summary.assigned, len);
-        let poll = FlushReader::new(out.clone()).poll().unwrap();
-        assert!(poll.records.is_empty(), "warm cells are not flushed");
-        for p in [warm_path, out] {
-            std::fs::remove_file(p).unwrap();
-        }
+        let run = run(
+            &spec,
+            script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]),
+        )
+        .unwrap();
+        assert_eq!(run.summary.evaluated, 0);
+        assert_eq!(run.summary.warm_hits, run.summary.assigned);
+        assert_eq!(run.summary.assigned, len);
+        assert!(!run.messages.contains(&WorkerMessage::Records));
+        std::fs::remove_file(warm_path).unwrap();
     }
 
     #[test]
@@ -360,73 +413,50 @@ mod tests {
         let len = unique.len();
         assert!(len >= 4, "classic(4) grid is big enough to split");
         let split = len / 2;
-        let path = temp_path("lease-flush.cache");
-
-        let mut replies = script(&[
+        let replies = script(&[
             LeaseReply::Grant(0..split),
             LeaseReply::Grant(split..len),
             LeaseReply::Retire,
         ]);
-        let mut control = Vec::new();
+        let run = run(&lease_spec(recipe), replies).unwrap();
+        assert_eq!(run.summary.assigned, len);
+        assert_eq!(run.summary.evaluated, len);
 
-        let spec = lease_spec(path.clone(), recipe);
-        let summary =
-            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut control).unwrap();
-        assert_eq!(summary.assigned, len);
-        assert_eq!(summary.evaluated, len);
-
-        let control = String::from_utf8(control).unwrap();
-        let lines: Vec<&str> = control.lines().collect();
-        assert_eq!(
-            lines
-                .iter()
-                .filter(|l| parse_lease_request(l).is_some())
-                .count(),
-            3,
-            "one request per reply: {control}"
-        );
-        let done: Vec<_> = lines
-            .iter()
-            .filter_map(|l| parse_lease_done(l))
-            .map(|(_, _, range)| range)
-            .collect();
-        assert_eq!(done, vec![0..split, split..len]);
-        assert!(
-            lines.iter().any(|l| l.starts_with("shard-progress ")),
-            "heartbeats interleave: {control}"
-        );
-
-        // Every cell reached the flush stream, incrementally readable.
-        let mut reader = FlushReader::new(path.clone());
-        let poll = reader.poll().unwrap();
-        assert!(!poll.damaged);
-        assert_eq!(poll.records.len(), len);
-        for cell in &unique {
-            let key = grid.dedup_key(cell);
-            assert!(poll.records.iter().any(|(k, _)| *k == key), "{key} missing");
+        // One frame and one heartbeat per batch of each lease.
+        let batches = |cells: usize| cells.div_ceil(cells.div_ceil(PROGRESS_CHUNKS));
+        let per_lease = [batches(split), batches(len - split)];
+        let count = |wanted: &WorkerMessage| run.messages.iter().filter(|m| *m == wanted).count();
+        assert_eq!(count(&WorkerMessage::Request), 3, "one request per reply");
+        assert_eq!(count(&WorkerMessage::Progress), per_lease[0] + per_lease[1]);
+        // Each lease's frames come before its `lease-done`.
+        let mut frames = 0;
+        let mut done = Vec::new();
+        for message in &run.messages {
+            match message {
+                WorkerMessage::Records => frames += 1,
+                WorkerMessage::Done(range) => {
+                    done.push(range.clone());
+                    assert_eq!(frames, per_lease[..done.len()].iter().sum::<usize>());
+                }
+                _ => {}
+            }
         }
-        // The flush stream is also a lenient-loadable cache.
-        let loaded = ResultCache::load(&path).unwrap();
-        assert_eq!(loaded.len(), len);
-        std::fs::remove_file(path).unwrap();
+        assert_eq!(done, vec![0..split, split..len]);
+        let sent: Vec<String> = run.records.into_iter().map(|(key, _)| key).collect();
+        let keys: Vec<String> = unique.iter().map(|c| grid.dedup_key(c)).collect();
+        assert_eq!(sent, keys, "every cell, in lease order");
     }
 
     #[test]
     fn lease_loop_stops_cleanly_when_the_coordinator_hangs_up() {
         let recipe = GridRecipe::classic(4);
         let len = recipe.build().unique_cells().len();
-        let path = temp_path("lease-eof.cache");
-        let script = format_lease_reply(&LeaseReply::Grant(0..2)) + "\n"; // then EOF
-        let mut replies = Cursor::new(script.into_bytes());
-        let mut control = Vec::new();
-        let spec = lease_spec(path.clone(), recipe);
-        let summary =
-            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut control).unwrap();
-        assert_eq!(summary.assigned, 2);
         assert!(2 <= len);
-        let poll = FlushReader::new(path.clone()).poll().unwrap();
-        assert_eq!(poll.records.len(), 2, "the completed lease was flushed");
-        std::fs::remove_file(path).unwrap();
+        // One grant, then EOF: the coordinator hung up.
+        let run = run(&lease_spec(recipe), script(&[LeaseReply::Grant(0..2)])).unwrap();
+        assert_eq!(run.summary.assigned, 2);
+        assert_eq!(run.records.len(), 2, "the completed lease was sent");
+        assert_eq!(run.messages.last(), Some(&WorkerMessage::Request));
     }
 
     #[test]
@@ -437,22 +467,17 @@ mod tests {
             format_lease_reply(&LeaseReply::Grant(0..len + 1)),
             "who goes there".to_owned(),
         ] {
-            let path = temp_path("lease-bad.cache");
-            let mut replies = Cursor::new((bad.clone() + "\n").into_bytes());
-            let mut control = Vec::new();
-            let spec = lease_spec(path.clone(), recipe.clone());
-            let err = run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut control)
-                .unwrap_err();
+            let replies = Cursor::new((bad.clone() + "\n").into_bytes());
+            let err = run(&lease_spec(recipe.clone()), replies).err().unwrap();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
-            std::fs::remove_file(path).unwrap();
         }
     }
 
     #[test]
     fn warm_cells_are_not_flushed_in_lease_mode() {
-        // The coordinator already holds warm records; re-flushing them
+        // The coordinator already holds warm records; re-sending them
         // would be wasted bytes (and a dedup hazard). Only fresh cells
-        // may appear in the stream.
+        // may appear in the frames.
         let recipe = GridRecipe::classic(4);
         let grid = recipe.build();
         let unique = grid.unique_cells();
@@ -462,20 +487,20 @@ mod tests {
         GridExecutor::serial().resolve_cells(&grid, &unique[0..2], &mut warm);
         warm.save_as(&warm_path, CacheFormat::default()).unwrap();
 
-        let path = temp_path("lease-warm-out.cache");
-        let mut replies = script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]);
-        let mut spec = lease_spec(path.clone(), recipe);
+        let mut spec = lease_spec(recipe);
         spec.warm = Some(warm_path.clone());
-        let summary =
-            run_lease_worker(&spec, &Metrics::disabled(), &mut replies, &mut Vec::new()).unwrap();
-        assert_eq!(summary.assigned, len);
-        assert_eq!(summary.evaluated, len - 2);
-        assert_eq!(summary.warm_hits, 2);
-
-        let poll = FlushReader::new(path.clone()).poll().unwrap();
-        assert_eq!(poll.records.len(), len - 2, "warm cells stay out");
-        for p in [warm_path, path] {
-            std::fs::remove_file(p).unwrap();
+        let run = run(
+            &spec,
+            script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]),
+        )
+        .unwrap();
+        assert_eq!(run.summary.assigned, len);
+        assert_eq!(run.summary.evaluated, len - 2);
+        assert_eq!(run.summary.warm_hits, 2);
+        assert_eq!(run.records.len(), len - 2, "warm cells stay out");
+        for (key, _) in &run.records {
+            assert!(!warm.contains_key(key), "warm key {key} was sent");
         }
+        std::fs::remove_file(warm_path).unwrap();
     }
 }

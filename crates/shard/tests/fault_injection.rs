@@ -1,9 +1,10 @@
 //! End-to-end fault injection against a real spawned worker fleet.
 //!
 //! Every test drives [`memstream_shard::explore_sharded`] with the
-//! crate's own worker binary (`memstream-shard-worker`), injects a
-//! deterministic fault into one worker — death, stall, SIGKILL, a torn
-//! or corrupt flush stream — and asserts the scheduler's core promise:
+//! crate's own worker binary (`memstream-shard-worker`, the same
+//! `worker_main` as `harness shard-worker`), injects a deterministic
+//! fault into one worker — death, stall, SIGKILL, a torn or corrupt
+//! record frame — and asserts the scheduler's core promise:
 //! the run still completes with **byte-identical stdout** as long as at
 //! least one worker survives, and the ledger attributes exactly what
 //! happened to the faulty shard.
@@ -286,7 +287,7 @@ fn stalled_worker_is_killed_reclaimed_and_output_stays_byte_identical() {
 #[test]
 fn waiting_longer_than_the_deadline_for_a_reclaimed_chunk_is_not_a_stall() {
     // Shard 0 is a scripted worker: it takes the only chunk, stays busy
-    // (one stderr line every 50ms) for 0.6s, then dies holding it. The
+    // (one stdout line every 50ms) for 0.6s, then dies holding it. The
     // real shard 1 asks for work meanwhile and waits about 0.5s — past
     // its 0.3s deadline — until the chunk is reclaimed. Its deadline
     // must run from that grant, so it finishes the run.
@@ -298,10 +299,10 @@ fn waiting_longer_than_the_deadline_for_a_reclaimed_chunk_is_not_a_stall() {
         gate='{gate}'
         case "$*" in
             *"--shard 0/"*)
-                echo "lease-request 0/2" >&2
+                echo "lease-request 0/2"
                 read -r reply range
                 touch "$gate"
-                for beat in 1 2 3 4 5 6 7 8 9 10 11 12; do echo "busy" >&2; sleep 0.05; done
+                for beat in 1 2 3 4 5 6 7 8 9 10 11 12; do echo "busy"; sleep 0.05; done
                 exit 3;;
             *)
                 until [ -e "$gate" ]; do sleep 0.01; done
@@ -327,9 +328,9 @@ fn waiting_longer_than_the_deadline_for_a_reclaimed_chunk_is_not_a_stall() {
 
 #[test]
 fn truncated_flush_keeps_the_committed_prefix() {
-    // A single worker tears its flush stream mid-record and dies: the
-    // run cannot complete (nobody is left), but every record committed
-    // before the tear must survive into the merged cache — the retry
+    // A single worker tears its stdout inside a record frame and dies:
+    // the run cannot complete (nobody is left), but every record of the
+    // frames sent whole must survive into the merged cache — the retry
     // starts warm, not from zero.
     let recipe = GridRecipe::classic(2);
     let opts = worker_opts(1)
@@ -341,16 +342,31 @@ fn truncated_flush_keeps_the_committed_prefix() {
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
     assert!(
         run.workers[0].flushed >= 1,
-        "the committed prefix must be collected"
+        "the frames sent whole must be collected"
     );
     assert_eq!(
         merged.len(),
         run.workers[0].flushed,
         "every collected record merges"
     );
-    if let Some(dir) = &run.scratch {
-        let _ = std::fs::remove_dir_all(dir);
-    }
+    // The incomplete run keeps its scratch directory, and records never
+    // travel through it: there is no per-worker cache file to find.
+    let scratch = run.scratch.as_ref().expect("incomplete runs keep scratch");
+    let files: Vec<String> = std::fs::read_dir(scratch)
+        .expect("scratch dir")
+        .map(|entry| {
+            entry
+                .expect("entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .collect();
+    assert!(
+        !files.iter().any(|name| name.ends_with(".cache")),
+        "scratch holds {files:?}"
+    );
+    let _ = std::fs::remove_dir_all(scratch);
 
     // The warmed cache converges on retry: a fault-free fleet covers the
     // remainder and the bytes still match the single-process run.
@@ -358,15 +374,16 @@ fn truncated_flush_keeps_the_committed_prefix() {
         .expect("retry run");
     assert!(retry.is_complete(), "ledger: {:?}", retry.failures);
     assert_eq!(retry.cached, run.workers[0].flushed);
-    assert_byte_identical(&recipe, &mut merged, "retry after a torn flush");
+    assert_byte_identical(&recipe, &mut merged, "retry after a torn frame");
 }
 
 #[cfg(unix)]
 #[test]
 fn corrupt_flush_is_attributed_and_output_stays_byte_identical() {
-    // Shard 0 writes an undecodable record and *lies* with `lease-done`.
-    // The collector must catch the damaged stream at the announcement,
-    // attribute it, and let the survivor redo the work.
+    // Shard 0 sends a frame holding an undecodable record and *lies*
+    // with `lease-done`. The collector must catch the damaged frame
+    // before the announcement, attribute it, and let the survivor redo
+    // the work.
     let recipe = GridRecipe::classic(2);
     let gate = gate_path("corrupt");
     let opts = worker_opts(2)

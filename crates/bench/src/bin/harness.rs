@@ -30,25 +30,22 @@
 //! the single-process run for any shard count, lease size or failure
 //! pattern that leaves one live worker; shard accounting and the
 //! per-shard error ledger go to stderr, and an *incomplete* run
-//! (coverage lost) fails with exit code 1.
-//! `--lease-cells`/`--lease-deadline` tune the scheduler; `--fault-plan
-//! SHARD:PLAN` (or the `MEMSTREAM_FAULT_PLAN=shard=K:PLAN` environment
-//! variable on a worker) injects deterministic worker faults for tests
-//! and CI smoke runs.
+//! (coverage lost) fails with exit code 1. No shard run writes a file
+//! of its own. `--lease-cells`/`--lease-deadline` tune the scheduler;
+//! `--fault-plan SHARD:PLAN` injects deterministic worker faults for
+//! tests and CI smoke runs.
 //!
 //! `harness shard-worker --shard i/N ...` is the worker side of that
 //! protocol (`memstream_shard::worker_main`; not for interactive use):
-//! its stdout is the machine channel — lease requests, heartbeats and
-//! each batch's records as a length-prefixed frame — grants arrive on
-//! its stdin, and its stderr is plain text the coordinator forwards
-//! (`docs/SHARD_PROTOCOL.md`).
+//! its stdout is the machine channel — lease requests, each batch's
+//! records as a length-prefixed frame, and its telemetry once it
+//! retires — grants arrive on its stdin, and its stderr is plain text
+//! the coordinator forwards (`docs/SHARD_PROTOCOL.md`).
 //!
 //! `grid` and `refine` accept `--stats` (telemetry table on stderr),
 //! `--stats-json PATH` (snapshot as JSON) and `--trace PATH` (the run's
 //! timeline as a Chrome/Perfetto-loadable trace, shard worker events
-//! merged in); none of them ever changes the report on stdout. A shard
-//! worker writes its `--stats-json` and `--trace` files for the
-//! coordinator to merge.
+//! merged in); none of them ever changes the report on stdout.
 //! `--cache PATH` files use one binary format (`docs/CACHE_FORMAT.md`);
 //! a run that adds nothing to the file leaves it untouched.
 
@@ -428,6 +425,12 @@ impl SharedFlags {
             eprintln!("--shards must be at least 1");
             std::process::exit(2);
         }
+        if !std::time::Duration::try_from_secs_f64(self.lease_deadline)
+            .is_ok_and(|deadline| !deadline.is_zero())
+        {
+            eprintln!("--lease-deadline must be finite and positive");
+            std::process::exit(2);
+        }
         self
     }
 
@@ -494,12 +497,6 @@ fn report_shard_run(run: &memstream_shard::ShardRun) {
     }
     for failure in &run.failures {
         eprintln!("  shard ledger: {failure}");
-    }
-    if let Some(scratch) = &run.scratch {
-        eprintln!(
-            "  shard scratch kept for post-mortem: {}",
-            scratch.display()
-        );
     }
 }
 
@@ -613,11 +610,7 @@ fn grid(args: &[String]) {
             &shared.recipe(),
             &mut cache,
             &shared.shard_options(shards).with_metrics(&metrics),
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("shard error: {e}");
-            std::process::exit(2);
-        });
+        );
         report_shard_run(&run);
         worker_traces.extend(run.workers.iter().filter_map(|w| w.trace.clone()));
         if !run.is_complete() {

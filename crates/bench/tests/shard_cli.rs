@@ -125,21 +125,19 @@ fn shard_accounting_stays_off_stdout() {
 }
 
 #[test]
-fn worker_heartbeats_become_an_aggregated_progress_line() {
+fn lease_completions_become_an_aggregated_progress_line() {
     let output = run(&["grid", "--rates", "6", "--shards", "2"]);
     assert!(output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
-    // The coordinator aggregates the workers' `shard-progress i/N:
-    // done/total` heartbeats into its own throttled line...
+    // The coordinator sums the workers' completed leases into its own
+    // throttled line, whose last print is the whole grid.
+    let cells = stderr
+        .split_once(" unique cells")
+        .and_then(|(head, _)| head.rsplit(' ').next())
+        .expect("the shard accounting line names the unique cells");
     assert!(
-        stderr.contains("shard progress: "),
+        stderr.contains(&format!("shard progress: {cells}/{cells} cells")),
         "coordinator must print an aggregated progress line:\n{stderr}"
-    );
-    // ...and consumes the raw heartbeats instead of forwarding them as
-    // worker stderr.
-    assert!(
-        !stderr.contains("shard-progress"),
-        "raw heartbeat lines must not be forwarded:\n{stderr}"
     );
     assert!(
         output.stdout.is_empty() || !String::from_utf8_lossy(&output.stdout).contains("progress"),
@@ -183,32 +181,28 @@ fn fault_plan_flag_kills_one_worker_and_the_bytes_survive() {
 }
 
 #[test]
-fn fault_plan_env_var_reaches_the_selected_worker() {
-    // The environment seam (how CI injects a fault without touching the
-    // coordinator's flags): inherited by every worker, obeyed only by
-    // the one the `shard=K:` selector names.
-    let reference = stdout_of(&["grid", "--rates", "5", "--threads", "2"]);
-    let output = Command::new(HARNESS)
-        .args(["grid", "--rates", "5", "--shards", "2"])
-        .env("MEMSTREAM_FAULT_PLAN", "shard=0:die-after-cells=1")
-        .output()
-        .expect("harness spawns");
-    let stderr = String::from_utf8_lossy(&output.stderr);
-    assert!(output.status.success(), "run must complete:\n{stderr}");
-    assert_eq!(String::from_utf8_lossy(&output.stdout), reference);
-    assert!(
-        stderr.contains("shard ledger: shard 0: worker died"),
-        "shard 0 must die per the env plan:\n{stderr}"
-    );
-    assert!(
-        !stderr.contains("shard ledger: shard 1"),
-        "the selector must spare shard 1:\n{stderr}"
-    );
-}
-
-#[test]
-fn malformed_fault_plans_are_rejected() {
-    let output = run(&["grid", "--shards", "2", "--fault-plan", "die-after-cells=2"]);
-    assert_eq!(output.status.code(), Some(2));
-    assert!(String::from_utf8_lossy(&output.stderr).contains("not SHARD:PLAN"));
+fn malformed_shard_flags_are_rejected() {
+    // Each flag is rejected up front: exit 2 and a one-line reason,
+    // before any worker is spawned.
+    let deadline = "--lease-deadline must be finite and positive";
+    let cases: &[(&[&str], &str)] = &[
+        (&["--fault-plan", "die-after-cells=2"], "not SHARD:PLAN"),
+        (&["--fault-plan", "1:explode"], "not SHARD:PLAN"),
+        (&["--shards", "0"], "--shards must be at least 1"),
+        (&["--lease-deadline", "-1"], deadline),
+        (&["--lease-deadline", "nan"], deadline),
+        (&["--lease-deadline", "inf"], deadline),
+        (&["--lease-deadline", "1e30"], deadline),
+        (&["--lease-deadline", "0"], deadline),
+    ];
+    for (flags, reason) in cases {
+        for command in ["grid", "refine"] {
+            let mut args = vec![command, "--rates", "4", "--shards", "2"];
+            args.extend_from_slice(flags);
+            let output = run(&args);
+            let stderr = String::from_utf8_lossy(&output.stderr);
+            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+            assert!(stderr.contains(reason), "{args:?}: {stderr}");
+        }
+    }
 }

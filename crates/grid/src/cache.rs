@@ -814,6 +814,11 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    /// An optional value that `make` checks into a quantity.
+    fn opt_quantity<T, E>(&mut self, make: fn(f64) -> Result<T, E>) -> Option<Option<T>> {
+        self.opt_f64()?.map(make).transpose().ok()
+    }
+
     fn str_slice(&mut self) -> Option<&'a str> {
         let len = self.u32()? as usize;
         std::str::from_utf8(self.take(len)?).ok()
@@ -830,24 +835,25 @@ impl<'a> ByteReader<'a> {
 
     /// The outcome (tag and payload) at the cursor, which must end
     /// exactly at the end of the bytes — the length prefix and the
-    /// payload must agree.
+    /// payload must agree. A value that breaks its unit's invariant (a
+    /// negative size, a ratio above 1, ...) makes the record undecodable.
     fn outcome(&mut self) -> Option<CellOutcome> {
         let outcome = match self.take(1)?[0] {
             b'F' => CellOutcome::Feasible(PlannedPoint {
-                buffer: DataSize::from_bits(self.f64()?),
+                buffer: DataSize::try_from_bits(self.f64()?).ok()?,
                 dominant: self.label()?,
                 saving: self.opt_f64()?,
-                utilization: Ratio::from_fraction(self.f64()?),
-                lifetime: Years::new(self.f64()?),
-                energy_per_bit: self.opt_f64()?.map(EnergyPerBit::from_joules_per_bit),
+                utilization: Ratio::try_from_fraction(self.f64()?).ok()?,
+                lifetime: Years::try_new(self.f64()?).ok()?,
+                energy_per_bit: self.opt_quantity(EnergyPerBit::try_from_joules_per_bit)?,
             }),
             b'X' => CellOutcome::Infeasible {
                 region: self.label()?,
                 detail: self.string()?,
             },
             b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                break_even: self.opt_f64()?.map(DataSize::from_bits),
-                buffer_for_saving: self.opt_f64()?.map(DataSize::from_bits),
+                break_even: self.opt_quantity(DataSize::try_from_bits)?,
+                buffer_for_saving: self.opt_quantity(DataSize::try_from_bits)?,
                 saving: self.opt_f64()?,
             }),
             b'U' => CellOutcome::Unmodelled {
@@ -1679,7 +1685,36 @@ mod tests {
         bad_key[4..6].copy_from_slice(&[0xFF, 0xFE]);
         let mut non_utf8 = (bad_key.len() as u32).to_le_bytes().to_vec();
         non_utf8.extend_from_slice(&bad_key);
-        for damaged in [garbage, non_utf8] {
+        // Well-formed records holding a value that breaks its unit's
+        // invariant: a negative lifetime, a utilization above 1, a NaN
+        // buffer, a negative per-bit energy.
+        let feasible = encode_frame([(
+            "f",
+            &CellOutcome::Feasible(PlannedPoint {
+                buffer: DataSize::from_kibibytes(12.0),
+                dominant: "Lpe",
+                saving: Some(0.75),
+                utilization: Ratio::from_fraction(0.93),
+                lifetime: Years::new(7.5),
+                energy_per_bit: Some(EnergyPerBit::from_joules_per_bit(2e-9)),
+            }),
+        )]);
+        let broken = [
+            (7.5, -1.0),
+            (0.93, 2.0),
+            (98_304.0, f64::NAN),
+            (2e-9, -2e-9),
+        ]
+        .map(|(value, bad): (f64, f64)| {
+            let at = feasible
+                .windows(8)
+                .position(|w| w == value.to_bits().to_le_bytes())
+                .expect("the value's bytes");
+            let mut record = feasible.clone();
+            record[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+            record
+        });
+        for damaged in [garbage, non_utf8].into_iter().chain(broken) {
             let mut frame = good.clone();
             frame.extend_from_slice(&damaged);
             // Nothing after the damage is read, not even a good record.

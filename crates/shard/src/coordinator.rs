@@ -8,11 +8,13 @@
 //! stdout, its one machine channel: `lease-request` lines are answered
 //! with `lease-grant`/`lease-retire` lines on its stdin, record frames
 //! are decoded into the worker's collected records as they arrive,
-//! `lease-done` lines are checked against them, and `shard-progress`
-//! heartbeats feed the aggregated progress display. The worker's stderr
-//! is plain text, kept verbatim. A watchdog thread reclaims leases from
-//! workers that go silent past [`ShardOptions::lease_deadline`] (killing
-//! the stragglers), so their chunks are re-issued to live workers.
+//! `lease-done` lines are checked against them and feed the aggregated
+//! progress display, and the worker's telemetry payloads are folded into
+//! the coordinator's. The worker's stderr is plain text, kept verbatim. A
+//! watchdog thread reclaims leases from workers that go silent past
+//! [`ShardOptions::lease_deadline`] (killing the stragglers), so their
+//! chunks are re-issued to live workers. Nothing touches the file
+//! system.
 //!
 //! Nothing here polls: collectors waiting for work and the watchdog
 //! waiting for the next deadline park on one condvar, which every lease
@@ -27,25 +29,26 @@
 //! whole range conflict-free, which holds for any worker count, lease
 //! size or failure pattern that leaves at least one live worker.
 
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt;
 use std::io;
 use std::io::{Read as _, Write as _};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use memstream_grid::telemetry::{parse_histograms, Histogram, TraceSnapshot};
+use memstream_grid::telemetry::{parse_histograms, TraceSnapshot};
 use memstream_grid::{
     decode_frame, CacheFormat, GridError, KeyInterner, MergeStats, Metrics, ResultCache,
 };
 
 use crate::fault::FaultPlan;
 use crate::lease::{LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};
-use crate::protocol::{format_lease_reply, read_message, LeaseReply, WorkerMessage, WorkerSpec};
+use crate::protocol::{
+    format_lease_reply, read_message, LeaseReply, Payload, WorkerMessage, WorkerSpec,
+};
 use crate::recipe::GridRecipe;
 
 /// How a shard failed (the ledger's classification).
@@ -56,12 +59,12 @@ pub enum ShardFailureKind {
     /// The worker exited abnormally (non-zero status, killed by a
     /// signal) or exited cleanly while the lease queue was undrained.
     Died,
-    /// The worker stopped heartbeating past the lease deadline; the
-    /// watchdog killed it and reclaimed its leases.
+    /// The worker sent nothing past the lease deadline while holding a
+    /// lease; the watchdog killed it and reclaimed its leases.
     Stalled,
     /// The worker's stdout carried damage: a complete record frame
-    /// holding an undecodable record, or a `lease-records` line that
-    /// does not parse. The records before the damage are kept.
+    /// holding an undecodable record, or a payload header line that does
+    /// not parse. The records before the damage are kept.
     FlushCorrupt,
     /// The worker announced a lease it never delivered, sent keys
     /// outside the planned grid, or the final merge left cells
@@ -111,11 +114,13 @@ pub struct WorkerReport {
     pub shard: usize,
     /// Leases this worker completed (`lease-done` accepted by the queue).
     pub leases: usize,
-    /// Cells of those completed leases (warm cells inside the chunks
-    /// included).
+    /// Cells of those completed leases (cells the coordinator already
+    /// held included).
     pub cells: usize,
     /// Records collected from this worker's record frames — including
-    /// those of a worker that later died or sent a damaged frame.
+    /// those of a worker that later died or sent a damaged frame, but not
+    /// those of cells the coordinator already held, which are dropped on
+    /// arrival.
     pub flushed: usize,
     /// What the union merge of this worker's collected records did.
     /// `None` when the worker never spawned or its records conflicted.
@@ -128,11 +133,9 @@ pub struct WorkerReport {
     /// `shard.worker_wall` histogram when metrics are enabled). Zero for
     /// a worker that never spawned.
     pub wall_seconds: f64,
-    /// `shard-progress` heartbeat lines the coordinator consumed from
-    /// this worker's stdout.
-    pub heartbeats: usize,
     /// The worker's timeline-trace fragment, when the fan-out ran with
-    /// tracing ([`ShardOptions::with_trace`]) and the worker wrote one.
+    /// tracing ([`ShardOptions::with_trace`]) and the worker sent one
+    /// that parses.
     pub trace: Option<TraceSnapshot>,
 }
 
@@ -167,10 +170,6 @@ pub struct ShardRun {
     /// Whether the merged cache covers the whole canonical range
     /// conflict-free — the property [`ShardRun::is_complete`] reports.
     pub complete: bool,
-    /// The scratch directory holding the warm file and the workers'
-    /// stats and trace files; kept (for a post-mortem) exactly when the
-    /// run is incomplete.
-    pub scratch: Option<PathBuf>,
 }
 
 impl ShardRun {
@@ -183,15 +182,12 @@ impl ShardRun {
     }
 }
 
-/// A sharded exploration failed before any per-shard ledger could be
-/// built, or a caller promoted an incomplete run's ledger to a hard
-/// error.
+/// A sharded refinement round failed: its grid is unexplorable, or its
+/// fan-out was incomplete.
 #[derive(Debug)]
 pub enum ShardError {
     /// The grid itself is unexplorable.
     Grid(GridError),
-    /// Coordinator-side I/O failed (scratch dir, warm-file write).
-    Scratch(io::Error),
     /// The run was incomplete; the ledger is attached.
     Workers(Vec<ShardFailure>),
 }
@@ -200,7 +196,6 @@ impl fmt::Display for ShardError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ShardError::Grid(e) => write!(f, "sharded exploration: {e}"),
-            ShardError::Scratch(e) => write!(f, "shard scratch I/O: {e}"),
             ShardError::Workers(ledger) => {
                 write!(f, "{} shard(s) failed", ledger.len())?;
                 for failure in ledger {
@@ -216,7 +211,6 @@ impl std::error::Error for ShardError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ShardError::Grid(e) => Some(e),
-            ShardError::Scratch(e) => Some(e),
             ShardError::Workers(_) => None,
         }
     }
@@ -249,10 +243,9 @@ pub struct ShardOptions {
     /// Disabled by default.
     pub metrics: Metrics,
     /// Whether workers are asked to record a timeline trace. Each worker
-    /// writes a Chrome-trace fragment into the scratch directory; the
-    /// coordinator reads the fragments back into
-    /// [`WorkerReport::trace`] for the harness to merge with its own
-    /// timeline. Disabled by default.
+    /// sends its Chrome-trace fragment on its stdout; the coordinator
+    /// parses it into [`WorkerReport::trace`] for the harness to merge
+    /// with its own timeline. Disabled by default.
     pub trace: bool,
     /// Cells per lease chunk; `0` (the default) sizes chunks so each
     /// worker gets roughly [`LEASE_CHUNKS_PER_WORKER`] of them.
@@ -305,10 +298,10 @@ impl ShardOptions {
         self
     }
 
-    /// Accepts the encoding of the fan-out's warm cache file. The cache
-    /// has a single on-disk format, so this changes nothing; it is kept
-    /// so that callers written against the earlier two-format API (the
-    /// benchmark's replay among them) keep compiling.
+    /// Accepts a cache file encoding. A fan-out writes no file and the
+    /// cache has a single on-disk format, so this changes nothing; it is
+    /// kept so that callers written against the earlier two-format API
+    /// (the benchmark's replay among them) keep compiling.
     #[must_use]
     pub fn with_cache_format(self, format: CacheFormat) -> Self {
         let CacheFormat::Binary = format;
@@ -350,18 +343,19 @@ impl ShardOptions {
 const PROGRESS_THROTTLE: Duration = Duration::from_millis(200);
 
 /// The throttled `shard progress: done/total cells` stderr line, shared
-/// by every collector thread. Never touches stdout.
+/// by every collector thread and reprinted on lease completions (the
+/// last one always). Never touches stdout.
 #[derive(Default)]
 struct ProgressPrinter {
     last: Mutex<Option<Instant>>,
 }
 
 impl ProgressPrinter {
-    fn update(&self, done: usize, total: usize, force: bool) {
+    fn update(&self, done: usize, total: usize) {
         let Ok(mut last) = self.last.lock() else {
             return;
         };
-        if force || last.is_none_or(|at| at.elapsed() >= PROGRESS_THROTTLE) {
+        if done == total || last.is_none_or(|at| at.elapsed() >= PROGRESS_THROTTLE) {
             *last = Some(Instant::now());
             eprintln!("shard progress: {done}/{total} cells");
         }
@@ -370,12 +364,12 @@ impl ProgressPrinter {
 
 /// The immutable work map every collector verifies against: the
 /// canonical dedup keys, which cells the coordinator already held, and
-/// the key universe (for spotting a worker that evaluated a different
+/// each key's position (for spotting a worker that evaluated a different
 /// grid). Both key collections share one allocation per key.
 struct WorkPlan {
     keys: Vec<Arc<str>>,
     covered: Vec<bool>,
-    key_set: HashSet<Arc<str>>,
+    index: HashMap<Arc<str>, usize>,
 }
 
 /// The mutable scheduler state shared by collectors and the watchdog.
@@ -412,8 +406,8 @@ impl LeaseShared {
         }
     }
 
-    /// A heartbeat only postpones `worker`'s deadline, so it wakes
-    /// nobody: a watchdog that wakes early just recomputes.
+    /// A message only postpones `worker`'s deadline, so it wakes nobody:
+    /// a watchdog that wakes early just recomputes.
     fn touch(&self, worker: usize) {
         if let Ok(mut state) = self.state.lock() {
             state.last_activity[worker] = Instant::now();
@@ -522,11 +516,11 @@ struct CollectorCtx {
     shared: Arc<LeaseShared>,
     plan: Arc<WorkPlan>,
     printer: Arc<ProgressPrinter>,
+    metrics: Metrics,
     child: SharedChild,
     stdin: Option<ChildStdin>,
     stdout: Option<std::process::ChildStdout>,
     stderr: Option<std::process::ChildStderr>,
-    lease_wait: Histogram,
     started: Instant,
 }
 
@@ -534,11 +528,10 @@ struct CollectorCtx {
 struct CollectedWorker {
     status: io::Result<ExitStatus>,
     stderr: String,
-    heartbeats: usize,
+    trace: Option<TraceSnapshot>,
     wall: Duration,
     /// Records collected from the worker's record frames.
     local: ResultCache,
-    flushed: usize,
     leases: usize,
     cells: usize,
     /// Leases still held at EOF (reclaimed and re-issued).
@@ -550,32 +543,34 @@ struct CollectedWorker {
 }
 
 /// Decodes one record frame into `local`, verifying every record's key
-/// is part of the planned grid. Records before any damage are kept — a
-/// worker condemned for a bad frame still delivers what preceded it.
-/// Returns how many records were kept, and the failure to attribute.
+/// is part of the planned grid. A record of a cell the coordinator
+/// already held is dropped on arrival: its own entry stands, so a stale
+/// cached entry never turns into a union conflict. Records before any
+/// damage are kept — a worker condemned for a bad frame still delivers
+/// what preceded it. Returns the failure to attribute, if any.
 fn absorb_frame(
     frame: &[u8],
     plan: &WorkPlan,
     local: &mut ResultCache,
-) -> (usize, Option<(ShardFailureKind, String)>) {
+) -> Option<(ShardFailureKind, String)> {
     let (records, damage) = decode_frame(frame);
-    let mut kept = 0;
     for (key, outcome) in records {
-        if !plan.key_set.contains(key.as_str()) {
-            let why = format!("sent key `{key}` is not in the planned grid");
-            return (kept, Some((ShardFailureKind::Incompatible, why)));
+        match plan.index.get(key.as_str()) {
+            None => {
+                let why = format!("sent key `{key}` is not in the planned grid");
+                return Some((ShardFailureKind::Incompatible, why));
+            }
+            Some(&idx) if plan.covered[idx] => {}
+            Some(_) => local.insert(key, outcome),
         }
-        local.insert(key, outcome);
-        kept += 1;
     }
-    let failure = damage.map(|offset| {
+    damage.map(|offset| {
         let why = format!(
             "record frame of {} bytes is damaged at byte {offset}",
             frame.len()
         );
         (ShardFailureKind::FlushCorrupt, why)
-    });
-    (kept, failure)
+    })
 }
 
 /// The first cell of `range` the coordinator needed and `local` does not
@@ -595,8 +590,9 @@ fn kill_child(child: &SharedChild) {
 }
 
 /// One worker's collector: reads the child's stdout as it fills,
-/// answering lease traffic and collecting record frames, while a second
-/// thread drains its stderr (a worker blocked on a full pipe against a
+/// answering lease traffic, collecting record frames and folding the
+/// worker's latency histograms into `metrics`, while a second thread
+/// drains its stderr (a worker blocked on a full pipe against a
 /// coordinator waiting on a sibling would deadlock).
 fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
     let CollectorCtx {
@@ -604,13 +600,14 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
         shared,
         plan,
         printer,
+        metrics,
         child,
         mut stdin,
         stdout,
         stderr,
-        lease_wait,
         started,
     } = ctx;
+    let lease_wait = metrics.histogram("shard.lease_wait");
     let stderr = stderr.map(|mut pipe| {
         std::thread::spawn(move || {
             let mut text = Vec::new();
@@ -620,8 +617,7 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
     });
 
     let mut local = ResultCache::new();
-    let mut heartbeats = 0usize;
-    let mut flushed = 0usize;
+    let mut trace = None;
     let mut leases = 0usize;
     let mut cells = 0usize;
     let mut failure: Option<(ShardFailureKind, String)> = None;
@@ -634,11 +630,6 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
         while let Ok(Some(message)) = read_message(&mut reader, &mut frame) {
             shared.touch(worker);
             match message {
-                WorkerMessage::Progress => {
-                    heartbeats += 1;
-                    let (done, total) = shared.progress();
-                    printer.update(done, total, false);
-                }
                 WorkerMessage::Request => {
                     let asked = Instant::now();
                     let response = shared.await_grant(worker);
@@ -659,15 +650,27 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
                         stdin = None;
                     }
                 }
-                WorkerMessage::Records => {
-                    let (kept, why) = absorb_frame(&frame, &plan, &mut local);
-                    flushed += kept;
-                    failure = why;
+                WorkerMessage::Payload(Payload::Records) => {
+                    failure = absorb_frame(&frame, &plan, &mut local);
                 }
-                WorkerMessage::BadRecords(line) => {
+                // Telemetry is best-effort observability: a payload that
+                // does not parse is ignored. Only the worker's histograms
+                // are folded in — the coordinator's own counters and spans
+                // already account for the run, and double-counting would
+                // corrupt the hit/miss totals.
+                WorkerMessage::Payload(Payload::Stats) => {
+                    let text = String::from_utf8_lossy(&frame);
+                    for sample in parse_histograms(&text).unwrap_or_default() {
+                        metrics.histogram(&sample.name).merge_sample(&sample);
+                    }
+                }
+                WorkerMessage::Payload(Payload::Trace) => {
+                    trace = TraceSnapshot::from_chrome_json(&String::from_utf8_lossy(&frame)).ok();
+                }
+                WorkerMessage::BadHeader(line) => {
                     failure = Some((
                         ShardFailureKind::FlushCorrupt,
-                        format!("unparseable record frame header `{line}`"),
+                        format!("unparseable payload header `{line}`"),
                     ));
                 }
                 WorkerMessage::Done(range) => {
@@ -690,7 +693,7 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
                         leases += 1;
                         cells += range.len();
                         let (done, total) = shared.progress();
-                        printer.update(done, total, done == total);
+                        printer.update(done, total);
                     }
                 }
                 WorkerMessage::Unknown => {}
@@ -714,10 +717,9 @@ fn collect_streaming(ctx: CollectorCtx) -> CollectedWorker {
     CollectedWorker {
         status,
         stderr,
-        heartbeats,
+        trace,
         wall: started.elapsed(),
         local,
-        flushed,
         leases,
         cells,
         eof_reclaimed,
@@ -756,7 +758,7 @@ fn run_watchdog(shared: &LeaseShared, children: &[Option<SharedChild>], deadline
             } else if state.queue.outstanding(worker) > 0 {
                 let reclaimed = state.queue.reclaim(worker);
                 state.stalled[worker] = Some(format!(
-                    "no heartbeat for {:.1}s; killed, {reclaimed} lease(s) reclaimed",
+                    "silent for {:.1}s; killed, {reclaimed} lease(s) reclaimed",
                     idle.as_secs_f64()
                 ));
                 shared.wakeup.notify_all();
@@ -789,43 +791,28 @@ fn run_watchdog(shared: &LeaseShared, children: &[Option<SharedChild>], deadline
     }
 }
 
-/// A process-unique scratch directory for one fan-out's cache files.
-fn scratch_dir() -> io::Result<PathBuf> {
-    static COUNTER: AtomicUsize = AtomicUsize::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "memstream-shard-{}-{}",
-        std::process::id(),
-        COUNTER.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir)?;
-    Ok(dir)
-}
-
 /// One coordinated fan-out: resolve every unique cell of the recipe's
 /// grid into `cache`, evaluating missing cells on spawned worker
 /// processes under the lease scheduler and merging the records they
 /// send by strict union.
 ///
-/// A fully warm cache short-circuits: no scratch files, no processes.
-/// Otherwise the **full** canonical range is chunked (workers skip warm
-/// cells via the shipped warm file), so the chunk layout is a function
-/// of the grid alone, not of cache temperature.
+/// A fully warm cache short-circuits: no processes. Otherwise the
+/// **full** canonical range is chunked, so the chunk layout is a
+/// function of the grid alone, not of cache temperature: chunks whose
+/// cells `cache` all holds are born done, a worker evaluates every cell
+/// of a chunk it is granted, and records of cells `cache` already held
+/// are dropped on arrival. Nothing touches the file system.
 ///
 /// Failures of individual workers land in [`ShardRun::failures`]; their
 /// leases are reclaimed and re-issued, so the run still completes —
 /// byte-identically — as long as one worker survives. Every record that
 /// arrived is merged regardless, so even an incomplete run leaves the
 /// cache warmer for a retry.
-///
-/// # Errors
-///
-/// [`ShardError::Scratch`] when coordinator-side I/O (scratch directory,
-/// warm-file write) fails — per-worker problems are *not* errors here.
 pub fn explore_sharded(
     recipe: &GridRecipe,
     cache: &mut ResultCache,
     opts: &ShardOptions,
-) -> Result<ShardRun, ShardError> {
+) -> ShardRun {
     let metrics = &opts.metrics;
     let _fanout = metrics.span("shard.fanout").start();
     let grid = recipe.build();
@@ -851,7 +838,7 @@ pub fn explore_sharded(
     metrics.counter("shard.fanned_out").add(missing as u64);
 
     if missing == 0 {
-        return Ok(ShardRun {
+        return ShardRun {
             unique_cells: unique.len(),
             cached,
             fanned_out: 0,
@@ -862,8 +849,7 @@ pub fn explore_sharded(
             workers: Vec::new(),
             failures: Vec::new(),
             complete: true,
-            scratch: None,
-        });
+        };
     }
 
     let shards = opts.shards.clamp(1, missing);
@@ -875,33 +861,17 @@ pub fn explore_sharded(
             .div_ceil(shards * LEASE_CHUNKS_PER_WORKER)
             .max(1)
     };
-    let scratch = scratch_dir().map_err(ShardError::Scratch)?;
-    // Ship a warm file only when this grid can actually hit it. A
-    // refinement round's sub-grid (new rates only) shares no keys with
-    // the accumulated cache — writing it out for N workers to parse
-    // would be pure waste, and it grows every round.
-    let warm = if cached == 0 {
-        None
-    } else {
-        let path = scratch.join("warm.cache");
-        cache
-            .save_as(&path, CacheFormat::default())
-            .map_err(ShardError::Scratch)?;
-        Some(path)
-    };
-
-    let key_set: HashSet<Arc<str>> = keys.iter().cloned().collect();
+    let index: HashMap<Arc<str>, usize> = keys.iter().cloned().zip(0..).collect();
     let plan = Arc::new(WorkPlan {
         keys,
         covered,
-        key_set,
+        index,
     });
     let shared = Arc::new(LeaseShared::new(
         LeaseQueue::new(unique.len(), chunk_cells, shards, &plan.covered),
         shards,
     ));
     let printer = Arc::new(ProgressPrinter::default());
-    let lease_wait = metrics.histogram("shard.lease_wait");
 
     // Spawn every worker before waiting on any: they run concurrently,
     // each parallel inside itself on its own threads, and each child
@@ -915,18 +885,8 @@ pub fn explore_sharded(
         let spec = WorkerSpec {
             shard: index,
             shard_count: shards,
-            warm: warm.clone(),
             threads: opts.worker_threads,
-            // Workers with live telemetry write their registry (and its
-            // latency histograms) into scratch; the coordinator merges
-            // the histograms back so eval/cache latency distributions
-            // survive the process boundary.
-            stats_json: metrics
-                .is_enabled()
-                .then(|| scratch.join(format!("shard-{index}.stats.json"))),
-            trace: opts
-                .trace
-                .then(|| scratch.join(format!("shard-{index}.trace.json"))),
+            trace: opts.trace,
             fault: opts
                 .fault_plans
                 .iter()
@@ -954,14 +914,14 @@ pub fn explore_sharded(
                     shared: Arc::clone(&shared),
                     plan: Arc::clone(&plan),
                     printer: Arc::clone(&printer),
+                    metrics: metrics.clone(),
                     child: handle,
                     stdin,
                     stdout,
                     stderr,
-                    lease_wait: lease_wait.clone(),
                     started,
                 };
-                handles.push((spec, Some(std::thread::spawn(|| collect_streaming(ctx)))));
+                handles.push(Some(std::thread::spawn(|| collect_streaming(ctx))));
             }
             Err(e) => {
                 failures.push(ShardFailure {
@@ -969,7 +929,7 @@ pub fn explore_sharded(
                     kind: ShardFailureKind::Spawn,
                     detail: format!("{}: {e}", opts.program.display()),
                 });
-                handles.push((spec, None));
+                handles.push(None);
             }
         }
     }
@@ -989,16 +949,15 @@ pub fn explore_sharded(
     let wall_histogram = metrics.histogram("shard.worker_wall");
     let mut workers = Vec::with_capacity(shards);
     let mut conflicted = false;
-    for (spec, handle) in handles {
+    for (shard, handle) in handles.into_iter().enumerate() {
         let mut report = WorkerReport {
-            shard: spec.shard,
+            shard,
             leases: 0,
             cells: 0,
             flushed: 0,
             merged: None,
             stderr: String::new(),
             wall_seconds: 0.0,
-            heartbeats: 0,
             trace: None,
         };
         if let Some(handle) = handle {
@@ -1006,32 +965,12 @@ pub fn explore_sharded(
             let collected = handle.join().expect("worker collector thread");
             drop(wait_timer);
             report.stderr = collected.stderr;
-            report.heartbeats = collected.heartbeats;
+            report.trace = collected.trace;
             report.wall_seconds = collected.wall.as_secs_f64();
             report.leases = collected.leases;
             report.cells = collected.cells;
-            report.flushed = collected.flushed;
+            report.flushed = collected.local.len();
             wall_histogram.record(collected.wall);
-            // The worker's latency histograms and trace fragment are
-            // best-effort observability: read them whatever its fate (a
-            // worker that later fails still measured real evaluations).
-            // Counters and spans are *not* merged — the coordinator's
-            // own registry already accounts for the run, and
-            // double-counting would corrupt the hit/miss totals.
-            if let Some(path) = &spec.stats_json {
-                if let Ok(text) = std::fs::read_to_string(path) {
-                    if let Ok(samples) = parse_histograms(&text) {
-                        for sample in &samples {
-                            metrics.histogram(&sample.name).merge_sample(sample);
-                        }
-                    }
-                }
-            }
-            if let Some(path) = &spec.trace {
-                if let Ok(text) = std::fs::read_to_string(path) {
-                    report.trace = TraceSnapshot::from_chrome_json(&text).ok();
-                }
-            }
             // Merge whatever the worker delivered — the frames of a
             // worker that died or was condemned included. Duplicates
             // from a reclaimed lease finished twice must be byte-equal
@@ -1042,7 +981,7 @@ pub fn explore_sharded(
                 Err(conflict) => {
                     conflicted = true;
                     failures.push(ShardFailure {
-                        shard: spec.shard,
+                        shard,
                         kind: ShardFailureKind::Conflict,
                         detail: conflict.to_string(),
                     });
@@ -1053,7 +992,7 @@ pub fn explore_sharded(
             // watchdog stall, then the exit status and queue state.
             let fate = if let Some((kind, detail)) = collected.failure {
                 Some((kind, detail))
-            } else if let Some(detail) = shared.stalled_detail(spec.shard) {
+            } else if let Some(detail) = shared.stalled_detail(shard) {
                 Some((ShardFailureKind::Stalled, detail))
             } else {
                 match collected.status {
@@ -1077,7 +1016,7 @@ pub fn explore_sharded(
             };
             if let Some((kind, detail)) = fate {
                 failures.push(ShardFailure {
-                    shard: spec.shard,
+                    shard,
                     kind,
                     detail,
                 });
@@ -1117,12 +1056,7 @@ pub fn explore_sharded(
         .add(leases_reclaimed);
     metrics.counter("shard.failures").add(failures.len() as u64);
 
-    if complete {
-        // Complete runs leave nothing behind; an incomplete run keeps
-        // its scratch files for a post-mortem.
-        let _ = std::fs::remove_dir_all(&scratch);
-    }
-    Ok(ShardRun {
+    ShardRun {
         unique_cells: unique.len(),
         cached,
         fanned_out: missing,
@@ -1133,15 +1067,13 @@ pub fn explore_sharded(
         workers,
         failures,
         complete,
-        scratch: (!complete).then_some(scratch),
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::format_lease_records;
-    use memstream_grid::encode_frame;
+    use memstream_grid::{encode_frame, CellOutcome, GridExecutor};
 
     /// A fake worker: any shell script stands in for the spawned
     /// process. `$1 $2 ...` receive the encoded [`WorkerSpec`]; the
@@ -1161,13 +1093,6 @@ mod tests {
         }
     }
 
-    #[cfg(unix)]
-    fn cleanup(run: &ShardRun) {
-        if let Some(dir) = &run.scratch {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-
     /// The start of a scripted worker: parse `--shard` into `$S`, ask for
     /// a lease and read the grant into `$reply $range`.
     #[cfg(unix)]
@@ -1180,9 +1105,25 @@ mod tests {
         read -r reply range
     "#;
 
-    /// A one-worker fan-out of `classic(3)` whose worker takes a lease,
-    /// writes `bytes` to its stdout and then runs `then`. Returns the
-    /// run and the merged cache.
+    /// Every cell of `classic(3)`, evaluated: the keys in canonical
+    /// order and their outcomes.
+    #[cfg(unix)]
+    fn classic_records() -> (Vec<String>, Vec<CellOutcome>) {
+        let grid = GridRecipe::classic(3).build();
+        let unique = grid.unique_cells();
+        let mut cache = ResultCache::new();
+        GridExecutor::serial().resolve_cells(&grid, &unique, &mut cache);
+        let keys: Vec<String> = unique.iter().map(|cell| grid.dedup_key(cell)).collect();
+        let outcomes = keys
+            .iter()
+            .map(|key| cache.get(key).expect("evaluated"))
+            .collect();
+        (keys, outcomes)
+    }
+
+    /// A one-worker fan-out of `classic(3)` as a single lease, whose
+    /// worker takes that lease, writes `bytes` to its stdout and then
+    /// runs `then`. Returns the run and the merged cache.
     #[cfg(unix)]
     fn lease_then_send(name: &str, bytes: &[u8], then: &str) -> (ShardRun, ResultCache) {
         let path = std::env::temp_dir().join(format!(
@@ -1191,20 +1132,20 @@ mod tests {
         ));
         std::fs::write(&path, bytes).expect("scripted stdout");
         let script = format!("{TAKE_LEASE}\ncat '{}'\n{then}\n", path.display());
+        let recipe = GridRecipe::classic(3);
+        let mut opts = sh_options(&script, 1);
+        opts.lease_cells = recipe.build().unique_cells().len();
         let mut cache = ResultCache::new();
-        let run = explore_sharded(&GridRecipe::classic(3), &mut cache, &sh_options(&script, 1))
-            .expect("run");
+        let run = explore_sharded(&recipe, &mut cache, &opts);
         let _ = std::fs::remove_file(path);
-        cleanup(&run);
         (run, cache)
     }
 
-    /// A `lease-records` line and its frame.
+    /// A payload header line and its bytes.
     #[cfg(unix)]
-    fn records_message(frame: &[u8]) -> Vec<u8> {
-        let mut bytes = format!("{}\n", format_lease_records(0, 1, frame.len())).into_bytes();
-        bytes.extend_from_slice(frame);
-        bytes
+    fn payload_message(payload: Payload, bytes: &[u8]) -> Vec<u8> {
+        let header = payload.header(0, 1, bytes.len());
+        [format!("{header}\n").as_bytes(), bytes].concat()
     }
 
     #[cfg(unix)]
@@ -1212,7 +1153,7 @@ mod tests {
     fn worker_exiting_before_the_queue_drains_is_died_in_the_ledger() {
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
-        let run = explore_sharded(&recipe, &mut cache, &sh_options("exit 0", 1)).expect("run");
+        let run = explore_sharded(&recipe, &mut cache, &sh_options("exit 0", 1));
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::Died);
         assert!(
@@ -1224,8 +1165,6 @@ mod tests {
         );
         assert!(!run.is_complete());
         assert!(cache.is_empty());
-        assert!(run.scratch.is_some(), "incomplete runs keep their scratch");
-        cleanup(&run);
     }
 
     #[cfg(unix)]
@@ -1244,7 +1183,7 @@ mod tests {
             esac
             "#
         );
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(&script, 1)).expect("run");
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(&script, 1));
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::Incompatible);
         assert!(
@@ -1255,7 +1194,6 @@ mod tests {
         assert!(!run.is_complete());
         assert!(cache.is_empty());
         assert!(run.leases_issued >= 1);
-        cleanup(&run);
     }
 
     #[cfg(unix)]
@@ -1267,7 +1205,8 @@ mod tests {
         let mut junk = 8u32.to_le_bytes().to_vec();
         junk.extend_from_slice(&[0xAB; 8]);
         let then = r#"echo "lease-done $S: $range"; exec sleep 5"#;
-        let (run, cache) = lease_then_send("damaged", &records_message(&junk), then);
+        let (run, cache) =
+            lease_then_send("damaged", &payload_message(Payload::Records, &junk), then);
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::FlushCorrupt);
         assert!(
@@ -1287,14 +1226,11 @@ mod tests {
         // Damage is `FlushCorrupt` and the coordinator kills the worker;
         // a stream that ends inside a frame is not damage, and the
         // worker's exit status decides the entry.
-        let recipe = GridRecipe::classic(3);
-        let grid = recipe.build();
-        let cell = grid.unique_cells()[0];
-        let key = grid.dedup_key(&cell);
-        let mut evaluated = ResultCache::new();
-        memstream_grid::GridExecutor::serial().resolve_cells(&grid, &[cell], &mut evaluated);
-        let outcome = evaluated.get(&key).expect("evaluated");
-        let honest = records_message(&encode_frame([(key.as_str(), &outcome)]));
+        let (keys, outcomes) = classic_records();
+        let honest = payload_message(
+            Payload::Records,
+            &encode_frame([(keys[0].as_str(), &outcomes[0])]),
+        );
 
         let mut junk = 8u32.to_le_bytes().to_vec();
         junk.extend_from_slice(&[0xAB; 8]);
@@ -1312,13 +1248,13 @@ mod tests {
             ("huge", huge, "exit 3", ShardFailureKind::Died),
             (
                 "undecodable",
-                records_message(&junk),
+                payload_message(Payload::Records, &junk),
                 "exec sleep 5",
                 ShardFailureKind::FlushCorrupt,
             ),
             (
                 "non-utf8",
-                records_message(&bad_key),
+                payload_message(Payload::Records, &bad_key),
                 "exec sleep 5",
                 ShardFailureKind::FlushCorrupt,
             ),
@@ -1334,8 +1270,52 @@ mod tests {
             let kinds: Vec<_> = run.failures.iter().map(|f| f.kind).collect();
             assert_eq!(kinds, [kind], "{name}: {:?}", run.failures);
             assert_eq!(run.workers[0].flushed, 1, "{name}");
-            assert_eq!(cache.get(&key), Some(outcome.clone()), "{name}");
+            assert_eq!(cache.get(&keys[0]), Some(outcomes[0].clone()), "{name}");
             assert_eq!(cache.len(), 1, "{name}");
+        }
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn hostile_telemetry_is_ignored_and_the_records_are_merged() {
+        // The worker delivers its whole lease honestly and retires, then
+        // sends one hostile telemetry payload. Telemetry is best-effort:
+        // a payload that does not parse is ignored, and a header claiming
+        // 2^64 - 1 bytes is a torn payload at the end of the stream. None
+        // of them panics or adds a ledger entry, and every record merges.
+        let (keys, outcomes) = classic_records();
+        let honest = [
+            payload_message(
+                Payload::Records,
+                &encode_frame(keys.iter().map(String::as_str).zip(&outcomes)),
+            ),
+            format!("lease-done 0/1: 0..{}\nlease-request 0/1\n", keys.len()).into_bytes(),
+        ]
+        .concat();
+        let huge = [
+            b"worker-stats 0/1: 18446744073709551615\n".as_slice(),
+            &[0xAB; 16],
+        ]
+        .concat();
+        let cases = [
+            (
+                "garbage-stats",
+                payload_message(Payload::Stats, b"{\"histograms\": [1, 2"),
+            ),
+            (
+                "garbage-trace",
+                payload_message(Payload::Trace, &[0xFF, 0xFE, b'{', b'"']),
+            ),
+            ("huge", huge),
+        ];
+        for (name, hostile) in cases {
+            let (run, cache) =
+                lease_then_send(name, &[honest.as_slice(), &hostile].concat(), "exit 0");
+            assert!(run.is_complete(), "{name}");
+            assert_eq!(run.failures, [], "{name}");
+            assert_eq!(run.workers[0].flushed, keys.len(), "{name}");
+            assert!(run.workers[0].trace.is_none(), "{name}");
+            assert_eq!(cache.len(), keys.len(), "{name}");
         }
     }
 
@@ -1350,7 +1330,7 @@ mod tests {
         let mut opts = sh_options(&script, 1);
         opts.lease_deadline = Duration::from_millis(150);
         let started = Instant::now();
-        let run = explore_sharded(&recipe, &mut cache, &opts).expect("run");
+        let run = explore_sharded(&recipe, &mut cache, &opts);
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "the watchdog, not the 60s sleep, must end the run"
@@ -1364,51 +1344,53 @@ mod tests {
         );
         assert!(run.leases_reclaimed >= 1);
         assert!(!run.is_complete(), "nobody was left to take the lease");
-        cleanup(&run);
     }
 
     #[cfg(unix)]
     #[test]
-    fn heartbeat_lines_are_consumed_not_kept_as_worker_stderr() {
+    fn worker_stderr_is_kept_verbatim() {
+        // Stderr is never parsed: a line that looks like protocol stays
+        // text, and an unterminated last line is kept as it is. Stdout
+        // lines this coordinator does not know are ignored, not kept.
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
         let script = r#"
-            echo 'shard-progress 0/1: 3/6'
+            echo 'a line form this coordinator does not know'
             echo 'ordinary accounting line' >&2
-            echo 'shard-progress 0/1: 6/6'
+            echo 'lease-request 0/1' >&2
             printf 'kept verbatim, even unterminated' >&2
         "#;
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).expect("run");
-        assert_eq!(run.workers[0].heartbeats, 2);
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1));
         assert_eq!(
             run.workers[0].stderr,
-            "ordinary accounting line\nkept verbatim, even unterminated"
+            "ordinary accounting line\nlease-request 0/1\nkept verbatim, even unterminated"
         );
+        assert_eq!(run.leases_issued, 0, "stderr is not a request channel");
         assert!(run.workers[0].wall_seconds > 0.0);
-        assert!(run.workers[0].trace.is_none(), "tracing was off");
-        cleanup(&run);
+        assert!(run.workers[0].trace.is_none(), "no trace was sent");
     }
 
     #[cfg(unix)]
     #[test]
     fn partial_trailing_line_from_a_dying_worker_is_dropped() {
-        // The worker dies mid-heartbeat: one complete line, then a
-        // newline-less fragment. The fragment is neither a heartbeat nor
-        // ordinary stderr — it must vanish instead of polluting the
-        // aggregated progress or the kept stderr.
+        // The worker dies mid-write: one complete line, then a
+        // newline-less fragment of a lease request. The fragment is the
+        // end of the stream — never answered with a grant, never kept
+        // as stderr.
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
         let script = r#"
-            echo 'shard-progress 0/1: 3/6'
-            printf 'shard-progress 0/1: 6'
+            echo 'a line form this coordinator does not know'
+            printf 'lease-request 0/1'
         "#;
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).expect("run");
-        assert_eq!(run.workers[0].heartbeats, 1, "only the complete line");
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1));
+        assert_eq!(run.leases_issued, 0, "the fragment must not be answered");
         assert_eq!(
             run.workers[0].stderr, "",
             "the partial fragment must be dropped, not kept"
         );
-        cleanup(&run);
+        let kinds: Vec<_> = run.failures.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, [ShardFailureKind::Died]);
     }
 
     #[test]
@@ -1430,7 +1412,6 @@ mod tests {
 
     #[test]
     fn fully_warm_cache_spawns_no_workers() {
-        use memstream_grid::GridExecutor;
         let recipe = GridRecipe::classic(3);
         let grid = recipe.build();
         let mut cache = ResultCache::new();
@@ -1439,13 +1420,12 @@ mod tests {
             .unwrap();
         // A bogus program proves nothing was spawned.
         let opts = ShardOptions::new(PathBuf::from("/nonexistent/worker"), 4);
-        let run = explore_sharded(&recipe, &mut cache, &opts).expect("warm run");
+        let run = explore_sharded(&recipe, &mut cache, &opts);
         assert_eq!(run.workers_spawned, 0);
         assert_eq!(run.fanned_out, 0);
         assert_eq!(run.lease_chunks, 0);
         assert_eq!(run.cached, run.unique_cells);
         assert!(run.is_complete());
-        assert!(run.scratch.is_none());
     }
 
     #[test]
@@ -1453,15 +1433,12 @@ mod tests {
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
         let opts = ShardOptions::new(PathBuf::from("/nonexistent/worker"), 2);
-        let run = explore_sharded(&recipe, &mut cache, &opts).expect("run");
+        let run = explore_sharded(&recipe, &mut cache, &opts);
         assert_eq!(run.failures.len(), 2);
         assert!(run
             .failures
             .iter()
             .all(|f| f.kind == ShardFailureKind::Spawn));
         assert!(!run.is_complete());
-        if let Some(dir) = run.scratch {
-            let _ = std::fs::remove_dir_all(dir);
-        }
     }
 }

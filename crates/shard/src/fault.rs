@@ -1,12 +1,9 @@
 //! The deterministic fault-injection seam the shard test suites drive.
 //!
 //! A [`FaultPlan`] tells one worker process how to misbehave at an exact,
-//! reproducible point of its lease loop. Plans travel two ways: the
-//! coordinator threads them through [`crate::WorkerSpec::fault`] (the
-//! hidden `--fault-plan` flag of the `shard-worker` subcommand), and the
-//! [`FAULT_PLAN_ENV`] environment variable reaches workers spawned by a
-//! coordinator that knows nothing about faults — with an optional
-//! `shard=K:` selector so one worker of a fan-out can be targeted.
+//! reproducible point of its lease loop. The coordinator threads a plan
+//! through [`crate::WorkerSpec::fault`] (the hidden `--fault-plan` flag
+//! of the `shard-worker` subcommand) to the one worker it names.
 //!
 //! Plans only ever make a worker *worse* (die, stall, tear or damage its
 //! own record frames); the coordinator's recovery machinery is what
@@ -16,11 +13,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-/// The environment variable carrying a fault plan to `shard-worker`
-/// processes: either a bare plan (`die-after-cells=3`) applied to every
-/// worker, or `shard=K:PLAN` applied only to shard index `K`.
-pub const FAULT_PLAN_ENV: &str = "MEMSTREAM_FAULT_PLAN";
-
 /// One deterministic worker misbehaviour (see module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPlan {
@@ -28,9 +20,9 @@ pub enum FaultPlan {
     /// the worker has evaluated at least this many cells (checked at
     /// batch granularity). `0` dies on the first batch.
     DieAfterCells(usize),
-    /// Stop responding (no heartbeats, no protocol lines, the current
-    /// lease held forever) once the worker has evaluated at least this
-    /// many cells. The coordinator's lease deadline must reclaim it.
+    /// Stop responding (no protocol lines, no frames, the current lease
+    /// held forever) once the worker has evaluated at least this many
+    /// cells. The coordinator's lease deadline must reclaim it.
     StallAfterCells(usize),
     /// Tear the first record frame: send half the batch as a frame,
     /// then a `lease-records` header whose bytes never arrive, then die.
@@ -40,27 +32,6 @@ pub enum FaultPlan {
     /// nothing happened (including sending `lease-done` for undelivered
     /// work).
     CorruptFlush,
-}
-
-impl FaultPlan {
-    /// The plan [`FAULT_PLAN_ENV`] selects for shard index `shard`, if
-    /// any. Unparseable values are ignored (a fault seam must never turn
-    /// into a production failure mode).
-    #[must_use]
-    pub fn from_env(shard: usize) -> Option<FaultPlan> {
-        let raw = std::env::var(FAULT_PLAN_ENV).ok()?;
-        let plan = match raw.strip_prefix("shard=") {
-            Some(rest) => {
-                let (index, plan) = rest.split_once(':')?;
-                if index.parse::<usize>().ok()? != shard {
-                    return None;
-                }
-                plan
-            }
-            None => raw.as_str(),
-        };
-        plan.parse().ok()
-    }
 }
 
 impl fmt::Display for FaultPlan {

@@ -21,12 +21,14 @@
 //!    harness: `harness shard-worker --shard i/N ...`, whose body is
 //!    [`worker_main`]). A worker's **stdout** is its one machine
 //!    channel: it asks for work there (`lease-request`), receives grants
-//!    over **stdin** (`lease-grant a..b`), evaluates the granted cells
-//!    and sends each batch of fresh records as a **record frame**
-//!    ([`memstream_grid::encode_frame`]) before announcing `lease-done`.
-//!    Its stderr is plain text for humans.
+//!    over **stdin** (`lease-grant a..b`), evaluates every granted cell
+//!    and sends each batch of records as a **record frame**
+//!    ([`memstream_grid::encode_frame`]) before announcing `lease-done`;
+//!    once retired, it sends its telemetry the same way. It touches no
+//!    file, and its stderr is plain text for humans.
 //! 3. **Collect & reclaim** — a per-worker collector thread reads that
-//!    stdout, decoding frames as they arrive, and a watchdog reclaims
+//!    stdout, decoding frames as they arrive (records of cells the
+//!    coordinator already held are dropped), and a watchdog reclaims
 //!    leases held by workers that die or go silent past a deadline,
 //!    re-issuing them to live workers.
 //!    Failures land in a per-shard error ledger ([`ShardRun::failures`])
@@ -42,10 +44,9 @@
 //!    least one live worker.
 //!
 //! A deterministic fault-injection seam ([`FaultPlan`], the hidden
-//! `--fault-plan` flag and the [`FAULT_PLAN_ENV`] environment variable)
-//! lets the test suites make workers die, stall, tear or damage their
-//! record frames at exact points, and assert the recovery machinery
-//! holds the byte-identity guarantee.
+//! `--fault-plan` flag) lets the test suites make workers die, stall,
+//! tear or damage their record frames at exact points, and assert the
+//! recovery machinery holds the byte-identity guarantee.
 //!
 //! The refinement loop consumes the same machinery through
 //! [`ShardedRoundExplorer`]: each round fans only the rates new to that
@@ -99,11 +100,11 @@ pub use coordinator::{
     explore_sharded, ShardError, ShardFailure, ShardFailureKind, ShardOptions, ShardRun,
     WorkerReport,
 };
-pub use fault::{FaultPlan, FAULT_PLAN_ENV};
+pub use fault::FaultPlan;
 pub use lease::{lease_chunks, LeaseQueue, LeaseResponse, LEASE_CHUNKS_PER_WORKER};
 pub use protocol::{
-    format_lease_done, format_lease_reply, format_lease_request, format_progress, parse_lease_done,
-    parse_lease_reply, parse_lease_request, parse_progress, LeaseReply, ProtocolError, WorkerSpec,
+    format_lease_done, format_lease_reply, format_lease_request, parse_lease_done,
+    parse_lease_reply, parse_lease_request, LeaseReply, ProtocolError, WorkerSpec,
 };
 pub use recipe::GridRecipe;
 pub use round::ShardedRoundExplorer;

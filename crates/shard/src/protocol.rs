@@ -11,16 +11,15 @@
 //!
 //! Beyond the command line, this module also defines the **lease
 //! protocol** (`docs/SHARD_PROTOCOL.md`): the worker's stdout is its one
-//! machine channel — newline-delimited request/done lines, its
-//! `shard-progress` heartbeats and its records, each batch a
-//! `lease-records` line followed by a record frame — read back by
-//! [`read_message`]; the coordinator writes grant/retire replies to the
-//! worker's stdin.
+//! machine channel — newline-delimited request/done lines and
+//! length-prefixed payloads (each batch's record frame, then the
+//! worker's telemetry once it retires), each payload a header line
+//! followed by its bytes — read back by [`read_message`]; the
+//! coordinator writes grant/retire replies to the worker's stdin.
 
 use std::fmt;
 use std::io::{self, BufRead, Read as _};
 use std::ops::Range;
-use std::path::PathBuf;
 
 use memstream_units::BitRate;
 
@@ -50,28 +49,18 @@ impl fmt::Display for ProtocolError {
 impl std::error::Error for ProtocolError {}
 
 /// Everything one worker process needs to know, as a value.
-///
-/// Paths are carried as their `Display` form, so they must be valid
-/// UTF-8; the coordinator only ever generates ASCII scratch paths.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSpec {
     /// 0-based shard index.
     pub shard: usize,
     /// Total shard count (the number of workers sharing the lease queue).
     pub shard_count: usize,
-    /// An optional warm cache to read before evaluating (the
-    /// coordinator's accumulated entries); cells found there are not
-    /// re-evaluated.
-    pub warm: Option<PathBuf>,
     /// Worker-internal thread count (`0` = machine width).
     pub threads: usize,
-    /// Write the worker's telemetry snapshot as JSON to this path when
-    /// the run completes.
-    pub stats_json: Option<PathBuf>,
-    /// Write the worker's trace events as Chrome trace JSON to this path
-    /// when the run completes (the coordinator collects the fragments and
-    /// merges them into the run-wide timeline).
-    pub trace: Option<PathBuf>,
+    /// Record the worker's trace events and send them as a Chrome-trace
+    /// `worker-trace` payload when the run completes (the coordinator
+    /// merges the fragments into the run-wide timeline).
+    pub trace: bool,
     /// A deterministic misbehaviour for the fault-injection test layer
     /// (hidden `--fault-plan`; absent from the wire when `None`).
     pub fault: Option<FaultPlan>,
@@ -103,17 +92,8 @@ impl WorkerSpec {
                     .join(","),
             );
         }
-        if let Some(warm) = &self.warm {
-            args.push("--warm".to_owned());
-            args.push(warm.display().to_string());
-        }
-        if let Some(path) = &self.stats_json {
-            args.push("--stats-json".to_owned());
-            args.push(path.display().to_string());
-        }
-        if let Some(path) = &self.trace {
+        if self.trace {
             args.push("--trace".to_owned());
-            args.push(path.display().to_string());
         }
         if let Some(plan) = &self.fault {
             args.push("--fault-plan".to_owned());
@@ -127,16 +107,15 @@ impl WorkerSpec {
     /// # Errors
     ///
     /// [`ProtocolError`] on unknown flags, missing values, out-of-range
-    /// shard coordinates or unparseable numbers.
+    /// shard coordinates, unparseable numbers or rates that are negative
+    /// or not finite.
     pub fn from_args(args: &[String]) -> Result<Self, ProtocolError> {
         let mut shard: Option<(usize, usize)> = None;
-        let mut warm: Option<PathBuf> = None;
         let mut threads = 0usize;
         let mut rates = 2usize;
         let mut classic = false;
         let mut rate_list: Option<Vec<BitRate>> = None;
-        let mut stats_json: Option<PathBuf> = None;
-        let mut trace: Option<PathBuf> = None;
+        let mut trace = false;
         let mut fault: Option<FaultPlan> = None;
 
         let mut it = args.iter();
@@ -159,7 +138,6 @@ impl WorkerSpec {
                     };
                     shard = Some((parse(i)?, parse(n)?));
                 }
-                "--warm" => warm = Some(PathBuf::from(value()?)),
                 "--threads" => {
                     threads = value()?
                         .parse()
@@ -171,8 +149,7 @@ impl WorkerSpec {
                         .map_err(|e| ProtocolError::new(format!("bad --rates: {e}")))?;
                 }
                 "--classic" => classic = true,
-                "--stats-json" => stats_json = Some(PathBuf::from(value()?)),
-                "--trace" => trace = Some(PathBuf::from(value()?)),
+                "--trace" => trace = true,
                 "--fault-plan" => {
                     fault = Some(value()?.parse().map_err(ProtocolError::new)?);
                 }
@@ -180,10 +157,11 @@ impl WorkerSpec {
                     let raw = value()?;
                     let mut axis = Vec::new();
                     for field in raw.split(',').filter(|f| !f.is_empty()) {
-                        let bps: f64 = field.parse().map_err(|e| {
+                        let bad = |e: &dyn fmt::Display| {
                             ProtocolError::new(format!("bad --rate-list entry `{field}`: {e}"))
-                        })?;
-                        axis.push(BitRate::from_bits_per_second(bps));
+                        };
+                        let bps: f64 = field.parse().map_err(|e| bad(&e))?;
+                        axis.push(BitRate::try_from_bits_per_second(bps).map_err(|e| bad(&e))?);
                     }
                     rate_list = Some(axis);
                 }
@@ -208,9 +186,7 @@ impl WorkerSpec {
         Ok(WorkerSpec {
             shard,
             shard_count,
-            warm,
             threads,
-            stats_json,
             trace,
             fault,
             recipe,
@@ -223,7 +199,7 @@ impl WorkerSpec {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseReply {
     /// Evaluate cells `range` of the grid's canonical deduplicated cell
-    /// range, send the fresh records, then send `lease-done`.
+    /// range, send their records, then send `lease-done`.
     Grant(Range<usize>),
     /// The queue is drained (or this worker is condemned): exit cleanly.
     Retire,
@@ -291,52 +267,49 @@ pub fn parse_lease_done(line: &str) -> Option<(usize, usize, Range<usize>)> {
     (start <= end).then_some((shard.parse().ok()?, count.parse().ok()?, start..end))
 }
 
-/// Renders one worker heartbeat line: `shard-progress i/N: done/total`.
-/// Workers emit these lines on their stdout, the machine channel; the
-/// coordinator consumes them with [`parse_progress`] and never forwards
-/// them.
-#[must_use]
-pub fn format_progress(shard: usize, shard_count: usize, done: usize, total: usize) -> String {
-    format!("shard-progress {shard}/{shard_count}: {done}/{total}")
+/// What a length-prefixed stdout message carries. Its header line is
+/// `TAG i/N: BYTES` ([`Payload::header`]), followed by exactly `BYTES`
+/// bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Payload {
+    /// `lease-records`: one record frame of a lease's batch
+    /// ([`memstream_grid::encode_frame`]).
+    Records,
+    /// `worker-stats`: the worker's telemetry snapshot as JSON, sent once
+    /// after its last lease.
+    Stats,
+    /// `worker-trace`: the worker's Chrome-trace fragment, sent after its
+    /// stats when it runs with `--trace`.
+    Trace,
 }
 
-/// Parses a worker heartbeat line produced by [`format_progress`],
-/// returning `(shard, shard_count, cells_done, cells_total)`. Any other
-/// line returns `None`.
-#[must_use]
-pub fn parse_progress(line: &str) -> Option<(usize, usize, usize, usize)> {
-    let rest = line.strip_prefix("shard-progress ")?;
-    let (coords, cells) = rest.split_once(": ")?;
-    let (shard, shard_count) = coords.split_once('/')?;
-    let (done, total) = cells.split_once('/')?;
-    Some((
-        shard.parse().ok()?,
-        shard_count.parse().ok()?,
-        done.parse().ok()?,
-        total.parse().ok()?,
-    ))
-}
+impl Payload {
+    const ALL: [Payload; 3] = [Payload::Records, Payload::Stats, Payload::Trace];
 
-/// Renders the header of a record frame: `lease-records i/N: BYTES`,
-/// sent on stdout and followed by exactly `BYTES` bytes of records
-/// ([`memstream_grid::encode_frame`]).
-#[must_use]
-pub(crate) fn format_lease_records(shard: usize, shard_count: usize, bytes: usize) -> String {
-    format!("lease-records {shard}/{shard_count}: {bytes}")
-}
+    fn tag(self) -> &'static str {
+        match self {
+            Payload::Records => "lease-records",
+            Payload::Stats => "worker-stats",
+            Payload::Trace => "worker-trace",
+        }
+    }
 
-/// Parses a [`format_lease_records`] line into `(shard, shard_count,
-/// bytes)`. Any other line returns `None`.
-#[must_use]
-pub(crate) fn parse_lease_records(line: &str) -> Option<(usize, usize, u64)> {
-    let rest = line.strip_prefix("lease-records ")?;
-    let (coords, bytes) = rest.split_once(": ")?;
-    let (shard, count) = coords.split_once('/')?;
-    Some((
-        shard.parse().ok()?,
-        count.parse().ok()?,
-        bytes.parse().ok()?,
-    ))
+    /// Renders the header line of a payload of `bytes` bytes, e.g.
+    /// `lease-records i/N: BYTES`.
+    pub(crate) fn header(self, shard: usize, shard_count: usize, bytes: usize) -> String {
+        format!("{} {shard}/{shard_count}: {bytes}", self.tag())
+    }
+
+    /// Parses a [`Payload::header`] line of this payload into its byte
+    /// count. Any other line returns `None`.
+    pub(crate) fn parse_header(self, line: &str) -> Option<u64> {
+        let rest = line.strip_prefix(self.tag())?.strip_prefix(' ')?;
+        let (coords, bytes) = rest.split_once(": ")?;
+        let (shard, count) = coords.split_once('/')?;
+        shard.parse::<usize>().ok()?;
+        count.parse::<usize>().ok()?;
+        bytes.parse().ok()
+    }
 }
 
 /// One message of a worker's stdout, as [`read_message`] reads it.
@@ -344,26 +317,24 @@ pub(crate) fn parse_lease_records(line: &str) -> Option<(usize, usize, u64)> {
 pub(crate) enum WorkerMessage {
     /// `lease-request i/N`.
     Request,
-    /// `shard-progress i/N: done/total`.
-    Progress,
-    /// A `lease-records` line and the record frame that followed it,
-    /// now in the caller's frame buffer.
-    Records,
+    /// A payload header line and the bytes that followed it, now in the
+    /// caller's frame buffer.
+    Payload(Payload),
     /// `lease-done i/N: a..b`.
     Done(Range<usize>),
-    /// A `lease-records` line that does not parse. Its frame length is
+    /// A line with a payload tag that does not parse. Its length is
     /// unknown, so nothing after it can be read.
-    BadRecords(String),
+    BadHeader(String),
     /// Any other complete line: ignored, so new line forms can be added
     /// without breaking older coordinators.
     Unknown,
 }
 
-/// Reads the next message of a worker's stdout; a record frame replaces
-/// the contents of `frame`, which grows only as the frame's bytes
-/// arrive, whatever its header claims. `None` is the end of the stream,
-/// and that includes a partial trailing line or a torn frame (the
-/// stream ended inside it): both are dropped, never parsed.
+/// Reads the next message of a worker's stdout; a payload replaces the
+/// contents of `frame`, which grows only as the payload's bytes arrive,
+/// whatever its header claims. `None` is the end of the stream, and that
+/// includes a partial trailing line or a torn payload (the stream ended
+/// inside it): both are dropped, never parsed.
 ///
 /// # Errors
 ///
@@ -379,18 +350,16 @@ pub(crate) fn read_message(
     }
     let line = String::from_utf8_lossy(&line);
     let line = line.trim_end();
-    if line.starts_with("lease-records") {
-        let Some((_, _, bytes)) = parse_lease_records(line) else {
-            return Ok(Some(WorkerMessage::BadRecords(line.to_owned())));
+    if let Some(payload) = Payload::ALL.into_iter().find(|p| line.starts_with(p.tag())) {
+        let Some(bytes) = payload.parse_header(line) else {
+            return Ok(Some(WorkerMessage::BadHeader(line.to_owned())));
         };
         frame.clear();
         reader.take(bytes).read_to_end(frame)?;
-        return Ok((frame.len() as u64 == bytes).then_some(WorkerMessage::Records));
+        return Ok((frame.len() as u64 == bytes).then_some(WorkerMessage::Payload(payload)));
     }
     Ok(Some(if parse_lease_request(line).is_some() {
         WorkerMessage::Request
-    } else if parse_progress(line).is_some() {
-        WorkerMessage::Progress
     } else if let Some((_, _, range)) = parse_lease_done(line) {
         WorkerMessage::Done(range)
     } else {
@@ -401,16 +370,15 @@ pub(crate) fn read_message(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn specs_round_trip_through_args() {
         let spec = WorkerSpec {
             shard: 2,
             shard_count: 5,
-            warm: Some(PathBuf::from("/tmp/warm.cache")),
             threads: 3,
-            stats_json: Some(PathBuf::from("/tmp/shard-2-stats.json")),
-            trace: Some(PathBuf::from("/tmp/shard-2.trace.json")),
+            trace: true,
             fault: Some(FaultPlan::DieAfterCells(9)),
             recipe: GridRecipe::classic(7).with_rate_axis([
                 BitRate::from_kbps(32.0),
@@ -428,10 +396,8 @@ mod tests {
         let spec = WorkerSpec {
             shard: 0,
             shard_count: 1,
-            warm: None,
             threads: 0,
-            stats_json: None,
-            trace: None,
+            trace: false,
             fault: None,
             recipe: GridRecipe::baseline(24),
         };
@@ -461,10 +427,17 @@ mod tests {
         assert_eq!(parse_lease_reply("lease-retire"), Some(LeaseReply::Retire));
         assert_eq!(format_lease_done(0, 2, &(5..9)), "lease-done 0/2: 5..9");
         assert_eq!(parse_lease_done("lease-done 0/2: 5..9"), Some((0, 2, 5..9)));
-        assert_eq!(format_lease_records(1, 3, 77), "lease-records 1/3: 77");
+        for (payload, header) in [
+            (Payload::Records, "lease-records 1/3: 77"),
+            (Payload::Stats, "worker-stats 1/3: 77"),
+            (Payload::Trace, "worker-trace 1/3: 77"),
+        ] {
+            assert_eq!(payload.header(1, 3, 77), header);
+            assert_eq!(payload.parse_header(header), Some(77));
+        }
         assert_eq!(
-            parse_lease_records("lease-records 1/3: 18446744073709551615"),
-            Some((1, 3, u64::MAX))
+            Payload::Records.parse_header("lease-records 1/3: 18446744073709551615"),
+            Some(u64::MAX)
         );
         for junk in [
             "",
@@ -479,29 +452,14 @@ mod tests {
             "lease-records 0/2",
             "lease-records 0/2: -1",
             "lease-records 0/2: 18446744073709551616",
+            "lease-records x/2: 5",
+            "lease-records0/2: 5",
+            "worker-stats 0/2: 5",
         ] {
             assert_eq!(parse_lease_request(junk), None, "{junk:?}");
             assert_eq!(parse_lease_reply(junk), None, "{junk:?}");
             assert_eq!(parse_lease_done(junk), None, "{junk:?}");
-            assert_eq!(parse_lease_records(junk), None, "{junk:?}");
-        }
-    }
-
-    #[test]
-    fn progress_lines_round_trip_and_reject_ordinary_stderr() {
-        let line = format_progress(1, 4, 75, 300);
-        assert_eq!(line, "shard-progress 1/4: 75/300");
-        assert_eq!(parse_progress(&line), Some((1, 4, 75, 300)));
-        for not_a_heartbeat in [
-            "",
-            "worker log line",
-            "shard-progress",
-            "shard-progress 1/4",
-            "shard-progress 1/4: 75",
-            "shard-progress one/4: 75/300",
-            "shard-progress 1/4: 75/zap",
-        ] {
-            assert_eq!(parse_progress(not_a_heartbeat), None, "{not_a_heartbeat:?}");
+            assert_eq!(Payload::Records.parse_header(junk), None, "{junk:?}");
         }
     }
 
@@ -513,8 +471,13 @@ mod tests {
             &["--shard", "3/3"],
             &["--shard", "0/2", "--bogus"],
             &["--shard", "0/2", "--cache", "x"],
+            &["--shard", "0/2", "--warm", "x"],
+            &["--shard", "0/2", "--stats-json", "x"],
             &["--shard", "0/2", "--stats"],
             &["--shard", "0/2", "--rate-list", "1,zap"],
+            &["--shard", "0/2", "--rate-list", "nan"],
+            &["--shard", "0/2", "--rate-list", "-5"],
+            &["--shard", "0/2", "--rate-list", "inf"],
             &["--shard", "0/2", "--rates", "1"],
         ];
         for case in cases {
@@ -524,15 +487,15 @@ mod tests {
         }
     }
 
-    /// A worker stdout stream: `lines`, each newline-terminated, with a
-    /// record frame of `frame` inserted after the line that announces it.
-    fn stream(lines: &[&str], frame: &[u8]) -> Vec<u8> {
+    /// A worker stdout stream: `lines`, each newline-terminated, with
+    /// `payload` inserted after every payload header line.
+    fn stream(lines: &[&str], payload: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
         for line in lines {
             out.extend_from_slice(line.as_bytes());
             out.push(b'\n');
-            if line.starts_with("lease-records") {
-                out.extend_from_slice(frame);
+            if Payload::ALL.iter().any(|p| line.starts_with(p.tag())) {
+                out.extend_from_slice(payload);
             }
         }
         out
@@ -555,10 +518,11 @@ mod tests {
         let mut input = stream(
             &[
                 "lease-request 0/1",
-                &format_lease_records(0, 1, frame.len()),
-                "shard-progress 0/1: 1/2",
+                &Payload::Records.header(0, 1, frame.len()),
                 "a line form this coordinator does not know",
                 "lease-done 0/1: 0..2",
+                &Payload::Stats.header(0, 1, frame.len()),
+                &Payload::Trace.header(0, 1, frame.len()),
             ],
             &frame,
         );
@@ -568,8 +532,17 @@ mod tests {
             .into_iter()
             .map(|(message, _)| message)
             .collect();
-        use WorkerMessage::*;
-        assert_eq!(kinds, [Request, Records, Progress, Unknown, Done(0..2)]);
+        assert_eq!(
+            kinds,
+            [
+                WorkerMessage::Request,
+                WorkerMessage::Payload(Payload::Records),
+                WorkerMessage::Unknown,
+                WorkerMessage::Done(0..2),
+                WorkerMessage::Payload(Payload::Stats),
+                WorkerMessage::Payload(Payload::Trace),
+            ]
+        );
 
         // A pipe delivering one byte per read changes nothing: a frame
         // split across reads arrives whole.
@@ -581,22 +554,27 @@ mod tests {
             }
         }
         let trickled = messages(io::BufReader::new(OneByte(io::Cursor::new(input))));
-        assert_eq!(trickled[1], (Records, frame));
-        assert_eq!(trickled.len(), 5);
+        assert_eq!(
+            trickled[1],
+            (WorkerMessage::Payload(Payload::Records), frame)
+        );
+        assert_eq!(trickled.len(), 6);
     }
 
     #[test]
     fn torn_and_oversized_frames_end_the_stream_buffering_only_what_arrived() {
-        for claimed in [64, u64::MAX / 2, u64::MAX] {
-            let header = format!("lease-records 0/1: {claimed}");
-            let input = stream(&["lease-request 0/1", &header], b"only these bytes");
-            let mut input = io::Cursor::new(input);
-            let mut frame = Vec::new();
-            let first = read_message(&mut input, &mut frame).unwrap();
-            assert_eq!(first, Some(WorkerMessage::Request));
-            assert_eq!(read_message(&mut input, &mut frame).unwrap(), None);
-            assert_eq!(frame, b"only these bytes", "claimed {claimed}");
-            assert!(frame.capacity() < 4096, "reserved {}", frame.capacity());
+        for payload in Payload::ALL {
+            for claimed in [64, u64::MAX / 2, u64::MAX] {
+                let header = format!("{} 0/1: {claimed}", payload.tag());
+                let input = stream(&["lease-request 0/1", &header], b"only these bytes");
+                let mut input = io::Cursor::new(input);
+                let mut frame = Vec::new();
+                let first = read_message(&mut input, &mut frame).unwrap();
+                assert_eq!(first, Some(WorkerMessage::Request));
+                assert_eq!(read_message(&mut input, &mut frame).unwrap(), None);
+                assert_eq!(frame, b"only these bytes", "{header}");
+                assert!(frame.capacity() < 4096, "reserved {}", frame.capacity());
+            }
         }
     }
 
@@ -606,10 +584,163 @@ mod tests {
             "lease-records 0/1: lots",
             "lease-records 0/1",
             "lease-records",
+            "worker-stats 0/1: -1",
+            "worker-trace",
         ] {
             let input = stream(&[bad, "lease-done 0/1: 0..1"], b"");
             let seen = messages(io::Cursor::new(input));
-            assert_eq!(seen[0].0, WorkerMessage::BadRecords(bad.to_owned()));
+            assert_eq!(seen[0].0, WorkerMessage::BadHeader(bad.to_owned()));
+        }
+    }
+
+    /// Bytes from a strategy that has no `u8` range: every value is below
+    /// 256.
+    fn bytes(values: &[u32]) -> Vec<u8> {
+        values.iter().map(|&v| v as u8).collect()
+    }
+
+    /// Well-formed and nearly well-formed tokens that fuzzed argument
+    /// lists and reply lines are built from, next to random ones.
+    const TOKENS: &[&str] = &[
+        "--shard",
+        "0/1",
+        "1/2",
+        "2/2",
+        "0/0",
+        "--threads",
+        "--rates",
+        "--classic",
+        "--rate-list",
+        "--trace",
+        "--fault-plan",
+        "die-after-cells=2",
+        "corrupt-flush",
+        "1",
+        "2",
+        "24",
+        "-5",
+        "nan",
+        "inf",
+        "1e30",
+        "1e400",
+        "-0",
+        "1,2.5",
+        "32000,nan",
+        "",
+        ",",
+        "18446744073709551616",
+        "lease-grant",
+        "lease-grant 0..3",
+        "lease-grant 3..0",
+        "lease-retire",
+        "..",
+    ];
+
+    /// One token: a vocabulary word, or random bytes read as UTF-8.
+    fn token((pick, raw): &(usize, Vec<u32>)) -> String {
+        TOKENS.get(*pick).map_or_else(
+            || String::from_utf8_lossy(&bytes(raw)).into_owned(),
+            |word| (*word).to_owned(),
+        )
+    }
+
+    proptest! {
+        #[test]
+        fn arbitrary_streams_never_panic_or_buffer_unreceived_bytes(
+            segments in prop::collection::vec(
+                (0usize..8, 0u64..64, prop::collection::vec(0u32..256, 0..24)),
+                0..10,
+            ),
+        ) {
+            // Random bytes with well-formed lines and payload headers
+            // spliced in; a header's claim may exceed, match or fall
+            // short of the bytes that follow it.
+            let mut input = Vec::new();
+            for (kind, n, raw) in &segments {
+                let line = match kind {
+                    1 => Some(format_lease_request(0, 1)),
+                    2 => Some(format!("lease-done 0/1: {n}..{}", n + 3)),
+                    3..=5 => Some(Payload::ALL[kind - 3].header(0, 1, *n as usize)),
+                    6 => Some(format!("worker-trace 0/1: {}", u64::MAX - n)),
+                    _ => None,
+                };
+                if let Some(line) = line {
+                    input.extend_from_slice(line.as_bytes());
+                    input.push(b'\n');
+                }
+                input.extend_from_slice(&bytes(raw));
+            }
+            let total = input.len();
+            let mut reader = io::Cursor::new(input);
+            let mut frame = Vec::new();
+            for _ in 0..=total {
+                let before = reader.position();
+                let message = read_message(&mut reader, &mut frame).unwrap();
+                let arrived = reader.position() - before;
+                if let Some(WorkerMessage::Payload(_)) = message {
+                    prop_assert!(frame.len() as u64 <= arrived);
+                }
+                // A torn payload too holds only the bytes that arrived.
+                prop_assert!(frame.len() <= total);
+                prop_assert!(frame.capacity() <= 4096, "reserved {}", frame.capacity());
+                if message.is_none() {
+                    break;
+                }
+            }
+        }
+
+        #[test]
+        fn decode_frame_never_panics_and_reports_damage_inside_the_frame(
+            records in 0usize..4,
+            flips in prop::collection::vec((0usize..4096, 0u32..256), 0..4),
+            cut in 0usize..4096,
+            junk in prop::collection::vec(0u32..256, 0..32),
+        ) {
+            // An honest frame, then damage: flipped bytes, a cut, junk.
+            let recipe = GridRecipe::classic(2);
+            let grid = recipe.build();
+            let cells = &grid.unique_cells()[..records];
+            let mut cache = memstream_grid::ResultCache::new();
+            memstream_grid::GridExecutor::serial().resolve_cells(&grid, cells, &mut cache);
+            let keys: Vec<String> = cells.iter().map(|cell| grid.dedup_key(cell)).collect();
+            let outcomes: Vec<_> = keys.iter().map(|key| cache.get(key).expect("resolved")).collect();
+            let intact = memstream_grid::encode_frame(keys.iter().map(String::as_str).zip(&outcomes));
+            let mut frame = intact.clone();
+            for (at, value) in &flips {
+                if !frame.is_empty() {
+                    let at = at % frame.len();
+                    frame[at] = *value as u8;
+                }
+            }
+            frame.truncate(cut % (frame.len() + 1));
+            frame.extend_from_slice(&bytes(&junk));
+            let (decoded, damage) = memstream_grid::decode_frame(&frame);
+            if frame == intact {
+                prop_assert_eq!((decoded.len(), damage), (records, None));
+            }
+            if let Some(offset) = damage {
+                prop_assert!(offset < frame.len(), "damage at {} of {}", offset, frame.len());
+            }
+        }
+
+        #[test]
+        fn lease_replies_and_worker_args_never_panic(
+            tokens in prop::collection::vec(
+                (0usize..40, prop::collection::vec(0u32..256, 0..6)),
+                0..8,
+            ),
+        ) {
+            let args: Vec<String> = tokens.iter().map(token).collect();
+            for line in args.iter().chain([&args.join(" ")]) {
+                if let Some(reply) = parse_lease_reply(line) {
+                    prop_assert_eq!(parse_lease_reply(&format_lease_reply(&reply)), Some(reply));
+                }
+            }
+            // A spec that parses carries itself losslessly through the
+            // command line it encodes to.
+            if let Ok(spec) = WorkerSpec::from_args(&args) {
+                prop_assert_eq!(WorkerSpec::from_args(&spec.to_args()), Ok(spec));
+            }
         }
     }
 }

@@ -2,13 +2,15 @@
 //! cell range and send them to the coordinator as cache records.
 //!
 //! A worker is deliberately dumb; all scheduling, merging and failure
-//! policy live in the coordinator. It repeatedly asks the coordinator
+//! policy live in the coordinator. It is a function of its arguments and
+//! its stdin, and it touches no file. It repeatedly asks the coordinator
 //! for a cell-range lease (a `lease-request` line on stdout, answered on
-//! stdin), resolves the granted cells batch by batch, sends each batch's
-//! freshly evaluated records as a record frame on stdout and announces
+//! stdin), evaluates every granted cell batch by batch, sends each
+//! batch's records as a record frame on stdout and announces
 //! `lease-done` — so a worker that dies mid-run has still delivered
-//! every batch it sent. Stdout is the worker's one machine channel;
-//! stderr is plain text for humans.
+//! every batch it sent. Once retired it sends its telemetry the same
+//! way. Stdout is the worker's one machine channel; stderr is plain text
+//! for humans.
 //!
 //! A [`FaultPlan`] makes a worker misbehave at a deterministic point;
 //! the fault-injection suite drives it to prove the coordinator's
@@ -22,16 +24,15 @@ use memstream_grid::{encode_frame, CellOutcome, GridExecutor, KeyInterner, Metri
 
 use crate::fault::FaultPlan;
 use crate::protocol::{
-    format_lease_done, format_lease_records, format_lease_request, format_progress,
-    parse_lease_reply, LeaseReply, WorkerSpec,
+    format_lease_done, format_lease_request, parse_lease_reply, LeaseReply, Payload, WorkerSpec,
 };
 
 /// How many batches a worker splits each lease into. Each batch is one
-/// `resolve_cells` pass followed by its record frame and a heartbeat,
-/// so more batches mean finer-grained liveness at the cost of
-/// re-planning series across batch boundaries; four keeps that overhead
-/// marginal while a stuck worker is still spotted within a quarter of
-/// its lease.
+/// `resolve_cells` pass followed by its record frame, which restarts the
+/// coordinator's stall clock, so more batches mean finer-grained
+/// liveness at the cost of re-planning series across batch boundaries;
+/// four keeps that overhead marginal while a stuck worker is still
+/// spotted within a quarter of its lease.
 const PROGRESS_CHUNKS: usize = 4;
 
 /// The exit code of a worker killed by its own [`FaultPlan`] — distinct
@@ -39,113 +40,94 @@ const PROGRESS_CHUNKS: usize = 4;
 /// reason is distinguishable in the ledger.
 const FAULT_EXIT: i32 = 86;
 
-/// What one worker run did (the numbers of its stderr accounting line).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct WorkerSummary {
-    /// Cells assigned to this worker: the union of its completed leases.
-    assigned: usize,
-    /// Cells resolved from the warm cache without evaluation.
-    warm_hits: usize,
-    /// Cells freshly evaluated by this worker.
-    evaluated: usize,
-}
-
 /// The `shard-worker` process: the one entry point behind
 /// `harness shard-worker` and the crate's test worker binary.
 ///
-/// Decodes a [`WorkerSpec`] from `args` (a [`crate::FAULT_PLAN_ENV`]
-/// plan applies when `--fault-plan` is absent), runs the lease loop over
-/// this process's stdin and stdout, then prints its accounting line to
-/// stderr and writes the `--stats-json` snapshot and `--trace` fragment
-/// it was asked for. Returns the process exit code: 0 on success, 1 if
-/// the run failed, 2 for malformed arguments or an unwritable stats or
-/// trace file.
+/// Decodes a [`WorkerSpec`] from `args`, runs the lease loop over this
+/// process's stdin and stdout, then prints its accounting line to
+/// stderr. Returns the process exit code: 0 on success, 1 if the run
+/// failed, 2 for malformed arguments.
 #[must_use]
 pub fn worker_main(args: &[String]) -> i32 {
-    let mut spec = match WorkerSpec::from_args(args) {
+    let spec = match WorkerSpec::from_args(args) {
         Ok(spec) => spec,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
-    // The env seam (`MEMSTREAM_FAULT_PLAN=shard=K:PLAN`) injects a fault
-    // without the coordinator's cooperation — how CI kills one worker of
-    // a real `--shards` run. An explicit --fault-plan wins.
-    if spec.fault.is_none() {
-        spec.fault = FaultPlan::from_env(spec.shard);
+    let mut stdout = io::BufWriter::new(io::stdout().lock());
+    let run = run_lease_worker(
+        &spec,
+        &worker_metrics(&spec),
+        &mut io::stdin().lock(),
+        &mut stdout,
+    )
+    .and_then(|cells| stdout.flush().map(|()| cells));
+    match run {
+        Ok(cells) => {
+            eprintln!(
+                "shard {}/{}: {cells} cells evaluated",
+                spec.shard, spec.shard_count
+            );
+            0
+        }
+        Err(e) => {
+            eprintln!("shard {}/{} failed: {e}", spec.shard, spec.shard_count);
+            1
+        }
     }
-    // The tracer is live exactly when the coordinator asked for a
-    // fragment file: the worker's span events (and their thread ids)
-    // land in the merged timeline alongside the coordinator's own.
-    let tracer = if spec.trace.is_some() {
+}
+
+/// The worker's registry. Its tracer is live exactly when the
+/// coordinator asked for a trace: the worker's span events (and their
+/// thread ids) land in the merged timeline alongside the coordinator's
+/// own.
+fn worker_metrics(spec: &WorkerSpec) -> Metrics {
+    let tracer = if spec.trace {
         Tracer::enabled()
     } else {
         Tracer::disabled()
     };
-    let metrics = Metrics::enabled_with_tracer(&tracer);
-    let mut stdout = io::BufWriter::new(io::stdout().lock());
-    let run = run_lease_worker(&spec, &metrics, &mut io::stdin().lock(), &mut stdout)
-        .and_then(|summary| stdout.flush().map(|()| summary));
-    let summary = match run {
-        Ok(summary) => summary,
-        Err(e) => {
-            eprintln!("shard {}/{} failed: {e}", spec.shard, spec.shard_count);
-            return 1;
-        }
-    };
-    eprintln!(
-        "shard {}/{}: {} cells assigned, {} warm hits, {} evaluated",
-        spec.shard, spec.shard_count, summary.assigned, summary.warm_hits, summary.evaluated
-    );
-    if let Some(path) = &spec.stats_json {
-        if let Err(e) = std::fs::write(path, metrics.snapshot().to_json()) {
-            eprintln!("stats-json write error: {}: {e}", path.display());
-            return 2;
-        }
-    }
-    if let Some(path) = &spec.trace {
-        if let Err(e) = std::fs::write(path, tracer.snapshot().to_chrome_json()) {
-            eprintln!("trace write error: {}: {e}", path.display());
-            return 2;
-        }
-    }
-    0
+    Metrics::enabled_with_tracer(&tracer)
 }
 
-/// Writes one record frame: its `lease-records` header line, then the
-/// frame's bytes.
-fn write_frame(out: &mut dyn Write, spec: &WorkerSpec, frame: &[u8]) -> io::Result<()> {
+/// Writes one length-prefixed payload: its header line, then its bytes.
+fn write_payload(
+    out: &mut dyn Write,
+    spec: &WorkerSpec,
+    payload: Payload,
+    bytes: &[u8],
+) -> io::Result<()> {
     writeln!(
         out,
         "{}",
-        format_lease_records(spec.shard, spec.shard_count, frame.len())
+        payload.header(spec.shard, spec.shard_count, bytes.len())
     )?;
-    out.write_all(frame)
+    out.write_all(bytes)
 }
 
 /// The lease loop, factored over abstract reply/output streams so the
 /// protocol state machine is unit-testable with scripted replies.
-/// `out` is the worker's stdout (requests, record frames, heartbeats,
-/// `lease-done`); `replies` is its stdin (grants, retire).
+/// `out` is the worker's stdout (requests, record frames, `lease-done`,
+/// and the telemetry that ends it); `replies` is its stdin (grants,
+/// retire). Returns the cells of the leases it completed.
 fn run_lease_worker(
     spec: &WorkerSpec,
     metrics: &Metrics,
     replies: &mut dyn BufRead,
     out: &mut dyn Write,
-) -> io::Result<WorkerSummary> {
+) -> io::Result<usize> {
     let grid = spec.recipe.build();
     let unique = grid.unique_cells();
     let interner = KeyInterner::new(&grid);
 
-    let mut working = load_warm(spec, metrics)?;
+    let mut working = ResultCache::new();
     working.set_metrics(metrics);
     let executor = GridExecutor::parallel(spec.threads).with_metrics(metrics);
 
-    let mut evaluated = 0usize; // fresh cells so far — the fault trigger
+    let mut evaluated = 0usize; // cells so far — the fault trigger
     let mut completed = 0usize; // cells of fully completed leases
-    let mut granted = 0usize; // cells ever granted
-    let mut sent_any = false;
 
     loop {
         writeln!(
@@ -182,20 +164,13 @@ fn run_lease_worker(
                 ),
             ));
         }
-        granted += range.len();
 
         let cells = &unique[range.clone()];
         let batch_size = cells.len().div_ceil(PROGRESS_CHUNKS).max(1);
-        let mut done_in_lease = 0usize;
         for batch in cells.chunks(batch_size) {
-            let fresh: Vec<String> = batch
-                .iter()
-                .map(|cell| interner.resolve(interner.key(cell)))
-                .filter(|key| !working.contains_key(key))
-                .collect();
+            let first_frame = evaluated == 0;
             executor.resolve_cells(&grid, batch, &mut working);
-            evaluated += fresh.len();
-            done_in_lease += batch.len();
+            evaluated += batch.len();
 
             match spec.fault {
                 Some(FaultPlan::DieAfterCells(k)) if evaluated >= k => {
@@ -211,32 +186,28 @@ fn run_lease_worker(
                 _ => {}
             }
 
-            let outcomes: Vec<CellOutcome> = fresh
+            let records: Vec<(String, CellOutcome)> = batch
                 .iter()
-                .map(|key| {
-                    working
-                        .get(key)
-                        .expect("resolve_cells covered every granted cell")
+                .map(|cell| {
+                    let key = interner.resolve(interner.key(cell));
+                    let outcome = working.get(&key).expect("resolve_cells covered it");
+                    (key, outcome)
                 })
                 .collect();
-            let records: Vec<(&str, &CellOutcome)> = fresh
-                .iter()
-                .map(String::as_str)
-                .zip(outcomes.iter())
-                .collect();
-            let first_frame = !sent_any && !records.is_empty();
-            sent_any = sent_any || !records.is_empty();
+            let frame = |records: &[(String, CellOutcome)]| {
+                encode_frame(records.iter().map(|(key, outcome)| (key.as_str(), outcome)))
+            };
             match spec.fault {
                 Some(FaultPlan::TruncateFlush) if first_frame => {
                     // Send half the batch, then tear the stream inside a
                     // frame whose bytes never arrive, and die. The frame
                     // sent whole must survive recovery.
-                    let half = records.len() / 2;
-                    write_frame(out, spec, &encode_frame(records[..half].iter().copied()))?;
+                    let half = frame(&records[..records.len() / 2]);
+                    write_payload(out, spec, Payload::Records, &half)?;
                     writeln!(
                         out,
                         "{}",
-                        format_lease_records(spec.shard, spec.shard_count, 64)
+                        Payload::Records.header(spec.shard, spec.shard_count, 64)
                     )?;
                     out.write_all(&[0xAB; 7])?;
                     out.flush()?;
@@ -248,21 +219,10 @@ fn run_lease_worker(
                     // (`lease-done` below for work never delivered).
                     let mut junk = 8u32.to_le_bytes().to_vec();
                     junk.extend_from_slice(&[0xAB; 8]);
-                    write_frame(out, spec, &junk)?;
+                    write_payload(out, spec, Payload::Records, &junk)?;
                 }
-                _ if records.is_empty() => {}
-                _ => write_frame(out, spec, &encode_frame(records))?,
+                _ => write_payload(out, spec, Payload::Records, &frame(&records))?,
             }
-            writeln!(
-                out,
-                "{}",
-                format_progress(
-                    spec.shard,
-                    spec.shard_count,
-                    completed + done_in_lease,
-                    granted
-                )
-            )?;
             out.flush()?;
         }
 
@@ -274,23 +234,14 @@ fn run_lease_worker(
         )?;
     }
 
-    Ok(WorkerSummary {
-        assigned: completed,
-        warm_hits: working.hits(),
-        evaluated: working.misses(),
-    })
-}
-
-/// Lenient warm load, inside the `cache.load` span: a stale or
-/// truncated warm file costs re-evaluation, never correctness. The load
-/// is lazy: the warm file is indexed, not decoded — warm planning probes
-/// the index and only the cells this worker actually touches are ever
-/// decoded.
-fn load_warm(spec: &WorkerSpec, metrics: &Metrics) -> io::Result<ResultCache> {
-    match &spec.warm {
-        Some(path) => ResultCache::open(path, metrics),
-        None => Ok(ResultCache::new()),
+    // Telemetry goes last, once no lease is left to time.
+    let stats = metrics.snapshot().to_json();
+    write_payload(out, spec, Payload::Stats, stats.as_bytes())?;
+    if spec.trace {
+        let trace = metrics.tracer().snapshot().to_chrome_json();
+        write_payload(out, spec, Payload::Trace, trace.as_bytes())?;
     }
+    Ok(completed)
 }
 
 #[cfg(test)]
@@ -298,27 +249,16 @@ mod tests {
     use super::*;
     use crate::protocol::{format_lease_reply, read_message, WorkerMessage};
     use crate::recipe::GridRecipe;
-    use memstream_grid::{decode_frame, CacheFormat};
+    use memstream_grid::decode_frame;
+    use memstream_grid::telemetry::{parse_histograms, TraceSnapshot};
     use std::io::Cursor;
-    use std::path::PathBuf;
-
-    fn temp_path(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "memstream-shard-worker-tests-{}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir.join(name)
-    }
 
     fn lease_spec(recipe: GridRecipe) -> WorkerSpec {
         WorkerSpec {
             shard: 0,
             shard_count: 1,
-            warm: None,
             threads: 1,
-            stats_json: None,
-            trace: None,
+            trace: false,
             fault: None,
             recipe,
         }
@@ -330,32 +270,43 @@ mod tests {
         Cursor::new((lines.join("\n") + "\n").into_bytes())
     }
 
-    /// One lease loop run: its summary, and its stdout read back the
-    /// coordinator's way — the messages in order and every record the
-    /// frames carried.
+    /// One lease loop run: the cells it completed, and its stdout read
+    /// back the coordinator's way — the messages in order, every record
+    /// the frames carried and the last telemetry payload of each kind.
     struct Run {
-        summary: WorkerSummary,
+        completed: usize,
         messages: Vec<WorkerMessage>,
         records: Vec<(String, CellOutcome)>,
+        stats: Option<String>,
+        trace: Option<String>,
     }
 
     fn run(spec: &WorkerSpec, mut replies: Cursor<Vec<u8>>) -> io::Result<Run> {
         let mut out = Vec::new();
-        let summary = run_lease_worker(spec, &Metrics::disabled(), &mut replies, &mut out)?;
+        let completed = run_lease_worker(spec, &worker_metrics(spec), &mut replies, &mut out)?;
         let mut stdout = Cursor::new(out);
         let (mut messages, mut records, mut frame) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut stats, mut trace) = (None, None);
         while let Some(message) = read_message(&mut stdout, &mut frame).unwrap() {
-            if message == WorkerMessage::Records {
-                let (decoded, damage) = decode_frame(&frame);
-                assert_eq!(damage, None, "an honest worker sends whole frames");
-                records.extend(decoded);
+            let text = || Some(String::from_utf8(frame.clone()).expect("UTF-8 telemetry"));
+            match message {
+                WorkerMessage::Payload(Payload::Records) => {
+                    let (decoded, damage) = decode_frame(&frame);
+                    assert_eq!(damage, None, "an honest worker sends whole frames");
+                    records.extend(decoded);
+                }
+                WorkerMessage::Payload(Payload::Stats) => stats = text(),
+                WorkerMessage::Payload(Payload::Trace) => trace = text(),
+                _ => {}
             }
             messages.push(message);
         }
         Ok(Run {
-            summary,
+            completed,
             messages,
             records,
+            stats,
+            trace,
         })
     }
 
@@ -369,40 +320,10 @@ mod tests {
         let range = unique.len() / 3..2 * unique.len() / 3;
         let replies = script(&[LeaseReply::Grant(range.clone()), LeaseReply::Retire]);
         let run = run(&lease_spec(recipe), replies).unwrap();
-        assert_eq!(run.summary.assigned, range.len());
-        assert_eq!(run.summary.evaluated, range.len());
-        assert_eq!(run.summary.warm_hits, 0);
+        assert_eq!(run.completed, range.len());
         let keys: Vec<String> = unique[range].iter().map(|c| grid.dedup_key(c)).collect();
         let sent: Vec<String> = run.records.into_iter().map(|(key, _)| key).collect();
         assert_eq!(sent, keys);
-    }
-
-    #[test]
-    fn warm_cells_are_not_re_evaluated() {
-        // A fully warm file, read through the lazy view: the worker
-        // evaluates nothing and sends no frame.
-        let recipe = GridRecipe::classic(4);
-        let grid = recipe.build();
-        let len = grid.unique_cells().len();
-        let warm_path = temp_path("warm.cache");
-        let mut warm = ResultCache::new();
-        GridExecutor::serial()
-            .explore_cached(&grid, &mut warm)
-            .unwrap();
-        warm.save_as(&warm_path, CacheFormat::default()).unwrap();
-
-        let mut spec = lease_spec(recipe);
-        spec.warm = Some(warm_path.clone());
-        let run = run(
-            &spec,
-            script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]),
-        )
-        .unwrap();
-        assert_eq!(run.summary.evaluated, 0);
-        assert_eq!(run.summary.warm_hits, run.summary.assigned);
-        assert_eq!(run.summary.assigned, len);
-        assert!(!run.messages.contains(&WorkerMessage::Records));
-        std::fs::remove_file(warm_path).unwrap();
     }
 
     #[test]
@@ -419,21 +340,19 @@ mod tests {
             LeaseReply::Retire,
         ]);
         let run = run(&lease_spec(recipe), replies).unwrap();
-        assert_eq!(run.summary.assigned, len);
-        assert_eq!(run.summary.evaluated, len);
+        assert_eq!(run.completed, len);
 
-        // One frame and one heartbeat per batch of each lease.
+        // One frame per batch of each lease.
         let batches = |cells: usize| cells.div_ceil(cells.div_ceil(PROGRESS_CHUNKS));
         let per_lease = [batches(split), batches(len - split)];
         let count = |wanted: &WorkerMessage| run.messages.iter().filter(|m| *m == wanted).count();
         assert_eq!(count(&WorkerMessage::Request), 3, "one request per reply");
-        assert_eq!(count(&WorkerMessage::Progress), per_lease[0] + per_lease[1]);
         // Each lease's frames come before its `lease-done`.
         let mut frames = 0;
         let mut done = Vec::new();
         for message in &run.messages {
             match message {
-                WorkerMessage::Records => frames += 1,
+                WorkerMessage::Payload(Payload::Records) => frames += 1,
                 WorkerMessage::Done(range) => {
                     done.push(range.clone());
                     assert_eq!(frames, per_lease[..done.len()].iter().sum::<usize>());
@@ -441,10 +360,54 @@ mod tests {
                 _ => {}
             }
         }
+        assert_eq!(frames, per_lease[0] + per_lease[1]);
         assert_eq!(done, vec![0..split, split..len]);
         let sent: Vec<String> = run.records.into_iter().map(|(key, _)| key).collect();
         let keys: Vec<String> = unique.iter().map(|c| grid.dedup_key(c)).collect();
         assert_eq!(sent, keys, "every cell, in lease order");
+    }
+
+    #[test]
+    fn telemetry_follows_the_last_lease_on_stdout() {
+        // After retiring, the worker sends its snapshot and, when asked
+        // for a trace, its trace fragment: both parse the way the
+        // coordinator reads them, and nothing follows them.
+        let recipe = GridRecipe::classic(4);
+        let len = recipe.build().unique_cells().len();
+        for trace in [false, true] {
+            let mut spec = lease_spec(recipe.clone());
+            spec.trace = trace;
+            let run = run(
+                &spec,
+                script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]),
+            )
+            .unwrap();
+            let retired = run
+                .messages
+                .iter()
+                .rposition(|m| *m == WorkerMessage::Request)
+                .expect("a final request");
+            let telemetry: &[WorkerMessage] = if trace {
+                &[
+                    WorkerMessage::Payload(Payload::Stats),
+                    WorkerMessage::Payload(Payload::Trace),
+                ]
+            } else {
+                &[WorkerMessage::Payload(Payload::Stats)]
+            };
+            assert_eq!(&run.messages[retired + 1..], telemetry, "trace {trace}");
+            let histograms = parse_histograms(&run.stats.expect("stats sent")).unwrap();
+            let eval = histograms
+                .iter()
+                .find(|h| h.name == "grid.series_eval")
+                .expect("the eval histogram");
+            assert!(eval.count > 0);
+            assert_eq!(run.trace.is_some(), trace);
+            if let Some(text) = run.trace {
+                let fragment = TraceSnapshot::from_chrome_json(&text).unwrap();
+                assert!(fragment.events.iter().any(|e| e.name == "grid.explore"));
+            }
+        }
     }
 
     #[test]
@@ -454,9 +417,16 @@ mod tests {
         assert!(2 <= len);
         // One grant, then EOF: the coordinator hung up.
         let run = run(&lease_spec(recipe), script(&[LeaseReply::Grant(0..2)])).unwrap();
-        assert_eq!(run.summary.assigned, 2);
+        assert_eq!(run.completed, 2);
         assert_eq!(run.records.len(), 2, "the completed lease was sent");
-        assert_eq!(run.messages.last(), Some(&WorkerMessage::Request));
+        let tail = &run.messages[run.messages.len() - 2..];
+        assert_eq!(
+            tail,
+            [
+                WorkerMessage::Request,
+                WorkerMessage::Payload(Payload::Stats)
+            ]
+        );
     }
 
     #[test]
@@ -471,36 +441,5 @@ mod tests {
             let err = run(&lease_spec(recipe.clone()), replies).err().unwrap();
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{bad:?}");
         }
-    }
-
-    #[test]
-    fn warm_cells_are_not_flushed_in_lease_mode() {
-        // The coordinator already holds warm records; re-sending them
-        // would be wasted bytes (and a dedup hazard). Only fresh cells
-        // may appear in the frames.
-        let recipe = GridRecipe::classic(4);
-        let grid = recipe.build();
-        let unique = grid.unique_cells();
-        let len = unique.len();
-        let warm_path = temp_path("lease-warm.cache");
-        let mut warm = ResultCache::new();
-        GridExecutor::serial().resolve_cells(&grid, &unique[0..2], &mut warm);
-        warm.save_as(&warm_path, CacheFormat::default()).unwrap();
-
-        let mut spec = lease_spec(recipe);
-        spec.warm = Some(warm_path.clone());
-        let run = run(
-            &spec,
-            script(&[LeaseReply::Grant(0..len), LeaseReply::Retire]),
-        )
-        .unwrap();
-        assert_eq!(run.summary.assigned, len);
-        assert_eq!(run.summary.evaluated, len - 2);
-        assert_eq!(run.summary.warm_hits, 2);
-        assert_eq!(run.records.len(), len - 2, "warm cells stay out");
-        for (key, _) in &run.records {
-            assert!(!warm.contains_key(key), "warm key {key} was sent");
-        }
-        std::fs::remove_file(warm_path).unwrap();
     }
 }

@@ -120,7 +120,7 @@ fn fault_free_lease_run_is_byte_identical_and_counts_leases() {
     let metrics = Metrics::enabled();
     let opts = worker_opts(3).with_lease_cells(4).with_metrics(&metrics);
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
     assert_eq!(run.lease_chunks, 48usize.div_ceil(4));
@@ -131,7 +131,6 @@ fn fault_free_lease_run_is_byte_identical_and_counts_leases() {
         run.unique_cells,
         "completed leases cover the canonical range exactly once"
     );
-    assert!(run.scratch.is_none(), "complete runs clean up");
     // The counters and the lease-wait histogram surface in --stats-json.
     let snapshot = metrics.snapshot();
     assert_eq!(
@@ -167,7 +166,7 @@ fn fault_free_fan_out_does_not_wait_on_a_timer() {
     let opts = worker_opts(2).with_metrics(&metrics);
     assert_eq!(opts.lease_deadline, Duration::from_secs(30));
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
     let snapshot = metrics.snapshot();
@@ -187,7 +186,7 @@ fn lease_sizes_and_worker_counts_do_not_change_the_bytes() {
     for (shards, lease_cells) in [(1, 0), (2, 1), (3, 7), (4, 48), (2, 500)] {
         let opts = worker_opts(shards).with_lease_cells(lease_cells);
         let mut merged = ResultCache::new();
-        let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+        let run = explore_sharded(&recipe, &mut merged, &opts);
         assert!(
             run.is_complete(),
             "shards={shards} lease_cells={lease_cells}: {:?}",
@@ -211,7 +210,7 @@ fn worker_dying_mid_run_is_reclaimed_and_output_stays_byte_identical() {
         .with_fault_plan(0, FaultPlan::DieAfterCells(1));
     let opts = faulty_shard_first(opts, &gate, "");
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     let _ = std::fs::remove_file(&gate);
     assert!(
         run.is_complete(),
@@ -237,14 +236,12 @@ fn sigkilled_worker_is_reclaimed_and_output_stays_byte_identical() {
     // clean exit path runs — this is the pull-the-plug scenario.
     let recipe = GridRecipe::classic(2);
     let gate = gate_path("sigkill");
-    let opts = faulty_shard_first(
-        worker_opts(2).with_lease_cells(4),
-        &gate,
-        "(sleep 0.3; kill -KILL $$) &
-         export MEMSTREAM_FAULT_PLAN='shard=0:stall-after-cells=1'",
-    );
+    let opts = worker_opts(2)
+        .with_lease_cells(4)
+        .with_fault_plan(0, FaultPlan::StallAfterCells(1));
+    let opts = faulty_shard_first(opts, &gate, "(sleep 0.3; kill -KILL $$) &");
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     let _ = std::fs::remove_file(&gate);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
@@ -265,7 +262,7 @@ fn stalled_worker_is_killed_reclaimed_and_output_stays_byte_identical() {
     let opts = faulty_shard_first(opts, &gate, "");
     let started = Instant::now();
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     let _ = std::fs::remove_file(&gate);
     assert!(
         started.elapsed() < Duration::from_secs(30),
@@ -316,7 +313,7 @@ fn waiting_longer_than_the_deadline_for_a_reclaimed_chunk_is_not_a_stall() {
         .with_lease_deadline(Duration::from_millis(300));
     let opts = in_shell(opts, script);
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     let _ = std::fs::remove_file(&gate);
     assert_eq!(run.lease_chunks, 1);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
@@ -337,7 +334,7 @@ fn truncated_flush_keeps_the_committed_prefix() {
         .with_lease_cells(8)
         .with_fault_plan(0, FaultPlan::TruncateFlush);
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     assert!(!run.is_complete());
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
     assert!(
@@ -349,11 +346,11 @@ fn truncated_flush_keeps_the_committed_prefix() {
         run.workers[0].flushed,
         "every collected record merges"
     );
-    // The incomplete run keeps its scratch directory, and records never
-    // travel through it: there is no per-worker cache file to find.
-    let scratch = run.scratch.as_ref().expect("incomplete runs keep scratch");
-    let files: Vec<String> = std::fs::read_dir(scratch)
-        .expect("scratch dir")
+    // Not even an incomplete run leaves anything behind: no fan-out of
+    // this process creates a file or directory.
+    let prefix = format!("memstream-shard-{}-", std::process::id());
+    let litter: Vec<String> = std::fs::read_dir(std::env::temp_dir())
+        .expect("temp dir")
         .map(|entry| {
             entry
                 .expect("entry")
@@ -361,20 +358,55 @@ fn truncated_flush_keeps_the_committed_prefix() {
                 .to_string_lossy()
                 .into_owned()
         })
+        .filter(|name| name.starts_with(&prefix))
         .collect();
-    assert!(
-        !files.iter().any(|name| name.ends_with(".cache")),
-        "scratch holds {files:?}"
-    );
-    let _ = std::fs::remove_dir_all(scratch);
+    assert!(litter.is_empty(), "left behind: {litter:?}");
 
     // The warmed cache converges on retry: a fault-free fleet covers the
     // remainder and the bytes still match the single-process run.
-    let retry = explore_sharded(&recipe, &mut merged, &worker_opts(2).with_lease_cells(8))
-        .expect("retry run");
+    let retry = explore_sharded(&recipe, &mut merged, &worker_opts(2).with_lease_cells(8));
     assert!(retry.is_complete(), "ledger: {:?}", retry.failures);
     assert_eq!(retry.cached, run.workers[0].flushed);
     assert_byte_identical(&recipe, &mut merged, "retry after a torn frame");
+}
+
+#[test]
+fn records_of_cells_already_held_are_dropped_on_arrival() {
+    // One cell of a mixed chunk is cached with a *different* outcome
+    // (another cell's). The worker granted that chunk evaluates every
+    // cell of it and sends the true record too; the coordinator drops
+    // it on arrival, so the cached entry stands and no union conflict
+    // is possible.
+    let recipe = GridRecipe::classic(2);
+    let grid = recipe.build();
+    let unique = grid.unique_cells();
+    let mut evaluated = ResultCache::new();
+    GridExecutor::serial().resolve_cells(&grid, &unique, &mut evaluated);
+    let held = grid.dedup_key(&unique[1]);
+    let truth = evaluated.get(&held).expect("evaluated");
+    let stale = unique
+        .iter()
+        .filter_map(|cell| evaluated.get(&grid.dedup_key(cell)))
+        .find(|outcome| *outcome != truth)
+        .expect("a cell with another outcome");
+    let mut cache = ResultCache::new();
+    cache.insert(held.clone(), stale.clone());
+
+    let run = explore_sharded(&recipe, &mut cache, &worker_opts(2).with_lease_cells(4));
+    assert!(run.is_complete(), "ledger: {:?}", run.failures);
+    assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
+    assert_eq!(run.cached, 1);
+    assert_eq!(
+        run.leases_issued, run.lease_chunks as u64,
+        "the mixed chunk was leased like every other"
+    );
+    assert_eq!(
+        run.workers.iter().map(|w| w.flushed).sum::<usize>(),
+        run.unique_cells - 1,
+        "every record but the held cell's merged"
+    );
+    assert_eq!(cache.get(&held), Some(stale), "the cached outcome stands");
+    assert_eq!(cache.len(), run.unique_cells);
 }
 
 #[cfg(unix)]
@@ -391,7 +423,7 @@ fn corrupt_flush_is_attributed_and_output_stays_byte_identical() {
         .with_fault_plan(0, FaultPlan::CorruptFlush);
     let opts = faulty_shard_first(opts, &gate, "");
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts).expect("sharded run");
+    let run = explore_sharded(&recipe, &mut merged, &opts);
     let _ = std::fs::remove_file(&gate);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::FlushCorrupt]);

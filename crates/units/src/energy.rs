@@ -207,16 +207,23 @@ impl EnergyPerBit {
     ///
     /// # Panics
     ///
-    /// Panics if the value is negative or not finite.
+    /// Panics if the value is negative or not finite; use
+    /// [`EnergyPerBit::try_from_joules_per_bit`] for fallible
+    /// construction.
     #[must_use]
     pub fn from_joules_per_bit(j_per_bit: f64) -> Self {
-        assert!(
-            j_per_bit.is_finite() && j_per_bit >= 0.0,
-            "per-bit energy must be finite and non-negative, got {j_per_bit}"
-        );
-        EnergyPerBit {
-            joules_per_bit: j_per_bit,
-        }
+        Self::try_from_joules_per_bit(j_per_bit).expect("per-bit energy")
+    }
+
+    /// Fallible variant of [`EnergyPerBit::from_joules_per_bit`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantityError`] if the value is negative, NaN or
+    /// infinite.
+    pub fn try_from_joules_per_bit(j_per_bit: f64) -> Result<Self, QuantityError> {
+        check_non_negative("per-bit energy", j_per_bit)
+            .map(|joules_per_bit| Self { joules_per_bit })
     }
 
     /// Creates a per-bit energy from nanojoules per bit (Fig. 2a's unit).

@@ -263,14 +263,27 @@ impl Years {
     ///
     /// Panics if `years` is negative or NaN. Positive infinity is allowed:
     /// a component that never wears (e.g. probes under a read-only
-    /// workload) has unbounded lifetime.
+    /// workload) has unbounded lifetime. Use [`Years::try_new`] for
+    /// fallible construction.
     #[must_use]
     pub fn new(years: f64) -> Self {
-        assert!(
-            !years.is_nan() && years >= 0.0,
-            "lifetime must be >= 0, got {years}"
-        );
-        Years { years }
+        Self::try_new(years).unwrap_or_else(|_| panic!("lifetime must be >= 0, got {years}"))
+    }
+
+    /// Fallible variant of [`Years::new`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`QuantityError`] if `years` is negative or NaN.
+    pub fn try_new(years: f64) -> Result<Self, QuantityError> {
+        let (quantity, value) = ("lifetime", years);
+        if years.is_nan() {
+            Err(QuantityError::NotFinite { quantity, value })
+        } else if years < 0.0 {
+            Err(QuantityError::Negative { quantity, value })
+        } else {
+            Ok(Years { years })
+        }
     }
 
     /// Unbounded lifetime (component never wears out).

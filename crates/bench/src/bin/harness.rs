@@ -58,7 +58,7 @@ use memstream_core::{
     buffer_sensitivity, feasibility_map, log_spaced_rates, saving_frontier, DesignGoal,
     DesignReport, SystemModel,
 };
-use memstream_device::MemsDevice;
+use memstream_device::{EnergyModelled, MemsDevice};
 use memstream_units::{BitRate, DataSize, Ratio, Years};
 
 fn table1() {
@@ -581,6 +581,15 @@ fn grid(args: &[String]) {
     }
     let shared = shared.validated();
     let cache_path = shared.cache_path.clone();
+    // The simulator clock counts `u64` nanoseconds (`SimTime`).
+    let clock_limit_s = u64::MAX as f64 / 1e9;
+    if validate.is_some_and(|seconds| !(seconds > 0.0 && seconds <= clock_limit_s)) {
+        eprintln!(
+            "--validate must be finite, positive and at most {clock_limit_s:.3e} s \
+             (the simulator clock)"
+        );
+        std::process::exit(2);
+    }
 
     // One registry for the whole run: the executor, the cache and (when
     // sharded) the coordinator all report into it. Telemetry writes only
@@ -850,6 +859,23 @@ fn custom(args: &[String]) {
                 std::process::exit(2);
             }
         }
+    }
+    // The device `SystemModel::paper_default` models: a stream must leave
+    // the media rate room to refill the buffer, and a buffer must fit.
+    let device = MemsDevice::table1();
+    if !(rate.bits_per_second() > 0.0 && rate < device.media_rate()) {
+        eprintln!(
+            "--rate must be positive and below the media rate ({})",
+            device.media_rate()
+        );
+        std::process::exit(2);
+    }
+    if buffer.is_some_and(|b| b > device.capacity()) {
+        eprintln!(
+            "--buffer must be at most the device capacity ({})",
+            device.capacity()
+        );
+        std::process::exit(2);
     }
     let model = SystemModel::paper_default(rate);
     let goal_opt = (!goal.is_empty()).then_some(goal);

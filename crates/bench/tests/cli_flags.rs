@@ -1,0 +1,38 @@
+//! Out-of-range flag values: each is rejected up front with exit 2 and a
+//! one-line reason naming the flag, instead of a panic deep in the model
+//! or a silently substituted value.
+
+use std::process::Command;
+
+const HARNESS: &str = env!("CARGO_BIN_EXE_harness");
+
+#[test]
+fn out_of_range_values_exit_2_naming_the_flag() {
+    let validate = "--validate must be finite, positive and at most";
+    let rate = "--rate must be positive and below the media rate (102.40 Mbps)";
+    let buffer = "--buffer must be at most the device capacity (111.76 GiB)";
+    let cases: &[(&[&str], &str)] = &[
+        (&["grid", "--rates", "2", "--validate", "inf"], validate),
+        (&["grid", "--rates", "2", "--validate", "1e30"], validate),
+        (&["grid", "--rates", "2", "--validate", "1.9e10"], validate),
+        (&["grid", "--rates", "2", "--validate", "-1"], validate),
+        (&["grid", "--rates", "2", "--validate", "nan"], validate),
+        (&["grid", "--rates", "2", "--validate", "0"], validate),
+        (&["custom", "--rate", "0"], rate),
+        (&["custom", "--rate", "0kbps"], rate),
+        (&["custom", "--rate", "102.4Mbps"], rate),
+        (&["custom", "--rate", "200Mbps"], rate),
+        (&["custom", "--buffer", "1e20b"], buffer),
+        (&["custom", "--buffer", "121GB"], buffer),
+    ];
+    for (args, reason) in cases {
+        let output = Command::new(HARNESS)
+            .args(*args)
+            .output()
+            .expect("harness spawns");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+        assert!(output.stdout.is_empty(), "{args:?} printed a report");
+    }
+}

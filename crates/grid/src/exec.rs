@@ -52,11 +52,13 @@ struct ExecTelemetry {
     models_reused: Counter,
     interner_keys: Counter,
     /// Offers that joined the incremental Pareto frontier (including
-    /// later-evicted ones) and incumbents evicted by dominating offers —
-    /// together they bound the frontier maintenance cost, which tracks
-    /// frontier size instead of `cells × frontier`.
+    /// later-evicted ones), incumbents evicted by dominating offers, and
+    /// the dominance tests the builder made — the frontier's work, done on
+    /// the collecting thread as hits are looked up and as evaluated
+    /// results stream in (inside `grid.eval`).
     frontier_inserts: Counter,
     frontier_evictions: Counter,
+    frontier_dominance_checks: Counter,
     /// One handle per worker slot, indexed by worker id.
     worker_cells: Vec<Counter>,
     /// Per-series evaluation latency distribution (`grid.series_eval`).
@@ -87,6 +89,7 @@ impl ExecTelemetry {
             interner_keys: metrics.counter("grid.interner.keys"),
             frontier_inserts: metrics.counter("frontier.inserts"),
             frontier_evictions: metrics.counter("frontier.evictions"),
+            frontier_dominance_checks: metrics.counter("frontier.dominance_checks"),
             worker_cells: (0..threads)
                 .map(|i| metrics.counter(&format!("grid.worker.{i}.cells")))
                 .collect(),
@@ -350,6 +353,9 @@ impl GridExecutor {
         let _assemble = self.telemetry.assemble_span.start();
         self.telemetry.frontier_inserts.add(frontier.inserts());
         self.telemetry.frontier_evictions.add(frontier.evictions());
+        self.telemetry
+            .frontier_dominance_checks
+            .add(frontier.dominance_checks());
         let store = ResultStore::new(cell_to_job, job_cells, outcomes);
         let frontier = resolve_frontier(&store, frontier);
         GridResults {

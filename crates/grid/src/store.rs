@@ -137,9 +137,13 @@ pub fn non_dominated(points: &[[f64; 3]]) -> Vec<usize> {
 /// accepted offers evict any incumbents they dominate. The surviving
 /// set equals the batch [`non_dominated`] scan of the same points —
 /// domination is transitive, so an evicted incumbent can never shield a
-/// third point — but the cost tracks `cells × frontier` only through
-/// the *current* frontier size rather than the full candidate set, and
-/// no candidate buffer is ever materialised.
+/// third point — and no candidate buffer is ever materialised.
+///
+/// An offer is first tested against the incumbent that rejected the
+/// previous rejected offer: neighbouring cells of one series tend to share
+/// a dominator, so most rejections cost one check instead of a scan of
+/// the frontier. Any dominator rejects, so which one is found changes
+/// neither the survivors nor the counts.
 ///
 /// Insertion order does not affect the surviving set. The canonical
 /// report order is restored by [`FrontierBuilder::finish`], which sorts
@@ -148,8 +152,13 @@ pub fn non_dominated(points: &[[f64; 3]]) -> Vec<usize> {
 #[derive(Debug, Clone, Default)]
 pub struct FrontierBuilder {
     points: Vec<(usize, [f64; 3])>,
+    /// Position in `points` of the last incumbent found dominating an
+    /// offer. An eviction can shift it onto another point or past the
+    /// end; that costs at most one wasted check, never a wrong verdict.
+    last_dominator: usize,
     inserts: u64,
     evictions: u64,
+    dominance_checks: u64,
 }
 
 impl FrontierBuilder {
@@ -162,16 +171,25 @@ impl FrontierBuilder {
     /// Offers one point (tagged with the caller's `index`, typically a
     /// job ordinal). Returns whether it joined the frontier.
     pub fn insert(&mut self, index: usize, objectives: [f64; 3]) -> bool {
-        if self
+        if let Some((_, held)) = self.points.get(self.last_dominator) {
+            self.dominance_checks += 1;
+            if dominates(held, &objectives) {
+                return false;
+            }
+        }
+        if let Some(position) = self
             .points
             .iter()
-            .any(|(_, held)| dominates(held, &objectives))
+            .position(|(_, held)| dominates(held, &objectives))
         {
+            self.dominance_checks += position as u64 + 1;
+            self.last_dominator = position;
             return false;
         }
         let before = self.points.len();
         self.points
             .retain(|(_, held)| !dominates(&objectives, held));
+        self.dominance_checks += 2 * before as u64;
         self.evictions += (before - self.points.len()) as u64;
         self.points.push((index, objectives));
         self.inserts += 1;
@@ -209,6 +227,11 @@ impl FrontierBuilder {
     #[must_use]
     pub fn evictions(&self) -> u64 {
         self.evictions
+    }
+
+    /// Dominance tests made so far, in both directions.
+    pub(crate) fn dominance_checks(&self) -> u64 {
+        self.dominance_checks
     }
 
     /// The surviving `(index, objectives)` pairs, sorted ascending by
@@ -298,5 +321,24 @@ mod tests {
         assert_eq!(builder.inserts(), 3);
         assert_eq!(builder.evictions(), 2);
         assert_eq!(builder.len(), 1);
+        // Checks so far: none for the first offer, 1 + 2 for the second
+        // (last-dominator slot, then scan and eviction pass over one
+        // incumbent), 1 + 4 for the third, 1 for the rejected fourth.
+        assert_eq!(builder.dominance_checks(), 9);
+
+        assert!(builder.insert(4, [2.0, 0.0, 0.0]));
+        assert_eq!(builder.dominance_checks(), 12);
+        // The scan finds the dominator in position 1 after 2 checks...
+        assert!(!builder.insert(5, [1.5, 0.0, 0.0]));
+        assert_eq!(builder.dominance_checks(), 15);
+        // ...and the run it dominates costs one check per offer.
+        for (index, x) in [(6, 1.4), (7, 1.3), (8, 1.2)] {
+            assert!(!builder.insert(index, [x, 0.0, 0.0]));
+        }
+        assert_eq!(builder.dominance_checks(), 18);
+        // An offer the last dominator does not cover is still scanned.
+        assert!(!builder.insert(9, [0.5, 0.5, 0.5]));
+        assert_eq!(builder.dominance_checks(), 20);
+        assert_eq!((builder.inserts(), builder.evictions()), (4, 2));
     }
 }

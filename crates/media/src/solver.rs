@@ -8,8 +8,9 @@
 //! `u(Su)` is a sawtooth — it climbs within one per-probe payload step and
 //! drops when the ceiling in Eq. (2) ticks over — so the solver works per
 //! payload step: for each candidate subsector payload `p` it computes the
-//! best reachable utilisation, binary-searches the smallest feasible `p`,
-//! then picks the smallest `Su` inside that step.
+//! best reachable utilisation, binary-searches for a feasible `p` (the
+//! smallest one only where that utilisation is monotone in `p`), then
+//! picks the smallest `Su` inside that step.
 
 use memstream_units::{DataSize, Ratio};
 
@@ -18,27 +19,19 @@ use crate::error::FormatError;
 use crate::layout::SectorFormat;
 
 /// Largest user payload (bits) whose `Su + SECC` fits in `p` payload bits
-/// per probe across the stripe.
+/// per probe across the stripe: the largest `Su` with
+/// `Su + ecc_bits(Su) ≤ budget`, where `budget = p·K`.
+///
+/// For `SECC = ⌈Su/d⌉`, let `c = ⌈budget/(d+1)⌉`. `Su = budget − c` fits,
+/// because `budget ≤ c·(d+1)` gives `⌈Su/d⌉ ≤ c`. `Su + 1` does not,
+/// because `c ≤ (budget+d)/(d+1)` gives `⌈(Su+1)/d⌉ ≥ c`.
 fn su_max_for_payload(fmt: &SectorFormat, p: u64) -> u64 {
-    let k = u64::from(fmt.stripe_width());
-    let budget = p * k;
-    let mut su = match fmt.ecc() {
-        // Su + ceil(Su/d) <= budget  =>  Su ~ budget * d / (d + 1).
-        EccPolicy::Fractional { divisor } => {
-            budget / (divisor + 1) * divisor + budget % (divisor + 1)
-        }
+    let budget = p * u64::from(fmt.stripe_width());
+    match fmt.ecc() {
+        EccPolicy::Fractional { divisor } => budget - budget.div_ceil(divisor + 1),
         EccPolicy::Fixed { bits } => budget.saturating_sub(bits),
         EccPolicy::None => budget,
-    };
-    // The closed forms above are within a couple of bits of the true
-    // boundary; nudge to the exact integer edge.
-    while su > 0 && su + fmt.ecc().ecc_bits(su) > budget {
-        su -= 1;
     }
-    while su + 1 + fmt.ecc().ecc_bits(su + 1) <= budget {
-        su += 1;
-    }
-    su
 }
 
 /// Best utilisation attainable with subsector payload `p`.
@@ -53,7 +46,9 @@ fn best_utilization_for_payload(fmt: &SectorFormat, p: u64) -> f64 {
 ///
 /// This is the inverse function of Eq. (4) used for the "C" curves of
 /// Fig. 3 (with `Su = B`, the returned size is the capacity-dictated
-/// minimum buffer).
+/// minimum buffer). For fractional ECC the result always reaches `target`
+/// but is occasionally not the smallest such `Su`: the payload search
+/// assumes a monotonicity that does not hold (see the comment in the body).
 ///
 /// # Errors
 ///
@@ -90,9 +85,12 @@ pub fn min_user_bits_for_utilization(
         });
     }
 
-    // Find an upper payload bound by doubling, then binary-search the
-    // smallest feasible payload. best_utilization_for_payload is
-    // non-decreasing in p for all supported ECC policies.
+    // Find an upper payload bound by doubling, then binary-search a
+    // feasible payload. For fractional ECC best_utilization_for_payload is
+    // not monotone in p (stripe width 1, d = 8, 3 sync bits: p = 9 reaches
+    // 8/12 but p = 10 only 8/13), so the bisection can land past the first
+    // feasible payload step and the `Su` returned is then not minimal.
+    // Feasibility is monotone only within one residue of p mod (d + 1).
     let mut hi = 1u64;
     while best_utilization_for_payload(fmt, hi) < t {
         hi = hi
@@ -213,6 +211,55 @@ pub fn utilization_profile(
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The estimate-and-nudge form of [`su_max_for_payload`]: start near
+    /// the boundary and step `Su` to the exact integer edge of
+    /// `Su + ecc_bits(Su) ≤ budget`.
+    fn su_max_nudged(fmt: &SectorFormat, p: u64) -> u64 {
+        let budget = p * u64::from(fmt.stripe_width());
+        let mut su = match fmt.ecc() {
+            EccPolicy::Fractional { divisor } => {
+                budget / (divisor + 1) * divisor + budget % (divisor + 1)
+            }
+            EccPolicy::Fixed { bits } => budget.saturating_sub(bits),
+            EccPolicy::None => budget,
+        };
+        while su > 0 && su + fmt.ecc().ecc_bits(su) > budget {
+            su -= 1;
+        }
+        while su + 1 + fmt.ecc().ecc_bits(su + 1) <= budget {
+            su += 1;
+        }
+        su
+    }
+
+    #[test]
+    fn closed_form_su_max_equals_the_nudged_reference() {
+        let policies = [
+            EccPolicy::Fractional { divisor: 1 },
+            EccPolicy::Fractional { divisor: 8 },
+            EccPolicy::Fractional { divisor: 10 },
+            EccPolicy::Fixed { bits: 0 },
+            EccPolicy::Fixed { bits: 16 },
+            EccPolicy::Fixed { bits: 5000 },
+            EccPolicy::None,
+        ];
+        let payloads: Vec<u64> = (0..20_000u64)
+            .chain([1 << 20, (1 << 30) + 7, (1 << 40) + 3])
+            .collect();
+        for ecc in policies {
+            for k in [1u32, 2, 3, 7, 8, 9, 64, 1000, 1024] {
+                let fmt = SectorFormat::new(k, ecc, 3).unwrap();
+                for &p in &payloads {
+                    assert_eq!(
+                        su_max_for_payload(&fmt, p),
+                        su_max_nudged(&fmt, p),
+                        "{ecc}, stripe width {k}, payload {p}"
+                    );
+                }
+            }
+        }
+    }
 
     #[test]
     fn su_max_respects_budget_exactly() {

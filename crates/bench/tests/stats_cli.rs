@@ -222,7 +222,7 @@ fn a_foreign_cache_file_is_named_and_replaced() {
     assert_eq!(counter(&doc, "cache.foreign_files"), 1);
     assert!(std::fs::read(&cache)
         .unwrap()
-        .starts_with(b"memstream-grid-cache v3\n"));
+        .starts_with(b"memstream-grid-cache v4\n"));
 
     // The replacement warms the next run, which names nothing.
     let output = run(&args);

@@ -5,7 +5,7 @@ use std::fmt;
 use memstream_media::{min_user_bits_for_utilization, FormatError, SectorFormat};
 use memstream_units::{DataSize, Ratio};
 
-use crate::error::ModelError;
+use crate::error::{InfeasibleReason, ModelError};
 use crate::goal::Requirement;
 
 /// How utilisation depends on the buffer.
@@ -198,33 +198,29 @@ impl CapacityModel {
         if target.fraction() > constant.fraction() {
             return Err(ModelError::InfeasibleGoal {
                 requirement: Requirement::Capacity,
-                reason: format!(
-                    "requested utilisation {:.2}% exceeds the fixed media utilisation {:.2}%",
-                    target.fraction() * 100.0,
-                    constant.fraction() * 100.0
-                ),
+                reason: InfeasibleReason::AboveFixedUtilization {
+                    requested: target,
+                    fixed: constant,
+                },
             });
         }
         Ok(())
     }
 
     fn as_model_error(err: FormatError) -> ModelError {
-        match err {
+        let reason = match err {
             FormatError::UtilizationUnreachable {
                 requested,
                 supremum,
-            } => ModelError::InfeasibleGoal {
-                requirement: Requirement::Capacity,
-                reason: format!(
-                    "requested utilisation {:.2}% exceeds the format supremum {:.2}%",
-                    requested * 100.0,
-                    supremum * 100.0
-                ),
+            } => InfeasibleReason::AboveFormatSupremum {
+                requested,
+                supremum,
             },
-            other => ModelError::InfeasibleGoal {
-                requirement: Requirement::Capacity,
-                reason: other.to_string(),
-            },
+            other => InfeasibleReason::Format(other),
+        };
+        ModelError::InfeasibleGoal {
+            requirement: Requirement::Capacity,
+            reason,
         }
     }
 }

@@ -153,6 +153,9 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
     /// Answers the design question for `goal`: the minimal buffer and the
     /// dictating requirement, or a statement of infeasibility.
     ///
+    /// This is [`BufferDimensioner::capacity_minimum`] followed by
+    /// [`BufferDimensioner::plan`].
+    ///
     /// # Errors
     ///
     /// * [`ModelError::EmptyGoal`] if the goal constrains nothing.
@@ -161,17 +164,47 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
     /// * [`ModelError::RateExceedsBandwidth`] if the stream rate itself is
     ///   unsustainable.
     pub fn dimension(&self, goal: &DesignGoal) -> Result<BufferPlan, ModelError> {
+        self.plan(goal, &self.capacity_minimum(goal))
+    }
+
+    /// The rate-independent half of [`BufferDimensioner::dimension`]: the
+    /// smallest buffer reaching the goal's capacity target, or `None` when
+    /// the goal sets none. Only the capacity model enters it, so a sweep
+    /// over stream rates can solve it once and hand the result to
+    /// [`BufferDimensioner::plan`] at every rate.
+    ///
+    /// # Errors
+    ///
+    /// [`ModelError::InfeasibleGoal`] if no buffer reaches the target.
+    pub fn capacity_minimum(&self, goal: &DesignGoal) -> Result<Option<DataSize>, ModelError> {
+        goal.capacity_target()
+            .map(|c| self.capacity.min_buffer_for_utilization(c))
+            .transpose()
+    }
+
+    /// The per-rate half of [`BufferDimensioner::dimension`]: plans `goal`
+    /// given `capacity`, which must be [`BufferDimensioner::capacity_minimum`]
+    /// of the same goal on a dimensioner with the same capacity model. The
+    /// result is reused as is, so a capacity error surfaces exactly where
+    /// `dimension` reports it: after the empty-goal check, before the
+    /// energy, wear and cycle-floor checks.
+    ///
+    /// # Errors
+    ///
+    /// As for [`BufferDimensioner::dimension`].
+    pub fn plan(
+        &self,
+        goal: &DesignGoal,
+        capacity: &Result<Option<DataSize>, ModelError>,
+    ) -> Result<BufferPlan, ModelError> {
         if goal.is_empty() {
             return Err(ModelError::EmptyGoal);
         }
 
         let mut requirements: Vec<(Requirement, DataSize)> = Vec::new();
 
-        if let Some(c) = goal.capacity_target() {
-            requirements.push((
-                Requirement::Capacity,
-                self.capacity.min_buffer_for_utilization(c)?,
-            ));
+        if let Some(b) = capacity.clone()? {
+            requirements.push((Requirement::Capacity, b));
         }
         if let Some(e) = goal.energy_saving_target() {
             requirements.push((Requirement::Energy, self.energy.min_buffer_for_saving(e)?));
@@ -179,9 +212,9 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
         if let Some(l) = goal.lifetime_target() {
             // One entry per wear channel that binds: springs then probes
             // for the MEMS pair, a single erase budget for flash.
-            for channel in self.lifetime.channels().to_vec() {
-                if let Some(b) = self.lifetime.min_buffer_for_channel(&channel, l)? {
-                    requirements.push((LifetimeModel::channel_requirement(&channel), b));
+            for channel in self.lifetime.channels() {
+                if let Some(b) = self.lifetime.min_buffer_for_channel(channel, l)? {
+                    requirements.push((LifetimeModel::channel_requirement(channel), b));
                 }
             }
         }
@@ -221,7 +254,9 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
         // Utilisation is a sawtooth of the buffer size: a buffer enlarged
         // by the springs or energy requirement can dip back below a
         // utilisation target (capacity goal or probes-implied). Bump to the
-        // next sawtooth-valid size.
+        // next sawtooth-valid size. The target's own minimum is one of the
+        // requirements above, so the buffer already covers it and the bump
+        // walks on from there without solving it again.
         let mut required_u = goal.capacity_target();
         if let Some(l) = goal.lifetime_target() {
             if let Some(u) = self.lifetime.required_utilization_for_probes(l)? {

@@ -10,7 +10,7 @@ use memstream_workload::Workload;
 use crate::cycle::{
     effective_best_effort, per_bit_period, per_bit_read_write, BestEffortPolicy, RefillCycle,
 };
-use crate::error::ModelError;
+use crate::error::{InfeasibleReason, ModelError};
 use crate::goal::Requirement;
 
 const BITS_PER_MIB: f64 = 8.0 * 1024.0 * 1024.0;
@@ -301,7 +301,7 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
         if p_idle <= p_sb {
             return Err(ModelError::InfeasibleGoal {
                 requirement: Requirement::Energy,
-                reason: "standby power does not undercut idle power".to_owned(),
+                reason: InfeasibleReason::StandbyNotBelowIdle,
             });
         }
         // tsb* = (Eoh − toh·Pidle) / (Pidle − Psb); B* = (tsb* + toh) / ((1−be)τ − ρ).
@@ -356,12 +356,11 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
     fn infeasible_saving(&self, target: Ratio) -> ModelError {
         ModelError::InfeasibleGoal {
             requirement: Requirement::Energy,
-            reason: format!(
-                "no buffer reaches a {} saving at {}; the achievable maximum is {:.1}%",
+            reason: InfeasibleReason::SavingUnreachable {
                 target,
-                self.workload.rate(),
-                self.max_saving() * 100.0
-            ),
+                rate: self.workload.rate(),
+                max_saving: self.max_saving(),
+            },
         }
     }
 }

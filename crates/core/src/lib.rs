@@ -59,7 +59,7 @@ pub use cycle::{BestEffortPolicy, RefillCycle};
 pub use device_model::{AnalyticModel, CapabilityModel};
 pub use dimension::{BufferDimensioner, BufferPlan};
 pub use energy::{CycleEnergy, EnergyModel};
-pub use error::ModelError;
+pub use error::{InfeasibleReason, ModelError};
 pub use explore::{
     feasibility_map, log_spaced_rates, BufferSweepPoint, FeasibilityMap, RateSweepPoint,
     SweepBuilder,

@@ -14,7 +14,7 @@ use memstream_units::{DataSize, Ratio, Years};
 use memstream_workload::Workload;
 
 use crate::capacity::CapacityModel;
-use crate::error::ModelError;
+use crate::error::{InfeasibleReason, ModelError};
 use crate::goal::Requirement;
 
 /// Eq. (5) in its device-agnostic form: the lifetime of any component
@@ -234,12 +234,11 @@ impl<'a, W: WearModelled + ?Sized> LifetimeModel<'a, W> {
                 if headroom <= 0.0 {
                     return Err(ModelError::InfeasibleGoal {
                         requirement: Requirement::EraseLifetime,
-                        reason: format!(
-                            "erase blocks last at most {} at {} even at the \
-                             write-amplification floor {waf_floor}",
-                            self.channel_lifetime_ceiling(channel),
-                            self.workload.rate(),
-                        ),
+                        reason: InfeasibleReason::EraseBlocksWornOut {
+                            ceiling: self.channel_lifetime_ceiling(channel),
+                            rate: self.workload.rate(),
+                            waf_floor,
+                        },
                     });
                 }
                 Ok(Some(DataSize::from_bits(block_bits / headroom)))
@@ -390,13 +389,11 @@ impl<'a, W: WearModelled + ?Sized> LifetimeModel<'a, W> {
         if required_u >= self.capacity.utilization_supremum().fraction() {
             return Err(ModelError::InfeasibleGoal {
                 requirement: Requirement::ProbesLifetime,
-                reason: format!(
-                    "probes last at most {} at {} even at full utilisation \
-                     (rating {} write cycles)",
-                    self.channel_lifetime_ceiling(channel),
-                    self.workload.rate(),
-                    rating
-                ),
+                reason: InfeasibleReason::ProbesWornOut {
+                    ceiling: self.channel_lifetime_ceiling(channel),
+                    rate: self.workload.rate(),
+                    rating,
+                },
             });
         }
         if required_u <= 0.0 {

@@ -16,6 +16,7 @@
 //! * an **access energy per bit** moved in or out of the device.
 
 use std::fmt;
+use std::sync::Arc;
 
 use memstream_units::{DataSize, Duration, Energy, Power};
 
@@ -66,7 +67,9 @@ impl fmt::Display for DramEnergyBreakdown {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct DramModel {
-    name: String,
+    // Shared, not owned: models are cloned with every re-rated analytic
+    // model, once per grid cell, and a clone must not allocate.
+    name: Arc<str>,
     retention_power_per_mib: Power,
     access_energy_per_bit: Energy,
 }
@@ -77,7 +80,7 @@ impl DramModel {
     #[must_use]
     pub fn micron_ddr_mobile() -> Self {
         DramModel {
-            name: "mobile DDR (TN-46-03 calibration)".to_owned(),
+            name: "mobile DDR (TN-46-03 calibration)".into(),
             retention_power_per_mib: Power::from_watts(70e-6),
             access_energy_per_bit: Energy::from_joules(60e-12),
         }
@@ -104,7 +107,7 @@ impl DramModel {
             });
         }
         Ok(DramModel {
-            name: name.into(),
+            name: name.into().into(),
             retention_power_per_mib,
             access_energy_per_bit,
         })

@@ -3,7 +3,7 @@
 //! explorations (CI re-runs, interactive sweeps) skip already-evaluated
 //! cells across process boundaries.
 //!
-//! There is one on-disk format, `memstream-grid-cache v3`, specified in
+//! There is one on-disk format, `memstream-grid-cache v4`, specified in
 //! `docs/CACHE_FORMAT.md` at the repository root: length-prefixed binary
 //! records sorted by key, closed by a record index. Floats are raw
 //! IEEE-754 bits, so a warm run reproduces the cold run's reports
@@ -37,17 +37,18 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::SystemTime;
 
-use memstream_core::Requirement;
+use memstream_core::{InfeasibleReason, ModelError, Requirement};
+use memstream_media::FormatError;
 use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle};
-use memstream_units::{DataSize, EnergyPerBit, Ratio, Years};
+use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 use crate::view::{validate, CacheView};
 
 /// The header line every cache file starts with.
-const HEADER: &str = "memstream-grid-cache v3";
+const HEADER: &str = "memstream-grid-cache v4";
 /// The sniffable magic: the header line including its terminator.
-pub(crate) const MAGIC: &[u8] = b"memstream-grid-cache v3\n";
+pub(crate) const MAGIC: &[u8] = b"memstream-grid-cache v4\n";
 
 /// The on-disk encoding [`ResultCache::save_as`] writes. There is only
 /// one, the binary record format; the type is retained so that callers
@@ -55,7 +56,7 @@ pub(crate) const MAGIC: &[u8] = b"memstream-grid-cache v3\n";
 /// among them) keep compiling. It selects nothing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum CacheFormat {
-    /// The length-prefixed binary format (`memstream-grid-cache v3`).
+    /// The length-prefixed binary format (`memstream-grid-cache v4`).
     #[default]
     Binary,
 }
@@ -69,7 +70,7 @@ pub enum CacheFormat {
 pub enum CacheFileError {
     /// The file could not be read at all.
     Io(io::Error),
-    /// The file does not start with the `memstream-grid-cache v3` magic.
+    /// The file does not start with the `memstream-grid-cache v4` magic.
     VersionMismatch {
         /// The first line actually found (empty for an empty file).
         found: String,
@@ -338,7 +339,7 @@ impl ResultCache {
     }
 
     /// Loads a cache file eagerly, decoding every record into memory. A
-    /// missing file or a foreign one (not `memstream-grid-cache v3`)
+    /// missing file or a foreign one (not `memstream-grid-cache v4`)
     /// yields an empty cache, silently; a malformed record drops it and
     /// everything after it (the length-prefixed stream cannot be
     /// resynchronised past damage). Warm starts use
@@ -690,29 +691,27 @@ impl ResultCache {
     }
 }
 
-/// Maps a decoded region/dominant label back to the `&'static str` the
-/// outcome types carry. Only labels the evaluator can produce round-trip;
+/// Maps a decoded dominant label back to the `&'static str` the outcome
+/// types carry. Only labels the evaluator can produce round-trip;
 /// anything else rejects the record.
 fn static_label(s: &str) -> Option<&'static str> {
-    for requirement in Requirement::ALL {
-        if requirement.label() == s {
-            return Some(requirement.label());
-        }
-    }
-    match s {
-        "X" => Some("X"),
-        "disk" => Some("disk"),
-        "-" => Some("-"),
-        _ => None,
-    }
+    Requirement::ALL
+        .iter()
+        .map(Requirement::label)
+        .find(|label| *label == s)
 }
+
+/// The capability names `memstream_core` errors carry.
+const CAPABILITIES: [&str; 4] = ["energy", "wear", "utilization", "sim"];
 
 // ---------------------------------------------------------------------
 // The record encoding (docs/CACHE_FORMAT.md § "Records"). Scalars are
 // little-endian; floats are raw IEEE-754 bits, so the round-trip is
 // exact by construction. Strings are `u32 length + UTF-8 bytes`. Each
 // record is `u32 body length + body`, body = `key string, tag byte,
-// payload`.
+// payload`. Infeasible and unmodelled payloads are one model error:
+// an error tag, then its fields, with a requirement byte and a reason
+// tag inside an infeasible goal.
 // ---------------------------------------------------------------------
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
@@ -741,6 +740,115 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// Encodes a model error: its tag, then its fields.
+fn push_error(out: &mut Vec<u8>, err: &ModelError) {
+    match err {
+        ModelError::EmptyGoal => out.push(0),
+        ModelError::RateExceedsBandwidth {
+            stream_bps,
+            available_bps,
+        } => {
+            out.push(1);
+            push_f64(out, *stream_bps);
+            push_f64(out, *available_bps);
+        }
+        ModelError::BufferBelowCycleMinimum {
+            buffer_bits,
+            minimum_bits,
+        } => {
+            out.push(2);
+            push_f64(out, *buffer_bits);
+            push_f64(out, *minimum_bits);
+        }
+        ModelError::InfeasibleGoal {
+            requirement,
+            reason,
+        } => {
+            out.push(3);
+            let index = Requirement::ALL
+                .iter()
+                .position(|r| r == requirement)
+                .expect("every requirement is listed in Requirement::ALL");
+            out.push(index as u8);
+            push_reason(out, reason);
+        }
+        ModelError::MissingCapability { capability } => {
+            out.push(4);
+            push_str(out, capability);
+        }
+        ModelError::InvalidCapability { capability, reason } => {
+            out.push(5);
+            push_str(out, capability);
+            push_str(out, reason);
+        }
+    }
+}
+
+/// Encodes an infeasibility reason: its tag, then its fields.
+fn push_reason(out: &mut Vec<u8>, reason: &InfeasibleReason) {
+    match reason {
+        InfeasibleReason::SavingUnreachable {
+            target,
+            rate,
+            max_saving,
+        } => {
+            out.push(0);
+            push_f64(out, target.fraction());
+            push_f64(out, rate.bits_per_second());
+            push_f64(out, *max_saving);
+        }
+        InfeasibleReason::StandbyNotBelowIdle => out.push(1),
+        InfeasibleReason::AboveFixedUtilization { requested, fixed } => {
+            out.push(2);
+            push_f64(out, requested.fraction());
+            push_f64(out, fixed.fraction());
+        }
+        InfeasibleReason::AboveFormatSupremum {
+            requested,
+            supremum,
+        } => {
+            out.push(3);
+            push_f64(out, *requested);
+            push_f64(out, *supremum);
+        }
+        InfeasibleReason::Format(err) => {
+            out.push(4);
+            match err {
+                FormatError::ZeroStripeWidth => out.push(0),
+                FormatError::EmptySector => out.push(1),
+                FormatError::UtilizationUnreachable {
+                    requested,
+                    supremum,
+                } => {
+                    out.push(2);
+                    push_f64(out, *requested);
+                    push_f64(out, *supremum);
+                }
+            }
+        }
+        InfeasibleReason::ProbesWornOut {
+            ceiling,
+            rate,
+            rating,
+        } => {
+            out.push(5);
+            push_f64(out, ceiling.get());
+            push_f64(out, rate.bits_per_second());
+            push_f64(out, *rating);
+        }
+        InfeasibleReason::EraseBlocksWornOut {
+            ceiling,
+            rate,
+            waf_floor,
+        } => {
+            out.push(6);
+            push_f64(out, ceiling.get());
+            push_f64(out, rate.bits_per_second());
+            push_f64(out, *waf_floor);
+        }
+    }
+}
+
 /// Encodes one entry's record body (everything after the length prefix).
 fn encode_record(key: &str, outcome: &CellOutcome) -> Vec<u8> {
     let mut body = Vec::with_capacity(key.len() + 64);
@@ -758,10 +866,9 @@ fn encode_record(key: &str, outcome: &CellOutcome) -> Vec<u8> {
                 p.energy_per_bit.map(EnergyPerBit::joules_per_bit),
             );
         }
-        CellOutcome::Infeasible { region, detail } => {
+        CellOutcome::Infeasible(err) => {
             body.push(b'X');
-            push_str(&mut body, region);
-            push_str(&mut body, detail);
+            push_error(&mut body, err);
         }
         CellOutcome::EnergyOnly(p) => {
             body.push(b'D');
@@ -769,9 +876,9 @@ fn encode_record(key: &str, outcome: &CellOutcome) -> Vec<u8> {
             push_opt_f64(&mut body, p.buffer_for_saving.map(DataSize::bits));
             push_opt_f64(&mut body, p.saving);
         }
-        CellOutcome::Unmodelled { detail } => {
+        CellOutcome::Unmodelled(err) => {
             body.push(b'U');
-            push_str(&mut body, detail);
+            push_error(&mut body, err);
         }
     }
     body
@@ -828,37 +935,124 @@ impl<'a> ByteReader<'a> {
         self.str_slice().map(str::to_owned)
     }
 
-    /// A region/dominant label, interned to the evaluator's static set.
+    fn byte(&mut self) -> Option<u8> {
+        self.take(1).map(|b| b[0])
+    }
+
+    /// A dominant label, interned to the evaluator's static set.
     fn label(&mut self) -> Option<&'static str> {
         self.str_slice().and_then(static_label)
+    }
+
+    /// A capability name, interned to the set the model reports.
+    fn capability(&mut self) -> Option<&'static str> {
+        let name = self.str_slice()?;
+        CAPABILITIES.into_iter().find(|c| *c == name)
+    }
+
+    /// A value that `make` checks into a quantity.
+    fn quantity<T, E>(&mut self, make: fn(f64) -> Result<T, E>) -> Option<T> {
+        make(self.f64()?).ok()
+    }
+
+    /// A fraction that must be a valid ratio.
+    fn fraction(&mut self) -> Option<f64> {
+        self.quantity(Ratio::try_from_fraction).map(Ratio::fraction)
+    }
+
+    /// A model error ([`push_error`]).
+    fn error(&mut self) -> Option<ModelError> {
+        Some(match self.byte()? {
+            0 => ModelError::EmptyGoal,
+            1 => ModelError::RateExceedsBandwidth {
+                stream_bps: self
+                    .quantity(BitRate::try_from_bits_per_second)?
+                    .bits_per_second(),
+                available_bps: self
+                    .quantity(BitRate::try_from_bits_per_second)?
+                    .bits_per_second(),
+            },
+            2 => ModelError::BufferBelowCycleMinimum {
+                buffer_bits: self.quantity(DataSize::try_from_bits)?.bits(),
+                minimum_bits: self.quantity(DataSize::try_from_bits)?.bits(),
+            },
+            3 => ModelError::InfeasibleGoal {
+                requirement: *Requirement::ALL.get(usize::from(self.byte()?))?,
+                reason: self.reason()?,
+            },
+            4 => ModelError::MissingCapability {
+                capability: self.capability()?,
+            },
+            5 => ModelError::InvalidCapability {
+                capability: self.capability()?,
+                reason: self.string()?,
+            },
+            _ => return None,
+        })
+    }
+
+    /// An infeasibility reason ([`push_reason`]).
+    fn reason(&mut self) -> Option<InfeasibleReason> {
+        Some(match self.byte()? {
+            0 => InfeasibleReason::SavingUnreachable {
+                target: self.quantity(Ratio::try_from_fraction)?,
+                rate: self.quantity(BitRate::try_from_bits_per_second)?,
+                max_saving: self.f64()?,
+            },
+            1 => InfeasibleReason::StandbyNotBelowIdle,
+            2 => InfeasibleReason::AboveFixedUtilization {
+                requested: self.quantity(Ratio::try_from_fraction)?,
+                fixed: self.quantity(Ratio::try_from_fraction)?,
+            },
+            3 => InfeasibleReason::AboveFormatSupremum {
+                requested: self.fraction()?,
+                supremum: self.fraction()?,
+            },
+            4 => InfeasibleReason::Format(match self.byte()? {
+                0 => FormatError::ZeroStripeWidth,
+                1 => FormatError::EmptySector,
+                2 => FormatError::UtilizationUnreachable {
+                    requested: self.fraction()?,
+                    supremum: self.fraction()?,
+                },
+                _ => return None,
+            }),
+            5 => InfeasibleReason::ProbesWornOut {
+                ceiling: self.quantity(Years::try_new)?,
+                rate: self.quantity(BitRate::try_from_bits_per_second)?,
+                rating: self.f64()?,
+            },
+            6 => InfeasibleReason::EraseBlocksWornOut {
+                ceiling: self.quantity(Years::try_new)?,
+                rate: self.quantity(BitRate::try_from_bits_per_second)?,
+                waf_floor: self.f64()?,
+            },
+            _ => return None,
+        })
     }
 
     /// The outcome (tag and payload) at the cursor, which must end
     /// exactly at the end of the bytes — the length prefix and the
     /// payload must agree. A value that breaks its unit's invariant (a
-    /// negative size, a ratio above 1, ...) makes the record undecodable.
+    /// negative size, a ratio above 1, ...) or an unknown tag makes the
+    /// record undecodable.
     fn outcome(&mut self) -> Option<CellOutcome> {
-        let outcome = match self.take(1)?[0] {
+        let outcome = match self.byte()? {
             b'F' => CellOutcome::Feasible(PlannedPoint {
-                buffer: DataSize::try_from_bits(self.f64()?).ok()?,
+                buffer: self.quantity(DataSize::try_from_bits)?,
                 dominant: self.label()?,
                 saving: self.opt_f64()?,
-                utilization: Ratio::try_from_fraction(self.f64()?).ok()?,
-                lifetime: Years::try_new(self.f64()?).ok()?,
+                utilization: self.quantity(Ratio::try_from_fraction)?,
+                lifetime: self.quantity(Years::try_new)?,
                 energy_per_bit: self.opt_quantity(EnergyPerBit::try_from_joules_per_bit)?,
             }),
-            b'X' => CellOutcome::Infeasible {
-                region: self.label()?,
-                detail: self.string()?,
-            },
+            b'X' => CellOutcome::Infeasible(self.error()?),
             b'D' => CellOutcome::EnergyOnly(EnergyOnlyPoint {
                 break_even: self.opt_quantity(DataSize::try_from_bits)?,
                 buffer_for_saving: self.opt_quantity(DataSize::try_from_bits)?,
                 saving: self.opt_f64()?,
             }),
-            b'U' => CellOutcome::Unmodelled {
-                detail: self.string()?,
-            },
+            b'U' => CellOutcome::Unmodelled(self.error()?),
             _ => return None,
         };
         (self.pos == self.bytes.len()).then_some(outcome)
@@ -1046,6 +1240,80 @@ mod tests {
         decode_record(&body).expect("record decodes")
     }
 
+    /// An unmodelled outcome whose error carries `reason`: the one
+    /// free-form string a record can hold.
+    fn unmodelled(reason: &str) -> CellOutcome {
+        CellOutcome::Unmodelled(ModelError::InvalidCapability {
+            capability: "utilization",
+            reason: reason.to_owned(),
+        })
+    }
+
+    /// One model error per error tag, and an infeasible goal per reason
+    /// tag (and per format-error tag), naming every requirement.
+    fn every_error() -> Vec<ModelError> {
+        let rate = BitRate::from_kbps(2905.0);
+        let reasons = [
+            InfeasibleReason::SavingUnreachable {
+                target: Ratio::from_percent(80.0),
+                rate,
+                max_saving: -0.25,
+            },
+            InfeasibleReason::StandbyNotBelowIdle,
+            InfeasibleReason::AboveFixedUtilization {
+                requested: Ratio::from_percent(95.0),
+                fixed: Ratio::from_percent(93.0),
+            },
+            InfeasibleReason::AboveFormatSupremum {
+                requested: 0.89,
+                supremum: 8.0 / 9.0,
+            },
+            InfeasibleReason::Format(FormatError::ZeroStripeWidth),
+            InfeasibleReason::Format(FormatError::EmptySector),
+            InfeasibleReason::Format(FormatError::UtilizationUnreachable {
+                requested: 0.95,
+                supremum: 8.0 / 9.0,
+            }),
+            InfeasibleReason::ProbesWornOut {
+                ceiling: Years::new(6.5),
+                rate,
+                rating: 100.0,
+            },
+            InfeasibleReason::EraseBlocksWornOut {
+                ceiling: Years::new(3.25),
+                rate,
+                waf_floor: 1.1,
+            },
+        ];
+        let mut errors = vec![
+            ModelError::EmptyGoal,
+            ModelError::RateExceedsBandwidth {
+                stream_bps: 2e8,
+                available_bps: 9.7e7,
+            },
+            ModelError::BufferBelowCycleMinimum {
+                buffer_bits: 64.0,
+                minimum_bits: 1024.0,
+            },
+            ModelError::MissingCapability { capability: "wear" },
+            ModelError::InvalidCapability {
+                capability: "utilization",
+                reason: "tab\there\nnewline\\backslash".to_owned(),
+            },
+        ];
+        let requirements = Requirement::ALL.iter().cycle();
+        errors.extend(
+            reasons
+                .into_iter()
+                .zip(requirements)
+                .map(|(reason, &requirement)| ModelError::InfeasibleGoal {
+                    requirement,
+                    reason,
+                }),
+        );
+        errors
+    }
+
     #[test]
     fn every_outcome_kind_round_trips_exactly() {
         // The baseline plus an energy-only-masked disk covers all four
@@ -1066,12 +1334,31 @@ mod tests {
         }
         // Feasible, infeasible and (masked-disk) energy-only all appear.
         assert_eq!(seen_kinds.len(), 3);
-        // The fourth kind, `Unmodelled`, has no grid cell here; check its
-        // encoding directly.
-        let unmodelled = CellOutcome::Unmodelled {
-            detail: "missing capability: wear".to_owned(),
-        };
-        assert_eq!(round_trip("k", &unmodelled).1, unmodelled);
+        // The fourth kind, `Unmodelled`, has no grid cell here, and the
+        // grid produces only some errors: check every error tag and every
+        // reason tag directly, under both outcome tags. A body keyed `k`
+        // holds the error tag at byte 6, an infeasible goal's reason tag
+        // at byte 8.
+        let (mut error_tags, mut reason_tags) = (Vec::new(), Vec::new());
+        for err in every_error() {
+            for outcome in [
+                CellOutcome::Infeasible(err.clone()),
+                CellOutcome::Unmodelled(err.clone()),
+            ] {
+                assert_eq!(round_trip("k", &outcome).1, outcome);
+            }
+            let body = encode_record("k", &CellOutcome::Infeasible(err.clone()));
+            error_tags.push(body[6]);
+            if matches!(err, ModelError::InfeasibleGoal { .. }) {
+                reason_tags.push(body[8]);
+            }
+        }
+        for tags in [&mut error_tags, &mut reason_tags] {
+            tags.sort_unstable();
+            tags.dedup();
+        }
+        assert_eq!(error_tags, [0, 1, 2, 3, 4, 5]);
+        assert_eq!(reason_tags, [0, 1, 2, 3, 4, 5, 6]);
     }
 
     #[test]
@@ -1089,13 +1376,10 @@ mod tests {
 
     #[test]
     fn hostile_strings_are_escaped() {
-        // Records are length-prefixed, so keys and details travel raw:
-        // tabs, newlines and backslashes come back byte for byte, in
-        // memory and through a saved file.
-        let outcome = CellOutcome::Infeasible {
-            region: "X",
-            detail: "tab\there\nnewline\\backslash".to_owned(),
-        };
+        // Records are length-prefixed, so keys and the one free-form
+        // string of an error travel raw: tabs, newlines and backslashes
+        // come back byte for byte, in memory and through a saved file.
+        let outcome = unmodelled("tab\there\nnewline\\backslash");
         let key = "key\twith\ttabs\nand\\newlines";
         assert_eq!(round_trip(key, &outcome), (key.to_owned(), outcome.clone()));
         let path = temp_path("hostile.cache");
@@ -1139,9 +1423,7 @@ mod tests {
     fn save_replaces_the_file_instead_of_rewriting_it_in_place() {
         let path = temp_path("atomic.cache");
         let mut cache = ResultCache::new();
-        let outcome = |detail: &str| CellOutcome::Unmodelled {
-            detail: detail.to_owned(),
-        };
+        let outcome = unmodelled;
         cache.insert("first".to_owned(), outcome("before"));
         save(&cache, &path);
         let old_bytes = fs::read(&path).unwrap();
@@ -1211,12 +1493,7 @@ mod tests {
         save(&stale, &path);
         assert_eq!(fs::read(&path).unwrap(), fs::read(&copy).unwrap());
         // ... and so is a cache that gained an entry.
-        stale.insert(
-            "new".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "x".to_owned(),
-            },
-        );
+        stale.insert("new".to_owned(), unmodelled("x"));
         save(&stale, &path);
         assert_eq!(CacheView::open(&path).unwrap().len(), cold.len() + 1);
         for p in [path, copy] {
@@ -1232,12 +1509,7 @@ mod tests {
         let path = temp_path("corrupt.cache");
         let mut cache = ResultCache::new();
         for key in ["a", "b"] {
-            cache.insert(
-                key.to_owned(),
-                CellOutcome::Unmodelled {
-                    detail: format!("detail {key}"),
-                },
-            );
+            cache.insert(key.to_owned(), unmodelled(&format!("detail {key}")));
         }
         save(&cache, &path);
         let mut bytes = fs::read(&path).unwrap();
@@ -1262,18 +1534,24 @@ mod tests {
 
     #[test]
     fn unknown_header_is_an_empty_cache() {
-        // A foreign file — here an old text-format cache — opens empty,
-        // is counted, and the next save replaces it.
+        // A foreign file — an old text-format cache, or an empty cache
+        // of the previous binary version — opens empty, is counted, and
+        // the next save replaces it.
         let path = temp_path("future.cache");
-        fs::write(&path, "memstream-grid-cache v1\nk\tU\tdetail\n").unwrap();
-        let metrics = Metrics::enabled();
-        let cache = ResultCache::open(&path, &metrics).unwrap();
-        assert!(cache.is_empty());
-        assert_eq!(metrics.snapshot().counter("cache.foreign_files"), Some(1));
-        assert!(ResultCache::load(&path).unwrap().is_empty());
-        save(&cache, &path);
-        assert!(fs::read(&path).unwrap().starts_with(MAGIC));
-        assert!(CacheView::open(&path).unwrap().is_empty());
+        let mut v3 = b"memstream-grid-cache v3\n".to_vec();
+        v3.extend_from_slice(&0u64.to_le_bytes());
+        v3.extend_from_slice(&32u64.to_le_bytes());
+        for foreign in [b"memstream-grid-cache v1\nk\tU\tdetail\n".to_vec(), v3] {
+            fs::write(&path, foreign).unwrap();
+            let metrics = Metrics::enabled();
+            let cache = ResultCache::open(&path, &metrics).unwrap();
+            assert!(cache.is_empty());
+            assert_eq!(metrics.snapshot().counter("cache.foreign_files"), Some(1));
+            assert!(ResultCache::load(&path).unwrap().is_empty());
+            save(&cache, &path);
+            assert!(fs::read(&path).unwrap().starts_with(MAGIC));
+            assert!(CacheView::open(&path).unwrap().is_empty());
+        }
         fs::remove_file(path).unwrap();
     }
 
@@ -1336,9 +1614,7 @@ mod tests {
 
     #[test]
     fn merge_counts_added_and_duplicate_entries() {
-        let outcome = CellOutcome::Unmodelled {
-            detail: "x".to_owned(),
-        };
+        let outcome = unmodelled("x");
         let mut a = ResultCache::new();
         a.insert("k1".to_owned(), outcome.clone());
         let mut b = ResultCache::new();
@@ -1359,25 +1635,10 @@ mod tests {
     #[test]
     fn merge_conflicts_are_attributed_and_byte_level() {
         let mut a = ResultCache::new();
-        a.insert(
-            "cell".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "ours".to_owned(),
-            },
-        );
+        a.insert("cell".to_owned(), unmodelled("ours"));
         let mut b = ResultCache::new();
-        b.insert(
-            "cell".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "theirs".to_owned(),
-            },
-        );
-        b.insert(
-            "aaa-sorts-first".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "new".to_owned(),
-            },
-        );
+        b.insert("cell".to_owned(), unmodelled("theirs"));
+        b.insert("aaa-sorts-first".to_owned(), unmodelled("new"));
         let conflict = a.merge(&b).unwrap_err();
         assert_eq!(conflict.key, "cell");
         assert!(conflict.ours.contains("ours"));
@@ -1395,9 +1656,7 @@ mod tests {
         // duplicate is recognised byte for byte, a disagreement is a
         // conflict, and additions land in the overlay.
         let path = temp_path("merge-lazy.cache");
-        let outcome = |detail: &str| CellOutcome::Unmodelled {
-            detail: detail.to_owned(),
-        };
+        let outcome = unmodelled;
         let mut file = ResultCache::new();
         file.insert("held".to_owned(), outcome("held"));
         save(&file, &path);
@@ -1446,7 +1705,8 @@ mod tests {
         ));
     }
 
-    /// A cache holding every outcome kind plus hostile keys/details.
+    /// A cache holding every outcome kind and every error encoding, plus
+    /// hostile keys and error strings.
     fn hostile_cache() -> ResultCache {
         let grid = ScenarioGrid::paper_baseline(4);
         let mut cache = ResultCache::new();
@@ -1455,17 +1715,15 @@ mod tests {
             .unwrap();
         cache.insert(
             "key\twith\ttabs\nand\\newlines".to_owned(),
-            CellOutcome::Infeasible {
-                region: "X",
-                detail: "tab\there\nnewline\\backslash".to_owned(),
-            },
+            unmodelled("tab\there\nnewline\\backslash"),
         );
         cache.insert(
             "unmodelled".to_owned(),
-            CellOutcome::Unmodelled {
-                detail: "missing capability: wear".to_owned(),
-            },
+            CellOutcome::Unmodelled(ModelError::MissingCapability { capability: "wear" }),
         );
+        for (i, err) in every_error().into_iter().enumerate() {
+            cache.insert(format!("error-{i}"), CellOutcome::Infeasible(err));
+        }
         cache.insert(
             "energy-only".to_owned(),
             CellOutcome::EnergyOnly(EnergyOnlyPoint {
@@ -1529,12 +1787,7 @@ mod tests {
         let path = temp_path("v2-truncated.cache");
         let mut cache = ResultCache::new();
         for key in ["a", "b", "c"] {
-            cache.insert(
-                key.to_owned(),
-                CellOutcome::Unmodelled {
-                    detail: format!("detail {key}"),
-                },
-            );
+            cache.insert(key.to_owned(), unmodelled(&format!("detail {key}")));
         }
         save(&cache, &path);
         let bytes = fs::read(&path).unwrap();
@@ -1616,12 +1869,6 @@ mod tests {
         let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
         assert_eq!(load.map(|s| s.entries), Some(1));
         fs::remove_file(path).unwrap();
-    }
-
-    fn unmodelled(detail: &str) -> CellOutcome {
-        CellOutcome::Unmodelled {
-            detail: detail.to_owned(),
-        }
     }
 
     #[test]
@@ -1722,6 +1969,110 @@ mod tests {
             let (records, damage) = decode_frame(&frame);
             assert_eq!(records, vec![("a".to_owned(), a.clone())]);
             assert_eq!(damage, Some(good.len()));
+        }
+    }
+
+    /// `outcome`'s record under key `k`, with the 8 bytes of `value`
+    /// replaced by those of `bad`.
+    fn with_value(outcome: &CellOutcome, value: f64, bad: f64) -> Vec<u8> {
+        let mut body = encode_record("k", outcome);
+        let at = body
+            .windows(8)
+            .position(|w| w == value.to_bits().to_le_bytes())
+            .expect("the value's bytes");
+        body[at..at + 8].copy_from_slice(&bad.to_bits().to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn out_of_range_error_fields_are_rejected() {
+        let rate = BitRate::from_kbps(2905.0);
+        let target = Ratio::from_percent(80.0);
+        let probes = CellOutcome::Infeasible(ModelError::InfeasibleGoal {
+            requirement: Requirement::ProbesLifetime,
+            reason: InfeasibleReason::ProbesWornOut {
+                ceiling: Years::new(6.5),
+                rate,
+                rating: 100.0,
+            },
+        });
+        let saving = CellOutcome::Infeasible(ModelError::InfeasibleGoal {
+            requirement: Requirement::Energy,
+            reason: InfeasibleReason::SavingUnreachable {
+                target,
+                rate,
+                max_saving: 0.5,
+            },
+        });
+        // Keyed `k`, a body holds the outcome tag at byte 5, the error
+        // tag at 6, an infeasible goal's requirement at 7 and its reason
+        // tag at 8.
+        let with_byte = |at: usize, bad: u8| {
+            let mut body = encode_record("k", &probes);
+            body[at] = bad;
+            body
+        };
+        let bps = rate.bits_per_second();
+        let cases = [
+            ("a negative rate", with_value(&probes, bps, -1.0)),
+            ("a NaN rate", with_value(&saving, bps, f64::NAN)),
+            (
+                "a ratio above 1",
+                with_value(&saving, target.fraction(), 1.5),
+            ),
+            (
+                "a negative lifetime ceiling",
+                with_value(&probes, 6.5, -6.5),
+            ),
+            ("an unknown requirement byte", with_byte(7, 5)),
+            ("an unknown reason tag", with_byte(8, 7)),
+            ("an unknown error tag", with_byte(6, 6)),
+        ];
+        for (name, body) in cases {
+            assert!(decode_record(&body).is_none(), "{name} was accepted");
+            assert!(decode_outcome(&body).is_none(), "{name} was accepted");
+        }
+        // An honest record of each still decodes.
+        for outcome in [probes, saving] {
+            assert_eq!(round_trip("k", &outcome).1, outcome);
+        }
+    }
+
+    proptest::proptest! {
+        /// A record of every error tag and every reason tag, truncated
+        /// or with one byte changed, is rejected or decodes to an outcome
+        /// that re-encodes to exactly the damaged bytes — never a panic.
+        #[test]
+        fn damaged_error_records_are_rejected_or_canonical(
+            which in 0usize..1024,
+            unmodelled in 0u32..2,
+            truncate in 0u32..2,
+            at in 0usize..4096,
+            value in 0u32..256,
+        ) {
+            let errors = every_error();
+            let err = errors[which % errors.len()].clone();
+            let outcome = if unmodelled == 1 {
+                CellOutcome::Unmodelled(err)
+            } else {
+                CellOutcome::Infeasible(err)
+            };
+            let mut body = encode_record("key", &outcome);
+            let at = at % body.len();
+            if truncate == 1 {
+                body.truncate(at);
+            } else {
+                body[at] = value as u8;
+            }
+            if let Some((key, outcome)) = decode_record(&body) {
+                proptest::prop_assert_eq!(encode_record(&key, &outcome), body.clone());
+            }
+            // The hit path skips the key unchecked; its payload is held
+            // to the same rule.
+            if let Some(outcome) = decode_outcome(&body) {
+                let key_len = u32::from_le_bytes(body[..4].try_into().unwrap()) as usize;
+                proptest::prop_assert_eq!(&encode_record("", &outcome)[4..], &body[4 + key_len..]);
+            }
         }
     }
 }

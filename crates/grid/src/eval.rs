@@ -58,21 +58,15 @@ pub struct EnergyOnlyPoint {
 pub enum CellOutcome {
     /// A feasible full-model plan.
     Feasible(PlannedPoint),
-    /// The goal is infeasible at this cell's rate.
-    Infeasible {
-        /// The Fig. 3 region label (`"X"` plus the failing requirement).
-        region: &'static str,
-        /// Human-readable detail from the model error.
-        detail: String,
-    },
+    /// The goal is infeasible at this cell's rate: the model error names
+    /// the failing requirement and the values that rule it out.
+    Infeasible(ModelError),
     /// An energy-only cell: the device exposes no wear/utilisation
     /// capabilities (the 1.8″ disk), so only the energy model speaks.
     EnergyOnly(EnergyOnlyPoint),
-    /// The device exposes no capability the grid can evaluate at all.
-    Unmodelled {
-        /// Which capability was missing.
-        detail: String,
-    },
+    /// The device exposes no capability the grid can evaluate at all: the
+    /// error names the missing or malformed capability.
+    Unmodelled(ModelError),
 }
 
 impl CellOutcome {
@@ -93,9 +87,9 @@ impl CellOutcome {
     pub fn region(&self) -> &'static str {
         match self {
             CellOutcome::Feasible(p) => p.dominant,
-            CellOutcome::Infeasible { .. } => "X",
+            CellOutcome::Infeasible(_) => "X",
             CellOutcome::EnergyOnly(_) => "disk",
-            CellOutcome::Unmodelled { .. } => "-",
+            CellOutcome::Unmodelled(_) => "-",
         }
     }
 }
@@ -129,10 +123,7 @@ pub(crate) fn evaluate(grid: &ScenarioGrid, cell: &GridCell) -> CellOutcome {
                     energy_per_bit: model.per_bit_energy(b).ok(),
                 })
             }
-            Err(err) => CellOutcome::Infeasible {
-                region: infeasible_region(&err),
-                detail: err.to_string(),
-            },
+            Err(err) => CellOutcome::Infeasible(err),
         },
         // Devices that genuinely lack full-pipeline capabilities fall back
         // to the energy-only path; a device that *claims* the capabilities
@@ -151,20 +142,9 @@ pub(crate) fn evaluate(grid: &ScenarioGrid, cell: &GridCell) -> CellOutcome {
                     saving: buffer_for_saving.and_then(|b| energy.saving(b).ok()),
                 })
             }
-            None => CellOutcome::Unmodelled {
-                detail: err.to_string(),
-            },
+            None => CellOutcome::Unmodelled(err),
         },
-        Err(invalid) => CellOutcome::Unmodelled {
-            detail: invalid.to_string(),
-        },
-    }
-}
-
-pub(crate) fn infeasible_region(err: &ModelError) -> &'static str {
-    match err {
-        ModelError::InfeasibleGoal { requirement, .. } => requirement.label(),
-        _ => "X",
+        Err(invalid) => CellOutcome::Unmodelled(invalid),
     }
 }
 
@@ -228,8 +208,17 @@ mod tests {
             .goal(DesignGoal::fig3b());
         for cell in grid.cells() {
             match evaluate(&grid, &cell) {
-                CellOutcome::Unmodelled { detail } => {
-                    assert!(detail.contains("utilization"), "detail: {detail}");
+                CellOutcome::Unmodelled(err) => {
+                    assert!(
+                        matches!(
+                            err,
+                            ModelError::InvalidCapability {
+                                capability: "utilization",
+                                ..
+                            }
+                        ),
+                        "error: {err}"
+                    );
                 }
                 other => panic!("misconfigured device was not surfaced: {other:?}"),
             }
@@ -269,8 +258,8 @@ mod tests {
             .expect("baseline has a disk");
         for cell in grid.cells().filter(|c| c.device == disk_idx) {
             match evaluate(&grid, &cell) {
-                CellOutcome::Infeasible { detail, .. } => {
-                    assert!(detail.contains("energy saving"), "detail: {detail}");
+                CellOutcome::Infeasible(err) => {
+                    assert!(err.to_string().contains("energy saving"), "error: {err}");
                 }
                 other => panic!("disk cell fell off the full pipeline: {other:?}"),
             }
@@ -328,7 +317,7 @@ mod tests {
                     feasible += 1;
                     assert!(p.saving.is_some(), "flash plans have measurable savings");
                 }
-                CellOutcome::Infeasible { .. } => {}
+                CellOutcome::Infeasible(_) => {}
                 other => panic!("flash cell fell off the full pipeline: {other:?}"),
             }
         }

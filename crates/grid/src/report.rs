@@ -84,12 +84,12 @@ pub fn cells_csv(results: &GridResults) -> String {
                     format!("{:.2}", p.lifetime.get()),
                     String::new(),
                 ),
-                CellOutcome::Infeasible { detail, .. } => (
+                CellOutcome::Infeasible(err) | CellOutcome::Unmodelled(err) => (
                     "-".into(),
                     "-".into(),
                     "-".into(),
                     "-".into(),
-                    detail.clone(),
+                    err.to_string(),
                 ),
                 CellOutcome::EnergyOnly(p) => (
                     p.buffer_for_saving
@@ -101,13 +101,6 @@ pub fn cells_csv(results: &GridResults) -> String {
                     p.break_even.map_or_else(String::new, |b| {
                         format!("break-even {:.3} KiB", b.kibibytes())
                     }),
-                ),
-                CellOutcome::Unmodelled { detail } => (
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    detail.clone(),
                 ),
             };
             vec![
@@ -183,9 +176,9 @@ pub fn summary(results: &GridResults) -> String {
     for (_, outcome) in results.records() {
         match outcome {
             CellOutcome::Feasible(_) => feasible += 1,
-            CellOutcome::Infeasible { .. } => infeasible += 1,
+            CellOutcome::Infeasible(_) => infeasible += 1,
             CellOutcome::EnergyOnly(_) => disk += 1,
-            CellOutcome::Unmodelled { .. } => unmodelled += 1,
+            CellOutcome::Unmodelled(_) => unmodelled += 1,
         }
     }
     let grid = results.grid();

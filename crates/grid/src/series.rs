@@ -7,7 +7,10 @@
 //! axes; [`evaluate_series`] then constructs the model **once per series**
 //! and sweeps the rates against the reused device intermediates, building
 //! a single [`BufferDimensioner`](memstream_core::BufferDimensioner) per
-//! rate instead of one model stack per metric.
+//! rate instead of one model stack per metric. The goal's capacity solve
+//! depends on no rate, so it runs once per series
+//! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum))
+//! and every rate plans against its result.
 //!
 //! For the registered concrete devices (MEMS, disk, flash) the series
 //! model is **monomorphized** via [`StorageDevice::as_any`]: the sweep
@@ -22,9 +25,10 @@ use memstream_core::{CapabilityModel, DesignGoal, EnergyModel, ModelError};
 use memstream_device::{
     DiskDevice, DramModel, EnergyModelled, FlashDevice, MemsDevice, StorageDevice, WearModelled,
 };
+use memstream_units::BitRate;
 use memstream_workload::Workload;
 
-use crate::eval::{infeasible_region, CellOutcome, EnergyOnlyPoint, PlannedPoint};
+use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 use crate::spec::{GridCell, ScenarioGrid};
 
 /// One rate-axis series of the job list: every job sharing a
@@ -97,13 +101,13 @@ enum SeriesModel<'a> {
     Dyn(CapabilityModel<'a>),
     /// The device only exposes energy (the classic 1.8″ disk mask).
     EnergyOnly(&'a dyn EnergyModelled),
-    /// No usable capability; the (rate-independent) detail string.
-    Unmodelled(String),
+    /// No usable capability; the (rate-independent) error.
+    Unmodelled(ModelError),
 }
 
 /// Builds the series model for `device`, monomorphizing when the concrete
-/// type is registered. The capability checks and error strings are
-/// identical on every path, so the fallback classification matches
+/// type is registered. The capability checks and errors are identical on
+/// every path, so the fallback classification matches
 /// [`crate::eval::evaluate`] exactly.
 fn build_model<'a>(
     grid: &'a ScenarioGrid,
@@ -146,42 +150,46 @@ fn degraded<'a>(device: &'a dyn StorageDevice, err: &ModelError) -> SeriesModel<
     match err {
         ModelError::MissingCapability { .. } => match device.energy() {
             Some(energy_device) => SeriesModel::EnergyOnly(energy_device),
-            None => SeriesModel::Unmodelled(err.to_string()),
+            None => SeriesModel::Unmodelled(err.clone()),
         },
-        invalid => SeriesModel::Unmodelled(invalid.to_string()),
+        invalid => SeriesModel::Unmodelled(invalid.clone()),
     }
 }
 
-/// One full-pipeline cell at `rate`, on a series model of any dispatch
-/// flavour. One dimensioner serves every metric of the planned point.
+/// Every full-pipeline cell of a series, on a series model of any
+/// dispatch flavour: the goal's capacity minimum is solved once, then one
+/// dimensioner per rate plans against it and serves every metric of the
+/// planned point.
 fn eval_full<E, W>(
     model: &CapabilityModel<'_, E, W>,
     goal: &DesignGoal,
-    rate: memstream_units::BitRate,
-) -> CellOutcome
+    rates: impl Iterator<Item = BitRate>,
+) -> Vec<CellOutcome>
 where
     E: EnergyModelled + ?Sized,
     W: WearModelled + ?Sized,
 {
-    let at_rate = model.with_rate(rate);
-    let dim = at_rate.dimensioner();
-    match dim.dimension(goal) {
-        Ok(plan) => {
-            let b = plan.buffer();
-            CellOutcome::Feasible(PlannedPoint {
-                buffer: b,
-                dominant: plan.dominant().label(),
-                saving: dim.energy().saving(b).ok(),
-                utilization: dim.capacity().utilization(b),
-                lifetime: dim.lifetime().device_lifetime(b),
-                energy_per_bit: dim.energy().per_bit_energy(b).ok(),
-            })
-        }
-        Err(err) => CellOutcome::Infeasible {
-            region: infeasible_region(&err),
-            detail: err.to_string(),
-        },
-    }
+    let capacity = model.dimensioner().capacity_minimum(goal);
+    rates
+        .map(|rate| {
+            let at_rate = model.with_rate(rate);
+            let dim = at_rate.dimensioner();
+            match dim.plan(goal, &capacity) {
+                Ok(plan) => {
+                    let b = plan.buffer();
+                    CellOutcome::Feasible(PlannedPoint {
+                        buffer: b,
+                        dominant: plan.dominant().label(),
+                        saving: dim.energy().saving(b).ok(),
+                        utilization: dim.capacity().utilization(b),
+                        lifetime: dim.lifetime().device_lifetime(b),
+                        energy_per_bit: dim.energy().per_bit_energy(b).ok(),
+                    })
+                }
+                Err(err) => CellOutcome::Infeasible(err),
+            }
+        })
+        .collect()
 }
 
 /// Evaluates every job of `series`, returning `(job index, outcome)`
@@ -199,39 +207,40 @@ pub(crate) fn evaluate_series(grid: &ScenarioGrid, series: &Series) -> Vec<(usiz
     // sweeping then re-rates the shared model per cell.
     let first_rate = rates[series.jobs[0].1];
     let model = build_model(grid, device, base.with_rate(first_rate), dram);
+    let member_rates = series.jobs.iter().map(|&(_, rate_idx)| rates[rate_idx]);
 
+    let outcomes = match &model {
+        SeriesModel::Mems(m) => eval_full(m, goal, member_rates),
+        SeriesModel::Disk(m) => eval_full(m, goal, member_rates),
+        SeriesModel::Flash(m) => eval_full(m, goal, member_rates),
+        SeriesModel::Dyn(m) => eval_full(m, goal, member_rates),
+        SeriesModel::EnergyOnly(energy_device) => member_rates
+            .map(|rate| {
+                let energy = EnergyModel::new(
+                    *energy_device,
+                    base.with_rate(rate),
+                    grid.best_effort_policy(),
+                    None,
+                );
+                let buffer_for_saving = goal
+                    .energy_saving_target()
+                    .and_then(|e| energy.min_buffer_for_saving(e).ok());
+                CellOutcome::EnergyOnly(EnergyOnlyPoint {
+                    break_even: energy.break_even_buffer().ok(),
+                    buffer_for_saving,
+                    saving: buffer_for_saving.and_then(|b| energy.saving(b).ok()),
+                })
+            })
+            .collect(),
+        SeriesModel::Unmodelled(err) => member_rates
+            .map(|_| CellOutcome::Unmodelled(err.clone()))
+            .collect(),
+    };
     series
         .jobs
         .iter()
-        .map(|&(job, rate_idx)| {
-            let rate = rates[rate_idx];
-            let outcome = match &model {
-                SeriesModel::Mems(m) => eval_full(m, goal, rate),
-                SeriesModel::Disk(m) => eval_full(m, goal, rate),
-                SeriesModel::Flash(m) => eval_full(m, goal, rate),
-                SeriesModel::Dyn(m) => eval_full(m, goal, rate),
-                SeriesModel::EnergyOnly(energy_device) => {
-                    let energy = EnergyModel::new(
-                        *energy_device,
-                        base.with_rate(rate),
-                        grid.best_effort_policy(),
-                        None,
-                    );
-                    let buffer_for_saving = goal
-                        .energy_saving_target()
-                        .and_then(|e| energy.min_buffer_for_saving(e).ok());
-                    CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                        break_even: energy.break_even_buffer().ok(),
-                        buffer_for_saving,
-                        saving: buffer_for_saving.and_then(|b| energy.saving(b).ok()),
-                    })
-                }
-                SeriesModel::Unmodelled(detail) => CellOutcome::Unmodelled {
-                    detail: detail.clone(),
-                },
-            };
-            (job, outcome)
-        })
+        .map(|&(job, _)| job)
+        .zip(outcomes)
         .collect()
 }
 
@@ -296,6 +305,82 @@ mod tests {
             .rate_span(64.0, 2048.0, 6)
             .goal(memstream_core::DesignGoal::fig3b());
         assert_series_matches_reference(&grid);
+    }
+
+    #[test]
+    fn sawtooth_bump_matches_a_re_solving_reference() {
+        // The bump walks on from a buffer that already covers its
+        // target's minimum instead of solving that target again. A
+        // reference that re-solves the target, max(C, probes-implied u),
+        // and walks from the plan's own requirements and cycle floor must
+        // land on the same buffer for every feasible MEMS cell. The
+        // 4000-rate axis adds the default grid's one cell whose buffer
+        // only the probes-implied target sets (table1, paper, 2895 kbps,
+        // fig. 3b).
+        use memstream_media::{
+            min_user_bits_for_utilization, min_user_bits_for_utilization_at_least,
+        };
+        use memstream_units::DataSize;
+
+        let (mut checked, mut bumped, mut probes_target, mut set_by_probes) = (0, 0, 0, 0);
+        for grid in [400, 4000].map(ScenarioGrid::paper_baseline) {
+            let dram = grid.dram_enabled().then(DramModel::micron_ddr_mobile);
+            for cell in grid.cells() {
+                let device = grid.devices()[cell.device].device();
+                let Some(mems) = device.as_any().and_then(|a| a.downcast_ref::<MemsDevice>())
+                else {
+                    continue;
+                };
+                let goal = &grid.goals()[cell.goal];
+                let workload = grid.workloads()[cell.workload]
+                    .workload()
+                    .with_rate(grid.rates()[cell.rate]);
+                let policy = grid.best_effort_policy();
+                let model =
+                    CapabilityModel::from_device(mems, workload, dram.clone(), policy).unwrap();
+                let dim = model.dimensioner();
+                let Ok(plan) = dim.dimension(goal) else {
+                    continue;
+                };
+                let format = dim.capacity().format().expect("MEMS capacity has a format");
+                let capacity = goal.capacity_target().expect("paper goals set C");
+                let probes = goal
+                    .lifetime_target()
+                    .and_then(|l| dim.lifetime().required_utilization_for_probes(l).unwrap());
+                let target = probes.map_or(capacity, |u| capacity.max(u));
+                let start = plan
+                    .requirements()
+                    .iter()
+                    .fold(plan.cycle_floor(), |b, &(_, r)| b.max(r));
+                let start_bits = start.bits().ceil() as u64;
+                let walk = |target| {
+                    let minimum = min_user_bits_for_utilization(format, target).unwrap();
+                    min_user_bits_for_utilization_at_least(format, target, minimum.max(start_bits))
+                        .unwrap()
+                };
+                let reference = walk(target);
+                assert_eq!(
+                    plan.buffer(),
+                    DataSize::from_bit_count(reference),
+                    "cell {} of {} rates",
+                    cell.index,
+                    grid.rates().len()
+                );
+                checked += 1;
+                bumped += usize::from(reference != start_bits);
+                if target > capacity {
+                    probes_target += 1;
+                    set_by_probes += usize::from(walk(capacity) != reference);
+                }
+            }
+        }
+        assert!(checked > 60_000, "{checked} feasible MEMS cells");
+        // Skipping the bump, or bumping to C alone, fails on these.
+        assert!(
+            bumped > 0 && set_by_probes > 0,
+            "{bumped} bumped, {set_by_probes}"
+        );
+        assert!(probes_target > set_by_probes);
     }
 
     #[test]

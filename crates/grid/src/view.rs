@@ -147,9 +147,12 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
 /// std::fs::create_dir_all(&dir)?;
 /// let path = dir.join("view.cache");
 /// let mut cache = ResultCache::new();
-/// cache.insert("cell-a".into(), memstream_grid::CellOutcome::Unmodelled {
-///     detail: "doc".into(),
-/// });
+/// cache.insert(
+///     "cell-a".into(),
+///     memstream_grid::CellOutcome::Unmodelled(memstream_core::ModelError::MissingCapability {
+///         capability: "wear",
+///     }),
+/// );
 /// cache.save_as(&path, CacheFormat::default())?;
 ///
 /// let view = CacheView::open(&path)?;
@@ -183,7 +186,7 @@ impl CacheView {
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not
     /// found"), [`CacheFileError::VersionMismatch`] if the file does not
-    /// carry the `memstream-grid-cache v3` magic, and
+    /// carry the `memstream-grid-cache v4` magic, and
     /// [`CacheFileError::MalformedIndex`] / [`CacheFileError::Malformed`]
     /// attributions for structural damage (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
@@ -276,6 +279,7 @@ impl CacheView {
 mod tests {
     use super::*;
     use crate::cache::{CacheFormat, ResultCache};
+    use memstream_core::ModelError;
 
     fn save(cache: &ResultCache, path: &Path) {
         cache.save_as(path, CacheFormat::default()).unwrap();
@@ -293,9 +297,10 @@ mod tests {
         for key in keys {
             cache.insert(
                 (*key).to_owned(),
-                CellOutcome::Unmodelled {
-                    detail: format!("detail {key}"),
-                },
+                CellOutcome::Unmodelled(ModelError::InvalidCapability {
+                    capability: "utilization",
+                    reason: format!("detail {key}"),
+                }),
             );
         }
         cache

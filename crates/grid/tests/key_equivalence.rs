@@ -3,7 +3,7 @@
 //! cache written under either warms the other), and cache files must
 //! survive a load and re-save without a byte of drift.
 
-use memstream_core::DesignGoal;
+use memstream_core::{DesignGoal, ModelError};
 use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice};
 use memstream_grid::{
     CacheFormat, CellOutcome, DeviceEntry, GridExecutor, KeyInterner, ResultCache, ScenarioGrid,
@@ -91,13 +91,15 @@ fn cache_resave_is_byte_identical() {
     GridExecutor::serial()
         .explore_cached(&grid, &mut cache)
         .expect("explore");
-    // A hostile entry: the key and detail carry tabs, newlines and
-    // backslashes, which the length-prefixed records keep verbatim.
+    // A hostile entry: the key and the error's reason carry tabs,
+    // newlines and backslashes, which the length-prefixed records keep
+    // verbatim.
     cache.insert(
         "hostile\tkey\nwith\\everything".to_owned(),
-        CellOutcome::Unmodelled {
-            detail: "tab\t newline\n backslash\\ done".to_owned(),
-        },
+        CellOutcome::Unmodelled(ModelError::InvalidCapability {
+            capability: "utilization",
+            reason: "tab\t newline\n backslash\\ done".to_owned(),
+        }),
     );
 
     let (first, eager, lazy) = (

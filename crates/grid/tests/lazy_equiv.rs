@@ -12,6 +12,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::OnceLock;
 
+use memstream_core::ModelError;
 use memstream_grid::{
     non_dominated, CacheFormat, CacheView, CellOutcome, FrontierBuilder, GridExecutor, Metrics,
     ResultCache, ScenarioGrid,
@@ -189,7 +190,10 @@ proptest! {
         let mut entries = select(&ours);
         entries.insert(
             poison_key.clone(),
-            CellOutcome::Unmodelled { detail: "poisoned for the conflict test".to_owned() },
+            CellOutcome::Unmodelled(ModelError::InvalidCapability {
+                capability: "utilization",
+                reason: "poisoned for the conflict test".to_owned(),
+            }),
         );
         prop_assume!(entries[poison_key.as_str()] != *genuine);
 

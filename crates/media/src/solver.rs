@@ -20,25 +20,33 @@ use crate::layout::SectorFormat;
 
 /// Largest user payload (bits) whose `Su + SECC` fits in `p` payload bits
 /// per probe across the stripe: the largest `Su` with
-/// `Su + ecc_bits(Su) ≤ budget`, where `budget = p·K`.
+/// `Su + ecc_bits(Su) ≤ budget`, where `budget = p·K`. `None` when the
+/// budget does not fit in a `u64`.
 ///
 /// For `SECC = ⌈Su/d⌉`, let `c = ⌈budget/(d+1)⌉`. `Su = budget − c` fits,
 /// because `budget ≤ c·(d+1)` gives `⌈Su/d⌉ ≤ c`. `Su + 1` does not,
 /// because `c ≤ (budget+d)/(d+1)` gives `⌈(Su+1)/d⌉ ≥ c`.
-fn su_max_for_payload(fmt: &SectorFormat, p: u64) -> u64 {
-    let budget = p * u64::from(fmt.stripe_width());
-    match fmt.ecc() {
-        EccPolicy::Fractional { divisor } => budget - budget.div_ceil(divisor + 1),
+fn su_max_for_payload(fmt: &SectorFormat, p: u64) -> Option<u64> {
+    let budget = p.checked_mul(u64::from(fmt.stripe_width()))?;
+    Some(match fmt.ecc() {
+        EccPolicy::Fractional { divisor } => budget - budget.div_ceil(divisor.checked_add(1)?),
         EccPolicy::Fixed { bits } => budget.saturating_sub(bits),
         EccPolicy::None => budget,
-    }
+    })
 }
 
-/// Best utilisation attainable with subsector payload `p`.
-fn best_utilization_for_payload(fmt: &SectorFormat, p: u64) -> f64 {
-    let k = u64::from(fmt.stripe_width());
-    let su = su_max_for_payload(fmt, p);
-    su as f64 / (k * (p + fmt.sync_bits_per_subsector())) as f64
+/// Bits in a sector whose subsectors carry `p` payload bits each, or
+/// `None` when that does not fit in a `u64`.
+fn sector_bits_for_payload(fmt: &SectorFormat, p: u64) -> Option<u64> {
+    p.checked_add(fmt.sync_bits_per_subsector())?
+        .checked_mul(u64::from(fmt.stripe_width()))
+}
+
+/// Best utilisation attainable with subsector payload `p`, or `None` when
+/// the sector's size does not fit in a `u64`.
+fn best_utilization_for_payload(fmt: &SectorFormat, p: u64) -> Option<f64> {
+    let su = su_max_for_payload(fmt, p)?;
+    Some(su as f64 / sector_bits_for_payload(fmt, p)? as f64)
 }
 
 /// Smallest user payload `Su` (in bits) whose formatted utilisation reaches
@@ -75,14 +83,15 @@ pub fn min_user_bits_for_utilization(
 ) -> Result<u64, FormatError> {
     let sup = fmt.utilization_supremum().fraction();
     let t = target.fraction();
+    let unreachable = || FormatError::UtilizationUnreachable {
+        requested: t,
+        supremum: sup,
+    };
     if t <= 0.0 {
         return Ok(1);
     }
     if t >= sup {
-        return Err(FormatError::UtilizationUnreachable {
-            requested: t,
-            supremum: sup,
-        });
+        return Err(unreachable());
     }
 
     // Find an upper payload bound by doubling, then binary-search a
@@ -91,19 +100,18 @@ pub fn min_user_bits_for_utilization(
     // 8/12 but p = 10 only 8/13), so the bisection can land past the first
     // feasible payload step and the `Su` returned is then not minimal.
     // Feasibility is monotone only within one residue of p mod (d + 1).
+    // A target so close to the supremum that the doubling outgrows a u64
+    // sector is unreachable in practice.
     let mut hi = 1u64;
-    while best_utilization_for_payload(fmt, hi) < t {
-        hi = hi
-            .checked_mul(2)
-            .ok_or(FormatError::UtilizationUnreachable {
-                requested: t,
-                supremum: sup,
-            })?;
+    while best_utilization_for_payload(fmt, hi).ok_or_else(unreachable)? < t {
+        hi = hi.checked_mul(2).ok_or_else(unreachable)?;
     }
+    // Every payload below `hi` fits, because `hi` does.
+    let fits = "a payload below a fitting one fits";
     let mut lo = hi / 2; // infeasible (or zero)
     while lo + 1 < hi {
         let mid = lo + (hi - lo) / 2;
-        if best_utilization_for_payload(fmt, mid) < t {
+        if best_utilization_for_payload(fmt, mid).expect(fits) < t {
             lo = mid;
         } else {
             hi = mid;
@@ -113,8 +121,7 @@ pub fn min_user_bits_for_utilization(
 
     // Smallest Su inside payload step p that reaches the target:
     // Su >= t * K * (p + sync). Round up, then nudge to the exact edge.
-    let k = u64::from(fmt.stripe_width());
-    let sector_bits = (k * (p + fmt.sync_bits_per_subsector())) as f64;
+    let sector_bits = sector_bits_for_payload(fmt, p).expect(fits) as f64;
     let mut su = (t * sector_bits).ceil() as u64;
     su = su.max(1);
     while su > 1 && fmt.layout_bits(su - 1).utilization().fraction() >= t {
@@ -134,38 +141,48 @@ pub fn min_user_bits_for_utilization(
 /// another requirement (springs lifetime, energy) demands a bigger buffer,
 /// the dimensioner uses this to bump the buffer to the next valid size.
 ///
+/// The search walks payload steps upward from `at_least`, one step at a
+/// time, so start it at or above the minimum for `target`. The
+/// dimensioner does: its buffer already covers that minimum, which it
+/// solved as one of the goal's requirements. Below the minimum the walk
+/// is still exact, just long.
+///
 /// # Errors
 ///
 /// Returns [`FormatError::UtilizationUnreachable`] if `target` is at or
-/// above the format's utilisation supremum.
+/// above the format's utilisation supremum, or so close to it that the
+/// sector that reaches it does not fit in a `u64`.
 pub fn min_user_bits_for_utilization_at_least(
     fmt: &SectorFormat,
     target: Ratio,
     at_least: u64,
 ) -> Result<u64, FormatError> {
-    let base = min_user_bits_for_utilization(fmt, target)?;
-    let start = base.max(at_least).max(1);
+    let sup = fmt.utilization_supremum().fraction();
+    let t = target.fraction();
+    let unreachable = || FormatError::UtilizationUnreachable {
+        requested: t,
+        supremum: sup,
+    };
+    if t >= sup {
+        return Err(unreachable());
+    }
+    let start = at_least.max(1);
     if fmt.layout_bits(start).utilization() >= target {
         return Ok(start);
     }
     // Walk payload steps upward: for payload p, the smallest qualifying Su
     // is max(start, ceil(target * K * (p + sync))), valid if it still maps
     // to payload <= p.
-    let k = u64::from(fmt.stripe_width());
-    let t = target.fraction();
     let mut p = fmt.layout_bits(start).subsector_bits() - fmt.sync_bits_per_subsector();
     loop {
-        let sector_bits = (k * (p + fmt.sync_bits_per_subsector())) as f64;
+        let sector_bits = sector_bits_for_payload(fmt, p).ok_or_else(unreachable)? as f64;
+        let su_max = su_max_for_payload(fmt, p).ok_or_else(unreachable)?;
         let mut candidate = ((t * sector_bits).ceil() as u64).max(start);
         // Nudge across float rounding at the exact edge.
-        while fmt.layout_bits(candidate).utilization().fraction() < t
-            && candidate <= su_max_for_payload(fmt, p)
-        {
+        while fmt.layout_bits(candidate).utilization().fraction() < t && candidate <= su_max {
             candidate += 1;
         }
-        if candidate <= su_max_for_payload(fmt, p)
-            && fmt.layout_bits(candidate).utilization() >= target
-        {
+        if candidate <= su_max && fmt.layout_bits(candidate).utilization() >= target {
             return Ok(candidate);
         }
         p += 1;
@@ -186,10 +203,12 @@ pub fn max_utilization_upto(fmt: &SectorFormat, max_user: DataSize) -> (u64, Rat
     let mut best = (max_bits, at_cap.utilization());
     let p = at_cap.subsector_bits() - fmt.sync_bits_per_subsector();
     if p > 1 {
-        let peak = su_max_for_payload(fmt, p - 1).min(max_bits).max(1);
-        let u = fmt.layout_bits(peak).utilization();
-        if u > best.1 {
-            best = (peak, u);
+        if let Some(peak) = su_max_for_payload(fmt, p - 1) {
+            let peak = peak.min(max_bits).max(1);
+            let u = fmt.layout_bits(peak).utilization();
+            if u > best.1 {
+                best = (peak, u);
+            }
         }
     }
     best
@@ -253,7 +272,7 @@ mod tests {
                 for &p in &payloads {
                     assert_eq!(
                         su_max_for_payload(&fmt, p),
-                        su_max_nudged(&fmt, p),
+                        Some(su_max_nudged(&fmt, p)),
                         "{ecc}, stripe width {k}, payload {p}"
                     );
                 }
@@ -265,7 +284,7 @@ mod tests {
     fn su_max_respects_budget_exactly() {
         let fmt = SectorFormat::paper_default();
         for p in [1u64, 2, 3, 9, 10, 100] {
-            let su = su_max_for_payload(&fmt, p);
+            let su = su_max_for_payload(&fmt, p).unwrap();
             let budget = p * 1024;
             assert!(su + fmt.ecc().ecc_bits(su) <= budget);
             assert!(su + 1 + fmt.ecc().ecc_bits(su + 1) > budget);
@@ -277,7 +296,7 @@ mod tests {
         let fmt = SectorFormat::paper_default();
         let mut prev = 0.0;
         for p in 1..200 {
-            let u = best_utilization_for_payload(&fmt, p);
+            let u = best_utilization_for_payload(&fmt, p).unwrap();
             assert!(u + 1e-12 >= prev, "payload {p}: {u} < {prev}");
             prev = u;
         }
@@ -318,6 +337,29 @@ mod tests {
         let err = min_user_bits_for_utilization(&fmt, Ratio::from_fraction(8.0 / 9.0)).unwrap_err();
         assert!(matches!(err, FormatError::UtilizationUnreachable { .. }));
         assert!(min_user_bits_for_utilization(&fmt, Ratio::from_percent(95.0)).is_err());
+    }
+
+    #[test]
+    fn targets_just_below_the_supremum_never_overflow() {
+        // The doubling search outgrows a u64 sector for the last floats
+        // below 8/9; each target is either reached or reported unreachable.
+        for k in [1u32, 1024, 5000] {
+            let fmt = SectorFormat::for_stripe_width(k);
+            let sup = fmt.utilization_supremum().fraction();
+            for below in 1..=8u64 {
+                let t = f64::from_bits(sup.to_bits() - below);
+                let target = Ratio::from_fraction(t);
+                match min_user_bits_for_utilization(&fmt, target) {
+                    Ok(su) => assert!(
+                        fmt.layout_bits(su).utilization() >= target,
+                        "stripe width {k}, target {t}: Su = {su} falls short"
+                    ),
+                    Err(err) => {
+                        assert!(matches!(err, FormatError::UtilizationUnreachable { .. }));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! `--threads` value *and* across cold/warm cache runs; cache accounting
 //! goes to stderr.
 //!
-//! `--shards N` (on `grid` and `refine`) fans evaluation out across `N`
+//! `refine --shards N` fans each round's new cells out across `N`
 //! spawned worker **processes** — re-execs of this binary's
 //! `shard-worker` subcommand — under a leased work-stealing scheduler
 //! (`memstream_shard`, spec in `docs/SHARD_PROTOCOL.md`): workers pull
@@ -33,7 +33,8 @@
 //! (coverage lost) fails with exit code 1. No shard run writes a file
 //! of its own. `--lease-cells`/`--lease-deadline` tune the scheduler;
 //! `--fault-plan SHARD:PLAN` injects deterministic worker faults for
-//! tests and CI smoke runs.
+//! tests and CI smoke runs. `grid` has no sharded path: `--threads` is
+//! its one way to run in parallel.
 //!
 //! `harness shard-worker --shard i/N ...` is the worker side of that
 //! protocol (`memstream_shard::worker_main`; not for interactive use):
@@ -297,17 +298,13 @@ where
 }
 
 /// The flags the `grid` and `refine` subcommands share: grid shape,
-/// worker count, result-cache path and device-registry era. One parser,
-/// so the two subcommands' CLIs cannot drift apart.
+/// thread count, result-cache path, device-registry era and telemetry
+/// sinks. One parser, so the two subcommands' CLIs cannot drift apart.
 struct SharedFlags {
     rates: usize,
     threads: usize,
     cache_path: Option<String>,
     classic: bool,
-    shards: Option<usize>,
-    lease_cells: usize,
-    lease_deadline: f64,
-    fault_plans: Vec<(usize, memstream_shard::FaultPlan)>,
     stats: bool,
     stats_json: Option<String>,
     trace: Option<String>,
@@ -320,10 +317,6 @@ impl SharedFlags {
             threads: 0, // 0 = machine width
             cache_path: None,
             classic: false,
-            shards: None,
-            lease_cells: 0, // 0 = auto: ~LEASE_CHUNKS_PER_WORKER chunks each
-            lease_deadline: 30.0,
-            fault_plans: Vec::new(),
             stats: false,
             stats_json: None,
             trace: None,
@@ -348,25 +341,6 @@ impl SharedFlags {
             "--threads" => self.threads = parse_flag(flag, &value()),
             "--cache" => self.cache_path = Some(value()),
             "--classic" => self.classic = true,
-            "--shards" => self.shards = Some(parse_flag(flag, &value())),
-            "--lease-cells" => self.lease_cells = parse_flag(flag, &value()),
-            "--lease-deadline" => self.lease_deadline = parse_flag(flag, &value()),
-            "--fault-plan" => {
-                // `SHARD:PLAN`, repeatable — a deterministic misbehaviour
-                // injected into one worker (test/CI surface; see
-                // docs/SHARD_PROTOCOL.md for the plan grammar).
-                let raw = value();
-                let parsed = raw
-                    .split_once(':')
-                    .and_then(|(shard, plan)| Some((shard.parse().ok()?, plan.parse().ok()?)));
-                match parsed {
-                    Some(plan) => self.fault_plans.push(plan),
-                    None => {
-                        eprintln!("bad value for --fault-plan: `{raw}` is not SHARD:PLAN");
-                        std::process::exit(2);
-                    }
-                }
-            }
             "--stats" => self.stats = true,
             "--stats-json" => self.stats_json = Some(value()),
             "--trace" => self.trace = Some(value()),
@@ -421,45 +395,12 @@ impl SharedFlags {
             eprintln!("--rates must be at least 2");
             std::process::exit(2);
         }
-        if self.shards == Some(0) {
-            eprintln!("--shards must be at least 1");
-            std::process::exit(2);
-        }
-        if !std::time::Duration::try_from_secs_f64(self.lease_deadline)
-            .is_ok_and(|deadline| !deadline.is_zero())
-        {
-            eprintln!("--lease-deadline must be finite and positive");
-            std::process::exit(2);
-        }
         self
     }
 
     /// The wire-encodable recipe for the grid these flags select.
     fn recipe(&self) -> memstream_shard::GridRecipe {
         memstream_shard::GridRecipe::reference(self.classic, self.rates)
-    }
-
-    /// Shard fan-out options: spawn this very binary's `shard-worker`
-    /// subcommand. An explicit `--threads` is forwarded per worker; by
-    /// default `ShardOptions` divides the machine width across the local
-    /// workers.
-    fn shard_options(&self, shards: usize) -> memstream_shard::ShardOptions {
-        let program = std::env::current_exe().unwrap_or_else(|e| {
-            eprintln!("cannot locate the current binary for shard workers: {e}");
-            std::process::exit(2);
-        });
-        let mut opts = memstream_shard::ShardOptions::new(program, shards)
-            .with_trace(self.trace.is_some())
-            .with_lease_cells(self.lease_cells)
-            .with_lease_deadline(std::time::Duration::from_secs_f64(self.lease_deadline));
-        for &(shard, plan) in &self.fault_plans {
-            opts = opts.with_fault_plan(shard, plan);
-        }
-        if self.threads == 0 {
-            opts
-        } else {
-            opts.with_worker_threads(self.threads)
-        }
     }
 }
 
@@ -523,31 +464,12 @@ fn save_cache(cache: &memstream_grid::ResultCache, path: &str) {
         });
 }
 
-/// One cached exploration with the `grid` subcommand's error handling,
-/// shared by the sharded and single-process paths so they cannot drift.
-fn explore_cached_or_exit(
-    executor: memstream_grid::GridExecutor,
-    spec: &memstream_grid::ScenarioGrid,
-    cache: &mut memstream_grid::ResultCache,
-) -> memstream_grid::GridResults {
-    executor.explore_cached(spec, cache).unwrap_or_else(|e| {
-        eprintln!("grid error: {e}");
-        std::process::exit(2);
-    })
-}
-
 /// `harness grid [--rates N] [--threads N] [--full-csv] [--validate SECS]
-/// [--cache PATH] [--classic] [--shards N]
-/// [--lease-cells N] [--lease-deadline SECS] [--fault-plan SHARD:PLAN]`
-/// — the parallel scenario-grid
-/// exploration (see module docs). `--cache` loads/saves evaluated cells
-/// keyed by scenario content, so re-runs skip already-explored cells
-/// without changing a single output byte; `--classic` restricts the
-/// registry to the paper's four devices (no flash); `--shards` fans
-/// evaluation out across worker processes under the lease scheduler and
-/// merges by cache union (`--lease-cells`/`--lease-deadline` tune the
-/// chunking and the stall watchdog; `--fault-plan` injects deterministic
-/// worker misbehaviour, the test/CI surface).
+/// [--cache PATH] [--classic]` — the parallel scenario-grid exploration
+/// (see module docs). `--cache` loads/saves evaluated cells keyed by
+/// scenario content, so re-runs skip already-explored cells without
+/// changing a single output byte; `--classic` restricts the registry to
+/// the paper's four devices (no flash).
 fn grid(args: &[String]) {
     use memstream_grid::{report, GridExecutor};
 
@@ -571,9 +493,7 @@ fn grid(args: &[String]) {
             other => {
                 eprintln!(
                     "unknown flag `{other}`; try --rates, --threads, --full-csv, \
-                     --validate, --cache, --classic, --shards, \
-                     --lease-cells, --lease-deadline, --fault-plan, \
-                     --stats, --stats-json, --trace"
+                     --validate, --cache, --classic, --stats, --stats-json, --trace"
                 );
                 std::process::exit(2);
             }
@@ -591,90 +511,46 @@ fn grid(args: &[String]) {
         std::process::exit(2);
     }
 
-    // One registry for the whole run: the executor, the cache and (when
-    // sharded) the coordinator all report into it. Telemetry writes only
-    // to stderr and requested files, so stdout bytes are untouched
-    // whether or not anyone asked for stats or a trace.
+    // One registry for the whole run: the executor and the cache both
+    // report into it. Telemetry writes only to stderr and requested
+    // files, so stdout bytes are untouched whether or not anyone asked
+    // for stats or a trace.
     let tracer = shared.tracer();
     let metrics = memstream_grid::Metrics::enabled_with_tracer(&tracer);
     let spec = shared.recipe().build();
     let executor = GridExecutor::parallel(shared.threads).with_metrics(&metrics);
-    let mut worker_traces = Vec::new();
-    let results = if let Some(shards) = shared.shards {
-        // Sharded: fan missing cells out to worker processes, union
-        // their records, then assemble locally from pure hits —
-        // stdout bytes identical to the single-process run.
+    eprintln!(
+        "exploring {} cells on {} worker thread(s)...",
+        spec.len(),
+        executor.threads()
+    );
+    let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
+    let results = match cache.as_mut() {
+        Some(cache) => executor.explore_cached(&spec, cache),
+        None => executor.explore(&spec),
+    }
+    .unwrap_or_else(|e| {
+        eprintln!("grid error: {e}");
+        std::process::exit(2);
+    });
+    if let (Some(cache), Some(path)) = (&cache, &cache_path) {
+        // The accounting line is driven from the telemetry counters
+        // (attached at load, so they equal the cache's own tallies) —
+        // one source for stderr and `--stats-json`.
+        let snapshot = metrics.snapshot();
         eprintln!(
-            "exploring {} cells across {} shard worker process(es)...",
-            spec.len(),
-            shards
+            "cache: {} hits, {} misses ({} entries saved)",
+            snapshot.counter("cache.hits").unwrap_or(0),
+            snapshot.counter("cache.misses").unwrap_or(0),
+            cache.len()
         );
-        let mut cache = cache_path
-            .as_deref()
-            .map_or_else(memstream_grid::ResultCache::new, |path| {
-                load_cache(path, &metrics)
-            });
-        cache.set_metrics(&metrics);
-        let run = memstream_shard::explore_sharded(
-            &shared.recipe(),
-            &mut cache,
-            &shared.shard_options(shards).with_metrics(&metrics),
-        );
-        report_shard_run(&run);
-        worker_traces.extend(run.workers.iter().filter_map(|w| w.trace.clone()));
-        if !run.is_complete() {
-            // The merge is atomic per shard, so the cache holds exactly
-            // the healthy shards' work — persist it before failing and a
-            // retry proceeds warm from everything that did complete.
-            if let Some(path) = &cache_path {
-                save_cache(&cache, path);
-                eprintln!(
-                    "cache file: {} entries saved (healthy shards only)",
-                    cache.len()
-                );
-            }
-            eprintln!("grid error: {} shard(s) failed", run.failures.len());
-            std::process::exit(1);
-        }
-        let results = explore_cached_or_exit(executor, &spec, &mut cache);
-        if let Some(path) = &cache_path {
-            save_cache(&cache, path);
-            eprintln!("cache file: {} entries saved", cache.len());
-        }
-        results
-    } else {
-        eprintln!(
-            "exploring {} cells on {} worker thread(s)...",
-            spec.len(),
-            executor.threads()
-        );
-        match &cache_path {
-            Some(path) => {
-                let mut cache = load_cache(path, &metrics);
-                let results = explore_cached_or_exit(executor, &spec, &mut cache);
-                // The accounting line is driven from the telemetry
-                // counters (attached at load, so they equal the cache's
-                // own tallies) — one source for stderr and
-                // `--stats-json`.
-                let snapshot = metrics.snapshot();
-                eprintln!(
-                    "cache: {} hits, {} misses ({} entries saved)",
-                    snapshot.counter("cache.hits").unwrap_or(0),
-                    snapshot.counter("cache.misses").unwrap_or(0),
-                    cache.len()
-                );
-                save_cache(&cache, path);
-                results
-            }
-            None => executor.explore(&spec).unwrap_or_else(|e| {
-                eprintln!("grid error: {e}");
-                std::process::exit(2);
-            }),
-        }
-    };
+        save_cache(cache, path);
+    }
+    // The cache holds the whole file: free it before rendering.
+    drop(cache);
 
     shared.emit_stats(&metrics);
-    shared.emit_trace(&tracer, worker_traces);
+    shared.emit_trace(&tracer, Vec::new());
     print!("{}", report::grid_stdout(&results, full_csv));
     if let Some(seconds) = validate {
         let validation = memstream_grid::validate_frontier(&results, seconds);
@@ -698,12 +574,16 @@ fn grid(args: &[String]) {
 }
 
 /// `harness refine [--rates N] [--threads N] [--cache PATH]
-/// [--width-bound F] [--max-rounds N] [--classic] [--shards N]` — the
-/// adaptive refinement loop (see module docs). `--width-bound` is the
-/// relative interval width a knee must be localised to (default 0.01 =
-/// 1 %); `--cache` makes re-runs evaluate nothing while reproducing
-/// stdout byte-for-byte; `--shards` fans each round's new rates out
-/// across worker processes.
+/// [--width-bound F] [--max-rounds N] [--classic] [--shards N]
+/// [--lease-cells N] [--lease-deadline SECS] [--fault-plan SHARD:PLAN]`
+/// — the adaptive refinement loop (see module docs). `--width-bound` is
+/// the relative interval width a knee must be localised to (default
+/// 0.01 = 1 %); `--cache` makes re-runs evaluate nothing while
+/// reproducing stdout byte-for-byte; `--shards` fans each round's new
+/// rates out across worker processes under the lease scheduler
+/// (`--lease-cells`/`--lease-deadline` tune the chunking and the stall
+/// watchdog; `--fault-plan` injects deterministic worker misbehaviour,
+/// the test/CI surface).
 fn refine(args: &[String]) {
     use memstream_grid::GridExecutor;
     use memstream_refine::{report, RefineConfig, RefinementEngine};
@@ -711,6 +591,10 @@ fn refine(args: &[String]) {
     let mut shared = SharedFlags::new();
     let mut width_bound = 0.01f64;
     let mut max_rounds = 12usize;
+    let mut shards: Option<usize> = None;
+    let mut lease_cells = 0usize; // 0 = auto: ~LEASE_CHUNKS_PER_WORKER chunks each
+    let mut lease_deadline = 30.0f64;
+    let mut fault_plans: Vec<(usize, memstream_shard::FaultPlan)> = Vec::new();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = || {
@@ -725,6 +609,25 @@ fn refine(args: &[String]) {
         match flag.as_str() {
             "--width-bound" => width_bound = parse_flag(flag, &value()),
             "--max-rounds" => max_rounds = parse_flag(flag, &value()),
+            "--shards" => shards = Some(parse_flag(flag, &value())),
+            "--lease-cells" => lease_cells = parse_flag(flag, &value()),
+            "--lease-deadline" => lease_deadline = parse_flag(flag, &value()),
+            "--fault-plan" => {
+                // `SHARD:PLAN`, repeatable — a deterministic misbehaviour
+                // injected into one worker (test/CI surface; see
+                // docs/SHARD_PROTOCOL.md for the plan grammar).
+                let raw = value();
+                let parsed = raw
+                    .split_once(':')
+                    .and_then(|(shard, plan)| Some((shard.parse().ok()?, plan.parse().ok()?)));
+                match parsed {
+                    Some(plan) => fault_plans.push(plan),
+                    None => {
+                        eprintln!("bad value for --fault-plan: `{raw}` is not SHARD:PLAN");
+                        std::process::exit(2);
+                    }
+                }
+            }
             other => {
                 eprintln!(
                     "unknown flag `{other}`; try --rates, --threads, --cache, \
@@ -738,6 +641,17 @@ fn refine(args: &[String]) {
     }
     let shared = shared.validated();
     let cache_path = shared.cache_path.clone();
+    if shards == Some(0) {
+        eprintln!("--shards must be at least 1");
+        std::process::exit(2);
+    }
+    let lease_deadline = std::time::Duration::try_from_secs_f64(lease_deadline)
+        .ok()
+        .filter(|deadline| !deadline.is_zero())
+        .unwrap_or_else(|| {
+            eprintln!("--lease-deadline must be finite and positive");
+            std::process::exit(2);
+        });
     if !(width_bound.is_finite() && width_bound > 0.0) {
         eprintln!("--width-bound must be finite and positive");
         std::process::exit(2);
@@ -761,7 +675,7 @@ fn refine(args: &[String]) {
     );
     let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
     let mut worker_traces = Vec::new();
-    let outcome = if let Some(shards) = shared.shards {
+    let outcome = if let Some(shards) = shards {
         // Sharded: every round fans only its new rates out to worker
         // processes; the merged cache warms the next round. Stdout is
         // byte-identical to the single-process refinement.
@@ -770,11 +684,26 @@ fn refine(args: &[String]) {
             spec.len(),
             shards
         );
-        let mut explorer = memstream_shard::ShardedRoundExplorer::new(
-            shared.recipe(),
-            shared.shard_options(shards).with_metrics(&metrics),
-            executor,
-        );
+        // Spawn this very binary's `shard-worker` subcommand. An explicit
+        // `--threads` is forwarded per worker; by default `ShardOptions`
+        // divides the machine width across the local workers.
+        let program = std::env::current_exe().unwrap_or_else(|e| {
+            eprintln!("cannot locate the current binary for shard workers: {e}");
+            std::process::exit(2);
+        });
+        let mut opts = memstream_shard::ShardOptions::new(program, shards)
+            .with_trace(shared.trace.is_some())
+            .with_lease_cells(lease_cells)
+            .with_lease_deadline(lease_deadline)
+            .with_metrics(&metrics);
+        for (shard, plan) in fault_plans {
+            opts = opts.with_fault_plan(shard, plan);
+        }
+        if shared.threads != 0 {
+            opts = opts.with_worker_threads(shared.threads);
+        }
+        let mut explorer =
+            memstream_shard::ShardedRoundExplorer::new(shared.recipe(), opts, executor);
         let outcome = engine.refine_with(&spec, cache.as_mut(), &mut explorer);
         for (i, run) in explorer.rounds().iter().enumerate() {
             eprintln!("round {} shard fan-out:", i + 1);
@@ -878,6 +807,15 @@ fn custom(args: &[String]) {
         std::process::exit(2);
     }
     let model = SystemModel::paper_default(rate);
+    // Eq. (5) solved for the buffer, `L · T · rs / Dsp`, as the lifetime
+    // model computes it: it must be a size the model can represent.
+    if goal.lifetime_target().is_some_and(|lifetime| {
+        !(lifetime.get() * model.workload().bits_per_year() / device.spring_duty_cycles())
+            .is_finite()
+    }) {
+        eprintln!("--lifetime must leave the springs requirement at {rate} a finite size");
+        std::process::exit(2);
+    }
     let goal_opt = (!goal.is_empty()).then_some(goal);
     print!("{}", DesignReport::build(&model, buffer, goal_opt.as_ref()));
 }

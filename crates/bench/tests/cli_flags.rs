@@ -11,6 +11,7 @@ fn out_of_range_values_exit_2_naming_the_flag() {
     let validate = "--validate must be finite, positive and at most";
     let rate = "--rate must be positive and below the media rate (102.40 Mbps)";
     let buffer = "--buffer must be at most the device capacity (111.76 GiB)";
+    let lifetime = "--lifetime must leave the springs requirement at 1.02 Mbps a finite size";
     let cases: &[(&[&str], &str)] = &[
         (&["grid", "--rates", "2", "--validate", "inf"], validate),
         (&["grid", "--rates", "2", "--validate", "1e30"], validate),
@@ -24,6 +25,10 @@ fn out_of_range_values_exit_2_naming_the_flag() {
         (&["custom", "--rate", "200Mbps"], rate),
         (&["custom", "--buffer", "1e20b"], buffer),
         (&["custom", "--buffer", "121GB"], buffer),
+        (
+            &["custom", "--rate", "1024kbps", "--lifetime", "1e300y"],
+            lifetime,
+        ),
     ];
     for (args, reason) in cases {
         let output = Command::new(HARNESS)

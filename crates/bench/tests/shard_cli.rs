@@ -1,6 +1,6 @@
-//! End-to-end tests of the sharded CLI: real `harness` coordinator
-//! processes spawning real `shard-worker` processes, compared byte-wise
-//! against the single-process output.
+//! End-to-end tests of the sharded CLI: real `harness refine`
+//! coordinator processes spawning real `shard-worker` processes,
+//! compared byte-wise against the single-process output.
 //!
 //! Cargo provides the built binary's path as `CARGO_BIN_EXE_harness`,
 //! so these tests exercise the exact re-exec path production uses.
@@ -35,12 +35,30 @@ fn stdout_of(args: &[&str]) -> String {
     String::from_utf8(output.stdout).expect("utf-8 stdout")
 }
 
+/// A short refinement: a few rounds over a small grid.
+const REFINE: [&str; 7] = [
+    "refine",
+    "--rates",
+    "6",
+    "--width-bound",
+    "0.05",
+    "--max-rounds",
+    "4",
+];
+
+/// [`REFINE`] followed by `extra`.
+fn refine_with<'a>(extra: &[&'a str]) -> Vec<&'a str> {
+    let mut args = REFINE.to_vec();
+    args.extend_from_slice(extra);
+    args
+}
+
 #[test]
-fn sharded_grid_is_byte_identical_for_every_shard_count() {
-    let reference = stdout_of(&["grid", "--rates", "6", "--threads", "2"]);
+fn sharded_refine_is_byte_identical_for_every_shard_count() {
+    let reference = stdout_of(&refine_with(&["--threads", "2"]));
     assert!(!reference.is_empty());
     for shards in ["1", "2", "3"] {
-        let sharded = stdout_of(&["grid", "--rates", "6", "--shards", shards]);
+        let sharded = stdout_of(&refine_with(&["--shards", shards]));
         assert_eq!(
             sharded, reference,
             "--shards {shards} must reproduce the single-process bytes"
@@ -53,20 +71,10 @@ fn sharded_refine_is_byte_identical_cold_and_warm_with_zero_warm_misses() {
     let cache = temp_path("refine-shard.cache");
     let _ = std::fs::remove_file(&cache);
     let cache_str = cache.to_str().expect("utf-8 temp path");
-    let base = [
-        "refine",
-        "--rates",
-        "6",
-        "--width-bound",
-        "0.05",
-        "--max-rounds",
-        "4",
-    ];
 
-    let reference = stdout_of(&base);
+    let reference = stdout_of(&REFINE);
 
-    let mut sharded: Vec<&str> = base.to_vec();
-    sharded.extend(["--shards", "3", "--cache", cache_str]);
+    let sharded = refine_with(&["--shards", "3", "--cache", cache_str]);
     let cold = run(&sharded);
     assert!(cold.status.success());
     assert_eq!(String::from_utf8_lossy(&cold.stdout), reference);
@@ -87,17 +95,23 @@ fn sharded_refine_is_byte_identical_cold_and_warm_with_zero_warm_misses() {
 }
 
 #[test]
-fn sharded_grid_warms_from_and_feeds_the_shared_cache_format() {
+fn sharded_refine_warms_from_and_feeds_the_shared_cache_format() {
     // A cache written by a sharded run must warm a single-process run
     // and vice versa: same interchange format, byte-compatible.
-    let cache = temp_path("grid-cross.cache");
-    let _ = std::fs::remove_file(&cache);
-    let cache_str = cache.to_str().expect("utf-8 temp path");
+    let (from_sharded, from_single) = (
+        temp_path("refine-cross-sharded.cache"),
+        temp_path("refine-cross-single.cache"),
+    );
+    let (sharded_str, single_str) = (
+        from_sharded.to_str().expect("utf-8 temp path"),
+        from_single.to_str().expect("utf-8 temp path"),
+    );
+    for path in [&from_sharded, &from_single] {
+        let _ = std::fs::remove_file(path);
+    }
 
-    let sharded = stdout_of(&[
-        "grid", "--rates", "5", "--shards", "2", "--cache", cache_str,
-    ]);
-    let single = run(&["grid", "--rates", "5", "--cache", cache_str]);
+    let sharded = stdout_of(&refine_with(&["--shards", "2", "--cache", sharded_str]));
+    let single = run(&refine_with(&["--cache", sharded_str]));
     assert!(single.status.success());
     assert_eq!(String::from_utf8_lossy(&single.stdout), sharded);
     let log = String::from_utf8_lossy(&single.stderr);
@@ -105,12 +119,24 @@ fn sharded_grid_warms_from_and_feeds_the_shared_cache_format() {
         log.contains(" 0 misses"),
         "single-process run must be fully warm from the sharded cache:\n{log}"
     );
-    std::fs::remove_file(cache).unwrap();
+
+    assert_eq!(stdout_of(&refine_with(&["--cache", single_str])), sharded);
+    let warm = run(&refine_with(&["--shards", "2", "--cache", single_str]));
+    assert!(warm.status.success());
+    assert_eq!(String::from_utf8_lossy(&warm.stdout), sharded);
+    let log = String::from_utf8_lossy(&warm.stderr);
+    assert!(
+        log.contains(" 0 misses") && !log.contains("workers over"),
+        "sharded run must be fully warm from the single-process cache:\n{log}"
+    );
+    for path in [from_sharded, from_single] {
+        std::fs::remove_file(path).unwrap();
+    }
 }
 
 #[test]
 fn shard_accounting_stays_off_stdout() {
-    let output = run(&["grid", "--rates", "5", "--shards", "2"]);
+    let output = run(&refine_with(&["--shards", "2"]));
     assert!(output.status.success());
     let stdout = String::from_utf8_lossy(&output.stdout);
     let stderr = String::from_utf8_lossy(&output.stderr);
@@ -126,11 +152,12 @@ fn shard_accounting_stays_off_stdout() {
 
 #[test]
 fn lease_completions_become_an_aggregated_progress_line() {
-    let output = run(&["grid", "--rates", "6", "--shards", "2"]);
+    let output = run(&refine_with(&["--shards", "2"]));
     assert!(output.status.success());
     let stderr = String::from_utf8_lossy(&output.stderr);
     // The coordinator sums the workers' completed leases into its own
-    // throttled line, whose last print is the whole grid.
+    // throttled line, whose last print in the first round is the whole
+    // initial grid.
     let cells = stderr
         .split_once(" unique cells")
         .and_then(|(head, _)| head.rsplit(' ').next())
@@ -157,16 +184,13 @@ fn fault_plan_flag_kills_one_worker_and_the_bytes_survive() {
     // The hidden test/CI surface end to end: one worker is told to die
     // mid-run, its leases are reclaimed by the survivors, the run exits 0
     // and stdout is still byte-identical to the single-process run.
-    let reference = stdout_of(&["grid", "--rates", "5", "--threads", "2"]);
-    let output = run(&[
-        "grid",
-        "--rates",
-        "5",
+    let reference = stdout_of(&refine_with(&["--threads", "2"]));
+    let output = run(&refine_with(&[
         "--shards",
         "3",
         "--fault-plan",
         "1:die-after-cells=2",
-    ]);
+    ]));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(output.status.success(), "run must complete:\n{stderr}");
     assert_eq!(String::from_utf8_lossy(&output.stdout), reference);
@@ -196,13 +220,32 @@ fn malformed_shard_flags_are_rejected() {
         (&["--lease-deadline", "0"], deadline),
     ];
     for (flags, reason) in cases {
-        for command in ["grid", "refine"] {
-            let mut args = vec![command, "--rates", "4", "--shards", "2"];
-            args.extend_from_slice(flags);
-            let output = run(&args);
-            let stderr = String::from_utf8_lossy(&output.stderr);
-            assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
-            assert!(stderr.contains(reason), "{args:?}: {stderr}");
-        }
+        let mut args = vec!["refine", "--rates", "4", "--shards", "2"];
+        args.extend_from_slice(flags);
+        let output = run(&args);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(reason), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn grid_has_no_shard_flags() {
+    // `--threads` is `grid`'s one parallel path: each shard flag is an
+    // unknown flag there.
+    for (flag, value) in [
+        ("--shards", "2"),
+        ("--lease-cells", "4"),
+        ("--lease-deadline", "30"),
+        ("--fault-plan", "1:die-after-cells=2"),
+    ] {
+        let output = run(&["grid", "--rates", "4", flag, value]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unknown flag `{flag}`")),
+            "{flag}: {stderr}"
+        );
+        assert!(output.stdout.is_empty(), "{flag} printed a report");
     }
 }

@@ -23,47 +23,10 @@ use crate::error::ModelError;
 use crate::goal::DesignGoal;
 use crate::lifetime::LifetimeModel;
 
-/// The interface sweeps and explorations are generic over: anything that
-/// can hand out the three component models and answer the dimensioning
-/// question at any stream rate.
-///
-/// Implemented by the concrete [`crate::SystemModel`] (the paper's MEMS
-/// facade) and by [`CapabilityModel`] (any capability-complete device).
-pub trait AnalyticModel: Sized {
-    /// A copy of the model at a different stream rate (the sweep variable
-    /// of every figure).
-    fn with_rate(&self, rate: BitRate) -> Self;
-
-    /// The energy component model (§III-A).
-    fn energy_model(&self) -> EnergyModel<'_>;
-
-    /// The capacity component model (§III-B).
-    fn capacity_model(&self) -> CapacityModel;
-
-    /// The lifetime component model (§III-C).
-    fn lifetime_model(&self) -> LifetimeModel<'_>;
-
-    /// Answers the §IV-C design question at this model's stream rate.
-    ///
-    /// # Errors
-    ///
-    /// See [`BufferDimensioner::dimension`].
-    fn dimension(&self, goal: &DesignGoal) -> Result<BufferPlan, ModelError>;
-
-    /// The break-even buffer of §III-A.1.
-    ///
-    /// # Errors
-    ///
-    /// See [`EnergyModel::break_even_buffer`].
-    fn break_even_buffer(&self) -> Result<DataSize, ModelError> {
-        self.energy_model().break_even_buffer()
-    }
-}
-
 /// A fully capable device model assembled from the capability seam.
 ///
 /// ```
-/// use memstream_core::{AnalyticModel, BestEffortPolicy, CapabilityModel, DesignGoal};
+/// use memstream_core::{BestEffortPolicy, CapabilityModel, DesignGoal};
 /// use memstream_device::FlashDevice;
 /// use memstream_units::BitRate;
 /// use memstream_workload::Workload;
@@ -239,8 +202,7 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> CapabilityModel<'
         self.policy
     }
 
-    /// A copy of the model at a different stream rate (also available via
-    /// [`AnalyticModel::with_rate`] on the `dyn` instantiation).
+    /// A copy of the model at a different stream rate.
     #[must_use]
     pub fn with_rate(&self, rate: BitRate) -> Self {
         let mut copy = self.clone();
@@ -320,30 +282,6 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> CapabilityModel<'
     /// See [`EnergyModel::per_bit_energy`].
     pub fn per_bit_energy(&self, buffer: DataSize) -> Result<EnergyPerBit, ModelError> {
         self.energy_model().per_bit_energy(buffer)
-    }
-}
-
-impl AnalyticModel for CapabilityModel<'_> {
-    fn with_rate(&self, rate: BitRate) -> Self {
-        // Inherent methods win resolution, so these delegate rather than
-        // recurse.
-        self.with_rate(rate)
-    }
-
-    fn energy_model(&self) -> EnergyModel<'_> {
-        self.energy_model()
-    }
-
-    fn capacity_model(&self) -> CapacityModel {
-        self.capacity_model()
-    }
-
-    fn lifetime_model(&self) -> LifetimeModel<'_> {
-        self.lifetime_model()
-    }
-
-    fn dimension(&self, goal: &DesignGoal) -> Result<BufferPlan, ModelError> {
-        self.dimensioner().dimension(goal)
     }
 }
 
@@ -476,22 +414,5 @@ mod tests {
         assert_eq!(plan.dominant().label(), "Lpe");
         assert!(model.device_lifetime(plan.buffer()).get() >= 7.0 - 1e-9);
         assert!(model.saving(plan.buffer()).unwrap() >= 0.70);
-    }
-
-    #[test]
-    fn sweep_builder_accepts_the_capability_model() {
-        use crate::explore::{log_spaced_rates, SweepBuilder};
-        let flash = FlashDevice::mobile_mlc();
-        let model = CapabilityModel::new(
-            &flash,
-            workload(1024.0),
-            None,
-            BestEffortPolicy::AtReadWrite,
-        )
-        .unwrap();
-        let sweep = SweepBuilder::new(&model);
-        let points = sweep.rate_sweep(&DesignGoal::fig3b(), log_spaced_rates(32.0, 4096.0, 10));
-        assert_eq!(points.len(), 10);
-        assert!(points.iter().any(|p| p.plan.is_ok()));
     }
 }

@@ -2,7 +2,6 @@
 
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 
-use crate::device_model::AnalyticModel;
 use crate::dimension::BufferPlan;
 use crate::error::ModelError;
 use crate::goal::DesignGoal;
@@ -54,9 +53,8 @@ impl RateSweepPoint {
     }
 }
 
-/// Sweep construction on top of any [`AnalyticModel`] — the concrete
-/// [`SystemModel`] or a capability-assembled
-/// [`CapabilityModel`](crate::CapabilityModel).
+/// Sweep construction on top of a [`SystemModel`], the paper's MEMS
+/// system.
 ///
 /// ```
 /// use memstream_core::{DesignGoal, SweepBuilder, SystemModel};
@@ -71,14 +69,14 @@ impl RateSweepPoint {
 /// assert_eq!(fig3b.len(), 25);
 /// ```
 #[derive(Debug, Clone)]
-pub struct SweepBuilder<'a, M = SystemModel> {
-    model: &'a M,
+pub struct SweepBuilder<'a> {
+    model: &'a SystemModel,
 }
 
-impl<'a, M: AnalyticModel> SweepBuilder<'a, M> {
+impl<'a> SweepBuilder<'a> {
     /// Creates a sweep builder over `model`.
     #[must_use]
-    pub fn new(model: &'a M) -> Self {
+    pub fn new(model: &'a SystemModel) -> Self {
         SweepBuilder { model }
     }
 

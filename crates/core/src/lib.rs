@@ -56,7 +56,7 @@ mod tradeoff;
 
 pub use capacity::CapacityModel;
 pub use cycle::{BestEffortPolicy, RefillCycle};
-pub use device_model::{AnalyticModel, CapabilityModel};
+pub use device_model::CapabilityModel;
 pub use dimension::{BufferDimensioner, BufferPlan};
 pub use energy::{CycleEnergy, EnergyModel};
 pub use error::{InfeasibleReason, ModelError};

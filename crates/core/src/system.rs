@@ -245,32 +245,6 @@ impl SystemModel {
     }
 }
 
-impl crate::device_model::AnalyticModel for SystemModel {
-    fn with_rate(&self, rate: BitRate) -> Self {
-        SystemModel::with_rate(self, rate)
-    }
-
-    fn energy_model(&self) -> EnergyModel<'_> {
-        SystemModel::energy_model(self)
-    }
-
-    fn capacity_model(&self) -> CapacityModel {
-        SystemModel::capacity_model(self)
-    }
-
-    fn lifetime_model(&self) -> LifetimeModel<'_> {
-        SystemModel::lifetime_model(self)
-    }
-
-    fn dimension(&self, goal: &DesignGoal) -> Result<BufferPlan, ModelError> {
-        SystemModel::dimension(self, goal)
-    }
-
-    fn break_even_buffer(&self) -> Result<DataSize, ModelError> {
-        SystemModel::break_even_buffer(self)
-    }
-}
-
 impl fmt::Display for SystemModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(

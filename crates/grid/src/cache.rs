@@ -210,16 +210,13 @@ pub struct ResultCache {
     /// The lazily opened file ([`ResultCache::open`]): probes hit its
     /// index and records decode on demand.
     view: Option<Arc<CacheView>>,
-    /// Outcomes decoded from the view by lookups, by record ordinal
-    /// (sized on the first view hit), so a hot record decodes once.
-    decoded: Vec<Option<CellOutcome>>,
     /// The file the view was read from, as it was then.
     origin: Option<Origin>,
     /// Overlay keys the view does not hold, so `len()` is
     /// `view.len() + overlay_new` without iterating either side.
     overlay_new: usize,
     /// Whether an insert or merge changed the cache since it was opened:
-    /// an unchanged view needs no save at all (or a verbatim copy).
+    /// an unchanged view saved back to its own file needs no save at all.
     modified: bool,
     hits: usize,
     misses: usize,
@@ -371,8 +368,8 @@ impl ResultCache {
     /// `metrics`, all inside the `cache.load` span.
     ///
     /// A structurally valid file is held as a [`CacheView`] — only its
-    /// record index is checked — and records decode on demand as lookups
-    /// touch them (memoized, so a hot cell decodes once). Probes
+    /// record index is checked — and each lookup that hits decodes its
+    /// record's payload. Probes
     /// ([`ResultCache::contains_key`], planning) never decode at all.
     /// The cache remembers the file's path, length and modification
     /// time, so that saving it unchanged to the same path writes
@@ -491,8 +488,7 @@ impl ResultCache {
     /// A cache opened lazily from `path` that nothing was inserted into
     /// or merged into since **writes nothing**, provided one `stat`
     /// shows the file still has the length and modification time it was
-    /// opened with (counted as `cache.saves_skipped`). Saved anywhere
-    /// else, such a cache is copied verbatim.
+    /// opened with (counted as `cache.saves_skipped`).
     ///
     /// Every write is atomic with respect to readers: the bytes go to a
     /// process-unique sibling temp file that is then renamed over
@@ -509,14 +505,8 @@ impl ResultCache {
         let CacheFormat::Binary = format;
         let _save_timer = self.telemetry.save_span.start();
         let path = path.as_ref();
-        if let (Some(view), false) = (self.view.as_deref(), self.modified) {
-            if self.origin.as_ref().is_some_and(|o| o.unchanged_at(path)) {
-                self.telemetry.saves_skipped.incr();
-                return Ok(());
-            }
-            let bytes = view.file_bytes();
-            write_replacing(path, |out| out.write_all(bytes))?;
-            self.telemetry.save_bytes.add(bytes.len() as u64);
+        if !self.modified && self.origin.as_ref().is_some_and(|o| o.unchanged_at(path)) {
+            self.telemetry.saves_skipped.incr();
             return Ok(());
         }
         let mut keys: Vec<&str> = self.keys().collect();
@@ -578,35 +568,20 @@ impl ResultCache {
         view.find(key)
     }
 
-    /// The outcome of view record `ordinal`: memoized, or decoded from
-    /// its payload (counted; `None` if the payload is malformed).
+    /// The outcome of view record `ordinal`, decoded from its payload
+    /// (counted; `None` if the payload is malformed).
     fn view_outcome(&self, ordinal: usize) -> Option<CellOutcome> {
-        if let Some(outcome) = self.decoded.get(ordinal).and_then(Option::as_ref) {
-            return Some(outcome.clone());
-        }
         let outcome = self.view.as_deref()?.decode(ordinal)?;
         self.telemetry.records_decoded.incr();
         Some(outcome)
-    }
-
-    /// [`ResultCache::view_outcome`], memoized for later lookups.
-    fn memoized_outcome(&mut self, ordinal: usize) -> Option<CellOutcome> {
-        if self.decoded.is_empty() {
-            self.decoded = vec![None; self.view.as_deref().map_or(0, CacheView::len)];
-        }
-        if self.decoded[ordinal].is_none() {
-            self.decoded[ordinal] = self.view_outcome(ordinal);
-        }
-        self.decoded[ordinal].clone()
     }
 
     /// Looks up an outcome, counting the hit/miss and timing the probe
     /// into the `cache.lookup` histogram when telemetry is enabled.
     ///
     /// On a lazy cache, a view hit decodes that one record's payload —
-    /// never its key — and memoizes the outcome by record ordinal, so
-    /// repeated lookups of a hot cell decode once and
-    /// `cache.records_decoded` tracks *distinct* records touched.
+    /// never its key — every time: `cache.records_decoded` counts one
+    /// decode per hit.
     pub(crate) fn lookup(&mut self, key: &str) -> Option<CellOutcome> {
         let started = self
             .telemetry
@@ -617,7 +592,7 @@ impl ResultCache {
             Some(outcome) => Some(outcome.clone()),
             None => self
                 .view_ordinal(key)
-                .and_then(|ordinal| self.memoized_outcome(ordinal)),
+                .and_then(|ordinal| self.view_outcome(ordinal)),
         };
         if let Some(started) = started {
             self.telemetry.lookup_latency.record(started.elapsed());
@@ -639,8 +614,7 @@ impl ResultCache {
     /// Peeks at an outcome without touching the hit/miss counters (the
     /// shard planner asks "is this cell already known?" without it being
     /// a lookup of record). Returns an owned outcome: on a lazy cache
-    /// the record may be decoded on the fly (without memoizing — peeks
-    /// take `&self`).
+    /// the record is decoded on the fly.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
         match self.overlay(key) {
@@ -1854,17 +1828,20 @@ mod tests {
     }
 
     #[test]
-    fn lazy_hits_decode_each_record_once() {
-        let path = temp_path("decode-once.cache");
+    fn lazy_hits_decode_every_time_and_probes_never() {
+        let path = temp_path("decode-per-hit.cache");
         save(&hostile_cache(), &path);
         let metrics = Metrics::enabled();
         let mut lazy = ResultCache::open(&path, &metrics).unwrap();
+        assert!(lazy.contains_key("unmodelled"));
+        assert!(!lazy.contains_key("absent"));
+        assert_eq!(metrics.snapshot().counter("cache.records_decoded"), Some(0));
         for _ in 0..3 {
             assert!(lazy.lookup("unmodelled").is_some());
         }
         assert!(lazy.lookup("absent").is_none());
         let snapshot = metrics.snapshot();
-        assert_eq!(snapshot.counter("cache.records_decoded"), Some(1));
+        assert_eq!(snapshot.counter("cache.records_decoded"), Some(3));
         assert_eq!(snapshot.counter("cache.hits"), Some(3));
         let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
         assert_eq!(load.map(|s| s.entries), Some(1));

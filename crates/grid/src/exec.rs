@@ -24,13 +24,17 @@ use crate::store::{resolve_frontier, FrontierBuilder, ParetoPoint, ResultStore};
 /// on collection, and evaluation is pure — so the transcript of any run
 /// is byte-identical to [`GridExecutor::serial`].
 ///
+/// A fan-out spawns at most one worker per series: a worker claims whole
+/// series, so more would have nothing to do.
+///
 /// An executor carries a [`Metrics`] handle (disabled by default, see
 /// [`GridExecutor::with_metrics`]) and records the `grid.*` catalogue of
 /// `docs/OBSERVABILITY.md`: cell/series counts, per-worker evaluation
 /// tallies and the explore/eval/assemble wall-clock breakdown. Counter
-/// and span handles are resolved **once per executor** — the explore and
-/// fan-out loops never take the registry lock. Telemetry never touches
-/// the results, so instrumented and bare runs stay byte-identical.
+/// and span handles are resolved **once per executor**, except each
+/// spawned worker's tally, which takes the registry lock once as the
+/// worker retires — never once per cell. Telemetry never touches the
+/// results, so instrumented and bare runs stay byte-identical.
 #[derive(Debug, Clone)]
 pub struct GridExecutor {
     threads: usize,
@@ -59,8 +63,6 @@ struct ExecTelemetry {
     frontier_inserts: Counter,
     frontier_evictions: Counter,
     frontier_dominance_checks: Counter,
-    /// One handle per worker slot, indexed by worker id.
-    worker_cells: Vec<Counter>,
     /// Per-series evaluation latency distribution (`grid.series_eval`).
     series_latency: Histogram,
     /// Emits one `grid.series` begin/end pair per evaluated series when
@@ -70,10 +72,9 @@ struct ExecTelemetry {
 }
 
 impl ExecTelemetry {
-    /// Resolves every handle the executor will ever use, including the
-    /// per-worker tallies for all `threads` slots (replacing the old
-    /// per-fan-out `format!("grid.worker.{i}.cells")` lookups).
-    fn resolve(metrics: &Metrics, threads: usize) -> Self {
+    /// Resolves every handle the executor will ever use, apart from the
+    /// per-worker tallies ([`tally_worker`]).
+    fn resolve(metrics: &Metrics) -> Self {
         if !metrics.is_enabled() {
             return ExecTelemetry::default();
         }
@@ -90,9 +91,6 @@ impl ExecTelemetry {
             frontier_inserts: metrics.counter("frontier.inserts"),
             frontier_evictions: metrics.counter("frontier.evictions"),
             frontier_dominance_checks: metrics.counter("frontier.dominance_checks"),
-            worker_cells: (0..threads)
-                .map(|i| metrics.counter(&format!("grid.worker.{i}.cells")))
-                .collect(),
             series_latency: metrics.histogram("grid.series_eval"),
             tracer: metrics.tracer(),
         }
@@ -110,11 +108,15 @@ impl ExecTelemetry {
         self.tracer.end("grid.series");
         batch
     }
+}
 
-    /// The tally handle of worker `i` (no-op when out of range, i.e. on
-    /// a disabled registry).
-    fn worker(&self, i: usize) -> Counter {
-        self.worker_cells.get(i).cloned().unwrap_or_default()
+/// Adds `cells` to `grid.worker.{worker}.cells`, registering the counter
+/// on first use, so a snapshot lists only workers that were spawned.
+fn tally_worker(metrics: &Metrics, worker: usize, cells: u64) {
+    if metrics.is_enabled() {
+        metrics
+            .counter(&format!("grid.worker.{worker}.cells"))
+            .add(cells);
     }
 }
 
@@ -152,7 +154,7 @@ impl GridExecutor {
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
         self.metrics = metrics.clone();
-        self.telemetry = ExecTelemetry::resolve(metrics, self.threads);
+        self.telemetry = ExecTelemetry::resolve(metrics);
         self
     }
 
@@ -184,12 +186,11 @@ impl GridExecutor {
         self.telemetry
             .interner_keys
             .add(interner.interned_strings() as u64);
-        let workers = self.threads.min(job_cells.len()).max(1);
         let mut frontier = FrontierBuilder::new();
-        let outcomes = self.evaluate_jobs(grid, &job_cells, workers, |job, outcome| {
+        let outcomes = self.evaluate_jobs(grid, &job_cells, |job, outcome| {
             frontier.insert_outcome(job, outcome);
         });
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers, frontier))
+        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, frontier))
     }
 
     /// Like [`GridExecutor::explore`], but resolves every job against
@@ -219,7 +220,6 @@ impl GridExecutor {
         self.telemetry
             .interner_keys
             .add(interner.interned_strings() as u64);
-        let workers = self.threads.min(job_cells.len()).max(1);
 
         let mut frontier = FrontierBuilder::new();
         let mut outcomes: Vec<Option<CellOutcome>> = Vec::with_capacity(job_cells.len());
@@ -244,16 +244,11 @@ impl GridExecutor {
         let fresh = {
             let miss_slots = &miss_slots;
             let frontier = &mut frontier;
-            self.evaluate_jobs(
-                grid,
-                &miss_cells,
-                workers.min(miss_cells.len()).max(1),
-                // `evaluate_jobs` indexes into its own job list; map back
-                // to the global job slot before offering to the frontier.
-                |local, outcome| {
-                    frontier.insert_outcome(miss_slots[local], outcome);
-                },
-            )
+            // `evaluate_jobs` indexes into its own job list; map back to
+            // the global job slot before offering to the frontier.
+            self.evaluate_jobs(grid, &miss_cells, |local, outcome| {
+                frontier.insert_outcome(miss_slots[local], outcome);
+            })
         };
         for ((slot, cell), outcome) in miss_slots.into_iter().zip(&miss_cells).zip(fresh) {
             cache.insert(interner.resolve(interner.key(cell)), outcome.clone());
@@ -264,7 +259,7 @@ impl GridExecutor {
             .into_iter()
             .map(|o| o.expect("every job is cached or evaluated"))
             .collect();
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, workers, frontier))
+        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, frontier))
     }
 
     /// Resolves an explicit list of cells against `cache`: cached cells
@@ -289,15 +284,14 @@ impl GridExecutor {
                 miss_cells.push(*cell);
             }
         }
-        let workers = self.threads.min(miss_cells.len()).max(1);
-        let fresh = self.evaluate_jobs(grid, &miss_cells, workers, |_, _| {});
+        let fresh = self.evaluate_jobs(grid, &miss_cells, |_, _| {});
         for (cell, outcome) in miss_cells.iter().zip(fresh) {
             cache.insert(interner.resolve(interner.key(cell)), outcome);
         }
     }
 
-    /// Evaluates `jobs` serially or fanned out, per `workers`, through
-    /// the series planner: one capability model per rate-axis series.
+    /// Evaluates `jobs` through the series planner — one capability model
+    /// per rate-axis series — on at most one thread per series.
     ///
     /// `observe` sees every `(job index, outcome)` pair **as results
     /// stream in** (on the calling thread, in arrival order) — the hook
@@ -307,7 +301,6 @@ impl GridExecutor {
         &self,
         grid: &ScenarioGrid,
         jobs: &[GridCell],
-        workers: usize,
         mut observe: impl FnMut(usize, &CellOutcome),
     ) -> Vec<CellOutcome> {
         if jobs.is_empty() {
@@ -320,8 +313,9 @@ impl GridExecutor {
         self.telemetry
             .models_reused
             .add((jobs.len() - series.len()) as u64);
+        let workers = self.threads.min(series.len());
         if workers == 1 {
-            self.telemetry.worker(0).add(jobs.len() as u64);
+            tally_worker(&self.metrics, 0, jobs.len() as u64);
             let mut slots: Vec<Option<CellOutcome>> = vec![None; jobs.len()];
             for s in &series {
                 for (job, outcome) in self.telemetry.timed_series(grid, s) {
@@ -334,7 +328,16 @@ impl GridExecutor {
                 .map(|o| o.expect("series cover the job list"))
                 .collect()
         } else {
-            fan_out(grid, jobs.len(), &series, workers, &self.telemetry, observe)
+            let (telemetry, metrics) = (&self.telemetry, &self.metrics);
+            fan_out(
+                grid,
+                jobs.len(),
+                &series,
+                workers,
+                telemetry,
+                metrics,
+                observe,
+            )
         }
     }
 
@@ -347,7 +350,6 @@ impl GridExecutor {
         cell_to_job: Vec<usize>,
         job_cells: Vec<GridCell>,
         outcomes: Vec<CellOutcome>,
-        workers: usize,
         frontier: FrontierBuilder,
     ) -> GridResults {
         let _assemble = self.telemetry.assemble_span.start();
@@ -362,7 +364,6 @@ impl GridExecutor {
             grid: grid.clone(),
             store,
             frontier,
-            workers,
         }
     }
 }
@@ -373,8 +374,9 @@ impl GridExecutor {
 /// Workers claim whole series from the cursor and send one batched
 /// result vector per series; each worker tallies its evaluated cells in
 /// a thread-local count and publishes once on exit into
-/// `grid.worker.{i}.cells` — the hot loop performs no shared-memory
-/// telemetry traffic and one channel send per *series*, not per cell.
+/// `grid.worker.{i}.cells` ([`tally_worker`]) — the hot loop performs no
+/// shared-memory telemetry traffic and one channel send per *series*,
+/// not per cell.
 ///
 /// `observe` runs on the collecting (calling) thread only, in batch
 /// arrival order — workers never touch it, so it needs no
@@ -385,6 +387,7 @@ fn fan_out(
     series: &[Series],
     workers: usize,
     telemetry: &ExecTelemetry,
+    metrics: &Metrics,
     mut observe: impl FnMut(usize, &CellOutcome),
 ) -> Vec<CellOutcome> {
     let cursor = AtomicUsize::new(0);
@@ -393,7 +396,6 @@ fn fan_out(
         for worker in 0..workers {
             let tx = tx.clone();
             let cursor = &cursor;
-            let tally = telemetry.worker(worker);
             scope.spawn(move || {
                 let mut evaluated: u64 = 0;
                 loop {
@@ -405,7 +407,7 @@ fn fan_out(
                         break;
                     }
                 }
-                tally.add(evaluated);
+                tally_worker(metrics, worker, evaluated);
             });
         }
         drop(tx);
@@ -430,7 +432,6 @@ pub struct GridResults {
     grid: ScenarioGrid,
     store: ResultStore,
     frontier: Vec<ParetoPoint>,
-    workers: usize,
 }
 
 impl GridResults {
@@ -444,12 +445,6 @@ impl GridResults {
     #[must_use]
     pub fn store(&self) -> &ResultStore {
         &self.store
-    }
-
-    /// How many worker threads ran the exploration.
-    #[must_use]
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Total cells in the grid.
@@ -569,6 +564,30 @@ mod tests {
             })
             .sum();
         assert_eq!(workers, results.unique_evaluations() as u64);
+    }
+
+    #[test]
+    fn fan_out_spawns_no_more_workers_than_series() {
+        let grid = ScenarioGrid::paper_baseline(4);
+        let metrics = Metrics::enabled();
+        let serial = GridExecutor::serial().explore(&grid).unwrap();
+        let wide = GridExecutor::parallel(1000)
+            .with_metrics(&metrics)
+            .explore(&grid)
+            .unwrap();
+        assert_eq!(serial.store(), wide.store());
+        assert_eq!(serial.pareto_frontier(), wide.pareto_frontier());
+        let snapshot = metrics.snapshot();
+        let series = snapshot.counter("grid.series_built").unwrap();
+        let workers = snapshot
+            .counters
+            .iter()
+            .filter(|c| c.name.starts_with("grid.worker."))
+            .count() as u64;
+        assert!(
+            (1..=series).contains(&workers),
+            "{workers} worker counters for {series} series"
+        );
     }
 
     #[test]

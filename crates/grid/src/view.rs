@@ -14,9 +14,9 @@
 //!
 //! [`CacheView::open`] is the workspace's strict cache reader: a view is
 //! only ever constructed over a file whose index provably describes its
-//! records. Consequently an unmodified view can be re-saved *verbatim* —
-//! byte-for-byte — without decoding, which
-//! [`ResultCache::save_as`](crate::ResultCache::save_as) exploits.
+//! records. Consequently a save can copy a view's record bodies as raw
+//! bytes, in the key order they already have, without decoding them
+//! ([`ResultCache::save_as`](crate::ResultCache::save_as)).
 
 use std::fmt;
 use std::fs;
@@ -266,12 +266,6 @@ impl CacheView {
     /// Iterates the keys in file order (which is sorted order).
     pub fn keys(&self) -> impl Iterator<Item = &str> + '_ {
         (0..self.offsets.len()).map(|ordinal| self.key_at(ordinal))
-    }
-
-    /// The raw file bytes the view was opened over — the verbatim
-    /// re-save payload.
-    pub(crate) fn file_bytes(&self) -> &[u8] {
-        &self.bytes
     }
 }
 

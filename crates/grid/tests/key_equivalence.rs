@@ -116,7 +116,7 @@ fn cache_resave_is_byte_identical() {
     ResultCache::load_lazy(&first)
         .expect("lazy load")
         .save_as(&lazy, format)
-        .expect("re-save verbatim");
+        .expect("re-save from the view");
     let reference = std::fs::read(&first).expect("read");
     for path in [&eager, &lazy] {
         assert_eq!(

@@ -235,6 +235,28 @@ fn a_foreign_cache_file_is_named_and_replaced() {
     }
 }
 
+#[cfg(unix)]
+#[test]
+fn a_cache_path_that_is_not_a_regular_file_exits_2_and_stays() {
+    // A symlink to `/dev/null` is refused by name before it is opened,
+    // instead of being read as an empty cache and replaced by the save.
+    let link = temp_path("devnull.cache");
+    let _ = std::fs::remove_file(&link);
+    std::os::unix::fs::symlink("/dev/null", &link).unwrap();
+    let link_str = link.to_str().expect("utf-8 temp path");
+    for command in ["grid", "refine"] {
+        let output = run(&[command, "--rates", "3", "--cache", link_str]);
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{command}: {stderr}");
+        let reason = format!("cache load error: {link_str} is not a regular file");
+        assert!(stderr.contains(&reason), "{command}: {stderr}");
+        assert!(output.stdout.is_empty(), "{command} printed a report");
+        let meta = std::fs::symlink_metadata(&link).unwrap();
+        assert!(meta.file_type().is_symlink(), "{command} replaced the link");
+    }
+    std::fs::remove_file(link).unwrap();
+}
+
 #[test]
 fn refine_stderr_accounting_agrees_with_the_json_snapshot() {
     let json = temp_path("refine-equiv.json");

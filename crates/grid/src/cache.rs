@@ -192,7 +192,7 @@ pub struct MergeStats {
 ///
 /// let mut warm = ResultCache::load_lazy(&path)?; // every cell hits
 /// let rerun = GridExecutor::serial().explore_cached(&grid, &mut warm)?;
-/// assert_eq!(warm.hits(), rerun.unique_evaluations());
+/// assert_eq!(warm.hits(), rerun.total_cells());
 /// assert_eq!(
 ///     memstream_grid::report::cells_csv(&cold),
 ///     memstream_grid::report::cells_csv(&rerun),
@@ -306,9 +306,24 @@ impl CacheTelemetry {
     }
 }
 
+/// Refuses a `path` that exists but is not a regular file after
+/// following symlinks (a device, a FIFO, a directory), before anything
+/// opens it: opening a FIFO blocks, and a save's rename would replace the
+/// device node or the link with a regular file. A missing path passes.
+pub(crate) fn check_regular_file(path: &Path) -> io::Result<()> {
+    match fs::metadata(path) {
+        Ok(meta) if !meta.is_file() => Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!("{} is not a regular file", path.display()),
+        )),
+        _ => Ok(()),
+    }
+}
+
 /// Reads the file at `path` with the metadata of the very handle it was
 /// read through; `None` if there is no such file.
 fn read_file(path: &Path) -> io::Result<Option<(Vec<u8>, fs::Metadata)>> {
+    check_regular_file(path)?;
     let mut file = match fs::File::open(path) {
         Ok(file) => file,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
@@ -344,7 +359,9 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than "not found".
+    /// An error naming `path` if it exists but is not a regular file
+    /// after following symlinks; otherwise propagates I/O errors other
+    /// than "not found".
     pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
         let mut cache = ResultCache::new();
         if let Some((bytes, _)) = read_file(path.as_ref())? {
@@ -359,7 +376,7 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than "not found".
+    /// As [`ResultCache::open`].
     pub fn load_lazy(path: impl AsRef<Path>) -> io::Result<Self> {
         ResultCache::open(path, &Metrics::disabled())
     }
@@ -382,7 +399,9 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than "not found".
+    /// An error naming `path` if it exists but is not a regular file
+    /// after following symlinks (it is never opened); otherwise
+    /// propagates I/O errors other than "not found".
     pub fn open(path: impl AsRef<Path>, metrics: &Metrics) -> io::Result<Self> {
         let _load = metrics.span("cache.load").start();
         let path = path.as_ref();
@@ -499,8 +518,10 @@ impl ResultCache {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors; on error `path` is left untouched and the
-    /// temp file is removed.
+    /// An error naming `path` if it exists but is not a regular file
+    /// after following symlinks: a device node, a FIFO or a symlink is
+    /// never replaced. Otherwise propagates I/O errors; on error `path`
+    /// is left untouched and the temp file is removed.
     pub fn save_as(&self, path: impl AsRef<Path>, format: CacheFormat) -> io::Result<()> {
         let CacheFormat::Binary = format;
         let _save_timer = self.telemetry.save_span.start();
@@ -509,6 +530,7 @@ impl ResultCache {
             self.telemetry.saves_skipped.incr();
             return Ok(());
         }
+        check_regular_file(path)?;
         let mut keys: Vec<&str> = self.keys().collect();
         keys.sort_unstable();
         let bodies = keys.iter().map(|&key| match self.entries.get(key) {
@@ -1375,7 +1397,7 @@ mod tests {
         let results = GridExecutor::serial()
             .explore_cached(&grid, &mut cache)
             .unwrap();
-        assert_eq!(cache.misses(), results.unique_evaluations());
+        assert_eq!(cache.misses(), results.total_cells());
         save(&cache, &path);
 
         let mut loaded = ResultCache::load(&path).unwrap();
@@ -1383,7 +1405,7 @@ mod tests {
         let warm = GridExecutor::parallel(4)
             .explore_cached(&grid, &mut loaded)
             .unwrap();
-        assert_eq!(loaded.hits(), warm.unique_evaluations());
+        assert_eq!(loaded.hits(), warm.total_cells());
         assert_eq!(loaded.misses(), 0);
         assert_eq!(
             crate::report::cells_csv(&results),
@@ -1538,9 +1560,52 @@ mod tests {
     }
 
     #[test]
+    fn paths_that_are_not_regular_files_are_refused_by_name() {
+        // Every reader and the save refuse a directory, and (on unix) a
+        // symlink to a device, before opening it; the link survives.
+        let dir = temp_path("not-a-file.dir");
+        fs::create_dir_all(&dir).unwrap();
+        let mut paths = vec![dir.clone()];
+        #[cfg(unix)]
+        {
+            let link = temp_path("devnull-link.cache");
+            let _ = fs::remove_file(&link);
+            std::os::unix::fs::symlink("/dev/null", &link).unwrap();
+            paths.push(link);
+        }
+        let mut cache = ResultCache::new();
+        cache.insert("k".to_owned(), unmodelled("r"));
+        for path in &paths {
+            let named = path.display().to_string();
+            let errors = [
+                ResultCache::load(path).unwrap_err().to_string(),
+                ResultCache::load_lazy(path).unwrap_err().to_string(),
+                CacheView::open(path).unwrap_err().to_string(),
+                cache
+                    .save_as(path, CacheFormat::default())
+                    .unwrap_err()
+                    .to_string(),
+            ];
+            for error in errors {
+                assert!(
+                    error.contains(&format!("{named} is not a regular file")),
+                    "{error}"
+                );
+            }
+        }
+        #[cfg(unix)]
+        {
+            let link = &paths[1];
+            assert!(fs::symlink_metadata(link).unwrap().file_type().is_symlink());
+            fs::remove_file(link).unwrap();
+        }
+        fs::remove_dir(dir).unwrap();
+    }
+
+    #[test]
     fn union_of_disjoint_shard_caches_is_order_independent_and_byte_identical() {
         // One single-process cache; the same cells split into three
-        // contiguous shard caches over the canonical dedup'd range.
+        // contiguous shard caches over the canonical cell range.
         let grid = ScenarioGrid::paper_baseline(5);
         let mut whole = ResultCache::new();
         GridExecutor::serial()
@@ -1553,7 +1618,9 @@ mod tests {
             .windows(2)
             .map(|w| {
                 let mut shard = ResultCache::new();
-                GridExecutor::serial().resolve_cells(&grid, &unique[w[0]..w[1]], &mut shard);
+                GridExecutor::serial()
+                    .resolve_cells(&grid, &unique[w[0]..w[1]], &mut shard)
+                    .unwrap();
                 shard
             })
             .collect();

@@ -1,4 +1,9 @@
 //! The deterministic executor: serial or fan-out over `std::thread`.
+//!
+//! Every cell of a grid is its own job. One pass serves both
+//! explorations: without a cache every cell streams into the series
+//! planner, with one only the misses do, and each outcome lands in its
+//! cell's slot of the results as it arrives.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -11,7 +16,7 @@ use crate::eval::CellOutcome;
 use crate::key::KeyInterner;
 use crate::series::{evaluate_series, plan_series, Series};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
-use crate::store::{resolve_frontier, FrontierBuilder, ParetoPoint, ResultStore};
+use crate::store::{resolve_frontier, FrontierBuilder, ParetoPoint};
 
 /// Explores a [`ScenarioGrid`] on a fixed number of worker threads.
 ///
@@ -19,10 +24,10 @@ use crate::store::{resolve_frontier, FrontierBuilder, ParetoPoint, ResultStore};
 /// work stealing: an idle worker immediately claims the next unevaluated
 /// series, so uneven costs cannot idle a core). Each series builds its
 /// capability model once and sweeps the rates against it
-/// (the crate's private `series` module); results carry their job
-/// indices, are re-ordered
-/// on collection, and evaluation is pure — so the transcript of any run
-/// is byte-identical to [`GridExecutor::serial`].
+/// (the crate's private `series` module); results carry their cell
+/// indices, land in canonical order on collection, and evaluation is
+/// pure — so the transcript of any run is byte-identical to
+/// [`GridExecutor::serial`].
 ///
 /// A fan-out spawns at most one worker per series: a worker claims whole
 /// series, so more would have nothing to do.
@@ -170,96 +175,98 @@ impl GridExecutor {
         self.threads
     }
 
-    /// Evaluates every unique cell of `grid` and returns the collected
-    /// results.
+    /// Evaluates every cell of `grid` and returns the collected results:
+    /// [`GridExecutor::explore_cached`] without a cache.
     ///
     /// # Errors
     ///
-    /// [`GridError::EmptyAxis`] if any axis of the grid is empty.
+    /// [`GridError::EmptyAxis`] if any axis of the grid is empty, and
+    /// [`GridError::DuplicateAxisEntry`] if an axis repeats an entry.
     pub fn explore(&self, grid: &ScenarioGrid) -> Result<GridResults, GridError> {
-        let _explore = self.telemetry.explore_span.start();
-        grid.check_axes()?;
-        let interner = KeyInterner::new(grid);
-        let (job_cells, cell_to_job) = ResultStore::plan_with(grid, &interner);
-        self.telemetry.cells_total.add(cell_to_job.len() as u64);
-        self.telemetry.cells_unique.add(job_cells.len() as u64);
-        self.telemetry
-            .interner_keys
-            .add(interner.interned_strings() as u64);
-        let mut frontier = FrontierBuilder::new();
-        let outcomes = self.evaluate_jobs(grid, &job_cells, |job, outcome| {
-            frontier.insert_outcome(job, outcome);
-        });
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, frontier))
+        self.explore_with(grid, None)
     }
 
-    /// Like [`GridExecutor::explore`], but resolves every job against
+    /// Like [`GridExecutor::explore`], but resolves every cell against
     /// `cache` first and evaluates only the misses (in parallel), feeding
     /// them back into the cache. Because cached outcomes round-trip
     /// exactly, the results — and every report rendered from them — are
     /// byte-identical to an uncached exploration.
     ///
-    /// Cache keys are interned [`crate::CellKey`]s resolved into one
-    /// reused string buffer; the canonical bytes match
+    /// Cache keys are joined from the [`KeyInterner`]'s fragments into
+    /// one reused string buffer; the canonical bytes match
     /// [`ScenarioGrid::dedup_key`] exactly.
     ///
     /// # Errors
     ///
-    /// [`GridError::EmptyAxis`] if any axis of the grid is empty.
+    /// As [`GridExecutor::explore`]; `cache` is untouched on error.
     pub fn explore_cached(
         &self,
         grid: &ScenarioGrid,
         cache: &mut ResultCache,
     ) -> Result<GridResults, GridError> {
+        self.explore_with(grid, Some(cache))
+    }
+
+    /// The one exploration pass. The cells stream into the series
+    /// planner; with a cache, each hit fills its slot on the way and only
+    /// misses go on. Evaluated outcomes fill their slots (and the cache)
+    /// as they arrive, and every outcome is offered to the frontier.
+    fn explore_with(
+        &self,
+        grid: &ScenarioGrid,
+        mut cache: Option<&mut ResultCache>,
+    ) -> Result<GridResults, GridError> {
         let _explore = self.telemetry.explore_span.start();
         grid.check_axes()?;
-        let interner = KeyInterner::new(grid);
-        let (job_cells, cell_to_job) = ResultStore::plan_with(grid, &interner);
-        self.telemetry.cells_total.add(cell_to_job.len() as u64);
-        self.telemetry.cells_unique.add(job_cells.len() as u64);
+        let interner = KeyInterner::new(grid)?;
+        self.telemetry.cells_total.add(grid.len() as u64);
+        // The interner rejects repeated axis entries, so every cell is a
+        // distinct scenario: the unique count equals the total.
+        self.telemetry.cells_unique.add(grid.len() as u64);
         self.telemetry
             .interner_keys
             .add(interner.interned_strings() as u64);
 
         let mut frontier = FrontierBuilder::new();
-        let mut outcomes: Vec<Option<CellOutcome>> = Vec::with_capacity(job_cells.len());
-        let mut miss_slots: Vec<usize> = Vec::new();
-        let mut miss_cells: Vec<GridCell> = Vec::new();
-        let mut key_buf = String::new();
-        for (slot, cell) in job_cells.iter().enumerate() {
-            interner.resolve_into(interner.key(cell), &mut key_buf);
-            match cache.lookup(&key_buf) {
-                Some(outcome) => {
-                    frontier.insert_outcome(slot, &outcome);
-                    outcomes.push(Some(outcome));
-                }
-                None => {
-                    outcomes.push(None);
-                    miss_slots.push(slot);
-                    miss_cells.push(*cell);
-                }
+        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; grid.len()];
+        let mut key = String::new();
+        let misses = grid.cells().filter(|cell| {
+            let Some(cache) = cache.as_deref_mut() else {
+                return true;
+            };
+            interner.resolve_into(cell, &mut key);
+            let Some(outcome) = cache.lookup(&key) else {
+                return true;
+            };
+            frontier.insert_outcome(cell.index, &outcome);
+            outcomes[cell.index] = Some(outcome);
+            false
+        });
+        let series = plan_series(misses);
+        self.evaluate(grid, &series, |index, outcome| {
+            frontier.insert_outcome(index, &outcome);
+            if let Some(cache) = cache.as_deref_mut() {
+                cache.insert(interner.resolve(&grid.cell(index)), outcome.clone());
             }
-        }
+            outcomes[index] = Some(outcome);
+        });
 
-        let fresh = {
-            let miss_slots = &miss_slots;
-            let frontier = &mut frontier;
-            // `evaluate_jobs` indexes into its own job list; map back to
-            // the global job slot before offering to the frontier.
-            self.evaluate_jobs(grid, &miss_cells, |local, outcome| {
-                frontier.insert_outcome(miss_slots[local], outcome);
-            })
-        };
-        for ((slot, cell), outcome) in miss_slots.into_iter().zip(&miss_cells).zip(fresh) {
-            cache.insert(interner.resolve(interner.key(cell)), outcome.clone());
-            outcomes[slot] = Some(outcome);
-        }
-
+        let _assemble = self.telemetry.assemble_span.start();
+        self.telemetry.frontier_inserts.add(frontier.inserts());
+        self.telemetry.frontier_evictions.add(frontier.evictions());
+        self.telemetry
+            .frontier_dominance_checks
+            .add(frontier.dominance_checks());
         let outcomes: Vec<CellOutcome> = outcomes
             .into_iter()
-            .map(|o| o.expect("every job is cached or evaluated"))
+            .map(|o| o.expect("every cell is cached or evaluated"))
             .collect();
-        Ok(self.assemble(grid, cell_to_job, job_cells, outcomes, frontier))
+        let frontier = resolve_frontier(grid, &outcomes, frontier);
+        Ok(GridResults {
+            grid: grid.clone(),
+            outcomes,
+            frontier,
+        })
     }
 
     /// Resolves an explicit list of cells against `cache`: cached cells
@@ -269,107 +276,82 @@ impl GridExecutor {
     /// for the cells of its slice (see
     /// [`ScenarioGrid::unique_cells`](crate::ScenarioGrid::unique_cells)
     /// for the canonical slicing domain).
-    pub fn resolve_cells(&self, grid: &ScenarioGrid, cells: &[GridCell], cache: &mut ResultCache) {
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::DuplicateAxisEntry`] if an axis of `grid` repeats an
+    /// entry; `cache` is untouched then.
+    pub fn resolve_cells(
+        &self,
+        grid: &ScenarioGrid,
+        cells: &[GridCell],
+        cache: &mut ResultCache,
+    ) -> Result<(), GridError> {
         let _explore = self.telemetry.explore_span.start();
+        let interner = KeyInterner::new(grid)?;
         self.telemetry.cells_total.add(cells.len() as u64);
-        let interner = KeyInterner::new(grid);
         self.telemetry
             .interner_keys
             .add(interner.interned_strings() as u64);
-        let mut miss_cells: Vec<GridCell> = Vec::new();
-        let mut key_buf = String::new();
-        for cell in cells {
-            interner.resolve_into(interner.key(cell), &mut key_buf);
-            if cache.lookup(&key_buf).is_none() {
-                miss_cells.push(*cell);
-            }
-        }
-        let fresh = self.evaluate_jobs(grid, &miss_cells, |_, _| {});
-        for (cell, outcome) in miss_cells.iter().zip(fresh) {
-            cache.insert(interner.resolve(interner.key(cell)), outcome);
-        }
+        let mut key = String::new();
+        let misses = cells.iter().copied().filter(|cell| {
+            interner.resolve_into(cell, &mut key);
+            cache.lookup(&key).is_none()
+        });
+        let series = plan_series(misses);
+        self.evaluate(grid, &series, |index, outcome| {
+            cache.insert(interner.resolve(&grid.cell(index)), outcome);
+        });
+        Ok(())
     }
 
-    /// Evaluates `jobs` through the series planner — one capability model
-    /// per rate-axis series — on at most one thread per series.
+    /// Evaluates `series` — one capability model per rate-axis series —
+    /// on at most one thread per series.
     ///
-    /// `observe` sees every `(job index, outcome)` pair **as results
+    /// `deliver` receives every `(cell index, outcome)` pair **as results
     /// stream in** (on the calling thread, in arrival order) — the hook
-    /// the incremental frontier rides, so aggregation overlaps
-    /// evaluation instead of re-scanning the finished job list.
-    fn evaluate_jobs(
+    /// the outcome slots, the cache and the incremental frontier ride, so
+    /// aggregation overlaps evaluation instead of re-scanning a finished
+    /// list.
+    fn evaluate(
         &self,
         grid: &ScenarioGrid,
-        jobs: &[GridCell],
-        mut observe: impl FnMut(usize, &CellOutcome),
-    ) -> Vec<CellOutcome> {
-        if jobs.is_empty() {
-            return Vec::new();
+        series: &[Series],
+        mut deliver: impl FnMut(usize, CellOutcome),
+    ) {
+        if series.is_empty() {
+            return;
         }
         let _eval = self.telemetry.eval_span.start();
-        self.telemetry.cells_evaluated.add(jobs.len() as u64);
-        let series = plan_series(jobs);
+        let cells: usize = series.iter().map(Series::len).sum();
+        self.telemetry.cells_evaluated.add(cells as u64);
         self.telemetry.series_built.add(series.len() as u64);
         self.telemetry
             .models_reused
-            .add((jobs.len() - series.len()) as u64);
+            .add((cells - series.len()) as u64);
         let workers = self.threads.min(series.len());
         if workers == 1 {
-            tally_worker(&self.metrics, 0, jobs.len() as u64);
-            let mut slots: Vec<Option<CellOutcome>> = vec![None; jobs.len()];
-            for s in &series {
-                for (job, outcome) in self.telemetry.timed_series(grid, s) {
-                    observe(job, &outcome);
-                    slots[job] = Some(outcome);
+            tally_worker(&self.metrics, 0, cells as u64);
+            for s in series {
+                for (index, outcome) in self.telemetry.timed_series(grid, s) {
+                    deliver(index, outcome);
                 }
             }
-            slots
-                .into_iter()
-                .map(|o| o.expect("series cover the job list"))
-                .collect()
         } else {
-            let (telemetry, metrics) = (&self.telemetry, &self.metrics);
             fan_out(
                 grid,
-                jobs.len(),
-                &series,
+                series,
                 workers,
-                telemetry,
-                metrics,
-                observe,
-            )
-        }
-    }
-
-    /// Folds evaluated job outcomes into the final results record. The
-    /// frontier arrives pre-built (streamed during evaluation); assemble
-    /// only restores the canonical order and resolves the survivors.
-    fn assemble(
-        &self,
-        grid: &ScenarioGrid,
-        cell_to_job: Vec<usize>,
-        job_cells: Vec<GridCell>,
-        outcomes: Vec<CellOutcome>,
-        frontier: FrontierBuilder,
-    ) -> GridResults {
-        let _assemble = self.telemetry.assemble_span.start();
-        self.telemetry.frontier_inserts.add(frontier.inserts());
-        self.telemetry.frontier_evictions.add(frontier.evictions());
-        self.telemetry
-            .frontier_dominance_checks
-            .add(frontier.dominance_checks());
-        let store = ResultStore::new(cell_to_job, job_cells, outcomes);
-        let frontier = resolve_frontier(&store, frontier);
-        GridResults {
-            grid: grid.clone(),
-            store,
-            frontier,
+                &self.telemetry,
+                &self.metrics,
+                deliver,
+            );
         }
     }
 }
 
-/// Evaluates the planned `series` on `workers` threads, returning
-/// outcomes in job order (`n_jobs` slots).
+/// Evaluates the planned `series` on `workers` threads, handing each
+/// `(cell index, outcome)` to `deliver`.
 ///
 /// Workers claim whole series from the cursor and send one batched
 /// result vector per series; each worker tallies its evaluated cells in
@@ -378,18 +360,17 @@ impl GridExecutor {
 /// shared-memory telemetry traffic and one channel send per *series*,
 /// not per cell.
 ///
-/// `observe` runs on the collecting (calling) thread only, in batch
+/// `deliver` runs on the collecting (calling) thread only, in batch
 /// arrival order — workers never touch it, so it needs no
 /// synchronisation and may borrow freely from the caller's stack.
 fn fan_out(
     grid: &ScenarioGrid,
-    n_jobs: usize,
     series: &[Series],
     workers: usize,
     telemetry: &ExecTelemetry,
     metrics: &Metrics,
-    mut observe: impl FnMut(usize, &CellOutcome),
-) -> Vec<CellOutcome> {
+    mut deliver: impl FnMut(usize, CellOutcome),
+) {
     let cursor = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<Vec<(usize, CellOutcome)>>();
     thread::scope(|scope| {
@@ -411,26 +392,20 @@ fn fan_out(
             });
         }
         drop(tx);
-        let mut slots: Vec<Option<CellOutcome>> = vec![None; n_jobs];
         for batch in rx {
-            for (job, outcome) in batch {
-                observe(job, &outcome);
-                slots[job] = Some(outcome);
+            for (index, outcome) in batch {
+                deliver(index, outcome);
             }
         }
-        slots
-            .into_iter()
-            .map(|o| o.expect("every job produced an outcome"))
-            .collect()
-    })
+    });
 }
 
-/// The outcome of one exploration: the grid, the deduplicated store and
-/// the aggregations over it.
+/// The outcome of one exploration: the grid, one outcome per cell in
+/// canonical order, and the Pareto frontier over them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridResults {
     grid: ScenarioGrid,
-    store: ResultStore,
+    outcomes: Vec<CellOutcome>,
     frontier: Vec<ParetoPoint>,
 }
 
@@ -441,22 +416,10 @@ impl GridResults {
         &self.grid
     }
 
-    /// The deduplicated result store.
-    #[must_use]
-    pub fn store(&self) -> &ResultStore {
-        &self.store
-    }
-
-    /// Total cells in the grid.
+    /// Total cells in the grid, each with its own outcome.
     #[must_use]
     pub fn total_cells(&self) -> usize {
-        self.store.total_cells()
-    }
-
-    /// Distinct evaluations performed after deduplication.
-    #[must_use]
-    pub fn unique_evaluations(&self) -> usize {
-        self.store.unique_evaluations()
+        self.outcomes.len()
     }
 
     /// The outcome of the cell at canonical index `index`.
@@ -466,12 +429,12 @@ impl GridResults {
     /// Panics if `index >= self.total_cells()`.
     #[must_use]
     pub fn outcome(&self, index: usize) -> &CellOutcome {
-        self.store.outcome(index)
+        &self.outcomes[index]
     }
 
     /// Iterates every `(cell, outcome)` in canonical order.
     pub fn records(&self) -> impl Iterator<Item = (GridCell, &CellOutcome)> + '_ {
-        (0..self.total_cells()).map(|i| (self.grid.cell(i), self.outcome(i)))
+        self.grid.cells().zip(&self.outcomes)
     }
 
     /// The Pareto frontier over (energy saving, capacity utilisation,
@@ -506,31 +469,73 @@ mod tests {
         let grid = ScenarioGrid::paper_baseline(7);
         let serial = GridExecutor::serial().explore(&grid).unwrap();
         let parallel = GridExecutor::parallel(4).explore(&grid).unwrap();
-        assert_eq!(serial.store(), parallel.store());
-        assert_eq!(serial.pareto_frontier(), parallel.pareto_frontier());
+        assert_eq!(serial, parallel);
     }
 
     #[test]
-    fn dedup_shares_identical_cells() {
-        // Two identically parameterised devices under different names must
-        // halve the evaluation count for their share of the grid.
-        use crate::spec::DeviceEntry;
+    fn duplicate_axis_entries_are_rejected() {
+        // Each case repeats one axis entry under another guise; none is
+        // shared, every entry point names the axis and both indices.
+        use crate::spec::{DeviceEntry, WorkloadProfile};
         use memstream_core::DesignGoal;
         use memstream_device::MemsDevice;
+        use memstream_units::BitRate;
+        use memstream_workload::Workload;
 
-        let grid = ScenarioGrid::new()
-            .device(DeviceEntry::new("a", MemsDevice::table1()))
-            .device(DeviceEntry::new("b", MemsDevice::table1()))
-            .workload(crate::spec::WorkloadProfile::paper())
-            .rate_span(32.0, 4096.0, 10)
-            .goal(DesignGoal::fig3b());
-        let results = GridExecutor::serial().explore(&grid).unwrap();
-        assert_eq!(results.total_cells(), 20);
-        assert_eq!(results.unique_evaluations(), 10);
-        // Both name-aliases resolve to the same outcome object.
-        for i in 0..10 {
-            assert_eq!(results.outcome(i), results.outcome(10 + i));
+        let profile = |name: &str, kbps: f64| {
+            WorkloadProfile::new(name, Workload::paper_default(BitRate::from_kbps(kbps)))
+        };
+        let base = || {
+            ScenarioGrid::new()
+                .device(DeviceEntry::new("table1", MemsDevice::table1()))
+                .workload(profile("paper", 1024.0))
+                .with_rates([BitRate::from_kbps(64.0), BitRate::from_kbps(512.0)])
+                .goal(DesignGoal::fig3a())
+        };
+        let cases = [
+            (
+                "devices",
+                base().device(DeviceEntry::new("alias", MemsDevice::table1())),
+                (0, 1),
+            ),
+            (
+                "workloads",
+                base().workload(profile("other-rate", 4096.0)),
+                (0, 1),
+            ),
+            (
+                "rates",
+                base().with_rates([BitRate::from_kbps(64.0)]),
+                (0, 2),
+            ),
+            (
+                "goals",
+                base().goal(DesignGoal::fig3b()).goal(DesignGoal::fig3a()),
+                (0, 2),
+            ),
+        ];
+        for (axis, grid, (first, second)) in cases {
+            let expected = GridError::DuplicateAxisEntry {
+                axis,
+                first,
+                second,
+            };
+            assert_eq!(GridExecutor::serial().explore(&grid), Err(expected.clone()));
+            let mut cache = ResultCache::new();
+            assert_eq!(
+                GridExecutor::parallel(2).explore_cached(&grid, &mut cache),
+                Err(expected.clone())
+            );
+            assert_eq!(
+                GridExecutor::serial().resolve_cells(&grid, &grid.unique_cells(), &mut cache),
+                Err(expected.clone())
+            );
+            assert!(cache.is_empty(), "{axis}: the cache was touched");
+            let message = expected.to_string();
+            assert!(message.contains(&format!("`{axis}`")), "{message}");
         }
+        let distinct = GridExecutor::serial().explore(&base()).unwrap();
+        assert_eq!(distinct.total_cells(), 2);
     }
 
     #[test]
@@ -547,8 +552,12 @@ mod tests {
         assert!(series > 0, "series planner ran");
         assert_eq!(
             series + reused,
-            results.unique_evaluations() as u64,
-            "every unique cell is either a series representative or a model reuse"
+            results.total_cells() as u64,
+            "every cell is either a series representative or a model reuse"
+        );
+        assert_eq!(
+            snapshot.counter("grid.cells_unique"),
+            snapshot.counter("grid.cells_total")
         );
         assert!(snapshot.counter("grid.interner.keys").unwrap() > 0);
         // One latency observation per evaluated series.
@@ -563,7 +572,7 @@ mod tests {
                     .unwrap_or(0)
             })
             .sum();
-        assert_eq!(workers, results.unique_evaluations() as u64);
+        assert_eq!(workers, results.total_cells() as u64);
     }
 
     #[test]
@@ -575,8 +584,7 @@ mod tests {
             .with_metrics(&metrics)
             .explore(&grid)
             .unwrap();
-        assert_eq!(serial.store(), wide.store());
-        assert_eq!(serial.pareto_frontier(), wide.pareto_frontier());
+        assert_eq!(serial, wide);
         let snapshot = metrics.snapshot();
         let series = snapshot.counter("grid.series_built").unwrap();
         let workers = snapshot

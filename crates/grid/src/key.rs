@@ -1,5 +1,5 @@
-//! Cell identity: the dedup-key grammar, and interned keys for the cell
-//! hot path.
+//! Cell identity: the key grammar, and the interned key fragments the
+//! cell hot path builds keys from.
 //!
 //! A cell's key is five `|`-separated fragments
 //! (`docs/CACHE_FORMAT.md` § "Key grammar"):
@@ -14,17 +14,16 @@
 //! written from the parameters the models read, as shortest round-trip
 //! decimals (bit-exact); no fragment is a type's `Debug` output.
 //!
-//! [`ScenarioGrid::dedup_key`] formats a `String` per cell. On every
-//! `resolve_cells`/`explore` that cost multiplies by the full cell count,
-//! so the [`KeyInterner`] computes each fragment **once per axis value**,
-//! collapses content-identical axis entries into *classes* (two
-//! registered devices with equal dedup tokens share a class, exactly as
-//! they share a dedup key), and hands out [`CellKey`] identifiers — four
-//! `u32` class indices — that are `Eq`/`Hash` in a few machine words.
-//! Key strings are materialised only at cache boundaries via
-//! [`KeyInterner::resolve`], byte-identical to
+//! [`ScenarioGrid::dedup_key`] formats every fragment of a cell's key
+//! anew. On every `resolve_cells`/`explore` that cost multiplies by the
+//! full cell count, so the [`KeyInterner`] formats each fragment **once
+//! per axis entry** and joins a cell's key from them
+//! ([`KeyInterner::resolve_into`]), byte-identical to
 //! [`ScenarioGrid::dedup_key`] for every cell (the equivalence suite in
-//! `crates/grid/tests/key_equivalence.rs` pins this).
+//! `crates/grid/tests/key_equivalence.rs` pins this). Building it also
+//! rejects an axis whose entries repeat a fragment
+//! ([`GridError::DuplicateAxisEntry`]), so every cell of an explorable
+//! grid is a distinct scenario under a distinct key.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -32,7 +31,7 @@ use std::fmt::Write as _;
 use memstream_core::{BestEffortPolicy, DesignGoal};
 use memstream_units::BitRate;
 
-use crate::spec::{DeviceEntry, GridCell, ScenarioGrid, WorkloadProfile};
+use crate::spec::{DeviceEntry, GridCell, GridError, ScenarioGrid, WorkloadProfile};
 
 /// Appends `values` comma-separated, each as its shortest round-trip
 /// decimal (`f64`'s `Display`: bit-exact, never in exponent form), an
@@ -119,27 +118,13 @@ pub(crate) fn join_into(out: &mut String, fragments: [&str; 5]) {
     }
 }
 
-/// A cell's dedup identity as four axis-**class** indices
-/// (device, workload, rate, goal).
+/// Pre-computed key fragments for one [`ScenarioGrid`], one per axis
+/// entry.
 ///
-/// Two cells compare equal iff their dedup-key strings are byte-equal:
-/// the class maps are built by string equality of the per-axis key
-/// fragments, and the grid-wide settings fragment is shared by
-/// construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct CellKey(pub u32, pub u32, pub u32, pub u32);
-
-/// Pre-computed key fragments and axis-class maps for one
-/// [`ScenarioGrid`].
-///
-/// Build once per exploration; [`KeyInterner::key`] is then index
-/// arithmetic and [`KeyInterner::resolve`] pure concatenation.
+/// Build once per exploration; [`KeyInterner::resolve_into`] is then pure
+/// concatenation.
 #[derive(Debug, Clone)]
 pub struct KeyInterner {
-    device_class: Vec<u32>,
-    workload_class: Vec<u32>,
-    rate_class: Vec<u32>,
-    goal_class: Vec<u32>,
     device_fragments: Vec<String>,
     workload_fragments: Vec<String>,
     rate_fragments: Vec<String>,
@@ -148,99 +133,80 @@ pub struct KeyInterner {
     settings: String,
 }
 
-/// Maps each axis entry to a class id by fragment string equality,
-/// returning (entry → class, class → fragment) with classes numbered in
-/// first-occurrence order.
-fn classify(fragments: impl Iterator<Item = String>) -> (Vec<u32>, Vec<String>) {
-    let mut by_fragment: HashMap<String, u32> = HashMap::new();
-    let mut classes = Vec::new();
-    let mut canonical = Vec::new();
-    for fragment in fragments {
-        let next = canonical.len() as u32;
-        let class = *by_fragment.entry(fragment.clone()).or_insert_with(|| {
-            canonical.push(fragment);
-            next
-        });
-        classes.push(class);
+/// Collects one axis's fragments, rejecting an entry whose fragment an
+/// earlier entry already has: every cell through it would repeat a cell
+/// through the earlier one.
+fn distinct(
+    axis: &'static str,
+    fragments: impl Iterator<Item = String>,
+) -> Result<Vec<String>, GridError> {
+    let fragments: Vec<String> = fragments.collect();
+    let mut seen: HashMap<&str, usize> = HashMap::with_capacity(fragments.len());
+    for (second, fragment) in fragments.iter().enumerate() {
+        if let Some(first) = seen.insert(fragment, second) {
+            return Err(GridError::DuplicateAxisEntry {
+                axis,
+                first,
+                second,
+            });
+        }
     }
-    (classes, canonical)
+    Ok(fragments)
 }
 
 impl KeyInterner {
-    /// Builds the interner for `grid`: formats every axis fragment once
-    /// and assigns content classes.
-    #[must_use]
-    pub fn new(grid: &ScenarioGrid) -> Self {
-        let (device_class, device_fragments) = classify(grid.devices().iter().map(device_fragment));
-        let (workload_class, workload_fragments) =
-            classify(grid.workloads().iter().map(workload_fragment));
-        let (rate_class, rate_fragments) =
-            classify(grid.rates().iter().map(|&rate| rate_fragment(rate)));
-        let (goal_class, goal_fragments) = classify(grid.goals().iter().map(goal_fragment));
-        KeyInterner {
-            device_class,
-            workload_class,
-            rate_class,
-            goal_class,
-            device_fragments,
-            workload_fragments,
-            rate_fragments,
-            goal_fragments,
+    /// Builds the interner for `grid`: formats every axis fragment once.
+    ///
+    /// # Errors
+    ///
+    /// [`GridError::DuplicateAxisEntry`] if two entries of one axis
+    /// format the same fragment, naming the first such pair in axis
+    /// order (devices, workloads, rates, goals).
+    pub fn new(grid: &ScenarioGrid) -> Result<Self, GridError> {
+        Ok(KeyInterner {
+            device_fragments: distinct("devices", grid.devices().iter().map(device_fragment))?,
+            workload_fragments: distinct(
+                "workloads",
+                grid.workloads().iter().map(workload_fragment),
+            )?,
+            rate_fragments: distinct("rates", grid.rates().iter().map(|&r| rate_fragment(r)))?,
+            goal_fragments: distinct("goals", grid.goals().iter().map(goal_fragment))?,
             settings: settings_fragment(grid.dram_enabled(), grid.best_effort_policy()),
-        }
+        })
     }
 
-    /// The interned key of `cell` — pure index arithmetic.
+    /// The key string of `cell`, byte-identical to
+    /// [`ScenarioGrid::dedup_key`].
     ///
     /// # Panics
     ///
     /// Panics if `cell`'s axis indices are out of range for the grid the
     /// interner was built from.
     #[must_use]
-    pub fn key(&self, cell: &GridCell) -> CellKey {
-        CellKey(
-            self.device_class[cell.device],
-            self.workload_class[cell.workload],
-            self.rate_class[cell.rate],
-            self.goal_class[cell.goal],
-        )
-    }
-
-    /// The canonical key string for `key`, byte-identical to
-    /// [`ScenarioGrid::dedup_key`] of any cell that interns to `key`.
-    #[must_use]
-    pub fn resolve(&self, key: CellKey) -> String {
+    pub fn resolve(&self, cell: &GridCell) -> String {
         let mut out = String::new();
-        self.resolve_into(key, &mut out);
+        self.resolve_into(cell, &mut out);
         out
     }
 
-    /// Writes the canonical key string into `out` (cleared first),
+    /// Writes the key string of `cell` into `out` (cleared first),
     /// reusing its allocation — the cache-lookup loop's zero-garbage
     /// variant.
-    pub fn resolve_into(&self, key: CellKey, out: &mut String) {
+    ///
+    /// # Panics
+    ///
+    /// As [`KeyInterner::resolve`].
+    pub fn resolve_into(&self, cell: &GridCell, out: &mut String) {
         join_into(
             out,
             [
-                &self.device_fragments[key.0 as usize],
-                &self.workload_fragments[key.1 as usize],
-                &self.rate_fragments[key.2 as usize],
-                &self.goal_fragments[key.3 as usize],
+                &self.device_fragments[cell.device],
+                &self.workload_fragments[cell.workload],
+                &self.rate_fragments[cell.rate],
+                &self.goal_fragments[cell.goal],
                 &self.settings,
             ],
         );
-    }
-
-    /// Number of distinct classes per axis, in
-    /// (device, workload, rate, goal) order.
-    #[must_use]
-    pub fn class_counts(&self) -> [usize; 4] {
-        [
-            self.device_fragments.len(),
-            self.workload_fragments.len(),
-            self.rate_fragments.len(),
-            self.goal_fragments.len(),
-        ]
     }
 
     /// Total interned fragments across all axes (plus the shared
@@ -252,28 +218,6 @@ impl KeyInterner {
             + self.rate_fragments.len()
             + self.goal_fragments.len()
             + 1
-    }
-
-    /// The dense-table capacity: the product of the class counts. Every
-    /// [`KeyInterner::class_index`] is below this.
-    #[must_use]
-    pub(crate) fn class_capacity(&self) -> usize {
-        let [d, w, r, g] = self.class_counts();
-        d * w * r * g
-    }
-
-    /// A dense linear index over classes (device outermost, goal
-    /// innermost) — the dedup planner's replacement for hashing key
-    /// strings.
-    #[must_use]
-    pub(crate) fn class_index(&self, cell: &GridCell) -> usize {
-        let [_, w, r, g] = self.class_counts();
-        ((self.device_class[cell.device] as usize * w
-            + self.workload_class[cell.workload] as usize)
-            * r
-            + self.rate_class[cell.rate] as usize)
-            * g
-            + self.goal_class[cell.goal] as usize
     }
 }
 
@@ -291,44 +235,34 @@ mod tests {
             ScenarioGrid::paper_classic(5),
             ScenarioGrid::paper_baseline(4).without_dram(),
         ] {
-            let interner = KeyInterner::new(&grid);
+            let interner = KeyInterner::new(&grid).expect("distinct axis entries");
             for cell in grid.cells() {
-                assert_eq!(interner.resolve(interner.key(&cell)), grid.dedup_key(&cell));
+                assert_eq!(interner.resolve(&cell), grid.dedup_key(&cell));
             }
         }
     }
 
     #[test]
-    fn content_identical_devices_share_a_class() {
-        let grid = ScenarioGrid::new()
-            .device(DeviceEntry::new("a", MemsDevice::table1()))
-            .device(DeviceEntry::new("b", MemsDevice::table1()))
-            .device(DeviceEntry::new(
-                "c",
-                MemsDevice::table1().with_probe_write_cycles(200.0),
-            ))
-            .workload(crate::spec::WorkloadProfile::paper())
-            .rate_span(32.0, 4096.0, 3)
-            .goal(DesignGoal::fig3b());
-        let interner = KeyInterner::new(&grid);
-        assert_eq!(interner.class_counts(), [2, 1, 3, 1]);
-        let (a, b, c) = (grid.cell(0), grid.cell(3), grid.cell(6));
-        assert_eq!(interner.key(&a), interner.key(&b));
-        assert_ne!(interner.key(&a), interner.key(&c));
-    }
-
-    #[test]
-    fn key_equality_matches_string_equality() {
-        let grid = ScenarioGrid::paper_baseline(5);
-        let interner = KeyInterner::new(&grid);
-        for a in grid.cells() {
-            for b in grid.cells().take(40) {
-                assert_eq!(
-                    interner.key(&a) == interner.key(&b),
-                    grid.dedup_key(&a) == grid.dedup_key(&b),
-                );
+    fn content_identical_devices_are_rejected() {
+        let grid = |second: MemsDevice| {
+            ScenarioGrid::new()
+                .device(DeviceEntry::new("a", MemsDevice::table1()))
+                .device(DeviceEntry::new("b", second))
+                .workload(crate::spec::WorkloadProfile::paper())
+                .rate_span(32.0, 4096.0, 3)
+                .goal(DesignGoal::fig3b())
+        };
+        assert_eq!(
+            KeyInterner::new(&grid(MemsDevice::table1())).unwrap_err(),
+            GridError::DuplicateAxisEntry {
+                axis: "devices",
+                first: 0,
+                second: 1,
             }
-        }
+        );
+        // A sibling that differs in one parameter is another scenario.
+        let tweaked = grid(MemsDevice::table1().with_probe_write_cycles(200.0));
+        assert_eq!(KeyInterner::new(&tweaked).unwrap().interned_strings(), 8);
     }
 
     #[test]
@@ -373,10 +307,10 @@ mod tests {
         ] {
             let grid = workloads.iter().fold(grid, |g, w| g.workload(w.clone()));
             let grid = goals.iter().fold(grid, |g, &goal| g.goal(goal));
-            let interner = KeyInterner::new(&grid);
+            let interner = KeyInterner::new(&grid).expect("distinct axis entries");
             for cell in grid.cells() {
                 let key = grid.dedup_key(&cell);
-                assert_eq!(interner.resolve(interner.key(&cell)), key);
+                assert_eq!(interner.resolve(&cell), key);
                 assert!(keys.insert(key.clone()), "two cells share `{key}`");
                 assert!(!key.contains(['{', '}', ' ']), "not compact: {key}");
             }
@@ -404,20 +338,27 @@ mod tests {
 
     #[test]
     fn reference_grids_keep_their_unique_cell_counts() {
-        // Every cell of the reference grids is a distinct scenario; the
-        // CI smokes' hit counts rest on these numbers.
-        assert_eq!(ScenarioGrid::paper_baseline(24).unique_cells().len(), 720);
-        assert_eq!(ScenarioGrid::paper_classic(24).unique_cells().len(), 576);
-        assert_eq!(ScenarioGrid::paper_baseline(20).unique_cells().len(), 600);
+        // Every cell of the reference grids is a distinct scenario under a
+        // distinct key; the CI smokes' hit counts rest on these numbers.
+        for (grid, cells) in [
+            (ScenarioGrid::paper_baseline(24), 720),
+            (ScenarioGrid::paper_classic(24), 576),
+            (ScenarioGrid::paper_baseline(20), 600),
+        ] {
+            let interner = KeyInterner::new(&grid).expect("distinct axis entries");
+            let keys: std::collections::HashSet<String> =
+                grid.cells().map(|cell| interner.resolve(&cell)).collect();
+            assert_eq!(keys.len(), cells);
+        }
     }
 
     #[test]
     fn resolve_into_reuses_the_buffer() {
         let grid = ScenarioGrid::paper_baseline(3);
-        let interner = KeyInterner::new(&grid);
+        let interner = KeyInterner::new(&grid).expect("distinct axis entries");
         let mut buf = String::new();
         for cell in grid.cells() {
-            interner.resolve_into(interner.key(&cell), &mut buf);
+            interner.resolve_into(&cell, &mut buf);
             assert_eq!(buf, grid.dedup_key(&cell));
         }
     }

@@ -18,9 +18,10 @@
 //! 1. **Determinism** — cells have a fixed canonical order (device
 //!    outermost, goal innermost) and evaluation is pure, so an `N`-thread
 //!    run produces *byte-identical* output to the serial run.
-//! 2. **Deduplication** — identical cells (same device parameters,
-//!    workload, rate and goal reachable through different axis entries)
-//!    are evaluated once and shared ([`GridResults::unique_evaluations`]).
+//! 2. **Distinct cells** — every cell is its own job and its own
+//!    scenario: an axis that repeats an entry (the same device parameters,
+//!    workload shape, rate or goal under another name) is rejected with
+//!    [`GridError::DuplicateAxisEntry`] instead of being shared.
 //! 3. **Aggregation** — outcomes fold into a Pareto frontier over
 //!    (energy saving, capacity utilisation, device lifetime), the
 //!    three non-functional properties of the paper.
@@ -68,11 +69,11 @@ pub use view::CacheView;
 // executor without naming the telemetry crate themselves.
 pub use eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 pub use exec::{GridExecutor, GridResults};
-pub use key::{CellKey, KeyInterner};
+pub use key::KeyInterner;
 pub use memstream_telemetry as telemetry;
 pub use memstream_telemetry::Metrics;
 pub use spec::{DeviceEntry, GridCell, GridError, ScenarioGrid, WorkloadProfile};
-pub use store::{non_dominated, FrontierBuilder, ParetoPoint, ResultStore};
+pub use store::{non_dominated, FrontierBuilder, ParetoPoint};
 pub use validate::{
     validate_frontier, FrontierValidation, SkipReason, ValidationRow, ValidationSkip,
 };

@@ -192,11 +192,12 @@ pub fn summary(results: &GridResults) -> String {
         grid.goals().len(),
         results.total_cells(),
     );
+    // Exploration rejects repeated axis entries, so every cell is unique
+    // and none is deduplicated; the line keeps its historical bytes.
     let _ = writeln!(
         out,
-        "evaluated: {} unique cells ({} deduplicated)",
-        results.unique_evaluations(),
-        results.total_cells() - results.unique_evaluations(),
+        "evaluated: {} unique cells (0 deduplicated)",
+        results.total_cells(),
     );
     // The unmodelled count appears only when nonzero, keeping historical
     // summaries byte-stable.

@@ -3,7 +3,7 @@
 //! [`crate::eval::evaluate`] rebuilds the capability model — device
 //! validation, DRAM model, capability discovery — for every cell, even
 //! though only the *rate* axis varies within a `(device, workload, goal)`
-//! group. A [`SeriesPlan`] groups the deduplicated job list by those three
+//! group. [`plan_series`] groups the cells to evaluate by those three
 //! axes; [`evaluate_series`] then constructs the model **once per series**
 //! and sweeps the rates against the reused device intermediates, building
 //! a single [`BufferDimensioner`](memstream_core::BufferDimensioner) per
@@ -31,40 +31,33 @@ use memstream_workload::Workload;
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 use crate::spec::{GridCell, ScenarioGrid};
 
-/// One rate-axis series of the job list: every job sharing a
-/// `(device, workload, goal)` axis triple, in job order.
+/// One rate-axis series: every cell to evaluate that shares a
+/// `(device, workload, goal)` axis triple, in arrival order.
 #[derive(Debug, Clone)]
 pub(crate) struct Series {
     device: usize,
     workload: usize,
     goal: usize,
-    /// `(job index, rate axis index)` of each member.
-    jobs: Vec<(usize, usize)>,
+    /// `(canonical cell index, rate axis index)` of each member.
+    cells: Vec<(usize, usize)>,
 }
 
 impl Series {
-    /// Number of jobs this series evaluates.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Number of cells this series evaluates.
     pub(crate) fn len(&self) -> usize {
-        self.jobs.len()
+        self.cells.len()
     }
 }
 
-/// Groups `jobs` (dedup representatives, in canonical job order) into
-/// rate-axis series.
-///
-/// Representatives are first occurrences in canonical order (device
-/// outermost, goal innermost), so each one carries the *minimal* raw
-/// index per axis for its class — two jobs with equal device/workload/
-/// goal classes therefore share raw indices, and grouping by raw index
-/// is exactly grouping by content class.
-pub(crate) fn plan_series(jobs: &[GridCell]) -> Vec<Series> {
+/// Groups `cells` (any cells of one grid, in canonical order) into
+/// rate-axis series, one per `(device, workload, goal)` triple.
+pub(crate) fn plan_series(cells: impl IntoIterator<Item = GridCell>) -> Vec<Series> {
     let mut series: Vec<Series> = Vec::new();
     let mut last: Option<usize> = None;
-    for (index, cell) in jobs.iter().enumerate() {
-        // Jobs arrive sorted by (device, workload, rate, goal); a series
+    for cell in cells {
+        // Cells arrive sorted by (device, workload, rate, goal); a series
         // keyed on (device, workload, goal) is contiguous only when the
-        // goal axis has one class, so fall back to a linear probe over
+        // goal axis has one entry, so fall back to a linear probe over
         // the (short) tail of open series.
         let matches = |s: &Series| {
             s.device == cell.device && s.workload == cell.workload && s.goal == cell.goal
@@ -80,12 +73,12 @@ pub(crate) fn plan_series(jobs: &[GridCell]) -> Vec<Series> {
                     device: cell.device,
                     workload: cell.workload,
                     goal: cell.goal,
-                    jobs: Vec::new(),
+                    cells: Vec::new(),
                 });
                 series.len() - 1
             }
         };
-        series[slot].jobs.push((index, cell.rate));
+        series[slot].cells.push((cell.index, cell.rate));
         last = Some(slot);
     }
     series
@@ -192,9 +185,9 @@ where
         .collect()
 }
 
-/// Evaluates every job of `series`, returning `(job index, outcome)`
+/// Evaluates every cell of `series`, returning `(cell index, outcome)`
 /// pairs in member order. Bit-identical to calling
-/// [`crate::eval::evaluate`] on each member's cell.
+/// [`crate::eval::evaluate`] on each member.
 pub(crate) fn evaluate_series(grid: &ScenarioGrid, series: &Series) -> Vec<(usize, CellOutcome)> {
     let device = grid.devices()[series.device].device();
     let goal = &grid.goals()[series.goal];
@@ -205,9 +198,9 @@ pub(crate) fn evaluate_series(grid: &ScenarioGrid, series: &Series) -> Vec<(usiz
     // The model validates against the first member's rate — capability
     // discovery and validation are rate-independent, so any member works;
     // sweeping then re-rates the shared model per cell.
-    let first_rate = rates[series.jobs[0].1];
+    let first_rate = rates[series.cells[0].1];
     let model = build_model(grid, device, base.with_rate(first_rate), dram);
-    let member_rates = series.jobs.iter().map(|&(_, rate_idx)| rates[rate_idx]);
+    let member_rates = series.cells.iter().map(|&(_, rate_idx)| rates[rate_idx]);
 
     let outcomes = match &model {
         SeriesModel::Mems(m) => eval_full(m, goal, member_rates),
@@ -237,9 +230,9 @@ pub(crate) fn evaluate_series(grid: &ScenarioGrid, series: &Series) -> Vec<(usiz
             .collect(),
     };
     series
-        .jobs
+        .cells
         .iter()
-        .map(|&(job, _)| job)
+        .map(|&(index, _)| index)
         .zip(outcomes)
         .collect()
 }
@@ -249,30 +242,28 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
     use crate::spec::{DeviceEntry, ScenarioGrid, WorkloadProfile};
-    use crate::store::ResultStore;
     use memstream_device::EnergyOnly;
 
-    /// Runs the series path over a grid's job list and asserts every
+    /// Runs the series path over a grid's cells and asserts every
     /// outcome equals the reference per-cell evaluator, bitwise.
     fn assert_series_matches_reference(grid: &ScenarioGrid) {
-        let (jobs, _) = ResultStore::plan(grid);
-        let series = plan_series(&jobs);
+        let series = plan_series(grid.cells());
         let members: usize = series.iter().map(Series::len).sum();
-        assert_eq!(members, jobs.len(), "series partition the job list");
-        let mut seen = vec![false; jobs.len()];
+        assert_eq!(members, grid.len(), "series partition the cells");
+        let mut seen = vec![false; grid.len()];
         for s in &series {
-            for (job, outcome) in evaluate_series(grid, s) {
-                assert!(!seen[job], "job {job} evaluated twice");
-                seen[job] = true;
+            for (index, outcome) in evaluate_series(grid, s) {
+                assert!(!seen[index], "cell {index} evaluated twice");
+                seen[index] = true;
+                let cell = grid.cell(index);
                 assert_eq!(
                     outcome,
-                    evaluate(grid, &jobs[job]),
-                    "series outcome diverges at job {job} ({:?})",
-                    jobs[job]
+                    evaluate(grid, &cell),
+                    "series outcome diverges at cell {index} ({cell:?})"
                 );
             }
         }
-        assert!(seen.iter().all(|&s| s), "series cover the job list");
+        assert!(seen.iter().all(|&s| s), "series cover the cells");
     }
 
     #[test]
@@ -385,16 +376,15 @@ mod tests {
 
     #[test]
     fn series_grouping_reuses_models_across_rates() {
-        // paper_baseline: 5 devices × 1 workload × R rates × 2 goals,
-        // deduplicated. Series count must not scale with the rate axis.
+        // paper_baseline: 5 devices × 3 workloads × R rates × 2 goals.
+        // Series count must not scale with the rate axis.
         let grid = ScenarioGrid::paper_baseline(11);
-        let (jobs, _) = ResultStore::plan(&grid);
-        let series = plan_series(&jobs);
+        let series = plan_series(grid.cells());
         assert!(
-            series.len() * 4 <= jobs.len(),
-            "expected ≥4 jobs per series on average: {} series / {} jobs",
+            series.len() * 4 <= grid.len(),
+            "expected ≥4 cells per series on average: {} series / {} cells",
             series.len(),
-            jobs.len()
+            grid.len()
         );
         for s in &series {
             assert!(s.len() > 1, "rate axis collapsed to a singleton series");

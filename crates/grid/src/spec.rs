@@ -18,6 +18,20 @@ pub enum GridError {
         /// `"goals"`).
         axis: &'static str,
     },
+    /// Two entries of one axis describe the same scenario: their key
+    /// fragments are equal (two names for one device, two workload
+    /// profiles that differ only in their own stream rate, a repeated
+    /// rate or goal), so every cell through the second would repeat a
+    /// cell through the first.
+    DuplicateAxisEntry {
+        /// Which axis repeats an entry (`"devices"`, `"workloads"`,
+        /// `"rates"`, `"goals"`).
+        axis: &'static str,
+        /// Index of the earlier entry.
+        first: usize,
+        /// Index of the later entry that repeats it.
+        second: usize,
+    },
 }
 
 impl fmt::Display for GridError {
@@ -26,6 +40,14 @@ impl fmt::Display for GridError {
             GridError::EmptyAxis { axis } => {
                 write!(f, "scenario grid has an empty `{axis}` axis")
             }
+            GridError::DuplicateAxisEntry {
+                axis,
+                first,
+                second,
+            } => write!(
+                f,
+                "scenario grid's `{axis}` axis repeats entry {first} as entry {second}"
+            ),
         }
     }
 }
@@ -453,20 +475,21 @@ impl ScenarioGrid {
         (0..self.len()).map(|i| self.cell(i))
     }
 
-    /// The canonical **deduplicated cell range**: the representative
-    /// (first-occurring) cell of every distinct
-    /// [`ScenarioGrid::dedup_key`], in canonical order. This is the
-    /// domain distributed exploration partitions — a contiguous slice of
-    /// this list is a shard, and the concatenation of all shards covers
-    /// every evaluation the grid needs exactly once.
+    /// The canonical **cell range**: every cell, in canonical order. This
+    /// is the domain distributed exploration partitions — a contiguous
+    /// slice of this list is a shard, and the concatenation of all shards
+    /// covers every evaluation the grid needs exactly once. Exploration
+    /// rejects a grid whose axis repeats an entry
+    /// ([`GridError::DuplicateAxisEntry`]), so no two cells of an
+    /// explorable grid share a [`ScenarioGrid::dedup_key`].
     #[must_use]
     pub fn unique_cells(&self) -> Vec<GridCell> {
-        crate::store::ResultStore::plan(self).0
+        self.cells().collect()
     }
 
-    /// The content key a cell evaluates under — cells with equal keys are
-    /// physically identical scenarios and share one evaluation. The
-    /// grammar is defined once, in the crate's `key` module
+    /// The content key a cell evaluates under: the cache key, equal for
+    /// two cells exactly when they are the same scenario. The grammar is
+    /// defined once, in the crate's `key` module
     /// (`docs/CACHE_FORMAT.md` § "Key grammar").
     #[must_use]
     pub fn dedup_key(&self, cell: &GridCell) -> String {

@@ -1,94 +1,7 @@
-//! Result storage: cell→job deduplication and Pareto aggregation.
+//! Pareto aggregation over a grid's outcomes.
 
 use crate::eval::{CellOutcome, PlannedPoint};
-use crate::key::KeyInterner;
 use crate::spec::{GridCell, ScenarioGrid};
-
-/// Deduplicated outcome storage.
-///
-/// Physically identical cells (equal [`ScenarioGrid::dedup_key`]) map to
-/// one *job*; each job is evaluated once and its outcome shared by every
-/// cell that references it.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ResultStore {
-    cell_to_job: Vec<usize>,
-    job_cells: Vec<GridCell>,
-    outcomes: Vec<CellOutcome>,
-}
-
-impl ResultStore {
-    /// Plans the job list for `grid`: the representative (first-occurring)
-    /// cell of every distinct dedup key, in canonical order, plus the
-    /// cell→job map. Outcomes are attached later by the executor.
-    #[must_use]
-    pub(crate) fn plan(grid: &ScenarioGrid) -> (Vec<GridCell>, Vec<usize>) {
-        ResultStore::plan_with(grid, &KeyInterner::new(grid))
-    }
-
-    /// [`ResultStore::plan`] against a pre-built interner: no key strings
-    /// are formatted or hashed — deduplication is a dense lookup table
-    /// over axis-class indices, which represent exactly the dedup-key
-    /// string-equality classes.
-    #[must_use]
-    pub(crate) fn plan_with(
-        grid: &ScenarioGrid,
-        interner: &KeyInterner,
-    ) -> (Vec<GridCell>, Vec<usize>) {
-        let mut by_class: Vec<usize> = vec![usize::MAX; interner.class_capacity()];
-        let mut job_cells: Vec<GridCell> = Vec::new();
-        let mut cell_to_job = Vec::with_capacity(grid.len());
-        for cell in grid.cells() {
-            let slot = &mut by_class[interner.class_index(&cell)];
-            if *slot == usize::MAX {
-                *slot = job_cells.len();
-                job_cells.push(cell);
-            }
-            cell_to_job.push(*slot);
-        }
-        (job_cells, cell_to_job)
-    }
-
-    pub(crate) fn new(
-        cell_to_job: Vec<usize>,
-        job_cells: Vec<GridCell>,
-        outcomes: Vec<CellOutcome>,
-    ) -> Self {
-        debug_assert_eq!(job_cells.len(), outcomes.len());
-        ResultStore {
-            cell_to_job,
-            job_cells,
-            outcomes,
-        }
-    }
-
-    /// Number of cells the store covers.
-    #[must_use]
-    pub fn total_cells(&self) -> usize {
-        self.cell_to_job.len()
-    }
-
-    /// Number of distinct evaluations performed.
-    #[must_use]
-    pub fn unique_evaluations(&self) -> usize {
-        self.outcomes.len()
-    }
-
-    /// The outcome of the cell at canonical index `index`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `index` is out of bounds.
-    #[must_use]
-    pub fn outcome(&self, index: usize) -> &CellOutcome {
-        &self.outcomes[self.cell_to_job[index]]
-    }
-
-    /// Iterates `(representative cell, outcome)` over the unique jobs, in
-    /// canonical order of first occurrence.
-    pub fn jobs(&self) -> impl Iterator<Item = (&GridCell, &CellOutcome)> {
-        self.job_cells.iter().zip(self.outcomes.iter())
-    }
-}
 
 /// One point of the Pareto frontier: a feasible scenario no other feasible
 /// scenario strictly improves on in all three paper metrics at once.
@@ -98,7 +11,7 @@ impl ResultStore {
 /// than merely documented).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParetoPoint {
-    /// The representative cell (first in canonical order among duplicates).
+    /// The cell.
     pub cell: GridCell,
     /// Its planned metrics.
     pub point: PlannedPoint,
@@ -147,7 +60,7 @@ pub fn non_dominated(points: &[[f64; 3]]) -> Vec<usize> {
 ///
 /// Insertion order does not affect the surviving set. The canonical
 /// report order is restored by [`FrontierBuilder::finish`], which sorts
-/// by the caller's index (the grid's job order) — this is what keeps
+/// by the caller's index (the canonical cell index) — this is what keeps
 /// stdout byte-identical across thread and shard counts.
 #[derive(Debug, Clone, Default)]
 pub struct FrontierBuilder {
@@ -169,7 +82,7 @@ impl FrontierBuilder {
     }
 
     /// Offers one point (tagged with the caller's `index`, typically a
-    /// job ordinal). Returns whether it joined the frontier.
+    /// canonical cell index). Returns whether it joined the frontier.
     pub fn insert(&mut self, index: usize, objectives: [f64; 3]) -> bool {
         if let Some((_, held)) = self.points.get(self.last_dominator) {
             self.dominance_checks += 1;
@@ -243,18 +156,23 @@ impl FrontierBuilder {
     }
 }
 
-/// Resolves a streamed frontier against the finished store: the builder
-/// tagged each survivor with its job ordinal, so this only clones the
-/// frontier-sized slice of planned points — never the full job list.
+/// Resolves a streamed frontier against the finished outcomes (one per
+/// cell of `grid`, in canonical order): the builder tagged each survivor
+/// with its cell index, so this only clones the frontier-sized slice of
+/// planned points — never the full outcome list.
 #[must_use]
-pub(crate) fn resolve_frontier(store: &ResultStore, builder: FrontierBuilder) -> Vec<ParetoPoint> {
+pub(crate) fn resolve_frontier(
+    grid: &ScenarioGrid,
+    outcomes: &[CellOutcome],
+    builder: FrontierBuilder,
+) -> Vec<ParetoPoint> {
     builder
         .finish()
         .into_iter()
-        .filter_map(|(job, objectives)| {
-            let point = store.outcomes[job].planned()?;
+        .filter_map(|(index, objectives)| {
+            let point = outcomes[index].planned()?;
             Some(ParetoPoint {
-                cell: store.job_cells[job],
+                cell: grid.cell(index),
                 point: point.clone(),
                 objectives,
             })

@@ -22,7 +22,7 @@ use std::fmt;
 use std::fs;
 use std::path::Path;
 
-use crate::cache::{decode_outcome, header_line, CacheFileError, MAGIC};
+use crate::cache::{check_regular_file, decode_outcome, header_line, CacheFileError, MAGIC};
 use crate::eval::CellOutcome;
 
 /// Reads a little-endian `u32` at `pos`, if the file holds one there.
@@ -185,11 +185,15 @@ impl CacheView {
     /// # Errors
     ///
     /// [`CacheFileError::Io`] on any read failure (including "not
-    /// found"), [`CacheFileError::VersionMismatch`] if the file does not
+    /// found", and a path that is not a regular file after following
+    /// symlinks, refused by name before it is opened),
+    /// [`CacheFileError::VersionMismatch`] if the file does not
     /// carry the `memstream-grid-cache v4` magic, and
     /// [`CacheFileError::MalformedIndex`] / [`CacheFileError::Malformed`]
     /// attributions for structural damage (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
+        let path = path.as_ref();
+        check_regular_file(path)?;
         let bytes = fs::read(path)?;
         if !bytes.starts_with(MAGIC) {
             return Err(CacheFileError::VersionMismatch {

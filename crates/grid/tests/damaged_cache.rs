@@ -1,0 +1,135 @@
+//! Damaged whole cache files: truncations past the magic of a real saved
+//! cache, and single-byte changes to `0x00`, to `0xff` and with the low
+//! bit flipped, at a stride of positions. No reader may panic. A lenient
+//! read of a truncated file holds only entries of the intact file, with
+//! their outcomes. A strict open attributes its error inside the file: a
+//! byte offset no larger than the file, or a record ordinal below the
+//! record count.
+
+use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+
+use memstream_grid::{
+    CacheFileError, CacheFormat, CacheView, CellOutcome, GridExecutor, ResultCache, ScenarioGrid,
+};
+
+const MAGIC: &[u8] = b"memstream-grid-cache v4\n";
+
+/// Positions between sampled cuts and between sampled changes. Each kind
+/// of damage starts at another residue, so together they reach every
+/// field of the file while the debug run stays short.
+const STRIDE: usize = 17;
+
+fn temp_path(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("memstream-grid-damaged-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir.join(name)
+}
+
+/// The entries of `cache` whose outcomes decode, by key.
+fn entries(cache: &ResultCache) -> HashMap<String, CellOutcome> {
+    cache
+        .keys()
+        .filter_map(|key| Some((key.to_owned(), cache.get(key)?)))
+        .collect()
+}
+
+/// What the three readers made of one damaged file.
+struct Reads {
+    eager: HashMap<String, CellOutcome>,
+    lazy: HashMap<String, CellOutcome>,
+    strict: Result<usize, CacheFileError>,
+}
+
+/// Writes `bytes` to `path` and reads it with every reader, failing the
+/// test with `case` named if any of them panics.
+fn read_all(path: &Path, bytes: &[u8], case: &str) -> Reads {
+    std::fs::write(path, bytes).expect("write the damaged file");
+    catch_unwind(AssertUnwindSafe(|| Reads {
+        eager: entries(&ResultCache::load(path).expect("the file is readable")),
+        lazy: entries(&ResultCache::load_lazy(path).expect("the file is readable")),
+        strict: CacheView::open(path).map(|view| view.len()),
+    }))
+    .unwrap_or_else(|_| panic!("{case}: a reader panicked"))
+}
+
+/// The strict reader's error, if any, points inside the damaged file.
+fn assert_attributed(
+    strict: &Result<usize, CacheFileError>,
+    len: usize,
+    records: usize,
+    case: &str,
+) {
+    match strict {
+        Ok(_) | Err(CacheFileError::VersionMismatch { .. }) => {}
+        Err(CacheFileError::MalformedIndex { offset }) => {
+            assert!(
+                *offset <= len as u64,
+                "{case}: offset {offset} past {len} bytes"
+            );
+        }
+        Err(CacheFileError::Malformed { record }) => {
+            assert!(*record < records, "{case}: record {record} of {records}");
+        }
+        Err(CacheFileError::Io(e)) => panic!("{case}: {e}"),
+    }
+}
+
+#[test]
+fn damaged_cache_files_never_panic_a_reader_and_errors_stay_attributed() {
+    let grid = ScenarioGrid::paper_baseline(2);
+    let mut cache = ResultCache::new();
+    GridExecutor::serial()
+        .explore_cached(&grid, &mut cache)
+        .expect("explore");
+    let path = temp_path("intact.cache");
+    cache.save_as(&path, CacheFormat::default()).expect("save");
+    let intact = std::fs::read(&path).expect("read");
+    let truth = entries(&cache);
+    let records = truth.len();
+    assert_eq!(records, grid.len());
+    assert!(intact.starts_with(MAGIC));
+
+    let damaged = temp_path("damaged.cache");
+    for cut in (MAGIC.len()..intact.len()).step_by(STRIDE) {
+        let case = format!("truncated to {cut} bytes");
+        let reads = read_all(&damaged, &intact[..cut], &case);
+        for (reader, held) in [("load", &reads.eager), ("load_lazy", &reads.lazy)] {
+            for (key, outcome) in held {
+                assert_eq!(
+                    truth.get(key),
+                    Some(outcome),
+                    "{case}: {reader} holds {key}"
+                );
+            }
+        }
+        assert_attributed(&reads.strict, cut, records, &case);
+    }
+
+    let changes = [
+        ("set to 0x00", (|_| 0x00) as fn(u8) -> u8),
+        ("set to 0xff", |_| 0xff),
+        ("low bit flipped", |b| b ^ 1),
+    ];
+    let mut bytes = intact.clone();
+    for (start, (name, change)) in changes.into_iter().enumerate() {
+        for at in (start + 1..intact.len()).step_by(STRIDE) {
+            let changed = change(intact[at]);
+            if changed == intact[at] {
+                continue;
+            }
+            bytes[at] = changed;
+            let case = format!("byte {at} {name}");
+            let reads = read_all(&damaged, &bytes, &case);
+            if let Err(CacheFileError::VersionMismatch { .. }) = reads.strict {
+                assert!(at < MAGIC.len(), "{case}: the magic is intact");
+            }
+            assert_attributed(&reads.strict, bytes.len(), records, &case);
+            bytes[at] = intact[at];
+        }
+    }
+    for p in [path, damaged] {
+        std::fs::remove_file(p).expect("cleanup");
+    }
+}

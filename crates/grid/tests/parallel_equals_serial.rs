@@ -46,7 +46,7 @@ fn parallel_reports_are_byte_identical_to_serial() {
 
 #[test]
 fn oversubscribed_executor_still_matches() {
-    // More workers than unique jobs: the cursor runs dry and the excess
+    // More workers than series: the cursor runs dry and the excess
     // workers exit, but the transcript must not change.
     let grid = ScenarioGrid::paper_baseline(3);
     let serial = GridExecutor::serial().explore(&grid).expect("serial run");
@@ -55,39 +55,45 @@ fn oversubscribed_executor_still_matches() {
 }
 
 #[test]
-fn dedup_never_changes_reported_cells() {
-    // Dedup is an execution optimisation: the per-cell report of a grid
-    // with duplicate axis entries must read as if every cell ran.
+fn aliased_devices_are_rejected_not_shared() {
+    // A device under two names is one scenario twice over: exploration
+    // rejects it at every thread count instead of sharing its cells, and
+    // the grid without the alias reports every cell.
     use memstream_core::DesignGoal;
     use memstream_device::MemsDevice;
-    use memstream_grid::{DeviceEntry, WorkloadProfile};
+    use memstream_grid::{DeviceEntry, GridError, WorkloadProfile};
 
-    let grid = ScenarioGrid::new()
-        .device(DeviceEntry::new("alias-a", MemsDevice::table1()))
-        .device(DeviceEntry::new("alias-b", MemsDevice::table1()))
-        .device(DeviceEntry::new(
+    let grid = |alias: bool| {
+        let mut grid =
+            ScenarioGrid::new().device(DeviceEntry::new("alias-a", MemsDevice::table1()));
+        if alias {
+            grid = grid.device(DeviceEntry::new("alias-b", MemsDevice::table1()));
+        }
+        grid.device(DeviceEntry::new(
             "hardened",
             MemsDevice::table1().with_spring_duty_cycles(1e12),
         ))
         .workload(WorkloadProfile::paper())
         .rate_span(32.0, 4096.0, 21)
         .goal(DesignGoal::fig3a())
-        .goal(DesignGoal::fig3b());
-    let results = GridExecutor::parallel(4).explore(&grid).expect("run");
-    assert_eq!(results.total_cells(), 3 * 21 * 2);
-    assert_eq!(results.unique_evaluations(), 2 * 21 * 2);
+        .goal(DesignGoal::fig3b())
+    };
+    for threads in [1, 4] {
+        assert_eq!(
+            GridExecutor::parallel(threads)
+                .explore(&grid(true))
+                .unwrap_err(),
+            GridError::DuplicateAxisEntry {
+                axis: "devices",
+                first: 0,
+                second: 1,
+            }
+        );
+    }
+    let results = GridExecutor::parallel(4)
+        .explore(&grid(false))
+        .expect("run");
+    assert_eq!(results.total_cells(), 2 * 21 * 2);
     let csv = report::cells_csv(&results);
     assert_eq!(csv.lines().count(), 1 + results.total_cells());
-    // Alias rows differ only in the device-name column.
-    let lines: Vec<&str> = csv.lines().skip(1).collect();
-    let strip = |line: &str| {
-        let mut cols: Vec<String> = line.split(',').map(str::to_owned).collect();
-        cols.remove(1); // device name
-        cols.remove(0); // cell index
-        cols.join(",")
-    };
-    let per_device = 21 * 2;
-    for i in 0..per_device {
-        assert_eq!(strip(lines[i]), strip(lines[per_device + i]));
-    }
 }

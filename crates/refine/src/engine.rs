@@ -41,8 +41,8 @@ pub struct RoundRecord {
     pub appended: Vec<BitRate>,
     /// Region-label transitions found in this round's results.
     pub transitions: usize,
-    /// Distinct evaluations the round's grid deduplicates to.
-    pub unique_evaluations: usize,
+    /// Cells of the round's grid, each a distinct scenario.
+    pub cells: usize,
     /// Cells of this round resolved without evaluation (for a sharded
     /// round: cells the coordinator already held — see
     /// [`RoundExploration`]).
@@ -415,7 +415,7 @@ fn explore_round<X: RoundExplorer>(
         rates: grid.rates().len(),
         appended,
         transitions: 0,
-        unique_evaluations: exploration.results.unique_evaluations(),
+        cells: exploration.results.total_cells(),
         hits: exploration.hits,
         misses: exploration.misses,
     });

@@ -181,7 +181,7 @@ pub fn cache_rounds(report: &RefinementReport) -> String {
         let _ = writeln!(
             out,
             "round {}: {} unique cells, {} hits, {} misses",
-            round.round, round.unique_evaluations, round.hits, round.misses
+            round.round, round.cells, round.hits, round.misses
         );
     }
     out

@@ -102,15 +102,15 @@ fn warm_rounds_only_evaluate_appended_rates() {
     assert!(rounds.len() > 1, "refinement must iterate");
     // Round 1 is all misses against an empty cache.
     assert_eq!(rounds[0].hits, 0);
-    assert_eq!(rounds[0].misses, rounds[0].unique_evaluations);
+    assert_eq!(rounds[0].misses, rounds[0].cells);
     // Every later round re-reads all previously evaluated cells from the
     // cache and evaluates exactly the appended rates' worth of new ones.
     for pair in rounds.windows(2) {
         let (prev, cur) = (&pair[0], &pair[1]);
-        assert_eq!(cur.hits, prev.unique_evaluations, "round {}", cur.round);
+        assert_eq!(cur.hits, prev.cells, "round {}", cur.round);
         assert_eq!(
             cur.misses,
-            cur.unique_evaluations - prev.unique_evaluations,
+            cur.cells - prev.cells,
             "round {} re-evaluated old cells",
             cur.round
         );

@@ -1,7 +1,7 @@
 //! The coordinator: chunk, spawn, grant, collect, reclaim, union.
 //!
-//! [`explore_sharded`] is one fan-out. The grid's canonical deduplicated
-//! cell range is split into small lease chunks owned by a
+//! [`explore_sharded`] is one fan-out. The grid's canonical cell range
+//! is split into small lease chunks owned by a
 //! [`LeaseQueue`]; one worker process per shard is spawned (a re-exec of
 //! the current binary's `shard-worker` subcommand, stdin/stdout/stderr
 //! all piped), and a per-child **collector thread** reads the worker's
@@ -142,7 +142,7 @@ pub struct WorkerReport {
 /// The outcome of one [`explore_sharded`] fan-out.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardRun {
-    /// Size of the grid's canonical deduplicated cell range.
+    /// Size of the grid's canonical cell range.
     pub unique_cells: usize,
     /// Cells already in the coordinator's cache before fan-out (the
     /// run's hits).
@@ -173,7 +173,7 @@ pub struct ShardRun {
 }
 
 impl ShardRun {
-    /// Whether the merged cache covers every unique cell conflict-free
+    /// Whether the merged cache covers every cell conflict-free
     /// (individual workers may still have failed — see
     /// [`ShardRun::failures`]).
     #[must_use]
@@ -791,8 +791,8 @@ fn run_watchdog(shared: &LeaseShared, children: &[Option<SharedChild>], deadline
     }
 }
 
-/// One coordinated fan-out: resolve every unique cell of the recipe's
-/// grid into `cache`, evaluating missing cells on spawned worker
+/// One coordinated fan-out: resolve every cell of the recipe's grid
+/// into `cache`, evaluating missing cells on spawned worker
 /// processes under the lease scheduler and merging the records they
 /// send by strict union.
 ///
@@ -808,21 +808,26 @@ fn run_watchdog(shared: &LeaseShared, children: &[Option<SharedChild>], deadline
 /// byte-identically — as long as one worker survives. Every record that
 /// arrived is merged regardless, so even an incomplete run leaves the
 /// cache warmer for a retry.
+///
+/// # Errors
+///
+/// [`GridError::DuplicateAxisEntry`] if an axis of the recipe's grid
+/// repeats an entry: nothing is spawned and `cache` is untouched.
 pub fn explore_sharded(
     recipe: &GridRecipe,
     cache: &mut ResultCache,
     opts: &ShardOptions,
-) -> ShardRun {
+) -> Result<ShardRun, GridError> {
     let metrics = &opts.metrics;
     let _fanout = metrics.span("shard.fanout").start();
     let grid = recipe.build();
     let unique = grid.unique_cells();
-    let interner = KeyInterner::new(&grid);
+    let interner = KeyInterner::new(&grid)?;
     let mut key = String::new();
     let keys: Vec<Arc<str>> = unique
         .iter()
         .map(|cell| {
-            interner.resolve_into(interner.key(cell), &mut key);
+            interner.resolve_into(cell, &mut key);
             Arc::from(key.as_str())
         })
         .collect();
@@ -838,7 +843,7 @@ pub fn explore_sharded(
     metrics.counter("shard.fanned_out").add(missing as u64);
 
     if missing == 0 {
-        return ShardRun {
+        return Ok(ShardRun {
             unique_cells: unique.len(),
             cached,
             fanned_out: 0,
@@ -849,7 +854,7 @@ pub fn explore_sharded(
             workers: Vec::new(),
             failures: Vec::new(),
             complete: true,
-        };
+        });
     }
 
     let shards = opts.shards.clamp(1, missing);
@@ -1056,7 +1061,7 @@ pub fn explore_sharded(
         .add(leases_reclaimed);
     metrics.counter("shard.failures").add(failures.len() as u64);
 
-    ShardRun {
+    Ok(ShardRun {
         unique_cells: unique.len(),
         cached,
         fanned_out: missing,
@@ -1067,7 +1072,7 @@ pub fn explore_sharded(
         workers,
         failures,
         complete,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1112,7 +1117,9 @@ mod tests {
         let grid = GridRecipe::classic(3).build();
         let unique = grid.unique_cells();
         let mut cache = ResultCache::new();
-        GridExecutor::serial().resolve_cells(&grid, &unique, &mut cache);
+        GridExecutor::serial()
+            .resolve_cells(&grid, &unique, &mut cache)
+            .unwrap();
         let keys: Vec<String> = unique.iter().map(|cell| grid.dedup_key(cell)).collect();
         let outcomes = keys
             .iter()
@@ -1136,7 +1143,7 @@ mod tests {
         let mut opts = sh_options(&script, 1);
         opts.lease_cells = recipe.build().unique_cells().len();
         let mut cache = ResultCache::new();
-        let run = explore_sharded(&recipe, &mut cache, &opts);
+        let run = explore_sharded(&recipe, &mut cache, &opts).unwrap();
         let _ = std::fs::remove_file(path);
         (run, cache)
     }
@@ -1153,7 +1160,7 @@ mod tests {
     fn worker_exiting_before_the_queue_drains_is_died_in_the_ledger() {
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
-        let run = explore_sharded(&recipe, &mut cache, &sh_options("exit 0", 1));
+        let run = explore_sharded(&recipe, &mut cache, &sh_options("exit 0", 1)).unwrap();
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::Died);
         assert!(
@@ -1183,7 +1190,7 @@ mod tests {
             esac
             "#
         );
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(&script, 1));
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(&script, 1)).unwrap();
         assert_eq!(run.failures.len(), 1, "ledger: {:?}", run.failures);
         assert_eq!(run.failures[0].kind, ShardFailureKind::Incompatible);
         assert!(
@@ -1330,7 +1337,7 @@ mod tests {
         let mut opts = sh_options(&script, 1);
         opts.lease_deadline = Duration::from_millis(150);
         let started = Instant::now();
-        let run = explore_sharded(&recipe, &mut cache, &opts);
+        let run = explore_sharded(&recipe, &mut cache, &opts).unwrap();
         assert!(
             started.elapsed() < Duration::from_secs(30),
             "the watchdog, not the 60s sleep, must end the run"
@@ -1360,7 +1367,7 @@ mod tests {
             echo 'lease-request 0/1' >&2
             printf 'kept verbatim, even unterminated' >&2
         "#;
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1));
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).unwrap();
         assert_eq!(
             run.workers[0].stderr,
             "ordinary accounting line\nlease-request 0/1\nkept verbatim, even unterminated"
@@ -1383,7 +1390,7 @@ mod tests {
             echo 'a line form this coordinator does not know'
             printf 'lease-request 0/1'
         "#;
-        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1));
+        let run = explore_sharded(&recipe, &mut cache, &sh_options(script, 1)).unwrap();
         assert_eq!(run.leases_issued, 0, "the fragment must not be answered");
         assert_eq!(
             run.workers[0].stderr, "",
@@ -1420,7 +1427,7 @@ mod tests {
             .unwrap();
         // A bogus program proves nothing was spawned.
         let opts = ShardOptions::new(PathBuf::from("/nonexistent/worker"), 4);
-        let run = explore_sharded(&recipe, &mut cache, &opts);
+        let run = explore_sharded(&recipe, &mut cache, &opts).unwrap();
         assert_eq!(run.workers_spawned, 0);
         assert_eq!(run.fanned_out, 0);
         assert_eq!(run.lease_chunks, 0);
@@ -1433,7 +1440,7 @@ mod tests {
         let recipe = GridRecipe::classic(3);
         let mut cache = ResultCache::new();
         let opts = ShardOptions::new(PathBuf::from("/nonexistent/worker"), 2);
-        let run = explore_sharded(&recipe, &mut cache, &opts);
+        let run = explore_sharded(&recipe, &mut cache, &opts).unwrap();
         assert_eq!(run.failures.len(), 2);
         assert!(run
             .failures

@@ -1,5 +1,5 @@
 //! The coordinator-owned lease queue: small contiguous chunks of the
-//! canonical deduplicated cell range, granted to whichever worker asks
+//! canonical cell range, granted to whichever worker asks
 //! first, reclaimed from workers that die, stall or lie.
 //!
 //! The queue is pure bookkeeping — no I/O, no clocks, no threads — so

@@ -11,7 +11,7 @@
 //! The model is coordinator/worker with a leased work queue
 //! (spec: `docs/SHARD_PROTOCOL.md`):
 //!
-//! 1. **Chunk** — the grid's canonical deduplicated cell range
+//! 1. **Chunk** — the grid's canonical cell range
 //!    ([`memstream_grid::ScenarioGrid::unique_cells`]) is split into
 //!    small contiguous lease chunks ([`lease_chunks`], roughly
 //!    [`LEASE_CHUNKS_PER_WORKER`] per worker) owned by a coordinator-side
@@ -69,7 +69,7 @@
 //! let mut shards = Vec::new();
 //! for range in lease_chunks(unique.len(), unique.len().div_ceil(3)) {
 //!     let mut shard = ResultCache::new();
-//!     GridExecutor::serial().resolve_cells(&grid, &unique[range], &mut shard);
+//!     GridExecutor::serial().resolve_cells(&grid, &unique[range], &mut shard)?;
 //!     shards.push(shard);
 //! }
 //!
@@ -79,8 +79,8 @@
 //!     merged.merge(shard)?;
 //! }
 //! let results = GridExecutor::serial().explore_cached(&grid, &mut merged)?;
-//! assert_eq!(merged.misses(), 0, "the union covers every unique cell");
-//! assert_eq!(results.unique_evaluations(), unique.len());
+//! assert_eq!(merged.misses(), 0, "the union covers every cell");
+//! assert_eq!(results.total_cells(), unique.len());
 //! # Ok(())
 //! # }
 //! ```

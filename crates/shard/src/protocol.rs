@@ -198,8 +198,8 @@ impl WorkerSpec {
 /// the worker's **stdin** (the only coordinator→worker channel).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseReply {
-    /// Evaluate cells `range` of the grid's canonical deduplicated cell
-    /// range, send their records, then send `lease-done`.
+    /// Evaluate cells `range` of the grid's canonical cell range, send
+    /// their records, then send `lease-done`.
     Grant(Range<usize>),
     /// The queue is drained (or this worker is condemned): exit cleanly.
     Retire,
@@ -701,7 +701,7 @@ mod tests {
             let grid = recipe.build();
             let cells = &grid.unique_cells()[..records];
             let mut cache = memstream_grid::ResultCache::new();
-            memstream_grid::GridExecutor::serial().resolve_cells(&grid, cells, &mut cache);
+            memstream_grid::GridExecutor::serial().resolve_cells(&grid, cells, &mut cache).unwrap();
             let keys: Vec<String> = cells.iter().map(|cell| grid.dedup_key(cell)).collect();
             let outcomes: Vec<_> = keys.iter().map(|key| cache.get(key).expect("resolved")).collect();
             let intact = memstream_grid::encode_frame(keys.iter().map(String::as_str).zip(&outcomes));

@@ -5,8 +5,8 @@
 //! *recipe*: which reference registry (baseline or classic), how many
 //! log-spaced rates, and optionally a replacement rate axis carried as
 //! exact `f64` samples. Both sides build their grid from the same recipe
-//! with the same constructors, so their canonical deduplicated cell
-//! ranges (and therefore the shard slices) are guaranteed to agree.
+//! with the same constructors, so their canonical cell ranges (and
+//! therefore the shard slices) are guaranteed to agree.
 
 use memstream_grid::ScenarioGrid;
 use memstream_units::BitRate;

@@ -69,7 +69,7 @@ impl RoundExplorer for ShardedRoundExplorer {
             appended.to_vec()
         };
         let recipe = self.recipe.clone().with_rate_axis(axis);
-        let run = explore_sharded(&recipe, cache, &self.opts);
+        let run = explore_sharded(&recipe, cache, &self.opts)?;
         let (hits, misses) = (run.cached, run.fanned_out);
         let complete = run.is_complete();
         let failures = run.failures.clone();

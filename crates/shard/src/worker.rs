@@ -1,5 +1,5 @@
-//! The worker side: evaluate cells of a grid's canonical deduplicated
-//! cell range and send them to the coordinator as cache records.
+//! The worker side: evaluate cells of a grid's canonical cell range and
+//! send them to the coordinator as cache records.
 //!
 //! A worker is deliberately dumb; all scheduling, merging and failure
 //! policy live in the coordinator. It is a function of its arguments and
@@ -20,7 +20,9 @@ use std::io::{self, BufRead, Write};
 use std::time::Duration;
 
 use memstream_grid::telemetry::Tracer;
-use memstream_grid::{encode_frame, CellOutcome, GridExecutor, KeyInterner, Metrics, ResultCache};
+use memstream_grid::{
+    encode_frame, CellOutcome, GridError, GridExecutor, KeyInterner, Metrics, ResultCache,
+};
 
 use crate::fault::FaultPlan;
 use crate::protocol::{
@@ -120,7 +122,8 @@ fn run_lease_worker(
 ) -> io::Result<usize> {
     let grid = spec.recipe.build();
     let unique = grid.unique_cells();
-    let interner = KeyInterner::new(&grid);
+    let invalid = |e: GridError| io::Error::new(io::ErrorKind::InvalidData, e);
+    let interner = KeyInterner::new(&grid).map_err(invalid)?;
 
     let mut working = ResultCache::new();
     working.set_metrics(metrics);
@@ -169,7 +172,9 @@ fn run_lease_worker(
         let batch_size = cells.len().div_ceil(PROGRESS_CHUNKS).max(1);
         for batch in cells.chunks(batch_size) {
             let first_frame = evaluated == 0;
-            executor.resolve_cells(&grid, batch, &mut working);
+            executor
+                .resolve_cells(&grid, batch, &mut working)
+                .map_err(invalid)?;
             evaluated += batch.len();
 
             match spec.fault {
@@ -189,7 +194,7 @@ fn run_lease_worker(
             let records: Vec<(String, CellOutcome)> = batch
                 .iter()
                 .map(|cell| {
-                    let key = interner.resolve(interner.key(cell));
+                    let key = interner.resolve(cell);
                     let outcome = working.get(&key).expect("resolve_cells covered it");
                     (key, outcome)
                 })

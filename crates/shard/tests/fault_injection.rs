@@ -120,7 +120,7 @@ fn fault_free_lease_run_is_byte_identical_and_counts_leases() {
     let metrics = Metrics::enabled();
     let opts = worker_opts(3).with_lease_cells(4).with_metrics(&metrics);
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
     assert_eq!(run.lease_chunks, 48usize.div_ceil(4));
@@ -166,7 +166,7 @@ fn fault_free_fan_out_does_not_wait_on_a_timer() {
     let opts = worker_opts(2).with_metrics(&metrics);
     assert_eq!(opts.lease_deadline, Duration::from_secs(30));
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
     let snapshot = metrics.snapshot();
@@ -186,7 +186,7 @@ fn lease_sizes_and_worker_counts_do_not_change_the_bytes() {
     for (shards, lease_cells) in [(1, 0), (2, 1), (3, 7), (4, 48), (2, 500)] {
         let opts = worker_opts(shards).with_lease_cells(lease_cells);
         let mut merged = ResultCache::new();
-        let run = explore_sharded(&recipe, &mut merged, &opts);
+        let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
         assert!(
             run.is_complete(),
             "shards={shards} lease_cells={lease_cells}: {:?}",
@@ -210,7 +210,7 @@ fn worker_dying_mid_run_is_reclaimed_and_output_stays_byte_identical() {
         .with_fault_plan(0, FaultPlan::DieAfterCells(1));
     let opts = faulty_shard_first(opts, &gate, "");
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     let _ = std::fs::remove_file(&gate);
     assert!(
         run.is_complete(),
@@ -241,7 +241,7 @@ fn sigkilled_worker_is_reclaimed_and_output_stays_byte_identical() {
         .with_fault_plan(0, FaultPlan::StallAfterCells(1));
     let opts = faulty_shard_first(opts, &gate, "(sleep 0.3; kill -KILL $$) &");
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     let _ = std::fs::remove_file(&gate);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
@@ -262,7 +262,7 @@ fn stalled_worker_is_killed_reclaimed_and_output_stays_byte_identical() {
     let opts = faulty_shard_first(opts, &gate, "");
     let started = Instant::now();
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     let _ = std::fs::remove_file(&gate);
     assert!(
         started.elapsed() < Duration::from_secs(30),
@@ -313,7 +313,7 @@ fn waiting_longer_than_the_deadline_for_a_reclaimed_chunk_is_not_a_stall() {
         .with_lease_deadline(Duration::from_millis(300));
     let opts = in_shell(opts, script);
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     let _ = std::fs::remove_file(&gate);
     assert_eq!(run.lease_chunks, 1);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
@@ -334,7 +334,7 @@ fn truncated_flush_keeps_the_committed_prefix() {
         .with_lease_cells(8)
         .with_fault_plan(0, FaultPlan::TruncateFlush);
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     assert!(!run.is_complete());
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::Died]);
     assert!(
@@ -364,7 +364,7 @@ fn truncated_flush_keeps_the_committed_prefix() {
 
     // The warmed cache converges on retry: a fault-free fleet covers the
     // remainder and the bytes still match the single-process run.
-    let retry = explore_sharded(&recipe, &mut merged, &worker_opts(2).with_lease_cells(8));
+    let retry = explore_sharded(&recipe, &mut merged, &worker_opts(2).with_lease_cells(8)).unwrap();
     assert!(retry.is_complete(), "ledger: {:?}", retry.failures);
     assert_eq!(retry.cached, run.workers[0].flushed);
     assert_byte_identical(&recipe, &mut merged, "retry after a torn frame");
@@ -381,7 +381,9 @@ fn records_of_cells_already_held_are_dropped_on_arrival() {
     let grid = recipe.build();
     let unique = grid.unique_cells();
     let mut evaluated = ResultCache::new();
-    GridExecutor::serial().resolve_cells(&grid, &unique, &mut evaluated);
+    GridExecutor::serial()
+        .resolve_cells(&grid, &unique, &mut evaluated)
+        .unwrap();
     let held = grid.dedup_key(&unique[1]);
     let truth = evaluated.get(&held).expect("evaluated");
     let stale = unique
@@ -392,7 +394,7 @@ fn records_of_cells_already_held_are_dropped_on_arrival() {
     let mut cache = ResultCache::new();
     cache.insert(held.clone(), stale.clone());
 
-    let run = explore_sharded(&recipe, &mut cache, &worker_opts(2).with_lease_cells(4));
+    let run = explore_sharded(&recipe, &mut cache, &worker_opts(2).with_lease_cells(4)).unwrap();
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert!(run.failures.is_empty(), "ledger: {:?}", run.failures);
     assert_eq!(run.cached, 1);
@@ -423,7 +425,7 @@ fn corrupt_flush_is_attributed_and_output_stays_byte_identical() {
         .with_fault_plan(0, FaultPlan::CorruptFlush);
     let opts = faulty_shard_first(opts, &gate, "");
     let mut merged = ResultCache::new();
-    let run = explore_sharded(&recipe, &mut merged, &opts);
+    let run = explore_sharded(&recipe, &mut merged, &opts).unwrap();
     let _ = std::fs::remove_file(&gate);
     assert!(run.is_complete(), "ledger: {:?}", run.failures);
     assert_eq!(ledger_kinds(&run), vec![ShardFailureKind::FlushCorrupt]);

@@ -6,6 +6,8 @@
 //! `fig3x` (the C = 85 % variant mentioned in §IV-C without a figure),
 //! `sim`, `ablation`, `comparison`, `format`, `sensitivity`, `frontier`,
 //! `map`, `custom`, `grid`, `refine`, `shard-worker`, or `all` (default).
+//! Only `custom`, `grid`, `refine` and `shard-worker` take arguments; any
+//! other experiment given one exits 2.
 //!
 //! `harness grid [--rates N] [--threads N] [--full-csv] [--validate SECS]`
 //! explores the scenario grid (devices × workloads × rates × goals) in
@@ -46,7 +48,8 @@
 //! `grid` and `refine` accept `--stats` (telemetry table on stderr),
 //! `--stats-json PATH` (snapshot as JSON) and `--trace PATH` (the run's
 //! timeline as a Chrome/Perfetto-loadable trace, shard worker events
-//! merged in); none of them ever changes the report on stdout.
+//! merged in); none of them ever changes the report on stdout, which is
+//! rendered in the `report.render` span before any of them is written.
 //! `--cache PATH` files use one binary format (`docs/CACHE_FORMAT.md`);
 //! a run that adds nothing to the file leaves it untouched.
 
@@ -549,9 +552,13 @@ fn grid(args: &[String]) {
     // The cache holds the whole file: free it before rendering.
     drop(cache);
 
+    let stdout = {
+        let _render = metrics.span("report.render").start();
+        report::grid_stdout(&results, full_csv)
+    };
     shared.emit_stats(&metrics);
     shared.emit_trace(&tracer, Vec::new());
-    print!("{}", report::grid_stdout(&results, full_csv));
+    print!("{stdout}");
     if let Some(seconds) = validate {
         let validation = memstream_grid::validate_frontier(&results, seconds);
         println!(
@@ -752,9 +759,13 @@ fn refine(args: &[String]) {
         save_cache(cache, path);
         eprintln!("cache file: {} entries saved", cache.len());
     }
+    let stdout = {
+        let _render = metrics.span("report.render").start();
+        report::refine_stdout(&outcome)
+    };
     shared.emit_stats(&metrics);
     shared.emit_trace(&tracer, worker_traces);
-    print!("{}", report::refine_stdout(&outcome));
+    print!("{stdout}");
 }
 
 /// `harness custom --rate 1024kbps [--buffer 20KiB] [--saving 70%]
@@ -821,44 +832,27 @@ fn custom(args: &[String]) {
 }
 
 fn main() {
-    let arg = std::env::args().nth(1).unwrap_or_else(|| "all".to_owned());
-    match arg.as_str() {
-        "table1" => table1(),
-        "breakeven" => breakeven(),
-        "fig2" | "fig2a" | "fig2b" => fig2(),
-        "fig3a" | "fig3b" | "fig3c" | "fig3x" => fig3(&arg),
-        "sim" => sim(),
-        "ablation" => ablation(),
-        "comparison" => comparison(),
-        "format" => format_space(),
-        "sensitivity" => sensitivity(),
-        "frontier" => frontier(),
-        "map" => map(),
-        "custom" => custom(
-            &std::env::args()
-                .skip(2)
-                .filter(|a| a != "--") // tolerate cargo's separator
-                .collect::<Vec<_>>(),
-        ),
-        "grid" => grid(
-            &std::env::args()
-                .skip(2)
-                .filter(|a| a != "--")
-                .collect::<Vec<_>>(),
-        ),
-        "refine" => refine(
-            &std::env::args()
-                .skip(2)
-                .filter(|a| a != "--")
-                .collect::<Vec<_>>(),
-        ),
-        "shard-worker" => std::process::exit(memstream_shard::worker_main(
-            &std::env::args()
-                .skip(2)
-                .filter(|a| a != "--")
-                .collect::<Vec<_>>(),
-        )),
-        "all" => {
+    let mut args = std::env::args().skip(1);
+    let experiment = args.next().unwrap_or_else(|| "all".to_owned());
+    // Everything after the experiment, without cargo's `--` separator.
+    let rest: Vec<String> = args.filter(|a| a != "--").collect();
+    let run: Box<dyn Fn()> = match experiment.as_str() {
+        "custom" => return custom(&rest),
+        "grid" => return grid(&rest),
+        "refine" => return refine(&rest),
+        "shard-worker" => std::process::exit(memstream_shard::worker_main(&rest)),
+        "table1" => Box::new(table1),
+        "breakeven" => Box::new(breakeven),
+        "fig2" | "fig2a" | "fig2b" => Box::new(fig2),
+        "fig3a" | "fig3b" | "fig3c" | "fig3x" => Box::new(|| fig3(&experiment)),
+        "sim" => Box::new(sim),
+        "ablation" => Box::new(ablation),
+        "comparison" => Box::new(comparison),
+        "format" => Box::new(format_space),
+        "sensitivity" => Box::new(sensitivity),
+        "frontier" => Box::new(frontier),
+        "map" => Box::new(map),
+        "all" => Box::new(|| {
             table1();
             breakeven();
             fig2();
@@ -873,7 +867,7 @@ fn main() {
             sensitivity();
             frontier();
             map();
-        }
+        }),
         other => {
             eprintln!(
                 "unknown experiment `{other}`; try table1, breakeven, fig2, \
@@ -883,5 +877,10 @@ fn main() {
             );
             std::process::exit(2);
         }
+    };
+    if let Some(first) = rest.first() {
+        eprintln!("`{experiment}` takes no arguments; got `{first}`");
+        std::process::exit(2);
     }
+    run();
 }

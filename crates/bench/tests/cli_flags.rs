@@ -1,6 +1,7 @@
-//! Out-of-range flag values: each is rejected up front with exit 2 and a
-//! one-line reason naming the flag, instead of a panic deep in the model
-//! or a silently substituted value.
+//! Out-of-range flag values and arguments to experiments that take none:
+//! each is rejected up front with exit 2 and a one-line reason naming the
+//! flag, instead of a panic deep in the model or a silently substituted
+//! or dropped value.
 
 use std::process::Command;
 
@@ -29,6 +30,15 @@ fn out_of_range_values_exit_2_naming_the_flag() {
             &["custom", "--rate", "1024kbps", "--lifetime", "1e300y"],
             lifetime,
         ),
+        (
+            &["fig3a", "--rates", "100"],
+            "`fig3a` takes no arguments; got `--rates`",
+        ),
+        (
+            &["table1", "extra"],
+            "`table1` takes no arguments; got `extra`",
+        ),
+        (&["all", "x"], "`all` takes no arguments; got `x`"),
     ];
     for (args, reason) in cases {
         let output = Command::new(HARNESS)
@@ -40,4 +50,19 @@ fn out_of_range_values_exit_2_naming_the_flag() {
         assert!(stderr.contains(reason), "{args:?}: {stderr}");
         assert!(output.stdout.is_empty(), "{args:?} printed a report");
     }
+}
+
+#[test]
+fn cargo_separator_is_not_an_argument() {
+    let output = Command::new(HARNESS)
+        .args(["breakeven", "--"])
+        .output()
+        .expect("harness spawns");
+    assert_eq!(
+        output.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&output.stderr)
+    );
+    assert!(String::from_utf8_lossy(&output.stdout).contains("break-even buffers"));
 }

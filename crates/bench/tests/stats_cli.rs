@@ -130,6 +130,13 @@ fn grid_stderr_accounting_agrees_with_the_json_snapshot() {
         stderr.contains(&line),
         "stderr accounting must equal the JSON counters (`{line}`):\n{stderr}"
     );
+    // The final sweep keeps `inserts − evictions` of its candidates: the
+    // frontier printed on stdout.
+    let frontier = counter(&doc, "frontier.inserts") - counter(&doc, "frontier.evictions");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let line = format!("pareto frontier: {frontier} points");
+    assert!(stdout.contains(&line), "`{line}` missing:\n{stdout}");
+    assert_eq!(span_entries(&doc, "report.render"), 1);
     for p in [cache, json] {
         std::fs::remove_file(p).unwrap();
     }
@@ -297,6 +304,7 @@ fn refine_stderr_accounting_agrees_with_the_json_snapshot() {
         })
         .sum();
     assert_eq!(round_sum, misses, "per-round lines must sum to the total");
+    assert_eq!(span_entries(&doc, "report.render"), 1);
     std::fs::remove_file(json).unwrap();
 }
 

@@ -4,6 +4,7 @@
 //! the terminal (log axes, multiple series) and to dump CSV for external
 //! plotting.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 /// An axis description for [`AsciiChart`].
@@ -178,20 +179,25 @@ pub fn render_ascii_chart(chart: &AsciiChart) -> String {
     out
 }
 
-/// Renders rows of pre-formatted cells as CSV (quoting cells that need it).
+/// One CSV field as written: quoted, with its quotes doubled, when it
+/// holds a comma, a quote or a newline, and borrowed unchanged otherwise.
+#[must_use]
+pub fn csv_field(field: &str) -> Cow<'_, str> {
+    if field.contains([',', '"', '\n']) {
+        Cow::Owned(format!("\"{}\"", field.replace('"', "\"\"")))
+    } else {
+        Cow::Borrowed(field)
+    }
+}
+
+/// Renders rows of pre-formatted cells as CSV (quoting cells that need
+/// it, see [`csv_field`]).
 #[must_use]
 pub fn to_csv(header: &[&str], rows: &[Vec<String>]) -> String {
-    fn escape(cell: &str) -> String {
-        if cell.contains(',') || cell.contains('"') || cell.contains('\n') {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_owned()
-        }
-    }
     let mut out = String::new();
     let _ = writeln!(out, "{}", header.join(","));
     for row in rows {
-        let cells: Vec<String> = row.iter().map(|c| escape(c)).collect();
+        let cells: Vec<Cow<'_, str>> = row.iter().map(|c| csv_field(c)).collect();
         let _ = writeln!(out, "{}", cells.join(","));
     }
     out

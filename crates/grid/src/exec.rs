@@ -3,7 +3,9 @@
 //! Every cell of a grid is its own job. One pass serves both
 //! explorations: without a cache every cell streams into the series
 //! planner, with one only the misses do, and each outcome lands in its
-//! cell's slot of the results as it arrives.
+//! cell's slot of the results as it arrives. The worker that evaluates a
+//! series also sweeps it to its own Pareto frontier, so assembly only
+//! sweeps the union of those fronts and the feasible hits.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -12,11 +14,11 @@ use std::thread;
 use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle, Tracer};
 
 use crate::cache::ResultCache;
-use crate::eval::CellOutcome;
+use crate::eval::{CellOutcome, PlannedPoint};
 use crate::key::KeyInterner;
 use crate::series::{evaluate_series, plan_series, Series};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
-use crate::store::{resolve_frontier, FrontierBuilder, ParetoPoint};
+use crate::store::{resolve_frontier, series_front, ParetoPoint};
 
 /// Explores a [`ScenarioGrid`] on a fixed number of worker threads.
 ///
@@ -60,15 +62,12 @@ struct ExecTelemetry {
     series_built: Counter,
     models_reused: Counter,
     interner_keys: Counter,
-    /// Offers that joined the incremental Pareto frontier (including
-    /// later-evicted ones), incumbents evicted by dominating offers, and
-    /// the dominance tests the builder made — the frontier's work, done on
-    /// the collecting thread as hits are looked up and as evaluated
-    /// results stream in (inside `grid.eval`).
+    /// Candidates that entered the final frontier sweep (every series'
+    /// front plus the feasible cache hits), and those it dropped.
     frontier_inserts: Counter,
     frontier_evictions: Counter,
-    frontier_dominance_checks: Counter,
-    /// Per-series evaluation latency distribution (`grid.series_eval`).
+    /// Per-series evaluation latency distribution (`grid.series_eval`),
+    /// the series' own frontier sweep included.
     series_latency: Histogram,
     /// Emits one `grid.series` begin/end pair per evaluated series when
     /// tracing is on, so worker-thread parallelism is visible in the
@@ -95,25 +94,30 @@ impl ExecTelemetry {
             interner_keys: metrics.counter("grid.interner.keys"),
             frontier_inserts: metrics.counter("frontier.inserts"),
             frontier_evictions: metrics.counter("frontier.evictions"),
-            frontier_dominance_checks: metrics.counter("frontier.dominance_checks"),
             series_latency: metrics.histogram("grid.series_eval"),
             tracer: metrics.tracer(),
         }
     }
 
-    /// Evaluates one series, timing it into the latency histogram and
-    /// bracketing it with trace events when either sink is live.
-    fn timed_series(&self, grid: &ScenarioGrid, s: &Series) -> Vec<(usize, CellOutcome)> {
+    /// Evaluates one series and sweeps it to its frontier, timing both
+    /// into the latency histogram and bracketing them with trace events
+    /// when either sink is live.
+    fn timed_series(&self, grid: &ScenarioGrid, s: &Series) -> SeriesBatch {
         self.tracer.begin("grid.series");
         let started = self.series_latency.is_live().then(std::time::Instant::now);
-        let batch = evaluate_series(grid, s);
+        let outcomes = evaluate_series(grid, s);
+        let front = series_front(&outcomes);
         if let Some(started) = started {
             self.series_latency.record(started.elapsed());
         }
         self.tracer.end("grid.series");
-        batch
+        (outcomes, front)
     }
 }
+
+/// One evaluated series: every `(cell index, outcome)`, and the
+/// `(cell index, objectives)` of its own Pareto frontier.
+type SeriesBatch = (Vec<(usize, CellOutcome)>, Vec<(usize, [f64; 3])>);
 
 /// Adds `cells` to `grid.worker.{worker}.cells`, registering the counter
 /// on first use, so a snapshot lists only workers that were spawned.
@@ -210,7 +214,8 @@ impl GridExecutor {
     /// The one exploration pass. The cells stream into the series
     /// planner; with a cache, each hit fills its slot on the way and only
     /// misses go on. Evaluated outcomes fill their slots (and the cache)
-    /// as they arrive, and every outcome is offered to the frontier.
+    /// as they arrive. The feasible hits and every series' front are the
+    /// frontier candidates, swept once more at assembly.
     fn explore_with(
         &self,
         grid: &ScenarioGrid,
@@ -227,7 +232,7 @@ impl GridExecutor {
             .interner_keys
             .add(interner.interned_strings() as u64);
 
-        let mut frontier = FrontierBuilder::new();
+        let mut candidates: Vec<(usize, [f64; 3])> = Vec::new();
         let mut outcomes: Vec<Option<CellOutcome>> = vec![None; grid.len()];
         let mut key = String::new();
         let misses = grid.cells().filter(|cell| {
@@ -238,30 +243,31 @@ impl GridExecutor {
             let Some(outcome) = cache.lookup(&key) else {
                 return true;
             };
-            frontier.insert_outcome(cell.index, &outcome);
+            if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
+                candidates.push((cell.index, objectives));
+            }
             outcomes[cell.index] = Some(outcome);
             false
         });
         let series = plan_series(misses);
-        self.evaluate(grid, &series, |index, outcome| {
-            frontier.insert_outcome(index, &outcome);
+        let fronts = self.evaluate(grid, &series, |index, outcome| {
             if let Some(cache) = cache.as_deref_mut() {
                 cache.insert(interner.resolve(&grid.cell(index)), outcome.clone());
             }
             outcomes[index] = Some(outcome);
         });
+        candidates.extend(fronts);
 
         let _assemble = self.telemetry.assemble_span.start();
-        self.telemetry.frontier_inserts.add(frontier.inserts());
-        self.telemetry.frontier_evictions.add(frontier.evictions());
-        self.telemetry
-            .frontier_dominance_checks
-            .add(frontier.dominance_checks());
         let outcomes: Vec<CellOutcome> = outcomes
             .into_iter()
             .map(|o| o.expect("every cell is cached or evaluated"))
             .collect();
-        let frontier = resolve_frontier(grid, &outcomes, frontier);
+        let frontier = resolve_frontier(grid, &outcomes, &candidates);
+        self.telemetry.frontier_inserts.add(candidates.len() as u64);
+        self.telemetry
+            .frontier_evictions
+            .add((candidates.len() - frontier.len()) as u64);
         Ok(GridResults {
             grid: grid.clone(),
             outcomes,
@@ -271,9 +277,9 @@ impl GridExecutor {
 
     /// Resolves an explicit list of cells against `cache`: cached cells
     /// count as hits, the rest are evaluated (fanned out on this
-    /// executor's threads) and inserted. No results are assembled — this
-    /// is the shard-worker primitive, which only needs the cache filled
-    /// for the cells of its slice (see
+    /// executor's threads) and inserted. No results are assembled and the
+    /// series fronts are dropped — this is the shard-worker primitive,
+    /// which only needs the cache filled for the cells of its slice (see
     /// [`ScenarioGrid::unique_cells`](crate::ScenarioGrid::unique_cells)
     /// for the canonical slicing domain).
     ///
@@ -306,21 +312,21 @@ impl GridExecutor {
     }
 
     /// Evaluates `series` — one capability model per rate-axis series —
-    /// on at most one thread per series.
+    /// on at most one thread per series, and returns the series' fronts
+    /// concatenated in arrival order.
     ///
     /// `deliver` receives every `(cell index, outcome)` pair **as results
     /// stream in** (on the calling thread, in arrival order) — the hook
-    /// the outcome slots, the cache and the incremental frontier ride, so
-    /// aggregation overlaps evaluation instead of re-scanning a finished
-    /// list.
+    /// the outcome slots and the cache ride.
     fn evaluate(
         &self,
         grid: &ScenarioGrid,
         series: &[Series],
         mut deliver: impl FnMut(usize, CellOutcome),
-    ) {
+    ) -> Vec<(usize, [f64; 3])> {
+        let mut fronts = Vec::new();
         if series.is_empty() {
-            return;
+            return fronts;
         }
         let _eval = self.telemetry.eval_span.start();
         let cells: usize = series.iter().map(Series::len).sum();
@@ -330,12 +336,16 @@ impl GridExecutor {
             .models_reused
             .add((cells - series.len()) as u64);
         let workers = self.threads.min(series.len());
+        let mut collect = |(outcomes, front): SeriesBatch| {
+            for (index, outcome) in outcomes {
+                deliver(index, outcome);
+            }
+            fronts.extend(front);
+        };
         if workers == 1 {
             tally_worker(&self.metrics, 0, cells as u64);
             for s in series {
-                for (index, outcome) in self.telemetry.timed_series(grid, s) {
-                    deliver(index, outcome);
-                }
+                collect(self.telemetry.timed_series(grid, s));
             }
         } else {
             fan_out(
@@ -344,23 +354,24 @@ impl GridExecutor {
                 workers,
                 &self.telemetry,
                 &self.metrics,
-                deliver,
+                collect,
             );
         }
+        fronts
     }
 }
 
 /// Evaluates the planned `series` on `workers` threads, handing each
-/// `(cell index, outcome)` to `deliver`.
+/// series' batch to `collect`.
 ///
-/// Workers claim whole series from the cursor and send one batched
-/// result vector per series; each worker tallies its evaluated cells in
-/// a thread-local count and publishes once on exit into
+/// Workers claim whole series from the cursor and send one batch (the
+/// outcomes and the series' front) per series; each worker tallies its
+/// evaluated cells in a thread-local count and publishes once on exit into
 /// `grid.worker.{i}.cells` ([`tally_worker`]) — the hot loop performs no
 /// shared-memory telemetry traffic and one channel send per *series*,
 /// not per cell.
 ///
-/// `deliver` runs on the collecting (calling) thread only, in batch
+/// `collect` runs on the collecting (calling) thread only, in batch
 /// arrival order — workers never touch it, so it needs no
 /// synchronisation and may borrow freely from the caller's stack.
 fn fan_out(
@@ -369,10 +380,10 @@ fn fan_out(
     workers: usize,
     telemetry: &ExecTelemetry,
     metrics: &Metrics,
-    mut deliver: impl FnMut(usize, CellOutcome),
+    collect: impl FnMut(SeriesBatch),
 ) {
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<Vec<(usize, CellOutcome)>>();
+    let (tx, rx) = mpsc::channel::<SeriesBatch>();
     thread::scope(|scope| {
         for worker in 0..workers {
             let tx = tx.clone();
@@ -383,7 +394,7 @@ fn fan_out(
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(s) = series.get(i) else { break };
                     let batch = telemetry.timed_series(grid, s);
-                    evaluated += batch.len() as u64;
+                    evaluated += batch.0.len() as u64;
                     if tx.send(batch).is_err() {
                         break;
                     }
@@ -392,11 +403,7 @@ fn fan_out(
             });
         }
         drop(tx);
-        for batch in rx {
-            for (index, outcome) in batch {
-                deliver(index, outcome);
-            }
-        }
+        rx.into_iter().for_each(collect);
     });
 }
 
@@ -573,6 +580,23 @@ mod tests {
             })
             .sum();
         assert_eq!(workers, results.total_cells() as u64);
+        // The frontier sweeps see the same candidates on any thread count.
+        let serial_metrics = Metrics::enabled();
+        GridExecutor::serial()
+            .with_metrics(&serial_metrics)
+            .explore(&grid)
+            .unwrap();
+        let serial_snapshot = serial_metrics.snapshot();
+        for name in ["frontier.inserts", "frontier.evictions"] {
+            assert_eq!(
+                snapshot.counter(name),
+                serial_snapshot.counter(name),
+                "{name}"
+            );
+        }
+        let inserts = snapshot.counter("frontier.inserts").unwrap();
+        let evictions = snapshot.counter("frontier.evictions").unwrap();
+        assert_eq!(inserts - evictions, results.pareto_frontier().len() as u64);
     }
 
     #[test]

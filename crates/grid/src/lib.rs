@@ -24,7 +24,10 @@
 //!    [`GridError::DuplicateAxisEntry`] instead of being shared.
 //! 3. **Aggregation** — outcomes fold into a Pareto frontier over
 //!    (energy saving, capacity utilisation, device lifetime), the
-//!    three non-functional properties of the paper.
+//!    three non-functional properties of the paper. Each worker sweeps
+//!    the series it evaluated to that series' frontier
+//!    ([`non_dominated`]), and one final sweep over those fronts and the
+//!    feasible cache hits gives the grid's frontier.
 //!
 //! An optional sim-backed validation mode replays chosen cells through
 //! `memstream_sim` and reports model-vs-simulation deltas.
@@ -73,7 +76,7 @@ pub use key::KeyInterner;
 pub use memstream_telemetry as telemetry;
 pub use memstream_telemetry::Metrics;
 pub use spec::{DeviceEntry, GridCell, GridError, ScenarioGrid, WorkloadProfile};
-pub use store::{non_dominated, FrontierBuilder, ParetoPoint};
+pub use store::{non_dominated, ParetoPoint};
 pub use validate::{
     validate_frontier, FrontierValidation, SkipReason, ValidationRow, ValidationSkip,
 };

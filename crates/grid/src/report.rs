@@ -7,133 +7,145 @@
 
 use std::fmt::Write as _;
 
-use memstream_core::{render_ascii_chart, to_csv, AsciiChart, Axis, Series};
+use memstream_core::{csv_field, render_ascii_chart, to_csv, AsciiChart, Axis, Series};
 
 use crate::eval::CellOutcome;
 use crate::exec::GridResults;
-use crate::spec::GridCell;
+use crate::spec::{GridCell, ScenarioGrid};
 use crate::validate::ValidationRow;
 
 const GOAL_GLYPHS: [char; 6] = ['*', 'o', '+', 'x', '#', '@'];
 
-fn cell_labels(results: &GridResults, cell: &GridCell) -> (String, String, f64, String) {
-    let grid = results.grid();
-    (
-        grid.devices()[cell.device].name().to_owned(),
-        grid.workloads()[cell.workload].name().to_owned(),
-        grid.rates()[cell.rate].kilobits_per_second(),
-        grid.goals()[cell.goal].to_string(),
-    )
+/// The CSV fields of a grid's device, workload and goal names, each
+/// formatted and escaped once however many rows repeat it.
+struct AxisLabels {
+    devices: Vec<String>,
+    workloads: Vec<String>,
+    goals: Vec<String>,
+}
+
+impl AxisLabels {
+    fn of(grid: &ScenarioGrid) -> Self {
+        let field = |name: &str| csv_field(name).into_owned();
+        AxisLabels {
+            devices: grid.devices().iter().map(|d| field(d.name())).collect(),
+            workloads: grid.workloads().iter().map(|w| field(w.name())).collect(),
+            goals: grid.goals().iter().map(|g| field(&g.to_string())).collect(),
+        }
+    }
+
+    /// Writes the `device,workload,rate_kbps,goal` fields of `cell`.
+    fn write(&self, out: &mut String, grid: &ScenarioGrid, cell: &GridCell) {
+        let _ = write!(
+            out,
+            "{},{},{:.3},{}",
+            self.devices[cell.device],
+            self.workloads[cell.workload],
+            grid.rates()[cell.rate].kilobits_per_second(),
+            self.goals[cell.goal],
+        );
+    }
+}
+
+/// Writes `value` with `decimals` decimals, or `-` when there is none.
+fn write_or_dash(out: &mut String, value: Option<f64>, decimals: usize) {
+    match value {
+        Some(value) => {
+            let _ = write!(out, "{value:.decimals$}");
+        }
+        None => out.push('-'),
+    }
 }
 
 /// The Pareto frontier as CSV, one row per frontier point.
 #[must_use]
 pub fn frontier_csv(results: &GridResults) -> String {
-    let rows: Vec<Vec<String>> = results
-        .pareto_frontier()
-        .iter()
-        .map(|p| {
-            let (device, workload, kbps, goal) = cell_labels(results, &p.cell);
-            vec![
-                device,
-                workload,
-                format!("{kbps:.3}"),
-                goal,
-                format!("{:.3}", p.point.buffer.kibibytes()),
-                p.point.dominant.to_owned(),
-                format!("{:.2}", p.objectives()[0] * 100.0),
-                format!("{:.2}", p.point.utilization.percent()),
-                format!("{:.2}", p.point.lifetime.get()),
-                p.point.energy_per_bit.map_or_else(
-                    || "-".to_owned(),
-                    |e| format!("{:.3}", e.nanojoules_per_bit()),
-                ),
-            ]
-        })
-        .collect();
-    to_csv(
-        &[
-            "device",
-            "workload",
-            "rate_kbps",
-            "goal",
-            "buffer_kib",
-            "dominant",
-            "saving_pct",
-            "utilization_pct",
-            "lifetime_years",
-            "energy_nj_per_bit",
-        ],
-        &rows,
-    )
+    let mut out = String::new();
+    write_frontier_csv(&mut out, results);
+    out
+}
+
+/// Appends [`frontier_csv`] to `out`.
+fn write_frontier_csv(out: &mut String, results: &GridResults) {
+    let grid = results.grid();
+    let labels = AxisLabels::of(grid);
+    let frontier = results.pareto_frontier();
+    out.reserve(128 * (frontier.len() + 1));
+    out.push_str(
+        "device,workload,rate_kbps,goal,buffer_kib,dominant,saving_pct,\
+         utilization_pct,lifetime_years,energy_nj_per_bit\n",
+    );
+    for p in frontier {
+        labels.write(out, grid, &p.cell);
+        let _ = write!(
+            out,
+            ",{:.3},{},{:.2},{:.2},{:.2},",
+            p.point.buffer.kibibytes(),
+            csv_field(p.point.dominant),
+            p.objectives()[0] * 100.0,
+            p.point.utilization.percent(),
+            p.point.lifetime.get(),
+        );
+        write_or_dash(
+            out,
+            p.point.energy_per_bit.map(|e| e.nanojoules_per_bit()),
+            3,
+        );
+        out.push('\n');
+    }
 }
 
 /// Every cell of the grid as CSV (feasible, infeasible and disk cells).
 #[must_use]
 pub fn cells_csv(results: &GridResults) -> String {
-    let rows: Vec<Vec<String>> = results
-        .records()
-        .map(|(cell, outcome)| {
-            let (device, workload, kbps, goal) = cell_labels(results, &cell);
-            let (buffer, saving, util, life, note) = match outcome {
-                CellOutcome::Feasible(p) => (
-                    format!("{:.3}", p.buffer.kibibytes()),
-                    p.saving
-                        .map_or_else(|| "-".to_owned(), |s| format!("{:.2}", s * 100.0)),
-                    format!("{:.2}", p.utilization.percent()),
-                    format!("{:.2}", p.lifetime.get()),
-                    String::new(),
-                ),
-                CellOutcome::Infeasible(err) | CellOutcome::Unmodelled(err) => (
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    "-".into(),
-                    err.to_string(),
-                ),
-                CellOutcome::EnergyOnly(p) => (
-                    p.buffer_for_saving
-                        .map_or_else(|| "-".to_owned(), |b| format!("{:.3}", b.kibibytes())),
-                    p.saving
-                        .map_or_else(|| "-".to_owned(), |s| format!("{:.2}", s * 100.0)),
-                    "-".into(),
-                    "-".into(),
-                    p.break_even.map_or_else(String::new, |b| {
-                        format!("break-even {:.3} KiB", b.kibibytes())
-                    }),
-                ),
-            };
-            vec![
-                cell.index.to_string(),
-                device,
-                workload,
-                format!("{kbps:.3}"),
-                goal,
-                outcome.region().to_owned(),
-                buffer,
-                saving,
-                util,
-                life,
-                note,
-            ]
-        })
-        .collect();
-    to_csv(
-        &[
-            "cell",
-            "device",
-            "workload",
-            "rate_kbps",
-            "goal",
-            "region",
-            "buffer_kib",
-            "saving_pct",
-            "utilization_pct",
-            "lifetime_years",
-            "note",
-        ],
-        &rows,
-    )
+    let mut out = String::new();
+    write_cells_csv(&mut out, results);
+    out
+}
+
+/// Appends [`cells_csv`] to `out`.
+fn write_cells_csv(out: &mut String, results: &GridResults) {
+    let grid = results.grid();
+    let labels = AxisLabels::of(grid);
+    out.reserve(128 * (results.total_cells() + 1));
+    out.push_str(
+        "cell,device,workload,rate_kbps,goal,region,buffer_kib,saving_pct,\
+         utilization_pct,lifetime_years,note\n",
+    );
+    let mut note = String::new();
+    for (cell, outcome) in results.records() {
+        let _ = write!(out, "{},", cell.index);
+        labels.write(out, grid, &cell);
+        let _ = write!(out, ",{},", csv_field(outcome.region()));
+        note.clear();
+        match outcome {
+            CellOutcome::Feasible(p) => {
+                let _ = write!(out, "{:.3},", p.buffer.kibibytes());
+                write_or_dash(out, p.saving.map(|s| s * 100.0), 2);
+                let _ = write!(
+                    out,
+                    ",{:.2},{:.2},",
+                    p.utilization.percent(),
+                    p.lifetime.get()
+                );
+            }
+            CellOutcome::Infeasible(err) | CellOutcome::Unmodelled(err) => {
+                out.push_str("-,-,-,-,");
+                let _ = write!(note, "{err}");
+            }
+            CellOutcome::EnergyOnly(p) => {
+                write_or_dash(out, p.buffer_for_saving.map(|b| b.kibibytes()), 3);
+                out.push(',');
+                write_or_dash(out, p.saving.map(|s| s * 100.0), 2);
+                out.push_str(",-,-,");
+                if let Some(b) = p.break_even {
+                    let _ = write!(note, "break-even {:.3} KiB", b.kibibytes());
+                }
+            }
+        }
+        out.push_str(&csv_field(&note));
+        out.push('\n');
+    }
 }
 
 /// The frontier as an ASCII chart: buffer (log x) against energy saving,
@@ -173,7 +185,9 @@ pub fn summary(results: &GridResults) -> String {
     let mut infeasible = 0usize;
     let mut disk = 0usize;
     let mut unmodelled = 0usize;
-    for (_, outcome) in results.records() {
+    // Counting needs only the outcomes; `records()` would also derive
+    // every cell's coordinates.
+    for outcome in (0..results.total_cells()).map(|index| results.outcome(index)) {
         match outcome {
             CellOutcome::Feasible(_) => feasible += 1,
             CellOutcome::Infeasible(_) => infeasible += 1,
@@ -231,9 +245,13 @@ pub fn grid_stdout(results: &GridResults, full_csv: bool) -> String {
     out.push_str(&summary(results));
     let _ = writeln!(out);
     out.push_str(&frontier_chart(results));
-    let _ = writeln!(out, "pareto frontier csv:\n{}", frontier_csv(results));
+    out.push_str("pareto frontier csv:\n");
+    write_frontier_csv(&mut out, results);
+    out.push('\n');
     if full_csv {
-        let _ = writeln!(out, "all cells csv:\n{}", cells_csv(results));
+        out.push_str("all cells csv:\n");
+        write_cells_csv(&mut out, results);
+        out.push('\n');
     }
     out
 }
@@ -297,6 +315,83 @@ mod tests {
         let text = frontier_chart(&results());
         assert!(text.contains("E = 80.0%"));
         assert!(text.contains("E = 70.0%"));
+    }
+
+    /// Splits RFC 4180 text into records of fields: a quoted field may
+    /// hold commas, newlines and doubled quotes.
+    fn parse_csv(text: &str) -> Vec<Vec<String>> {
+        let (mut records, mut record, mut field) = (Vec::new(), Vec::new(), String::new());
+        let mut quoted = false;
+        let mut chars = text.chars().peekable();
+        while let Some(c) = chars.next() {
+            match (quoted, c) {
+                (true, '"') if chars.peek() == Some(&'"') => {
+                    chars.next();
+                    field.push('"');
+                }
+                (true, '"') => quoted = false,
+                (false, '"') => quoted = true,
+                (false, ',') => record.push(std::mem::take(&mut field)),
+                (false, '\n') => {
+                    record.push(std::mem::take(&mut field));
+                    records.push(std::mem::take(&mut record));
+                }
+                (_, c) => field.push(c),
+            }
+        }
+        assert!(
+            !quoted && record.is_empty() && field.is_empty(),
+            "unterminated record"
+        );
+        records
+    }
+
+    #[test]
+    fn hostile_axis_names_survive_both_csvs() {
+        use crate::spec::{DeviceEntry, WorkloadProfile};
+        use memstream_core::DesignGoal;
+        use memstream_device::MemsDevice;
+        use memstream_units::BitRate;
+        use memstream_workload::Workload;
+
+        let devices = ["a,b", "say \"hi\""];
+        let workload = "two\nlines";
+        let grid = ScenarioGrid::new()
+            .device(DeviceEntry::new(devices[0], MemsDevice::table1()))
+            .device(DeviceEntry::new(
+                devices[1],
+                MemsDevice::table1()
+                    .with_probe_write_cycles(200.0)
+                    .with_spring_duty_cycles(1e12),
+            ))
+            .workload(WorkloadProfile::new(
+                workload,
+                Workload::paper_default(BitRate::from_kbps(1024.0)),
+            ))
+            .rate_span(32.0, 4096.0, 6)
+            .goal(DesignGoal::fig3a())
+            .goal(DesignGoal::fig3b());
+        let r = GridExecutor::serial().explore(&grid).unwrap();
+        assert!(!r.pareto_frontier().is_empty());
+        // (text, rows expected, index of the device field)
+        for (csv, rows, device) in [
+            (frontier_csv(&r), r.pareto_frontier().len(), 0),
+            (cells_csv(&r), r.total_cells(), 1),
+        ] {
+            let records = parse_csv(&csv);
+            assert_eq!(records.len(), 1 + rows, "{csv}");
+            let width = records[0].len();
+            assert_eq!(records[0][device], "device");
+            for record in &records[1..] {
+                assert_eq!(record.len(), width, "{record:?}");
+                assert!(devices.contains(&record[device].as_str()), "{record:?}");
+                assert_eq!(record[device + 1], workload);
+            }
+        }
+        let cells = parse_csv(&cells_csv(&r));
+        for name in devices {
+            assert!(cells.iter().any(|record| record[1] == name), "{name}");
+        }
     }
 
     #[test]

@@ -2,11 +2,9 @@
 //! [`CacheView`] must answer exactly like an eager load (and warm probes
 //! must not decode a record), a merge must give the same bytes whichever
 //! side holds which entries and whether the target is still lazily
-//! backed by its file, and the incremental frontier must survive exactly
-//! the batch non-domination scan, with a plain scan's counts. Each
-//! property runs over arbitrary subsets of a real explored corpus, so
-//! every outcome variant the models actually produce is exercised — not
-//! just hand-built fixtures.
+//! backed by its file. Each property runs over arbitrary subsets of a
+//! real explored corpus, so every outcome variant the models actually
+//! produce is exercised — not just hand-built fixtures.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -14,8 +12,7 @@ use std::sync::OnceLock;
 
 use memstream_core::ModelError;
 use memstream_grid::{
-    non_dominated, CacheFormat, CacheView, CellOutcome, FrontierBuilder, GridExecutor, Metrics,
-    ResultCache, ScenarioGrid,
+    CacheFormat, CacheView, CellOutcome, GridExecutor, Metrics, ResultCache, ScenarioGrid,
 };
 use proptest::prelude::*;
 
@@ -213,62 +210,4 @@ proptest! {
         prop_assert_eq!(lazy.len(), len_before);
         std::fs::remove_file(file).ok();
     }
-
-    /// The incremental frontier builder keeps exactly the batch
-    /// non-dominated set, whatever the insertion order, and counts the
-    /// same inserts and evictions as a plain scan of every incumbent.
-    /// Each head point is followed by a run of points it dominates, so
-    /// consecutive offers share a dominator the way a series' cells do,
-    /// and the next head may or may not be dominated by it.
-    #[test]
-    fn incremental_frontier_equals_batch_non_domination(
-        raw in prop::collection::vec(
-            (
-                (0.0..1.0f64, 0.0..1.0f64, 0.0..20.0f64),
-                prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..1.0f64), 0..6),
-            ),
-            0..25,
-        )
-    ) {
-        let mut points: Vec<[f64; 3]> = Vec::new();
-        for (head, run) in &raw {
-            let &(a, b, c) = head;
-            points.push([a, b, c]);
-            points.extend(run.iter().map(|&(x, y, z)| [a * x, b * y, c * z]));
-        }
-        let mut builder = FrontierBuilder::new();
-        for (i, &p) in points.iter().enumerate() {
-            builder.insert(i, p);
-        }
-        let (inserts, evictions) = (builder.inserts(), builder.evictions());
-        let survivors: Vec<usize> = builder.finish().into_iter().map(|(i, _)| i).collect();
-        let (plain_survivors, plain_inserts, plain_evictions) = plain_scan_frontier(&points);
-        prop_assert_eq!(&survivors, &non_dominated(&points));
-        prop_assert_eq!(survivors, plain_survivors);
-        prop_assert_eq!(inserts, plain_inserts);
-        prop_assert_eq!(evictions, plain_evictions);
-    }
-}
-
-/// The incremental frontier by a plain scan: every offer is tested
-/// against every incumbent. Returns the survivors in index order, the
-/// offers that joined and the incumbents evicted.
-fn plain_scan_frontier(points: &[[f64; 3]]) -> (Vec<usize>, u64, u64) {
-    let dominates = |a: &[f64; 3], b: &[f64; 3]| {
-        a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
-    };
-    let mut held: Vec<usize> = Vec::new();
-    let (mut inserts, mut evictions) = (0, 0);
-    for (i, p) in points.iter().enumerate() {
-        if held.iter().any(|&h| dominates(&points[h], p)) {
-            continue;
-        }
-        let before = held.len();
-        held.retain(|&h| !dominates(p, &points[h]));
-        evictions += (before - held.len()) as u64;
-        held.push(i);
-        inserts += 1;
-    }
-    held.sort_unstable();
-    (held, inserts, evictions)
 }

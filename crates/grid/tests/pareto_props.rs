@@ -7,6 +7,25 @@ fn dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
     a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
 }
 
+/// The O(n²) reference: every point tested against every other.
+fn reference_scan(points: &[[f64; 3]]) -> Vec<usize> {
+    (0..points.len())
+        .filter(|&i| !points.iter().any(|other| dominates(other, &points[i])))
+        .collect()
+}
+
+/// Coordinates that tie, compare equal across signs, sit at either end
+/// of the order, or compare false both ways.
+const TIE_VALUES: [f64; 7] = [
+    f64::NEG_INFINITY,
+    -0.0,
+    0.0,
+    0.5,
+    1.0,
+    f64::INFINITY,
+    f64::NAN,
+];
+
 proptest! {
     #[test]
     fn frontier_points_are_mutually_non_dominated(
@@ -61,5 +80,33 @@ proptest! {
         a.sort_unstable();
         b.sort_unstable();
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn ties_signed_zeros_infinities_and_nan_match_the_reference_scan(
+        raw in prop::collection::vec((0usize..7, 0usize..7, 0usize..7, 0usize..4), 0..61)
+    ) {
+        let points: Vec<[f64; 3]> = raw
+            .iter()
+            .map(|&(x, y, z, _)| [TIE_VALUES[x], TIE_VALUES[y], TIE_VALUES[z]])
+            .collect();
+        let frontier = non_dominated(&points);
+        prop_assert_eq!(&frontier, &reference_scan(&points));
+
+        // The executor's decomposition: sweep each group (a series), then
+        // sweep the union of the group survivors.
+        let mut survivors: Vec<usize> = Vec::new();
+        for group in 0..4 {
+            let members: Vec<usize> = (0..points.len()).filter(|&i| raw[i].3 == group).collect();
+            let group_points: Vec<[f64; 3]> = members.iter().map(|&i| points[i]).collect();
+            survivors.extend(non_dominated(&group_points).into_iter().map(|k| members[k]));
+        }
+        let union: Vec<[f64; 3]> = survivors.iter().map(|&i| points[i]).collect();
+        let mut merged: Vec<usize> = non_dominated(&union)
+            .into_iter()
+            .map(|k| survivors[k])
+            .collect();
+        merged.sort_unstable();
+        prop_assert_eq!(merged, frontier);
     }
 }

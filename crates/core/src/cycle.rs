@@ -2,8 +2,8 @@
 
 use std::fmt;
 
-use memstream_device::EnergyModelled;
-use memstream_units::{DataSize, Duration, Ratio};
+use memstream_device::{EnergyModelled, PowerState};
+use memstream_units::{BitRate, DataSize, Duration, Energy, Power, Ratio};
 use memstream_workload::Workload;
 
 use crate::error::ModelError;
@@ -36,6 +36,71 @@ impl fmt::Display for BestEffortPolicy {
     }
 }
 
+/// The six device numbers Eq. (1) reads — the media rate `rm`, the
+/// per-cycle overhead time `toh` and energy `Eoh`, and the standby,
+/// read/write and idle power — exactly as the device's [`EnergyModelled`]
+/// methods return them. A model built on a profile makes no device call.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct EnergyProfile {
+    media_rate: BitRate,
+    overhead_time: Duration,
+    overhead_energy: Energy,
+    standby_power: Power,
+    read_write_power: Power,
+    idle_power: Power,
+}
+
+impl EnergyProfile {
+    /// Reads the profile of `device`.
+    #[must_use]
+    pub fn of(device: &dyn EnergyModelled) -> Self {
+        EnergyProfile {
+            media_rate: device.media_rate(),
+            overhead_time: device.overhead_time(),
+            overhead_energy: device.overhead_energy(),
+            standby_power: device.power(PowerState::Standby),
+            read_write_power: device.power(PowerState::ReadWrite),
+            idle_power: device.power(PowerState::Idle),
+        }
+    }
+
+    /// Sustained media transfer rate `rm`.
+    #[must_use]
+    pub fn media_rate(&self) -> BitRate {
+        self.media_rate
+    }
+
+    /// Per-cycle overhead time `toh = tsk + tsd`.
+    #[must_use]
+    pub fn overhead_time(&self) -> Duration {
+        self.overhead_time
+    }
+
+    /// Per-cycle overhead energy `Eoh = Esk + Esd`.
+    #[must_use]
+    pub fn overhead_energy(&self) -> Energy {
+        self.overhead_energy
+    }
+
+    /// Power in [`PowerState::Standby`].
+    #[must_use]
+    pub fn standby_power(&self) -> Power {
+        self.standby_power
+    }
+
+    /// Power in [`PowerState::ReadWrite`].
+    #[must_use]
+    pub fn read_write_power(&self) -> Power {
+        self.read_write_power
+    }
+
+    /// Power in [`PowerState::Idle`].
+    #[must_use]
+    pub fn idle_power(&self) -> Power {
+        self.idle_power
+    }
+}
+
 /// Timing decomposition of one refill cycle (Fig. 1b).
 ///
 /// Every cycle, the buffer `B` drains at `rs` while the device:
@@ -44,7 +109,7 @@ impl fmt::Display for BestEffortPolicy {
 /// remainder. The cycle period is `Tm = B/(rm − rs) · rm/rs` (Eq. (1)).
 ///
 /// ```
-/// use memstream_core::{BestEffortPolicy, RefillCycle};
+/// use memstream_core::{BestEffortPolicy, EnergyProfile, RefillCycle};
 /// use memstream_device::MemsDevice;
 /// use memstream_units::{BitRate, DataSize};
 /// use memstream_workload::Workload;
@@ -53,7 +118,7 @@ impl fmt::Display for BestEffortPolicy {
 /// let device = MemsDevice::table1();
 /// let workload = Workload::paper_default(BitRate::from_kbps(1024.0));
 /// let cycle = RefillCycle::compute(
-///     &device,
+///     &EnergyProfile::of(&device),
 ///     &workload,
 ///     DataSize::from_kibibytes(20.0),
 ///     BestEffortPolicy::AtReadWrite,
@@ -82,14 +147,14 @@ impl RefillCycle {
     ///   best-effort reservation) exceeds the media rate.
     /// * [`ModelError::BufferBelowCycleMinimum`] if the buffer cannot cover
     ///   the seek + shutdown + best-effort time of a single cycle.
-    pub fn compute<E: EnergyModelled + ?Sized>(
-        device: &E,
+    pub fn compute(
+        profile: &EnergyProfile,
         workload: &Workload,
         buffer: DataSize,
         policy: BestEffortPolicy,
     ) -> Result<Self, ModelError> {
         let rs = workload.rate();
-        let rm = device.media_rate();
+        let rm = profile.media_rate();
         let be = effective_best_effort(workload, policy);
 
         // The refill must outrun the drain even after the reservation.
@@ -104,12 +169,12 @@ impl RefillCycle {
         // Tm = B/(rm - rs) * rm/rs ; tRW = B/(rm - rs).
         let t_rw = buffer / (rm - rs);
         let period = t_rw * (rm / rs);
-        let t_oh = device.overhead_time();
+        let t_oh = profile.overhead_time();
         let t_be = period * be;
 
         let active = t_rw + t_oh + t_be;
         if active > period {
-            let minimum = Self::min_buffer(device, workload, policy)?;
+            let minimum = Self::min_buffer(profile, workload, policy)?;
             return Err(ModelError::BufferBelowCycleMinimum {
                 buffer_bits: buffer.bits(),
                 minimum_bits: minimum.bits(),
@@ -135,17 +200,17 @@ impl RefillCycle {
     ///
     /// Returns [`ModelError::RateExceedsBandwidth`] if no buffer works at
     /// this stream rate.
-    pub fn min_buffer<E: EnergyModelled + ?Sized>(
-        device: &E,
+    pub fn min_buffer(
+        profile: &EnergyProfile,
         workload: &Workload,
         policy: BestEffortPolicy,
     ) -> Result<DataSize, ModelError> {
         let rs = workload.rate();
-        let rm = device.media_rate();
+        let rm = profile.media_rate();
         let be = effective_best_effort(workload, policy).fraction();
         // (1 - be) * Tm >= tRW + toh, with Tm = B*tau, tRW = B*rho:
         // B >= toh / ((1 - be) * tau - rho).
-        let tau = per_bit_period(device, workload);
+        let tau = per_bit_period(profile, workload);
         let rho = 1.0 / (rm - rs).bits_per_second();
         let denom = (1.0 - be) * tau - rho;
         if denom <= 0.0 {
@@ -155,7 +220,7 @@ impl RefillCycle {
             });
         }
         Ok(DataSize::from_bits(
-            device.overhead_time().seconds() / denom,
+            profile.overhead_time().seconds() / denom,
         ))
     }
 
@@ -229,18 +294,15 @@ impl fmt::Display for RefillCycle {
 }
 
 /// `τ = Tm / B = rm / (rs · (rm − rs))` seconds per buffered bit.
-pub(crate) fn per_bit_period<E: EnergyModelled + ?Sized>(device: &E, workload: &Workload) -> f64 {
-    let rm = device.media_rate().bits_per_second();
+pub(crate) fn per_bit_period(profile: &EnergyProfile, workload: &Workload) -> f64 {
+    let rm = profile.media_rate().bits_per_second();
     let rs = workload.rate().bits_per_second();
     rm / (rs * (rm - rs))
 }
 
 /// `ρ = tRW / B = 1 / (rm − rs)` seconds per buffered bit.
-pub(crate) fn per_bit_read_write<E: EnergyModelled + ?Sized>(
-    device: &E,
-    workload: &Workload,
-) -> f64 {
-    let rm = device.media_rate().bits_per_second();
+pub(crate) fn per_bit_read_write(profile: &EnergyProfile, workload: &Workload) -> f64 {
+    let rm = profile.media_rate().bits_per_second();
     let rs = workload.rate().bits_per_second();
     1.0 / (rm - rs)
 }
@@ -271,7 +333,8 @@ mod tests {
     fn period_matches_equation_one() {
         let (d, w) = setup(1024.0);
         let b = DataSize::from_kibibytes(20.0);
-        let c = RefillCycle::compute(&d, &w, b, BestEffortPolicy::AtReadWrite).unwrap();
+        let c = RefillCycle::compute(&EnergyProfile::of(&d), &w, b, BestEffortPolicy::AtReadWrite)
+            .unwrap();
         // Tm = B * rm / (rs * (rm - rs)).
         let expected = b.bits() * 102.4e6 / (1.024e6 * (102.4e6 - 1.024e6));
         assert!((c.period().seconds() - expected).abs() < 1e-12);
@@ -284,7 +347,7 @@ mod tests {
     fn decomposition_sums_to_period() {
         let (d, w) = setup(512.0);
         let c = RefillCycle::compute(
-            &d,
+            &EnergyProfile::of(&d),
             &w,
             DataSize::from_kibibytes(10.0),
             BestEffortPolicy::AtReadWrite,
@@ -299,7 +362,7 @@ mod tests {
     fn best_effort_is_five_percent_of_period() {
         let (d, w) = setup(1024.0);
         let c = RefillCycle::compute(
-            &d,
+            &EnergyProfile::of(&d),
             &w,
             DataSize::from_kibibytes(20.0),
             BestEffortPolicy::AtReadWrite,
@@ -312,7 +375,7 @@ mod tests {
     fn excluded_policy_has_no_best_effort_time() {
         let (d, w) = setup(1024.0);
         let c = RefillCycle::compute(
-            &d,
+            &EnergyProfile::of(&d),
             &w,
             DataSize::from_kibibytes(20.0),
             BestEffortPolicy::Excluded,
@@ -325,7 +388,7 @@ mod tests {
     fn tiny_buffer_is_rejected_with_minimum() {
         let (d, w) = setup(1024.0);
         let err = RefillCycle::compute(
-            &d,
+            &EnergyProfile::of(&d),
             &w,
             DataSize::from_bits(10.0),
             BestEffortPolicy::AtReadWrite,
@@ -342,10 +405,11 @@ mod tests {
     #[test]
     fn min_buffer_is_exactly_workable() {
         let (d, w) = setup(1024.0);
-        let min = RefillCycle::min_buffer(&d, &w, BestEffortPolicy::AtReadWrite).unwrap();
-        let c = RefillCycle::compute(&d, &w, min, BestEffortPolicy::AtReadWrite).unwrap();
+        let p = EnergyProfile::of(&d);
+        let min = RefillCycle::min_buffer(&p, &w, BestEffortPolicy::AtReadWrite).unwrap();
+        let c = RefillCycle::compute(&p, &w, min, BestEffortPolicy::AtReadWrite).unwrap();
         assert!(c.standby_time().seconds() < 1e-9, "standby ~0 at the floor");
-        assert!(RefillCycle::compute(&d, &w, min * 0.99, BestEffortPolicy::AtReadWrite).is_err());
+        assert!(RefillCycle::compute(&p, &w, min * 0.99, BestEffortPolicy::AtReadWrite).is_err());
     }
 
     #[test]
@@ -354,7 +418,7 @@ mod tests {
         // 102.4 Mbps media rate; ask for 101 Mbps with a 5% reservation.
         let w = Workload::paper_default(BitRate::from_mbps(101.0));
         let err = RefillCycle::compute(
-            &d,
+            &EnergyProfile::of(&d),
             &w,
             DataSize::from_mebibytes(1.0),
             BestEffortPolicy::AtReadWrite,
@@ -367,7 +431,8 @@ mod tests {
     fn refills_per_year_matches_equation_five_term() {
         let (d, w) = setup(1024.0);
         let b = DataSize::from_kibibytes(92.0);
-        let c = RefillCycle::compute(&d, &w, b, BestEffortPolicy::AtReadWrite).unwrap();
+        let c = RefillCycle::compute(&EnergyProfile::of(&d), &w, b, BestEffortPolicy::AtReadWrite)
+            .unwrap();
         let expected = 10_512_000.0 * 1_024_000.0 / b.bits();
         assert!((c.refills_per_year(&w) - expected).abs() < 1.0);
     }
@@ -376,9 +441,9 @@ mod tests {
         #[test]
         fn standby_grows_with_buffer(kib in 3.0..1000.0f64) {
             let (d, w) = setup(1024.0);
-            let small = RefillCycle::compute(&d, &w,
+            let small = RefillCycle::compute(&EnergyProfile::of(&d), &w,
                 DataSize::from_kibibytes(kib), BestEffortPolicy::AtReadWrite).unwrap();
-            let big = RefillCycle::compute(&d, &w,
+            let big = RefillCycle::compute(&EnergyProfile::of(&d), &w,
                 DataSize::from_kibibytes(kib * 2.0), BestEffortPolicy::AtReadWrite).unwrap();
             prop_assert!(big.standby_time() > small.standby_time());
             // ...and the active *fraction* shrinks.
@@ -388,7 +453,7 @@ mod tests {
         #[test]
         fn decomposition_always_balances(kib in 3.0..500.0f64, kbps in 32.0..4096.0f64) {
             let (d, w) = setup(kbps);
-            if let Ok(c) = RefillCycle::compute(&d, &w,
+            if let Ok(c) = RefillCycle::compute(&EnergyProfile::of(&d), &w,
                 DataSize::from_kibibytes(kib), BestEffortPolicy::AtReadWrite) {
                 let total = c.read_write_time() + c.overhead_time()
                     + c.best_effort_time() + c.standby_time();

@@ -6,17 +6,18 @@
 //! same component models ([`EnergyModel`], [`CapacityModel`],
 //! [`LifetimeModel`], [`BufferDimensioner`]) from *any*
 //! [`StorageDevice`] that exposes the energy, wear and utilisation
-//! capabilities — the path the scenario grid dispatches every registered
-//! device through. For a MEMS device the two paths produce bit-identical
-//! numbers; for a flash device this is the only path.
+//! capabilities — the one path the scenario grid takes for every such
+//! device, whatever its type; its energy arithmetic reads the device's
+//! [`EnergyProfile`] once. For a MEMS device the two paths produce
+//! bit-identical numbers; for a flash device this is the only path.
 
-use memstream_device::{DramModel, EnergyModelled, StorageDevice, UtilizationSpec, WearModelled};
+use memstream_device::{DramModel, StorageDevice, UtilizationSpec, WearModelled};
 use memstream_media::SectorFormat;
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 use memstream_workload::Workload;
 
 use crate::capacity::CapacityModel;
-use crate::cycle::BestEffortPolicy;
+use crate::cycle::{BestEffortPolicy, EnergyProfile};
 use crate::dimension::{BufferDimensioner, BufferPlan};
 use crate::energy::EnergyModel;
 use crate::error::ModelError;
@@ -44,43 +45,18 @@ use crate::lifetime::LifetimeModel;
 /// # Ok(())
 /// # }
 /// ```
-/// Both device type parameters default to trait objects, so the historical
-/// `CapabilityModel<'a>` spelling keeps meaning "any registered device
-/// behind `&dyn`". Instantiating with a concrete device type (via
-/// [`CapabilityModel::from_device`]) monomorphizes every component model —
-/// the grid's series fast path for the registered mems/disk/flash devices,
-/// which produces bit-identical numbers because the math is unchanged.
-#[derive(Debug)]
-pub struct CapabilityModel<
-    'a,
-    E: EnergyModelled + ?Sized = dyn EnergyModelled + 'a,
-    W: WearModelled + ?Sized = dyn WearModelled + 'a,
-> {
+#[derive(Debug, Clone)]
+pub struct CapabilityModel<'a> {
     capacity: DataSize,
-    energy: &'a E,
-    wear: &'a W,
+    energy: EnergyProfile,
+    wear: &'a dyn WearModelled,
     utilization: UtilizationSpec,
     workload: Workload,
     dram: Option<DramModel>,
     policy: BestEffortPolicy,
 }
 
-impl<E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> Clone for CapabilityModel<'_, E, W> {
-    fn clone(&self) -> Self {
-        CapabilityModel {
-            capacity: self.capacity,
-            energy: self.energy,
-            wear: self.wear,
-            utilization: self.utilization,
-            workload: self.workload,
-            dram: self.dram.clone(),
-            policy: self.policy,
-        }
-    }
-}
-
-/// The utilisation sanity check shared by every constructor, so the dyn
-/// and monomorphized paths reject malformed specs with identical errors.
+/// The utilisation sanity check of [`CapabilityModel::new`].
 fn validate_utilization(utilization: UtilizationSpec) -> Result<(), ModelError> {
     match utilization {
         UtilizationSpec::Constant { fraction } if !(fraction > 0.0 && fraction <= 1.0) => {
@@ -99,7 +75,7 @@ fn validate_utilization(utilization: UtilizationSpec) -> Result<(), ModelError> 
 
 impl<'a> CapabilityModel<'a> {
     /// Assembles the model, checking that the device exposes every
-    /// capability the full pipeline needs.
+    /// capability the full pipeline needs; reads its [`EnergyProfile`] once.
     ///
     /// # Errors
     ///
@@ -127,7 +103,7 @@ impl<'a> CapabilityModel<'a> {
         validate_utilization(utilization)?;
         Ok(CapabilityModel {
             capacity: device.capacity(),
-            energy,
+            energy: EnergyProfile::of(energy),
             wear,
             utilization,
             workload,
@@ -135,55 +111,7 @@ impl<'a> CapabilityModel<'a> {
             policy,
         })
     }
-}
 
-impl<'a, D> CapabilityModel<'a, D, D>
-where
-    D: StorageDevice + EnergyModelled + WearModelled,
-{
-    /// Monomorphized assembly for a device type that models its own energy
-    /// and wear (the registered mems/disk/flash devices all do): every
-    /// capability dispatch is resolved at compile time.
-    ///
-    /// The capability presence checks go through the same [`StorageDevice`]
-    /// accessors as [`CapabilityModel::new`], so a device that masks a
-    /// capability (reports `None`) is rejected with the identical error
-    /// even though the trait bound could satisfy it.
-    ///
-    /// # Errors
-    ///
-    /// As for [`CapabilityModel::new`].
-    pub fn from_device(
-        device: &'a D,
-        workload: Workload,
-        dram: Option<DramModel>,
-        policy: BestEffortPolicy,
-    ) -> Result<Self, ModelError> {
-        if device.energy().is_none() {
-            return Err(ModelError::MissingCapability {
-                capability: "energy",
-            });
-        }
-        if device.wear().is_none() {
-            return Err(ModelError::MissingCapability { capability: "wear" });
-        }
-        let utilization = device.utilization().ok_or(ModelError::MissingCapability {
-            capability: "utilization",
-        })?;
-        validate_utilization(utilization)?;
-        Ok(CapabilityModel {
-            capacity: device.capacity(),
-            energy: device,
-            wear: device,
-            utilization,
-            workload,
-            dram,
-            policy,
-        })
-    }
-}
-
-impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> CapabilityModel<'a, E, W> {
     /// The modelled device's media capacity.
     #[must_use]
     pub fn capacity(&self) -> DataSize {
@@ -212,8 +140,8 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> CapabilityModel<'
 
     /// The energy component model (§III-A).
     #[must_use]
-    pub fn energy_model(&self) -> EnergyModel<'_, E> {
-        EnergyModel::new(self.energy, self.workload, self.policy, self.dram.as_ref())
+    pub fn energy_model(&self) -> EnergyModel<'_> {
+        EnergyModel::from_profile(self.energy, self.workload, self.policy, self.dram.as_ref())
     }
 
     /// The capacity component model (§III-B).
@@ -231,13 +159,13 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> CapabilityModel<'
 
     /// The lifetime component model (§III-C).
     #[must_use]
-    pub fn lifetime_model(&self) -> LifetimeModel<'_, W> {
+    pub fn lifetime_model(&self) -> LifetimeModel {
         LifetimeModel::new(self.wear, self.workload, self.capacity_model())
     }
 
     /// The combined dimensioner (§IV-C).
     #[must_use]
-    pub fn dimensioner(&self) -> BufferDimensioner<'_, E, W> {
+    pub fn dimensioner(&self) -> BufferDimensioner<'_> {
         BufferDimensioner::new(
             self.energy_model(),
             self.capacity_model(),
@@ -289,7 +217,7 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> CapabilityModel<'
 mod tests {
     use super::*;
     use crate::system::SystemModel;
-    use memstream_device::{DiskDevice, FlashDevice, MemsDevice};
+    use memstream_device::{DiskDevice, EnergyModelled, FlashDevice, MemsDevice};
     use memstream_units::BitRate;
 
     fn workload(kbps: f64) -> Workload {

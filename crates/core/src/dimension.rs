@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use memstream_device::{EnergyModelled, WearModelled};
 use memstream_units::DataSize;
 
 use crate::capacity::CapacityModel;
@@ -94,37 +93,16 @@ impl fmt::Display for BufferPlan {
 /// # Ok(())
 /// # }
 /// ```
-/// Both device type parameters default to trait objects, so existing
-/// `BufferDimensioner<'a>` signatures keep compiling; pairing concrete
-/// energy/wear device types monomorphizes the whole dimensioning path.
-#[derive(Debug)]
-pub struct BufferDimensioner<
-    'a,
-    E: EnergyModelled + ?Sized = dyn EnergyModelled + 'a,
-    W: WearModelled + ?Sized = dyn WearModelled + 'a,
-> {
-    energy: EnergyModel<'a, E>,
+#[derive(Debug, Clone)]
+pub struct BufferDimensioner<'a> {
+    energy: EnergyModel<'a>,
     capacity: CapacityModel,
-    lifetime: LifetimeModel<'a, W>,
+    lifetime: LifetimeModel,
 }
 
-impl<E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> Clone for BufferDimensioner<'_, E, W> {
-    fn clone(&self) -> Self {
-        BufferDimensioner {
-            energy: self.energy.clone(),
-            capacity: self.capacity,
-            lifetime: self.lifetime.clone(),
-        }
-    }
-}
-
-impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner<'a, E, W> {
+impl<'a> BufferDimensioner<'a> {
     /// Creates a dimensioner from the three component models.
-    pub fn new(
-        energy: EnergyModel<'a, E>,
-        capacity: CapacityModel,
-        lifetime: LifetimeModel<'a, W>,
-    ) -> Self {
+    pub fn new(energy: EnergyModel<'a>, capacity: CapacityModel, lifetime: LifetimeModel) -> Self {
         BufferDimensioner {
             energy,
             capacity,
@@ -134,7 +112,7 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
 
     /// The energy component.
     #[must_use]
-    pub fn energy(&self) -> &EnergyModel<'a, E> {
+    pub fn energy(&self) -> &EnergyModel<'a> {
         &self.energy
     }
 
@@ -146,7 +124,7 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
 
     /// The lifetime component.
     #[must_use]
-    pub fn lifetime(&self) -> &LifetimeModel<'a, W> {
+    pub fn lifetime(&self) -> &LifetimeModel {
         &self.lifetime
     }
 
@@ -245,7 +223,7 @@ impl<'a, E: EnergyModelled + ?Sized, W: WearModelled + ?Sized> BufferDimensioner
         };
 
         let cycle_floor = RefillCycle::min_buffer(
-            self.energy.device(),
+            self.energy.profile(),
             self.energy.workload(),
             self.energy.policy(),
         )?;

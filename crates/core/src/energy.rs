@@ -3,12 +3,13 @@
 
 use std::fmt;
 
-use memstream_device::{DramModel, EnergyModelled, PowerState};
-use memstream_units::{DataSize, Energy, EnergyPerBit, Ratio};
+use memstream_device::{DramModel, EnergyModelled};
+use memstream_units::{DataSize, Energy, EnergyPerBit, Power, Ratio};
 use memstream_workload::Workload;
 
 use crate::cycle::{
-    effective_best_effort, per_bit_period, per_bit_read_write, BestEffortPolicy, RefillCycle,
+    effective_best_effort, per_bit_period, per_bit_read_write, BestEffortPolicy, EnergyProfile,
+    RefillCycle,
 };
 use crate::error::{InfeasibleReason, ModelError};
 use crate::goal::Requirement;
@@ -93,52 +94,47 @@ impl fmt::Display for CycleEnergy {
 /// # Ok(())
 /// # }
 /// ```
-/// The type parameter `E` defaults to the trait object, so existing
-/// `EnergyModel<'a>` signatures keep meaning "any device behind `&dyn`";
-/// instantiating with a concrete device type (`EnergyModel<'a, MemsDevice>`)
-/// monomorphizes every power/rate accessor — the grid's series fast path.
-#[derive(Debug)]
-pub struct EnergyModel<'a, E: EnergyModelled + ?Sized = dyn EnergyModelled + 'a> {
-    device: &'a E,
+#[derive(Debug, Clone)]
+pub struct EnergyModel<'a> {
+    profile: EnergyProfile,
     workload: Workload,
     policy: BestEffortPolicy,
     dram: Option<&'a DramModel>,
 }
 
-impl<E: EnergyModelled + ?Sized> Clone for EnergyModel<'_, E> {
-    fn clone(&self) -> Self {
-        EnergyModel {
-            device: self.device,
-            workload: self.workload,
-            policy: self.policy,
-            dram: self.dram,
-        }
-    }
-}
-
-impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
-    /// Creates an energy model for `device` under `workload`.
+impl<'a> EnergyModel<'a> {
+    /// Creates an energy model for `device`'s [`EnergyProfile`] under `workload`.
     ///
     /// Pass a [`DramModel`] to include buffer retention/access energy as the
     /// paper does (it then verifies the "negligible" claim numerically).
     pub fn new(
-        device: &'a E,
+        device: &dyn EnergyModelled,
+        workload: Workload,
+        policy: BestEffortPolicy,
+        dram: Option<&'a DramModel>,
+    ) -> Self {
+        Self::from_profile(EnergyProfile::of(device), workload, policy, dram)
+    }
+
+    /// Creates an energy model from a profile already read.
+    pub(crate) fn from_profile(
+        profile: EnergyProfile,
         workload: Workload,
         policy: BestEffortPolicy,
         dram: Option<&'a DramModel>,
     ) -> Self {
         EnergyModel {
-            device,
+            profile,
             workload,
             policy,
             dram,
         }
     }
 
-    /// The device under model.
+    /// The device numbers under model.
     #[must_use]
-    pub fn device(&self) -> &E {
-        self.device
+    pub fn profile(&self) -> &EnergyProfile {
+        &self.profile
     }
 
     /// The workload under model.
@@ -154,30 +150,30 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
     }
 
     /// Power charged to best-effort time under the model's policy.
-    fn best_effort_power(&self) -> memstream_units::Power {
+    fn best_effort_power(&self) -> Power {
         match self.policy {
             BestEffortPolicy::AtReadWrite | BestEffortPolicy::Excluded => {
-                self.device.power(PowerState::ReadWrite)
+                self.profile.read_write_power()
             }
-            BestEffortPolicy::AtIdle => self.device.power(PowerState::Idle),
+            BestEffortPolicy::AtIdle => self.profile.idle_power(),
         }
     }
 
     /// `α` of `Em(B) = α/B + β (+ δ·B)`: the buffer-amortised overhead
     /// energy, `Eoh − toh·Psb` joules.
     fn alpha(&self) -> f64 {
-        let psb = self.device.power(PowerState::Standby).watts();
-        self.device.overhead_energy().joules() - self.device.overhead_time().seconds() * psb
+        let psb = self.profile.standby_power().watts();
+        self.profile.overhead_energy().joules() - self.profile.overhead_time().seconds() * psb
     }
 
     /// `β`: the per-bit energy floor of the MEMS side (transfer +
     /// best-effort + standby), joules per bit.
     fn beta(&self) -> f64 {
-        let tau = per_bit_period(self.device, &self.workload);
-        let rho = per_bit_read_write(self.device, &self.workload);
+        let tau = per_bit_period(&self.profile, &self.workload);
+        let rho = per_bit_read_write(&self.profile, &self.workload);
         let be = effective_best_effort(&self.workload, self.policy).fraction();
-        let p_rw = self.device.power(PowerState::ReadWrite).watts();
-        let p_sb = self.device.power(PowerState::Standby).watts();
+        let p_rw = self.profile.read_write_power().watts();
+        let p_sb = self.profile.standby_power().watts();
         let p_be = self.best_effort_power().watts();
         rho * (p_rw - p_sb) + be * tau * (p_be - p_sb) + tau * p_sb
     }
@@ -197,7 +193,7 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
             .map(|d| {
                 let density_w_per_bit =
                     d.retention_power(DataSize::from_mebibytes(1.0)).watts() / BITS_PER_MIB;
-                density_w_per_bit * per_bit_period(self.device, &self.workload)
+                density_w_per_bit * per_bit_period(&self.profile, &self.workload)
             })
             .unwrap_or(0.0)
     }
@@ -205,10 +201,10 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
     /// `γ`: per-bit energy of the always-on baseline (reads at `P_RW`,
     /// idles otherwise; never seeks or sleeps), joules per bit.
     fn gamma(&self) -> f64 {
-        let tau = per_bit_period(self.device, &self.workload);
-        let rho = per_bit_read_write(self.device, &self.workload);
-        let p_rw = self.device.power(PowerState::ReadWrite).watts();
-        let p_idle = self.device.power(PowerState::Idle).watts();
+        let tau = per_bit_period(&self.profile, &self.workload);
+        let rho = per_bit_read_write(&self.profile, &self.workload);
+        let p_rw = self.profile.read_write_power().watts();
+        let p_idle = self.profile.idle_power().watts();
         rho * p_rw + (tau - rho) * p_idle
     }
 
@@ -225,16 +221,16 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
     /// Propagates cycle-construction errors (rate too high, buffer too
     /// small); see [`RefillCycle::compute`].
     pub fn cycle_energy(&self, buffer: DataSize) -> Result<CycleEnergy, ModelError> {
-        let cycle = RefillCycle::compute(self.device, &self.workload, buffer, self.policy)?;
+        let cycle = RefillCycle::compute(&self.profile, &self.workload, buffer, self.policy)?;
         let dram = self
             .dram
             .map(|d| d.cycle_energy(buffer, cycle.period(), buffer * 2.0).total())
             .unwrap_or(Energy::ZERO);
         Ok(CycleEnergy {
-            overhead: self.device.overhead_energy(),
-            read_write: self.device.power(PowerState::ReadWrite) * cycle.read_write_time(),
+            overhead: self.profile.overhead_energy(),
+            read_write: self.profile.read_write_power() * cycle.read_write_time(),
             best_effort: self.best_effort_power() * cycle.best_effort_time(),
-            standby: self.device.power(PowerState::Standby) * cycle.standby_time(),
+            standby: self.profile.standby_power() * cycle.standby_time(),
             dram,
             buffer,
         })
@@ -294,10 +290,10 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
     /// leaves no refill bandwidth, and [`ModelError::InfeasibleGoal`] if
     /// standby cannot undercut idling (shutdown never pays off).
     pub fn break_even_buffer(&self) -> Result<DataSize, ModelError> {
-        let p_idle = self.device.power(PowerState::Idle).watts();
-        let p_sb = self.device.power(PowerState::Standby).watts();
-        let toh = self.device.overhead_time().seconds();
-        let eoh = self.device.overhead_energy().joules();
+        let p_idle = self.profile.idle_power().watts();
+        let p_sb = self.profile.standby_power().watts();
+        let toh = self.profile.overhead_time().seconds();
+        let eoh = self.profile.overhead_energy().joules();
         if p_idle <= p_sb {
             return Err(ModelError::InfeasibleGoal {
                 requirement: Requirement::Energy,
@@ -306,14 +302,14 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
         }
         // tsb* = (Eoh − toh·Pidle) / (Pidle − Psb); B* = (tsb* + toh) / ((1−be)τ − ρ).
         let tsb_star = ((eoh - toh * p_idle) / (p_idle - p_sb)).max(0.0);
-        let tau = per_bit_period(self.device, &self.workload);
-        let rho = per_bit_read_write(self.device, &self.workload);
+        let tau = per_bit_period(&self.profile, &self.workload);
+        let rho = per_bit_read_write(&self.profile, &self.workload);
         let be = effective_best_effort(&self.workload, self.policy).fraction();
         let denom = (1.0 - be) * tau - rho;
         if denom <= 0.0 {
             return Err(ModelError::RateExceedsBandwidth {
                 stream_bps: self.workload.rate().bits_per_second(),
-                available_bps: (self.device.media_rate() * (1.0 - be)).bits_per_second(),
+                available_bps: (self.profile.media_rate() * (1.0 - be)).bits_per_second(),
             });
         }
         Ok(DataSize::from_bits((tsb_star + toh) / denom))
@@ -334,7 +330,7 @@ impl<'a, E: EnergyModelled + ?Sized> EnergyModel<'a, E> {
         let alpha = self.alpha();
         let beta = self.beta() + self.dram_access_per_bit();
         let delta = self.delta();
-        let floor = RefillCycle::min_buffer(self.device, &self.workload, self.policy)?;
+        let floor = RefillCycle::min_buffer(&self.profile, &self.workload, self.policy)?;
 
         let headroom = target_per_bit - beta;
         let solution_bits = if delta > 0.0 {

@@ -55,7 +55,7 @@ mod system;
 mod tradeoff;
 
 pub use capacity::CapacityModel;
-pub use cycle::{BestEffortPolicy, RefillCycle};
+pub use cycle::{BestEffortPolicy, EnergyProfile, RefillCycle};
 pub use device_model::CapabilityModel;
 pub use dimension::{BufferDimensioner, BufferPlan};
 pub use energy::{CycleEnergy, EnergyModel};

@@ -86,46 +86,22 @@ pub fn min_buffer_for_duty_cycles(rating: f64, target: Years, workload: &Workloa
 /// let years = model.springs_lifetime(DataSize::from_kibibytes(92.0));
 /// assert!((years.get() - 7.0).abs() < 0.2);
 /// ```
-/// The type parameter `W` defaults to the trait object, so existing
-/// `LifetimeModel<'a>` signatures keep meaning "any device behind `&dyn`";
-/// instantiating with a concrete device type monomorphizes the wear-channel
-/// accessors for the grid's series fast path.
-#[derive(Debug)]
-pub struct LifetimeModel<'a, W: WearModelled + ?Sized = dyn WearModelled + 'a> {
-    device: &'a W,
+#[derive(Debug, Clone)]
+pub struct LifetimeModel {
     workload: Workload,
     capacity: CapacityModel,
     channels: Vec<WearChannel>,
 }
 
-impl<W: WearModelled + ?Sized> Clone for LifetimeModel<'_, W> {
-    fn clone(&self) -> Self {
+impl LifetimeModel {
+    /// Creates a lifetime model from the device's wear channels, read once.
+    /// The capacity model supplies `u(B)` (and Eq. (6)'s sector size `S`).
+    pub fn new(device: &dyn WearModelled, workload: Workload, capacity: CapacityModel) -> Self {
         LifetimeModel {
-            device: self.device,
-            workload: self.workload,
-            capacity: self.capacity,
-            channels: self.channels.clone(),
-        }
-    }
-}
-
-impl<'a, W: WearModelled + ?Sized> LifetimeModel<'a, W> {
-    /// Creates a lifetime model. The capacity model supplies `u(B)` for
-    /// utilisation-scaled channels (and the sector size `S` of Eq. (6)).
-    pub fn new(device: &'a W, workload: Workload, capacity: CapacityModel) -> Self {
-        let channels = device.wear_channels();
-        LifetimeModel {
-            device,
             workload,
             capacity,
-            channels,
+            channels: device.wear_channels(),
         }
-    }
-
-    /// The device under model.
-    #[must_use]
-    pub fn device(&self) -> &W {
-        self.device
     }
 
     /// The workload under model.
@@ -351,6 +327,16 @@ impl<'a, W: WearModelled + ?Sized> LifetimeModel<'a, W> {
             })
     }
 
+    /// The requirement a channel dictates under (the Fig. 3 region label).
+    #[must_use]
+    pub fn channel_requirement(channel: &WearChannel) -> Requirement {
+        match channel {
+            WearChannel::DutyCycle { .. } => Requirement::SpringsLifetime,
+            WearChannel::WriteBudget { .. } => Requirement::ProbesLifetime,
+            WearChannel::EraseBudget { .. } => Requirement::EraseLifetime,
+        }
+    }
+
     /// The utilisation the format must reach for the probes to survive
     /// `target` years (from `Lpb = C·Dpb·u/(w·T·rs)`), or `None` if the
     /// probes never wear under this workload.
@@ -403,23 +389,7 @@ impl<'a, W: WearModelled + ?Sized> LifetimeModel<'a, W> {
     }
 }
 
-impl LifetimeModel<'_> {
-    /// The requirement a channel dictates under (the Fig. 3 region label).
-    ///
-    /// Lives on the default (`dyn`) instantiation so bare
-    /// `LifetimeModel::channel_requirement(..)` paths keep resolving — the
-    /// answer does not depend on the device type.
-    #[must_use]
-    pub fn channel_requirement(channel: &WearChannel) -> Requirement {
-        match channel {
-            WearChannel::DutyCycle { .. } => Requirement::SpringsLifetime,
-            WearChannel::WriteBudget { .. } => Requirement::ProbesLifetime,
-            WearChannel::EraseBudget { .. } => Requirement::EraseLifetime,
-        }
-    }
-}
-
-impl<W: WearModelled + ?Sized> fmt::Display for LifetimeModel<'_, W> {
+impl fmt::Display for LifetimeModel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -437,7 +407,7 @@ mod tests {
     use memstream_units::BitRate;
     use proptest::prelude::*;
 
-    fn model(device: &MemsDevice, kbps: f64) -> LifetimeModel<'_> {
+    fn model(device: &MemsDevice, kbps: f64) -> LifetimeModel {
         LifetimeModel::new(
             device,
             Workload::paper_default(BitRate::from_kbps(kbps)),
@@ -445,7 +415,7 @@ mod tests {
         )
     }
 
-    fn flash_model(device: &FlashDevice, kbps: f64) -> LifetimeModel<'_> {
+    fn flash_model(device: &FlashDevice, kbps: f64) -> LifetimeModel {
         LifetimeModel::new(
             device,
             Workload::paper_default(BitRate::from_kbps(kbps)),

@@ -170,7 +170,7 @@ impl SystemModel {
 
     /// The lifetime component model (§III-C).
     #[must_use]
-    pub fn lifetime_model(&self) -> LifetimeModel<'_> {
+    pub fn lifetime_model(&self) -> LifetimeModel {
         LifetimeModel::new(&self.device, self.workload, self.capacity_model())
     }
 

@@ -219,16 +219,6 @@ pub trait StorageDevice: fmt::Debug + Send + Sync {
         None
     }
 
-    /// A concrete-type handle for monomorphized fast paths: devices that
-    /// want to opt in (the registered mems/disk/flash types do) return
-    /// `Some(self)`, letting consumers downcast and skip `&dyn` capability
-    /// dispatch. The default `None` keeps wrapper devices (e.g.
-    /// [`EnergyOnly`]) on the generic path; answers must be *identical*
-    /// either way — this is purely a dispatch shortcut.
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        None
-    }
-
     /// Boxed clone, for registries.
     fn clone_box(&self) -> Box<dyn StorageDevice>;
 }

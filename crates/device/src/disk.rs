@@ -185,10 +185,6 @@ impl StorageDevice for DiskDevice {
         })
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn clone_box(&self) -> Box<dyn StorageDevice> {
         Box::new(self.clone())
     }

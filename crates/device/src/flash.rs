@@ -262,10 +262,6 @@ impl StorageDevice for FlashDevice {
         })
     }
 
-    fn as_any(&self) -> Option<&dyn std::any::Any> {
-        Some(self)
-    }
-
     fn clone_box(&self) -> Box<dyn StorageDevice> {
         Box::new(self.clone())
     }

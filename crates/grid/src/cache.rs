@@ -514,7 +514,8 @@ impl ResultCache {
     /// `path`, so a crash or a concurrent run leaves either the old file
     /// or the new one, never a truncated mix. (No fsync: durability
     /// across power loss is not promised, and every save would pay for
-    /// it.)
+    /// it.) A crash can leave its temp file behind; the next write to
+    /// `path` removes the temp files of processes that are gone.
     ///
     /// # Errors
     ///
@@ -1153,12 +1154,15 @@ fn parse_lenient(bytes: &[u8]) -> HashMap<String, CellOutcome> {
 
 /// Writes `path` through a process-unique sibling temp file renamed
 /// over it, so readers only ever see a complete file. The temp file is
-/// removed if writing or the rename fails.
+/// removed if writing or the rename fails. First it removes the temp
+/// files that crashed writers of `path` left behind
+/// ([`remove_orphaned_temps`]).
 fn write_replacing<T>(
     path: &Path,
     write: impl FnOnce(&mut io::BufWriter<fs::File>) -> io::Result<T>,
 ) -> io::Result<T> {
     static SEQUENCE: AtomicUsize = AtomicUsize::new(0);
+    remove_orphaned_temps(path);
     let mut temp = path.as_os_str().to_owned();
     temp.push(format!(
         ".{}-{}.tmp",
@@ -1178,6 +1182,36 @@ fn write_replacing<T>(
         let _ = fs::remove_file(&temp);
     }
     result
+}
+
+/// Removes the siblings of `path` named `<file name>.<pid>-<n>.tmp` (both
+/// numbers plain decimal) whose process is gone: `<pid>` is not this
+/// process and `/proc/<pid>` does not exist. Without `/proc/self` (not
+/// Linux) nothing is removed. Failures are ignored; the save goes on.
+fn remove_orphaned_temps(path: &Path) {
+    let proc = Path::new("/proc");
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+    let name = path.file_name().and_then(|n| n.to_str());
+    let (Some(name), true) = (name, proc.join("self").exists()) else {
+        return;
+    };
+    let Ok(entries) = fs::read_dir(dir.unwrap_or(Path::new("."))) else {
+        return;
+    };
+    let digits = |s: &str| !s.is_empty() && s.bytes().all(|b| b.is_ascii_digit());
+    let live = |pid: u32| pid == std::process::id() || proc.join(pid.to_string()).exists();
+    for entry in entries.flatten() {
+        let file = entry.file_name();
+        let Some((pid, n)) = file.to_str().and_then(|f| {
+            let stem = f.strip_prefix(name)?.strip_prefix('.')?;
+            stem.strip_suffix(".tmp")?.split_once('-')
+        }) else {
+            continue;
+        };
+        if digits(pid) && digits(n) && pid.parse().is_ok_and(|pid| !live(pid)) {
+            let _ = fs::remove_file(entry.path());
+        }
+    }
 }
 
 /// Streams a cache file — magic, count, the record bodies (already in
@@ -1446,6 +1480,33 @@ mod tests {
         assert!(leftovers.is_empty(), "temp files left: {leftovers:?}");
         fs::remove_file(path).unwrap();
         fs::remove_dir(dir).unwrap();
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_save_removes_the_temp_files_of_processes_that_are_gone() {
+        // No Linux pid reaches 2^32 - 1; this process is alive; the other
+        // two names are not temp files of `x.cache`.
+        let dir = temp_path("sweep");
+        fs::create_dir_all(&dir).unwrap();
+        let orphan = dir.join("x.cache.4294967295-0.tmp");
+        let kept = [
+            dir.join(format!("x.cache.{}-7.tmp", std::process::id())),
+            dir.join("x.cache.keep.tmp"),
+            dir.join("y.cache.4294967295-0.tmp"),
+        ];
+        for file in kept.iter().chain([&orphan]) {
+            fs::write(file, b"partial").unwrap();
+        }
+        let mut cache = ResultCache::new();
+        cache.insert("key".to_owned(), unmodelled("swept"));
+        save(&cache, &dir.join("x.cache"));
+
+        assert!(!orphan.exists(), "the orphan survived the save");
+        for file in &kept {
+            assert!(file.exists(), "{} was removed", file.display());
+        }
+        fs::remove_dir_all(dir).unwrap();
     }
 
     #[test]

@@ -12,19 +12,15 @@
 //! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum))
 //! and every rate plans against its result.
 //!
-//! For the registered concrete devices (MEMS, disk, flash) the series
-//! model is **monomorphized** via [`StorageDevice::as_any`]: the sweep
-//! runs on `CapabilityModel<MemsDevice, MemsDevice>` (etc.) with static
-//! dispatch instead of `&dyn` capability calls. The arithmetic is
-//! identical either way (IEEE f64 is deterministic under
-//! monomorphization), and the executor's `parallel_matches_serial_exactly`
-//! plus this module's equivalence tests pin the outputs to
-//! [`crate::eval::evaluate`] bit for bit.
+//! Every device takes the same path, whatever its concrete type: the
+//! series model reads the device's energy numbers once
+//! ([`EnergyProfile`](memstream_core::EnergyProfile)), so the per-rate
+//! arithmetic makes no call into the device. The executor's
+//! `parallel_matches_serial_exactly` plus this module's equivalence tests
+//! pin the outputs to [`crate::eval::evaluate`] bit for bit.
 
 use memstream_core::{CapabilityModel, DesignGoal, EnergyModel, ModelError};
-use memstream_device::{
-    DiskDevice, DramModel, EnergyModelled, FlashDevice, MemsDevice, StorageDevice, WearModelled,
-};
+use memstream_device::{DramModel, EnergyModelled, StorageDevice};
 use memstream_units::BitRate;
 use memstream_workload::Workload;
 
@@ -86,51 +82,25 @@ pub(crate) fn plan_series(cells: impl IntoIterator<Item = GridCell>) -> Vec<Seri
 
 /// The per-series model, built once and swept over rates.
 enum SeriesModel<'a> {
-    /// Monomorphized fast paths for the registered concrete devices.
-    Mems(CapabilityModel<'a, MemsDevice, MemsDevice>),
-    Disk(CapabilityModel<'a, DiskDevice, DiskDevice>),
-    Flash(CapabilityModel<'a, FlashDevice, FlashDevice>),
-    /// Unregistered full-pipeline devices keep the `&dyn` path.
-    Dyn(CapabilityModel<'a>),
+    /// The device exposes every capability the full pipeline needs.
+    Full(CapabilityModel<'a>),
     /// The device only exposes energy (the classic 1.8″ disk mask).
     EnergyOnly(&'a dyn EnergyModelled),
     /// No usable capability; the (rate-independent) error.
     Unmodelled(ModelError),
 }
 
-/// Builds the series model for `device`, monomorphizing when the concrete
-/// type is registered. The capability checks and errors are identical on
-/// every path, so the fallback classification matches
-/// [`crate::eval::evaluate`] exactly.
+/// Builds the series model for `device`. The capability checks and errors
+/// are those of [`crate::eval::evaluate`], so the fallback classification
+/// matches it exactly.
 fn build_model<'a>(
     grid: &'a ScenarioGrid,
     device: &'a dyn StorageDevice,
     workload: Workload,
     dram: Option<DramModel>,
 ) -> SeriesModel<'a> {
-    let policy = grid.best_effort_policy();
-    if let Some(any) = device.as_any() {
-        if let Some(mems) = any.downcast_ref::<MemsDevice>() {
-            return match CapabilityModel::from_device(mems, workload, dram, policy) {
-                Ok(model) => SeriesModel::Mems(model),
-                Err(err) => degraded(device, &err),
-            };
-        }
-        if let Some(disk) = any.downcast_ref::<DiskDevice>() {
-            return match CapabilityModel::from_device(disk, workload, dram, policy) {
-                Ok(model) => SeriesModel::Disk(model),
-                Err(err) => degraded(device, &err),
-            };
-        }
-        if let Some(flash) = any.downcast_ref::<FlashDevice>() {
-            return match CapabilityModel::from_device(flash, workload, dram, policy) {
-                Ok(model) => SeriesModel::Flash(model),
-                Err(err) => degraded(device, &err),
-            };
-        }
-    }
-    match CapabilityModel::new(device, workload, dram, policy) {
-        Ok(model) => SeriesModel::Dyn(model),
+    match CapabilityModel::new(device, workload, dram, grid.best_effort_policy()) {
+        Ok(model) => SeriesModel::Full(model),
         Err(err) => degraded(device, &err),
     }
 }
@@ -149,19 +119,14 @@ fn degraded<'a>(device: &'a dyn StorageDevice, err: &ModelError) -> SeriesModel<
     }
 }
 
-/// Every full-pipeline cell of a series, on a series model of any
-/// dispatch flavour: the goal's capacity minimum is solved once, then one
-/// dimensioner per rate plans against it and serves every metric of the
-/// planned point.
-fn eval_full<E, W>(
-    model: &CapabilityModel<'_, E, W>,
+/// Every full-pipeline cell of a series: the goal's capacity minimum is
+/// solved once, then one dimensioner per rate plans against it and serves
+/// every metric of the planned point.
+fn eval_full(
+    model: &CapabilityModel<'_>,
     goal: &DesignGoal,
     rates: impl Iterator<Item = BitRate>,
-) -> Vec<CellOutcome>
-where
-    E: EnergyModelled + ?Sized,
-    W: WearModelled + ?Sized,
-{
+) -> Vec<CellOutcome> {
     let capacity = model.dimensioner().capacity_minimum(goal);
     rates
         .map(|rate| {
@@ -203,10 +168,7 @@ pub(crate) fn evaluate_series(grid: &ScenarioGrid, series: &Series) -> Vec<(usiz
     let member_rates = series.cells.iter().map(|&(_, rate_idx)| rates[rate_idx]);
 
     let outcomes = match &model {
-        SeriesModel::Mems(m) => eval_full(m, goal, member_rates),
-        SeriesModel::Disk(m) => eval_full(m, goal, member_rates),
-        SeriesModel::Flash(m) => eval_full(m, goal, member_rates),
-        SeriesModel::Dyn(m) => eval_full(m, goal, member_rates),
+        SeriesModel::Full(m) => eval_full(m, goal, member_rates),
         SeriesModel::EnergyOnly(energy_device) => member_rates
             .map(|rate| {
                 let energy = EnergyModel::new(
@@ -242,7 +204,7 @@ mod tests {
     use super::*;
     use crate::eval::evaluate;
     use crate::spec::{DeviceEntry, ScenarioGrid, WorkloadProfile};
-    use memstream_device::EnergyOnly;
+    use memstream_device::{EnergyOnly, MemsDevice};
 
     /// Runs the series path over a grid's cells and asserts every
     /// outcome equals the reference per-cell evaluator, bitwise.
@@ -283,9 +245,9 @@ mod tests {
     }
 
     #[test]
-    fn masked_devices_stay_on_the_generic_path() {
-        // An `EnergyOnly`-wrapped MEMS device downcasts to none of the
-        // registered concrete types; it must land on the energy-only
+    fn masked_devices_take_the_energy_only_path() {
+        // An `EnergyOnly`-wrapped MEMS device lacks the wear and
+        // utilisation capabilities; it must land on the energy-only
         // series exactly as the per-cell evaluator classifies it.
         let grid = ScenarioGrid::new()
             .device(DeviceEntry::new(
@@ -318,17 +280,15 @@ mod tests {
             let dram = grid.dram_enabled().then(DramModel::micron_ddr_mobile);
             for cell in grid.cells() {
                 let device = grid.devices()[cell.device].device();
-                let Some(mems) = device.as_any().and_then(|a| a.downcast_ref::<MemsDevice>())
-                else {
+                if device.kind() != "mems" {
                     continue;
-                };
+                }
                 let goal = &grid.goals()[cell.goal];
                 let workload = grid.workloads()[cell.workload]
                     .workload()
                     .with_rate(grid.rates()[cell.rate]);
                 let policy = grid.best_effort_policy();
-                let model =
-                    CapabilityModel::from_device(mems, workload, dram.clone(), policy).unwrap();
+                let model = CapabilityModel::new(device, workload, dram.clone(), policy).unwrap();
                 let dim = model.dimensioner();
                 let Ok(plan) = dim.dimension(goal) else {
                     continue;

@@ -1,13 +1,19 @@
 //! Acceptance tests for the open device registry: the flash backend rides
 //! the default grid end to end — evaluation, frontier, reports, sim
-//! validation — with zero flash-specific code anywhere in the grid crate.
+//! validation — with zero flash-specific code anywhere in the grid crate,
+//! and a device type defined outside the workspace runs the same path as
+//! the registered types.
 
 use memstream_core::DesignGoal;
-use memstream_device::{DeviceError, FlashDevice, StorageDevice};
+use memstream_device::{
+    DeviceError, EnergyModelled, FlashDevice, MemsDevice, StorageDevice, UtilizationSpec,
+    WearModelled,
+};
 use memstream_grid::{
     report, validate_frontier, CellOutcome, DeviceEntry, GridExecutor, ScenarioGrid, SkipReason,
     WorkloadProfile,
 };
+use memstream_units::DataSize;
 
 #[test]
 fn flash_appears_on_the_default_frontier() {
@@ -137,5 +143,76 @@ fn a_derated_flash_part_slots_into_the_registry() {
     // a strictly larger buffer than the stock part's.
     for (w, s) in weak_buffers.iter().zip(&stock_buffers) {
         assert!(w > s, "weak part planned {w} KiB <= stock {s} KiB");
+    }
+}
+
+/// A device type the workspace has never seen: it hands every capability
+/// of a registered device through under a kind of its own.
+#[derive(Debug, Clone)]
+struct Forwarding<D>(D);
+
+impl<D: StorageDevice + Clone + 'static> StorageDevice for Forwarding<D> {
+    fn kind(&self) -> &'static str {
+        "forwarding"
+    }
+    fn dedup_token(&self) -> String {
+        format!("forwarding:{}", self.0.dedup_token())
+    }
+    fn capacity(&self) -> DataSize {
+        self.0.capacity()
+    }
+    fn energy(&self) -> Option<&dyn EnergyModelled> {
+        self.0.energy()
+    }
+    fn wear(&self) -> Option<&dyn WearModelled> {
+        self.0.wear()
+    }
+    fn utilization(&self) -> Option<UtilizationSpec> {
+        self.0.utilization()
+    }
+    fn clone_box(&self) -> Box<dyn StorageDevice> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn an_outside_device_type_evaluates_like_the_device_it_forwards() {
+    let mut grid = ScenarioGrid::new()
+        .device(DeviceEntry::new("table1", MemsDevice::table1()))
+        .device(DeviceEntry::new(
+            "fwd-table1",
+            Forwarding(MemsDevice::table1()),
+        ))
+        .device(DeviceEntry::new("flash-mlc", FlashDevice::mobile_mlc()))
+        .device(DeviceEntry::new(
+            "fwd-flash",
+            Forwarding(FlashDevice::mobile_mlc()),
+        ));
+    for profile in ScenarioGrid::paper_baseline(2).workloads() {
+        grid = grid.workload(profile.clone());
+    }
+    let grid = grid
+        .rate_span(32.0, 4096.0, 40)
+        .goal(DesignGoal::fig3a())
+        .goal(DesignGoal::fig3b());
+
+    for executor in [GridExecutor::serial(), GridExecutor::parallel(3)] {
+        let results = executor.explore(&grid).expect("explore");
+        // Device is the outermost axis, so each device's cells form one
+        // block, in the same (workload, rate, goal) order.
+        let mut blocks = vec![Vec::new(); grid.devices().len()];
+        for (cell, outcome) in results.records() {
+            blocks[cell.device].push(format!("{outcome:?}"));
+        }
+        for (device, twin) in [(0, 1), (2, 3)] {
+            assert_eq!(blocks[device], blocks[twin], "device {twin} diverged");
+        }
+        let feasible = results
+            .records()
+            .filter(|(cell, outcome)| {
+                cell.device % 2 == 1 && matches!(outcome, CellOutcome::Feasible(_))
+            })
+            .count();
+        assert!(feasible > 0, "the forwarding devices planned no buffer");
     }
 }

@@ -14,11 +14,17 @@
 //! grid, today's `ScenarioGrid::paper_classic`). `report::grid_stdout` is
 //! the exact composer the harness binary prints through, so this test
 //! covers the binary's bytes without spawning it.
+//!
+//! `grid_default_r24_full.stdout` is the verbatim stdout of `harness grid
+//! --rates 24 --full-csv` for the default grid (MEMS, the full disk and
+//! flash), captured from commit 5afe0a0, before the analytic models read
+//! a device's energy numbers once instead of calling it per rate.
 
 use memstream_grid::{report, GridExecutor, ScenarioGrid};
 
 const GOLDEN_PLAIN: &str = include_str!("golden/grid_mems_disk_r24.stdout");
 const GOLDEN_FULL: &str = include_str!("golden/grid_mems_disk_r24_full.stdout");
+const GOLDEN_DEFAULT_FULL: &str = include_str!("golden/grid_default_r24_full.stdout");
 
 fn first_divergence(a: &str, b: &str) -> String {
     for (i, (la, lb)) in a.lines().zip(b.lines()).enumerate() {
@@ -78,4 +84,18 @@ fn warm_cache_reproduces_the_golden_bytes() {
         .expect("warm explore");
     assert_eq!(cache.hits(), warm.total_cells());
     assert!(report::grid_stdout(&warm, false) == GOLDEN_PLAIN);
+}
+
+#[test]
+fn default_grid_full_csv_is_byte_identical_to_the_fixture() {
+    let grid = ScenarioGrid::paper_baseline(24);
+    for executor in [GridExecutor::serial(), GridExecutor::parallel(4)] {
+        let results = executor.explore(&grid).expect("explore");
+        let stdout = report::grid_stdout(&results, true);
+        assert!(
+            stdout == GOLDEN_DEFAULT_FULL,
+            "default-grid full-csv stdout changed — {}",
+            first_divergence(&stdout, GOLDEN_DEFAULT_FULL)
+        );
+    }
 }

@@ -1,8 +1,8 @@
 //! `memstream_telemetry` — zero-dependency, thread-safe instrumentation
 //! for the memstream workspace.
 //!
-//! Every future hot-path PR (monomorphized dispatch, batched evaluation,
-//! a binary cache format) needs a number to be accountable to. This crate
+//! Every hot-path mechanism (series batching, the binary cache format,
+//! the sharded fan-out) needs a number to be accountable to. This crate
 //! is that number's substrate: a [`Metrics`] registry of named atomic
 //! **counters**, monotonic-timer **span accumulators** and log-bucketed
 //! **histograms** ([`Histogram`], p50/p90/p99/max), plus a [`Snapshot`]

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 
-use memstream_core::{BestEffortPolicy, DesignGoal, RefillCycle, SystemModel};
+use memstream_core::{BestEffortPolicy, DesignGoal, EnergyProfile, RefillCycle, SystemModel};
 use memstream_units::{BitRate, DataSize, Ratio, Years};
 
 fn system(kbps: f64) -> SystemModel {
@@ -75,7 +75,7 @@ proptest! {
         let m = system(kbps);
         let b = DataSize::from_kibibytes(kib);
         if let Ok(cycle) = RefillCycle::compute(
-            m.device(), m.workload(), b, BestEffortPolicy::AtReadWrite,
+            &EnergyProfile::of(m.device()), m.workload(), b, BestEffortPolicy::AtReadWrite,
         ) {
             let parts = cycle.read_write_time()
                 + cycle.overhead_time()
@@ -83,7 +83,7 @@ proptest! {
                 + cycle.standby_time();
             prop_assert!((parts.seconds() - cycle.period().seconds()).abs() < 1e-9);
             let bigger = RefillCycle::compute(
-                m.device(), m.workload(), b * 2.0, BestEffortPolicy::AtReadWrite,
+                &EnergyProfile::of(m.device()), m.workload(), b * 2.0, BestEffortPolicy::AtReadWrite,
             ).unwrap();
             prop_assert!(bigger.standby_time() > cycle.standby_time());
         }

@@ -6,7 +6,7 @@
 //! of the first and last partial cycle) is the workspace's evidence that
 //! the transcribed equations are the ones the architecture obeys.
 
-use memstream_core::{BestEffortPolicy, EnergyModel, SystemModel};
+use memstream_core::{BestEffortPolicy, EnergyModel, EnergyProfile, SystemModel};
 use memstream_device::{DramModel, MemsDevice, PowerState};
 use memstream_sim::{BestEffortMode, SimConfig, StreamingSimulation};
 use memstream_units::{BitRate, DataSize, Duration};
@@ -57,7 +57,7 @@ fn state_time_fractions_match_the_cycle_decomposition() {
     let report = simulate(kbps, kib, 600.0);
     let model = analytic(kbps);
     let cycle = memstream_core::RefillCycle::compute(
-        model.device(),
+        &EnergyProfile::of(model.device()),
         model.workload(),
         DataSize::from_kibibytes(kib),
         BestEffortPolicy::AtReadWrite,
@@ -86,7 +86,7 @@ fn cycle_count_matches_tm() {
     let report = simulate(1024.0, 20.0, 600.0);
     let model = analytic(1024.0);
     let cycle = memstream_core::RefillCycle::compute(
-        model.device(),
+        &EnergyProfile::of(model.device()),
         model.workload(),
         DataSize::from_kibibytes(20.0),
         BestEffortPolicy::AtReadWrite,

@@ -300,6 +300,11 @@ where
     })
 }
 
+/// The longest rate axis `--rates` takes: 30 M cells of the default grid,
+/// about 2.2 GB of outcomes. A longer one would abort the process on a
+/// failed allocation instead of exiting 2.
+const MAX_RATES: usize = 1_000_000;
+
 /// The flags the `grid` and `refine` subcommands share: grid shape,
 /// thread count, result-cache path, device-registry era and telemetry
 /// sinks. One parser, so the two subcommands' CLIs cannot drift apart.
@@ -396,6 +401,10 @@ impl SharedFlags {
     fn validated(self) -> Self {
         if self.rates < 2 {
             eprintln!("--rates must be at least 2");
+            std::process::exit(2);
+        }
+        if self.rates > MAX_RATES {
+            eprintln!("--rates must be at most {MAX_RATES}");
             std::process::exit(2);
         }
         self

@@ -13,6 +13,7 @@ fn out_of_range_values_exit_2_naming_the_flag() {
     let rate = "--rate must be positive and below the media rate (102.40 Mbps)";
     let buffer = "--buffer must be at most the device capacity (111.76 GiB)";
     let lifetime = "--lifetime must leave the springs requirement at 1.02 Mbps a finite size";
+    let rates = "--rates must be at most 1000000";
     let cases: &[(&[&str], &str)] = &[
         (&["grid", "--rates", "2", "--validate", "inf"], validate),
         (&["grid", "--rates", "2", "--validate", "1e30"], validate),
@@ -20,6 +21,9 @@ fn out_of_range_values_exit_2_naming_the_flag() {
         (&["grid", "--rates", "2", "--validate", "-1"], validate),
         (&["grid", "--rates", "2", "--validate", "nan"], validate),
         (&["grid", "--rates", "2", "--validate", "0"], validate),
+        (&["grid", "--rates", "1000001"], rates),
+        (&["grid", "--rates", "100000000000"], rates),
+        (&["refine", "--rates", "18446744073709551615"], rates),
         (&["custom", "--rate", "0"], rate),
         (&["custom", "--rate", "0kbps"], rate),
         (&["custom", "--rate", "102.4Mbps"], rate),

@@ -561,13 +561,15 @@ impl ResultCache {
         self.len() == 0
     }
 
-    /// Cache hits since construction/load.
+    /// Cache hits of the explorations run against this cache since
+    /// construction/load.
     #[must_use]
     pub fn hits(&self) -> usize {
         self.hits
     }
 
-    /// Cache misses since construction/load.
+    /// Cache misses of the explorations run against this cache since
+    /// construction/load.
     #[must_use]
     pub fn misses(&self) -> usize {
         self.misses
@@ -599,13 +601,17 @@ impl ResultCache {
         Some(outcome)
     }
 
-    /// Looks up an outcome, counting the hit/miss and timing the probe
-    /// into the `cache.lookup` histogram when telemetry is enabled.
+    /// Looks up an outcome, counting the hit/miss into the `cache.hits`
+    /// and `cache.misses` telemetry and timing the probe into the
+    /// `cache.lookup` histogram when telemetry is enabled. The executor's
+    /// workers share the cache for their lookups, so the executor adds
+    /// their totals to [`ResultCache::hits`] and [`ResultCache::misses`]
+    /// once they are done ([`ResultCache::tally`]).
     ///
     /// On a lazy cache, a view hit decodes that one record's payload —
     /// never its key — every time: `cache.records_decoded` counts one
     /// decode per hit.
-    pub(crate) fn lookup(&mut self, key: &str) -> Option<CellOutcome> {
+    pub(crate) fn lookup(&self, key: &str) -> Option<CellOutcome> {
         let started = self
             .telemetry
             .lookup_latency
@@ -620,18 +626,18 @@ impl ResultCache {
         if let Some(started) = started {
             self.telemetry.lookup_latency.record(started.elapsed());
         }
-        match found {
-            Some(outcome) => {
-                self.hits += 1;
-                self.telemetry.hits.incr();
-                Some(outcome)
-            }
-            None => {
-                self.misses += 1;
-                self.telemetry.misses.incr();
-                None
-            }
+        match &found {
+            Some(_) => self.telemetry.hits.incr(),
+            None => self.telemetry.misses.incr(),
         }
+        found
+    }
+
+    /// Adds an exploration's lookup totals to [`ResultCache::hits`] and
+    /// [`ResultCache::misses`].
+    pub(crate) fn tally(&mut self, hits: usize, misses: usize) {
+        self.hits += hits;
+        self.misses += misses;
     }
 
     /// Peeks at an outcome without touching the hit/miss counters (the
@@ -1680,7 +1686,7 @@ mod tests {
             .map(|w| {
                 let mut shard = ResultCache::new();
                 GridExecutor::serial()
-                    .resolve_cells(&grid, &unique[w[0]..w[1]], &mut shard)
+                    .resolve_cells(&grid, w[0]..w[1], &mut shard)
                     .unwrap();
                 shard
             })
@@ -1960,7 +1966,7 @@ mod tests {
         let path = temp_path("decode-per-hit.cache");
         save(&hostile_cache(), &path);
         let metrics = Metrics::enabled();
-        let mut lazy = ResultCache::open(&path, &metrics).unwrap();
+        let lazy = ResultCache::open(&path, &metrics).unwrap();
         assert!(lazy.contains_key("unmodelled"));
         assert!(!lazy.contains_key("absent"));
         assert_eq!(metrics.snapshot().counter("cache.records_decoded"), Some(0));

@@ -1,34 +1,36 @@
 //! The deterministic executor: serial or fan-out over `std::thread`.
 //!
-//! Every cell of a grid is its own job. One pass serves both
-//! explorations: without a cache every cell streams into the series
-//! planner, with one only the misses do, and each outcome lands in its
-//! cell's slot of the results as it arrives. The worker that evaluates a
-//! series also sweeps it to its own Pareto frontier, so assembly only
-//! sweeps the union of those fronts and the feasible hits.
+//! The unit of work is a *series*: a run of one `(device, workload)`
+//! block, the `rates × goals` cells that share one capability model.
+//! One fan-out serves every entry point. The worker that claims a series
+//! does all of its work: it looks each cell up in the cache, if there is
+//! one, evaluates the misses, and sweeps the series to its own Pareto
+//! front. Its outcomes come back as one vector in canonical order, which
+//! the results keep as is. The calling thread only inserts the misses
+//! into the cache and sweeps the union of the series' fronts.
 
+use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::thread;
 
 use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle, Tracer};
 
 use crate::cache::ResultCache;
-use crate::eval::{CellOutcome, PlannedPoint};
+use crate::eval::CellOutcome;
 use crate::key::KeyInterner;
-use crate::series::{evaluate_series, plan_series, Series};
+use crate::series::{evaluate_series, plan, SeriesRun};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
-use crate::store::{resolve_frontier, series_front, ParetoPoint};
+use crate::store::{resolve_frontier, ParetoPoint};
 
 /// Explores a [`ScenarioGrid`] on a fixed number of worker threads.
 ///
-/// Workers pull rate-axis *series* from a shared atomic cursor (cheap
-/// work stealing: an idle worker immediately claims the next unevaluated
-/// series, so uneven costs cannot idle a core). Each series builds its
-/// capability model once and sweeps the rates against it
-/// (the crate's private `series` module); results carry their cell
-/// indices, land in canonical order on collection, and evaluation is
-/// pure — so the transcript of any run is byte-identical to
+/// Workers pull *series* — runs of one `(device, workload)` block — from
+/// a shared atomic cursor (cheap work stealing: an idle worker
+/// immediately claims the next unrun series, so uneven costs cannot idle
+/// a core). Each series builds its capability model once and sweeps the
+/// rates and goals against it (the crate's private `series` module);
+/// the series' outcomes are kept in series order, and evaluation is pure
+/// — so the transcript of any run is byte-identical to
 /// [`GridExecutor::serial`].
 ///
 /// A fan-out spawns at most one worker per series: a worker claims whole
@@ -62,14 +64,14 @@ struct ExecTelemetry {
     series_built: Counter,
     models_reused: Counter,
     interner_keys: Counter,
-    /// Candidates that entered the final frontier sweep (every series'
-    /// front plus the feasible cache hits), and those it dropped.
+    /// Candidates that entered the final frontier sweep (the union of
+    /// the series' fronts), and those it dropped.
     frontier_inserts: Counter,
     frontier_evictions: Counter,
-    /// Per-series evaluation latency distribution (`grid.series_eval`),
-    /// the series' own frontier sweep included.
+    /// Per-series latency distribution (`grid.series_eval`): lookups,
+    /// evaluation and the series' own frontier sweep.
     series_latency: Histogram,
-    /// Emits one `grid.series` begin/end pair per evaluated series when
+    /// Emits one `grid.series` begin/end pair per series run when
     /// tracing is on, so worker-thread parallelism is visible in the
     /// timeline.
     tracer: Tracer,
@@ -99,25 +101,25 @@ impl ExecTelemetry {
         }
     }
 
-    /// Evaluates one series and sweeps it to its frontier, timing both
-    /// into the latency histogram and bracketing them with trace events
-    /// when either sink is live.
-    fn timed_series(&self, grid: &ScenarioGrid, s: &Series) -> SeriesBatch {
+    /// Runs one series, timing it into the latency histogram and
+    /// bracketing it with trace events when either sink is live.
+    fn timed_series(
+        &self,
+        grid: &ScenarioGrid,
+        interner: &KeyInterner,
+        cache: Option<&ResultCache>,
+        series: &Range<usize>,
+    ) -> SeriesRun {
         self.tracer.begin("grid.series");
         let started = self.series_latency.is_live().then(std::time::Instant::now);
-        let outcomes = evaluate_series(grid, s);
-        let front = series_front(&outcomes);
+        let run = evaluate_series(grid, interner, cache, series.clone());
         if let Some(started) = started {
             self.series_latency.record(started.elapsed());
         }
         self.tracer.end("grid.series");
-        (outcomes, front)
+        run
     }
 }
-
-/// One evaluated series: every `(cell index, outcome)`, and the
-/// `(cell index, objectives)` of its own Pareto frontier.
-type SeriesBatch = (Vec<(usize, CellOutcome)>, Vec<(usize, [f64; 3])>);
 
 /// Adds `cells` to `grid.worker.{worker}.cells`, registering the counter
 /// on first use, so a snapshot lists only workers that were spawned.
@@ -190,14 +192,15 @@ impl GridExecutor {
         self.explore_with(grid, None)
     }
 
-    /// Like [`GridExecutor::explore`], but resolves every cell against
-    /// `cache` first and evaluates only the misses (in parallel), feeding
-    /// them back into the cache. Because cached outcomes round-trip
-    /// exactly, the results — and every report rendered from them — are
+    /// Like [`GridExecutor::explore`], but looks every cell up in `cache`
+    /// and evaluates only the misses, feeding them back into the cache.
+    /// The lookups run on the worker threads, inside the series that
+    /// holds each cell. Because cached outcomes round-trip exactly, the
+    /// results — and every report rendered from them — are
     /// byte-identical to an uncached exploration.
     ///
     /// Cache keys are joined from the [`KeyInterner`]'s fragments into
-    /// one reused string buffer; the canonical bytes match
+    /// one reused string buffer per series; the canonical bytes match
     /// [`ScenarioGrid::dedup_key`] exactly.
     ///
     /// # Errors
@@ -211,200 +214,180 @@ impl GridExecutor {
         self.explore_with(grid, Some(cache))
     }
 
-    /// The one exploration pass. The cells stream into the series
-    /// planner; with a cache, each hit fills its slot on the way and only
-    /// misses go on. Evaluated outcomes fill their slots (and the cache)
-    /// as they arrive. The feasible hits and every series' front are the
-    /// frontier candidates, swept once more at assembly.
+    /// The one exploration pass: runs every series of the grid, then
+    /// keeps the series' outcomes as the results' blocks and sweeps the
+    /// union of their fronts to the grid's frontier.
     fn explore_with(
         &self,
         grid: &ScenarioGrid,
-        mut cache: Option<&mut ResultCache>,
+        cache: Option<&mut ResultCache>,
     ) -> Result<GridResults, GridError> {
         let _explore = self.telemetry.explore_span.start();
         grid.check_axes()?;
-        let interner = KeyInterner::new(grid)?;
+        let interner = self.interner(grid)?;
         self.telemetry.cells_total.add(grid.len() as u64);
         // The interner rejects repeated axis entries, so every cell is a
         // distinct scenario: the unique count equals the total.
         self.telemetry.cells_unique.add(grid.len() as u64);
-        self.telemetry
-            .interner_keys
-            .add(interner.interned_strings() as u64);
 
-        let mut candidates: Vec<(usize, [f64; 3])> = Vec::new();
-        let mut outcomes: Vec<Option<CellOutcome>> = vec![None; grid.len()];
-        let mut key = String::new();
-        let misses = grid.cells().filter(|cell| {
-            let Some(cache) = cache.as_deref_mut() else {
-                return true;
-            };
-            interner.resolve_into(cell, &mut key);
-            let Some(outcome) = cache.lookup(&key) else {
-                return true;
-            };
-            if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
-                candidates.push((cell.index, objectives));
-            }
-            outcomes[cell.index] = Some(outcome);
-            false
-        });
-        let series = plan_series(misses);
-        let fronts = self.evaluate(grid, &series, |index, outcome| {
-            if let Some(cache) = cache.as_deref_mut() {
-                cache.insert(interner.resolve(&grid.cell(index)), outcome.clone());
-            }
-            outcomes[index] = Some(outcome);
-        });
-        candidates.extend(fronts);
+        let runs = self.run(grid, &interner, cache, 0..grid.len());
 
         let _assemble = self.telemetry.assemble_span.start();
-        let outcomes: Vec<CellOutcome> = outcomes
-            .into_iter()
-            .map(|o| o.expect("every cell is cached or evaluated"))
+        let candidates: Vec<(usize, [f64; 3])> = runs
+            .iter()
+            .flat_map(|run| run.front.iter().copied())
             .collect();
-        let frontier = resolve_frontier(grid, &outcomes, &candidates);
+        let mut results = GridResults {
+            grid: grid.clone(),
+            blocks: runs.into_iter().map(|run| run.outcomes).collect(),
+            block_len: grid.rates().len() * grid.goals().len(),
+            frontier: Vec::new(),
+        };
+        results.frontier = resolve_frontier(&results, &candidates);
         self.telemetry.frontier_inserts.add(candidates.len() as u64);
         self.telemetry
             .frontier_evictions
-            .add((candidates.len() - frontier.len()) as u64);
-        Ok(GridResults {
-            grid: grid.clone(),
-            outcomes,
-            frontier,
-        })
+            .add((candidates.len() - results.frontier.len()) as u64);
+        Ok(results)
     }
 
-    /// Resolves an explicit list of cells against `cache`: cached cells
-    /// count as hits, the rest are evaluated (fanned out on this
-    /// executor's threads) and inserted. No results are assembled and the
-    /// series fronts are dropped — this is the shard-worker primitive,
-    /// which only needs the cache filled for the cells of its slice (see
+    /// Resolves the canonical cell range `cells` of `grid` against
+    /// `cache`: cached cells count as hits, the rest are evaluated
+    /// (fanned out on this executor's threads) and inserted. No results
+    /// are assembled and the series fronts are dropped — this is the
+    /// shard-worker primitive, which only needs the cache filled for the
+    /// cells of its slice (see
     /// [`ScenarioGrid::unique_cells`](crate::ScenarioGrid::unique_cells)
-    /// for the canonical slicing domain).
+    /// for the canonical slicing domain). The range may start and end
+    /// anywhere, mid-row and mid-block included.
     ///
     /// # Errors
     ///
     /// [`GridError::DuplicateAxisEntry`] if an axis of `grid` repeats an
     /// entry; `cache` is untouched then.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` ends beyond the grid's last cell.
     pub fn resolve_cells(
         &self,
         grid: &ScenarioGrid,
-        cells: &[GridCell],
+        cells: Range<usize>,
         cache: &mut ResultCache,
     ) -> Result<(), GridError> {
+        assert!(
+            cells.end <= grid.len(),
+            "cell range {cells:?} overruns the {}-cell grid",
+            grid.len()
+        );
         let _explore = self.telemetry.explore_span.start();
-        let interner = KeyInterner::new(grid)?;
+        let interner = self.interner(grid)?;
         self.telemetry.cells_total.add(cells.len() as u64);
-        self.telemetry
-            .interner_keys
-            .add(interner.interned_strings() as u64);
-        let mut key = String::new();
-        let misses = cells.iter().copied().filter(|cell| {
-            interner.resolve_into(cell, &mut key);
-            cache.lookup(&key).is_none()
-        });
-        let series = plan_series(misses);
-        self.evaluate(grid, &series, |index, outcome| {
-            cache.insert(interner.resolve(&grid.cell(index)), outcome);
-        });
+        self.run(grid, &interner, Some(cache), cells);
         Ok(())
     }
 
-    /// Evaluates `series` — one capability model per rate-axis series —
-    /// on at most one thread per series, and returns the series' fronts
-    /// concatenated in arrival order.
-    ///
-    /// `deliver` receives every `(cell index, outcome)` pair **as results
-    /// stream in** (on the calling thread, in arrival order) — the hook
-    /// the outcome slots and the cache ride.
-    fn evaluate(
+    /// The interner of `grid`, counted into `grid.interner.keys`.
+    fn interner(&self, grid: &ScenarioGrid) -> Result<KeyInterner, GridError> {
+        let interner = KeyInterner::new(grid)?;
+        self.telemetry
+            .interner_keys
+            .add(interner.interned_strings() as u64);
+        Ok(interner)
+    }
+
+    /// The one fan-out: plans `cells` into series and runs them on at
+    /// most one thread per series, looking every cell up in `cache`
+    /// first when there is one. Then, on the calling thread, inserts the
+    /// misses into `cache` in series order and adds the hits and misses
+    /// to its totals. Returns the runs in series order.
+    fn run(
         &self,
         grid: &ScenarioGrid,
-        series: &[Series],
-        mut deliver: impl FnMut(usize, CellOutcome),
-    ) -> Vec<(usize, [f64; 3])> {
-        let mut fronts = Vec::new();
+        interner: &KeyInterner,
+        cache: Option<&mut ResultCache>,
+        cells: Range<usize>,
+    ) -> Vec<SeriesRun> {
+        let series = plan(grid, cells.clone());
         if series.is_empty() {
-            return fronts;
+            return Vec::new();
         }
         let _eval = self.telemetry.eval_span.start();
-        let cells: usize = series.iter().map(Series::len).sum();
-        self.telemetry.cells_evaluated.add(cells as u64);
-        self.telemetry.series_built.add(series.len() as u64);
-        self.telemetry
-            .models_reused
-            .add((cells - series.len()) as u64);
         let workers = self.threads.min(series.len());
-        let mut collect = |(outcomes, front): SeriesBatch| {
-            for (index, outcome) in outcomes {
-                deliver(index, outcome);
-            }
-            fronts.extend(front);
-        };
-        if workers == 1 {
-            tally_worker(&self.metrics, 0, cells as u64);
-            for s in series {
-                collect(self.telemetry.timed_series(grid, s));
-            }
+        let shared = cache.as_deref();
+        let timed = |s: &Range<usize>| self.telemetry.timed_series(grid, interner, shared, s);
+        let runs: Vec<SeriesRun> = if workers == 1 {
+            series.iter().map(timed).collect()
         } else {
-            fan_out(
-                grid,
-                series,
-                workers,
-                &self.telemetry,
-                &self.metrics,
-                collect,
-            );
+            fan_out(&series, workers, &self.metrics, timed)
+        };
+        let cells_evaluated: u64 = runs.iter().map(|run| run.evaluated as u64).sum();
+        if workers == 1 {
+            tally_worker(&self.metrics, 0, cells_evaluated);
         }
-        fronts
+
+        let built = runs.iter().filter(|run| run.evaluated > 0).count() as u64;
+        self.telemetry.cells_evaluated.add(cells_evaluated);
+        self.telemetry.series_built.add(built);
+        self.telemetry.models_reused.add(cells_evaluated - built);
+        if let Some(cache) = cache {
+            let mut misses = 0;
+            for (s, run) in series.iter().zip(&runs) {
+                for &offset in &run.misses {
+                    let cell = grid.cell(s.start + offset);
+                    cache.insert(interner.resolve(&cell), run.outcomes[offset].clone());
+                }
+                misses += run.misses.len();
+            }
+            cache.tally(cells.len() - misses, misses);
+        }
+        runs
     }
 }
 
-/// Evaluates the planned `series` on `workers` threads, handing each
-/// series' batch to `collect`.
+/// Runs `series` on `workers` scoped threads and returns the runs in
+/// series order.
 ///
-/// Workers claim whole series from the cursor and send one batch (the
-/// outcomes and the series' front) per series; each worker tallies its
-/// evaluated cells in a thread-local count and publishes once on exit into
-/// `grid.worker.{i}.cells` ([`tally_worker`]) — the hot loop performs no
-/// shared-memory telemetry traffic and one channel send per *series*,
-/// not per cell.
-///
-/// `collect` runs on the collecting (calling) thread only, in batch
-/// arrival order — workers never touch it, so it needs no
-/// synchronisation and may borrow freely from the caller's stack.
+/// Workers claim series from an atomic cursor; each keeps its runs, and
+/// a local tally of the cells it evaluated, which it publishes once on
+/// exit into `grid.worker.{i}.cells` ([`tally_worker`]) — the hot loop
+/// performs no shared-memory telemetry traffic of its own. A worker's
+/// panic resumes on the calling thread.
 fn fan_out(
-    grid: &ScenarioGrid,
-    series: &[Series],
+    series: &[Range<usize>],
     workers: usize,
-    telemetry: &ExecTelemetry,
     metrics: &Metrics,
-    collect: impl FnMut(SeriesBatch),
-) {
+    run: impl Fn(&Range<usize>) -> SeriesRun + Sync,
+) -> Vec<SeriesRun> {
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<SeriesBatch>();
-    thread::scope(|scope| {
-        for worker in 0..workers {
-            let tx = tx.clone();
-            let cursor = &cursor;
-            scope.spawn(move || {
-                let mut evaluated: u64 = 0;
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(s) = series.get(i) else { break };
-                    let batch = telemetry.timed_series(grid, s);
-                    evaluated += batch.0.len() as u64;
-                    if tx.send(batch).is_err() {
-                        break;
+    let mut runs: Vec<(usize, SeriesRun)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|worker| {
+                let (cursor, run) = (&cursor, &run);
+                scope.spawn(move || {
+                    let mut claimed = Vec::new();
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(s) = series.get(i) else { break };
+                        claimed.push((i, run(s)));
                     }
-                }
-                tally_worker(metrics, worker, evaluated);
-            });
-        }
-        drop(tx);
-        rx.into_iter().for_each(collect);
+                    let cells = claimed.iter().map(|(_, run)| run.evaluated as u64).sum();
+                    tally_worker(metrics, worker, cells);
+                    claimed
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|handle| {
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect()
     });
+    runs.sort_unstable_by_key(|&(i, _)| i);
+    runs.into_iter().map(|(_, run)| run).collect()
 }
 
 /// The outcome of one exploration: the grid, one outcome per cell in
@@ -412,7 +395,11 @@ fn fan_out(
 #[derive(Debug, Clone, PartialEq)]
 pub struct GridResults {
     grid: ScenarioGrid,
-    outcomes: Vec<CellOutcome>,
+    /// One vector per `(device, workload)` block, in canonical order:
+    /// each series' outcomes, kept as the worker wrote them.
+    blocks: Vec<Vec<CellOutcome>>,
+    /// Cells per block: rates × goals.
+    block_len: usize,
     frontier: Vec<ParetoPoint>,
 }
 
@@ -426,7 +413,7 @@ impl GridResults {
     /// Total cells in the grid, each with its own outcome.
     #[must_use]
     pub fn total_cells(&self) -> usize {
-        self.outcomes.len()
+        self.grid.len()
     }
 
     /// The outcome of the cell at canonical index `index`.
@@ -436,12 +423,17 @@ impl GridResults {
     /// Panics if `index >= self.total_cells()`.
     #[must_use]
     pub fn outcome(&self, index: usize) -> &CellOutcome {
-        &self.outcomes[index]
+        &self.blocks[index / self.block_len][index % self.block_len]
+    }
+
+    /// Iterates every outcome in canonical order.
+    pub fn outcomes(&self) -> impl Iterator<Item = &CellOutcome> + '_ {
+        self.blocks.iter().flatten()
     }
 
     /// Iterates every `(cell, outcome)` in canonical order.
     pub fn records(&self) -> impl Iterator<Item = (GridCell, &CellOutcome)> + '_ {
-        self.grid.cells().zip(&self.outcomes)
+        self.grid.cells().zip(self.outcomes())
     }
 
     /// The Pareto frontier over (energy saving, capacity utilisation,
@@ -534,7 +526,7 @@ mod tests {
                 Err(expected.clone())
             );
             assert_eq!(
-                GridExecutor::serial().resolve_cells(&grid, &grid.unique_cells(), &mut cache),
+                GridExecutor::serial().resolve_cells(&grid, 0..grid.len(), &mut cache),
                 Err(expected.clone())
             );
             assert!(cache.is_empty(), "{axis}: the cache was touched");
@@ -620,6 +612,47 @@ mod tests {
             (1..=series).contains(&workers),
             "{workers} worker counters for {series} series"
         );
+    }
+
+    #[test]
+    fn resolve_cells_fills_exactly_its_range_mid_row() {
+        // paper_baseline(5) has blocks of 10 cells (5 rates × 2 goals) and
+        // rows of 2: each range starts and ends mid-row, and 3..27 crosses
+        // two block boundaries.
+        use crate::eval::evaluate;
+
+        let grid = ScenarioGrid::paper_baseline(5);
+        let interner = KeyInterner::new(&grid).unwrap();
+        for range in [3..27, 1..2, 9..11, 27..grid.len()] {
+            for threads in [1, 3] {
+                let executor = GridExecutor::parallel(threads);
+                let mut cache = ResultCache::new();
+                executor
+                    .resolve_cells(&grid, range.clone(), &mut cache)
+                    .unwrap();
+                assert_eq!((cache.hits(), cache.misses()), (0, range.len()));
+                assert_eq!(cache.len(), range.len());
+                for cell in grid.cells() {
+                    let cached = cache.get(&interner.resolve(&cell));
+                    if range.contains(&cell.index) {
+                        assert_eq!(cached, Some(evaluate(&grid, &cell)), "{range:?}: {cell:?}");
+                    } else {
+                        assert_eq!(cached, None, "{range:?}: {cell:?} is outside");
+                    }
+                }
+                // The whole grid over that cache: the range hits, the
+                // rest is evaluated.
+                executor
+                    .resolve_cells(&grid, 0..grid.len(), &mut cache)
+                    .unwrap();
+                assert_eq!(cache.hits(), range.len());
+                assert_eq!(cache.misses(), grid.len());
+                for cell in grid.cells() {
+                    let cached = cache.get(&interner.resolve(&cell));
+                    assert_eq!(cached, Some(evaluate(&grid, &cell)), "{cell:?}");
+                }
+            }
+        }
     }
 
     #[test]

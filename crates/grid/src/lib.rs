@@ -16,18 +16,19 @@
 //! with three guarantees the rest of the workspace builds on:
 //!
 //! 1. **Determinism** — cells have a fixed canonical order (device
-//!    outermost, goal innermost) and evaluation is pure, so an `N`-thread
-//!    run produces *byte-identical* output to the serial run.
-//! 2. **Distinct cells** — every cell is its own job and its own
-//!    scenario: an axis that repeats an entry (the same device parameters,
+//!    outermost, goal innermost), evaluation is pure and results are kept
+//!    in series order, so an `N`-thread run produces *byte-identical*
+//!    output to the serial run.
+//! 2. **Distinct cells** — every cell is its own scenario, evaluated
+//!    once: an axis that repeats an entry (the same device parameters,
 //!    workload shape, rate or goal under another name) is rejected with
 //!    [`GridError::DuplicateAxisEntry`] instead of being shared.
 //! 3. **Aggregation** — outcomes fold into a Pareto frontier over
 //!    (energy saving, capacity utilisation, device lifetime), the
 //!    three non-functional properties of the paper. Each worker sweeps
-//!    the series it evaluated to that series' frontier
-//!    ([`non_dominated`]), and one final sweep over those fronts and the
-//!    feasible cache hits gives the grid's frontier.
+//!    the series it ran, cache hits included, to that series' frontier
+//!    ([`non_dominated`]), and one final sweep over those fronts gives
+//!    the grid's frontier.
 //!
 //! An optional sim-backed validation mode replays chosen cells through
 //! `memstream_sim` and reports model-vs-simulation deltas.

@@ -187,7 +187,7 @@ pub fn summary(results: &GridResults) -> String {
     let mut unmodelled = 0usize;
     // Counting needs only the outcomes; `records()` would also derive
     // every cell's coordinates.
-    for outcome in (0..results.total_cells()).map(|index| results.outcome(index)) {
+    for outcome in results.outcomes() {
         match outcome {
             CellOutcome::Feasible(_) => feasible += 1,
             CellOutcome::Infeasible(_) => infeasible += 1,

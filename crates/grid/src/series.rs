@@ -1,16 +1,22 @@
-//! Series-batched evaluation: the executor's hot path.
+//! Series evaluation: the executor's unit of work.
 //!
 //! [`crate::eval::evaluate`] rebuilds the capability model — device
 //! validation, DRAM model, capability discovery — for every cell, even
-//! though only the *rate* axis varies within a `(device, workload, goal)`
-//! group. [`plan_series`] groups the cells to evaluate by those three
-//! axes; [`evaluate_series`] then constructs the model **once per series**
-//! and sweeps the rates against the reused device intermediates, building
-//! a single [`BufferDimensioner`](memstream_core::BufferDimensioner) per
-//! rate instead of one model stack per metric. The goal's capacity solve
-//! depends on no rate, so it runs once per series
-//! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum))
-//! and every rate plans against its result.
+//! though only the rate and goal axes vary within a `(device, workload)`
+//! *block*: the `rates × goals` cells that share one capability model.
+//! In canonical order a block is contiguous, so [`plan`] cuts any
+//! canonical cell range into *series*, one run of one block each, with
+//! arithmetic alone.
+//!
+//! [`evaluate_series`] runs one series on a worker thread, one rate row
+//! at a time. It looks each cell up in the cache, if there is one, and
+//! evaluates the misses. The series model is built at the first miss
+//! and serves every later one. Validation and each goal's capacity solve
+//! depend on no rate, so they run once per series
+//! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum)),
+//! and one [`BufferDimensioner`](memstream_core::BufferDimensioner) per
+//! rate plans every goal missed at that rate. The series' outcomes come
+//! back in canonical order, with the series' own Pareto front.
 //!
 //! Every device takes the same path, whatever its concrete type: the
 //! series model reads the device's energy numbers once
@@ -19,88 +25,89 @@
 //! `parallel_matches_serial_exactly` plus this module's equivalence tests
 //! pin the outputs to [`crate::eval::evaluate`] bit for bit.
 
+use std::ops::Range;
+
 use memstream_core::{CapabilityModel, DesignGoal, EnergyModel, ModelError};
 use memstream_device::{DramModel, EnergyModelled, StorageDevice};
-use memstream_units::BitRate;
+use memstream_units::{BitRate, DataSize};
 use memstream_workload::Workload;
 
+use crate::cache::ResultCache;
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
+use crate::key::KeyInterner;
 use crate::spec::{GridCell, ScenarioGrid};
+use crate::store::front;
 
-/// One rate-axis series: every cell to evaluate that shares a
-/// `(device, workload, goal)` axis triple, in arrival order.
-#[derive(Debug, Clone)]
-pub(crate) struct Series {
-    device: usize,
-    workload: usize,
-    goal: usize,
-    /// `(canonical cell index, rate axis index)` of each member.
-    cells: Vec<(usize, usize)>,
+/// Cuts the canonical cell range `cells` of `grid` into series, in
+/// canonical order: a series ends where `cells` or its
+/// `(device, workload)` block does.
+pub(crate) fn plan(grid: &ScenarioGrid, cells: Range<usize>) -> Vec<Range<usize>> {
+    cut(cells, grid.rates().len() * grid.goals().len()).collect()
 }
 
-impl Series {
-    /// Number of cells this series evaluates.
-    pub(crate) fn len(&self) -> usize {
-        self.cells.len()
-    }
+/// Cuts `cells` at every multiple of `unit` inside it.
+fn cut(cells: Range<usize>, unit: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut start = cells.start;
+    std::iter::from_fn(move || {
+        (start < cells.end).then(|| {
+            let run = start..cells.end.min((start / unit + 1) * unit);
+            start = run.end;
+            run
+        })
+    })
 }
 
-/// Groups `cells` (any cells of one grid, in canonical order) into
-/// rate-axis series, one per `(device, workload, goal)` triple.
-pub(crate) fn plan_series(cells: impl IntoIterator<Item = GridCell>) -> Vec<Series> {
-    let mut series: Vec<Series> = Vec::new();
-    let mut last: Option<usize> = None;
-    for cell in cells {
-        // Cells arrive sorted by (device, workload, rate, goal); a series
-        // keyed on (device, workload, goal) is contiguous only when the
-        // goal axis has one entry, so fall back to a linear probe over
-        // the (short) tail of open series.
-        let matches = |s: &Series| {
-            s.device == cell.device && s.workload == cell.workload && s.goal == cell.goal
-        };
-        let slot = match last {
-            Some(i) if matches(&series[i]) => Some(i),
-            _ => series.iter().rposition(matches),
-        };
-        let slot = match slot {
-            Some(i) => i,
-            None => {
-                series.push(Series {
-                    device: cell.device,
-                    workload: cell.workload,
-                    goal: cell.goal,
-                    cells: Vec::new(),
-                });
-                series.len() - 1
-            }
-        };
-        series[slot].cells.push((cell.index, cell.rate));
-        last = Some(slot);
-    }
-    series
+/// What one series produced.
+pub(crate) struct SeriesRun {
+    /// One outcome per cell of the series, in canonical order.
+    pub(crate) outcomes: Vec<CellOutcome>,
+    /// The `(cell index, objectives)` of the series' own Pareto front:
+    /// its non-dominated feasible outcomes, cache hits included, each
+    /// measurable on the energy axis.
+    pub(crate) front: Vec<(usize, [f64; 3])>,
+    /// Offsets into `outcomes` of the cells the cache missed; empty
+    /// without a cache.
+    pub(crate) misses: Vec<usize>,
+    /// Cells evaluated: the misses, or every cell without a cache. The
+    /// series built its model exactly when this is not zero.
+    pub(crate) evaluated: usize,
 }
 
 /// The per-series model, built once and swept over rates.
 enum SeriesModel<'a> {
-    /// The device exposes every capability the full pipeline needs.
-    Full(CapabilityModel<'a>),
+    /// The device exposes every capability the full pipeline needs; the
+    /// capacity minimum of each of the grid's goals rides along.
+    Full(
+        CapabilityModel<'a>,
+        Vec<Result<Option<DataSize>, ModelError>>,
+    ),
     /// The device only exposes energy (the classic 1.8″ disk mask).
     EnergyOnly(&'a dyn EnergyModelled),
     /// No usable capability; the (rate-independent) error.
     Unmodelled(ModelError),
 }
 
-/// Builds the series model for `device`. The capability checks and errors
-/// are those of [`crate::eval::evaluate`], so the fallback classification
-/// matches it exactly.
+/// Builds the series model for `device`, solving every goal's capacity
+/// minimum once. The capability checks and errors are those of
+/// [`crate::eval::evaluate`], so the fallback classification matches it
+/// exactly.
 fn build_model<'a>(
     grid: &'a ScenarioGrid,
     device: &'a dyn StorageDevice,
     workload: Workload,
-    dram: Option<DramModel>,
 ) -> SeriesModel<'a> {
+    let dram = grid.dram_enabled().then(DramModel::micron_ddr_mobile);
     match CapabilityModel::new(device, workload, dram, grid.best_effort_policy()) {
-        Ok(model) => SeriesModel::Full(model),
+        Ok(model) => {
+            let capacities = {
+                let dim = model.dimensioner();
+                grid.goals()
+                    .iter()
+                    .map(|goal| dim.capacity_minimum(goal))
+                    .collect()
+            };
+            SeriesModel::Full(model, capacities)
+        }
         Err(err) => degraded(device, &err),
     }
 }
@@ -119,84 +126,137 @@ fn degraded<'a>(device: &'a dyn StorageDevice, err: &ModelError) -> SeriesModel<
     }
 }
 
-/// Every full-pipeline cell of a series: the goal's capacity minimum is
-/// solved once, then one dimensioner per rate plans against it and serves
-/// every metric of the planned point.
-fn eval_full(
-    model: &CapabilityModel<'_>,
-    goal: &DesignGoal,
-    rates: impl Iterator<Item = BitRate>,
-) -> Vec<CellOutcome> {
-    let capacity = model.dimensioner().capacity_minimum(goal);
-    rates
-        .map(|rate| {
-            let at_rate = model.with_rate(rate);
-            let dim = at_rate.dimensioner();
-            match dim.plan(goal, &capacity) {
-                Ok(plan) => {
-                    let b = plan.buffer();
-                    CellOutcome::Feasible(PlannedPoint {
-                        buffer: b,
-                        dominant: plan.dominant().label(),
-                        saving: dim.energy().saving(b).ok(),
-                        utilization: dim.capacity().utilization(b),
-                        lifetime: dim.lifetime().device_lifetime(b),
-                        energy_per_bit: dim.energy().per_bit_energy(b).ok(),
-                    })
-                }
-                Err(err) => CellOutcome::Infeasible(err),
+impl SeriesModel<'_> {
+    /// Evaluates the empty slots of `row`, the cells at `rate` whose goals
+    /// start at `grid.goals()[first_goal]`: one dimensioner (or energy
+    /// model) serves them all.
+    fn fill_row(
+        &self,
+        grid: &ScenarioGrid,
+        workload: &Workload,
+        rate: BitRate,
+        first_goal: usize,
+        row: &mut [Option<CellOutcome>],
+    ) {
+        let goals = &grid.goals()[first_goal..];
+        match self {
+            SeriesModel::Full(model, capacities) => {
+                let at_rate = model.with_rate(rate);
+                let dim = at_rate.dimensioner();
+                fill(row, |k| {
+                    match dim.plan(&goals[k], &capacities[first_goal + k]) {
+                        Ok(plan) => {
+                            let b = plan.buffer();
+                            CellOutcome::Feasible(PlannedPoint {
+                                buffer: b,
+                                dominant: plan.dominant().label(),
+                                saving: dim.energy().saving(b).ok(),
+                                utilization: dim.capacity().utilization(b),
+                                lifetime: dim.lifetime().device_lifetime(b),
+                                energy_per_bit: dim.energy().per_bit_energy(b).ok(),
+                            })
+                        }
+                        Err(err) => CellOutcome::Infeasible(err),
+                    }
+                });
             }
-        })
-        .collect()
-}
-
-/// Evaluates every cell of `series`, returning `(cell index, outcome)`
-/// pairs in member order. Bit-identical to calling
-/// [`crate::eval::evaluate`] on each member.
-pub(crate) fn evaluate_series(grid: &ScenarioGrid, series: &Series) -> Vec<(usize, CellOutcome)> {
-    let device = grid.devices()[series.device].device();
-    let goal = &grid.goals()[series.goal];
-    let base = grid.workloads()[series.workload].workload();
-    let rates = grid.rates();
-    let dram = grid.dram_enabled().then(DramModel::micron_ddr_mobile);
-
-    // The model validates against the first member's rate — capability
-    // discovery and validation are rate-independent, so any member works;
-    // sweeping then re-rates the shared model per cell.
-    let first_rate = rates[series.cells[0].1];
-    let model = build_model(grid, device, base.with_rate(first_rate), dram);
-    let member_rates = series.cells.iter().map(|&(_, rate_idx)| rates[rate_idx]);
-
-    let outcomes = match &model {
-        SeriesModel::Full(m) => eval_full(m, goal, member_rates),
-        SeriesModel::EnergyOnly(energy_device) => member_rates
-            .map(|rate| {
+            SeriesModel::EnergyOnly(device) => {
                 let energy = EnergyModel::new(
-                    *energy_device,
-                    base.with_rate(rate),
+                    *device,
+                    workload.with_rate(rate),
                     grid.best_effort_policy(),
                     None,
                 );
-                let buffer_for_saving = goal
-                    .energy_saving_target()
-                    .and_then(|e| energy.min_buffer_for_saving(e).ok());
-                CellOutcome::EnergyOnly(EnergyOnlyPoint {
-                    break_even: energy.break_even_buffer().ok(),
-                    buffer_for_saving,
-                    saving: buffer_for_saving.and_then(|b| energy.saving(b).ok()),
-                })
-            })
-            .collect(),
-        SeriesModel::Unmodelled(err) => member_rates
-            .map(|_| CellOutcome::Unmodelled(err.clone()))
-            .collect(),
+                fill(row, |k| energy_only(&energy, &goals[k]));
+            }
+            SeriesModel::Unmodelled(err) => fill(row, |_| CellOutcome::Unmodelled(err.clone())),
+        }
+    }
+}
+
+/// Fills each empty slot of `row` with `eval` of its offset.
+fn fill(row: &mut [Option<CellOutcome>], mut eval: impl FnMut(usize) -> CellOutcome) {
+    for (k, slot) in row.iter_mut().enumerate() {
+        if slot.is_none() {
+            *slot = Some(eval(k));
+        }
+    }
+}
+
+/// The energy-only outcome of `goal` under `energy`.
+fn energy_only(energy: &EnergyModel<'_>, goal: &DesignGoal) -> CellOutcome {
+    let buffer_for_saving = goal
+        .energy_saving_target()
+        .and_then(|e| energy.min_buffer_for_saving(e).ok());
+    CellOutcome::EnergyOnly(EnergyOnlyPoint {
+        break_even: energy.break_even_buffer().ok(),
+        buffer_for_saving,
+        saving: buffer_for_saving.and_then(|b| energy.saving(b).ok()),
+    })
+}
+
+/// Runs `series`, one canonical run of one block of `grid` (see
+/// [`plan`]): looks each cell up in `cache` under its `interner` key,
+/// evaluates the misses, and sweeps the outcomes to the series' front.
+/// Each outcome is bit-identical to [`crate::eval::evaluate`] of its
+/// cell (or to the cached one).
+pub(crate) fn evaluate_series(
+    grid: &ScenarioGrid,
+    interner: &KeyInterner,
+    cache: Option<&ResultCache>,
+    series: Range<usize>,
+) -> SeriesRun {
+    let goals = grid.goals().len();
+    let mut run = SeriesRun {
+        outcomes: Vec::with_capacity(series.len()),
+        front: Vec::new(),
+        misses: Vec::new(),
+        evaluated: 0,
     };
-    series
-        .cells
-        .iter()
-        .map(|&(index, _)| index)
-        .zip(outcomes)
-        .collect()
+    let mut model = None;
+    let mut candidates = Vec::new();
+    let mut key = String::new();
+    // One rate row at a time: its hits, and `None` for each miss until
+    // the row's one dimensioner evaluates it.
+    let mut row: Vec<Option<CellOutcome>> = Vec::with_capacity(goals);
+    for cells in cut(series.clone(), goals) {
+        let first = grid.cell(cells.start);
+        for (index, goal) in cells.clone().zip(first.goal..) {
+            let cell = GridCell {
+                index,
+                goal,
+                ..first
+            };
+            let hit = cache.and_then(|cache| {
+                interner.resolve_into(&cell, &mut key);
+                cache.lookup(&key)
+            });
+            if hit.is_none() {
+                if cache.is_some() {
+                    run.misses.push(index - series.start);
+                }
+                run.evaluated += 1;
+            }
+            row.push(hit);
+        }
+        if row.iter().any(Option::is_none) {
+            let rate = grid.rates()[first.rate];
+            let workload = grid.workloads()[first.workload].workload();
+            let device = grid.devices()[first.device].device();
+            model
+                .get_or_insert_with(|| build_model(grid, device, workload.with_rate(rate)))
+                .fill_row(grid, workload, rate, first.goal, &mut row);
+        }
+        for (index, outcome) in cells.zip(row.drain(..)) {
+            let outcome = outcome.expect("every miss of the row was evaluated");
+            if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
+                candidates.push((index, objectives));
+            }
+            run.outcomes.push(outcome);
+        }
+    }
+    run.front = front(&candidates);
+    run
 }
 
 #[cfg(test)]
@@ -209,12 +269,15 @@ mod tests {
     /// Runs the series path over a grid's cells and asserts every
     /// outcome equals the reference per-cell evaluator, bitwise.
     fn assert_series_matches_reference(grid: &ScenarioGrid) {
-        let series = plan_series(grid.cells());
-        let members: usize = series.iter().map(Series::len).sum();
+        let interner = KeyInterner::new(grid).unwrap();
+        let series = plan(grid, 0..grid.len());
+        let members: usize = series.iter().map(ExactSizeIterator::len).sum();
         assert_eq!(members, grid.len(), "series partition the cells");
         let mut seen = vec![false; grid.len()];
-        for s in &series {
-            for (index, outcome) in evaluate_series(grid, s) {
+        for s in series {
+            let run = evaluate_series(grid, &interner, None, s.clone());
+            assert_eq!(run.outcomes.len(), s.len());
+            for (index, outcome) in s.zip(run.outcomes) {
                 assert!(!seen[index], "cell {index} evaluated twice");
                 seen[index] = true;
                 let cell = grid.cell(index);
@@ -339,7 +402,7 @@ mod tests {
         // paper_baseline: 5 devices × 3 workloads × R rates × 2 goals.
         // Series count must not scale with the rate axis.
         let grid = ScenarioGrid::paper_baseline(11);
-        let series = plan_series(grid.cells());
+        let series = plan(&grid, 0..grid.len());
         assert!(
             series.len() * 4 <= grid.len(),
             "expected ≥4 cells per series on average: {} series / {} cells",

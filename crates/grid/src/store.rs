@@ -2,15 +2,16 @@
 //!
 //! One function computes every frontier: [`non_dominated`], a
 //! sort-and-sweep. The executor runs it twice. Each worker sweeps the
-//! series it has just evaluated ([`series_front`]), and assembly sweeps
-//! the union of those series fronts and the feasible cache hits once more
+//! series it has just run, cache hits included ([`front`]), and assembly
+//! sweeps the union of those series fronts once more
 //! ([`resolve_frontier`]). Both sweeps see the same points whatever the
 //! thread count, so the frontier and its counters do too.
 
 use std::cmp::Reverse;
 
-use crate::eval::{CellOutcome, PlannedPoint};
-use crate::spec::{GridCell, ScenarioGrid};
+use crate::eval::PlannedPoint;
+use crate::exec::GridResults;
+use crate::spec::GridCell;
 
 /// One point of the Pareto frontier: a feasible scenario no other feasible
 /// scenario strictly improves on in all three paper metrics at once.
@@ -102,31 +103,17 @@ pub(crate) fn front(candidates: &[(usize, [f64; 3])]) -> Vec<(usize, [f64; 3])> 
         .collect()
 }
 
-/// The frontier of one evaluated series: the non-dominated
-/// `(cell index, objectives)` of its feasible outcomes, each measurable
-/// on the energy axis.
-#[must_use]
-pub(crate) fn series_front(batch: &[(usize, CellOutcome)]) -> Vec<(usize, [f64; 3])> {
-    let candidates: Vec<(usize, [f64; 3])> = batch
-        .iter()
-        .filter_map(|(index, outcome)| Some((*index, outcome.planned()?.objectives()?)))
-        .collect();
-    front(&candidates)
-}
-
 /// Sweeps the `candidates` once more and resolves the survivors against
-/// the finished outcomes (one per cell of `grid`, in canonical order),
-/// sorted by cell index — the canonical report order. Only the
-/// frontier-sized slice of planned points is cloned.
+/// the finished `results`, sorted by cell index — the canonical report
+/// order. Only the frontier-sized slice of planned points is cloned.
 ///
-/// The candidates are every series' frontier plus the feasible cache
-/// hits. A point its series dropped is dominated by a survivor of that
-/// series (dominance is transitive and a series is finite), so this
-/// second sweep gives the frontier of the whole grid.
+/// The candidates are every series' front. A point its series dropped is
+/// dominated by a survivor of that series (dominance is transitive and a
+/// series is finite), so this second sweep gives the frontier of the
+/// whole grid.
 #[must_use]
 pub(crate) fn resolve_frontier(
-    grid: &ScenarioGrid,
-    outcomes: &[CellOutcome],
+    results: &GridResults,
     candidates: &[(usize, [f64; 3])],
 ) -> Vec<ParetoPoint> {
     let mut survivors = front(candidates);
@@ -134,9 +121,9 @@ pub(crate) fn resolve_frontier(
     survivors
         .into_iter()
         .filter_map(|(index, objectives)| {
-            let point = outcomes[index].planned()?;
+            let point = results.outcome(index).planned()?;
             Some(ParetoPoint {
-                cell: grid.cell(index),
+                cell: results.grid().cell(index),
                 point: point.clone(),
                 objectives,
             })

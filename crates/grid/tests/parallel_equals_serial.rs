@@ -97,3 +97,68 @@ fn aliased_devices_are_rejected_not_shared() {
     let csv = report::cells_csv(&results);
     assert_eq!(csv.lines().count(), 1 + results.total_cells());
 }
+
+#[test]
+fn partially_warm_caches_match_the_uncached_run() {
+    // A cache warmed from a sub-grid: every other rate, and only the
+    // second goal. Keys are content-based, so exactly those cells hit:
+    // every other rate row mixes a hit and a miss, and the rows between
+    // miss both goals.
+    use memstream_grid::{CacheFormat, Metrics, ResultCache};
+
+    let grid = acceptance_grid();
+    let mut warmed = ScenarioGrid::new();
+    for device in grid.devices() {
+        warmed = warmed.device(device.clone());
+    }
+    for workload in grid.workloads() {
+        warmed = warmed.workload(workload.clone());
+    }
+    let warmed = warmed
+        .with_rates(grid.rates().iter().step_by(2).copied())
+        .goal(grid.goals()[1]);
+    let mut seed = ResultCache::new();
+    GridExecutor::serial()
+        .explore_cached(&warmed, &mut seed)
+        .expect("warming run");
+
+    let reference = GridExecutor::serial().explore(&grid).expect("serial run");
+    let mut saved: Option<Vec<u8>> = None;
+    for threads in [1, 2, 8] {
+        let mut cache = seed.clone();
+        let (hits, misses) = (cache.hits(), cache.misses());
+        let metrics = Metrics::enabled();
+        let results = GridExecutor::parallel(threads)
+            .with_metrics(&metrics)
+            .explore_cached(&grid, &mut cache)
+            .expect("partially warm run");
+        assert_eq!(report::cells_csv(&reference), report::cells_csv(&results));
+        assert_eq!(
+            report::frontier_csv(&reference),
+            report::frontier_csv(&results)
+        );
+        assert_eq!(report::summary(&reference), report::summary(&results));
+        let (hits, misses) = (cache.hits() - hits, cache.misses() - misses);
+        assert_eq!(hits, warmed.len(), "{threads} threads");
+        assert_eq!(misses, grid.len() - warmed.len(), "{threads} threads");
+        assert_eq!(
+            metrics.snapshot().counter("grid.cells_evaluated"),
+            Some(misses as u64),
+            "{threads} threads"
+        );
+
+        let path = std::env::temp_dir().join(format!(
+            "memstream-partially-warm-{}-{threads}.cache",
+            std::process::id()
+        ));
+        cache
+            .save_as(&path, CacheFormat::default())
+            .expect("cache saves");
+        let bytes = std::fs::read(&path).expect("saved cache reads");
+        std::fs::remove_file(&path).expect("temp file removed");
+        match &saved {
+            Some(first) => assert!(*first == bytes, "cache file differs at {threads} threads"),
+            None => saved = Some(bytes),
+        }
+    }
+}

@@ -1118,7 +1118,7 @@ mod tests {
         let unique = grid.unique_cells();
         let mut cache = ResultCache::new();
         GridExecutor::serial()
-            .resolve_cells(&grid, &unique, &mut cache)
+            .resolve_cells(&grid, 0..unique.len(), &mut cache)
             .unwrap();
         let keys: Vec<String> = unique.iter().map(|cell| grid.dedup_key(cell)).collect();
         let outcomes = keys
@@ -1130,11 +1130,15 @@ mod tests {
 
     /// A one-worker fan-out of `classic(3)` as a single lease, whose
     /// worker takes that lease, writes `bytes` to its stdout and then
-    /// runs `then`. Returns the run and the merged cache.
+    /// runs `then`. Returns the run and the merged cache. Each call has
+    /// its own scratch file: tests run concurrently in one process, and
+    /// two of them name a case `huge`.
     #[cfg(unix)]
     fn lease_then_send(name: &str, bytes: &[u8], then: &str) -> (ShardRun, ResultCache) {
+        static CALLS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let call = CALLS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let path = std::env::temp_dir().join(format!(
-            "memstream-coordinator-tests-{}-{name}.out",
+            "memstream-coordinator-tests-{}-{call}-{name}.out",
             std::process::id()
         ));
         std::fs::write(&path, bytes).expect("scripted stdout");

@@ -69,7 +69,7 @@
 //! let mut shards = Vec::new();
 //! for range in lease_chunks(unique.len(), unique.len().div_ceil(3)) {
 //!     let mut shard = ResultCache::new();
-//!     GridExecutor::serial().resolve_cells(&grid, &unique[range], &mut shard)?;
+//!     GridExecutor::serial().resolve_cells(&grid, range, &mut shard)?;
 //!     shards.push(shard);
 //! }
 //!

@@ -701,7 +701,7 @@ mod tests {
             let grid = recipe.build();
             let cells = &grid.unique_cells()[..records];
             let mut cache = memstream_grid::ResultCache::new();
-            memstream_grid::GridExecutor::serial().resolve_cells(&grid, cells, &mut cache).unwrap();
+            memstream_grid::GridExecutor::serial().resolve_cells(&grid, 0..records, &mut cache).unwrap();
             let keys: Vec<String> = cells.iter().map(|cell| grid.dedup_key(cell)).collect();
             let outcomes: Vec<_> = keys.iter().map(|key| cache.get(key).expect("resolved")).collect();
             let intact = memstream_grid::encode_frame(keys.iter().map(String::as_str).zip(&outcomes));

@@ -168,12 +168,12 @@ fn run_lease_worker(
             ));
         }
 
-        let cells = &unique[range.clone()];
-        let batch_size = cells.len().div_ceil(PROGRESS_CHUNKS).max(1);
-        for batch in cells.chunks(batch_size) {
+        let batch_size = range.len().div_ceil(PROGRESS_CHUNKS).max(1);
+        for start in range.clone().step_by(batch_size) {
+            let batch = &unique[start..range.end.min(start + batch_size)];
             let first_frame = evaluated == 0;
             executor
-                .resolve_cells(&grid, batch, &mut working)
+                .resolve_cells(&grid, start..start + batch.len(), &mut working)
                 .map_err(invalid)?;
             evaluated += batch.len();
 
@@ -231,7 +231,7 @@ fn run_lease_worker(
             out.flush()?;
         }
 
-        completed += cells.len();
+        completed += range.len();
         writeln!(
             out,
             "{}",

@@ -382,7 +382,7 @@ fn records_of_cells_already_held_are_dropped_on_arrival() {
     let unique = grid.unique_cells();
     let mut evaluated = ResultCache::new();
     GridExecutor::serial()
-        .resolve_cells(&grid, &unique, &mut evaluated)
+        .resolve_cells(&grid, 0..unique.len(), &mut evaluated)
         .unwrap();
     let held = grid.dedup_key(&unique[1]);
     let truth = evaluated.get(&held).expect("evaluated");

@@ -7,8 +7,9 @@ use crate::json::{Json, JsonError, JsonObject};
 
 /// The snapshot JSON schema version, bumped on any incompatible change
 /// (see `docs/OBSERVABILITY.md` for the evolution rules). v2 added the
-/// `histograms` section; v3 redefined the frontier counters.
-pub const SNAPSHOT_SCHEMA: &str = "memstream-telemetry v3";
+/// `histograms` section; v3 redefined the frontier counters; v4 made a
+/// grid series a `(device, workload)` block.
+pub const SNAPSHOT_SCHEMA: &str = "memstream-telemetry v4";
 
 /// One counter's sampled value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -140,7 +141,7 @@ impl Snapshot {
     /// The snapshot as a versioned JSON document:
     ///
     /// ```json
-    /// {"schema": "memstream-telemetry v3",
+    /// {"schema": "memstream-telemetry v4",
     ///  "counters": {"cache.hits": 600},
     ///  "spans": {"grid.eval": {"entries": 1, "seconds": 0.0123}},
     ///  "histograms": {"grid.series_eval": {"count": 30, "sum_nanos": 91230,

@@ -39,7 +39,7 @@ use std::time::SystemTime;
 
 use memstream_core::{InfeasibleReason, ModelError, Requirement};
 use memstream_media::FormatError;
-use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle};
+use memstream_telemetry::{Counter, Histogram, HistogramSample, Metrics, SpanHandle};
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
@@ -221,6 +221,26 @@ pub struct ResultCache {
     hits: usize,
     misses: usize,
     telemetry: CacheTelemetry,
+}
+
+/// One series' lookup state ([`ResultCache::lookup`]): where in the
+/// file's record index its last hit sits, so the next search starts
+/// there, and its own tallies of what the lookups did. The series owns it
+/// outright, so its lookups write no memory that another thread shares;
+/// the executor publishes it once the series is done
+/// ([`ResultCache::publish`]).
+#[derive(Debug, Default)]
+pub(crate) struct LookupCursor {
+    /// The record ordinal of the last view hit.
+    near: usize,
+    hits: usize,
+    misses: usize,
+    /// Searches of the view's record index.
+    index_lookups: u64,
+    /// View records decoded.
+    records_decoded: u64,
+    /// The lookups' latencies, when `cache.lookup` is live.
+    latency: Option<HistogramSample>,
 }
 
 /// Where a view was opened from: the path, and the file's length and
@@ -601,17 +621,20 @@ impl ResultCache {
         Some(outcome)
     }
 
-    /// Looks up an outcome, counting the hit/miss into the `cache.hits`
-    /// and `cache.misses` telemetry and timing the probe into the
-    /// `cache.lookup` histogram when telemetry is enabled. The executor's
-    /// workers share the cache for their lookups, so the executor adds
-    /// their totals to [`ResultCache::hits`] and [`ResultCache::misses`]
-    /// once they are done ([`ResultCache::tally`]).
+    /// Looks up an outcome on behalf of `cursor`'s series, tallying the
+    /// hit or miss, the index probe and the decode in the cursor and —
+    /// when the `cache.lookup` histogram is live — timing the lookup into
+    /// the cursor's own sample. Nothing here touches memory another
+    /// thread writes: the executor publishes each cursor once, on the
+    /// calling thread, after its workers are done
+    /// ([`ResultCache::publish`]).
     ///
-    /// On a lazy cache, a view hit decodes that one record's payload —
-    /// never its key — every time: `cache.records_decoded` counts one
-    /// decode per hit.
-    pub(crate) fn lookup(&self, key: &str) -> Option<CellOutcome> {
+    /// On a lazy cache the index search starts from the cursor's last hit
+    /// ([`CacheView::find_near`]), which gives the whole-index search's
+    /// answer; a view hit decodes that one record's payload — never its
+    /// key — every time: `cache.records_decoded` counts one decode per
+    /// hit.
+    pub(crate) fn lookup(&self, key: &str, cursor: &mut LookupCursor) -> Option<CellOutcome> {
         let started = self
             .telemetry
             .lookup_latency
@@ -619,25 +642,44 @@ impl ResultCache {
             .then(std::time::Instant::now);
         let found = match self.overlay(key) {
             Some(outcome) => Some(outcome.clone()),
-            None => self
-                .view_ordinal(key)
-                .and_then(|ordinal| self.view_outcome(ordinal)),
+            None => self.view.as_deref().and_then(|view| {
+                cursor.index_lookups += 1;
+                let ordinal = view.find_near(key, cursor.near)?;
+                cursor.near = ordinal;
+                let outcome = view.decode(ordinal)?;
+                cursor.records_decoded += 1;
+                Some(outcome)
+            }),
         };
         if let Some(started) = started {
-            self.telemetry.lookup_latency.record(started.elapsed());
+            let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+            cursor
+                .latency
+                .get_or_insert_with(|| HistogramSample::empty("cache.lookup"))
+                .record_nanos(nanos);
         }
-        match &found {
-            Some(_) => self.telemetry.hits.incr(),
-            None => self.telemetry.misses.incr(),
+        match found {
+            Some(_) => cursor.hits += 1,
+            None => cursor.misses += 1,
         }
         found
     }
 
-    /// Adds an exploration's lookup totals to [`ResultCache::hits`] and
-    /// [`ResultCache::misses`].
-    pub(crate) fn tally(&mut self, hits: usize, misses: usize) {
-        self.hits += hits;
-        self.misses += misses;
+    /// Publishes one series' lookups: adds the cursor's hits and misses
+    /// to [`ResultCache::hits`] and [`ResultCache::misses`] and its
+    /// tallies to `cache.hits`, `cache.misses`, `cache.index_lookups`,
+    /// `cache.records_decoded` and the `cache.lookup` histogram.
+    pub(crate) fn publish(&mut self, cursor: &LookupCursor) {
+        self.hits += cursor.hits;
+        self.misses += cursor.misses;
+        let telemetry = &self.telemetry;
+        telemetry.hits.add(cursor.hits as u64);
+        telemetry.misses.add(cursor.misses as u64);
+        telemetry.index_lookups.add(cursor.index_lookups);
+        telemetry.records_decoded.add(cursor.records_decoded);
+        if let Some(latency) = &cursor.latency {
+            telemetry.lookup_latency.merge_sample(latency);
+        }
     }
 
     /// Peeks at an outcome without touching the hit/miss counters (the
@@ -1585,8 +1627,12 @@ mod tests {
 
         let mut lazy = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(lazy.len(), 2, "the structure is intact");
-        assert!(lazy.lookup("a").is_none(), "a corrupt payload is a miss");
-        assert!(lazy.lookup("b").is_some());
+        let mut cursor = LookupCursor::default();
+        assert!(
+            lazy.lookup("a", &mut cursor).is_none(),
+            "a corrupt payload is a miss"
+        );
+        assert!(lazy.lookup("b", &mut cursor).is_some());
         lazy.insert("a".to_owned(), cache.get("a").unwrap());
         save(&lazy, &path);
         let repaired = ResultCache::load(&path).unwrap();
@@ -1966,19 +2012,78 @@ mod tests {
         let path = temp_path("decode-per-hit.cache");
         save(&hostile_cache(), &path);
         let metrics = Metrics::enabled();
-        let lazy = ResultCache::open(&path, &metrics).unwrap();
+        let mut lazy = ResultCache::open(&path, &metrics).unwrap();
         assert!(lazy.contains_key("unmodelled"));
         assert!(!lazy.contains_key("absent"));
         assert_eq!(metrics.snapshot().counter("cache.records_decoded"), Some(0));
+        let mut cursor = LookupCursor::default();
         for _ in 0..3 {
-            assert!(lazy.lookup("unmodelled").is_some());
+            assert!(lazy.lookup("unmodelled", &mut cursor).is_some());
         }
-        assert!(lazy.lookup("absent").is_none());
+        assert!(lazy.lookup("absent", &mut cursor).is_none());
+        // The cursor holds the tallies until they are published.
+        assert_eq!(metrics.snapshot().counter("cache.hits"), Some(0));
+        lazy.publish(&cursor);
         let snapshot = metrics.snapshot();
         assert_eq!(snapshot.counter("cache.records_decoded"), Some(3));
         assert_eq!(snapshot.counter("cache.hits"), Some(3));
+        assert_eq!(snapshot.counter("cache.misses"), Some(1));
+        assert_eq!(snapshot.counter("cache.index_lookups"), Some(2 + 4));
+        assert_eq!(snapshot.histogram("cache.lookup").map(|h| h.count), Some(4));
+        assert_eq!((lazy.hits(), lazy.misses()), (3, 1));
         let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
         assert_eq!(load.map(|s| s.entries), Some(1));
+        fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn one_cursor_walks_every_key_in_any_order_like_the_whole_index_search() {
+        // A series' cursor starts each search at its last hit. In
+        // canonical order, reversed and shuffled, every lookup must still
+        // return exactly the view's own answer, and the cursor must tally
+        // one hit, one index search and one decode per key.
+        let grid = ScenarioGrid::paper_baseline(24);
+        let mut cold = ResultCache::new();
+        GridExecutor::serial()
+            .explore_cached(&grid, &mut cold)
+            .unwrap();
+        let path = temp_path("cursor-walk.cache");
+        save(&cold, &path);
+        let view = CacheView::open(&path).unwrap();
+        let interner = crate::key::KeyInterner::new(&grid).unwrap();
+        let canonical: Vec<String> = grid.cells().map(|cell| interner.resolve(&cell)).collect();
+        let reversed: Vec<String> = canonical.iter().rev().cloned().collect();
+        // Fisher-Yates under a fixed xorshift stream.
+        let mut shuffled = canonical.clone();
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        for i in (1..shuffled.len()).rev() {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            shuffled.swap(i, (state % (i as u64 + 1)) as usize);
+        }
+        for (order, keys) in [
+            ("canonical", canonical),
+            ("reversed", reversed),
+            ("shuffled", shuffled),
+        ] {
+            let mut lazy = ResultCache::load_lazy(&path).unwrap();
+            let mut cursor = LookupCursor::default();
+            for key in &keys {
+                let expected = view.get(key);
+                assert!(expected.is_some(), "{order}: {key} is cached");
+                assert_eq!(lazy.lookup(key, &mut cursor), expected, "{order}: {key}");
+            }
+            let n = keys.len();
+            assert_eq!(
+                (cursor.hits, cursor.misses, cursor.index_lookups),
+                (n, 0, n as u64),
+                "{order}"
+            );
+            assert_eq!(cursor.records_decoded, n as u64, "{order}");
+            lazy.publish(&cursor);
+            assert_eq!((lazy.hits(), lazy.misses()), (n, 0), "{order}");
+        }
         fs::remove_file(path).unwrap();
     }
 

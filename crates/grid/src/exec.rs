@@ -6,8 +6,9 @@
 //! does all of its work: it looks each cell up in the cache, if there is
 //! one, evaluates the misses, and sweeps the series to its own Pareto
 //! front. Its outcomes come back as one vector in canonical order, which
-//! the results keep as is. The calling thread only inserts the misses
-//! into the cache and sweeps the union of the series' fronts.
+//! the results keep as is, together with the series' lookup cursor. The
+//! calling thread only publishes the cursors, inserts the misses into the
+//! cache and sweeps the union of the series' fronts.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -195,9 +196,12 @@ impl GridExecutor {
     /// Like [`GridExecutor::explore`], but looks every cell up in `cache`
     /// and evaluates only the misses, feeding them back into the cache.
     /// The lookups run on the worker threads, inside the series that
-    /// holds each cell. Because cached outcomes round-trip exactly, the
-    /// results — and every report rendered from them — are
-    /// byte-identical to an uncached exploration.
+    /// holds each cell; each series tallies its own, and this thread adds
+    /// them to [`ResultCache::hits`], [`ResultCache::misses`] and the
+    /// `cache.*` telemetry once the series are done. Because cached
+    /// outcomes round-trip exactly, the results — and every report
+    /// rendered from them — are byte-identical to an uncached
+    /// exploration.
     ///
     /// Cache keys are joined from the [`KeyInterner`]'s fragments into
     /// one reused string buffer per series; the canonical bytes match
@@ -298,9 +302,10 @@ impl GridExecutor {
 
     /// The one fan-out: plans `cells` into series and runs them on at
     /// most one thread per series, looking every cell up in `cache`
-    /// first when there is one. Then, on the calling thread, inserts the
-    /// misses into `cache` in series order and adds the hits and misses
-    /// to its totals. Returns the runs in series order.
+    /// first when there is one. Then, on the calling thread and in series
+    /// order, publishes each series' lookup cursor into `cache` (its
+    /// hit/miss totals and `cache.*` telemetry) and inserts the series'
+    /// misses. Returns the runs in series order.
     fn run(
         &self,
         grid: &ScenarioGrid,
@@ -308,7 +313,7 @@ impl GridExecutor {
         cache: Option<&mut ResultCache>,
         cells: Range<usize>,
     ) -> Vec<SeriesRun> {
-        let series = plan(grid, cells.clone());
+        let series = plan(grid, cells);
         if series.is_empty() {
             return Vec::new();
         }
@@ -331,15 +336,13 @@ impl GridExecutor {
         self.telemetry.series_built.add(built);
         self.telemetry.models_reused.add(cells_evaluated - built);
         if let Some(cache) = cache {
-            let mut misses = 0;
             for (s, run) in series.iter().zip(&runs) {
+                cache.publish(&run.lookups);
                 for &offset in &run.misses {
                     let cell = grid.cell(s.start + offset);
                     cache.insert(interner.resolve(&cell), run.outcomes[offset].clone());
                 }
-                misses += run.misses.len();
             }
-            cache.tally(cells.len() - misses, misses);
         }
         runs
     }
@@ -350,9 +353,12 @@ impl GridExecutor {
 ///
 /// Workers claim series from an atomic cursor; each keeps its runs, and
 /// a local tally of the cells it evaluated, which it publishes once on
-/// exit into `grid.worker.{i}.cells` ([`tally_worker`]) — the hot loop
-/// performs no shared-memory telemetry traffic of its own. A worker's
-/// panic resumes on the calling thread.
+/// exit into `grid.worker.{i}.cells` ([`tally_worker`]). Each run carries
+/// its series' unpublished lookup cursor back to the caller, so neither
+/// evaluation nor cache lookups write shared telemetry per cell; the
+/// claim cursor and one `grid.series_eval` record per series are the
+/// workers' only shared writes. A worker's panic resumes on the calling
+/// thread.
 fn fan_out(
     series: &[Range<usize>],
     workers: usize,

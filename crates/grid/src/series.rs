@@ -10,9 +10,14 @@
 //!
 //! [`evaluate_series`] runs one series on a worker thread, one rate row
 //! at a time. It looks each cell up in the cache, if there is one, and
-//! evaluates the misses. The series model is built at the first miss
-//! and serves every later one. Validation and each goal's capacity solve
-//! depend on no rate, so they run once per series
+//! evaluates the misses. The lookups go through the series' own cursor:
+//! each index search starts from the series' last hit, and the hits,
+//! misses, probes, decodes and lookup latencies are tallied in the
+//! cursor, which the run hands back for the executor to publish — the
+//! worker writes no shared telemetry per lookup. The series model is
+//! built at the first miss and serves every later one. Validation and
+//! each goal's capacity solve depend on no rate, so they run once per
+//! series
 //! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum)),
 //! and one [`BufferDimensioner`](memstream_core::BufferDimensioner) per
 //! rate plans every goal missed at that rate. The series' outcomes come
@@ -32,7 +37,7 @@ use memstream_device::{DramModel, EnergyModelled, StorageDevice};
 use memstream_units::{BitRate, DataSize};
 use memstream_workload::Workload;
 
-use crate::cache::ResultCache;
+use crate::cache::{LookupCursor, ResultCache};
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
 use crate::key::KeyInterner;
 use crate::spec::{GridCell, ScenarioGrid};
@@ -71,6 +76,8 @@ pub(crate) struct SeriesRun {
     /// Cells evaluated: the misses, or every cell without a cache. The
     /// series built its model exactly when this is not zero.
     pub(crate) evaluated: usize,
+    /// The series' lookups, unpublished; untouched without a cache.
+    pub(crate) lookups: LookupCursor,
 }
 
 /// The per-series model, built once and swept over rates.
@@ -197,9 +204,10 @@ fn energy_only(energy: &EnergyModel<'_>, goal: &DesignGoal) -> CellOutcome {
 
 /// Runs `series`, one canonical run of one block of `grid` (see
 /// [`plan`]): looks each cell up in `cache` under its `interner` key,
-/// evaluates the misses, and sweeps the outcomes to the series' front.
-/// Each outcome is bit-identical to [`crate::eval::evaluate`] of its
-/// cell (or to the cached one).
+/// through the series' own [`LookupCursor`], evaluates the misses, and
+/// sweeps the outcomes to the series' front. Each outcome is
+/// bit-identical to [`crate::eval::evaluate`] of its cell (or to the
+/// cached one). The lookups' tallies come back unpublished in the run.
 pub(crate) fn evaluate_series(
     grid: &ScenarioGrid,
     interner: &KeyInterner,
@@ -212,6 +220,7 @@ pub(crate) fn evaluate_series(
         front: Vec::new(),
         misses: Vec::new(),
         evaluated: 0,
+        lookups: LookupCursor::default(),
     };
     let mut model = None;
     let mut candidates = Vec::new();
@@ -229,7 +238,7 @@ pub(crate) fn evaluate_series(
             };
             let hit = cache.and_then(|cache| {
                 interner.resolve_into(&cell, &mut key);
-                cache.lookup(&key)
+                cache.lookup(&key, &mut run.lookups)
             });
             if hit.is_none() {
                 if cache.is_some() {

@@ -6,8 +6,11 @@
 //! trailing index and the trailer, checks that they agree with each
 //! other and with the record framing, and stops — **no record payload is
 //! decoded**. Key probes binary-search the index (keys are stored in
-//! strictly ascending byte order, so raw-byte comparison is exact), and
-//! individual records decode on demand from their recorded offsets.
+//! strictly ascending byte order, so raw-byte comparison is exact) — the
+//! whole of it ([`CacheView::find`]), or outward from a nearby ordinal
+//! ([`CacheView::find_near`], how a series' lookups walk the index from
+//! their last hit) with the same answer — and individual records decode
+//! on demand from their recorded offsets.
 //! This is what makes a warm start proportional to the work actually
 //! requested instead of the cache size: a fully-warm exploration that
 //! only *plans* against the cache touches the index alone.
@@ -18,8 +21,10 @@
 //! bytes, in the key order they already have, without decoding them
 //! ([`ResultCache::save_as`](crate::ResultCache::save_as)).
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::fs;
+use std::ops::Range;
 use std::path::Path;
 
 use crate::cache::{check_regular_file, decode_outcome, header_line, CacheFileError, MAGIC};
@@ -222,17 +227,71 @@ impl CacheView {
         self.offsets.is_empty()
     }
 
-    /// Binary-searches the index for `key`, returning its record
-    /// ordinal. Compares raw key bytes — exact, because the file stores
-    /// keys in strictly ascending byte order.
-    pub(crate) fn find(&self, key: &str) -> Option<usize> {
-        self.offsets
-            .binary_search_by(|&offset| {
-                body_key(record_body(&self.bytes, offset))
-                    .expect("validated key framing")
-                    .cmp(key.as_bytes())
-            })
+    /// The raw key bytes of the record starting at `offset`.
+    fn key_bytes(&self, offset: usize) -> &[u8] {
+        body_key(record_body(&self.bytes, offset)).expect("validated key framing")
+    }
+
+    /// How the key at `ordinal` compares with `key`.
+    fn cmp_at(&self, ordinal: usize, key: &[u8]) -> Ordering {
+        self.key_bytes(self.offsets[ordinal]).cmp(key)
+    }
+
+    /// Binary-searches the index entries in `range` for `key`, returning
+    /// its record ordinal. The view's one binary search: it compares raw
+    /// key bytes, which is exact because the file stores keys in strictly
+    /// ascending byte order.
+    fn search(&self, key: &[u8], range: Range<usize>) -> Option<usize> {
+        let start = range.start;
+        self.offsets[range]
+            .binary_search_by(|&offset| self.key_bytes(offset).cmp(key))
             .ok()
+            .map(|found| start + found)
+    }
+
+    /// The record ordinal of `key` — its position in
+    /// [`CacheView::keys`] — found by binary search over the whole index.
+    #[must_use]
+    pub fn find(&self, key: &str) -> Option<usize> {
+        self.search(key.as_bytes(), 0..self.len())
+    }
+
+    /// [`CacheView::find`], searched outward from ordinal `near`
+    /// (clamped to the last record): steps of 1, 2, 4, … away from `near`
+    /// bracket `key` between two records, and the binary search runs
+    /// inside that bracket only. The answer is always `find`'s; the cost
+    /// grows with the logarithm of the distance from `near` to `key`,
+    /// so a caller that probes keys in nearly ascending order — a
+    /// series looking up its cells — pays a few comparisons per probe.
+    #[must_use]
+    pub fn find_near(&self, key: &str, near: usize) -> Option<usize> {
+        let key = key.as_bytes();
+        let near = near.min(self.len().checked_sub(1)?);
+        let side = self.cmp_at(near, key);
+        let mut bracket = match side {
+            Ordering::Equal => return Some(near),
+            Ordering::Less => near + 1..self.len(),
+            Ordering::Greater => 0..near,
+        };
+        let mut step = 1usize;
+        loop {
+            let probe = match side {
+                Ordering::Less => near.checked_add(step).filter(|&p| p < self.len()),
+                _ => near.checked_sub(step),
+            };
+            let Some(probe) = probe else { break };
+            let ordering = self.cmp_at(probe, key);
+            match ordering {
+                Ordering::Equal => return Some(probe),
+                Ordering::Less => bracket.start = probe + 1,
+                Ordering::Greater => bracket.end = probe,
+            }
+            if ordering != side {
+                break;
+            }
+            step = step.saturating_mul(2);
+        }
+        self.search(key, bracket)
     }
 
     /// Whether `key` is present — an index probe, no decode.
@@ -263,8 +322,7 @@ impl CacheView {
 
     /// The key at `ordinal`, straight from the file bytes (no decode).
     pub(crate) fn key_at(&self, ordinal: usize) -> &str {
-        let key = body_key(self.body(ordinal)).expect("validated key framing");
-        std::str::from_utf8(key).expect("validated UTF-8 key")
+        std::str::from_utf8(self.key_bytes(self.offsets[ordinal])).expect("validated UTF-8 key")
     }
 
     /// Iterates the keys in file order (which is sorted order).

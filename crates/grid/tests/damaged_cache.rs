@@ -1,18 +1,22 @@
 //! Damaged whole cache files: truncations past the magic of a real saved
-//! cache, and single-byte changes to `0x00`, to `0xff` and with the low
-//! bit flipped, at a stride of positions. No reader may panic. A lenient
+//! cache, single-byte changes to `0x00`, to `0xff` and with the low bit
+//! flipped, at a stride of positions, and random changes to 2–8 bytes at
+//! once. No reader may panic, and neither may a warm exploration over
+//! the damaged file, which looks every cell up exactly once. A lenient
 //! read of a truncated file holds only entries of the intact file, with
 //! their outcomes. A strict open attributes its error inside the file: a
 //! byte offset no larger than the file, or a record ordinal below the
 //! record count.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use memstream_grid::{
     CacheFileError, CacheFormat, CacheView, CellOutcome, GridExecutor, ResultCache, ScenarioGrid,
 };
+use proptest::prelude::*;
 
 const MAGIC: &[u8] = b"memstream-grid-cache v4\n";
 
@@ -131,5 +135,60 @@ fn damaged_cache_files_never_panic_a_reader_and_errors_stay_attributed() {
     }
     for p in [path, damaged] {
         std::fs::remove_file(p).expect("cleanup");
+    }
+}
+
+/// The saved cache of `paper_baseline(2)`, built once for the multi-byte
+/// cases.
+fn intact_baseline_file() -> &'static [u8] {
+    static INTACT: OnceLock<Vec<u8>> = OnceLock::new();
+    INTACT.get_or_init(|| {
+        let mut cache = ResultCache::new();
+        GridExecutor::serial()
+            .explore_cached(&ScenarioGrid::paper_baseline(2), &mut cache)
+            .expect("explore");
+        let path = temp_path("multi-intact.cache");
+        cache.save_as(&path, CacheFormat::default()).expect("save");
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::remove_file(path).expect("cleanup");
+        bytes
+    })
+}
+
+proptest! {
+    #[test]
+    fn multi_byte_damage_never_panics_and_a_warm_run_looks_every_cell_up(
+        changes in prop::collection::vec((0usize..usize::MAX, 1u32..256), 2..9)
+    ) {
+        let grid = ScenarioGrid::paper_baseline(2);
+        let intact = intact_baseline_file();
+        // Each change XORs a non-zero mask into a distinct byte.
+        let damage: BTreeMap<usize, u8> = changes
+            .iter()
+            .map(|&(at, mask)| (at % intact.len(), mask as u8))
+            .collect();
+        let mut bytes = intact.to_vec();
+        for (&at, &mask) in &damage {
+            bytes[at] ^= mask;
+        }
+        let case = format!("bytes {:?} changed", damage.keys().collect::<Vec<_>>());
+        let damaged = temp_path("multi-damaged.cache");
+        let reads = read_all(&damaged, &bytes, &case);
+        if let Err(CacheFileError::VersionMismatch { .. }) = reads.strict {
+            prop_assert!(damage.keys().any(|&at| at < MAGIC.len()), "{case}: the magic is intact");
+        }
+        assert_attributed(&reads.strict, bytes.len(), grid.len(), &case);
+
+        // A warm run over the damaged file: every cell is a hit or a miss.
+        let (hits, misses) = catch_unwind(AssertUnwindSafe(|| {
+            let mut cache = ResultCache::load_lazy(&damaged).expect("the file is readable");
+            GridExecutor::parallel(2)
+                .explore_cached(&grid, &mut cache)
+                .expect("the grid explores");
+            (cache.hits(), cache.misses())
+        }))
+        .unwrap_or_else(|_| panic!("{case}: the warm run panicked"));
+        prop_assert_eq!(hits + misses, grid.len());
+        std::fs::remove_file(damaged).expect("cleanup");
     }
 }

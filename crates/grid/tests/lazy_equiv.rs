@@ -77,6 +77,47 @@ fn save(cache: &ResultCache, path: &PathBuf) {
         .expect("save cache file");
 }
 
+/// A key set shaped like real cache keys: every key shares a long
+/// prefix, and the keys differ only in short numeric fields near the
+/// end (a device, a rate, a goal), written as decimals so their byte
+/// order is not their numeric order.
+fn prefixed_keys(fields: &[(usize, usize, usize)]) -> BTreeMap<String, CellOutcome> {
+    let outcome = &corpus()[0].1;
+    fields
+        .iter()
+        .map(|&(device, rate, goal)| {
+            let key =
+                format!("0.4,24,365,0|mems,64,1.6,2|device-{device}|{rate}|0.7,{goal},-|dram|idle");
+            (key, outcome.clone())
+        })
+        .collect()
+}
+
+/// The probes of `keys` (sorted): every key, something before the first
+/// and after the last, something between each pair of neighbours, and
+/// prefixes of keys — most of them absent.
+fn probes(keys: &[&str]) -> Vec<String> {
+    let mut probes = vec![String::new(), "0".to_owned(), "~".to_owned()];
+    if let Some(last) = keys.last() {
+        probes.push(format!("{last}~"));
+    }
+    for key in keys {
+        probes.push((*key).to_owned());
+        probes.push(format!("{key}\0"));
+        for cut in [1, 2, key.len() / 2, key.len() - 1] {
+            probes.push(key[..key.len().saturating_sub(cut)].to_owned());
+        }
+        // The same fields one step up in the last byte: between this key
+        // and the next, or past the end.
+        let mut bumped = key.as_bytes().to_vec();
+        if let Some(byte) = bumped.last_mut().filter(|b| **b < 0x7e) {
+            *byte += 1;
+            probes.push(String::from_utf8(bumped).expect("ASCII key"));
+        }
+    }
+    probes
+}
+
 /// Warm planning over a lazily opened cache file answers every probe
 /// from the record index alone: not a single record is decoded.
 #[test]
@@ -98,6 +139,46 @@ fn warm_probes_decode_no_records() {
 }
 
 proptest! {
+    /// Searching outward from any ordinal gives exactly the whole-index
+    /// search's answer: for present and absent keys alike, from the first
+    /// record, the last, past the end and from anywhere in between.
+    #[test]
+    fn find_near_answers_exactly_like_find(
+        fields in prop::collection::vec((0usize..4, 1usize..100_000_000, 0usize..3), 0..48),
+        starts in prop::collection::vec(0usize..1_000, 1..6),
+    ) {
+        let entries = prefixed_keys(&fields);
+        let path = temp_path("find-near", next_case());
+        save(&cache_of(&entries), &path);
+        let view = CacheView::open(&path).expect("view opens");
+        let keys: Vec<&str> = entries.keys().map(String::as_str).collect();
+        prop_assert_eq!(view.len(), keys.len());
+        let n = keys.len();
+        let mut origins = vec![0, n.saturating_sub(1), n, n + 7, usize::MAX];
+        origins.extend(starts.iter().map(|start| start % (n + 1)));
+        for probe in probes(&keys) {
+            let expected = view.find(&probe);
+            prop_assert!(
+                expected == keys.iter().position(|key| *key == probe),
+                "find({:?}) = {:?}",
+                probe,
+                expected
+            );
+            for &near in &origins {
+                let found = view.find_near(&probe, near);
+                prop_assert!(
+                    found == expected,
+                    "find_near({:?}, {}) = {:?}, find = {:?}",
+                    probe,
+                    near,
+                    found,
+                    expected
+                );
+            }
+        }
+        std::fs::remove_file(path).ok();
+    }
+
     /// Every lookup against the lazy view — `get`, `contains_key`, and
     /// the `load_lazy` cache built over it — answers exactly like the
     /// eager load of the same file, for hits and misses alike.

@@ -123,6 +123,12 @@ fn partially_warm_caches_match_the_uncached_run() {
         .expect("warming run");
 
     let reference = GridExecutor::serial().explore(&grid).expect("serial run");
+    let seed_path = std::env::temp_dir().join(format!(
+        "memstream-partially-warm-{}-seed.cache",
+        std::process::id()
+    ));
+    seed.save_as(&seed_path, CacheFormat::default())
+        .expect("seed cache saves");
     let mut saved: Option<Vec<u8>> = None;
     for threads in [1, 2, 8] {
         let mut cache = seed.clone();
@@ -160,5 +166,43 @@ fn partially_warm_caches_match_the_uncached_run() {
             Some(first) => assert!(*first == bytes, "cache file differs at {threads} threads"),
             None => saved = Some(bytes),
         }
+
+        // The same run over the seed file, opened lazily with telemetry:
+        // each series tallies its lookups in its own cursor and the
+        // calling thread publishes them, so every counter reads the same
+        // at any thread count: one lookup per cell, one decode per hit,
+        // and one index search per lookup plus one per inserted miss.
+        let metrics = Metrics::enabled();
+        let mut lazy = ResultCache::open(&seed_path, &metrics).expect("seed opens");
+        let results = GridExecutor::parallel(threads)
+            .with_metrics(&metrics)
+            .explore_cached(&grid, &mut lazy)
+            .expect("partially warm lazy run");
+        assert_eq!(report::cells_csv(&reference), report::cells_csv(&results));
+        let snapshot = metrics.snapshot();
+        let counters: Vec<u64> = [
+            "cache.hits",
+            "cache.misses",
+            "cache.records_decoded",
+            "cache.index_lookups",
+        ]
+        .iter()
+        .map(|name| snapshot.counter(name).expect("cache counter registered"))
+        .chain([snapshot
+            .histogram("cache.lookup")
+            .expect("lookup histogram registered")
+            .count])
+        .collect();
+        let (hits, misses) = (warmed.len() as u64, (grid.len() - warmed.len()) as u64);
+        assert_eq!(
+            counters,
+            [hits, misses, hits, hits + 2 * misses, hits + misses],
+            "{threads} threads"
+        );
+        assert_eq!(
+            (lazy.hits(), lazy.misses()),
+            (warmed.len(), grid.len() - warmed.len())
+        );
     }
+    std::fs::remove_file(&seed_path).expect("seed file removed");
 }

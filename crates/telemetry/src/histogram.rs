@@ -9,9 +9,11 @@
 //! Histograms are *mergeable*: bucket counts add elementwise, which is exactly
 //! what the shard coordinator needs to fold per-worker latency distributions
 //! (shipped back through the worker's `--stats-json` snapshot) into one
-//! whole-run distribution. Quantiles are estimated from the bucket counts and
-//! clamped to the tracked exact maximum, so `p50 <= p90 <= p99 <= max` holds
-//! by construction.
+//! whole-run distribution, and what lets a hot loop record into a private
+//! [`HistogramSample`] ([`HistogramSample::record_nanos`], no atomics) and
+//! publish it once ([`Histogram::merge_sample`]). Quantiles are estimated
+//! from the bucket counts and clamped to the tracked exact maximum, so
+//! `p50 <= p90 <= p99 <= max` holds by construction.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -225,6 +227,21 @@ impl HistogramSample {
         self.max_nanos as f64 / 1e9
     }
 
+    /// Records one observation given in nanoseconds into this sample — the
+    /// single-owner counterpart of [`Histogram::record_nanos`], with no
+    /// atomics: a hot loop records into its own sample and publishes it
+    /// once through [`Histogram::merge_sample`].
+    pub fn record_nanos(&mut self, nanos: u64) {
+        if self.buckets.len() < BUCKET_COUNT {
+            self.buckets.resize(BUCKET_COUNT, 0);
+        }
+        let bucket = &mut self.buckets[bucket_index(nanos)];
+        *bucket = bucket.saturating_add(1);
+        self.count = self.count.saturating_add(1);
+        self.sum_nanos = self.sum_nanos.saturating_add(nanos);
+        self.max_nanos = self.max_nanos.max(nanos);
+    }
+
     /// Adds another sample into this one (bucket counts add elementwise).
     pub fn merge(&mut self, other: &HistogramSample) {
         if self.buckets.len() < other.buckets.len() {
@@ -325,6 +342,33 @@ mod tests {
             let folded = metrics.snapshot().histogram("h").expect("registered").clone();
             let mut union = a.clone();
             union.extend_from_slice(&b);
+            prop_assert_eq!(folded, recorded(&union));
+        }
+
+        #[test]
+        fn a_sample_recorded_offline_then_merged_equals_recording_live(
+            live in prop::collection::vec(0u64..2_000_000_000, 0..40),
+            shifted in prop::collection::vec((0u64..u64::MAX, 6u32..64), 0..40)
+        ) {
+            // A hot loop records into its own sample and publishes it
+            // once; the registry must end up bucket for bucket where
+            // recording every value live would have left it. Shifting
+            // spreads the values over every bucket below 2^58, so forty
+            // of them cannot overflow the sum.
+            let offline: Vec<u64> = shifted.iter().map(|&(v, shift)| v >> shift).collect();
+            let metrics = Metrics::enabled();
+            let h = metrics.histogram("h");
+            for &v in &live {
+                h.record_nanos(v);
+            }
+            let mut sample = HistogramSample::empty("h");
+            for &v in &offline {
+                sample.record_nanos(v);
+            }
+            h.merge_sample(&sample);
+            let folded = metrics.snapshot().histogram("h").expect("registered").clone();
+            let mut union = live.clone();
+            union.extend_from_slice(&offline);
             prop_assert_eq!(folded, recorded(&union));
         }
 

@@ -4,11 +4,12 @@
 //! block, the `rates × goals` cells that share one capability model.
 //! One fan-out serves every entry point. The worker that claims a series
 //! does all of its work: it looks each cell up in the cache, if there is
-//! one, evaluates the misses, and sweeps the series to its own Pareto
-//! front. Its outcomes come back as one vector in canonical order, which
-//! the results keep as is, together with the series' lookup cursor. The
-//! calling thread only publishes the cursors, inserts the misses into the
-//! cache and sweeps the union of the series' fronts.
+//! one, evaluates the misses, encodes their cache records, and sweeps the
+//! series to its own Pareto front. Its outcomes come back as one vector in
+//! canonical order, which the results keep as is, together with the
+//! series' lookup cursor and its records, sorted by key. The calling
+//! thread only publishes the cursors, hands each series' records to the
+//! cache as one batch and sweeps the union of the series' fronts.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +19,7 @@ use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle, Tracer};
 
 use crate::cache::ResultCache;
 use crate::eval::CellOutcome;
-use crate::key::KeyInterner;
+use crate::key::{BlockKeyOrder, KeyInterner};
 use crate::series::{evaluate_series, plan, SeriesRun};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
 use crate::store::{resolve_frontier, ParetoPoint};
@@ -70,7 +71,8 @@ struct ExecTelemetry {
     frontier_inserts: Counter,
     frontier_evictions: Counter,
     /// Per-series latency distribution (`grid.series_eval`): lookups,
-    /// evaluation and the series' own frontier sweep.
+    /// evaluation, the misses' records and the series' own frontier
+    /// sweep.
     series_latency: Histogram,
     /// Emits one `grid.series` begin/end pair per series run when
     /// tracing is on, so worker-thread parallelism is visible in the
@@ -108,7 +110,7 @@ impl ExecTelemetry {
         &self,
         grid: &ScenarioGrid,
         interner: &KeyInterner,
-        cache: Option<&ResultCache>,
+        cache: Option<(&ResultCache, &BlockKeyOrder)>,
         series: &Range<usize>,
     ) -> SeriesRun {
         self.tracer.begin("grid.series");
@@ -196,12 +198,13 @@ impl GridExecutor {
     /// Like [`GridExecutor::explore`], but looks every cell up in `cache`
     /// and evaluates only the misses, feeding them back into the cache.
     /// The lookups run on the worker threads, inside the series that
-    /// holds each cell; each series tallies its own, and this thread adds
-    /// them to [`ResultCache::hits`], [`ResultCache::misses`] and the
-    /// `cache.*` telemetry once the series are done. Because cached
-    /// outcomes round-trip exactly, the results — and every report
-    /// rendered from them — are byte-identical to an uncached
-    /// exploration.
+    /// holds each cell, and so does the encoding of each miss's record;
+    /// each series tallies its lookups, and this thread adds them to
+    /// [`ResultCache::hits`], [`ResultCache::misses`] and the `cache.*`
+    /// telemetry once the series are done, then absorbs the series'
+    /// records. Because cached outcomes round-trip exactly, the results
+    /// — and every report rendered from them — are byte-identical to an
+    /// uncached exploration.
     ///
     /// Cache keys are joined from the [`KeyInterner`]'s fragments into
     /// one reused string buffer per series; the canonical bytes match
@@ -257,7 +260,7 @@ impl GridExecutor {
 
     /// Resolves the canonical cell range `cells` of `grid` against
     /// `cache`: cached cells count as hits, the rest are evaluated
-    /// (fanned out on this executor's threads) and inserted. No results
+    /// (fanned out on this executor's threads) and added. No results
     /// are assembled and the series fronts are dropped — this is the
     /// shard-worker primitive, which only needs the cache filled for the
     /// cells of its slice (see
@@ -302,10 +305,13 @@ impl GridExecutor {
 
     /// The one fan-out: plans `cells` into series and runs them on at
     /// most one thread per series, looking every cell up in `cache`
-    /// first when there is one. Then, on the calling thread and in series
-    /// order, publishes each series' lookup cursor into `cache` (its
-    /// hit/miss totals and `cache.*` telemetry) and inserts the series'
-    /// misses. Returns the runs in series order.
+    /// first when there is one; each series then encodes its misses'
+    /// records and puts them in key order by the grid's
+    /// [`BlockKeyOrder`]. Then, on the calling thread, publishes each
+    /// series' lookup cursor into `cache` (its hit/miss totals and
+    /// `cache.*` telemetry) and hands it the series' records
+    /// ([`ResultCache::absorb`]), without re-resolving a key or copying a
+    /// record. Returns the runs in series order.
     fn run(
         &self,
         grid: &ScenarioGrid,
@@ -319,9 +325,10 @@ impl GridExecutor {
         }
         let _eval = self.telemetry.eval_span.start();
         let workers = self.threads.min(series.len());
-        let shared = cache.as_deref();
+        let order = cache.is_some().then(|| interner.block_order());
+        let shared = cache.as_deref().zip(order.as_ref());
         let timed = |s: &Range<usize>| self.telemetry.timed_series(grid, interner, shared, s);
-        let runs: Vec<SeriesRun> = if workers == 1 {
+        let mut runs: Vec<SeriesRun> = if workers == 1 {
             series.iter().map(timed).collect()
         } else {
             fan_out(&series, workers, &self.metrics, timed)
@@ -336,12 +343,9 @@ impl GridExecutor {
         self.telemetry.series_built.add(built);
         self.telemetry.models_reused.add(cells_evaluated - built);
         if let Some(cache) = cache {
-            for (s, run) in series.iter().zip(&runs) {
+            for run in &mut runs {
                 cache.publish(&run.lookups);
-                for &offset in &run.misses {
-                    let cell = grid.cell(s.start + offset);
-                    cache.insert(interner.resolve(&cell), run.outcomes[offset].clone());
-                }
+                cache.absorb(std::mem::take(&mut run.records));
             }
         }
         runs

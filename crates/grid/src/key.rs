@@ -133,6 +133,20 @@ pub struct KeyInterner {
     settings: String,
 }
 
+/// The order of the keys inside one `(device, workload)` block. The
+/// block's keys share their device, workload and settings fragments, and
+/// no fragment holds a `|`, so they sort by rate fragment, then by goal
+/// fragment, each compared together with the `|` that ends it in a key.
+/// A series puts its records in key order by walking this order instead
+/// of comparing keys.
+#[derive(Debug, Clone)]
+pub(crate) struct BlockKeyOrder {
+    /// Rate-axis indices, in the order of their cells' keys.
+    pub(crate) rates: Vec<usize>,
+    /// Goal-axis indices, in the order of their cells' keys.
+    pub(crate) goals: Vec<usize>,
+}
+
 /// Collects one axis's fragments, rejecting an entry whose fragment an
 /// earlier entry already has: every cell through it would repeat a cell
 /// through the earlier one.
@@ -207,6 +221,23 @@ impl KeyInterner {
                 &self.settings,
             ],
         );
+    }
+
+    /// The order of the keys inside any one `(device, workload)` block.
+    pub(crate) fn block_order(&self) -> BlockKeyOrder {
+        // Each fragment is compared with the `|` that ends it in a key.
+        let order = |fragments: &[String]| {
+            let mut order: Vec<usize> = (0..fragments.len()).collect();
+            order.sort_unstable_by(|&a, &b| {
+                let ended = |i: usize| fragments[i].bytes().chain(*b"|");
+                ended(a).cmp(ended(b))
+            });
+            order
+        };
+        BlockKeyOrder {
+            rates: order(&self.rate_fragments),
+            goals: order(&self.goal_fragments),
+        }
     }
 
     /// Total interned fragments across all axes (plus the shared

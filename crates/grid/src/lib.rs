@@ -65,7 +65,8 @@ mod validate;
 mod view;
 
 pub use cache::{
-    decode_frame, encode_frame, CacheConflict, CacheFileError, CacheFormat, MergeStats, ResultCache,
+    decode_frame, encode_frame, CacheConflict, CacheFileError, CacheFormat, MergeStats,
+    RecordBatch, ResultCache,
 };
 pub use view::CacheView;
 // The instrumentation layer, re-exported so downstream crates (refine,

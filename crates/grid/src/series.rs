@@ -10,7 +10,9 @@
 //!
 //! [`evaluate_series`] runs one series on a worker thread, one rate row
 //! at a time. It looks each cell up in the cache, if there is one, and
-//! evaluates the misses. The lookups go through the series' own cursor:
+//! evaluates the misses, encoding each miss's cache record into the
+//! series' own batch, which it puts in key order before it returns. The
+//! lookups go through the series' own cursor:
 //! each index search starts from the series' last hit, and the hits,
 //! misses, probes, decodes and lookup latencies are tallied in the
 //! cursor, which the run hands back for the executor to publish — the
@@ -37,9 +39,9 @@ use memstream_device::{DramModel, EnergyModelled, StorageDevice};
 use memstream_units::{BitRate, DataSize};
 use memstream_workload::Workload;
 
-use crate::cache::{LookupCursor, ResultCache};
+use crate::cache::{LookupCursor, RecordBatch, ResultCache};
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
-use crate::key::KeyInterner;
+use crate::key::{BlockKeyOrder, KeyInterner};
 use crate::spec::{GridCell, ScenarioGrid};
 use crate::store::front;
 
@@ -70,9 +72,9 @@ pub(crate) struct SeriesRun {
     /// its non-dominated feasible outcomes, cache hits included, each
     /// measurable on the energy axis.
     pub(crate) front: Vec<(usize, [f64; 3])>,
-    /// Offsets into `outcomes` of the cells the cache missed; empty
-    /// without a cache.
-    pub(crate) misses: Vec<usize>,
+    /// The records of the cells the cache missed, encoded on the worker
+    /// and sorted by key; empty without a cache.
+    pub(crate) records: RecordBatch,
     /// Cells evaluated: the misses, or every cell without a cache. The
     /// series built its model exactly when this is not zero.
     pub(crate) evaluated: usize,
@@ -207,45 +209,54 @@ fn energy_only(energy: &EnergyModel<'_>, goal: &DesignGoal) -> CellOutcome {
 /// through the series' own [`LookupCursor`], evaluates the misses, and
 /// sweeps the outcomes to the series' front. Each outcome is
 /// bit-identical to [`crate::eval::evaluate`] of its cell (or to the
-/// cached one). The lookups' tallies come back unpublished in the run.
+/// cached one). With a cache, each miss's record is encoded into the
+/// series' own [`RecordBatch`], which `order` puts in key order before
+/// the run returns; the lookups' tallies come back unpublished in the
+/// run.
 pub(crate) fn evaluate_series(
     grid: &ScenarioGrid,
     interner: &KeyInterner,
-    cache: Option<&ResultCache>,
+    cached: Option<(&ResultCache, &BlockKeyOrder)>,
     series: Range<usize>,
 ) -> SeriesRun {
+    let cache = cached.map(|(cache, _)| cache);
     let goals = grid.goals().len();
     let mut run = SeriesRun {
         outcomes: Vec::with_capacity(series.len()),
         front: Vec::new(),
-        misses: Vec::new(),
+        records: RecordBatch::new(),
         evaluated: 0,
         lookups: LookupCursor::default(),
     };
     let mut model = None;
     let mut candidates = Vec::new();
-    let mut key = String::new();
     // One rate row at a time: its hits, and `None` for each miss until
-    // the row's one dimensioner evaluates it.
+    // the row's one dimensioner evaluates it; with a cache, each cell's
+    // key and whether it missed.
     let mut row: Vec<Option<CellOutcome>> = Vec::with_capacity(goals);
+    let mut keys = vec![String::new(); goals];
+    let mut missed: Vec<bool> = Vec::with_capacity(goals);
+    // With a cache: the batch index of each cell's record, if it missed.
+    let mut pushed = vec![usize::MAX; if cache.is_some() { series.len() } else { 0 }];
     for cells in cut(series.clone(), goals) {
         let first = grid.cell(cells.start);
-        for (index, goal) in cells.clone().zip(first.goal..) {
+        for ((index, goal), key) in cells.clone().zip(first.goal..).zip(keys.iter_mut()) {
             let cell = GridCell {
                 index,
                 goal,
                 ..first
             };
             let hit = cache.and_then(|cache| {
-                interner.resolve_into(&cell, &mut key);
-                cache.lookup(&key, &mut run.lookups)
+                interner.resolve_into(&cell, key);
+                cache.lookup(key, &mut run.lookups)
             });
             if hit.is_none() {
-                if cache.is_some() {
-                    run.misses.push(index - series.start);
+                if run.evaluated == 0 && cache.is_some() {
+                    run.records.reserve(series.end - index, key.len());
                 }
                 run.evaluated += 1;
             }
+            missed.push(hit.is_none());
             row.push(hit);
         }
         if row.iter().any(Option::is_none) {
@@ -256,13 +267,35 @@ pub(crate) fn evaluate_series(
                 .get_or_insert_with(|| build_model(grid, device, workload.with_rate(rate)))
                 .fill_row(grid, workload, rate, first.goal, &mut row);
         }
-        for (index, outcome) in cells.zip(row.drain(..)) {
+        for (k, (index, outcome)) in cells.zip(row.drain(..)).enumerate() {
             let outcome = outcome.expect("every miss of the row was evaluated");
+            if missed[k] && cache.is_some() {
+                pushed[index - series.start] = run.records.len();
+                run.records.push(&keys[k], &outcome);
+            }
             if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
                 candidates.push((index, objectives));
             }
             run.outcomes.push(outcome);
         }
+        missed.clear();
+    }
+    if let Some((_, order)) = cached {
+        // A block's cells sit rate-major, and its keys sort by rate, then
+        // goal (`BlockKeyOrder`).
+        let block = series.start - series.start % (grid.rates().len() * goals);
+        let in_key_order = order.rates.iter().flat_map(|&rate| {
+            order
+                .goals
+                .iter()
+                .map(move |&goal| block + rate * goals + goal)
+        });
+        let records = in_key_order
+            .filter(|index| series.contains(index))
+            .map(|index| pushed[index - series.start])
+            .filter(|&record| record != usize::MAX);
+        run.records.reorder(records);
+        run.records.in_view = Some(run.lookups.in_view);
     }
     run.front = front(&candidates);
     run

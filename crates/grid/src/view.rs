@@ -15,10 +15,15 @@
 //! requested instead of the cache size: a fully-warm exploration that
 //! only *plans* against the cache touches the index alone.
 //!
+//! The index's searches ([`search`], [`search_near`]) take any key-sorted
+//! list: the cache's in-memory overlay, the index's twin over the records
+//! added since the file was opened, is searched and walked by the same
+//! code.
+//!
 //! [`CacheView::open`] is the workspace's strict cache reader: a view is
 //! only ever constructed over a file whose index provably describes its
-//! records. Consequently a save can copy a view's record bodies as raw
-//! bytes, in the key order they already have, without decoding them
+//! records. Consequently a save can copy a view's records as raw bytes,
+//! in the key order they already have, without decoding them
 //! ([`ResultCache::save_as`](crate::ResultCache::save_as)).
 
 use std::cmp::Ordering;
@@ -42,12 +47,82 @@ fn u64_at(bytes: &[u8], pos: usize) -> Option<u64> {
     Some(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
 }
 
-/// The body slice (everything after the `u32` length prefix) of the
-/// record starting at `offset`. Only valid for offsets produced by
-/// [`validate`] over the same bytes.
-fn record_body(bytes: &[u8], offset: usize) -> &[u8] {
-    let len = u32_at(bytes, offset).expect("validated record offset") as usize;
-    &bytes[offset + 4..offset + 4 + len]
+/// The whole record — its `u32` length prefix and its body — that starts
+/// at `offset` of `bytes`. Only valid for offsets that hold a whole
+/// record: those [`validate`] produced over the same bytes, or those a
+/// cache wrote into its own record buffers.
+pub(crate) fn record_at(bytes: &[u8], offset: usize) -> &[u8] {
+    let len = u32_at(bytes, offset).expect("a record's length prefix") as usize;
+    &bytes[offset..offset + 4 + len]
+}
+
+/// The raw key bytes of the record that starts `record` (length prefix
+/// included), whose key framing is known to be intact.
+pub(crate) fn record_key(record: &[u8]) -> &[u8] {
+    let len = u32_at(record, 4).expect("a record's key length") as usize;
+    &record[8..8 + len]
+}
+
+/// Binary-searches the entries in `range` of a key-sorted list for
+/// `key`: `Ok` with its position, or `Err` with the position where it
+/// would be inserted. This is the one binary search of the cache's two
+/// sorted record lists, the file's index and the in-memory overlay
+/// (`key_of` reads an entry's key). It compares raw key bytes, which is
+/// exact because both lists hold their keys in strictly ascending byte
+/// order.
+pub(crate) fn search<'a, T>(
+    entries: &[T],
+    key_of: impl Fn(&T) -> &'a [u8],
+    key: &[u8],
+    range: Range<usize>,
+) -> Result<usize, usize> {
+    let start = range.start;
+    entries[range]
+        .binary_search_by(|entry| key_of(entry).cmp(key))
+        .map(|found| start + found)
+        .map_err(|slot| start + slot)
+}
+
+/// [`search`] over the whole list, outward from position `near`
+/// (clamped to the last entry): steps of 1, 2, 4, … away from `near`
+/// bracket `key` between two entries, and the binary search runs inside
+/// that bracket only. The answer is always the whole-list search's; the
+/// cost grows with the logarithm of the distance from `near` to `key`.
+pub(crate) fn search_near<'a, T>(
+    entries: &[T],
+    key_of: impl Fn(&T) -> &'a [u8],
+    key: &[u8],
+    near: usize,
+) -> Result<usize, usize> {
+    let Some(last) = entries.len().checked_sub(1) else {
+        return Err(0);
+    };
+    let near = near.min(last);
+    let side = key_of(&entries[near]).cmp(key);
+    let mut bracket = match side {
+        Ordering::Equal => return Ok(near),
+        Ordering::Less => near + 1..entries.len(),
+        Ordering::Greater => 0..near,
+    };
+    let mut step = 1usize;
+    loop {
+        let probe = match side {
+            Ordering::Less => near.checked_add(step).filter(|&p| p < entries.len()),
+            _ => near.checked_sub(step),
+        };
+        let Some(probe) = probe else { break };
+        let ordering = key_of(&entries[probe]).cmp(key);
+        match ordering {
+            Ordering::Equal => return Ok(probe),
+            Ordering::Less => bracket.start = probe + 1,
+            Ordering::Greater => bracket.end = probe,
+        }
+        if ordering != side {
+            break;
+        }
+        step = step.saturating_mul(2);
+    }
+    search(entries, key_of, key, bracket)
 }
 
 /// The raw key bytes of a record body (`u32 length + UTF-8`), if the
@@ -229,31 +304,21 @@ impl CacheView {
 
     /// The raw key bytes of the record starting at `offset`.
     fn key_bytes(&self, offset: usize) -> &[u8] {
-        body_key(record_body(&self.bytes, offset)).expect("validated key framing")
-    }
-
-    /// How the key at `ordinal` compares with `key`.
-    fn cmp_at(&self, ordinal: usize, key: &[u8]) -> Ordering {
-        self.key_bytes(self.offsets[ordinal]).cmp(key)
-    }
-
-    /// Binary-searches the index entries in `range` for `key`, returning
-    /// its record ordinal. The view's one binary search: it compares raw
-    /// key bytes, which is exact because the file stores keys in strictly
-    /// ascending byte order.
-    fn search(&self, key: &[u8], range: Range<usize>) -> Option<usize> {
-        let start = range.start;
-        self.offsets[range]
-            .binary_search_by(|&offset| self.key_bytes(offset).cmp(key))
-            .ok()
-            .map(|found| start + found)
+        record_key(&self.bytes[offset..])
     }
 
     /// The record ordinal of `key` — its position in
     /// [`CacheView::keys`] — found by binary search over the whole index.
     #[must_use]
     pub fn find(&self, key: &str) -> Option<usize> {
-        self.search(key.as_bytes(), 0..self.len())
+        let entries = &self.offsets[..];
+        search(
+            entries,
+            |&at| self.key_bytes(at),
+            key.as_bytes(),
+            0..entries.len(),
+        )
+        .ok()
     }
 
     /// [`CacheView::find`], searched outward from ordinal `near`
@@ -265,33 +330,13 @@ impl CacheView {
     /// series looking up its cells — pays a few comparisons per probe.
     #[must_use]
     pub fn find_near(&self, key: &str, near: usize) -> Option<usize> {
-        let key = key.as_bytes();
-        let near = near.min(self.len().checked_sub(1)?);
-        let side = self.cmp_at(near, key);
-        let mut bracket = match side {
-            Ordering::Equal => return Some(near),
-            Ordering::Less => near + 1..self.len(),
-            Ordering::Greater => 0..near,
-        };
-        let mut step = 1usize;
-        loop {
-            let probe = match side {
-                Ordering::Less => near.checked_add(step).filter(|&p| p < self.len()),
-                _ => near.checked_sub(step),
-            };
-            let Some(probe) = probe else { break };
-            let ordering = self.cmp_at(probe, key);
-            match ordering {
-                Ordering::Equal => return Some(probe),
-                Ordering::Less => bracket.start = probe + 1,
-                Ordering::Greater => bracket.end = probe,
-            }
-            if ordering != side {
-                break;
-            }
-            step = step.saturating_mul(2);
-        }
-        self.search(key, bracket)
+        search_near(
+            &self.offsets,
+            |&at| self.key_bytes(at),
+            key.as_bytes(),
+            near,
+        )
+        .ok()
     }
 
     /// Whether `key` is present — an index probe, no decode.
@@ -300,17 +345,17 @@ impl CacheView {
         self.find(key).is_some()
     }
 
-    /// The body of the record at `ordinal` (key, tag and payload; the
-    /// length prefix excluded) — a save copies it without decoding.
-    pub(crate) fn body(&self, ordinal: usize) -> &[u8] {
-        record_body(&self.bytes, self.offsets[ordinal])
+    /// The whole record at `ordinal`: its `u32` length prefix and its
+    /// body, as the file holds them — a save copies it without decoding.
+    pub(crate) fn record(&self, ordinal: usize) -> &[u8] {
+        record_at(&self.bytes, self.offsets[ordinal])
     }
 
     /// Decodes the outcome of the record at `ordinal`, skipping its key
     /// (`None` if the payload is malformed — structural validation does
     /// not cover payloads).
     pub(crate) fn decode(&self, ordinal: usize) -> Option<CellOutcome> {
-        decode_outcome(self.body(ordinal))
+        decode_outcome(&self.record(ordinal)[4..])
     }
 
     /// Decodes the outcome stored under `key`, if present and well

@@ -41,7 +41,8 @@ use std::time::{Duration, Instant};
 
 use memstream_grid::telemetry::{parse_histograms, TraceSnapshot};
 use memstream_grid::{
-    decode_frame, CacheFormat, GridError, KeyInterner, MergeStats, Metrics, ResultCache,
+    decode_frame, CacheFormat, GridError, KeyInterner, MergeStats, Metrics, RecordBatch,
+    ResultCache,
 };
 
 use crate::fault::FaultPlan;
@@ -547,29 +548,36 @@ struct CollectedWorker {
 /// already held is dropped on arrival: its own entry stands, so a stale
 /// cached entry never turns into a union conflict. Records before any
 /// damage are kept — a worker condemned for a bad frame still delivers
-/// what preceded it. Returns the failure to attribute, if any.
+/// what preceded it — and enter `local` as one batch. Returns the
+/// failure to attribute, if any.
 fn absorb_frame(
     frame: &[u8],
     plan: &WorkPlan,
     local: &mut ResultCache,
 ) -> Option<(ShardFailureKind, String)> {
     let (records, damage) = decode_frame(frame);
-    for (key, outcome) in records {
+    let mut batch = RecordBatch::new();
+    let mut failure = None;
+    for (key, outcome) in &records {
         match plan.index.get(key.as_str()) {
             None => {
                 let why = format!("sent key `{key}` is not in the planned grid");
-                return Some((ShardFailureKind::Incompatible, why));
+                failure = Some((ShardFailureKind::Incompatible, why));
+                break;
             }
             Some(&idx) if plan.covered[idx] => {}
-            Some(_) => local.insert(key, outcome),
+            Some(_) => batch.push(key, outcome),
         }
     }
-    damage.map(|offset| {
-        let why = format!(
-            "record frame of {} bytes is damaged at byte {offset}",
-            frame.len()
-        );
-        (ShardFailureKind::FlushCorrupt, why)
+    local.absorb(batch);
+    failure.or_else(|| {
+        damage.map(|offset| {
+            let why = format!(
+                "record frame of {} bytes is damaged at byte {offset}",
+                frame.len()
+            );
+            (ShardFailureKind::FlushCorrupt, why)
+        })
     })
 }
 

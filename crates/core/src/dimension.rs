@@ -5,7 +5,6 @@ use std::fmt;
 use memstream_units::DataSize;
 
 use crate::capacity::CapacityModel;
-use crate::cycle::RefillCycle;
 use crate::energy::EnergyModel;
 use crate::error::ModelError;
 use crate::goal::{DesignGoal, Requirement};
@@ -222,11 +221,7 @@ impl<'a> BufferDimensioner<'a> {
             }
         };
 
-        let cycle_floor = RefillCycle::min_buffer(
-            self.energy.profile(),
-            self.energy.workload(),
-            self.energy.policy(),
-        )?;
+        let cycle_floor = self.energy.cycle_floor()?;
         let mut buffer = largest.max(cycle_floor);
 
         // Utilisation is a sawtooth of the buffer size: a buffer enlarged

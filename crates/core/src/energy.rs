@@ -76,6 +76,10 @@ impl fmt::Display for CycleEnergy {
 /// terms; attaching a [`DramModel`] adds a term that *grows* with `B`
 /// (retention), which is what ultimately bounds the achievable saving.
 ///
+/// A model is built for one stream rate. It computes the coefficients of
+/// `Em(B) = α/B + β + δ·B`, the always-on baseline `γ` and the cycle floor
+/// once, when it is built, and its methods read them.
+///
 /// ```
 /// use memstream_core::{BestEffortPolicy, EnergyModel};
 /// use memstream_device::MemsDevice;
@@ -100,6 +104,20 @@ pub struct EnergyModel<'a> {
     workload: Workload,
     policy: BestEffortPolicy,
     dram: Option<&'a DramModel>,
+    /// `γ`: per-bit energy of the always-on baseline (reads at `P_RW`,
+    /// idles otherwise; never seeks or sleeps), joules per bit.
+    gamma: f64,
+    /// `α`: the buffer-amortised overhead energy, `Eoh − toh·Psb` joules.
+    alpha: f64,
+    /// `β`: the per-bit energy floor of the MEMS side (transfer +
+    /// best-effort + standby) plus the constant DRAM access energy (two
+    /// transfers per bit: device→DRAM and DRAM→decoder), joules per bit.
+    beta: f64,
+    /// `δ`: per-bit DRAM retention energy slope, joules per bit per
+    /// buffered bit. The only term of `Em` that *grows* with `B`.
+    delta: f64,
+    /// [`RefillCycle::min_buffer`] of the model.
+    cycle_floor: Result<DataSize, ModelError>,
 }
 
 impl<'a> EnergyModel<'a> {
@@ -123,7 +141,29 @@ impl<'a> EnergyModel<'a> {
         policy: BestEffortPolicy,
         dram: Option<&'a DramModel>,
     ) -> Self {
+        let tau = per_bit_period(&profile, &workload);
+        let rho = per_bit_read_write(&profile, &workload);
+        let be = effective_best_effort(&workload, policy).fraction();
+        let p_rw = profile.read_write_power().watts();
+        let p_sb = profile.standby_power().watts();
+        let p_idle = profile.idle_power().watts();
+        let p_be = best_effort_power(&profile, policy).watts();
+        let dram_access = dram
+            .map(|d| 2.0 * d.access_energy(DataSize::from_bits(1.0)).joules())
+            .unwrap_or(0.0);
+        let delta = dram
+            .map(|d| {
+                let density_w_per_bit =
+                    d.retention_power(DataSize::from_mebibytes(1.0)).watts() / BITS_PER_MIB;
+                density_w_per_bit * tau
+            })
+            .unwrap_or(0.0);
         EnergyModel {
+            gamma: rho * p_rw + (tau - rho) * p_idle,
+            alpha: profile.overhead_energy().joules() - profile.overhead_time().seconds() * p_sb,
+            beta: rho * (p_rw - p_sb) + be * tau * (p_be - p_sb) + tau * p_sb + dram_access,
+            delta,
+            cycle_floor: RefillCycle::min_buffer(&profile, &workload, policy),
             profile,
             workload,
             policy,
@@ -149,69 +189,21 @@ impl<'a> EnergyModel<'a> {
         self.policy
     }
 
-    /// Power charged to best-effort time under the model's policy.
-    fn best_effort_power(&self) -> Power {
-        match self.policy {
-            BestEffortPolicy::AtReadWrite | BestEffortPolicy::Excluded => {
-                self.profile.read_write_power()
-            }
-            BestEffortPolicy::AtIdle => self.profile.idle_power(),
-        }
-    }
-
-    /// `α` of `Em(B) = α/B + β (+ δ·B)`: the buffer-amortised overhead
-    /// energy, `Eoh − toh·Psb` joules.
-    fn alpha(&self) -> f64 {
-        let psb = self.profile.standby_power().watts();
-        self.profile.overhead_energy().joules() - self.profile.overhead_time().seconds() * psb
-    }
-
-    /// `β`: the per-bit energy floor of the MEMS side (transfer +
-    /// best-effort + standby), joules per bit.
-    fn beta(&self) -> f64 {
-        let tau = per_bit_period(&self.profile, &self.workload);
-        let rho = per_bit_read_write(&self.profile, &self.workload);
-        let be = effective_best_effort(&self.workload, self.policy).fraction();
-        let p_rw = self.profile.read_write_power().watts();
-        let p_sb = self.profile.standby_power().watts();
-        let p_be = self.best_effort_power().watts();
-        rho * (p_rw - p_sb) + be * tau * (p_be - p_sb) + tau * p_sb
-    }
-
-    /// Constant per-bit DRAM access energy (`2` transfers per bit:
-    /// device→DRAM and DRAM→decoder), joules per bit.
-    fn dram_access_per_bit(&self) -> f64 {
-        self.dram
-            .map(|d| 2.0 * d.access_energy(DataSize::from_bits(1.0)).joules())
-            .unwrap_or(0.0)
-    }
-
-    /// `δ`: per-bit DRAM retention energy slope, joules per bit per
-    /// buffered bit. The only term of `Em` that *grows* with `B`.
-    fn delta(&self) -> f64 {
-        self.dram
-            .map(|d| {
-                let density_w_per_bit =
-                    d.retention_power(DataSize::from_mebibytes(1.0)).watts() / BITS_PER_MIB;
-                density_w_per_bit * per_bit_period(&self.profile, &self.workload)
-            })
-            .unwrap_or(0.0)
-    }
-
-    /// `γ`: per-bit energy of the always-on baseline (reads at `P_RW`,
-    /// idles otherwise; never seeks or sleeps), joules per bit.
-    fn gamma(&self) -> f64 {
-        let tau = per_bit_period(&self.profile, &self.workload);
-        let rho = per_bit_read_write(&self.profile, &self.workload);
-        let p_rw = self.profile.read_write_power().watts();
-        let p_idle = self.profile.idle_power().watts();
-        rho * p_rw + (tau - rho) * p_idle
+    /// The smallest buffer for which a full refill cycle fits
+    /// ([`RefillCycle::min_buffer`]), computed when the model was built.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ModelError::RateExceedsBandwidth`] if no buffer works at
+    /// this stream rate.
+    pub(crate) fn cycle_floor(&self) -> Result<DataSize, ModelError> {
+        self.cycle_floor.clone()
     }
 
     /// Per-bit energy of the always-on baseline device.
     #[must_use]
     pub fn always_on_per_bit(&self) -> EnergyPerBit {
-        EnergyPerBit::from_joules_per_bit(self.gamma())
+        EnergyPerBit::from_joules_per_bit(self.gamma)
     }
 
     /// Full energy account of one cycle with buffer `buffer`.
@@ -229,7 +221,7 @@ impl<'a> EnergyModel<'a> {
         Ok(CycleEnergy {
             overhead: self.profile.overhead_energy(),
             read_write: self.profile.read_write_power() * cycle.read_write_time(),
-            best_effort: self.best_effort_power() * cycle.best_effort_time(),
+            best_effort: best_effort_power(&self.profile, self.policy) * cycle.best_effort_time(),
             standby: self.profile.standby_power() * cycle.standby_time(),
             dram,
             buffer,
@@ -252,7 +244,15 @@ impl<'a> EnergyModel<'a> {
     ///
     /// Propagates cycle-construction errors; see [`RefillCycle::compute`].
     pub fn saving(&self, buffer: DataSize) -> Result<f64, ModelError> {
-        Ok(1.0 - self.per_bit_energy(buffer)?.joules_per_bit() / self.gamma())
+        Ok(self.saving_of(self.per_bit_energy(buffer)?))
+    }
+
+    /// The saving of a cycle whose per-bit energy is `per_bit`:
+    /// `1 − per_bit/Eon`, what [`EnergyModel::saving`] reports for a buffer
+    /// whose [`EnergyModel::per_bit_energy`] is `per_bit`.
+    #[must_use]
+    pub fn saving_of(&self, per_bit: EnergyPerBit) -> f64 {
+        1.0 - per_bit.joules_per_bit() / self.gamma
     }
 
     /// The supremum of the achievable saving over all buffer sizes.
@@ -262,17 +262,15 @@ impl<'a> EnergyModel<'a> {
     /// a finite optimum buffer.
     #[must_use]
     pub fn max_saving(&self) -> f64 {
-        let floor =
-            self.beta() + self.dram_access_per_bit() + 2.0 * (self.alpha() * self.delta()).sqrt();
-        1.0 - floor / self.gamma()
+        let floor = self.beta + 2.0 * (self.alpha * self.delta).sqrt();
+        1.0 - floor / self.gamma
     }
 
     /// The buffer at which per-bit energy is minimal (finite only when a
     /// DRAM model makes large buffers costly).
     #[must_use]
     pub fn optimal_buffer(&self) -> Option<DataSize> {
-        let delta = self.delta();
-        (delta > 0.0).then(|| DataSize::from_bits((self.alpha() / delta).sqrt()))
+        (self.delta > 0.0).then(|| DataSize::from_bits((self.alpha / self.delta).sqrt()))
     }
 
     /// The break-even buffer of §III-A.1: the size at which cycling the
@@ -326,11 +324,9 @@ impl<'a> EnergyModel<'a> {
     /// [`ModelError::RateExceedsBandwidth`] when the rate itself is
     /// unsustainable.
     pub fn min_buffer_for_saving(&self, target: Ratio) -> Result<DataSize, ModelError> {
-        let target_per_bit = (1.0 - target.fraction()) * self.gamma();
-        let alpha = self.alpha();
-        let beta = self.beta() + self.dram_access_per_bit();
-        let delta = self.delta();
-        let floor = RefillCycle::min_buffer(&self.profile, &self.workload, self.policy)?;
+        let target_per_bit = (1.0 - target.fraction()) * self.gamma;
+        let (alpha, beta, delta) = (self.alpha, self.beta, self.delta);
+        let floor = self.cycle_floor()?;
 
         let headroom = target_per_bit - beta;
         let solution_bits = if delta > 0.0 {
@@ -358,6 +354,14 @@ impl<'a> EnergyModel<'a> {
                 max_saving: self.max_saving(),
             },
         }
+    }
+}
+
+/// Power charged to best-effort time under `policy`.
+fn best_effort_power(profile: &EnergyProfile, policy: BestEffortPolicy) -> Power {
+    match policy {
+        BestEffortPolicy::AtReadWrite | BestEffortPolicy::Excluded => profile.read_write_power(),
+        BestEffortPolicy::AtIdle => profile.idle_power(),
     }
 }
 

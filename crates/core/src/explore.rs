@@ -92,14 +92,17 @@ impl<'a> SweepBuilder<'a> {
         let lifetime = self.model.lifetime_model();
         buffers
             .into_iter()
-            .map(|buffer| BufferSweepPoint {
-                buffer,
-                energy_per_bit: energy.per_bit_energy(buffer).ok(),
-                saving: energy.saving(buffer).ok(),
-                utilization: capacity.utilization(buffer),
-                effective_capacity: capacity.effective_capacity(buffer),
-                springs_lifetime: lifetime.springs_lifetime(buffer),
-                probes_lifetime: lifetime.probes_lifetime(buffer),
+            .map(|buffer| {
+                let energy_per_bit = energy.per_bit_energy(buffer).ok();
+                BufferSweepPoint {
+                    buffer,
+                    energy_per_bit,
+                    saving: energy_per_bit.map(|e| energy.saving_of(e)),
+                    utilization: capacity.utilization(buffer),
+                    effective_capacity: capacity.effective_capacity(buffer),
+                    springs_lifetime: lifetime.springs_lifetime(buffer),
+                    probes_lifetime: lifetime.probes_lifetime(buffer),
+                }
             })
             .collect()
     }

@@ -190,6 +190,77 @@ pub fn csv_field(field: &str) -> Cow<'_, str> {
     }
 }
 
+/// Appends `value` with `decimals` decimals to `out`: byte for byte what
+/// `write!(out, "{value:.decimals$}")` appends, in integer arithmetic.
+///
+/// A finite `value` is `m·2^e` with an integer `m < 2^53`, so
+/// `value·10^d = m·10^d·2^e`: a left shift for `e ≥ 0`, and for `e < 0` a
+/// right shift whose remainder rounds half to even, as std's exact mode
+/// does. Non-finite values, more than 19 decimals and magnitudes whose
+/// digits do not fit a `u64` are written by `write!`.
+pub fn write_fixed(out: &mut String, value: f64, decimals: usize) {
+    let Some(mut digits) = fixed_digits(value, decimals) else {
+        let _ = write!(out, "{value:.decimals$}");
+        return;
+    };
+    // A `u64` has at most 20 digits and `decimals` is at most 19, so the
+    // buffer's leading zeros also give a value below one its integer `0`.
+    let mut buf = [b'0'; 20];
+    let mut start = buf.len();
+    while digits > 0 {
+        start -= 1;
+        buf[start] = b'0' + (digits % 10) as u8;
+        digits /= 10;
+    }
+    let start = start.min(buf.len() - decimals - 1);
+    let text = std::str::from_utf8(&buf[start..]).expect("ASCII digits");
+    let (int, fraction) = text.split_at(text.len() - decimals);
+    if value.is_sign_negative() {
+        out.push('-');
+    }
+    out.push_str(int);
+    if decimals > 0 {
+        out.push('.');
+        out.push_str(fraction);
+    }
+}
+
+/// `|value|·10^decimals`, rounded half to even, when `value` is finite,
+/// `decimals` is at most 19 and the result fits a `u64`.
+fn fixed_digits(value: f64, decimals: usize) -> Option<u64> {
+    if !value.is_finite() {
+        return None;
+    }
+    let scale = 10u64.checked_pow(u32::try_from(decimals).ok()?)?;
+    let bits = value.to_bits();
+    let biased = (bits >> 52 & 0x7ff) as i32;
+    let fraction = bits & ((1 << 52) - 1);
+    // A subnormal has no implicit bit, and the smallest normal's exponent.
+    let (mantissa, exponent) = if biased == 0 {
+        (fraction, -1074)
+    } else {
+        (fraction | 1 << 52, biased - 1075)
+    };
+    // Below 2^53 · 10^19 < 2^117.
+    let scaled = u128::from(mantissa) * u128::from(scale);
+    let shift = exponent.unsigned_abs();
+    let digits = if exponent >= 0 {
+        if shift > scaled.leading_zeros() {
+            return None;
+        }
+        scaled << shift
+    } else if shift >= 128 {
+        // Below half a unit of the last decimal: `scaled` < 2^127.
+        0
+    } else {
+        let (quotient, remainder) = (scaled >> shift, scaled & ((1 << shift) - 1));
+        let half = 1 << (shift - 1);
+        let up = remainder > half || remainder == half && quotient & 1 == 1;
+        quotient + u128::from(up)
+    };
+    u64::try_from(digits).ok()
+}
+
 /// Renders rows of pre-formatted cells as CSV (quoting cells that need
 /// it, see [`csv_field`]).
 #[must_use]

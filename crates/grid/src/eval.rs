@@ -94,6 +94,41 @@ impl CellOutcome {
     }
 }
 
+/// How many outcomes of each kind an exploration produced. Each series
+/// counts the outcomes it writes, cache hits included.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OutcomeCounts {
+    /// [`CellOutcome::Feasible`] cells.
+    pub feasible: usize,
+    /// [`CellOutcome::Infeasible`] cells.
+    pub infeasible: usize,
+    /// [`CellOutcome::EnergyOnly`] cells.
+    pub energy_only: usize,
+    /// [`CellOutcome::Unmodelled`] cells.
+    pub unmodelled: usize,
+}
+
+impl OutcomeCounts {
+    /// Counts `outcome` under its kind.
+    pub(crate) fn tally(&mut self, outcome: &CellOutcome) {
+        *match outcome {
+            CellOutcome::Feasible(_) => &mut self.feasible,
+            CellOutcome::Infeasible(_) => &mut self.infeasible,
+            CellOutcome::EnergyOnly(_) => &mut self.energy_only,
+            CellOutcome::Unmodelled(_) => &mut self.unmodelled,
+        } += 1;
+    }
+}
+
+impl std::ops::AddAssign for OutcomeCounts {
+    fn add_assign(&mut self, other: Self) {
+        self.feasible += other.feasible;
+        self.infeasible += other.infeasible;
+        self.energy_only += other.energy_only;
+        self.unmodelled += other.unmodelled;
+    }
+}
+
 /// Evaluates one cell of `grid`, dispatching on the capabilities the
 /// cell's device exposes. Pure: equal inputs give equal outputs.
 ///

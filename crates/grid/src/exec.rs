@@ -6,10 +6,11 @@
 //! does all of its work: it looks each cell up in the cache, if there is
 //! one, evaluates the misses, encodes their cache records, and sweeps the
 //! series to its own Pareto front. Its outcomes come back as one vector in
-//! canonical order, which the results keep as is, together with the
-//! series' lookup cursor and its records, sorted by key. The calling
-//! thread only publishes the cursors, hands each series' records to the
-//! cache as one batch and sweeps the union of the series' fronts.
+//! canonical order, which the results keep as is, together with their
+//! counts by kind, the series' lookup cursor and its records, sorted by
+//! key. The calling thread only publishes the cursors, hands each series'
+//! records to the cache as one batch, sums the counts and sweeps the
+//! union of the series' fronts.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -18,7 +19,7 @@ use std::thread;
 use memstream_telemetry::{Counter, Histogram, Metrics, SpanHandle, Tracer};
 
 use crate::cache::ResultCache;
-use crate::eval::CellOutcome;
+use crate::eval::{CellOutcome, OutcomeCounts};
 use crate::key::{BlockKeyOrder, KeyInterner};
 use crate::series::{evaluate_series, plan, SeriesRun};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
@@ -244,10 +245,15 @@ impl GridExecutor {
             .iter()
             .flat_map(|run| run.front.iter().copied())
             .collect();
+        let mut counts = OutcomeCounts::default();
+        for run in &runs {
+            counts += run.counts;
+        }
         let mut results = GridResults {
             grid: grid.clone(),
             blocks: runs.into_iter().map(|run| run.outcomes).collect(),
             block_len: grid.rates().len() * grid.goals().len(),
+            counts,
             frontier: Vec::new(),
         };
         results.frontier = resolve_frontier(&results, &candidates);
@@ -410,6 +416,8 @@ pub struct GridResults {
     blocks: Vec<Vec<CellOutcome>>,
     /// Cells per block: rates × goals.
     block_len: usize,
+    /// The series' outcome counts, summed.
+    counts: OutcomeCounts,
     frontier: Vec<ParetoPoint>,
 }
 
@@ -439,6 +447,13 @@ impl GridResults {
     /// Iterates every outcome in canonical order.
     pub fn outcomes(&self) -> impl Iterator<Item = &CellOutcome> + '_ {
         self.blocks.iter().flatten()
+    }
+
+    /// How many outcomes of each kind the grid holds, as the series
+    /// counted them while writing them.
+    #[must_use]
+    pub fn outcome_counts(&self) -> OutcomeCounts {
+        self.counts
     }
 
     /// Iterates every `(cell, outcome)` in canonical order.

@@ -72,7 +72,7 @@ pub use view::CacheView;
 // The instrumentation layer, re-exported so downstream crates (refine,
 // shard, the harness) can thread one `Metrics` registry through an
 // executor without naming the telemetry crate themselves.
-pub use eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
+pub use eval::{CellOutcome, EnergyOnlyPoint, OutcomeCounts, PlannedPoint};
 pub use exec::{GridExecutor, GridResults};
 pub use key::KeyInterner;
 pub use memstream_telemetry as telemetry;

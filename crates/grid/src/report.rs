@@ -3,13 +3,18 @@
 //! Every function here formats with fixed precision and iterates in
 //! canonical cell order, so report bytes are independent of thread count —
 //! the property the `grid` harness subcommand and the integration tests
-//! assert.
+//! assert. The grid CSVs write their fixed-precision numbers with
+//! [`write_fixed`], an exact integer formatter whose bytes are those of
+//! `{:.N}`; the summary's outcome counts are the ones the series counted
+//! as they wrote the outcomes.
 
 use std::fmt::Write as _;
 
-use memstream_core::{csv_field, render_ascii_chart, to_csv, AsciiChart, Axis, Series};
+use memstream_core::{
+    csv_field, render_ascii_chart, to_csv, write_fixed, AsciiChart, Axis, Series,
+};
 
-use crate::eval::CellOutcome;
+use crate::eval::{CellOutcome, OutcomeCounts};
 use crate::exec::GridResults;
 use crate::spec::{GridCell, ScenarioGrid};
 use crate::validate::ValidationRow;
@@ -36,23 +41,20 @@ impl AxisLabels {
 
     /// Writes the `device,workload,rate_kbps,goal` fields of `cell`.
     fn write(&self, out: &mut String, grid: &ScenarioGrid, cell: &GridCell) {
-        let _ = write!(
-            out,
-            "{},{},{:.3},{}",
-            self.devices[cell.device],
-            self.workloads[cell.workload],
-            grid.rates()[cell.rate].kilobits_per_second(),
-            self.goals[cell.goal],
-        );
+        out.push_str(&self.devices[cell.device]);
+        out.push(',');
+        out.push_str(&self.workloads[cell.workload]);
+        out.push(',');
+        write_fixed(out, grid.rates()[cell.rate].kilobits_per_second(), 3);
+        out.push(',');
+        out.push_str(&self.goals[cell.goal]);
     }
 }
 
 /// Writes `value` with `decimals` decimals, or `-` when there is none.
 fn write_or_dash(out: &mut String, value: Option<f64>, decimals: usize) {
     match value {
-        Some(value) => {
-            let _ = write!(out, "{value:.decimals$}");
-        }
+        Some(value) => write_fixed(out, value, decimals),
         None => out.push('-'),
     }
 }
@@ -77,15 +79,19 @@ fn write_frontier_csv(out: &mut String, results: &GridResults) {
     );
     for p in frontier {
         labels.write(out, grid, &p.cell);
-        let _ = write!(
-            out,
-            ",{:.3},{},{:.2},{:.2},{:.2},",
-            p.point.buffer.kibibytes(),
-            csv_field(p.point.dominant),
+        out.push(',');
+        write_fixed(out, p.point.buffer.kibibytes(), 3);
+        out.push(',');
+        out.push_str(&csv_field(p.point.dominant));
+        for value in [
             p.objectives()[0] * 100.0,
             p.point.utilization.percent(),
             p.point.lifetime.get(),
-        );
+        ] {
+            out.push(',');
+            write_fixed(out, value, 2);
+        }
+        out.push(',');
         write_or_dash(
             out,
             p.point.energy_per_bit.map(|e| e.nanojoules_per_bit()),
@@ -120,14 +126,14 @@ fn write_cells_csv(out: &mut String, results: &GridResults) {
         note.clear();
         match outcome {
             CellOutcome::Feasible(p) => {
-                let _ = write!(out, "{:.3},", p.buffer.kibibytes());
+                write_fixed(out, p.buffer.kibibytes(), 3);
+                out.push(',');
                 write_or_dash(out, p.saving.map(|s| s * 100.0), 2);
-                let _ = write!(
-                    out,
-                    ",{:.2},{:.2},",
-                    p.utilization.percent(),
-                    p.lifetime.get()
-                );
+                out.push(',');
+                write_fixed(out, p.utilization.percent(), 2);
+                out.push(',');
+                write_fixed(out, p.lifetime.get(), 2);
+                out.push(',');
             }
             CellOutcome::Infeasible(err) | CellOutcome::Unmodelled(err) => {
                 out.push_str("-,-,-,-,");
@@ -139,7 +145,9 @@ fn write_cells_csv(out: &mut String, results: &GridResults) {
                 write_or_dash(out, p.saving.map(|s| s * 100.0), 2);
                 out.push_str(",-,-,");
                 if let Some(b) = p.break_even {
-                    let _ = write!(note, "break-even {:.3} KiB", b.kibibytes());
+                    note.push_str("break-even ");
+                    write_fixed(&mut note, b.kibibytes(), 3);
+                    note.push_str(" KiB");
                 }
             }
         }
@@ -181,20 +189,12 @@ pub fn frontier_chart(results: &GridResults) -> String {
 /// Deterministic exploration summary (no timings, no thread counts).
 #[must_use]
 pub fn summary(results: &GridResults) -> String {
-    let mut feasible = 0usize;
-    let mut infeasible = 0usize;
-    let mut disk = 0usize;
-    let mut unmodelled = 0usize;
-    // Counting needs only the outcomes; `records()` would also derive
-    // every cell's coordinates.
-    for outcome in results.outcomes() {
-        match outcome {
-            CellOutcome::Feasible(_) => feasible += 1,
-            CellOutcome::Infeasible(_) => infeasible += 1,
-            CellOutcome::EnergyOnly(_) => disk += 1,
-            CellOutcome::Unmodelled(_) => unmodelled += 1,
-        }
-    }
+    let OutcomeCounts {
+        feasible,
+        infeasible,
+        energy_only: disk,
+        unmodelled,
+    } = results.outcome_counts();
     let grid = results.grid();
     let mut out = String::new();
     let _ = writeln!(

@@ -23,7 +23,9 @@
 //! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum)),
 //! and one [`BufferDimensioner`](memstream_core::BufferDimensioner) per
 //! rate plans every goal missed at that rate. The series' outcomes come
-//! back in canonical order, with the series' own Pareto front.
+//! back in canonical order, with their counts by kind and the series' own
+//! Pareto front. A feasible outcome that the series' last kept candidate
+//! dominates never enters that front's sweep.
 //!
 //! Every device takes the same path, whatever its concrete type: the
 //! series model reads the device's energy numbers once
@@ -40,10 +42,10 @@ use memstream_units::{BitRate, DataSize};
 use memstream_workload::Workload;
 
 use crate::cache::{LookupCursor, RecordBatch, ResultCache};
-use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
+use crate::eval::{CellOutcome, EnergyOnlyPoint, OutcomeCounts, PlannedPoint};
 use crate::key::{BlockKeyOrder, KeyInterner};
 use crate::spec::{GridCell, ScenarioGrid};
-use crate::store::front;
+use crate::store::{front, strictly_dominates};
 
 /// Cuts the canonical cell range `cells` of `grid` into series, in
 /// canonical order: a series ends where `cells` or its
@@ -68,6 +70,8 @@ fn cut(cells: Range<usize>, unit: usize) -> impl Iterator<Item = Range<usize>> {
 pub(crate) struct SeriesRun {
     /// One outcome per cell of the series, in canonical order.
     pub(crate) outcomes: Vec<CellOutcome>,
+    /// How many outcomes of each kind `outcomes` holds.
+    pub(crate) counts: OutcomeCounts,
     /// The `(cell index, objectives)` of the series' own Pareto front:
     /// its non-dominated feasible outcomes, cache hits included, each
     /// measurable on the energy axis.
@@ -156,13 +160,14 @@ impl SeriesModel<'_> {
                     match dim.plan(&goals[k], &capacities[first_goal + k]) {
                         Ok(plan) => {
                             let b = plan.buffer();
+                            let energy_per_bit = dim.energy().per_bit_energy(b).ok();
                             CellOutcome::Feasible(PlannedPoint {
                                 buffer: b,
                                 dominant: plan.dominant().label(),
-                                saving: dim.energy().saving(b).ok(),
+                                saving: energy_per_bit.map(|e| dim.energy().saving_of(e)),
                                 utilization: dim.capacity().utilization(b),
                                 lifetime: dim.lifetime().device_lifetime(b),
-                                energy_per_bit: dim.energy().per_bit_energy(b).ok(),
+                                energy_per_bit,
                             })
                         }
                         Err(err) => CellOutcome::Infeasible(err),
@@ -206,8 +211,9 @@ fn energy_only(energy: &EnergyModel<'_>, goal: &DesignGoal) -> CellOutcome {
 
 /// Runs `series`, one canonical run of one block of `grid` (see
 /// [`plan`]): looks each cell up in `cache` under its `interner` key,
-/// through the series' own [`LookupCursor`], evaluates the misses, and
-/// sweeps the outcomes to the series' front. Each outcome is
+/// through the series' own [`LookupCursor`], evaluates the misses, counts
+/// the outcomes by kind, and sweeps them to the series' front, skipping
+/// each candidate the last kept one strictly dominates. Each outcome is
 /// bit-identical to [`crate::eval::evaluate`] of its cell (or to the
 /// cached one). With a cache, each miss's record is encoded into the
 /// series' own [`RecordBatch`], which `order` puts in key order before
@@ -223,6 +229,7 @@ pub(crate) fn evaluate_series(
     let goals = grid.goals().len();
     let mut run = SeriesRun {
         outcomes: Vec::with_capacity(series.len()),
+        counts: OutcomeCounts::default(),
         front: Vec::new(),
         records: RecordBatch::new(),
         evaluated: 0,
@@ -273,9 +280,17 @@ pub(crate) fn evaluate_series(
                 pushed[index - series.start] = run.records.len();
                 run.records.push(&keys[k], &outcome);
             }
+            // A point the last kept candidate dominates is never on the
+            // front, since dominance is transitive: it is not kept.
             if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
-                candidates.push((index, objectives));
+                if !candidates
+                    .last()
+                    .is_some_and(|(_, kept)| strictly_dominates(kept, &objectives))
+                {
+                    candidates.push((index, objectives));
+                }
             }
+            run.counts.tally(&outcome);
             run.outcomes.push(outcome);
         }
         missed.clear();
@@ -437,6 +452,23 @@ mod tests {
             "{bumped} bumped, {set_by_probes}"
         );
         assert!(probes_target > set_by_probes);
+    }
+
+    #[test]
+    fn series_fronts_equal_the_sweep_of_every_feasible_point() {
+        // A series keeps only the candidates its last kept one does not
+        // dominate; its front is still the sweep of all its feasible
+        // points.
+        let grid = ScenarioGrid::paper_baseline(400);
+        let interner = KeyInterner::new(&grid).unwrap();
+        for series in plan(&grid, 0..grid.len()) {
+            let run = evaluate_series(&grid, &interner, None, series.clone());
+            let every: Vec<(usize, [f64; 3])> = series
+                .zip(&run.outcomes)
+                .filter_map(|(index, outcome)| Some((index, outcome.planned()?.objectives()?)))
+                .collect();
+            assert_eq!(run.front, front(&every));
+        }
     }
 
     #[test]

@@ -4,8 +4,10 @@
 //! sort-and-sweep. The executor runs it twice. Each worker sweeps the
 //! series it has just run, cache hits included ([`front`]), and assembly
 //! sweeps the union of those series fronts once more
-//! ([`resolve_frontier`]). Both sweeps see the same points whatever the
-//! thread count, so the frontier and its counters do too.
+//! ([`resolve_frontier`]). Before its sweep, a series drops each feasible
+//! point that its last kept point [strictly dominates](strictly_dominates),
+//! which leaves the front as it is. Both sweeps see the same points
+//! whatever the thread count, so the frontier and its counters do too.
 
 use std::cmp::Reverse;
 
@@ -51,9 +53,14 @@ impl ParetoPoint {
 /// binary search per run of equal points.
 #[must_use]
 pub fn non_dominated(points: &[[f64; 3]]) -> Vec<usize> {
+    sweep(points.iter().copied())
+}
+
+/// [`non_dominated`] of the points `points` yields, keyed as they come.
+fn sweep(points: impl ExactSizeIterator<Item = [f64; 3]>) -> Vec<usize> {
     let mut survivors = Vec::new();
     let mut keyed: Vec<([u64; 3], usize)> = Vec::with_capacity(points.len());
-    for (i, point) in points.iter().enumerate() {
+    for (i, point) in points.enumerate() {
         if point.iter().any(|v| v.is_nan()) {
             survivors.push(i);
         } else {
@@ -92,12 +99,19 @@ fn order_key(value: f64) -> u64 {
     }
 }
 
+/// Whether `a` strictly dominates `b`: at least as large in every
+/// coordinate and larger in one. Equal points do not dominate each other,
+/// and a point with a NaN coordinate neither dominates nor is dominated,
+/// as in [`non_dominated`].
+pub(crate) fn strictly_dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
+}
+
 /// The non-dominated members of `candidates` (tagged with the caller's
 /// index, typically a canonical cell index), in their input order.
 #[must_use]
 pub(crate) fn front(candidates: &[(usize, [f64; 3])]) -> Vec<(usize, [f64; 3])> {
-    let points: Vec<[f64; 3]> = candidates.iter().map(|&(_, point)| point).collect();
-    non_dominated(&points)
+    sweep(candidates.iter().map(|&(_, point)| point))
         .into_iter()
         .map(|k| candidates[k])
         .collect()

@@ -1,12 +1,110 @@
 //! The determinism contract: an N-thread exploration of a full-size grid
 //! produces byte-identical reports to the single-threaded run.
 
-use memstream_grid::{report, GridExecutor, ScenarioGrid};
+use memstream_grid::{report, CellOutcome, GridExecutor, GridResults, OutcomeCounts, ScenarioGrid};
 
 /// ≥ 3 devices × ≥ 20 rates × ≥ 2 goals, as the engine's acceptance
 /// criteria demand (the baseline adds a 4th device and 3 workloads).
 fn acceptance_grid() -> ScenarioGrid {
     ScenarioGrid::paper_baseline(24)
+}
+
+/// The outcome counts of `results`, recounted over every outcome.
+fn recount(results: &GridResults) -> OutcomeCounts {
+    let mut counts = OutcomeCounts::default();
+    for outcome in results.outcomes() {
+        match outcome {
+            CellOutcome::Feasible(_) => counts.feasible += 1,
+            CellOutcome::Infeasible(_) => counts.infeasible += 1,
+            CellOutcome::EnergyOnly(_) => counts.energy_only += 1,
+            CellOutcome::Unmodelled(_) => counts.unmodelled += 1,
+        }
+    }
+    counts
+}
+
+/// A device that exposes no capability: each of its cells is unmodelled.
+#[derive(Debug, Clone)]
+struct Bare;
+
+impl memstream_device::StorageDevice for Bare {
+    fn kind(&self) -> &'static str {
+        "bare"
+    }
+    fn dedup_token(&self) -> String {
+        "bare".to_owned()
+    }
+    fn capacity(&self) -> memstream_units::DataSize {
+        memstream_units::DataSize::from_gigabytes(1.0)
+    }
+    fn clone_box(&self) -> Box<dyn memstream_device::StorageDevice> {
+        Box::new(self.clone())
+    }
+}
+
+#[test]
+fn series_outcome_counts_equal_a_recount() {
+    // The baseline has feasible and infeasible cells, the classic grid
+    // adds the energy-only disk arm, a grid without DRAM moves the
+    // feasibility edges, and a bare device adds unmodelled cells.
+    use memstream_grid::DeviceEntry;
+
+    for (grid, energy_only, unmodelled) in [
+        (ScenarioGrid::paper_baseline(24), false, false),
+        (ScenarioGrid::paper_classic(24), true, false),
+        (
+            ScenarioGrid::paper_baseline(24).without_dram(),
+            false,
+            false,
+        ),
+        (
+            ScenarioGrid::paper_baseline(24).device(DeviceEntry::new("bare", Bare)),
+            false,
+            true,
+        ),
+    ] {
+        let serial = GridExecutor::serial().explore(&grid).expect("run");
+        let counts = serial.outcome_counts();
+        assert_eq!(counts.energy_only > 0, energy_only);
+        assert_eq!(counts.unmodelled > 0, unmodelled);
+        assert!(counts.feasible > 0 && counts.infeasible > 0);
+        for threads in [1, 2, 8] {
+            let results = GridExecutor::parallel(threads).explore(&grid).expect("run");
+            assert_eq!(
+                results.outcome_counts(),
+                recount(&results),
+                "{threads} threads"
+            );
+            assert_eq!(results.outcome_counts(), counts, "{threads} threads");
+        }
+    }
+}
+
+#[test]
+fn frontier_counters_at_the_benchmark_size_do_not_depend_on_threads() {
+    // At 4 000 rates each series drops the most candidates that its last
+    // kept point dominates; its front, and so the final sweep's input and
+    // output, stay what a sweep over every feasible point gives.
+    use memstream_grid::Metrics;
+
+    let grid = ScenarioGrid::paper_baseline(4000);
+    for threads in [1, 2, 8] {
+        let metrics = Metrics::enabled();
+        let results = GridExecutor::parallel(threads)
+            .with_metrics(&metrics)
+            .explore(&grid)
+            .expect("run");
+        let snapshot = metrics.snapshot();
+        assert_eq!(
+            (
+                snapshot.counter("frontier.inserts"),
+                snapshot.counter("frontier.evictions")
+            ),
+            (Some(3505), Some(1074)),
+            "{threads} threads"
+        );
+        assert_eq!(results.pareto_frontier().len(), 3505 - 1074);
+    }
 }
 
 #[test]
@@ -144,6 +242,9 @@ fn partially_warm_caches_match_the_uncached_run() {
             report::frontier_csv(&results)
         );
         assert_eq!(report::summary(&reference), report::summary(&results));
+        // Each series counts its hits' outcomes as it writes them too.
+        assert_eq!(results.outcome_counts(), recount(&results));
+        assert_eq!(results.outcome_counts(), reference.outcome_counts());
         let (hits, misses) = (cache.hits() - hits, cache.misses() - misses);
         assert_eq!(hits, warmed.len(), "{threads} threads");
         assert_eq!(misses, grid.len() - warmed.len(), "{threads} threads");

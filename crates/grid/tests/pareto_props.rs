@@ -26,7 +26,66 @@ const TIE_VALUES: [f64; 7] = [
     f64::NAN,
 ];
 
+/// The series' path: the last-kept filter drops each point that the last
+/// point kept before it strictly dominates, then `non_dominated` sweeps
+/// the rest. Indices into `points`.
+fn front_after_last_kept_filter(points: &[[f64; 3]]) -> Vec<usize> {
+    let mut kept: Vec<usize> = Vec::new();
+    for (i, point) in points.iter().enumerate() {
+        if !kept.last().is_some_and(|&k| dominates(&points[k], point)) {
+            kept.push(i);
+        }
+    }
+    let kept_points: Vec<[f64; 3]> = kept.iter().map(|&i| points[i]).collect();
+    non_dominated(&kept_points)
+        .into_iter()
+        .map(|k| kept[k])
+        .collect()
+}
+
 proptest! {
+    #[test]
+    fn the_last_kept_filter_leaves_the_front_unchanged(
+        raw in prop::collection::vec((0usize..7, 0usize..7, 0usize..7, 0usize..3), 0..61)
+    ) {
+        // Coordinates from the tie values (signed zeros, infinities and
+        // NaN); a last field of 0 repeats the previous point exactly.
+        let mut points: Vec<[f64; 3]> = Vec::new();
+        for &(x, y, z, repeat) in &raw {
+            let point = match points.last() {
+                Some(&previous) if repeat == 0 => previous,
+                _ => [TIE_VALUES[x], TIE_VALUES[y], TIE_VALUES[z]],
+            };
+            points.push(point);
+        }
+        prop_assert_eq!(front_after_last_kept_filter(&points), non_dominated(&points));
+    }
+
+    #[test]
+    fn the_last_kept_filter_leaves_a_descending_front_unchanged(
+        raw in prop::collection::vec((0usize..4, 0usize..4, 0usize..4, 0usize..8), 1..80)
+    ) {
+        // A series' objectives mostly fall as the rate rises, so the last
+        // kept point often dominates the next: steps down on a coarse
+        // lattice, with repeats and the odd NaN.
+        let mut point = [1.0f64; 3];
+        let mut points: Vec<[f64; 3]> = Vec::new();
+        for &(x, y, z, kind) in &raw {
+            let step = [x, y, z].map(|d| 0.25 * d as f64);
+            let next = match kind {
+                0 => [f64::NAN, point[1], point[2]],
+                1 => point,
+                2 => [point[0] + step[0], point[1], point[2] - step[2]],
+                _ => [point[0] - step[0], point[1] - step[1], point[2] - step[2]],
+            };
+            if !next[0].is_nan() {
+                point = next;
+            }
+            points.push(next);
+        }
+        prop_assert_eq!(front_after_last_kept_filter(&points), non_dominated(&points));
+    }
+
     #[test]
     fn frontier_points_are_mutually_non_dominated(
         raw in prop::collection::vec((0.0..1.0f64, 0.0..1.0f64, 0.0..20.0f64), 1..60)

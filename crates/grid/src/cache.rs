@@ -13,7 +13,14 @@
 //! run that adds nothing does not rewrite the file at all
 //! ([`ResultCache::save_as`]).
 //!
-//! The lenient readers never fail a run over file contents: a damaged
+//! A cache is one key-sorted list of record slots over record buffers it
+//! owns. A whole opened file is buffer 0 and its index is where the list
+//! starts; every batch of records added later is one more buffer. One
+//! search serves lookups, probes, merges and the strict reader
+//! ([`CacheView`](crate::CacheView)), and a save walks the list, copying
+//! records raw.
+//!
+//! The lenient reader never fails a run over file contents: a damaged
 //! file keeps its intact record prefix, and a foreign file (another
 //! format or version) opens as an empty cache, named on stderr, that the
 //! next save replaces.
@@ -31,9 +38,9 @@ use std::fmt;
 use std::fs;
 use std::io;
 use std::io::{Read as _, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicUsize};
-use std::sync::Arc;
 use std::time::SystemTime;
 
 use memstream_core::{InfeasibleReason, ModelError, Requirement};
@@ -42,7 +49,7 @@ use memstream_telemetry::{Counter, Histogram, HistogramSample, Metrics, SpanHand
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
-use crate::view::{record_at, record_key, search, search_near, validate, CacheView};
+use crate::view::{record_at, validate};
 
 /// The header line every cache file starts with.
 const HEADER: &str = "memstream-grid-cache v4";
@@ -60,11 +67,12 @@ pub enum CacheFormat {
     Binary,
 }
 
-/// Why a strict read ([`CacheView::open`]) rejected a cache file.
+/// Why a strict read ([`CacheView::open`](crate::CacheView::open))
+/// rejected a cache file.
 ///
-/// The lenient readers ([`ResultCache::load`], [`ResultCache::open`])
-/// map every non-I/O failure below to "empty cache" or "intact prefix";
-/// the strict reader exists for files that must be whole.
+/// The lenient reader ([`ResultCache::open`]) maps every non-I/O failure
+/// below to "empty cache" or "intact prefix"; the strict reader exists
+/// for files that must be whole.
 #[derive(Debug)]
 pub enum CacheFileError {
     /// The file could not be read at all.
@@ -177,11 +185,11 @@ pub struct MergeStats {
 /// The cache holds **records**, not outcomes: each entry is the file's
 /// own encoding (`u32 length + body`, `docs/CACHE_FORMAT.md`), written
 /// once — by the worker that evaluated the cell, or by whoever built a
-/// [`RecordBatch`] — and never re-encoded. Entries live in two key-sorted
-/// lists: the lazily opened file's record index ([`CacheView`]) and the
-/// *overlay*, its in-memory twin over the record buffers the cache owns.
-/// The same binary search serves both, a lookup decodes the one record it
-/// hits, and a save merge-walks the two lists, copying every record raw.
+/// [`RecordBatch`] — and never re-encoded. The entries are one key-sorted
+/// list of slots over the record buffers the cache owns: a whole file it
+/// was opened over is buffer 0, and each batch added since is one more.
+/// One binary search serves every lookup, a lookup decodes the one record
+/// it hits, and a save walks the list, copying every record raw.
 ///
 /// ```
 /// use memstream_grid::{CacheFormat, GridExecutor, ResultCache, ScenarioGrid};
@@ -212,64 +220,134 @@ pub struct MergeStats {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ResultCache {
-    /// The record buffers the overlay points into, each holding records
-    /// back to back as the file does: one per absorbed batch (a series'
-    /// misses, an insert, a frame, a merge's additions), or the bytes of
-    /// a leniently loaded file.
+    /// The record buffers the slots point into, each holding records
+    /// back to back as the file does: the whole file the cache was
+    /// opened over (buffer 0), then one per absorbed batch (a series'
+    /// misses, an insert, a frame, a merge's additions, the intact
+    /// prefix of a damaged file).
     buffers: Vec<Vec<u8>>,
-    /// The overlay: one slot per key, in strictly ascending key order.
-    /// Without a view this is the whole cache; with one, an overlay
-    /// record stands in for the file's record under the same key.
-    overlay: Vec<Slot>,
-    /// The lazily opened file ([`ResultCache::open`]): probes hit its
-    /// index and records decode on demand.
-    view: Option<Arc<CacheView>>,
-    /// The file the view was read from, as it was then.
+    /// One slot per key, in strictly ascending key order.
+    slots: Vec<Slot>,
+    /// The whole file the cache was opened over, as it was then.
     origin: Option<Origin>,
-    /// Overlay keys the view does not hold, so `len()` is
-    /// `view.len() + overlay_new` without iterating either side.
-    overlay_new: usize,
     /// Whether an insert or merge changed the cache since it was opened:
-    /// an unchanged view saved back to its own file needs no save at all.
+    /// an unchanged file saved back to its own path needs no save at all.
     modified: bool,
     hits: usize,
     misses: usize,
     telemetry: CacheTelemetry,
 }
 
-/// Where an overlay record sits: which of the cache's record buffers,
-/// and the offset of the record's `u32` length prefix in it.
+/// Where a record sits: which of the cache's record buffers, the offset
+/// of the record's `u32` length prefix in it, and its key's length, so a
+/// search reads the key without first reading where it ends.
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    buffer: usize,
+pub(crate) struct Slot {
+    buffer: u32,
+    key_len: u32,
     offset: usize,
+}
+
+impl Slot {
+    /// The slot of the record at `offset` whose key is `key`; its buffer
+    /// is numbered when its batch enters a cache.
+    pub(crate) fn new(offset: usize, key: &[u8]) -> Self {
+        let key_len = u32::try_from(key.len()).expect("cache keys have u32 lengths");
+        Slot {
+            buffer: 0,
+            key_len,
+            offset,
+        }
+    }
+
+    /// The record's key bytes in `buffer`: after its length prefix and
+    /// its key's.
+    fn key<'a>(&self, buffer: &'a [u8]) -> &'a [u8] {
+        let start = self.offset + 8;
+        &buffer[start..start + self.key_len as usize]
+    }
 }
 
 /// The whole record (length prefix and body) in `slot`.
 fn slot_record<'a>(buffers: &'a [Vec<u8>], slot: &Slot) -> &'a [u8] {
-    record_at(&buffers[slot.buffer], slot.offset)
+    record_at(&buffers[slot.buffer as usize], slot.offset)
 }
 
 /// The key bytes of the record in `slot`.
 fn slot_key<'a>(buffers: &'a [Vec<u8>], slot: &Slot) -> &'a [u8] {
-    record_key(&buffers[slot.buffer][slot.offset..])
+    slot.key(&buffers[slot.buffer as usize])
+}
+
+/// Binary-searches `slots[range]`, part of a key-sorted slot list over
+/// `buffers`, for `key`: `Ok` with its position, or `Err` with the
+/// position where it would be inserted. Comparing raw key bytes is exact,
+/// because the list holds its keys in strictly ascending byte order.
+fn search(
+    buffers: &[Vec<u8>],
+    slots: &[Slot],
+    key: &[u8],
+    range: Range<usize>,
+) -> Result<usize, usize> {
+    let start = range.start;
+    slots[range]
+        .binary_search_by(|slot| slot_key(buffers, slot).cmp(key))
+        .map(|found| start + found)
+        .map_err(|at| start + at)
+}
+
+/// [`search`] over all of `slots`, outward from position `near` (clamped
+/// to the last slot): steps of 1, 2, 4, … away from `near` bracket `key`
+/// between two slots, and the binary search runs inside that bracket
+/// only. The answer is always the whole-list search's; the cost grows
+/// with the logarithm of the distance from `near` to `key`.
+fn search_near(
+    buffers: &[Vec<u8>],
+    slots: &[Slot],
+    key: &[u8],
+    near: usize,
+) -> Result<usize, usize> {
+    let Some(last) = slots.len().checked_sub(1) else {
+        return Err(0);
+    };
+    let near = near.min(last);
+    let side = slot_key(buffers, &slots[near]).cmp(key);
+    let mut bracket = match side {
+        Ordering::Equal => return Ok(near),
+        Ordering::Less => near + 1..slots.len(),
+        Ordering::Greater => 0..near,
+    };
+    let mut step = 1usize;
+    loop {
+        let probe = match side {
+            Ordering::Less => near.checked_add(step).filter(|&p| p < slots.len()),
+            _ => near.checked_sub(step),
+        };
+        let Some(probe) = probe else { break };
+        let ordering = slot_key(buffers, &slots[probe]).cmp(key);
+        match ordering {
+            Ordering::Equal => return Ok(probe),
+            Ordering::Less => bracket.start = probe + 1,
+            Ordering::Greater => bracket.end = probe,
+        }
+        if ordering != side {
+            break;
+        }
+        step = step.saturating_mul(2);
+    }
+    search(buffers, slots, key, bracket)
 }
 
 /// Encoded records on their way into a cache: one buffer holding the
-/// records back to back, each `u32 length + body` as in the file, and
-/// where each starts. A batch enters a cache as one sorted run
+/// records back to back, each `u32 length + body` as in the file, and a
+/// slot for each. A batch enters a cache as one sorted run
 /// ([`ResultCache::absorb`]): adding n records costs one merge of two
 /// sorted lists, and their bytes are never copied again.
 #[derive(Debug, Default)]
 pub struct RecordBatch {
     bytes: Vec<u8>,
-    offsets: Vec<usize>,
-    /// Whether `offsets` is in strictly ascending key order.
+    slots: Vec<Slot>,
+    /// Whether `slots` is in strictly ascending key order.
     sorted: bool,
-    /// How many of the batch's keys the target's file holds, when the
-    /// producer knows (a series' lookups do); `None` makes the absorb
-    /// search the file's index for each key the overlay lacks.
-    pub(crate) in_view: Option<usize>,
 }
 
 impl RecordBatch {
@@ -289,13 +367,14 @@ impl RecordBatch {
         let len =
             u32::try_from(self.bytes.len() - start - 4).expect("cache record exceeds u32 length");
         self.bytes[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        self.offsets.push(start);
+        self.slots.push(Slot::new(start, key.as_bytes()));
         self.sorted = false;
     }
 
-    /// Appends a whole record (length prefix and body) as it is.
-    fn push_record(&mut self, record: &[u8]) {
-        self.offsets.push(self.bytes.len());
+    /// Appends a whole record (length prefix and body), whose key is
+    /// `key`, as it is.
+    fn push_record(&mut self, record: &[u8], key: &[u8]) {
+        self.slots.push(Slot::new(self.bytes.len(), key));
         self.bytes.extend_from_slice(record);
         self.sorted = false;
     }
@@ -303,13 +382,13 @@ impl RecordBatch {
     /// Number of records pushed (before any replacement by key).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.slots.len()
     }
 
     /// Whether the batch holds no record.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
+        self.slots.is_empty()
     }
 
     /// Makes room for `records` more records whose keys are about
@@ -319,21 +398,21 @@ impl RecordBatch {
         // A feasible record is its key plus 58 bytes, an infeasible one
         // plus 36; only an unmodelled error's free text runs longer.
         self.bytes.reserve(records * (key_len + 60));
-        self.offsets.reserve(records);
+        self.slots.reserve(records);
     }
 
     /// Puts the records in the order `order` lists them (by push index),
     /// which the caller knows to be strictly ascending key order, each
     /// record once: a sort without a single key comparison.
     pub(crate) fn reorder(&mut self, order: impl Iterator<Item = usize>) {
-        let offsets: Vec<usize> = order.map(|record| self.offsets[record]).collect();
-        debug_assert_eq!(offsets.len(), self.offsets.len(), "every record once");
-        self.offsets = offsets;
+        let slots: Vec<Slot> = order.map(|record| self.slots[record]).collect();
+        debug_assert_eq!(slots.len(), self.slots.len(), "every record once");
+        self.slots = slots;
         self.sorted = true;
         debug_assert!(
-            self.offsets.windows(2).all(|pair| {
-                record_key(&self.bytes[pair[0]..]) < record_key(&self.bytes[pair[1]..])
-            }),
+            self.slots
+                .windows(2)
+                .all(|pair| pair[0].key(&self.bytes) < pair[1].key(&self.bytes)),
             "records out of key order"
         );
     }
@@ -345,42 +424,36 @@ impl RecordBatch {
             return;
         }
         let bytes = &self.bytes;
-        let key = |offset: &usize| record_key(&bytes[*offset..]);
         // Offsets grow in push order: ties broken by descending offset put
         // the last record pushed under a key first, which `dedup_by` keeps.
-        self.offsets
-            .sort_unstable_by(|a, b| key(a).cmp(key(b)).then(b.cmp(a)));
-        self.offsets.dedup_by(|a, b| key(a) == key(b));
+        self.slots
+            .sort_unstable_by(|a, b| a.key(bytes).cmp(b.key(bytes)).then(b.offset.cmp(&a.offset)));
+        self.slots.dedup_by(|a, b| a.key(bytes) == b.key(bytes));
         self.sorted = true;
     }
 }
 
 /// One series' lookup state ([`ResultCache::lookup`]): where in the
-/// file's record index and in the overlay its last lookup landed, so the
-/// next search starts there, and its own tallies of what the lookups did.
-/// The series owns it outright, so its lookups write no memory that
-/// another thread shares; the executor publishes it once the series is
-/// done ([`ResultCache::publish`]).
+/// cache's slot list its last search landed, so the next one starts
+/// there, and its own tallies of what the lookups did. The series owns it
+/// outright, so its lookups write no memory that another thread shares;
+/// the executor publishes it once the series is done
+/// ([`ResultCache::publish`]).
 #[derive(Debug, Default)]
 pub(crate) struct LookupCursor {
-    /// The record ordinal of the last view hit.
+    /// The list position of the last search.
     near: usize,
-    /// The overlay position of the last overlay search.
-    overlay_near: usize,
     hits: usize,
     misses: usize,
-    /// Misses whose key the file holds under an undecodable payload: the
-    /// records evaluated for them replace no key the cache counts.
-    pub(crate) in_view: usize,
-    /// Searches of the view's record index.
+    /// Searches that counted as searches of the opened file.
     index_lookups: u64,
-    /// View records decoded.
+    /// Records of the opened file decoded.
     records_decoded: u64,
     /// The lookups' latencies, when `cache.lookup` is live.
     latency: Option<HistogramSample>,
 }
 
-/// Where a view was opened from: the path, and the file's length and
+/// Where a cache was opened from: the path, and the file's length and
 /// modification time at that moment. [`ResultCache::save_as`] skips the
 /// write when one `stat` still shows the same file.
 #[derive(Debug, Clone)]
@@ -429,12 +502,12 @@ struct CacheTelemetry {
     save_span: SpanHandle,
     /// Files opened that were not cache files of this version.
     foreign_files: Counter,
-    /// Records decoded on demand from a lazy [`CacheView`] — the number
-    /// a warm run must keep proportional to the work requested, not the
-    /// cache size. Eager loads do not count here (they are load-time
-    /// cost, visible through spans instead).
+    /// Records of the opened file decoded on demand — the number a warm
+    /// run must keep proportional to the work requested, not the cache
+    /// size.
     records_decoded: Counter,
-    /// Binary-search probes into a lazy view's record index.
+    /// Searches that the opened file's records answer: a search of a
+    /// cache opened over a whole file that misses or finds one of them.
     index_lookups: Counter,
     /// Per-lookup latency distribution (`cache.lookup`); the clock is
     /// only read when the histogram is live.
@@ -499,35 +572,22 @@ impl ResultCache {
         ResultCache::default()
     }
 
+    /// A cache of a whole file's records: `bytes` becomes record buffer 0
+    /// and `slots`, which `validate` found in it, the list.
+    pub(crate) fn over_file(bytes: Vec<u8>, slots: Vec<Slot>) -> Self {
+        ResultCache {
+            buffers: vec![bytes],
+            slots,
+            ..ResultCache::default()
+        }
+    }
+
     /// Attaches this cache to a metrics registry: subsequent lookups,
     /// inserts, merges and saves report into the `cache.*` catalogue.
     /// The existing hit/miss totals are unaffected (counters are deltas
     /// from the attach point).
     pub fn set_metrics(&mut self, metrics: &Metrics) {
         self.telemetry = CacheTelemetry::resolve(metrics);
-    }
-
-    /// Loads a cache file eagerly: every record is checked to decode up
-    /// front, and the records stay in memory as the file holds them. A
-    /// missing file or a foreign one (not `memstream-grid-cache v4`)
-    /// yields an empty cache, silently; a malformed record drops it and
-    /// everything after it (the length-prefixed stream cannot be
-    /// resynchronised past damage). Warm starts use
-    /// [`ResultCache::open`] instead.
-    ///
-    /// # Errors
-    ///
-    /// An error naming `path` if it exists but is not a regular file
-    /// after following symlinks; otherwise propagates I/O errors other
-    /// than "not found".
-    pub fn load(path: impl AsRef<Path>) -> io::Result<Self> {
-        let mut cache = ResultCache::new();
-        if let Some((bytes, _)) = read_file(path.as_ref())? {
-            if bytes.starts_with(MAGIC) {
-                cache.take_batch(lenient_batch(bytes));
-            }
-        }
-        Ok(cache)
     }
 
     /// [`ResultCache::open`] without telemetry.
@@ -542,9 +602,10 @@ impl ResultCache {
     /// Opens a cache file **lazily** and attaches the cache to
     /// `metrics`, all inside the `cache.load` span.
     ///
-    /// A structurally valid file is held as a [`CacheView`] — only its
-    /// record index is checked — and each lookup that hits decodes its
-    /// record's payload. Probes
+    /// A whole file — one whose record index validates, records or not —
+    /// becomes the cache's record buffer 0 as it was read, and its index
+    /// the cache's slot list: only the index is checked, and each lookup
+    /// that hits decodes its record's payload. Probes
     /// ([`ResultCache::contains_key`], planning) never decode at all.
     /// The cache remembers the file's path, length and modification
     /// time, so that saving it unchanged to the same path writes
@@ -579,8 +640,9 @@ impl ResultCache {
             return Ok(cache);
         }
         match validate(&bytes) {
-            Ok(offsets) => {
-                cache.view = Some(Arc::new(CacheView::from_validated(bytes, offsets)));
+            Ok(slots) => {
+                cache.buffers.push(bytes);
+                cache.slots = slots;
                 cache.origin = Some(Origin::new(path, &meta));
             }
             Err(_) => cache.take_batch(lenient_batch(bytes)),
@@ -613,32 +675,23 @@ impl ResultCache {
     pub fn merge(&mut self, other: &ResultCache) -> Result<MergeStats, CacheConflict> {
         let _merge_timer = self.telemetry.merge_span.start();
         let mut additions = RecordBatch::new();
-        let (mut duplicates, mut in_view) = (0usize, 0usize);
-        let (mut overlay_near, mut view_near) = (0usize, 0usize);
-        for theirs in other.records() {
-            let key = record_key(theirs);
-            let (ours, from_view) = match self.overlay_search(key, overlay_near) {
-                Ok(at) => {
-                    overlay_near = at;
-                    (Some(slot_record(&self.buffers, &self.overlay[at])), false)
-                }
-                Err(at) => {
-                    overlay_near = at;
-                    let file = self.view.as_deref().and_then(|view| {
-                        self.telemetry.index_lookups.incr();
-                        let ordinal = view.find_near(key_str(key), view_near)?;
-                        view_near = ordinal;
-                        Some(view.record(ordinal))
-                    });
-                    (file, file.is_some())
-                }
-            };
-            match ours {
-                Some(ours) if ours == theirs => {
+        let (mut duplicates, mut near) = (0usize, 0usize);
+        for slot in &other.slots {
+            let (key, theirs) = (
+                slot_key(&other.buffers, slot),
+                slot_record(&other.buffers, slot),
+            );
+            let found = self.find_near(key, near);
+            near = found.unwrap_or_else(|at| at);
+            if self.searched_file(found) {
+                self.telemetry.index_lookups.incr();
+            }
+            match found.map(|at| slot_record(&self.buffers, &self.slots[at])) {
+                Ok(ours) if ours == theirs => {
                     duplicates += 1;
                     continue;
                 }
-                Some(ours) if decode_outcome(&ours[4..]).is_some() => {
+                Ok(ours) if decode_outcome(&ours[4..]).is_some() => {
                     return Err(CacheConflict {
                         key: key_str(key).to_owned(),
                         ours: render(ours),
@@ -646,9 +699,8 @@ impl ResultCache {
                     });
                 }
                 // Absent, or held under a record that does not decode.
-                _ => in_view += usize::from(from_view),
+                _ => additions.push_record(theirs, key),
             }
-            additions.push_record(theirs);
         }
         let stats = MergeStats {
             added: additions.len(),
@@ -657,7 +709,6 @@ impl ResultCache {
         self.telemetry.merge_bytes.add(additions.bytes.len() as u64);
         // `other`'s records came in strictly ascending key order.
         additions.sorted = true;
-        additions.in_view = Some(in_view);
         self.take_batch(additions);
         self.telemetry.merges.incr();
         self.telemetry.merge_added.add(stats.added as u64);
@@ -666,11 +717,10 @@ impl ResultCache {
     }
 
     /// Writes the cache to `path`, records sorted by key for
-    /// reproducible bytes. The save merge-walks the file's record index
-    /// and the overlay, both already in key order — on an equal key the
-    /// overlay's record wins — and copies every record as raw bytes
-    /// through an [`io::BufWriter`]: nothing is sorted, decoded or
-    /// encoded, and the whole file is never materialised in memory.
+    /// reproducible bytes. The save walks the slot list, already in key
+    /// order, and copies every record as raw bytes through an
+    /// [`io::BufWriter`]: nothing is sorted, decoded or encoded, and the
+    /// whole file is never materialised in memory.
     ///
     /// A cache opened lazily from `path` that nothing was inserted into
     /// or merged into since **writes nothing**, provided one `stat`
@@ -700,7 +750,11 @@ impl ResultCache {
             return Ok(());
         }
         check_regular_file(path)?;
-        let written = write_replacing(path, |out| write_file(out, self.len(), self.records()))?;
+        let records = self
+            .slots
+            .iter()
+            .map(|slot| slot_record(&self.buffers, slot));
+        let written = write_replacing(path, |out| write_file(out, self.len(), records))?;
         self.telemetry.save_bytes.add(written);
         Ok(())
     }
@@ -708,10 +762,7 @@ impl ResultCache {
     /// Number of cached outcomes.
     #[must_use]
     pub fn len(&self) -> usize {
-        match self.view.as_deref() {
-            Some(view) => view.len() + self.overlay_new,
-            None => self.overlay.len(),
-        }
+        self.slots.len()
     }
 
     /// Whether the cache holds nothing.
@@ -734,90 +785,61 @@ impl ResultCache {
         self.misses
     }
 
-    /// Searches the overlay for `key` outward from position `near`.
-    fn overlay_search(&self, key: &[u8], near: usize) -> Result<usize, usize> {
-        search_near(
-            &self.overlay,
-            |slot| slot_key(&self.buffers, slot),
-            key,
-            near,
-        )
+    /// The list position of `key`, or `Err` with where it would be
+    /// inserted, by binary search over the whole list. Uncounted.
+    pub(crate) fn find(&self, key: &[u8]) -> Result<usize, usize> {
+        search(&self.buffers, &self.slots, key, 0..self.slots.len())
     }
 
-    /// The overlay position of `key`, by binary search over the whole
-    /// overlay.
-    fn overlay_find(&self, key: &str) -> Option<usize> {
-        let overlay = &self.overlay;
-        search(
-            overlay,
-            |slot| slot_key(&self.buffers, slot),
-            key.as_bytes(),
-            0..overlay.len(),
-        )
-        .ok()
+    /// [`ResultCache::find`], searched outward from list position `near`
+    /// (clamped to the last slot): the same answer, at a cost that grows
+    /// with the logarithm of the distance from `near` to `key`, so a
+    /// caller that probes keys in nearly ascending order — a series
+    /// looking up its cells — pays a few comparisons per probe.
+    pub(crate) fn find_near(&self, key: &[u8], near: usize) -> Result<usize, usize> {
+        search_near(&self.buffers, &self.slots, key, near)
     }
 
-    /// Binary-searches the view's index for `key` (counted), returning
-    /// the record ordinal.
-    fn view_ordinal(&self, key: &str) -> Option<usize> {
-        let view = self.view.as_deref()?;
-        self.telemetry.index_lookups.incr();
-        view.find(key)
+    /// Whether a search that gave `found` counts in `cache.index_lookups`:
+    /// the cache was opened over a whole file, and the search missed or
+    /// found one of that file's records (buffer 0). A record decoded after
+    /// a counted search is the file's, and counts in
+    /// `cache.records_decoded`.
+    fn searched_file(&self, found: Result<usize, usize>) -> bool {
+        self.origin.is_some() && found.map_or(true, |at| self.slots[at].buffer == 0)
     }
 
-    /// The outcome of view record `ordinal`, decoded from its payload
-    /// (counted; `None` if the payload is malformed).
-    fn view_outcome(&self, ordinal: usize) -> Option<CellOutcome> {
-        let outcome = self.view.as_deref()?.decode(ordinal)?;
-        self.telemetry.records_decoded.incr();
-        Some(outcome)
-    }
-
-    /// The outcome of overlay record `at` (`None` if it does not decode:
-    /// only a record merged in raw from a damaged file can fail).
-    fn overlay_outcome(&self, at: usize) -> Option<CellOutcome> {
-        decode_outcome(&slot_record(&self.buffers, &self.overlay[at])[4..])
+    /// The outcome of the record at list position `at`, decoded from its
+    /// payload (`None` if the payload is malformed — structural
+    /// validation does not cover payloads). Uncounted.
+    fn outcome(&self, at: usize) -> Option<CellOutcome> {
+        decode_outcome(&slot_record(&self.buffers, &self.slots[at])[4..])
     }
 
     /// Looks up an outcome on behalf of `cursor`'s series, tallying the
-    /// hit or miss, the index probe and the decode in the cursor and —
-    /// when the `cache.lookup` histogram is live — timing the lookup into
-    /// the cursor's own sample. Nothing here touches memory another
-    /// thread writes: the executor publishes each cursor once, on the
-    /// calling thread, after its workers are done
-    /// ([`ResultCache::publish`]).
+    /// hit or miss, the search and the decode in the cursor and — when
+    /// the `cache.lookup` histogram is live — timing the lookup into the
+    /// cursor's own sample. Nothing here touches memory another thread
+    /// writes: the executor publishes each cursor once, on the calling
+    /// thread, after its workers are done ([`ResultCache::publish`]).
     ///
-    /// The overlay is searched first, then the file; each search starts
-    /// from where the cursor's last one landed ([`CacheView::find_near`]
-    /// and its overlay twin), which gives the whole-list search's answer.
-    /// A hit decodes that one record's payload — never its key — every
-    /// time; `cache.records_decoded` counts one decode per file hit.
+    /// The search starts from where the cursor's last one landed
+    /// ([`ResultCache::find_near`]), which gives the whole-list search's
+    /// answer. A hit decodes that one record's payload — never its key —
+    /// every time.
     pub(crate) fn lookup(&self, key: &str, cursor: &mut LookupCursor) -> Option<CellOutcome> {
         let started = self
             .telemetry
             .lookup_latency
             .is_live()
             .then(std::time::Instant::now);
-        let found = match self.overlay_search(key.as_bytes(), cursor.overlay_near) {
-            Ok(at) => {
-                cursor.overlay_near = at;
-                self.overlay_outcome(at)
-            }
-            Err(at) => {
-                cursor.overlay_near = at;
-                self.view.as_deref().and_then(|view| {
-                    cursor.index_lookups += 1;
-                    let ordinal = view.find_near(key, cursor.near)?;
-                    cursor.near = ordinal;
-                    let outcome = view.decode(ordinal);
-                    match outcome {
-                        Some(_) => cursor.records_decoded += 1,
-                        None => cursor.in_view += 1,
-                    }
-                    outcome
-                })
-            }
-        };
+        let found = self.find_near(key.as_bytes(), cursor.near);
+        cursor.near = found.unwrap_or_else(|at| at);
+        let outcome = found.ok().and_then(|at| self.outcome(at));
+        if self.searched_file(found) {
+            cursor.index_lookups += 1;
+            cursor.records_decoded += u64::from(outcome.is_some());
+        }
         if let Some(started) = started {
             let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
             cursor
@@ -825,11 +847,11 @@ impl ResultCache {
                 .get_or_insert_with(|| HistogramSample::empty("cache.lookup"))
                 .record_nanos(nanos);
         }
-        match found {
+        match outcome {
             Some(_) => cursor.hits += 1,
             None => cursor.misses += 1,
         }
-        found
+        outcome
     }
 
     /// Publishes one series' lookups: adds the cursor's hits and misses
@@ -855,56 +877,35 @@ impl ResultCache {
     /// record on the fly.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        match self.overlay_find(key) {
-            Some(at) => self.overlay_outcome(at),
-            None => self.view_outcome(self.view_ordinal(key)?),
+        let found = self.find(key.as_bytes());
+        let outcome = found.ok().and_then(|at| self.outcome(at));
+        if self.searched_file(found) {
+            self.telemetry.index_lookups.incr();
+            if outcome.is_some() {
+                self.telemetry.records_decoded.incr();
+            }
         }
+        outcome
     }
 
     /// Whether `key` is cached, without counting a hit or miss. This is
-    /// a search of the overlay and, failing that, of the file's index —
-    /// no record is decoded, which is what keeps fully-warm planning
-    /// decode-free.
+    /// one search of the list — no record is decoded, which is what keeps
+    /// fully-warm planning decode-free.
     #[must_use]
     pub fn contains_key(&self, key: &str) -> bool {
-        self.overlay_find(key).is_some() || self.view_ordinal(key).is_some()
+        let found = self.find(key.as_bytes());
+        if self.searched_file(found) {
+            self.telemetry.index_lookups.incr();
+        }
+        found.is_ok()
     }
 
     /// Iterates the cached dedup keys in ascending byte order, each
     /// once.
     pub fn keys(&self) -> impl Iterator<Item = &str> {
-        self.records().map(|record| key_str(record_key(record)))
-    }
-
-    /// Every record of the cache (length prefix and body) in ascending
-    /// key order: a merge walk of the file's record index and the
-    /// overlay, in which the overlay's record wins on an equal key.
-    fn records(&self) -> impl Iterator<Item = &[u8]> + '_ {
-        let view = self.view.as_deref();
-        let (mut i, mut j) = (0, 0);
-        std::iter::from_fn(move || {
-            let file = view
-                .filter(|view| i < view.len())
-                .map(|view| view.record(i));
-            let ours = self
-                .overlay
-                .get(j)
-                .map(|slot| slot_record(&self.buffers, slot));
-            let order = match (file, ours) {
-                (None, None) => return None,
-                (Some(_), None) => Ordering::Less,
-                (None, Some(_)) => Ordering::Greater,
-                (Some(file), Some(ours)) => record_key(file).cmp(record_key(ours)),
-            };
-            if order != Ordering::Greater {
-                i += 1;
-            }
-            if order == Ordering::Less {
-                return file;
-            }
-            j += 1;
-            ours
-        })
+        self.slots
+            .iter()
+            .map(|slot| key_str(slot_key(&self.buffers, slot)))
     }
 
     /// Inserts an outcome under `key`, replacing any previous entry: a
@@ -924,7 +925,7 @@ impl ResultCache {
     /// key — as if each were inserted in batch order, and counted in
     /// `cache.inserts` one by one. The batch's buffer becomes one of the
     /// cache's record buffers as it is: the records are sorted by key (a
-    /// no-op if the producer sorted them) and merged into the overlay
+    /// no-op if the producer sorted them) and merged into the slot list
     /// without copying a byte.
     pub fn absorb(&mut self, batch: RecordBatch) {
         self.telemetry.inserts.add(batch.len() as u64);
@@ -937,75 +938,38 @@ impl ResultCache {
             return;
         }
         batch.sort();
-        let buffer = self.buffers.len();
+        let buffer = u32::try_from(self.buffers.len()).expect("fewer than 2^32 record buffers");
         self.buffers.push(batch.bytes);
-        let slots = batch
-            .offsets
-            .into_iter()
-            .map(|offset| Slot { buffer, offset });
-        self.merge_slots(slots, batch.in_view);
+        self.merge_slots(batch.slots.into_iter().map(|slot| Slot { buffer, ..slot }));
     }
 
     /// Merges `incoming` — slots into the cache's own buffers, in
-    /// strictly ascending key order — into the overlay; an incoming
-    /// record replaces an overlay record under the same key. The merge
-    /// runs from the back, in place: each incoming key's position is
-    /// searched outward from the previous one's, and the overlay records
-    /// between them move up in one block, so it costs a few comparisons
-    /// per incoming record plus one pass over the overlay.
-    ///
-    /// `in_view` is how many of the incoming keys the file holds, if the
-    /// producer knows; otherwise each key new to the overlay is searched
-    /// in the file's index (counted), to keep `len()` exact.
-    fn merge_slots(
-        &mut self,
-        incoming: impl DoubleEndedIterator<Item = Slot> + ExactSizeIterator,
-        in_view: Option<usize>,
-    ) {
-        let ResultCache {
-            buffers,
-            overlay,
-            view,
-            overlay_new,
-            modified,
-            telemetry,
-            ..
-        } = self;
-        let key_of = |slot: &Slot| slot_key(buffers, slot);
-        let n = overlay.len();
+    /// strictly ascending key order — into the list; an incoming record
+    /// replaces the record under the same key. The merge runs from the
+    /// back, in place: each incoming key's position is searched outward
+    /// from the previous one's, and the slots between them move up in one
+    /// block, so it costs a few comparisons per incoming record plus one
+    /// pass over the list above the lowest incoming key.
+    fn merge_slots(&mut self, incoming: impl DoubleEndedIterator<Item = Slot> + ExactSizeIterator) {
+        let ResultCache { buffers, slots, .. } = self;
+        let n = slots.len();
         let total = n + incoming.len();
-        overlay.resize(total, Slot::default());
-        // `overlay[..rest]` is still to merge; `overlay[end..]` is final.
+        slots.resize(total, Slot::default());
+        // `slots[..rest]` is still to merge; `slots[end..]` is final.
         let (mut rest, mut end) = (n, total);
-        let (mut new_keys, mut new_in_view) = (0usize, 0usize);
-        let mut view_near = usize::MAX;
         for slot in incoming.rev() {
-            let key = key_of(&slot);
-            let found = search_near(&overlay[..rest], key_of, key, rest.saturating_sub(1));
+            let key = slot_key(buffers, &slot);
+            let found = search_near(buffers, &slots[..rest], key, rest.saturating_sub(1));
             let above = found.map_or_else(|at| at, |at| at + 1);
-            overlay.copy_within(above..rest, end - (rest - above));
+            slots.copy_within(above..rest, end - (rest - above));
             end -= rest - above;
             rest = found.unwrap_or_else(|at| at);
             end -= 1;
-            overlay[end] = slot;
-            if found.is_ok() {
-                continue;
-            }
-            new_keys += 1;
-            if let (None, Some(view)) = (in_view, view.as_deref()) {
-                telemetry.index_lookups.incr();
-                if let Some(ordinal) = view.find_near(key_str(key), view_near) {
-                    view_near = ordinal;
-                    new_in_view += 1;
-                }
-            }
+            slots[end] = slot;
         }
-        overlay.copy_within(end..total, rest);
-        overlay.truncate(rest + (total - end));
-        if view.is_some() {
-            *overlay_new += new_keys - in_view.unwrap_or(new_in_view);
-        }
-        *modified = true;
+        slots.copy_within(end..total, rest);
+        slots.truncate(rest + (total - end));
+        self.modified = true;
     }
 }
 
@@ -1481,25 +1445,26 @@ fn lenient_batch(bytes: Vec<u8>) -> RecordBatch {
         bytes: &bytes,
         pos: MAGIC.len(),
     };
-    let mut offsets = Vec::new();
+    let mut slots = Vec::new();
     if let Some(count) = r.u64().and_then(|c| usize::try_from(c).ok()) {
         scan_records(&mut r, count, |start, body| {
             let mut record = ByteReader {
                 bytes: body,
                 pos: 0,
             };
-            let decodes = record.str_slice().is_some() && record.outcome().is_some();
-            if decodes {
-                offsets.push(start);
+            match record.str_slice() {
+                Some(key) if record.outcome().is_some() => {
+                    slots.push(Slot::new(start, key.as_bytes()));
+                    true
+                }
+                _ => false,
             }
-            decodes
         });
     }
     RecordBatch {
         bytes,
-        offsets,
+        slots,
         sorted: false,
-        in_view: None,
     }
 }
 
@@ -1603,6 +1568,7 @@ mod tests {
     use super::*;
     use crate::exec::GridExecutor;
     use crate::spec::ScenarioGrid;
+    use crate::view::CacheView;
 
     /// A per-process, per-test temp path: the process id keeps concurrent
     /// `cargo test` invocations (which share the OS temp dir) from
@@ -1793,7 +1759,7 @@ mod tests {
         assert_eq!(cache.misses(), results.total_cells());
         save(&cache, &path);
 
-        let mut loaded = ResultCache::load(&path).unwrap();
+        let mut loaded = ResultCache::load_lazy(&path).unwrap();
         assert_eq!(loaded.len(), cache.len());
         let warm = GridExecutor::parallel(4)
             .explore_cached(&grid, &mut loaded)
@@ -1946,7 +1912,7 @@ mod tests {
         assert!(lazy.lookup("b", &mut cursor).is_some());
         lazy.insert("a".to_owned(), cache.get("a").unwrap());
         save(&lazy, &path);
-        let repaired = ResultCache::load(&path).unwrap();
+        let repaired = CacheView::open(&path).unwrap();
         assert_eq!(repaired.get("a"), cache.get("a"));
         assert_eq!(repaired.len(), 2);
         fs::remove_file(path).unwrap();
@@ -1967,7 +1933,6 @@ mod tests {
             let cache = ResultCache::open(&path, &metrics).unwrap();
             assert!(cache.is_empty());
             assert_eq!(metrics.snapshot().counter("cache.foreign_files"), Some(1));
-            assert!(ResultCache::load(&path).unwrap().is_empty());
             save(&cache, &path);
             assert!(fs::read(&path).unwrap().starts_with(MAGIC));
             assert!(CacheView::open(&path).unwrap().is_empty());
@@ -1977,8 +1942,6 @@ mod tests {
 
     #[test]
     fn missing_file_is_an_empty_cache() {
-        let cache = ResultCache::load(temp_path("does-not-exist.cache")).unwrap();
-        assert!(cache.is_empty());
         let cache = ResultCache::load_lazy(temp_path("does-not-exist.cache")).unwrap();
         assert!(cache.is_empty());
     }
@@ -2002,7 +1965,6 @@ mod tests {
         for path in &paths {
             let named = path.display().to_string();
             let errors = [
-                ResultCache::load(path).unwrap_err().to_string(),
                 ResultCache::load_lazy(path).unwrap_err().to_string(),
                 CacheView::open(path).unwrap_err().to_string(),
                 cache
@@ -2117,9 +2079,9 @@ mod tests {
 
     #[test]
     fn merge_into_a_lazy_cache_checks_the_file_records() {
-        // The target's entries may still sit undecoded in its view: a
+        // The target's entries may still sit undecoded in its file: a
         // duplicate is recognised byte for byte, a disagreement is a
-        // conflict, and additions land in the overlay.
+        // conflict, and additions enter as a record buffer of their own.
         let path = temp_path("merge-lazy.cache");
         let outcome = unmodelled;
         let mut file = ResultCache::new();
@@ -2209,14 +2171,13 @@ mod tests {
             fs::read(&path).unwrap().starts_with(MAGIC),
             "cache files carry the sniffable magic"
         );
-        for loaded in [
-            ResultCache::load(&path).unwrap(),
-            ResultCache::load_lazy(&path).unwrap(),
-        ] {
-            assert_eq!(loaded.len(), cache.len());
-            for key in cache.keys() {
-                assert_eq!(loaded.get(key), cache.get(key), "drift under key {key}");
-            }
+        let lazy = ResultCache::load_lazy(&path).unwrap();
+        let strict = CacheView::open(&path).unwrap();
+        assert_eq!(lazy.len(), cache.len());
+        assert_eq!(strict.len(), cache.len());
+        for key in cache.keys() {
+            assert_eq!(lazy.get(key), cache.get(key), "drift under key {key}");
+            assert_eq!(strict.get(key), cache.get(key), "drift under key {key}");
         }
         fs::remove_file(path).unwrap();
     }
@@ -2230,17 +2191,15 @@ mod tests {
         );
         let cache = hostile_cache();
         save(&cache, &p1);
-        // Decoded and re-encoded (eager), or copied from the view with
-        // one extra entry merged in and out again: the same bytes.
-        save(&ResultCache::load(&p1).unwrap(), &p2);
-        assert_eq!(fs::read(&p1).unwrap(), fs::read(&p2).unwrap());
+        // Copied from the file with one extra entry merged in and out
+        // again: the same bytes.
         let mut lazy = ResultCache::load_lazy(&p1).unwrap();
         lazy.insert("zz-extra".to_owned(), cache.get("unmodelled").unwrap());
-        save(&lazy, &p3);
-        let mut extended = ResultCache::load(&p3).unwrap();
+        save(&lazy, &p2);
+        let mut extended = ResultCache::load_lazy(&p2).unwrap();
         assert_eq!(extended.len(), cache.len() + 1);
-        let extra = extended.overlay_find("zz-extra").expect("the extra entry");
-        extended.overlay.remove(extra);
+        let extra = extended.find(b"zz-extra").expect("the extra entry");
+        extended.slots.remove(extra);
         save(&extended, &p3);
         assert_eq!(fs::read(&p1).unwrap(), fs::read(&p3).unwrap());
         for p in [p1, p2, p3] {
@@ -2263,13 +2222,9 @@ mod tests {
                 as usize;
         fs::write(&path, &bytes[..MAGIC.len() + 8 + 4 + first_len]).unwrap();
 
-        for lenient in [
-            ResultCache::load(&path).unwrap(),
-            ResultCache::load_lazy(&path).unwrap(),
-        ] {
-            assert_eq!(lenient.len(), 1, "the intact prefix survives");
-            assert!(lenient.contains_key("a"), "records sort by key");
-        }
+        let lenient = ResultCache::load_lazy(&path).unwrap();
+        assert_eq!(lenient.len(), 1, "the intact prefix survives");
+        assert!(lenient.contains_key("a"), "records sort by key");
         // Truncation tears off the record index entirely, so the strict
         // reader attributes the damage to the (garbage) trailer bytes.
         let len = fs::metadata(&path).unwrap().len();
@@ -2287,8 +2242,8 @@ mod tests {
         let mut bytes = fs::read(&path).unwrap();
         *bytes.last_mut().unwrap() ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        // The records themselves are intact: the lenient readers (which
-        // fall back to the record scan) still load everything.
+        // The records themselves are intact: the lenient reader (which
+        // falls back to the record scan) still loads everything.
         assert_eq!(
             ResultCache::load_lazy(&path).unwrap().len(),
             hostile_cache().len()
@@ -2345,6 +2300,56 @@ mod tests {
         assert_eq!((lazy.hits(), lazy.misses()), (3, 1));
         let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
         assert_eq!(load.map(|s| s.entries), Some(1));
+        fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn an_empty_whole_file_is_buffer_zero_so_added_records_are_not_the_files() {
+        // A whole file that holds no records still opens as buffer 0: an
+        // insert and a cold exploration add buffers of their own, their
+        // keys count no search of the file and no decode, and a key the
+        // cache lacks counts one search.
+        let path = temp_path("empty-whole.cache");
+        save(&ResultCache::new(), &path);
+        let metrics = Metrics::enabled();
+        let counters = || {
+            let snapshot = metrics.snapshot();
+            (
+                snapshot.counter("cache.index_lookups").unwrap_or(0),
+                snapshot.counter("cache.records_decoded").unwrap_or(0),
+            )
+        };
+        let mut cache = ResultCache::open(&path, &metrics).unwrap();
+        assert!(cache.is_empty());
+        cache.insert("inserted".to_owned(), unmodelled("x"));
+        let grid = ScenarioGrid::paper_baseline(3);
+        let before = counters();
+        GridExecutor::serial()
+            .explore_cached(&grid, &mut cache)
+            .unwrap();
+        let n = grid.len() as u64;
+        assert_eq!(counters(), (before.0 + n, before.1), "each miss searched");
+        assert_eq!(cache.len(), grid.len() + 1);
+
+        let interner = crate::key::KeyInterner::new(&grid).unwrap();
+        let mut added: Vec<String> = grid.cells().map(|cell| interner.resolve(&cell)).collect();
+        added.push("inserted".to_owned());
+        let before = counters();
+        let mut cursor = LookupCursor::default();
+        for key in &added {
+            assert!(cache.contains_key(key), "{key}");
+            assert!(cache.get(key).is_some(), "{key}");
+            assert!(cache.lookup(key, &mut cursor).is_some(), "{key}");
+        }
+        cache.publish(&cursor);
+        assert_eq!(counters(), before, "added keys are not the file's");
+
+        let mut cursor = LookupCursor::default();
+        assert!(!cache.contains_key("absent"));
+        assert!(cache.get("absent").is_none());
+        assert!(cache.lookup("absent", &mut cursor).is_none());
+        cache.publish(&cursor);
+        assert_eq!(counters(), (before.0 + 3, before.1), "one search each");
         fs::remove_file(path).unwrap();
     }
 

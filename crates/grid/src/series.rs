@@ -310,7 +310,6 @@ pub(crate) fn evaluate_series(
             .map(|index| pushed[index - series.start])
             .filter(|&record| record != usize::MAX);
         run.records.reorder(records);
-        run.records.in_view = Some(run.lookups.in_view);
     }
     run.front = front(&candidates);
     run

@@ -1,38 +1,29 @@
-//! Lazy, index-backed reading of cache files (`docs/CACHE_FORMAT.md`
-//! § "Record index and lazy decode").
+//! Strict reading of cache files (`docs/CACHE_FORMAT.md` § "Record
+//! index and lazy decode").
 //!
-//! A [`CacheView`] holds the raw file bytes plus the validated record
-//! index and nothing else: opening one reads the magic, the count, the
-//! trailing index and the trailer, checks that they agree with each
-//! other and with the record framing, and stops — **no record payload is
-//! decoded**. Key probes binary-search the index (keys are stored in
-//! strictly ascending byte order, so raw-byte comparison is exact) — the
-//! whole of it ([`CacheView::find`]), or outward from a nearby ordinal
-//! ([`CacheView::find_near`], how a series' lookups walk the index from
-//! their last hit) with the same answer — and individual records decode
-//! on demand from their recorded offsets.
-//! This is what makes a warm start proportional to the work actually
-//! requested instead of the cache size: a fully-warm exploration that
-//! only *plans* against the cache touches the index alone.
+//! [`validate`] checks a file's structure in one pass — the count, the
+//! trailing record index and the trailer agree with each other and with
+//! the record framing, and the keys are readable and strictly ascending —
+//! and returns one slot per record, its key's length included. It decodes
+//! **no record payload**. A whole file's bytes then become record buffer
+//! 0 of a [`ResultCache`] and its slots the cache's key-sorted list,
+//! whether the lenient [`ResultCache::open`] or the strict
+//! [`CacheView::open`] read it.
 //!
-//! The index's searches ([`search`], [`search_near`]) take any key-sorted
-//! list: the cache's in-memory overlay, the index's twin over the records
-//! added since the file was opened, is searched and walked by the same
-//! code.
-//!
-//! [`CacheView::open`] is the workspace's strict cache reader: a view is
-//! only ever constructed over a file whose index provably describes its
-//! records. Consequently a save can copy a view's records as raw bytes,
-//! in the key order they already have, without decoding them
-//! ([`ResultCache::save_as`](crate::ResultCache::save_as)).
+//! A [`CacheView`] is such a cache, read-only, and only ever built over a
+//! file whose index provably describes its records. Its searches and
+//! decodes are the cache's: probes binary-search the index on raw key
+//! bytes — the whole of it ([`CacheView::find`]), or outward from a nearby
+//! ordinal ([`CacheView::find_near`]) with the same answer — and records
+//! decode on demand. A warm start is therefore proportional to the work
+//! actually requested instead of the cache size: a fully-warm exploration
+//! that only *plans* against the cache touches the index alone.
 
-use std::cmp::Ordering;
 use std::fmt;
 use std::fs;
-use std::ops::Range;
 use std::path::Path;
 
-use crate::cache::{check_regular_file, decode_outcome, header_line, CacheFileError, MAGIC};
+use crate::cache::{check_regular_file, header_line, CacheFileError, ResultCache, Slot, MAGIC};
 use crate::eval::CellOutcome;
 
 /// Reads a little-endian `u32` at `pos`, if the file holds one there.
@@ -56,75 +47,6 @@ pub(crate) fn record_at(bytes: &[u8], offset: usize) -> &[u8] {
     &bytes[offset..offset + 4 + len]
 }
 
-/// The raw key bytes of the record that starts `record` (length prefix
-/// included), whose key framing is known to be intact.
-pub(crate) fn record_key(record: &[u8]) -> &[u8] {
-    let len = u32_at(record, 4).expect("a record's key length") as usize;
-    &record[8..8 + len]
-}
-
-/// Binary-searches the entries in `range` of a key-sorted list for
-/// `key`: `Ok` with its position, or `Err` with the position where it
-/// would be inserted. This is the one binary search of the cache's two
-/// sorted record lists, the file's index and the in-memory overlay
-/// (`key_of` reads an entry's key). It compares raw key bytes, which is
-/// exact because both lists hold their keys in strictly ascending byte
-/// order.
-pub(crate) fn search<'a, T>(
-    entries: &[T],
-    key_of: impl Fn(&T) -> &'a [u8],
-    key: &[u8],
-    range: Range<usize>,
-) -> Result<usize, usize> {
-    let start = range.start;
-    entries[range]
-        .binary_search_by(|entry| key_of(entry).cmp(key))
-        .map(|found| start + found)
-        .map_err(|slot| start + slot)
-}
-
-/// [`search`] over the whole list, outward from position `near`
-/// (clamped to the last entry): steps of 1, 2, 4, … away from `near`
-/// bracket `key` between two entries, and the binary search runs inside
-/// that bracket only. The answer is always the whole-list search's; the
-/// cost grows with the logarithm of the distance from `near` to `key`.
-pub(crate) fn search_near<'a, T>(
-    entries: &[T],
-    key_of: impl Fn(&T) -> &'a [u8],
-    key: &[u8],
-    near: usize,
-) -> Result<usize, usize> {
-    let Some(last) = entries.len().checked_sub(1) else {
-        return Err(0);
-    };
-    let near = near.min(last);
-    let side = key_of(&entries[near]).cmp(key);
-    let mut bracket = match side {
-        Ordering::Equal => return Ok(near),
-        Ordering::Less => near + 1..entries.len(),
-        Ordering::Greater => 0..near,
-    };
-    let mut step = 1usize;
-    loop {
-        let probe = match side {
-            Ordering::Less => near.checked_add(step).filter(|&p| p < entries.len()),
-            _ => near.checked_sub(step),
-        };
-        let Some(probe) = probe else { break };
-        let ordering = key_of(&entries[probe]).cmp(key);
-        match ordering {
-            Ordering::Equal => return Ok(probe),
-            Ordering::Less => bracket.start = probe + 1,
-            Ordering::Greater => bracket.end = probe,
-        }
-        if ordering != side {
-            break;
-        }
-        step = step.saturating_mul(2);
-    }
-    search(entries, key_of, key, bracket)
-}
-
 /// The raw key bytes of a record body (`u32 length + UTF-8`), if the
 /// framing is intact.
 fn body_key(body: &[u8]) -> Option<&[u8]> {
@@ -133,7 +55,7 @@ fn body_key(body: &[u8]) -> Option<&[u8]> {
 }
 
 /// Structurally validates a cache file (`bytes` starts with the magic)
-/// and returns the byte offset of every record, in file order.
+/// and returns the slot of every record, in file order.
 ///
 /// Checked, in order: the count field is readable; the trailer points at
 /// an index of exactly `count` entries sitting between the records and
@@ -149,7 +71,7 @@ fn body_key(body: &[u8]) -> Option<&[u8]> {
 /// structure (count, trailer, or index entry), or
 /// [`CacheFileError::Malformed`] for a record whose key framing is
 /// broken or out of order, attributed by record ordinal.
-pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
+pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<Slot>, CacheFileError> {
     debug_assert!(bytes.starts_with(MAGIC));
     let header_end = MAGIC.len() + 8;
     let Some(count) = u64_at(bytes, MAGIC.len()).and_then(|c| usize::try_from(c).ok()) else {
@@ -176,7 +98,7 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
     }
     let index_offset = expected_index.expect("checked above");
 
-    let mut offsets = Vec::with_capacity(count);
+    let mut slots = Vec::with_capacity(count);
     let mut cursor = header_end;
     let mut prev_key: Option<&[u8]> = None;
     for ordinal in 0..count {
@@ -204,7 +126,7 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
             return Err(CacheFileError::Malformed { record: ordinal });
         }
         prev_key = Some(key);
-        offsets.push(cursor);
+        slots.push(Slot::new(cursor, key));
         cursor = body_end;
     }
     if cursor != index_offset {
@@ -213,11 +135,11 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
             offset: index_offset as u64,
         });
     }
-    Ok(offsets)
+    Ok(slots)
 }
 
-/// A lazy, read-only view of a cache file: the raw bytes plus the
-/// validated record index. See the module docs for the contract.
+/// A read-only view of a whole cache file: a [`ResultCache`] whose one
+/// record buffer is the file. See the module docs for the contract.
 ///
 /// ```
 /// use memstream_grid::{CacheFormat, CacheView, ResultCache};
@@ -244,15 +166,13 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<usize>, CacheFileError> {
 /// # }
 /// ```
 pub struct CacheView {
-    bytes: Vec<u8>,
-    offsets: Vec<usize>,
+    cache: ResultCache,
 }
 
 impl fmt::Debug for CacheView {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CacheView")
-            .field("records", &self.offsets.len())
-            .field("file_bytes", &self.bytes.len())
+            .field("records", &self.len())
             .finish()
     }
 }
@@ -280,99 +200,57 @@ impl CacheView {
                 found: header_line(&bytes),
             });
         }
-        let offsets = validate(&bytes)?;
-        Ok(CacheView { bytes, offsets })
-    }
-
-    /// Wraps already-validated bytes (offsets must come from
-    /// [`validate`] over the same buffer).
-    pub(crate) fn from_validated(bytes: Vec<u8>, offsets: Vec<usize>) -> Self {
-        CacheView { bytes, offsets }
+        let slots = validate(&bytes)?;
+        Ok(CacheView {
+            cache: ResultCache::over_file(bytes, slots),
+        })
     }
 
     /// Number of records in the file (from the validated index).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.offsets.len()
+        self.cache.len()
     }
 
     /// Whether the file holds no records.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
-    }
-
-    /// The raw key bytes of the record starting at `offset`.
-    fn key_bytes(&self, offset: usize) -> &[u8] {
-        record_key(&self.bytes[offset..])
+        self.cache.is_empty()
     }
 
     /// The record ordinal of `key` — its position in
     /// [`CacheView::keys`] — found by binary search over the whole index.
     #[must_use]
     pub fn find(&self, key: &str) -> Option<usize> {
-        let entries = &self.offsets[..];
-        search(
-            entries,
-            |&at| self.key_bytes(at),
-            key.as_bytes(),
-            0..entries.len(),
-        )
-        .ok()
+        self.cache.find(key.as_bytes()).ok()
     }
 
     /// [`CacheView::find`], searched outward from ordinal `near`
     /// (clamped to the last record): steps of 1, 2, 4, … away from `near`
     /// bracket `key` between two records, and the binary search runs
     /// inside that bracket only. The answer is always `find`'s; the cost
-    /// grows with the logarithm of the distance from `near` to `key`,
-    /// so a caller that probes keys in nearly ascending order — a
-    /// series looking up its cells — pays a few comparisons per probe.
+    /// grows with the logarithm of the distance from `near` to `key`.
     #[must_use]
     pub fn find_near(&self, key: &str, near: usize) -> Option<usize> {
-        search_near(
-            &self.offsets,
-            |&at| self.key_bytes(at),
-            key.as_bytes(),
-            near,
-        )
-        .ok()
+        self.cache.find_near(key.as_bytes(), near).ok()
     }
 
     /// Whether `key` is present — an index probe, no decode.
     #[must_use]
     pub fn contains_key(&self, key: &str) -> bool {
-        self.find(key).is_some()
-    }
-
-    /// The whole record at `ordinal`: its `u32` length prefix and its
-    /// body, as the file holds them — a save copies it without decoding.
-    pub(crate) fn record(&self, ordinal: usize) -> &[u8] {
-        record_at(&self.bytes, self.offsets[ordinal])
-    }
-
-    /// Decodes the outcome of the record at `ordinal`, skipping its key
-    /// (`None` if the payload is malformed — structural validation does
-    /// not cover payloads).
-    pub(crate) fn decode(&self, ordinal: usize) -> Option<CellOutcome> {
-        decode_outcome(&self.record(ordinal)[4..])
+        self.cache.contains_key(key)
     }
 
     /// Decodes the outcome stored under `key`, if present and well
     /// formed. Exactly one record is decoded.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<CellOutcome> {
-        self.decode(self.find(key)?)
-    }
-
-    /// The key at `ordinal`, straight from the file bytes (no decode).
-    pub(crate) fn key_at(&self, ordinal: usize) -> &str {
-        std::str::from_utf8(self.key_bytes(self.offsets[ordinal])).expect("validated UTF-8 key")
+        self.cache.get(key)
     }
 
     /// Iterates the keys in file order (which is sorted order).
     pub fn keys(&self) -> impl Iterator<Item = &str> + '_ {
-        (0..self.offsets.len()).map(|ordinal| self.key_at(ordinal))
+        self.cache.keys()
     }
 }
 

@@ -39,9 +39,8 @@ fn entries(cache: &ResultCache) -> HashMap<String, CellOutcome> {
         .collect()
 }
 
-/// What the three readers made of one damaged file.
+/// What the two readers made of one damaged file.
 struct Reads {
-    eager: HashMap<String, CellOutcome>,
     lazy: HashMap<String, CellOutcome>,
     strict: Result<usize, CacheFileError>,
 }
@@ -51,7 +50,6 @@ struct Reads {
 fn read_all(path: &Path, bytes: &[u8], case: &str) -> Reads {
     std::fs::write(path, bytes).expect("write the damaged file");
     catch_unwind(AssertUnwindSafe(|| Reads {
-        eager: entries(&ResultCache::load(path).expect("the file is readable")),
         lazy: entries(&ResultCache::load_lazy(path).expect("the file is readable")),
         strict: CacheView::open(path).map(|view| view.len()),
     }))
@@ -99,14 +97,12 @@ fn damaged_cache_files_never_panic_a_reader_and_errors_stay_attributed() {
     for cut in (MAGIC.len()..intact.len()).step_by(STRIDE) {
         let case = format!("truncated to {cut} bytes");
         let reads = read_all(&damaged, &intact[..cut], &case);
-        for (reader, held) in [("load", &reads.eager), ("load_lazy", &reads.lazy)] {
-            for (key, outcome) in held {
-                assert_eq!(
-                    truth.get(key),
-                    Some(outcome),
-                    "{case}: {reader} holds {key}"
-                );
-            }
+        for (key, outcome) in &reads.lazy {
+            assert_eq!(
+                truth.get(key),
+                Some(outcome),
+                "{case}: load_lazy holds {key}"
+            );
         }
         assert_attributed(&reads.strict, cut, records, &case);
     }

@@ -88,38 +88,26 @@ fn cache_resave_is_byte_identical() {
         }),
     );
 
-    let (first, eager, lazy) = (
-        temp_path("resave-1.cache"),
-        temp_path("resave-2.cache"),
-        temp_path("resave-3.cache"),
-    );
+    let (first, lazy) = (temp_path("resave-1.cache"), temp_path("resave-3.cache"));
     let format = CacheFormat::default();
     cache.save_as(&first, format).expect("save");
-    ResultCache::load(&first)
-        .expect("eager load")
-        .save_as(&eager, format)
-        .expect("re-save decoded");
     ResultCache::load_lazy(&first)
         .expect("lazy load")
         .save_as(&lazy, format)
-        .expect("re-save from the view");
-    let reference = std::fs::read(&first).expect("read");
-    for path in [&eager, &lazy] {
-        assert_eq!(
-            std::fs::read(path).expect("read"),
-            reference,
-            "a load and re-save must be lossless to the byte"
-        );
-    }
-    for p in [first, eager, lazy] {
+        .expect("re-save from the file");
+    assert_eq!(
+        std::fs::read(&lazy).expect("read"),
+        std::fs::read(&first).expect("read"),
+        "a load and re-save must be lossless to the byte"
+    );
+    for p in [first, lazy] {
         std::fs::remove_file(p).expect("cleanup");
     }
 }
 
 #[test]
 fn warm_explorations_are_byte_identical_across_cache_formats() {
-    // The one cache format warms a re-run equally through the eager and
-    // the lazy reader.
+    // The one cache format warms a re-run through the lazy reader.
     let grid = ScenarioGrid::paper_baseline(7);
     let mut cold_cache = ResultCache::new();
     let cold = GridExecutor::parallel(2)
@@ -131,19 +119,15 @@ fn warm_explorations_are_byte_identical_across_cache_formats() {
     cold_cache
         .save_as(&file, CacheFormat::default())
         .expect("save");
-    for (reader, mut warm_cache) in [
-        ("eager", ResultCache::load(&file).expect("load")),
-        ("lazy", ResultCache::load_lazy(&file).expect("load")),
-    ] {
-        let warm = GridExecutor::parallel(3)
-            .explore_cached(&grid, &mut warm_cache)
-            .expect("warm explore");
-        assert_eq!(warm_cache.misses(), 0, "{reader} read must be fully warm");
-        assert_eq!(
-            memstream_grid::report::cells_csv(&warm),
-            reference,
-            "{reader} read must reproduce the cold bytes"
-        );
-    }
+    let mut warm_cache = ResultCache::load_lazy(&file).expect("load");
+    let warm = GridExecutor::parallel(3)
+        .explore_cached(&grid, &mut warm_cache)
+        .expect("warm explore");
+    assert_eq!(warm_cache.misses(), 0, "the lazy read must be fully warm");
+    assert_eq!(
+        memstream_grid::report::cells_csv(&warm),
+        reference,
+        "the lazy read must reproduce the cold bytes"
+    );
     std::fs::remove_file(file).expect("cleanup");
 }

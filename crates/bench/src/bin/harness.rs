@@ -300,9 +300,11 @@ where
     })
 }
 
-/// The longest rate axis `--rates` takes: 30 M cells of the default grid,
-/// about 2.2 GB of outcomes. A longer one would abort the process on a
-/// failed allocation instead of exiting 2.
+/// The longest rate axis `--rates` takes: 30 M cells of the default grid.
+/// `grid --full-csv` and `refine` keep every cell's outcome, about 2.2 GB
+/// of them at this size; a longer axis would abort the process on a
+/// failed allocation instead of exiting 2. The default `grid` report
+/// keeps no outcome table.
 const MAX_RATES: usize = 1_000_000;
 
 /// The flags the `grid` and `refine` subcommands share: grid shape,
@@ -476,6 +478,13 @@ fn save_cache(cache: &memstream_grid::ResultCache, path: &str) {
         });
 }
 
+/// What `harness grid` explored: the summary that its default report
+/// reads, or the results with every cell's outcome for `--full-csv`.
+enum Explored {
+    Summary(memstream_grid::GridSummary),
+    Table(memstream_grid::GridResults),
+}
+
 /// `harness grid [--rates N] [--threads N] [--full-csv] [--validate SECS]
 /// [--cache PATH] [--classic]` — the parallel scenario-grid exploration
 /// (see module docs). `--cache` loads/saves evaluated cells keyed by
@@ -537,9 +546,17 @@ fn grid(args: &[String]) {
         executor.threads()
     );
     let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
-    let results = match cache.as_mut() {
-        Some(cache) => executor.explore_cached(&spec, cache),
-        None => executor.explore(&spec),
+    // Only `--full-csv` prints every cell's outcome, so only it keeps one.
+    let explored = if full_csv {
+        match cache.as_mut() {
+            Some(cache) => executor.explore_cached(&spec, cache),
+            None => executor.explore(&spec),
+        }
+        .map(Explored::Table)
+    } else {
+        executor
+            .explore_summary(&spec, cache.as_mut())
+            .map(Explored::Summary)
     }
     .unwrap_or_else(|e| {
         eprintln!("grid error: {e}");
@@ -563,13 +580,20 @@ fn grid(args: &[String]) {
 
     let stdout = {
         let _render = metrics.span("report.render").start();
-        report::grid_stdout(&results, full_csv)
+        match &explored {
+            Explored::Summary(summary) => report::summary_stdout(summary),
+            Explored::Table(results) => report::grid_stdout(results, true),
+        }
     };
     shared.emit_stats(&metrics);
     shared.emit_trace(&tracer, Vec::new());
     print!("{stdout}");
     if let Some(seconds) = validate {
-        let validation = memstream_grid::validate_frontier(&results, seconds);
+        let summary = match &explored {
+            Explored::Summary(summary) => summary,
+            Explored::Table(results) => results,
+        };
+        let validation = memstream_grid::validate_frontier(summary, seconds);
         println!(
             "sim validation: {} of {} frontier cells simulated ({} skipped)",
             validation.rows.len(),

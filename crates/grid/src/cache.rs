@@ -449,7 +449,7 @@ pub(crate) struct LookupCursor {
     index_lookups: u64,
     /// Records of the opened file decoded.
     records_decoded: u64,
-    /// The lookups' latencies, when `cache.lookup` is live.
+    /// The sampled lookups' latencies, when `cache.lookup` is live.
     latency: Option<HistogramSample>,
 }
 
@@ -509,10 +509,15 @@ struct CacheTelemetry {
     /// Searches that the opened file's records answer: a search of a
     /// cache opened over a whole file that misses or finds one of them.
     index_lookups: Counter,
-    /// Per-lookup latency distribution (`cache.lookup`); the clock is
-    /// only read when the histogram is live.
+    /// Sampled lookup latency distribution (`cache.lookup`); the clock
+    /// is only read when the histogram is live, and then only for one
+    /// lookup in [`LOOKUP_SAMPLE_EVERY`] of each cursor.
     lookup_latency: Histogram,
 }
+
+/// A cursor times its 1st, 65th, 129th, … lookup into `cache.lookup`, so
+/// a series of `n` lookups records ⌈n / 64⌉ samples at any thread count.
+const LOOKUP_SAMPLE_EVERY: usize = 64;
 
 impl CacheTelemetry {
     fn resolve(metrics: &Metrics) -> Self {
@@ -818,21 +823,21 @@ impl ResultCache {
 
     /// Looks up an outcome on behalf of `cursor`'s series, tallying the
     /// hit or miss, the search and the decode in the cursor and — when
-    /// the `cache.lookup` histogram is live — timing the lookup into the
-    /// cursor's own sample. Nothing here touches memory another thread
-    /// writes: the executor publishes each cursor once, on the calling
-    /// thread, after its workers are done ([`ResultCache::publish`]).
+    /// the `cache.lookup` histogram is live and this is one of the
+    /// cursor's sampled lookups ([`LOOKUP_SAMPLE_EVERY`]) — timing the
+    /// lookup into the cursor's own sample. Nothing here touches memory
+    /// another thread writes: the executor publishes each cursor once, on
+    /// the calling thread, after its workers are done
+    /// ([`ResultCache::publish`]).
     ///
     /// The search starts from where the cursor's last one landed
     /// ([`ResultCache::find_near`]), which gives the whole-list search's
     /// answer. A hit decodes that one record's payload — never its key —
     /// every time.
     pub(crate) fn lookup(&self, key: &str, cursor: &mut LookupCursor) -> Option<CellOutcome> {
-        let started = self
-            .telemetry
-            .lookup_latency
-            .is_live()
-            .then(std::time::Instant::now);
+        let sampled = (cursor.hits + cursor.misses).is_multiple_of(LOOKUP_SAMPLE_EVERY);
+        let started =
+            (sampled && self.telemetry.lookup_latency.is_live()).then(std::time::Instant::now);
         let found = self.find_near(key.as_bytes(), cursor.near);
         cursor.near = found.unwrap_or_else(|at| at);
         let outcome = found.ok().and_then(|at| self.outcome(at));
@@ -2296,7 +2301,8 @@ mod tests {
         assert_eq!(snapshot.counter("cache.hits"), Some(3));
         assert_eq!(snapshot.counter("cache.misses"), Some(1));
         assert_eq!(snapshot.counter("cache.index_lookups"), Some(2 + 4));
-        assert_eq!(snapshot.histogram("cache.lookup").map(|h| h.count), Some(4));
+        // Only the cursor's first lookup of every 64 is timed.
+        assert_eq!(snapshot.histogram("cache.lookup").map(|h| h.count), Some(1));
         assert_eq!((lazy.hits(), lazy.misses()), (3, 1));
         let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
         assert_eq!(load.map(|s| s.entries), Some(1));

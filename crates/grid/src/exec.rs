@@ -5,14 +5,15 @@
 //! One fan-out serves every entry point. The worker that claims a series
 //! does all of its work: it looks each cell up in the cache, if there is
 //! one, evaluates the misses, encodes their cache records, and sweeps the
-//! series to its own Pareto front. Its outcomes come back as one vector in
-//! canonical order, which the results keep as is, together with their
-//! counts by kind, the series' lookup cursor and its records, sorted by
-//! key. The calling thread only publishes the cursors, hands each series'
+//! series to its own Pareto front. It comes back with its outcomes' counts
+//! by kind, its front, its lookup cursor and its records, sorted by key,
+//! and — only for an exploration that returns every cell's outcome — its
+//! outcomes as one vector in canonical order, which the results keep as
+//! is. The calling thread only publishes the cursors, hands each series'
 //! records to the cache as one batch, sums the counts and sweeps the
 //! union of the series' fronts.
 
-use std::ops::Range;
+use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -23,7 +24,7 @@ use crate::eval::{CellOutcome, OutcomeCounts};
 use crate::key::{BlockKeyOrder, KeyInterner};
 use crate::series::{evaluate_series, plan, SeriesRun};
 use crate::spec::{GridCell, GridError, ScenarioGrid};
-use crate::store::{resolve_frontier, ParetoPoint};
+use crate::store::{resolve_frontier, Candidate, ParetoPoint};
 
 /// Explores a [`ScenarioGrid`] on a fixed number of worker threads.
 ///
@@ -45,8 +46,9 @@ use crate::store::{resolve_frontier, ParetoPoint};
 /// tallies and the explore/eval/assemble wall-clock breakdown. Counter
 /// and span handles are resolved **once per executor**, except each
 /// spawned worker's tally, which takes the registry lock once as the
-/// worker retires — never once per cell. Telemetry never touches the
-/// results, so instrumented and bare runs stay byte-identical.
+/// worker retires, and `grid.interner.keys`, which only a cached
+/// exploration registers — never once per cell. Telemetry never touches
+/// the results, so instrumented and bare runs stay byte-identical.
 #[derive(Debug, Clone)]
 pub struct GridExecutor {
     threads: usize,
@@ -66,7 +68,6 @@ struct ExecTelemetry {
     cells_evaluated: Counter,
     series_built: Counter,
     models_reused: Counter,
-    interner_keys: Counter,
     /// Candidates that entered the final frontier sweep (the union of
     /// the series' fronts), and those it dropped.
     frontier_inserts: Counter,
@@ -97,7 +98,6 @@ impl ExecTelemetry {
             cells_evaluated: metrics.counter("grid.cells_evaluated"),
             series_built: metrics.counter("grid.series_built"),
             models_reused: metrics.counter("grid.models_reused"),
-            interner_keys: metrics.counter("grid.interner.keys"),
             frontier_inserts: metrics.counter("frontier.inserts"),
             frontier_evictions: metrics.counter("frontier.evictions"),
             series_latency: metrics.histogram("grid.series_eval"),
@@ -110,13 +110,13 @@ impl ExecTelemetry {
     fn timed_series(
         &self,
         grid: &ScenarioGrid,
-        interner: &KeyInterner,
-        cache: Option<(&ResultCache, &BlockKeyOrder)>,
+        cached: Option<(&ResultCache, &KeyInterner, &BlockKeyOrder)>,
         series: &Range<usize>,
+        table: bool,
     ) -> SeriesRun {
         self.tracer.begin("grid.series");
         let started = self.series_latency.is_live().then(std::time::Instant::now);
-        let run = evaluate_series(grid, interner, cache, series.clone());
+        let run = evaluate_series(grid, cached, series.clone(), table);
         if let Some(started) = started {
             self.series_latency.record(started.elapsed());
         }
@@ -193,7 +193,7 @@ impl GridExecutor {
     /// [`GridError::EmptyAxis`] if any axis of the grid is empty, and
     /// [`GridError::DuplicateAxisEntry`] if an axis repeats an entry.
     pub fn explore(&self, grid: &ScenarioGrid) -> Result<GridResults, GridError> {
-        self.explore_with(grid, None)
+        self.explore_with(grid, None, true)
     }
 
     /// Like [`GridExecutor::explore`], but looks every cell up in `cache`
@@ -219,49 +219,70 @@ impl GridExecutor {
         grid: &ScenarioGrid,
         cache: &mut ResultCache,
     ) -> Result<GridResults, GridError> {
-        self.explore_with(grid, Some(cache))
+        self.explore_with(grid, Some(cache), true)
     }
 
-    /// The one exploration pass: runs every series of the grid, then
-    /// keeps the series' outcomes as the results' blocks and sweeps the
-    /// union of their fronts to the grid's frontier.
+    /// Explores `grid` like [`GridExecutor::explore`], or like
+    /// [`GridExecutor::explore_cached`] over `cache`, but keeps only what
+    /// the default report reads: the summed outcome counts and the
+    /// frontier. No series keeps its outcomes, so no per-cell table is
+    /// ever allocated. The summary, the cache afterwards and every
+    /// counter equal those of the full exploration.
+    ///
+    /// # Errors
+    ///
+    /// As [`GridExecutor::explore`]; `cache` is untouched on error.
+    pub fn explore_summary(
+        &self,
+        grid: &ScenarioGrid,
+        cache: Option<&mut ResultCache>,
+    ) -> Result<GridSummary, GridError> {
+        Ok(self.explore_with(grid, cache, false)?.summary)
+    }
+
+    /// The one exploration pass: runs every series of the grid, sums
+    /// their counts and sweeps the union of their fronts to the grid's
+    /// frontier. Each series' outcomes become the results' block as they
+    /// are: with `table`, one outcome per cell; without, no outcome at
+    /// all, and the results are only good for their summary.
     fn explore_with(
         &self,
         grid: &ScenarioGrid,
         cache: Option<&mut ResultCache>,
+        table: bool,
     ) -> Result<GridResults, GridError> {
         let _explore = self.telemetry.explore_span.start();
         grid.check_axes()?;
-        let interner = self.interner(grid)?;
         self.telemetry.cells_total.add(grid.len() as u64);
-        // The interner rejects repeated axis entries, so every cell is a
+        // The check rejects repeated axis entries, so every cell is a
         // distinct scenario: the unique count equals the total.
         self.telemetry.cells_unique.add(grid.len() as u64);
 
-        let runs = self.run(grid, &interner, cache, 0..grid.len());
+        let runs = self.run(grid, cache, 0..grid.len(), table);
 
         let _assemble = self.telemetry.assemble_span.start();
-        let candidates: Vec<(usize, [f64; 3])> = runs
-            .iter()
-            .flat_map(|run| run.front.iter().copied())
-            .collect();
         let mut counts = OutcomeCounts::default();
-        for run in &runs {
+        let mut candidates: Vec<Candidate> = Vec::new();
+        let mut blocks = Vec::with_capacity(runs.len());
+        for run in runs {
             counts += run.counts;
+            candidates.extend(run.front);
+            blocks.push(run.outcomes);
         }
-        let mut results = GridResults {
-            grid: grid.clone(),
-            blocks: runs.into_iter().map(|run| run.outcomes).collect(),
-            block_len: grid.rates().len() * grid.goals().len(),
-            counts,
-            frontier: Vec::new(),
-        };
-        results.frontier = resolve_frontier(&results, &candidates);
+        let frontier = resolve_frontier(grid, &candidates);
         self.telemetry.frontier_inserts.add(candidates.len() as u64);
         self.telemetry
             .frontier_evictions
-            .add((candidates.len() - results.frontier.len()) as u64);
-        Ok(results)
+            .add((candidates.len() - frontier.len()) as u64);
+        Ok(GridResults {
+            summary: GridSummary {
+                grid: grid.clone(),
+                counts,
+                frontier,
+            },
+            blocks,
+            block_len: grid.rates().len() * grid.goals().len(),
+        })
     }
 
     /// Resolves the canonical cell range `cells` of `grid` against
@@ -294,46 +315,52 @@ impl GridExecutor {
             grid.len()
         );
         let _explore = self.telemetry.explore_span.start();
-        let interner = self.interner(grid)?;
+        grid.check_distinct()?;
         self.telemetry.cells_total.add(cells.len() as u64);
-        self.run(grid, &interner, Some(cache), cells);
+        self.run(grid, Some(cache), cells, false);
         Ok(())
     }
 
-    /// The interner of `grid`, counted into `grid.interner.keys`.
-    fn interner(&self, grid: &ScenarioGrid) -> Result<KeyInterner, GridError> {
-        let interner = KeyInterner::new(grid)?;
-        self.telemetry
-            .interner_keys
-            .add(interner.interned_strings() as u64);
-        Ok(interner)
-    }
-
     /// The one fan-out: plans `cells` into series and runs them on at
-    /// most one thread per series, looking every cell up in `cache`
-    /// first when there is one; each series then encodes its misses'
+    /// most one thread per series. With a cache, it first builds the
+    /// grid's [`KeyInterner`] (counted into `grid.interner.keys`): each
+    /// series looks every cell up under its key, then encodes its misses'
     /// records and puts them in key order by the grid's
     /// [`BlockKeyOrder`]. Then, on the calling thread, publishes each
     /// series' lookup cursor into `cache` (its hit/miss totals and
     /// `cache.*` telemetry) and hands it the series' records
     /// ([`ResultCache::absorb`]), without re-resolving a key or copying a
-    /// record. Returns the runs in series order.
+    /// record. Each series keeps its outcomes when `table` asks for them.
+    /// Returns the runs in series order.
     fn run(
         &self,
         grid: &ScenarioGrid,
-        interner: &KeyInterner,
         cache: Option<&mut ResultCache>,
         cells: Range<usize>,
+        table: bool,
     ) -> Vec<SeriesRun> {
+        let interner = cache.is_some().then(|| {
+            let interner = KeyInterner::of(grid);
+            if self.metrics.is_enabled() {
+                self.metrics
+                    .counter("grid.interner.keys")
+                    .add(interner.interned_strings() as u64);
+            }
+            interner
+        });
         let series = plan(grid, cells);
         if series.is_empty() {
             return Vec::new();
         }
         let _eval = self.telemetry.eval_span.start();
         let workers = self.threads.min(series.len());
-        let order = cache.is_some().then(|| interner.block_order());
-        let shared = cache.as_deref().zip(order.as_ref());
-        let timed = |s: &Range<usize>| self.telemetry.timed_series(grid, interner, shared, s);
+        let order = interner.as_ref().map(KeyInterner::block_order);
+        let shared = cache
+            .as_deref()
+            .zip(interner.as_ref())
+            .zip(order.as_ref())
+            .map(|((cache, interner), order)| (cache, interner, order));
+        let timed = |s: &Range<usize>| self.telemetry.timed_series(grid, shared, s, table);
         let mut runs: Vec<SeriesRun> = if workers == 1 {
             series.iter().map(timed).collect()
         } else {
@@ -406,22 +433,18 @@ fn fan_out(
     runs.into_iter().map(|(_, run)| run).collect()
 }
 
-/// The outcome of one exploration: the grid, one outcome per cell in
-/// canonical order, and the Pareto frontier over them.
+/// What the default report reads of an exploration: the grid, how many
+/// outcomes of each kind it produced, and the Pareto frontier over them
+/// ([`GridExecutor::explore_summary`]).
 #[derive(Debug, Clone, PartialEq)]
-pub struct GridResults {
+pub struct GridSummary {
     grid: ScenarioGrid,
-    /// One vector per `(device, workload)` block, in canonical order:
-    /// each series' outcomes, kept as the worker wrote them.
-    blocks: Vec<Vec<CellOutcome>>,
-    /// Cells per block: rates × goals.
-    block_len: usize,
     /// The series' outcome counts, summed.
     counts: OutcomeCounts,
     frontier: Vec<ParetoPoint>,
 }
 
-impl GridResults {
+impl GridSummary {
     /// The explored grid.
     #[must_use]
     pub fn grid(&self) -> &ScenarioGrid {
@@ -434,6 +457,45 @@ impl GridResults {
         self.grid.len()
     }
 
+    /// How many outcomes of each kind the grid holds, as the series
+    /// counted them while writing them.
+    #[must_use]
+    pub fn outcome_counts(&self) -> OutcomeCounts {
+        self.counts
+    }
+
+    /// The Pareto frontier over (energy saving, capacity utilisation,
+    /// lifetime) of the feasible, fully modelled scenarios, in canonical
+    /// cell order. Computed once at exploration time.
+    #[must_use]
+    pub fn pareto_frontier(&self) -> &[ParetoPoint] {
+        &self.frontier
+    }
+}
+
+/// The outcome of one exploration: its [`GridSummary`] plus one outcome
+/// per cell in canonical order, the table that only the all-cells CSV and
+/// refinement's scan read. It dereferences to its summary, so every
+/// summary reader takes it too.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GridResults {
+    summary: GridSummary,
+    /// One vector per `(device, workload)` block, in canonical order:
+    /// each series' outcomes, kept as the worker wrote them.
+    blocks: Vec<Vec<CellOutcome>>,
+    /// Cells per block: rates × goals.
+    block_len: usize,
+}
+
+impl Deref for GridResults {
+    type Target = GridSummary;
+
+    fn deref(&self) -> &GridSummary {
+        &self.summary
+    }
+}
+
+impl GridResults {
     /// The outcome of the cell at canonical index `index`.
     ///
     /// # Panics
@@ -449,24 +511,9 @@ impl GridResults {
         self.blocks.iter().flatten()
     }
 
-    /// How many outcomes of each kind the grid holds, as the series
-    /// counted them while writing them.
-    #[must_use]
-    pub fn outcome_counts(&self) -> OutcomeCounts {
-        self.counts
-    }
-
     /// Iterates every `(cell, outcome)` in canonical order.
     pub fn records(&self) -> impl Iterator<Item = (GridCell, &CellOutcome)> + '_ {
-        self.grid.cells().zip(self.outcomes())
-    }
-
-    /// The Pareto frontier over (energy saving, capacity utilisation,
-    /// lifetime) of the feasible, fully modelled scenarios, in canonical
-    /// cell order. Computed once at exploration time.
-    #[must_use]
-    pub fn pareto_frontier(&self) -> &[ParetoPoint] {
-        &self.frontier
+        self.grid().cells().zip(self.outcomes())
     }
 }
 
@@ -583,7 +630,16 @@ mod tests {
             snapshot.counter("grid.cells_unique"),
             snapshot.counter("grid.cells_total")
         );
-        assert!(snapshot.counter("grid.interner.keys").unwrap() > 0);
+        // Only a cached exploration looks keys up, so only it interns
+        // them.
+        assert_eq!(snapshot.counter("grid.interner.keys"), None);
+        let cached_metrics = Metrics::enabled();
+        GridExecutor::parallel(3)
+            .with_metrics(&cached_metrics)
+            .explore_cached(&grid, &mut ResultCache::new())
+            .unwrap();
+        let interned = cached_metrics.snapshot().counter("grid.interner.keys");
+        assert!(interned.is_some_and(|keys| keys > 0));
         // One latency observation per evaluated series.
         let latency = snapshot.histogram("grid.series_eval").unwrap();
         assert_eq!(latency.count, series);

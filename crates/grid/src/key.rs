@@ -20,12 +20,13 @@
 //! per axis entry** and joins a cell's key from them
 //! ([`KeyInterner::resolve_into`]), byte-identical to
 //! [`ScenarioGrid::dedup_key`] for every cell (the equivalence suite in
-//! `crates/grid/tests/key_equivalence.rs` pins this). Building it also
+//! `crates/grid/tests/key_equivalence.rs` pins this). Only a cached
+//! exploration builds one: nothing else looks a key up. Every exploration
 //! rejects an axis whose entries repeat a fragment
-//! ([`GridError::DuplicateAxisEntry`]), so every cell of an explorable
-//! grid is a distinct scenario under a distinct key.
+//! ([`GridError::DuplicateAxisEntry`]) before it runs, and so does
+//! [`KeyInterner::new`], so every cell of an explorable grid is a
+//! distinct scenario under a distinct key.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 use memstream_core::{BestEffortPolicy, DesignGoal};
@@ -147,27 +148,6 @@ pub(crate) struct BlockKeyOrder {
     pub(crate) goals: Vec<usize>,
 }
 
-/// Collects one axis's fragments, rejecting an entry whose fragment an
-/// earlier entry already has: every cell through it would repeat a cell
-/// through the earlier one.
-fn distinct(
-    axis: &'static str,
-    fragments: impl Iterator<Item = String>,
-) -> Result<Vec<String>, GridError> {
-    let fragments: Vec<String> = fragments.collect();
-    let mut seen: HashMap<&str, usize> = HashMap::with_capacity(fragments.len());
-    for (second, fragment) in fragments.iter().enumerate() {
-        if let Some(first) = seen.insert(fragment, second) {
-            return Err(GridError::DuplicateAxisEntry {
-                axis,
-                first,
-                second,
-            });
-        }
-    }
-    Ok(fragments)
-}
-
 impl KeyInterner {
     /// Builds the interner for `grid`: formats every axis fragment once.
     ///
@@ -177,16 +157,20 @@ impl KeyInterner {
     /// format the same fragment, naming the first such pair in axis
     /// order (devices, workloads, rates, goals).
     pub fn new(grid: &ScenarioGrid) -> Result<Self, GridError> {
-        Ok(KeyInterner {
-            device_fragments: distinct("devices", grid.devices().iter().map(device_fragment))?,
-            workload_fragments: distinct(
-                "workloads",
-                grid.workloads().iter().map(workload_fragment),
-            )?,
-            rate_fragments: distinct("rates", grid.rates().iter().map(|&r| rate_fragment(r)))?,
-            goal_fragments: distinct("goals", grid.goals().iter().map(goal_fragment))?,
+        grid.check_distinct()?;
+        Ok(KeyInterner::of(grid))
+    }
+
+    /// The interner of `grid`, whose axes were already checked
+    /// ([`ScenarioGrid::check_distinct`]).
+    pub(crate) fn of(grid: &ScenarioGrid) -> Self {
+        KeyInterner {
+            device_fragments: grid.devices().iter().map(device_fragment).collect(),
+            workload_fragments: grid.workloads().iter().map(workload_fragment).collect(),
+            rate_fragments: grid.rates().iter().map(|&r| rate_fragment(r)).collect(),
+            goal_fragments: grid.goals().iter().map(goal_fragment).collect(),
             settings: settings_fragment(grid.dram_enabled(), grid.best_effort_policy()),
-        })
+        }
     }
 
     /// The key string of `cell`, byte-identical to

@@ -73,7 +73,7 @@ pub use view::CacheView;
 // shard, the harness) can thread one `Metrics` registry through an
 // executor without naming the telemetry crate themselves.
 pub use eval::{CellOutcome, EnergyOnlyPoint, OutcomeCounts, PlannedPoint};
-pub use exec::{GridExecutor, GridResults};
+pub use exec::{GridExecutor, GridResults, GridSummary};
 pub use key::KeyInterner;
 pub use memstream_telemetry as telemetry;
 pub use memstream_telemetry::Metrics;
@@ -95,6 +95,7 @@ mod tests {
         assert_send_sync::<GridCell>();
         assert_send_sync::<CellOutcome>();
         assert_send_sync::<GridResults>();
+        assert_send_sync::<GridSummary>();
         assert_send_sync::<GridError>();
         assert_send_sync::<ParetoPoint>();
     }

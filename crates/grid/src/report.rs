@@ -6,7 +6,8 @@
 //! assert. The grid CSVs write their fixed-precision numbers with
 //! [`write_fixed`], an exact integer formatter whose bytes are those of
 //! `{:.N}`; the summary's outcome counts are the ones the series counted
-//! as they wrote the outcomes.
+//! as they wrote the outcomes. Every report but the all-cells CSV reads a
+//! [`GridSummary`] alone.
 
 use std::fmt::Write as _;
 
@@ -15,7 +16,7 @@ use memstream_core::{
 };
 
 use crate::eval::{CellOutcome, OutcomeCounts};
-use crate::exec::GridResults;
+use crate::exec::{GridResults, GridSummary};
 use crate::spec::{GridCell, ScenarioGrid};
 use crate::validate::ValidationRow;
 
@@ -61,14 +62,14 @@ fn write_or_dash(out: &mut String, value: Option<f64>, decimals: usize) {
 
 /// The Pareto frontier as CSV, one row per frontier point.
 #[must_use]
-pub fn frontier_csv(results: &GridResults) -> String {
+pub fn frontier_csv(results: &GridSummary) -> String {
     let mut out = String::new();
     write_frontier_csv(&mut out, results);
     out
 }
 
 /// Appends [`frontier_csv`] to `out`.
-fn write_frontier_csv(out: &mut String, results: &GridResults) {
+fn write_frontier_csv(out: &mut String, results: &GridSummary) {
     let grid = results.grid();
     let labels = AxisLabels::of(grid);
     let frontier = results.pareto_frontier();
@@ -159,7 +160,7 @@ fn write_cells_csv(out: &mut String, results: &GridResults) {
 /// The frontier as an ASCII chart: buffer (log x) against energy saving,
 /// one series per goal.
 #[must_use]
-pub fn frontier_chart(results: &GridResults) -> String {
+pub fn frontier_chart(results: &GridSummary) -> String {
     let frontier = results.pareto_frontier();
     let goals = results.grid().goals();
     let series: Vec<Series> = goals
@@ -188,7 +189,7 @@ pub fn frontier_chart(results: &GridResults) -> String {
 
 /// Deterministic exploration summary (no timings, no thread counts).
 #[must_use]
-pub fn summary(results: &GridResults) -> String {
+pub fn summary(results: &GridSummary) -> String {
     let OutcomeCounts {
         feasible,
         infeasible,
@@ -231,12 +232,11 @@ pub fn summary(results: &GridResults) -> String {
     out
 }
 
-/// The exact stdout of `harness grid` for an exploration: summary, chart
-/// and frontier CSV (plus the all-cells CSV when `full_csv`). One shared
-/// composer keeps the binary and the byte-identity golden test from ever
-/// drifting apart.
+/// The exact stdout of `harness grid` without `--full-csv`: summary,
+/// chart and frontier CSV. One shared composer keeps the binary and the
+/// byte-identity golden test from ever drifting apart.
 #[must_use]
-pub fn grid_stdout(results: &GridResults, full_csv: bool) -> String {
+pub fn summary_stdout(results: &GridSummary) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -248,6 +248,14 @@ pub fn grid_stdout(results: &GridResults, full_csv: bool) -> String {
     out.push_str("pareto frontier csv:\n");
     write_frontier_csv(&mut out, results);
     out.push('\n');
+    out
+}
+
+/// The exact stdout of `harness grid` for an exploration:
+/// [`summary_stdout`], plus the all-cells CSV when `full_csv`.
+#[must_use]
+pub fn grid_stdout(results: &GridResults, full_csv: bool) -> String {
+    let mut out = summary_stdout(results);
     if full_csv {
         out.push_str("all cells csv:\n");
         write_cells_csv(&mut out, results);

@@ -14,17 +14,19 @@
 //! series' own batch, which it puts in key order before it returns. The
 //! lookups go through the series' own cursor:
 //! each index search starts from the series' last hit, and the hits,
-//! misses, probes, decodes and lookup latencies are tallied in the
-//! cursor, which the run hands back for the executor to publish — the
-//! worker writes no shared telemetry per lookup. The series model is
+//! misses, probes, decodes and sampled lookup latencies are tallied in
+//! the cursor, which the run hands back for the executor to publish —
+//! the worker writes no shared telemetry per lookup. The series model is
 //! built at the first miss and serves every later one. Validation and
 //! each goal's capacity solve depend on no rate, so they run once per
 //! series
 //! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum)),
 //! and one [`BufferDimensioner`](memstream_core::BufferDimensioner) per
-//! rate plans every goal missed at that rate. The series' outcomes come
-//! back in canonical order, with their counts by kind and the series' own
-//! Pareto front. A feasible outcome that the series' last kept candidate
+//! rate plans every goal missed at that rate. The series counts its
+//! outcomes by kind and sweeps them to its own Pareto front, whose
+//! members carry their planned points; it keeps the outcomes themselves,
+//! in canonical order, only for an exploration that returns every cell's
+//! outcome. A feasible outcome that the series' last kept candidate
 //! dominates never enters that front's sweep.
 //!
 //! Every device takes the same path, whatever its concrete type: the
@@ -45,7 +47,7 @@ use crate::cache::{LookupCursor, RecordBatch, ResultCache};
 use crate::eval::{CellOutcome, EnergyOnlyPoint, OutcomeCounts, PlannedPoint};
 use crate::key::{BlockKeyOrder, KeyInterner};
 use crate::spec::{GridCell, ScenarioGrid};
-use crate::store::{front, strictly_dominates};
+use crate::store::{front, strictly_dominates, Candidate};
 
 /// Cuts the canonical cell range `cells` of `grid` into series, in
 /// canonical order: a series ends where `cells` or its
@@ -68,14 +70,14 @@ fn cut(cells: Range<usize>, unit: usize) -> impl Iterator<Item = Range<usize>> {
 
 /// What one series produced.
 pub(crate) struct SeriesRun {
-    /// One outcome per cell of the series, in canonical order.
+    /// One outcome per cell of the series, in canonical order, when the
+    /// run kept them; empty otherwise.
     pub(crate) outcomes: Vec<CellOutcome>,
-    /// How many outcomes of each kind `outcomes` holds.
+    /// How many outcomes of each kind the series produced.
     pub(crate) counts: OutcomeCounts,
-    /// The `(cell index, objectives)` of the series' own Pareto front:
-    /// its non-dominated feasible outcomes, cache hits included, each
-    /// measurable on the energy axis.
-    pub(crate) front: Vec<(usize, [f64; 3])>,
+    /// The series' own Pareto front: its non-dominated feasible outcomes,
+    /// cache hits included, each measurable on the energy axis.
+    pub(crate) front: Vec<Candidate>,
     /// The records of the cells the cache missed, encoded on the worker
     /// and sorted by key; empty without a cache.
     pub(crate) records: RecordBatch,
@@ -215,20 +217,19 @@ fn energy_only(energy: &EnergyModel<'_>, goal: &DesignGoal) -> CellOutcome {
 /// the outcomes by kind, and sweeps them to the series' front, skipping
 /// each candidate the last kept one strictly dominates. Each outcome is
 /// bit-identical to [`crate::eval::evaluate`] of its cell (or to the
-/// cached one). With a cache, each miss's record is encoded into the
-/// series' own [`RecordBatch`], which `order` puts in key order before
-/// the run returns; the lookups' tallies come back unpublished in the
-/// run.
+/// cached one), and the run keeps them only when `table` asks for them.
+/// With a cache, each miss's record is encoded into the series' own
+/// [`RecordBatch`], which `order` puts in key order before the run
+/// returns; the lookups' tallies come back unpublished in the run.
 pub(crate) fn evaluate_series(
     grid: &ScenarioGrid,
-    interner: &KeyInterner,
-    cached: Option<(&ResultCache, &BlockKeyOrder)>,
+    cached: Option<(&ResultCache, &KeyInterner, &BlockKeyOrder)>,
     series: Range<usize>,
+    table: bool,
 ) -> SeriesRun {
-    let cache = cached.map(|(cache, _)| cache);
     let goals = grid.goals().len();
     let mut run = SeriesRun {
-        outcomes: Vec::with_capacity(series.len()),
+        outcomes: Vec::with_capacity(if table { series.len() } else { 0 }),
         counts: OutcomeCounts::default(),
         front: Vec::new(),
         records: RecordBatch::new(),
@@ -244,7 +245,7 @@ pub(crate) fn evaluate_series(
     let mut keys = vec![String::new(); goals];
     let mut missed: Vec<bool> = Vec::with_capacity(goals);
     // With a cache: the batch index of each cell's record, if it missed.
-    let mut pushed = vec![usize::MAX; if cache.is_some() { series.len() } else { 0 }];
+    let mut pushed = vec![usize::MAX; if cached.is_some() { series.len() } else { 0 }];
     for cells in cut(series.clone(), goals) {
         let first = grid.cell(cells.start);
         for ((index, goal), key) in cells.clone().zip(first.goal..).zip(keys.iter_mut()) {
@@ -253,12 +254,12 @@ pub(crate) fn evaluate_series(
                 goal,
                 ..first
             };
-            let hit = cache.and_then(|cache| {
+            let hit = cached.and_then(|(cache, interner, _)| {
                 interner.resolve_into(&cell, key);
                 cache.lookup(key, &mut run.lookups)
             });
             if hit.is_none() {
-                if run.evaluated == 0 && cache.is_some() {
+                if run.evaluated == 0 && cached.is_some() {
                     run.records.reserve(series.end - index, key.len());
                 }
                 run.evaluated += 1;
@@ -276,26 +277,27 @@ pub(crate) fn evaluate_series(
         }
         for (k, (index, outcome)) in cells.zip(row.drain(..)).enumerate() {
             let outcome = outcome.expect("every miss of the row was evaluated");
-            if missed[k] && cache.is_some() {
+            if missed[k] && cached.is_some() {
                 pushed[index - series.start] = run.records.len();
                 run.records.push(&keys[k], &outcome);
             }
             // A point the last kept candidate dominates is never on the
             // front, since dominance is transitive: it is not kept.
-            if let Some(objectives) = outcome.planned().and_then(PlannedPoint::objectives) {
-                if !candidates
-                    .last()
-                    .is_some_and(|(_, kept)| strictly_dominates(kept, &objectives))
-                {
-                    candidates.push((index, objectives));
+            if let Some(candidate) = Candidate::of(index, &outcome) {
+                if !candidates.last().is_some_and(|kept: &Candidate| {
+                    strictly_dominates(&kept.objectives, &candidate.objectives)
+                }) {
+                    candidates.push(candidate);
                 }
             }
             run.counts.tally(&outcome);
-            run.outcomes.push(outcome);
+            if table {
+                run.outcomes.push(outcome);
+            }
         }
         missed.clear();
     }
-    if let Some((_, order)) = cached {
+    if let Some((_, _, order)) = cached {
         // A block's cells sit rate-major, and its keys sort by rate, then
         // goal (`BlockKeyOrder`).
         let block = series.start - series.start % (grid.rates().len() * goals);
@@ -325,13 +327,12 @@ mod tests {
     /// Runs the series path over a grid's cells and asserts every
     /// outcome equals the reference per-cell evaluator, bitwise.
     fn assert_series_matches_reference(grid: &ScenarioGrid) {
-        let interner = KeyInterner::new(grid).unwrap();
         let series = plan(grid, 0..grid.len());
         let members: usize = series.iter().map(ExactSizeIterator::len).sum();
         assert_eq!(members, grid.len(), "series partition the cells");
         let mut seen = vec![false; grid.len()];
         for s in series {
-            let run = evaluate_series(grid, &interner, None, s.clone());
+            let run = evaluate_series(grid, None, s.clone(), true);
             assert_eq!(run.outcomes.len(), s.len());
             for (index, outcome) in s.zip(run.outcomes) {
                 assert!(!seen[index], "cell {index} evaluated twice");
@@ -457,16 +458,19 @@ mod tests {
     fn series_fronts_equal_the_sweep_of_every_feasible_point() {
         // A series keeps only the candidates its last kept one does not
         // dominate; its front is still the sweep of all its feasible
-        // points.
+        // points. A run that keeps no outcomes sweeps the same front.
         let grid = ScenarioGrid::paper_baseline(400);
-        let interner = KeyInterner::new(&grid).unwrap();
         for series in plan(&grid, 0..grid.len()) {
-            let run = evaluate_series(&grid, &interner, None, series.clone());
-            let every: Vec<(usize, [f64; 3])> = series
+            let run = evaluate_series(&grid, None, series.clone(), true);
+            let every: Vec<Candidate> = series
+                .clone()
                 .zip(&run.outcomes)
-                .filter_map(|(index, outcome)| Some((index, outcome.planned()?.objectives()?)))
+                .filter_map(|(index, outcome)| Candidate::of(index, outcome))
                 .collect();
             assert_eq!(run.front, front(&every));
+            let bare = evaluate_series(&grid, None, series, false);
+            assert!(bare.outcomes.is_empty());
+            assert_eq!((bare.front, bare.counts), (run.front, run.counts));
         }
     }
 

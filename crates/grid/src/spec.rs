@@ -1,6 +1,8 @@
 //! The [`ScenarioGrid`] specification: which axes span the design space.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
 
 use memstream_core::{log_spaced_rates, BestEffortPolicy, DesignGoal};
 use memstream_device::{DiskDevice, EnergyOnly, FlashDevice, MemsDevice, StorageDevice};
@@ -53,6 +55,25 @@ impl fmt::Display for GridError {
 }
 
 impl std::error::Error for GridError {}
+
+/// Rejects the first of `entries` equal to an earlier one, naming the
+/// pair as a repeat on `axis`.
+fn first_repeat<T: Eq + Hash>(
+    axis: &'static str,
+    entries: impl ExactSizeIterator<Item = T>,
+) -> Result<(), GridError> {
+    let mut seen = HashMap::with_capacity(entries.len());
+    for (second, entry) in entries.enumerate() {
+        if let Some(first) = seen.insert(entry, second) {
+            return Err(GridError::DuplicateAxisEntry {
+                axis,
+                first,
+                second,
+            });
+        }
+    }
+    Ok(())
+}
 
 /// One entry of the device axis: a named [`StorageDevice`] in the
 /// registry.
@@ -435,7 +456,9 @@ impl ScenarioGrid {
         self.len() == 0
     }
 
-    /// Returns the first empty axis, if any.
+    /// The check every exploration makes first: the first empty axis
+    /// ([`GridError::EmptyAxis`]), then the first repeated entry
+    /// ([`ScenarioGrid::check_distinct`]), each in axis order.
     pub(crate) fn check_axes(&self) -> Result<(), GridError> {
         for (axis, empty) in [
             ("devices", self.devices.is_empty()),
@@ -447,7 +470,31 @@ impl ScenarioGrid {
                 return Err(GridError::EmptyAxis { axis });
             }
         }
-        Ok(())
+        self.check_distinct()
+    }
+
+    /// Rejects an entry whose key fragment an earlier entry of its axis
+    /// already has: every cell through it would repeat a cell through the
+    /// earlier one. Names the first such pair in axis order (devices,
+    /// workloads, rates, goals) with [`GridError::DuplicateAxisEntry`].
+    ///
+    /// Rates compare by `f64` bit pattern and are never formatted: a rate
+    /// fragment is the shortest round-trip decimal, so for the finite,
+    /// non-negative values a [`BitRate`] admits two rates share one
+    /// exactly when their bits are equal (`-0` and `0` differ in both).
+    pub(crate) fn check_distinct(&self) -> Result<(), GridError> {
+        first_repeat("devices", self.devices.iter().map(key::device_fragment))?;
+        first_repeat(
+            "workloads",
+            self.workloads.iter().map(key::workload_fragment),
+        )?;
+        first_repeat(
+            "rates",
+            self.rates
+                .iter()
+                .map(|rate| rate.bits_per_second().to_bits()),
+        )?;
+        first_repeat("goals", self.goals.iter().map(key::goal_fragment))
     }
 
     /// The cell at canonical linear index `index`.
@@ -580,6 +627,62 @@ mod tests {
             Err(GridError::EmptyAxis { axis: "devices" })
         );
         assert!(grid.is_empty());
+    }
+
+    /// The check that rate bit patterns replace: the first rate whose
+    /// fragment an earlier rate already has.
+    fn first_repeated_fragment(rates: &[BitRate]) -> Result<(), GridError> {
+        let mut seen = HashMap::new();
+        for (second, &rate) in rates.iter().enumerate() {
+            if let Some(first) = seen.insert(key::rate_fragment(rate), second) {
+                return Err(GridError::DuplicateAxisEntry {
+                    axis: "rates",
+                    first,
+                    second,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn rates_repeat_by_bits_exactly_when_their_fragments_repeat(
+            raw in proptest::collection::vec((0usize..6, 0u64..u64::MAX), 1..40)
+        ) {
+            // Signed zeros, subnormals, ordinary rates and their one-ulp
+            // neighbours, and repeats of an earlier entry.
+            let anchors = [0.0, -0.0, f64::MIN_POSITIVE, 1.0, 32_000.0, 4_096_000.0];
+            let mut rates: Vec<f64> = Vec::new();
+            for &(kind, bits) in &raw {
+                let anchor: f64 = anchors[(bits % anchors.len() as u64) as usize];
+                let magnitude = anchor.abs().to_bits();
+                let rate = match kind {
+                    0 => anchor,
+                    1 => f64::from_bits(magnitude + 1),
+                    2 => f64::from_bits(magnitude.saturating_sub(1)),
+                    3 => f64::from_bits(bits % (1 << 52)),
+                    4 => rates.get((bits % 64) as usize).copied().unwrap_or(anchor),
+                    _ => f64::from_bits(bits % f64::INFINITY.to_bits()),
+                };
+                rates.push(rate);
+            }
+            let rates: Vec<BitRate> = rates
+                .into_iter()
+                .map(|bps| BitRate::try_from_bits_per_second(bps).expect("admitted"))
+                .collect();
+            let grid = ScenarioGrid::new()
+                .device(DeviceEntry::new("table1", MemsDevice::table1()))
+                .workload(WorkloadProfile::paper())
+                .with_rates(rates.iter().copied())
+                .goal(DesignGoal::fig3a());
+            let expected = first_repeated_fragment(&rates);
+            proptest::prop_assert_eq!(grid.check_axes(), expected.clone());
+            proptest::prop_assert_eq!(
+                key::KeyInterner::new(&grid).map(|_| ()),
+                expected
+            );
+        }
     }
 
     #[test]

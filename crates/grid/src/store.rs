@@ -11,9 +11,8 @@
 
 use std::cmp::Reverse;
 
-use crate::eval::PlannedPoint;
-use crate::exec::GridResults;
-use crate::spec::GridCell;
+use crate::eval::{CellOutcome, PlannedPoint};
+use crate::spec::{GridCell, ScenarioGrid};
 
 /// One point of the Pareto frontier: a feasible scenario no other feasible
 /// scenario strictly improves on in all three paper metrics at once.
@@ -107,40 +106,55 @@ pub(crate) fn strictly_dominates(a: &[f64; 3], b: &[f64; 3]) -> bool {
     a.iter().zip(b).all(|(x, y)| x >= y) && a.iter().zip(b).any(|(x, y)| x > y)
 }
 
-/// The non-dominated members of `candidates` (tagged with the caller's
-/// index, typically a canonical cell index), in their input order.
+/// A feasible cell that may be on the frontier: its canonical index, its
+/// objectives and its planned point, which the frontier keeps without
+/// reading the cell's outcome again.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Candidate {
+    pub(crate) index: usize,
+    pub(crate) objectives: [f64; 3],
+    pub(crate) point: PlannedPoint,
+}
+
+impl Candidate {
+    /// The candidate that cell `index` makes with `outcome`: none unless
+    /// the outcome is feasible and measurable on the energy axis.
+    pub(crate) fn of(index: usize, outcome: &CellOutcome) -> Option<Self> {
+        let point = outcome.planned()?;
+        Some(Candidate {
+            index,
+            objectives: point.objectives()?,
+            point: point.clone(),
+        })
+    }
+}
+
+/// The non-dominated members of `candidates`, in their input order.
 #[must_use]
-pub(crate) fn front(candidates: &[(usize, [f64; 3])]) -> Vec<(usize, [f64; 3])> {
-    sweep(candidates.iter().map(|&(_, point)| point))
+pub(crate) fn front(candidates: &[Candidate]) -> Vec<Candidate> {
+    sweep(candidates.iter().map(|candidate| candidate.objectives))
         .into_iter()
-        .map(|k| candidates[k])
+        .map(|k| candidates[k].clone())
         .collect()
 }
 
-/// Sweeps the `candidates` once more and resolves the survivors against
-/// the finished `results`, sorted by cell index — the canonical report
-/// order. Only the frontier-sized slice of planned points is cloned.
+/// Sweeps the `candidates` once more and makes the survivors the
+/// frontier of `grid`, sorted by cell index — the canonical report order.
 ///
 /// The candidates are every series' front. A point its series dropped is
 /// dominated by a survivor of that series (dominance is transitive and a
 /// series is finite), so this second sweep gives the frontier of the
 /// whole grid.
 #[must_use]
-pub(crate) fn resolve_frontier(
-    results: &GridResults,
-    candidates: &[(usize, [f64; 3])],
-) -> Vec<ParetoPoint> {
+pub(crate) fn resolve_frontier(grid: &ScenarioGrid, candidates: &[Candidate]) -> Vec<ParetoPoint> {
     let mut survivors = front(candidates);
-    survivors.sort_unstable_by_key(|&(index, _)| index);
+    survivors.sort_unstable_by_key(|candidate| candidate.index);
     survivors
         .into_iter()
-        .filter_map(|(index, objectives)| {
-            let point = results.outcome(index).planned()?;
-            Some(ParetoPoint {
-                cell: results.grid().cell(index),
-                point: point.clone(),
-                objectives,
-            })
+        .map(|candidate| ParetoPoint {
+            cell: grid.cell(candidate.index),
+            point: candidate.point,
+            objectives: candidate.objectives,
         })
         .collect()
 }

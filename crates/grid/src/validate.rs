@@ -13,7 +13,7 @@ use memstream_core::CapabilityModel;
 use memstream_sim::{SimConfig, StreamingSimulation};
 use memstream_units::Duration;
 
-use crate::exec::GridResults;
+use crate::exec::GridSummary;
 use crate::spec::GridCell;
 use crate::store::ParetoPoint;
 
@@ -117,7 +117,7 @@ impl FrontierValidation {
 /// The analytic side drops the DRAM term to match what the simulator
 /// meters, mirroring the V1 cross-check experiment.
 #[must_use]
-pub fn validate_frontier(results: &GridResults, seconds: f64) -> FrontierValidation {
+pub fn validate_frontier(results: &GridSummary, seconds: f64) -> FrontierValidation {
     let grid = results.grid();
     let mut rows = Vec::new();
     let mut skips = Vec::new();
@@ -142,7 +142,7 @@ pub fn validate_frontier(results: &GridResults, seconds: f64) -> FrontierValidat
 }
 
 fn validate_point(
-    results: &GridResults,
+    results: &GridSummary,
     point: &ParetoPoint,
     seconds: f64,
 ) -> Result<ValidationRow, SkipReason> {

@@ -1,7 +1,9 @@
 //! The determinism contract: an N-thread exploration of a full-size grid
 //! produces byte-identical reports to the single-threaded run.
 
-use memstream_grid::{report, CellOutcome, GridExecutor, GridResults, OutcomeCounts, ScenarioGrid};
+use memstream_grid::{
+    report, CellOutcome, GridExecutor, GridResults, GridSummary, OutcomeCounts, ScenarioGrid,
+};
 
 /// ≥ 3 devices × ≥ 20 rates × ≥ 2 goals, as the engine's acceptance
 /// criteria demand (the baseline adds a 4th device and 3 workloads).
@@ -274,6 +276,9 @@ fn partially_warm_caches_match_the_uncached_run() {
         // at any thread count: one lookup per cell, one decode per hit,
         // and one index search per lookup. The misses' records enter the
         // cache without a second search: the lookup already made it.
+        // Each series times one lookup in 64, so `cache.lookup` counts
+        // ⌈48 / 64⌉ = 1 sample for each of the 15 blocks of 24 rates × 2
+        // goals.
         let metrics = Metrics::enabled();
         let mut lazy = ResultCache::open(&seed_path, &metrics).expect("seed opens");
         let results = GridExecutor::parallel(threads)
@@ -298,7 +303,7 @@ fn partially_warm_caches_match_the_uncached_run() {
         let (hits, misses) = (warmed.len() as u64, (grid.len() - warmed.len()) as u64);
         assert_eq!(
             counters,
-            [hits, misses, hits, hits + misses, hits + misses],
+            [hits, misses, hits, hits + misses, 15],
             "{threads} threads"
         );
         assert_eq!(
@@ -307,4 +312,143 @@ fn partially_warm_caches_match_the_uncached_run() {
         );
     }
     std::fs::remove_file(&seed_path).expect("seed file removed");
+}
+
+/// What a summary reader sees of one exploration.
+struct Seen {
+    summary: GridSummary,
+    /// The default stdout (`harness grid` without `--full-csv`).
+    stdout: String,
+    /// Every counter but the run-to-run per-worker split, then every
+    /// histogram's count and every span's entries.
+    counters: Vec<(String, u64)>,
+    /// The bytes the cache saves afterwards, if there is one.
+    saved: Option<Vec<u8>>,
+}
+
+/// Explores `grid` on `threads` workers, over a cache opened from `seed`
+/// when there is one (a missing file for a cold run), keeping every
+/// cell's outcome when `table` asks for it.
+fn explore_seen(
+    grid: &ScenarioGrid,
+    threads: usize,
+    seed: Option<&std::path::Path>,
+    table: bool,
+) -> Seen {
+    use memstream_grid::{CacheFormat, Metrics, ResultCache};
+
+    let metrics = Metrics::enabled();
+    let executor = GridExecutor::parallel(threads).with_metrics(&metrics);
+    let mut cache = seed.map(|path| ResultCache::open(path, &metrics).expect("seed opens"));
+    let (summary, stdout) = if table {
+        let results = match cache.as_mut() {
+            Some(cache) => executor.explore_cached(grid, cache),
+            None => executor.explore(grid),
+        }
+        .expect("full run");
+        let stdout = report::grid_stdout(&results, false);
+        (GridSummary::clone(&results), stdout)
+    } else {
+        let summary = executor
+            .explore_summary(grid, cache.as_mut())
+            .expect("summary run");
+        let stdout = report::summary_stdout(&summary);
+        (summary, stdout)
+    };
+    let saved = cache.map(|cache| {
+        let path = std::env::temp_dir().join(format!(
+            "memstream-summary-{}-{threads}-{table}.cache",
+            std::process::id()
+        ));
+        cache
+            .save_as(&path, CacheFormat::default())
+            .expect("cache saves");
+        let bytes = std::fs::read(&path).expect("saved cache reads");
+        std::fs::remove_file(&path).expect("temp file removed");
+        bytes
+    });
+    let snapshot = metrics.snapshot();
+    let counters = snapshot
+        .counters
+        .iter()
+        .filter(|c| !c.name.starts_with("grid.worker."))
+        .map(|c| (c.name.clone(), c.value))
+        .chain(
+            snapshot
+                .histograms
+                .iter()
+                .map(|h| (h.name.clone(), h.count)),
+        )
+        .chain(snapshot.spans.iter().map(|s| (s.name.clone(), s.entries)))
+        .collect();
+    Seen {
+        summary,
+        stdout,
+        counters,
+        saved,
+    }
+}
+
+#[test]
+fn summary_explorations_equal_the_full_explorations_summary() {
+    // The summary exploration keeps no per-cell outcome table. What it
+    // keeps — outcome counts, frontier, the `frontier.*` and every other
+    // counter, and the default stdout — must equal what the full
+    // exploration gives, uncached and over a cold, a partially warm and
+    // a warm cache, whose saved files must not differ either. The grids
+    // cover the feasible/infeasible edges, the energy-only disk, a grid
+    // without DRAM and a device with no capability at all.
+    use memstream_grid::{CacheFormat, DeviceEntry, ResultCache};
+
+    let dir = std::env::temp_dir();
+    let pid = std::process::id();
+    let grids = [
+        ScenarioGrid::paper_baseline(400),
+        ScenarioGrid::paper_classic(60),
+        ScenarioGrid::paper_baseline(60).without_dram(),
+        ScenarioGrid::paper_baseline(24).device(DeviceEntry::new("bare", Bare)),
+    ];
+    for (g, grid) in grids.iter().enumerate() {
+        // A partially warm seed: every other rate, second goal only.
+        let mut warmed = ScenarioGrid::new();
+        for device in grid.devices() {
+            warmed = warmed.device(device.clone());
+        }
+        for workload in grid.workloads() {
+            warmed = warmed.workload(workload.clone());
+        }
+        if !grid.dram_enabled() {
+            warmed = warmed.without_dram();
+        }
+        let warmed = warmed
+            .with_rates(grid.rates().iter().step_by(2).copied())
+            .goal(grid.goals()[1]);
+        let seeds = [(&warmed, "partial"), (grid, "warm")].map(|(seed_grid, name)| {
+            let mut seed = ResultCache::new();
+            GridExecutor::parallel(2)
+                .explore_cached(seed_grid, &mut seed)
+                .expect("seeding run");
+            let path = dir.join(format!("memstream-summary-{pid}-{g}-{name}.cache"));
+            seed.save_as(&path, CacheFormat::default())
+                .expect("seed saves");
+            path
+        });
+        let cold = dir.join(format!("memstream-summary-{pid}-{g}-cold.cache"));
+        for seed in [None, Some(&cold), Some(&seeds[0]), Some(&seeds[1])] {
+            let seed = seed.map(std::path::PathBuf::as_path);
+            let reference = explore_seen(grid, 1, seed, true);
+            assert!(!reference.summary.pareto_frontier().is_empty());
+            for threads in [1, 2, 8] {
+                let seen = explore_seen(grid, threads, seed, false);
+                let case = format!("grid {g}, {threads} threads, {seed:?}");
+                assert_eq!(seen.summary, reference.summary, "{case}");
+                assert!(seen.stdout == reference.stdout, "{case}");
+                assert_eq!(seen.counters, reference.counters, "{case}");
+                assert!(seen.saved == reference.saved, "{case}");
+            }
+        }
+        for path in seeds {
+            std::fs::remove_file(path).expect("seed removed");
+        }
+    }
 }

@@ -455,13 +455,14 @@ fn report_shard_run(run: &memstream_shard::ShardRun) {
     }
 }
 
-/// Opens the result cache at `path` inside the `cache.load` span,
-/// reporting into `metrics`, and exits 2 on I/O errors (shared by the
+/// Opens the result cache at `path` through `executor` — inside the
+/// `cache.load` span, reporting into its metrics, the records read and
+/// checked on its threads — and exits 2 on I/O errors (shared by the
 /// `grid` and `refine` subcommands). Lazy: the file is indexed, not
 /// decoded — warm planning probes the index and only looked-up records
 /// are ever decoded (`cache.records_decoded`).
-fn load_cache(path: &str, metrics: &memstream_grid::Metrics) -> memstream_grid::ResultCache {
-    memstream_grid::ResultCache::open(path, metrics).unwrap_or_else(|e| {
+fn load_cache(executor: &memstream_grid::GridExecutor, path: &str) -> memstream_grid::ResultCache {
+    executor.open_cache(path).unwrap_or_else(|e| {
         eprintln!("cache load error: {e}");
         std::process::exit(2);
     })
@@ -545,7 +546,9 @@ fn grid(args: &[String]) {
         spec.len(),
         executor.threads()
     );
-    let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
+    let mut cache = cache_path
+        .as_deref()
+        .map(|path| load_cache(&executor, path));
     // Only `--full-csv` prints every cell's outcome, so only it keeps one.
     let explored = if full_csv {
         match cache.as_mut() {
@@ -713,7 +716,9 @@ fn refine(args: &[String]) {
             .with_width_bound(width_bound)
             .with_max_rounds(max_rounds),
     );
-    let mut cache = cache_path.as_deref().map(|path| load_cache(path, &metrics));
+    let mut cache = cache_path
+        .as_deref()
+        .map(|path| load_cache(&executor, path));
     let mut worker_traces = Vec::new();
     let outcome = if let Some(shards) = shards {
         // Sharded: every round fans only its new rates out to worker

@@ -37,7 +37,7 @@ use std::cmp::Ordering;
 use std::fmt;
 use std::fs;
 use std::io;
-use std::io::{Read as _, Write as _};
+use std::io::Write as _;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{self, AtomicUsize};
@@ -49,7 +49,7 @@ use memstream_telemetry::{Counter, Histogram, HistogramSample, Metrics, SpanHand
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 
 use crate::eval::{CellOutcome, EnergyOnlyPoint, PlannedPoint};
-use crate::view::{record_at, validate};
+use crate::view::{read_cache_file, record_at};
 
 /// The header line every cache file starts with.
 const HEADER: &str = "memstream-grid-cache v4";
@@ -241,7 +241,7 @@ pub struct ResultCache {
 /// Where a record sits: which of the cache's record buffers, the offset
 /// of the record's `u32` length prefix in it, and its key's length, so a
 /// search reads the key without first reading where it ends.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub(crate) struct Slot {
     buffer: u32,
     key_len: u32,
@@ -262,7 +262,7 @@ impl Slot {
 
     /// The record's key bytes in `buffer`: after its length prefix and
     /// its key's.
-    fn key<'a>(&self, buffer: &'a [u8]) -> &'a [u8] {
+    pub(crate) fn key<'a>(&self, buffer: &'a [u8]) -> &'a [u8] {
         let start = self.offset + 8;
         &buffer[start..start + self.key_len as usize]
     }
@@ -434,14 +434,16 @@ impl RecordBatch {
 }
 
 /// One series' lookup state ([`ResultCache::lookup`]): where in the
-/// cache's slot list its last search landed, so the next one starts
-/// there, and its own tallies of what the lookups did. The series owns it
+/// cache's slot list its next search starts, next to where the last one
+/// landed, and its own tallies of what the lookups did. The series owns it
 /// outright, so its lookups write no memory that another thread shares;
 /// the executor publishes it once the series is done
 /// ([`ResultCache::publish`]).
 #[derive(Debug, Default)]
 pub(crate) struct LookupCursor {
-    /// The list position of the last search.
+    /// Where the next search starts: the position after the last hit,
+    /// where a series' next key in canonical order usually is, or where
+    /// the last missed key would go.
     near: usize,
     hits: usize,
     misses: usize,
@@ -515,8 +517,11 @@ struct CacheTelemetry {
     lookup_latency: Histogram,
 }
 
-/// A cursor times its 1st, 65th, 129th, … lookup into `cache.lookup`, so
-/// a series of `n` lookups records ⌈n / 64⌉ samples at any thread count.
+/// A cursor times its 2nd, 66th, 130th, … lookup into `cache.lookup`, so
+/// a series of `n` lookups records ⌈(n − 1) / 64⌉ samples at any thread
+/// count: ⌈n / 64⌉ unless n leaves 1 over a multiple of 64, which records
+/// one fewer. The first lookup is never timed, because its search starts
+/// at the front of the list rather than at the series' last hit.
 const LOOKUP_SAMPLE_EVERY: usize = 64;
 
 impl CacheTelemetry {
@@ -553,21 +558,6 @@ pub(crate) fn check_regular_file(path: &Path) -> io::Result<()> {
         )),
         _ => Ok(()),
     }
-}
-
-/// Reads the file at `path` with the metadata of the very handle it was
-/// read through; `None` if there is no such file.
-fn read_file(path: &Path) -> io::Result<Option<(Vec<u8>, fs::Metadata)>> {
-    check_regular_file(path)?;
-    let mut file = match fs::File::open(path) {
-        Ok(file) => file,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
-        Err(e) => return Err(e),
-    };
-    let meta = file.metadata()?;
-    let mut bytes = Vec::with_capacity(usize::try_from(meta.len()).unwrap_or(0));
-    file.read_to_end(&mut bytes)?;
-    Ok(Some((bytes, meta)))
 }
 
 impl ResultCache {
@@ -628,29 +618,35 @@ impl ResultCache {
     /// after following symlinks (it is never opened); otherwise
     /// propagates I/O errors other than "not found".
     pub fn open(path: impl AsRef<Path>, metrics: &Metrics) -> io::Result<Self> {
+        ResultCache::open_in_parts(path.as_ref(), metrics, 1)
+    }
+
+    /// [`ResultCache::open`], reading and checking the file's records in
+    /// up to `parts` runs on as many threads; the cache is the same at
+    /// any `parts` ([`GridExecutor::open_cache`](crate::GridExecutor::open_cache)).
+    pub(crate) fn open_in_parts(path: &Path, metrics: &Metrics, parts: usize) -> io::Result<Self> {
         let _load = metrics.span("cache.load").start();
-        let path = path.as_ref();
         let mut cache = ResultCache::new();
         cache.set_metrics(metrics);
-        let Some((bytes, meta)) = read_file(path)? else {
-            return Ok(cache);
+        let read = match read_cache_file(path, parts) {
+            Ok(read) => read,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(cache),
+            Err(e) => return Err(e),
         };
-        if !bytes.starts_with(MAGIC) {
-            eprintln!(
-                "cache: {} is not a `{HEADER}` file (found `{}`); starting empty, the save replaces it",
-                path.display(),
-                header_line(&bytes)
-            );
-            cache.telemetry.foreign_files.incr();
-            return Ok(cache);
-        }
-        match validate(&bytes) {
+        match read.slots {
             Ok(slots) => {
-                cache.buffers.push(bytes);
+                cache.buffers.push(read.bytes);
                 cache.slots = slots;
-                cache.origin = Some(Origin::new(path, &meta));
+                cache.origin = Some(Origin::new(path, &read.meta));
             }
-            Err(_) => cache.take_batch(lenient_batch(bytes)),
+            Err(CacheFileError::VersionMismatch { found }) => {
+                eprintln!(
+                    "cache: {} is not a `{HEADER}` file (found `{found}`); starting empty, the save replaces it",
+                    path.display(),
+                );
+                cache.telemetry.foreign_files.incr();
+            }
+            Err(_) => cache.take_batch(lenient_batch(read.bytes)),
         }
         Ok(cache)
     }
@@ -830,16 +826,18 @@ impl ResultCache {
     /// the calling thread, after its workers are done
     /// ([`ResultCache::publish`]).
     ///
-    /// The search starts from where the cursor's last one landed
-    /// ([`ResultCache::find_near`]), which gives the whole-list search's
-    /// answer. A hit decodes that one record's payload — never its key —
-    /// every time.
+    /// The search starts just after the cursor's last hit, or where its
+    /// last missed key would go ([`ResultCache::find_near`]): in canonical
+    /// order a series' next key is usually the very next slot, one key
+    /// comparison away, and the answer is the whole-list search's from
+    /// any start. A hit decodes that one record's payload — never its
+    /// key — every time.
     pub(crate) fn lookup(&self, key: &str, cursor: &mut LookupCursor) -> Option<CellOutcome> {
-        let sampled = (cursor.hits + cursor.misses).is_multiple_of(LOOKUP_SAMPLE_EVERY);
+        let sampled = (cursor.hits + cursor.misses) % LOOKUP_SAMPLE_EVERY == 1;
         let started =
             (sampled && self.telemetry.lookup_latency.is_live()).then(std::time::Instant::now);
         let found = self.find_near(key.as_bytes(), cursor.near);
-        cursor.near = found.unwrap_or_else(|at| at);
+        cursor.near = found.map_or_else(|at| at, |at| at + 1);
         let outcome = found.ok().and_then(|at| self.outcome(at));
         if self.searched_file(found) {
             cursor.index_lookups += 1;
@@ -2301,12 +2299,44 @@ mod tests {
         assert_eq!(snapshot.counter("cache.hits"), Some(3));
         assert_eq!(snapshot.counter("cache.misses"), Some(1));
         assert_eq!(snapshot.counter("cache.index_lookups"), Some(2 + 4));
-        // Only the cursor's first lookup of every 64 is timed.
+        // Only the cursor's second lookup of every 64 is timed.
         assert_eq!(snapshot.histogram("cache.lookup").map(|h| h.count), Some(1));
         assert_eq!((lazy.hits(), lazy.misses()), (3, 1));
         let load = snapshot.spans.iter().find(|s| s.name == "cache.load");
         assert_eq!(load.map(|s| s.entries), Some(1));
         fs::remove_file(path).unwrap();
+    }
+
+    #[test]
+    fn a_cursor_samples_its_2nd_66th_130th_lookup() {
+        // The first lookup of a series searches from the front of the
+        // list, so it is never timed: n lookups record ⌈(n − 1) / 64⌉
+        // samples, one fewer than ⌈n / 64⌉ where n leaves 1 over a
+        // multiple of 64.
+        let cache = hostile_cache();
+        for (lookups, samples) in [
+            (1, 0),
+            (2, 1),
+            (64, 1),
+            (65, 1),
+            (66, 2),
+            (129, 2),
+            (130, 3),
+        ] {
+            let metrics = Metrics::enabled();
+            let mut timed = cache.clone();
+            timed.set_metrics(&metrics);
+            let mut cursor = LookupCursor::default();
+            for _ in 0..lookups {
+                assert!(timed.lookup("unmodelled", &mut cursor).is_some());
+            }
+            timed.publish(&cursor);
+            let count = metrics
+                .snapshot()
+                .histogram("cache.lookup")
+                .map(|h| h.count);
+            assert_eq!(count, Some(samples), "{lookups} lookups");
+        }
     }
 
     #[test]
@@ -2361,7 +2391,7 @@ mod tests {
 
     #[test]
     fn one_cursor_walks_every_key_in_any_order_like_the_whole_index_search() {
-        // A series' cursor starts each search at its last hit. In
+        // A series' cursor starts each search just after its last hit. In
         // canonical order, reversed and shuffled, every lookup must still
         // return exactly the view's own answer, and the cursor must tally
         // one hit, one index search and one decode per key.

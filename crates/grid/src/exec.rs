@@ -13,7 +13,9 @@
 //! records to the cache as one batch, sums the counts and sweeps the
 //! union of the series' fronts.
 
+use std::io;
 use std::ops::{Deref, Range};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 
@@ -125,6 +127,11 @@ impl ExecTelemetry {
     }
 }
 
+/// The number of threads the machine runs at once (1 if unknown).
+fn machine_width() -> usize {
+    thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+}
+
 /// Adds `cells` to `grid.worker.{worker}.cells`, registering the counter
 /// on first use, so a snapshot lists only workers that were spawned.
 fn tally_worker(metrics: &Metrics, worker: usize, cells: u64) {
@@ -151,7 +158,7 @@ impl GridExecutor {
     #[must_use]
     pub fn parallel(threads: usize) -> Self {
         let threads = if threads == 0 {
-            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+            machine_width()
         } else {
             threads
         };
@@ -183,6 +190,25 @@ impl GridExecutor {
     #[must_use]
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Opens the cache file at `path` like [`ResultCache::open`], reporting
+    /// into this executor's metrics, but reads and checks its records in
+    /// one run per worker thread — no more runs than the machine runs
+    /// threads at once, nor than the file holds records. The cache, the
+    /// lenient reading of a damaged file and the counters are the
+    /// one-thread open's.
+    ///
+    /// # Errors
+    ///
+    /// As [`ResultCache::open`].
+    pub fn open_cache(&self, path: impl AsRef<Path>) -> io::Result<ResultCache> {
+        let parts = if self.threads > 1 {
+            self.threads.min(machine_width())
+        } else {
+            1
+        };
+        ResultCache::open_in_parts(path.as_ref(), &self.metrics, parts)
     }
 
     /// Evaluates every cell of `grid` and returns the collected results:

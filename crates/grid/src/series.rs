@@ -13,7 +13,7 @@
 //! evaluates the misses, encoding each miss's cache record into the
 //! series' own batch, which it puts in key order before it returns. The
 //! lookups go through the series' own cursor:
-//! each index search starts from the series' last hit, and the hits,
+//! each index search starts just after the series' last hit, and the hits,
 //! misses, probes, decodes and sampled lookup latencies are tallied in
 //! the cursor, which the run hands back for the executor to publish —
 //! the worker writes no shared telemetry per lookup. The series model is

@@ -1,11 +1,13 @@
-//! Strict reading of cache files (`docs/CACHE_FORMAT.md` § "Record
+//! Reading and checking cache files (`docs/CACHE_FORMAT.md` § "Record
 //! index and lazy decode").
 //!
 //! [`validate`] checks a file's structure in one pass — the count, the
 //! trailing record index and the trailer agree with each other and with
 //! the record framing, and the keys are readable and strictly ascending —
 //! and returns one slot per record, its key's length included. It decodes
-//! **no record payload**. A whole file's bytes then become record buffer
+//! **no record payload**. [`read_cache_file`] reads a file and checks it,
+//! in one run of records per thread when asked to, with the same answer
+//! as the one-pass check. A whole file's bytes then become record buffer
 //! 0 of a [`ResultCache`] and its slots the cache's key-sorted list,
 //! whether the lenient [`ResultCache::open`] or the strict
 //! [`CacheView::open`] read it.
@@ -21,10 +23,16 @@
 
 use std::fmt;
 use std::fs;
+use std::io::{self, Read as _};
+use std::ops::Range;
 use std::path::Path;
+use std::thread;
 
 use crate::cache::{check_regular_file, header_line, CacheFileError, ResultCache, Slot, MAGIC};
 use crate::eval::CellOutcome;
+
+/// Bytes before the first record: the magic and the `u64` count.
+const HEADER_END: usize = MAGIC.len() + 8;
 
 /// Reads a little-endian `u32` at `pos`, if the file holds one there.
 fn u32_at(bytes: &[u8], pos: usize) -> Option<u32> {
@@ -72,14 +80,24 @@ fn body_key(body: &[u8]) -> Option<&[u8]> {
 /// [`CacheFileError::Malformed`] for a record whose key framing is
 /// broken or out of order, attributed by record ordinal.
 pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<Slot>, CacheFileError> {
+    let (count, index_offset) = layout(bytes)?;
+    let (records, index) = bytes[HEADER_END..].split_at(index_offset - HEADER_END);
+    let slots = Vec::with_capacity(count);
+    walk(records, HEADER_END, index, index_offset, 0..count, slots)
+}
+
+/// The record count and the offset of the record index of a cache file
+/// (`bytes` starts with the magic), if the count field is readable and
+/// the trailer points at an index of exactly `count` entries between the
+/// header and the trailer. Reads the count field and the trailer only.
+fn layout(bytes: &[u8]) -> Result<(usize, usize), CacheFileError> {
     debug_assert!(bytes.starts_with(MAGIC));
-    let header_end = MAGIC.len() + 8;
     let Some(count) = u64_at(bytes, MAGIC.len()).and_then(|c| usize::try_from(c).ok()) else {
         return Err(CacheFileError::MalformedIndex {
             offset: MAGIC.len() as u64,
         });
     };
-    if bytes.len() < header_end + 8 {
+    if bytes.len() < HEADER_END + 8 {
         // No room for the trailer: the index is torn off entirely.
         return Err(CacheFileError::MalformedIndex {
             offset: bytes.len() as u64,
@@ -90,52 +108,222 @@ pub(crate) fn validate(bytes: &[u8]) -> Result<Vec<Slot>, CacheFileError> {
     let expected_index = count
         .checked_mul(8)
         .and_then(|index_bytes| trailer_pos.checked_sub(index_bytes))
-        .filter(|&off| off >= header_end);
-    if expected_index != usize::try_from(index_offset).ok() || expected_index.is_none() {
-        return Err(CacheFileError::MalformedIndex {
+        .filter(|&off| off >= HEADER_END);
+    match expected_index {
+        Some(off) if usize::try_from(index_offset).ok() == Some(off) => Ok((count, off)),
+        _ => Err(CacheFileError::MalformedIndex {
             offset: trailer_pos as u64,
-        });
+        }),
     }
-    let index_offset = expected_index.expect("checked above");
+}
 
-    let mut slots = Vec::with_capacity(count);
-    let mut cursor = header_end;
+/// The record walk: checks that `records`, the file's bytes from offset
+/// `start`, hold exactly the records with `ordinals`, back to back, each
+/// at the offset its entry of `index` (the file's bytes from the record
+/// index at `index_offset` on) gives, each key readable UTF-8 and above
+/// the one before. Returns `slots` with their slots pushed onto it. Over
+/// every record this is [`validate`]; over a run of them, one part of a
+/// split check ([`read_in_parts`]).
+fn walk(
+    records: &[u8],
+    start: usize,
+    index: &[u8],
+    index_offset: usize,
+    ordinals: Range<usize>,
+    mut slots: Vec<Slot>,
+) -> Result<Vec<Slot>, CacheFileError> {
+    slots.reserve(ordinals.len());
+    let mut cursor = 0;
     let mut prev_key: Option<&[u8]> = None;
-    for ordinal in 0..count {
-        let entry_pos = index_offset + 8 * ordinal;
-        let recorded = u64_at(bytes, entry_pos).expect("index bounds checked");
-        if recorded != cursor as u64 {
-            return Err(CacheFileError::MalformedIndex {
-                offset: entry_pos as u64,
-            });
+    for ordinal in ordinals {
+        let recorded = u64_at(index, 8 * ordinal).expect("an entry for every record");
+        let entry_pos = (index_offset + 8 * ordinal) as u64;
+        if recorded != (start + cursor) as u64 {
+            return Err(CacheFileError::MalformedIndex { offset: entry_pos });
         }
-        let body_end = u32_at(bytes, cursor)
+        let body_end = u32_at(records, cursor)
             .and_then(|len| cursor.checked_add(4)?.checked_add(len as usize))
-            .filter(|&end| end <= index_offset);
+            .filter(|&end| end <= records.len());
         let Some(body_end) = body_end else {
             // The framed record runs past the index (or off the file):
             // the index entry points at something that is not a record.
-            return Err(CacheFileError::MalformedIndex {
-                offset: entry_pos as u64,
-            });
+            return Err(CacheFileError::MalformedIndex { offset: entry_pos });
         };
-        let key = body_key(&bytes[cursor + 4..body_end])
+        let key = body_key(&records[cursor + 4..body_end])
             .filter(|key| std::str::from_utf8(key).is_ok())
             .ok_or(CacheFileError::Malformed { record: ordinal })?;
         if prev_key.is_some_and(|prev| prev >= key) {
             return Err(CacheFileError::Malformed { record: ordinal });
         }
         prev_key = Some(key);
-        slots.push(Slot::new(cursor, key));
+        slots.push(Slot::new(start + cursor, key));
         cursor = body_end;
     }
-    if cursor != index_offset {
+    if cursor != records.len() {
         // Slack bytes between the last record and the index.
         return Err(CacheFileError::MalformedIndex {
-            offset: index_offset as u64,
+            offset: (start + records.len()) as u64,
         });
     }
     Ok(slots)
+}
+
+/// What checking a file's bytes found: the slots of its records,
+/// [`CacheFileError::VersionMismatch`] for a file without the magic, or
+/// [`validate`]'s error.
+type Checked = Result<Vec<Slot>, CacheFileError>;
+
+/// A cache file as [`read_cache_file`] read it: its bytes, the metadata
+/// of the handle they were read through, and what checking them found.
+pub(crate) struct CacheRead {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) meta: fs::Metadata,
+    pub(crate) slots: Checked,
+}
+
+/// Reads the cache file at `path` and checks its structure, in up to
+/// `parts` runs of records on as many threads ([`read_in_parts`]), or in
+/// one pass on this thread: the bytes, and the slots or the error, are
+/// the one-pass check's whichever way the file was read.
+///
+/// # Errors
+///
+/// An error naming `path` if it exists but is not a regular file after
+/// following symlinks (it is never opened); otherwise any I/O error,
+/// "not found" included.
+pub(crate) fn read_cache_file(path: &Path, parts: usize) -> io::Result<CacheRead> {
+    check_regular_file(path)?;
+    let mut file = fs::File::open(path)?;
+    let meta = file.metadata()?;
+    let len = usize::try_from(meta.len()).unwrap_or(0);
+    let (bytes, slots) = match read_in_parts(&file, len, parts) {
+        Ok(Some(read)) => read,
+        // One part, a file that cannot be cut, or a short read: the whole
+        // file again, in one read and one pass.
+        _ => {
+            let mut bytes = Vec::with_capacity(len);
+            file.read_to_end(&mut bytes)?;
+            let slots = if bytes.starts_with(MAGIC) {
+                validate(&bytes)
+            } else {
+                Err(CacheFileError::VersionMismatch {
+                    found: header_line(&bytes),
+                })
+            };
+            (bytes, slots)
+        }
+    };
+    Ok(CacheRead { bytes, meta, slots })
+}
+
+/// Reads the `len`-byte cache file `file` into one buffer, its records in
+/// up to `parts` runs, each read and walked ([`walk`]) on a thread of its
+/// own. This thread first reads the header, the trailer and the record
+/// index, then cuts the records at the index entries of ordinals k·n /
+/// parts, so that every run holds at least one record.
+///
+/// Each run checks its records against their index entries and ends
+/// exactly where the next run starts, so the records are contiguous
+/// across every seam; what is left is that the keys ascend across each
+/// seam. Runs that pass and ordered seams are what the one-pass walk
+/// would find over the same bytes, slot for slot. If a run or a seam
+/// fails, [`validate`] checks the whole buffer, so its error is the
+/// one-pass error, byte offset included.
+///
+/// `None` — the caller reads the file in one pass — for one part, a file
+/// without the magic, a layout [`validate`] would reject, fewer than two
+/// records, or index entries that cut the records out of order or out of
+/// range. A short read is an error, and the caller reads again too.
+fn read_in_parts(
+    file: &fs::File,
+    len: usize,
+    parts: usize,
+) -> io::Result<Option<(Vec<u8>, Checked)>> {
+    if parts < 2 || len < HEADER_END + 8 {
+        return Ok(None);
+    }
+    let mut bytes = vec![0; len];
+    read_exact_at(file, &mut bytes[..HEADER_END], 0)?;
+    read_exact_at(file, &mut bytes[len - 8..], len - 8)?;
+    if !bytes.starts_with(MAGIC) {
+        return Ok(None);
+    }
+    let Ok((count, index_offset)) = layout(&bytes) else {
+        return Ok(None);
+    };
+    let parts = parts.min(count);
+    if parts < 2 {
+        return Ok(None);
+    }
+    read_exact_at(file, &mut bytes[index_offset..len - 8], index_offset)?;
+    let ordinal = |k: usize| k * count / parts;
+    let mut cuts = vec![HEADER_END];
+    for k in 1..parts {
+        let entry = u64_at(&bytes, index_offset + 8 * ordinal(k)).expect("index read");
+        cuts.push(usize::try_from(entry).unwrap_or(usize::MAX));
+    }
+    cuts.push(index_offset);
+    if !cuts.windows(2).all(|cut| cut[0] < cut[1]) {
+        return Ok(None);
+    }
+
+    let (head, index) = bytes.split_at_mut(index_offset);
+    let index: &[u8] = index;
+    let (mut rest, mut runs) = (&mut head[HEADER_END..], Vec::with_capacity(parts));
+    for cut in cuts.windows(2) {
+        let (run, after) = std::mem::take(&mut rest).split_at_mut(cut[1] - cut[0]);
+        runs.push(run);
+        rest = after;
+    }
+    let part = |k: usize, run: &mut [u8], slots| {
+        read_exact_at(file, run, cuts[k])?;
+        let ordinals = ordinal(k)..ordinal(k + 1);
+        Ok(walk(run, cuts[k], index, index_offset, ordinals, slots))
+    };
+    let walked: Vec<io::Result<_>> = thread::scope(|scope| {
+        let part = &part;
+        let mut runs = runs.into_iter().enumerate();
+        let (_, run) = runs.next().expect("two runs or more");
+        let handles: Vec<_> = runs
+            .map(|(k, run)| scope.spawn(move || part(k, run, Vec::new())))
+            .collect();
+        // This thread's run fills the list that the others' runs extend.
+        let mut walked = vec![part(0, run, Vec::with_capacity(count))];
+        walked.extend(handles.into_iter().map(|handle| {
+            handle
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        }));
+        walked
+    });
+    let walked = walked.into_iter().collect::<io::Result<Vec<_>>>()?;
+    let mut runs = walked.into_iter().map(Result::ok);
+    let mut slots = runs.next().flatten();
+    for run in runs {
+        let key = |slot: Option<&Slot>| slot.map(|slot| slot.key(&bytes));
+        slots = slots
+            .zip(run)
+            .filter(|(slots, run)| key(slots.last()) < key(run.first()))
+            .map(|(mut slots, run)| {
+                slots.extend(run);
+                slots
+            });
+    }
+    let checked = slots.map_or_else(|| validate(&bytes), Ok);
+    Ok(Some((bytes, checked)))
+}
+
+/// Fills `buf` from `file` at byte `offset`, without moving the file's
+/// cursor. Off Unix it reads nothing and fails, so the file is read in one
+/// pass there.
+#[cfg(unix)]
+fn read_exact_at(file: &fs::File, buf: &mut [u8], offset: usize) -> io::Result<()> {
+    std::os::unix::fs::FileExt::read_exact_at(file, buf, offset as u64)
+}
+
+#[cfg(not(unix))]
+fn read_exact_at(_: &fs::File, _: &mut [u8], _: usize) -> io::Result<()> {
+    Err(io::ErrorKind::Unsupported.into())
 }
 
 /// A read-only view of a whole cache file: a [`ResultCache`] whose one
@@ -192,17 +380,10 @@ impl CacheView {
     /// [`CacheFileError::MalformedIndex`] / [`CacheFileError::Malformed`]
     /// attributions for structural damage (see the module docs).
     pub fn open(path: impl AsRef<Path>) -> Result<Self, CacheFileError> {
-        let path = path.as_ref();
-        check_regular_file(path)?;
-        let bytes = fs::read(path)?;
-        if !bytes.starts_with(MAGIC) {
-            return Err(CacheFileError::VersionMismatch {
-                found: header_line(&bytes),
-            });
-        }
-        let slots = validate(&bytes)?;
+        let read = read_cache_file(path.as_ref(), 1)?;
+        let slots = read.slots?;
         Ok(CacheView {
-            cache: ResultCache::over_file(bytes, slots),
+            cache: ResultCache::over_file(read.bytes, slots),
         })
     }
 
@@ -395,6 +576,106 @@ mod tests {
         for p in [path, pa, pb] {
             fs::remove_file(p).unwrap();
         }
+    }
+
+    /// What [`read_cache_file`] made of `path` in up to `parts` parts:
+    /// the bytes, and the slots or the error with its attribution.
+    fn read_in(path: &Path, parts: usize) -> (Vec<u8>, Result<Vec<Slot>, String>) {
+        let read = read_cache_file(path, parts).unwrap();
+        (read.bytes, read.slots.map_err(|e| format!("{e:?}")))
+    }
+
+    #[test]
+    fn small_files_read_in_parts_like_in_one() {
+        // Fewer records than parts: a file is never cut into more runs
+        // than it holds records.
+        let keys = ["alpha", "beta", "gamma"];
+        for n in 0..=keys.len() {
+            let path = temp_path(&format!("view-parts-{n}.cache"));
+            save(&fixture(&keys[..n]), &path);
+            let one = read_in(&path, 1);
+            assert_eq!(one.1.as_ref().map(Vec::len), Ok(n));
+            for parts in 2..=4 {
+                assert_eq!(read_in(&path, parts), one, "{n} records in {parts} parts");
+            }
+            fs::remove_file(path).unwrap();
+        }
+    }
+
+    #[test]
+    fn damaged_cut_entries_read_in_parts_like_in_one() {
+        // Seven records: two parts cut at ordinal 3, three at 2 and 4, five
+        // at 1, 2, 4 and 5. Each damage aims at an entry a cut reads, and
+        // every split read must give the one-pass answer, error included.
+        let keys: Vec<String> = (0..7).map(|i| format!("key-{i}")).collect();
+        let keys: Vec<&str> = keys.iter().map(String::as_str).collect();
+        let path = temp_path("view-cut-entries.cache");
+        save(&fixture(&keys), &path);
+        let intact = fs::read(&path).unwrap();
+        let index_offset = intact.len() - 8 - 8 * keys.len();
+        let entry =
+            |bytes: &[u8], ordinal: usize| u64_at(bytes, index_offset + 8 * ordinal).unwrap();
+        for ordinal in [1, 2, 3, 4, 5] {
+            let at = index_offset + 8 * ordinal;
+            let next = entry(&intact, ordinal + 1);
+            let damages = [
+                ("at the index", index_offset as u64),
+                ("one past the index", index_offset as u64 + 1),
+                ("one before the first record", HEADER_END as u64 - 1),
+                ("its neighbour's", next),
+                ("past the end", u64::MAX),
+            ];
+            for (name, value) in damages {
+                let mut bytes = intact.clone();
+                bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+                fs::write(&path, &bytes).unwrap();
+                let one = read_in(&path, 1);
+                let expected =
+                    format!("{:?}", CacheFileError::MalformedIndex { offset: at as u64 });
+                assert_eq!(one.1, Err(expected), "entry {ordinal} {name}");
+                for parts in 2..=5 {
+                    assert_eq!(
+                        read_in(&path, parts),
+                        one,
+                        "entry {ordinal} {name}, {parts} parts"
+                    );
+                }
+            }
+            // Its record's key lowered to the first record's, "key-0":
+            // out of order across the seam in front of it when a cut
+            // falls there, inside a run otherwise.
+            let mut bytes = intact.clone();
+            let key_end = usize::try_from(entry(&intact, ordinal)).unwrap() + 8 + keys[0].len();
+            bytes[key_end - 1] = b'0';
+            fs::write(&path, &bytes).unwrap();
+            let one = read_in(&path, 1);
+            let expected = format!("{:?}", CacheFileError::Malformed { record: ordinal });
+            assert_eq!(one.1, Err(expected), "entry {ordinal}'s key lowered");
+            for parts in 2..=5 {
+                assert_eq!(
+                    read_in(&path, parts),
+                    one,
+                    "entry {ordinal}'s key lowered, {parts} parts"
+                );
+            }
+            // Swapped with its neighbour, record bytes and all entries in
+            // place otherwise.
+            let mut bytes = intact.clone();
+            let this = entry(&intact, ordinal);
+            bytes[at..at + 8].copy_from_slice(&next.to_le_bytes());
+            bytes[at + 8..at + 16].copy_from_slice(&this.to_le_bytes());
+            fs::write(&path, &bytes).unwrap();
+            let one = read_in(&path, 1);
+            assert!(one.1.is_err(), "entry {ordinal} swapped");
+            for parts in 2..=5 {
+                assert_eq!(
+                    read_in(&path, parts),
+                    one,
+                    "entry {ordinal} swapped, {parts} parts"
+                );
+            }
+        }
+        fs::remove_file(path).unwrap();
     }
 
     #[test]

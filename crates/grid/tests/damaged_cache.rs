@@ -6,7 +6,8 @@
 //! read of a truncated file holds only entries of the intact file, with
 //! their outcomes. A strict open attributes its error inside the file: a
 //! byte offset no larger than the file, or a record ordinal below the
-//! record count.
+//! record count. An executor's open, which reads and checks the records
+//! on its threads, holds exactly what the one-thread lenient read holds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -39,6 +40,11 @@ fn entries(cache: &ResultCache) -> HashMap<String, CellOutcome> {
         .collect()
 }
 
+/// Every key of `cache`, decoding or not, and the entries that decode.
+fn contents(cache: &ResultCache) -> (Vec<String>, HashMap<String, CellOutcome>) {
+    (cache.keys().map(str::to_owned).collect(), entries(cache))
+}
+
 /// What the two readers made of one damaged file.
 struct Reads {
     lazy: HashMap<String, CellOutcome>,
@@ -46,14 +52,32 @@ struct Reads {
 }
 
 /// Writes `bytes` to `path` and reads it with every reader, failing the
-/// test with `case` named if any of them panics.
+/// test with `case` named if any of them panics. The executor's opens at
+/// 2 and 3 threads must hold what the one-part lenient read holds.
 fn read_all(path: &Path, bytes: &[u8], case: &str) -> Reads {
     std::fs::write(path, bytes).expect("write the damaged file");
-    catch_unwind(AssertUnwindSafe(|| Reads {
-        lazy: entries(&ResultCache::load_lazy(path).expect("the file is readable")),
-        strict: CacheView::open(path).map(|view| view.len()),
+    let (lazy, split, strict) = catch_unwind(AssertUnwindSafe(|| {
+        let open = |threads| {
+            let executor = GridExecutor::parallel(threads);
+            contents(&executor.open_cache(path).expect("the file is readable"))
+        };
+        (
+            contents(&ResultCache::load_lazy(path).expect("the file is readable")),
+            [open(2), open(3)],
+            CacheView::open(path).map(|view| view.len()),
+        )
     }))
-    .unwrap_or_else(|_| panic!("{case}: a reader panicked"))
+    .unwrap_or_else(|_| panic!("{case}: a reader panicked"));
+    for (threads, opened) in [2, 3].into_iter().zip(split) {
+        assert!(
+            opened == lazy,
+            "{case}: the open at {threads} threads differs"
+        );
+    }
+    Reads {
+        lazy: lazy.1,
+        strict,
+    }
 }
 
 /// The strict reader's error, if any, points inside the damaged file.
@@ -134,6 +158,43 @@ fn damaged_cache_files_never_panic_a_reader_and_errors_stay_attributed() {
     }
 }
 
+#[test]
+fn damaged_cut_entries_open_like_the_one_part_read() {
+    // The index entries an executor's open cuts the records at: ordinal
+    // n/2 at two threads, n/3 and 2n/3 at three. Each is pointed one past
+    // the index, one before the first record, or swapped with its
+    // neighbour; `read_all` checks the opens against the one-part read.
+    let intact = intact_baseline_file();
+    let records = ScenarioGrid::paper_baseline(2).len();
+    let index_offset = intact.len() - 8 - 8 * records;
+    let damaged = temp_path("cut-entries.cache");
+    for ordinal in [records / 2, records / 3, 2 * records / 3] {
+        let at = index_offset + 8 * ordinal;
+        let mut cases = Vec::new();
+        for (name, value) in [
+            ("one past the index", index_offset as u64 + 1),
+            ("one before the first record", MAGIC.len() as u64 + 7),
+        ] {
+            let mut bytes = intact.to_vec();
+            bytes[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            cases.push((name, bytes));
+        }
+        let mut swapped = intact.to_vec();
+        swapped[at..at + 16].rotate_left(8);
+        cases.push(("swapped with the next", swapped));
+        for (name, bytes) in cases {
+            let case = format!("index entry {ordinal} {name}");
+            let reads = read_all(&damaged, &bytes, &case);
+            assert!(
+                matches!(reads.strict, Err(CacheFileError::MalformedIndex { offset }) if offset == at as u64),
+                "{case}: {:?}",
+                reads.strict.map_err(|e| e.to_string())
+            );
+        }
+    }
+    std::fs::remove_file(damaged).expect("cleanup");
+}
+
 /// The saved cache of `paper_baseline(2)`, built once for the multi-byte
 /// cases.
 fn intact_baseline_file() -> &'static [u8] {
@@ -175,10 +236,12 @@ proptest! {
         }
         assert_attributed(&reads.strict, bytes.len(), grid.len(), &case);
 
-        // A warm run over the damaged file: every cell is a hit or a miss.
+        // A warm run over the damaged file, opened on the executor's
+        // threads: every cell is a hit or a miss.
         let (hits, misses) = catch_unwind(AssertUnwindSafe(|| {
-            let mut cache = ResultCache::load_lazy(&damaged).expect("the file is readable");
-            GridExecutor::parallel(2)
+            let executor = GridExecutor::parallel(2);
+            let mut cache = executor.open_cache(&damaged).expect("the file is readable");
+            executor
                 .explore_cached(&grid, &mut cache)
                 .expect("the grid explores");
             (cache.hits(), cache.misses())

@@ -256,33 +256,37 @@ fn partially_warm_caches_match_the_uncached_run() {
             "{threads} threads"
         );
 
-        let path = std::env::temp_dir().join(format!(
-            "memstream-partially-warm-{}-{threads}.cache",
-            std::process::id()
-        ));
-        cache
-            .save_as(&path, CacheFormat::default())
-            .expect("cache saves");
-        let bytes = std::fs::read(&path).expect("saved cache reads");
-        std::fs::remove_file(&path).expect("temp file removed");
+        let saved_bytes = |cache: &ResultCache, opened: bool| {
+            let path = std::env::temp_dir().join(format!(
+                "memstream-partially-warm-{}-{threads}-{opened}.cache",
+                std::process::id()
+            ));
+            cache
+                .save_as(&path, CacheFormat::default())
+                .expect("cache saves");
+            let bytes = std::fs::read(&path).expect("saved cache reads");
+            std::fs::remove_file(&path).expect("temp file removed");
+            bytes
+        };
+        let bytes = saved_bytes(&cache, false);
         match &saved {
             Some(first) => assert!(*first == bytes, "cache file differs at {threads} threads"),
             None => saved = Some(bytes),
         }
 
-        // The same run over the seed file, opened lazily with telemetry:
-        // each series tallies its lookups in its own cursor and the
-        // calling thread publishes them, so every counter reads the same
-        // at any thread count: one lookup per cell, one decode per hit,
-        // and one index search per lookup. The misses' records enter the
-        // cache without a second search: the lookup already made it.
-        // Each series times one lookup in 64, so `cache.lookup` counts
-        // ⌈48 / 64⌉ = 1 sample for each of the 15 blocks of 24 rates × 2
-        // goals.
+        // The same run over the seed file, opened lazily with telemetry
+        // on the executor's threads: each series tallies its lookups in
+        // its own cursor and the calling thread publishes them, so every
+        // counter reads the same at any thread count: one lookup per
+        // cell, one decode per hit, and one index search per lookup. The
+        // misses' records enter the cache without a second search: the
+        // lookup already made it. Each series times its 2nd, 66th, …
+        // lookup, so `cache.lookup` counts ⌈(48 − 1) / 64⌉ = 1 sample for
+        // each of the 15 blocks of 24 rates × 2 goals.
         let metrics = Metrics::enabled();
-        let mut lazy = ResultCache::open(&seed_path, &metrics).expect("seed opens");
-        let results = GridExecutor::parallel(threads)
-            .with_metrics(&metrics)
+        let executor = GridExecutor::parallel(threads).with_metrics(&metrics);
+        let mut lazy = executor.open_cache(&seed_path).expect("seed opens");
+        let results = executor
             .explore_cached(&grid, &mut lazy)
             .expect("partially warm lazy run");
         assert_eq!(report::cells_csv(&reference), report::cells_csv(&results));
@@ -309,6 +313,10 @@ fn partially_warm_caches_match_the_uncached_run() {
         assert_eq!(
             (lazy.hits(), lazy.misses()),
             (warmed.len(), grid.len() - warmed.len())
+        );
+        assert!(
+            saved.as_ref() == Some(&saved_bytes(&lazy, true)),
+            "the opened cache saves other bytes at {threads} threads"
         );
     }
     std::fs::remove_file(&seed_path).expect("seed file removed");

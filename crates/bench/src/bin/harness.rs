@@ -303,8 +303,10 @@ where
 /// The longest rate axis `--rates` takes: 30 M cells of the default grid.
 /// `grid --full-csv` and `refine` keep every cell's outcome, about 2.2 GB
 /// of them at this size; a longer axis would abort the process on a
-/// failed allocation instead of exiting 2. The default `grid` report
-/// keeps no outcome table.
+/// failed allocation instead of exiting 2. With `--cache` they also keep
+/// each cell's record: 207.9 B per cell in perfbench `refine-sharded`'s
+/// file, plus a 16-byte slot. The default `grid` report keeps no outcome
+/// table.
 const MAX_RATES: usize = 1_000_000;
 
 /// The flags the `grid` and `refine` subcommands share: grid shape,

@@ -26,12 +26,6 @@ impl Default for RefineConfig {
 }
 
 impl RefineConfig {
-    /// The default configuration (see [`RefineConfig::default`]).
-    #[must_use]
-    pub fn new() -> Self {
-        RefineConfig::default()
-    }
-
     /// Sets the relative-width bound: a transition bracketed by rates
     /// `(lo, hi)` is localised once `hi / lo - 1 <= bound`.
     ///
@@ -103,12 +97,11 @@ mod tests {
         assert_eq!(c.width_bound(), 0.01);
         assert_eq!(c.max_rounds(), 12);
         assert_eq!(c.max_cells(), 200_000);
-        assert_eq!(RefineConfig::new(), c);
     }
 
     #[test]
     fn setters_replace_one_knob_each() {
-        let c = RefineConfig::new()
+        let c = RefineConfig::default()
             .with_width_bound(0.5)
             .with_max_rounds(3)
             .with_max_cells(99);
@@ -120,12 +113,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "width bound")]
     fn zero_width_bound_is_rejected() {
-        let _ = RefineConfig::new().with_width_bound(0.0);
+        let _ = RefineConfig::default().with_width_bound(0.0);
     }
 
     #[test]
     #[should_panic(expected = "exploration round")]
     fn zero_rounds_are_rejected() {
-        let _ = RefineConfig::new().with_max_rounds(0);
+        let _ = RefineConfig::default().with_max_rounds(0);
     }
 }

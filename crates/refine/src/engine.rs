@@ -43,9 +43,9 @@ pub struct RoundRecord {
     pub transitions: usize,
     /// Cells of the round's grid, each a distinct scenario.
     pub cells: usize,
-    /// Cells of this round resolved without evaluation (for a sharded
-    /// round: cells the coordinator already held — see
-    /// [`RoundExploration`]).
+    /// Cells of this round resolved without evaluation: cache hits (0
+    /// without a cache), or for a sharded round, cells the coordinator
+    /// already held — see [`RoundExploration`].
     pub hits: usize,
     /// Cells of this round freshly evaluated, wherever the explorer ran
     /// them (in-process or fanned out to shard workers).
@@ -127,12 +127,6 @@ impl RefinementReport {
             .filter(|k| !k.is_localized(self.width_bound))
     }
 
-    /// Total cache hits across all rounds.
-    #[must_use]
-    pub fn total_hits(&self) -> usize {
-        self.rounds.iter().map(|r| r.hits).sum()
-    }
-
     /// Total cache misses (fresh evaluations) across all rounds.
     #[must_use]
     pub fn total_misses(&self) -> usize {
@@ -154,9 +148,10 @@ pub struct RefinementOutcome {
 /// full grid plus the round's cache accounting, as observed by whoever
 /// actually ran the evaluations.
 ///
-/// For the in-process explorer ([`CachedRoundExplorer`]) `hits`/`misses`
-/// are the round's deltas on the shared cache counters. A distributed
-/// explorer reports the same quantities from the coordinator's
+/// [`RefinementEngine::refine`] fills it in process: without a cache
+/// every cell is a miss, and with one `hits`/`misses` are the round's
+/// deltas on the cache's counters. The shard fan-out (a
+/// [`RoundExplorer`]) reports the same quantities from the coordinator's
 /// perspective — cells it already held versus cells it fanned out to
 /// workers — so "0 misses" means "nothing was evaluated anywhere" in
 /// both worlds.
@@ -170,16 +165,18 @@ pub struct RoundExploration {
     pub misses: usize,
 }
 
-/// The round fan-out seam: how one refinement round turns a grid and a
-/// cache into results.
+/// The round fan-out seam of [`RefinementEngine::refine_with`]: how one
+/// refinement round turns a grid and a cache into results. It serves the
+/// multi-process shard fan-out (`memstream_shard::ShardedRoundExplorer`);
+/// in-process rounds go through [`RefinementEngine::refine`].
 ///
 /// The engine owns *scheduling* — which rates to append, when to stop —
 /// and stays single-process; an explorer owns *evaluation* and may run it
-/// anywhere (in-process threads, spawned shard workers, remote hosts), as
-/// long as every resolved cell lands in `cache` so the next round starts
-/// warm. `appended` carries the rates new to this round (empty for round
-/// 1): a distributed explorer fans only those out, because every other
-/// cell is already in the cache by construction.
+/// anywhere (spawned shard workers, remote hosts), as long as every
+/// resolved cell lands in `cache` so the next round starts warm.
+/// `appended` carries the rates new to this round (empty for round 1): a
+/// distributed explorer fans only those out, because every other cell is
+/// already in the cache by construction.
 pub trait RoundExplorer {
     /// The explorer's error type; engine-side grid errors pass through it.
     type Error: From<GridError>;
@@ -195,42 +192,6 @@ pub trait RoundExplorer {
         appended: &[BitRate],
         cache: &mut ResultCache,
     ) -> Result<RoundExploration, Self::Error>;
-}
-
-/// The default, in-process explorer:
-/// [`GridExecutor::explore_cached`] with hit/miss deltas read off the
-/// cache counters. [`RefinementEngine::refine`] is exactly this explorer
-/// driven by [`RefinementEngine::refine_with`].
-#[derive(Debug, Clone)]
-pub struct CachedRoundExplorer {
-    executor: GridExecutor,
-}
-
-impl CachedRoundExplorer {
-    /// An in-process explorer running rounds on `executor`.
-    #[must_use]
-    pub fn new(executor: GridExecutor) -> Self {
-        CachedRoundExplorer { executor }
-    }
-}
-
-impl RoundExplorer for CachedRoundExplorer {
-    type Error = GridError;
-
-    fn explore_round(
-        &mut self,
-        grid: &ScenarioGrid,
-        _appended: &[BitRate],
-        cache: &mut ResultCache,
-    ) -> Result<RoundExploration, GridError> {
-        let (hits_before, misses_before) = (cache.hits(), cache.misses());
-        let results = self.executor.explore_cached(grid, cache)?;
-        Ok(RoundExploration {
-            results,
-            hits: cache.hits() - hits_before,
-            misses: cache.misses() - misses_before,
-        })
-    }
 }
 
 /// The refinement engine: a [`GridExecutor`] plus a [`RefineConfig`],
@@ -249,28 +210,17 @@ impl RefinementEngine {
         RefinementEngine { executor, config }
     }
 
-    /// The configured executor (a cheap handle-sharing clone).
-    #[must_use]
-    pub fn executor(&self) -> GridExecutor {
-        self.executor.clone()
-    }
-
-    /// The configuration.
-    #[must_use]
-    pub fn config(&self) -> RefineConfig {
-        self.config
-    }
-
     /// Runs the refinement loop on `grid`.
     ///
     /// The grid's rate axis is sorted and deduplicated first (the scan
     /// needs adjacency to mean rate order); every other axis is taken as
-    /// given. When `cache` is supplied, all rounds read and feed it —
+    /// given. When `cache` is supplied, all rounds read and feed it, so
+    /// rounds after the first evaluate only the appended rates, and
     /// re-running against the same cache file evaluates nothing and
-    /// reproduces the same outcome byte-for-byte. Without one, the engine
-    /// still runs every round against a private in-memory cache, so
-    /// rounds after the first only evaluate the appended rates in either
-    /// case.
+    /// reproduces the same outcome byte-for-byte. Without one, each round
+    /// evaluates its whole grid ([`GridExecutor::explore`]) and counts
+    /// every cell as a miss: that measured cheaper than keying, looking
+    /// up and encoding the old cells in a scratch cache.
     ///
     /// # Errors
     ///
@@ -280,18 +230,35 @@ impl RefinementEngine {
         grid: &ScenarioGrid,
         cache: Option<&mut ResultCache>,
     ) -> Result<RefinementOutcome, GridError> {
-        self.refine_with(
-            grid,
-            cache,
-            &mut CachedRoundExplorer::new(self.executor.clone()),
-        )
+        match cache {
+            None => self.run_rounds(grid, |round, _| {
+                let results = self.executor.explore(round)?;
+                let misses = results.total_cells();
+                Ok(RoundExploration {
+                    results,
+                    hits: 0,
+                    misses,
+                })
+            }),
+            Some(cache) => self.run_rounds(grid, |round, _| {
+                let (hits, misses) = (cache.hits(), cache.misses());
+                let results = self.executor.explore_cached(round, cache)?;
+                Ok(RoundExploration {
+                    results,
+                    hits: cache.hits() - hits,
+                    misses: cache.misses() - misses,
+                })
+            }),
+        }
     }
 
     /// Runs the refinement loop on `grid`, delegating each round's
-    /// evaluation to `explorer` (the round fan-out seam — see
-    /// [`RoundExplorer`]). Scheduling, bisection and budgets stay here,
-    /// so every explorer produces the same refinement trajectory; only
-    /// *where* cells get evaluated differs.
+    /// evaluation to `explorer` — the seam the shard fan-out plugs into
+    /// (see [`RoundExplorer`]). Scheduling, bisection and budgets stay
+    /// here, so the trajectory is [`RefinementEngine::refine`]'s; only
+    /// *where* cells get evaluated differs. An explorer resolves every
+    /// cell into a cache, so without `cache` the rounds share a scratch
+    /// in-memory one.
     ///
     /// # Errors
     ///
@@ -304,16 +271,26 @@ impl RefinementEngine {
         explorer: &mut X,
     ) -> Result<RefinementOutcome, X::Error> {
         let mut scratch = ResultCache::new();
-        let cache = match cache {
-            Some(external) => external,
-            None => &mut scratch,
-        };
+        let cache = cache.unwrap_or(&mut scratch);
+        self.run_rounds(grid, |round, appended| {
+            explorer.explore_round(round, appended, cache)
+        })
+    }
 
+    /// The one round loop: `explore(grid, appended)` explores a round's
+    /// grid, then the loop scans it, bisects every flipped interval still
+    /// wider than the bound and explores again, until nothing is left to
+    /// bisect or a round/cell budget runs out.
+    fn run_rounds<E>(
+        &self,
+        grid: &ScenarioGrid,
+        mut explore: impl FnMut(&ScenarioGrid, &[BitRate]) -> Result<RoundExploration, E>,
+    ) -> Result<RefinementOutcome, E> {
         // Refinement accounting is explorer-agnostic: it is driven off the
-        // round records (which every explorer fills the same way), not off
-        // the cache, so `refine.hits`/`refine.misses` mean the same thing
-        // for in-process and fanned-out rounds.
-        let metrics = self.executor.metrics().clone();
+        // round records (which every exploration fills the same way), not
+        // off a cache, so `refine.hits`/`refine.misses` mean the same
+        // thing for uncached, cached and fanned-out rounds.
+        let metrics = self.executor.metrics();
         let round_span = metrics.span("refine.round");
         let scan_span = metrics.span("refine.scan");
         let rounds_counter = metrics.counter("refine.rounds");
@@ -321,64 +298,65 @@ impl RefinementEngine {
         let bisections_counter = metrics.counter("refine.bisections");
         let hits_counter = metrics.counter("refine.hits");
         let misses_counter = metrics.counter("refine.misses");
-        let record_round = |rounds: &[RoundRecord]| {
-            let record = rounds.last().expect("round recorded");
-            rounds_counter.incr();
-            appended_counter.add(record.appended.len() as u64);
-            hits_counter.add(record.hits as u64);
-            misses_counter.add(record.misses as u64);
-        };
 
         let mut rates: Vec<BitRate> = grid.rates().to_vec();
         canonicalize_rates(&mut rates);
         let initial_rates = rates.len();
+        let cells_per_rate = grid.devices().len() * grid.workloads().len() * grid.goals().len();
 
         let mut working = grid.with_rate_axis(rates.iter().copied());
+        let mut appended = Vec::new();
         let mut rounds: Vec<RoundRecord> = Vec::new();
-        let round_timer = round_span.start();
-        let mut results = explore_round(explorer, &working, cache, Vec::new(), &mut rounds)?;
-        let scan_timer = scan_span.start();
-        let mut transitions = scan_transitions(&results);
-        drop(scan_timer);
-        drop(round_timer);
-        rounds.last_mut().expect("round 1 recorded").transitions = transitions.len();
-        record_round(&rounds);
+        loop {
+            let round_timer = round_span.start();
+            let RoundExploration {
+                results,
+                hits,
+                misses,
+            } = explore(&working, &appended)?;
+            let scan_timer = scan_span.start();
+            let transitions = scan_transitions(&results);
+            drop(scan_timer);
+            drop(round_timer);
+            rounds_counter.incr();
+            appended_counter.add(appended.len() as u64);
+            hits_counter.add(hits as u64);
+            misses_counter.add(misses as u64);
+            rounds.push(RoundRecord {
+                round: rounds.len() + 1,
+                rates: rates.len(),
+                appended,
+                transitions: transitions.len(),
+                cells: results.total_cells(),
+                hits,
+                misses,
+            });
 
-        while rounds.len() < self.config.max_rounds() {
-            let appended = self.bisection_rates(&working, &transitions);
-            if appended.is_empty() {
-                break;
-            }
-            let cells_per_rate =
-                working.devices().len() * working.workloads().len() * working.goals().len();
-            if (rates.len() + appended.len()) * cells_per_rate > self.config.max_cells() {
-                break;
+            appended = if rounds.len() < self.config.max_rounds() {
+                self.bisection_rates(&working, &transitions)
+            } else {
+                Vec::new()
+            };
+            if appended.is_empty()
+                || (rates.len() + appended.len()) * cells_per_rate > self.config.max_cells()
+            {
+                let knees = assemble_knees(&working, &transitions);
+                return Ok(RefinementOutcome {
+                    results,
+                    report: RefinementReport {
+                        width_bound: self.config.width_bound(),
+                        initial_rates,
+                        final_rates: rates.len(),
+                        rounds,
+                        knees,
+                    },
+                });
             }
             bisections_counter.add(appended.len() as u64);
             rates.extend(appended.iter().copied());
             canonicalize_rates(&mut rates);
             working = working.with_rate_axis(rates.iter().copied());
-            let round_timer = round_span.start();
-            results = explore_round(explorer, &working, cache, appended, &mut rounds)?;
-            let scan_timer = scan_span.start();
-            transitions = scan_transitions(&results);
-            drop(scan_timer);
-            drop(round_timer);
-            rounds.last_mut().expect("round recorded").transitions = transitions.len();
-            record_round(&rounds);
         }
-
-        let knees = assemble_knees(&working, &transitions);
-        Ok(RefinementOutcome {
-            results,
-            report: RefinementReport {
-                width_bound: self.config.width_bound(),
-                initial_rates,
-                final_rates: rates.len(),
-                rounds,
-                knees,
-            },
-        })
     }
 
     /// The log-midpoints of every flipped interval still wider than the
@@ -399,27 +377,6 @@ impl RefinementEngine {
             .filter_map(|i| log_midpoint(rates[i], rates[i + 1]))
             .collect()
     }
-}
-
-/// One delegated exploration, with its round record appended.
-fn explore_round<X: RoundExplorer>(
-    explorer: &mut X,
-    grid: &ScenarioGrid,
-    cache: &mut ResultCache,
-    appended: Vec<BitRate>,
-    rounds: &mut Vec<RoundRecord>,
-) -> Result<GridResults, X::Error> {
-    let exploration = explorer.explore_round(grid, &appended, cache)?;
-    rounds.push(RoundRecord {
-        round: rounds.len() + 1,
-        rates: grid.rates().len(),
-        appended,
-        transitions: 0,
-        cells: exploration.results.total_cells(),
-        hits: exploration.hits,
-        misses: exploration.misses,
-    });
-    Ok(exploration.results)
 }
 
 /// Turns the final scan into named, rate-valued knees.

@@ -9,16 +9,17 @@
 //! bracketing it to its grid spacing. This crate turns the grid into a
 //! control loop that *localises* every detected knee:
 //!
-//! 1. **Explore** the grid (through
-//!    [`memstream_grid::GridExecutor::explore_cached`], so every round is
-//!    incremental);
+//! 1. **Explore** the grid ([`memstream_grid::GridExecutor::explore`];
+//!    with a [`memstream_grid::ResultCache`],
+//!    [`memstream_grid::GridExecutor::explore_cached`], which makes every
+//!    round after the first evaluate only its appended rates);
 //! 2. **Scan** each (device, workload, goal) series for region-label
 //!    changes between adjacent rate samples
 //!    ([`memstream_grid::CellOutcome::region`]);
 //! 3. **Bisect** each flipped interval at its log-rate midpoint by
 //!    appending rates to the grid
 //!    ([`memstream_grid::ScenarioGrid::with_rate_axis`] preserves dedup
-//!    keys, so old cells are pure cache hits);
+//!    keys, so with a cache the old cells are pure hits);
 //! 4. **Loop** until every transition is bracketed by an interval no
 //!    wider than the configured relative width, or a round/cell budget
 //!    runs out.
@@ -65,8 +66,8 @@ mod scan;
 
 pub use config::RefineConfig;
 pub use engine::{
-    CachedRoundExplorer, Knee, RefinementEngine, RefinementOutcome, RefinementReport,
-    RoundExploration, RoundExplorer, RoundRecord,
+    Knee, RefinementEngine, RefinementOutcome, RefinementReport, RoundExploration, RoundExplorer,
+    RoundRecord,
 };
 pub use scan::{scan_transitions, Transition};
 

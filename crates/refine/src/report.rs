@@ -3,8 +3,8 @@
 //! Everything stdout-bound is independent of thread count *and* of cache
 //! temperature: two runs of the same refinement — cold then warm — print
 //! byte-identical reports. Cache accounting (which legitimately differs
-//! between those runs) renders separately via [`cache_summary`], for the
-//! harness to send to stderr.
+//! between those runs) renders separately via [`cache_rounds`] and
+//! [`cache_total_line`], for the harness to send to stderr.
 
 use std::fmt::Write as _;
 
@@ -86,7 +86,7 @@ pub fn knees_csv(report: &RefinementReport) -> String {
 }
 
 /// The refinement trajectory, one deterministic line per round (no cache
-/// counts — those go through [`cache_summary`]).
+/// counts — those go through [`cache_rounds`]).
 #[must_use]
 pub fn rounds_summary(report: &RefinementReport) -> String {
     let mut out = String::new();
@@ -160,20 +160,9 @@ pub fn refine_stdout(outcome: &RefinementOutcome) -> String {
     out
 }
 
-/// Cache accounting, one line per round plus a total — the part of a
-/// refinement run that *should* differ between cold and warm runs, kept
-/// off stdout so the determinism contract stays byte-exact.
-#[must_use]
-pub fn cache_summary(report: &RefinementReport) -> String {
-    let mut out = cache_rounds(report);
-    out.push_str(&cache_total_line(
-        report.total_hits() as u64,
-        report.total_misses() as u64,
-    ));
-    out
-}
-
-/// The per-round half of [`cache_summary`]: one line per round, no total.
+/// Cache accounting, one line per round — with [`cache_total_line`], the
+/// part of a refinement run that *should* differ between cold and warm
+/// runs, kept off stdout so the determinism contract stays byte-exact.
 #[must_use]
 pub fn cache_rounds(report: &RefinementReport) -> String {
     let mut out = String::new();
@@ -187,7 +176,8 @@ pub fn cache_rounds(report: &RefinementReport) -> String {
     out
 }
 
-/// The total line of [`cache_summary`], rendered from explicit counts.
+/// The total line that follows [`cache_rounds`], rendered from explicit
+/// counts.
 /// The harness feeds the `refine.hits`/`refine.misses` telemetry counters
 /// through here, so the stderr accounting line and a `--stats-json`
 /// snapshot are two views of one tally and cannot drift.
@@ -233,14 +223,12 @@ mod tests {
     }
 
     #[test]
-    fn cache_summary_covers_every_round_plus_total() {
+    fn cache_accounting_covers_every_round_plus_total() {
         let o = outcome();
-        let text = cache_summary(&o.report);
+        let hits = o.report.rounds.iter().map(|r| r.hits as u64).sum::<u64>();
+        let misses = o.report.total_misses() as u64;
+        let text = cache_rounds(&o.report) + &cache_total_line(hits, misses);
         assert_eq!(text.lines().count(), o.report.rounds.len() + 1);
-        assert!(text.trim_end().ends_with(&format!(
-            "refine cache: {} hits, {} misses",
-            o.report.total_hits(),
-            o.report.total_misses()
-        )));
+        assert!(text.ends_with(&format!("refine cache: {hits} hits, {misses} misses\n")));
     }
 }

@@ -1,7 +1,8 @@
 //! Acceptance tests for the refinement loop: knee localisation, thread
-//! determinism, and cache-backed incrementality.
+//! determinism, cache-backed incrementality, and uncached rounds that
+//! touch no cache.
 
-use memstream_grid::{GridExecutor, ResultCache, ScenarioGrid};
+use memstream_grid::{GridExecutor, Metrics, ResultCache, ScenarioGrid};
 use memstream_refine::{report, RefineConfig, RefinementEngine};
 
 fn engine(threads: usize, bound: f64) -> RefinementEngine {
@@ -139,6 +140,41 @@ fn a_warm_cache_rerun_evaluates_nothing_and_reproduces_the_bytes() {
         "cold and warm stdout must match byte-for-byte"
     );
     assert_eq!(cold.report.knees, warm.report.knees);
+
+    // No cache at all: every round evaluates its whole grid, touches no
+    // cache, and prints the same bytes.
+    let metrics = Metrics::enabled();
+    let uncached = RefinementEngine::new(
+        GridExecutor::parallel(4).with_metrics(&metrics),
+        RefineConfig::default().with_width_bound(0.05),
+    )
+    .refine(&grid, None)
+    .expect("uncached");
+    assert_eq!(
+        report::refine_stdout(&cold),
+        report::refine_stdout(&uncached),
+        "uncached stdout must match the cached runs' byte-for-byte"
+    );
+    assert_eq!(cold.report.knees, uncached.report.knees);
+    assert_eq!(cold.report.rounds.len(), uncached.report.rounds.len());
+    for (c, u) in cold.report.rounds.iter().zip(&uncached.report.rounds) {
+        assert_eq!(
+            (c.round, c.rates, &c.appended, c.transitions, c.cells),
+            (u.round, u.rates, &u.appended, u.transitions, u.cells),
+        );
+        assert_eq!(u.hits, 0, "round {} hit a cache", u.round);
+        assert_eq!(u.misses, u.cells, "round {} skipped cells", u.round);
+    }
+    let cells: u64 = uncached.report.rounds.iter().map(|r| r.cells as u64).sum();
+    let snapshot = metrics.snapshot();
+    assert_eq!(snapshot.counter("refine.hits"), Some(0));
+    assert_eq!(snapshot.counter("refine.misses"), Some(cells));
+    assert_eq!(snapshot.counter("grid.cells_evaluated"), Some(cells));
+    assert_eq!(
+        snapshot.counter("grid.interner.keys"),
+        None,
+        "only a cached exploration builds a key interner"
+    );
 }
 
 #[test]

@@ -1,17 +1,20 @@
-//! The open-world counterpart of [`SystemModel`](crate::SystemModel):
-//! a full analytic model assembled from capability traits.
+//! The analytic model of one device, assembled from capability traits.
 //!
-//! [`crate::SystemModel`] is the paper's facade — it owns a concrete
-//! [`memstream_device::MemsDevice`]. [`CapabilityModel`] assembles the
-//! same component models ([`EnergyModel`], [`CapacityModel`],
-//! [`LifetimeModel`], [`BufferDimensioner`]) from *any*
+//! [`CapabilityModel`] builds the component models ([`EnergyModel`],
+//! [`CapacityModel`], [`LifetimeModel`], [`BufferDimensioner`]) for *any*
 //! [`StorageDevice`] that exposes the energy, wear and utilisation
-//! capabilities — the one path the scenario grid takes for every such
-//! device, whatever its type; its energy arithmetic reads the device's
-//! [`EnergyProfile`] once. For a MEMS device the two paths produce
-//! bit-identical numbers; for a flash device this is the only path.
+//! capabilities. It reads the device once, when it is built: the
+//! [`EnergyProfile`], the wear channels and the capacity model of the
+//! device's utilisation law. Each rate's dimensioner
+//! ([`CapabilityModel::dimensioner_at`]) is built from those parts and
+//! makes no call into the device. The scenario grid takes this path for
+//! every registered device, whatever its type, and
+//! [`SystemModel`](crate::SystemModel) is this model of a
+//! [`memstream_device::MemsDevice`].
 
-use memstream_device::{DramModel, StorageDevice, UtilizationSpec, WearModelled};
+use std::sync::Arc;
+
+use memstream_device::{DramModel, StorageDevice, UtilizationSpec, WearChannel};
 use memstream_media::SectorFormat;
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
 use memstream_workload::Workload;
@@ -46,36 +49,44 @@ use crate::lifetime::LifetimeModel;
 /// # }
 /// ```
 #[derive(Debug, Clone)]
-pub struct CapabilityModel<'a> {
-    capacity: DataSize,
+pub struct CapabilityModel {
     energy: EnergyProfile,
-    wear: &'a dyn WearModelled,
-    utilization: UtilizationSpec,
+    wear: Arc<[WearChannel]>,
+    capacity: CapacityModel,
     workload: Workload,
     dram: Option<DramModel>,
     policy: BestEffortPolicy,
 }
 
-/// The utilisation sanity check of [`CapabilityModel::new`].
-fn validate_utilization(utilization: UtilizationSpec) -> Result<(), ModelError> {
+/// The capacity model of a device's utilisation law and raw `capacity`,
+/// once the law is checked to be in range.
+fn capacity_model(
+    utilization: UtilizationSpec,
+    capacity: DataSize,
+) -> Result<CapacityModel, ModelError> {
     match utilization {
-        UtilizationSpec::Constant { fraction } if !(fraction > 0.0 && fraction <= 1.0) => {
-            Err(ModelError::InvalidCapability {
-                capability: "utilization",
-                reason: format!("constant fraction {fraction} is outside (0, 1]"),
-            })
-        }
+        UtilizationSpec::Constant { fraction } if fraction > 0.0 && fraction <= 1.0 => Ok(
+            CapacityModel::constant(Ratio::from_fraction(fraction), capacity),
+        ),
+        UtilizationSpec::Constant { fraction } => Err(ModelError::InvalidCapability {
+            capability: "utilization",
+            reason: format!("constant fraction {fraction} is outside (0, 1]"),
+        }),
         UtilizationSpec::SectorFormat { stripe_width: 0 } => Err(ModelError::InvalidCapability {
             capability: "utilization",
             reason: "sector-format stripe width is zero".to_owned(),
         }),
-        _ => Ok(()),
+        UtilizationSpec::SectorFormat { stripe_width } => Ok(CapacityModel::new(
+            SectorFormat::for_stripe_width(stripe_width),
+            capacity,
+        )),
     }
 }
 
-impl<'a> CapabilityModel<'a> {
+impl CapabilityModel {
     /// Assembles the model, checking that the device exposes every
-    /// capability the full pipeline needs; reads its [`EnergyProfile`] once.
+    /// capability the full pipeline needs; reads its [`EnergyProfile`],
+    /// wear channels and utilisation law once.
     ///
     /// # Errors
     ///
@@ -86,7 +97,7 @@ impl<'a> CapabilityModel<'a> {
     /// third-party code, so malformed specs surface here as errors rather
     /// than panicking a grid worker mid-exploration.
     pub fn new(
-        device: &'a dyn StorageDevice,
+        device: &dyn StorageDevice,
         workload: Workload,
         dram: Option<DramModel>,
         policy: BestEffortPolicy,
@@ -100,22 +111,14 @@ impl<'a> CapabilityModel<'a> {
         let utilization = device.utilization().ok_or(ModelError::MissingCapability {
             capability: "utilization",
         })?;
-        validate_utilization(utilization)?;
         Ok(CapabilityModel {
-            capacity: device.capacity(),
+            capacity: capacity_model(utilization, device.capacity())?,
             energy: EnergyProfile::of(energy),
-            wear,
-            utilization,
+            wear: wear.wear_channels().into(),
             workload,
             dram,
             policy,
         })
-    }
-
-    /// The modelled device's media capacity.
-    #[must_use]
-    pub fn capacity(&self) -> DataSize {
-        self.capacity
     }
 
     /// The workload.
@@ -124,18 +127,16 @@ impl<'a> CapabilityModel<'a> {
         &self.workload
     }
 
+    /// The DRAM buffer model, if attached.
+    #[must_use]
+    pub fn dram(&self) -> Option<&DramModel> {
+        self.dram.as_ref()
+    }
+
     /// The best-effort accounting policy.
     #[must_use]
     pub fn policy(&self) -> BestEffortPolicy {
         self.policy
-    }
-
-    /// A copy of the model at a different stream rate.
-    #[must_use]
-    pub fn with_rate(&self, rate: BitRate) -> Self {
-        let mut copy = self.clone();
-        copy.workload = self.workload.with_rate(rate);
-        copy
     }
 
     /// The energy component model (§III-A).
@@ -146,30 +147,35 @@ impl<'a> CapabilityModel<'a> {
 
     /// The capacity component model (§III-B).
     #[must_use]
-    pub fn capacity_model(&self) -> CapacityModel {
-        match self.utilization {
-            UtilizationSpec::SectorFormat { stripe_width } => {
-                CapacityModel::new(SectorFormat::for_stripe_width(stripe_width), self.capacity)
-            }
-            UtilizationSpec::Constant { fraction } => {
-                CapacityModel::constant(Ratio::from_fraction(fraction), self.capacity)
-            }
-        }
+    pub fn capacity_model(&self) -> &CapacityModel {
+        &self.capacity
     }
 
     /// The lifetime component model (§III-C).
     #[must_use]
     pub fn lifetime_model(&self) -> LifetimeModel {
-        LifetimeModel::new(self.wear, self.workload, self.capacity_model())
+        LifetimeModel::from_channels(Arc::clone(&self.wear), self.workload, self.capacity)
     }
 
-    /// The combined dimensioner (§IV-C).
+    /// The combined dimensioner (§IV-C) at this model's stream rate.
     #[must_use]
     pub fn dimensioner(&self) -> BufferDimensioner<'_> {
+        self.dimensioner_at(self.workload.rate())
+    }
+
+    /// The combined dimensioner (§IV-C) at stream rate `rate`, built from
+    /// the parts [`CapabilityModel::new`] read: no call into the device.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rate` is zero.
+    #[must_use]
+    pub fn dimensioner_at(&self, rate: BitRate) -> BufferDimensioner<'_> {
+        let workload = self.workload.with_rate(rate);
         BufferDimensioner::new(
-            self.energy_model(),
-            self.capacity_model(),
-            self.lifetime_model(),
+            EnergyModel::from_profile(self.energy, workload, self.policy, self.dram.as_ref()),
+            self.capacity,
+            LifetimeModel::from_channels(Arc::clone(&self.wear), workload, self.capacity),
         )
     }
 
@@ -182,6 +188,15 @@ impl<'a> CapabilityModel<'a> {
         self.dimensioner().dimension(goal)
     }
 
+    /// `Em(B)` — per-bit energy at buffer `buffer` (Eq. (1) + DRAM).
+    ///
+    /// # Errors
+    ///
+    /// See [`EnergyModel::per_bit_energy`].
+    pub fn per_bit_energy(&self, buffer: DataSize) -> Result<EnergyPerBit, ModelError> {
+        self.energy_model().per_bit_energy(buffer)
+    }
+
     /// Energy saving versus always-on at buffer `buffer`.
     ///
     /// # Errors
@@ -191,10 +206,31 @@ impl<'a> CapabilityModel<'a> {
         self.energy_model().saving(buffer)
     }
 
-    /// Capacity utilisation `u(B)`.
+    /// The break-even buffer of §III-A.1.
+    ///
+    /// # Errors
+    ///
+    /// See [`EnergyModel::break_even_buffer`].
+    pub fn break_even_buffer(&self) -> Result<DataSize, ModelError> {
+        self.energy_model().break_even_buffer()
+    }
+
+    /// Capacity utilisation `u(B)` with `Su = B`.
     #[must_use]
     pub fn utilization(&self, buffer: DataSize) -> Ratio {
-        self.capacity_model().utilization(buffer)
+        self.capacity.utilization(buffer)
+    }
+
+    /// Springs lifetime `Lsp(B)` (Eq. (5)): the duty-cycle channel.
+    #[must_use]
+    pub fn springs_lifetime(&self, buffer: DataSize) -> Years {
+        self.lifetime_model().springs_lifetime(buffer)
+    }
+
+    /// Probes lifetime `Lpb(B)` (Eq. (6)): the write-budget channel.
+    #[must_use]
+    pub fn probes_lifetime(&self, buffer: DataSize) -> Years {
+        self.lifetime_model().probes_lifetime(buffer)
     }
 
     /// Device lifetime: the minimum over every wear channel.
@@ -202,61 +238,15 @@ impl<'a> CapabilityModel<'a> {
     pub fn device_lifetime(&self, buffer: DataSize) -> Years {
         self.lifetime_model().device_lifetime(buffer)
     }
-
-    /// `Em(B)` — per-bit energy at buffer `buffer`.
-    ///
-    /// # Errors
-    ///
-    /// See [`EnergyModel::per_bit_energy`].
-    pub fn per_bit_energy(&self, buffer: DataSize) -> Result<EnergyPerBit, ModelError> {
-        self.energy_model().per_bit_energy(buffer)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::SystemModel;
-    use memstream_device::{DiskDevice, EnergyModelled, FlashDevice, MemsDevice};
-    use memstream_units::BitRate;
+    use memstream_device::{DiskDevice, EnergyModelled, FlashDevice, WearModelled};
 
     fn workload(kbps: f64) -> Workload {
         Workload::paper_default(BitRate::from_kbps(kbps))
-    }
-
-    #[test]
-    fn capability_path_is_bit_identical_to_system_model_for_mems() {
-        // The acceptance bar of the registry refactor: for the paper's
-        // device, the open capability path and the concrete facade must
-        // agree to the last bit — plans, metrics and error strings.
-        let device = MemsDevice::table1();
-        for kbps in [64.0, 300.0, 1024.0, 2048.0, 4096.0] {
-            let facade = SystemModel::paper_default(BitRate::from_kbps(kbps));
-            let open = CapabilityModel::new(
-                &device,
-                workload(kbps),
-                Some(DramModel::micron_ddr_mobile()),
-                BestEffortPolicy::AtReadWrite,
-            )
-            .unwrap();
-            for goal in [DesignGoal::fig3a(), DesignGoal::fig3b()] {
-                match (facade.dimension(&goal), open.dimension(&goal)) {
-                    (Ok(a), Ok(b)) => {
-                        assert_eq!(a.buffer().bits(), b.buffer().bits());
-                        assert_eq!(a.dominant(), b.dominant());
-                        let buf = a.buffer();
-                        assert_eq!(facade.saving(buf).ok(), open.saving(buf).ok());
-                        assert_eq!(facade.utilization(buf), open.utilization(buf));
-                        assert_eq!(
-                            facade.device_lifetime(buf).get(),
-                            open.device_lifetime(buf).get()
-                        );
-                    }
-                    (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
-                    (a, b) => panic!("paths diverge at {kbps} kbps: {a:?} vs {b:?}"),
-                }
-            }
-        }
     }
 
     #[test]

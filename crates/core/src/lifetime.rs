@@ -8,6 +8,7 @@
 //! the flash backend's erase-block budget reuses the machinery unchanged.
 
 use std::fmt;
+use std::sync::Arc;
 
 use memstream_device::{WearChannel, WearModelled};
 use memstream_units::{DataSize, Ratio, Years};
@@ -90,17 +91,27 @@ pub fn min_buffer_for_duty_cycles(rating: f64, target: Years, workload: &Workloa
 pub struct LifetimeModel {
     workload: Workload,
     capacity: CapacityModel,
-    channels: Vec<WearChannel>,
+    channels: Arc<[WearChannel]>,
 }
 
 impl LifetimeModel {
     /// Creates a lifetime model from the device's wear channels, read once.
     /// The capacity model supplies `u(B)` (and Eq. (6)'s sector size `S`).
     pub fn new(device: &dyn WearModelled, workload: Workload, capacity: CapacityModel) -> Self {
+        Self::from_channels(device.wear_channels().into(), workload, capacity)
+    }
+
+    /// Creates a lifetime model over wear channels already read, shared
+    /// with every other model built from them: a clone copies no channel.
+    pub(crate) fn from_channels(
+        channels: Arc<[WearChannel]>,
+        workload: Workload,
+        capacity: CapacityModel,
+    ) -> Self {
         LifetimeModel {
             workload,
             capacity,
-            channels: device.wear_channels(),
+            channels,
         }
     }
 

@@ -84,7 +84,6 @@ fn perturbed(model: &SystemModel, parameter: &str, factor: f64) -> Option<System
             Some(SystemModel::new(
                 model.device().clone(),
                 workload,
-                *model.format(),
                 model.dram().cloned(),
                 model.policy(),
             ))
@@ -96,7 +95,6 @@ fn perturbed(model: &SystemModel, parameter: &str, factor: f64) -> Option<System
             Some(SystemModel::new(
                 model.device().clone(),
                 workload,
-                *model.format(),
                 model.dram().cloned(),
                 model.policy(),
             ))

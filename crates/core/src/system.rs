@@ -1,27 +1,24 @@
-//! The [`SystemModel`] facade: one owned object wiring device, workload,
-//! format, DRAM and policy together.
+//! The [`SystemModel`] facade: the paper's MEMS device and the analytic
+//! model of it.
 
 use std::fmt;
+use std::ops::Deref;
 
 use memstream_device::{DramModel, MemsDevice};
 use memstream_media::SectorFormat;
-use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
+use memstream_units::BitRate;
 use memstream_workload::Workload;
 
-use crate::capacity::CapacityModel;
 use crate::cycle::BestEffortPolicy;
-use crate::dimension::{BufferDimensioner, BufferPlan};
-use crate::energy::EnergyModel;
-use crate::error::ModelError;
-use crate::goal::DesignGoal;
-use crate::lifetime::LifetimeModel;
+use crate::device_model::CapabilityModel;
 
 /// The full modelled system of Fig. 1a: a MEMS device, its DRAM buffer, a
 /// sector format and a streaming workload.
 ///
-/// This is the intended entry point of the crate; the component models
-/// ([`EnergyModel`], [`CapacityModel`], [`LifetimeModel`]) are borrowed
-/// views into it.
+/// This is the intended entry point of the crate. It is the
+/// [`CapabilityModel`] of a concrete [`MemsDevice`], the model the
+/// scenario grid builds for the same device, and it dereferences to that
+/// model for every evaluator and component model.
 ///
 /// ```
 /// use memstream_core::SystemModel;
@@ -42,49 +39,39 @@ use crate::lifetime::LifetimeModel;
 #[derive(Debug, Clone)]
 pub struct SystemModel {
     device: MemsDevice,
-    workload: Workload,
-    format: SectorFormat,
-    dram: Option<DramModel>,
-    policy: BestEffortPolicy,
+    model: CapabilityModel,
 }
 
 impl SystemModel {
     /// The paper's system: Table I device, §IV-A workload at `rate`, the
-    /// default sector format, a Micron-style DRAM buffer and best-effort
-    /// charged at read/write power.
+    /// sector format striped across its active probes, a Micron-style DRAM
+    /// buffer and best-effort charged at read/write power.
     ///
     /// # Panics
     ///
     /// Panics if `rate` is zero.
     #[must_use]
     pub fn paper_default(rate: BitRate) -> Self {
-        let device = MemsDevice::table1();
-        let format = SectorFormat::for_device(&device);
-        SystemModel {
-            device,
-            workload: Workload::paper_default(rate),
-            format,
-            dram: Some(DramModel::micron_ddr_mobile()),
-            policy: BestEffortPolicy::AtReadWrite,
-        }
+        SystemModel::new(
+            MemsDevice::table1(),
+            Workload::paper_default(rate),
+            Some(DramModel::micron_ddr_mobile()),
+            BestEffortPolicy::AtReadWrite,
+        )
     }
 
-    /// Creates a system model from explicit parts.
+    /// Creates a system model from explicit parts. The sector format is
+    /// the device's own: the paper's, striped across its active probes.
     #[must_use]
     pub fn new(
         device: MemsDevice,
         workload: Workload,
-        format: SectorFormat,
         dram: Option<DramModel>,
         policy: BestEffortPolicy,
     ) -> Self {
-        SystemModel {
-            device,
-            workload,
-            format,
-            dram,
-            policy,
-        }
+        let model = CapabilityModel::new(&device, workload, dram, policy)
+            .expect("a MEMS device exposes every capability the model reads");
+        SystemModel { device, model }
     }
 
     /// Returns a copy at a different stream rate (the sweep variable of
@@ -95,35 +82,25 @@ impl SystemModel {
     /// Panics if `rate` is zero.
     #[must_use]
     pub fn with_rate(&self, rate: BitRate) -> Self {
-        let mut copy = self.clone();
-        copy.workload = self.workload.with_rate(rate);
-        copy
+        let workload = self.workload().with_rate(rate);
+        self.rebuilt(self.device.clone(), workload, self.dram())
     }
 
     /// Returns a copy with a different device (e.g. different wear
     /// ratings for Fig. 3c).
     #[must_use]
     pub fn with_device(&self, device: MemsDevice) -> Self {
-        let mut copy = self.clone();
-        copy.format = SectorFormat::for_device(&device);
-        copy.device = device;
-        copy
-    }
-
-    /// Returns a copy with a different best-effort accounting policy.
-    #[must_use]
-    pub fn with_policy(&self, policy: BestEffortPolicy) -> Self {
-        let mut copy = self.clone();
-        copy.policy = policy;
-        copy
+        self.rebuilt(device, *self.workload(), self.dram())
     }
 
     /// Returns a copy with the DRAM term removed (device-only energy).
     #[must_use]
     pub fn without_dram(&self) -> Self {
-        let mut copy = self.clone();
-        copy.dram = None;
-        copy
+        self.rebuilt(self.device.clone(), *self.workload(), None)
+    }
+
+    fn rebuilt(&self, device: MemsDevice, workload: Workload, dram: Option<&DramModel>) -> Self {
+        SystemModel::new(device, workload, dram.cloned(), self.policy())
     }
 
     /// The modelled device.
@@ -132,116 +109,20 @@ impl SystemModel {
         &self.device
     }
 
-    /// The workload.
-    #[must_use]
-    pub fn workload(&self) -> &Workload {
-        &self.workload
-    }
-
     /// The sector format.
     #[must_use]
     pub fn format(&self) -> &SectorFormat {
-        &self.format
+        self.capacity_model()
+            .format()
+            .expect("a MEMS device's utilisation follows its sector format")
     }
+}
 
-    /// The DRAM buffer model, if attached.
-    #[must_use]
-    pub fn dram(&self) -> Option<&DramModel> {
-        self.dram.as_ref()
-    }
+impl Deref for SystemModel {
+    type Target = CapabilityModel;
 
-    /// The best-effort accounting policy.
-    #[must_use]
-    pub fn policy(&self) -> BestEffortPolicy {
-        self.policy
-    }
-
-    /// The energy component model (§III-A).
-    #[must_use]
-    pub fn energy_model(&self) -> EnergyModel<'_> {
-        EnergyModel::new(&self.device, self.workload, self.policy, self.dram.as_ref())
-    }
-
-    /// The capacity component model (§III-B).
-    #[must_use]
-    pub fn capacity_model(&self) -> CapacityModel {
-        CapacityModel::new(self.format, self.device.capacity())
-    }
-
-    /// The lifetime component model (§III-C).
-    #[must_use]
-    pub fn lifetime_model(&self) -> LifetimeModel {
-        LifetimeModel::new(&self.device, self.workload, self.capacity_model())
-    }
-
-    /// The combined dimensioner (§IV-C).
-    #[must_use]
-    pub fn dimensioner(&self) -> BufferDimensioner<'_> {
-        BufferDimensioner::new(
-            self.energy_model(),
-            self.capacity_model(),
-            self.lifetime_model(),
-        )
-    }
-
-    /// Answers the §IV-C design question at this system's stream rate.
-    ///
-    /// # Errors
-    ///
-    /// See [`BufferDimensioner::dimension`].
-    pub fn dimension(&self, goal: &DesignGoal) -> Result<BufferPlan, ModelError> {
-        self.dimensioner().dimension(goal)
-    }
-
-    /// `Em(B)` — per-bit energy at buffer `buffer` (Eq. (1) + DRAM).
-    ///
-    /// # Errors
-    ///
-    /// See [`EnergyModel::per_bit_energy`].
-    pub fn per_bit_energy(&self, buffer: DataSize) -> Result<EnergyPerBit, ModelError> {
-        self.energy_model().per_bit_energy(buffer)
-    }
-
-    /// Energy saving versus always-on at buffer `buffer`.
-    ///
-    /// # Errors
-    ///
-    /// See [`EnergyModel::saving`].
-    pub fn saving(&self, buffer: DataSize) -> Result<f64, ModelError> {
-        self.energy_model().saving(buffer)
-    }
-
-    /// The break-even buffer of §III-A.1.
-    ///
-    /// # Errors
-    ///
-    /// See [`EnergyModel::break_even_buffer`].
-    pub fn break_even_buffer(&self) -> Result<DataSize, ModelError> {
-        self.energy_model().break_even_buffer()
-    }
-
-    /// Capacity utilisation `u(B)` with `Su = B`.
-    #[must_use]
-    pub fn utilization(&self, buffer: DataSize) -> Ratio {
-        self.capacity_model().utilization(buffer)
-    }
-
-    /// Springs lifetime `Lsp(B)` (Eq. (5)).
-    #[must_use]
-    pub fn springs_lifetime(&self, buffer: DataSize) -> Years {
-        self.lifetime_model().springs_lifetime(buffer)
-    }
-
-    /// Probes lifetime `Lpb(B)` (Eq. (6)).
-    #[must_use]
-    pub fn probes_lifetime(&self, buffer: DataSize) -> Years {
-        self.lifetime_model().probes_lifetime(buffer)
-    }
-
-    /// Device lifetime `min(Lsp, Lpb)`.
-    #[must_use]
-    pub fn device_lifetime(&self, buffer: DataSize) -> Years {
-        self.lifetime_model().device_lifetime(buffer)
+    fn deref(&self) -> &CapabilityModel {
+        &self.model
     }
 }
 
@@ -250,7 +131,9 @@ impl fmt::Display for SystemModel {
         write!(
             f,
             "{} under {} ({})",
-            self.device, self.workload, self.policy
+            self.device,
+            self.workload(),
+            self.policy()
         )
     }
 }
@@ -258,6 +141,7 @@ impl fmt::Display for SystemModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memstream_units::DataSize;
 
     #[test]
     fn facade_agrees_with_component_models() {

@@ -30,9 +30,11 @@
 //! dominates never enters that front's sweep.
 //!
 //! Every device takes the same path, whatever its concrete type: the
-//! series model reads the device's energy numbers once
-//! ([`EnergyProfile`](memstream_core::EnergyProfile)), so the per-rate
-//! arithmetic makes no call into the device. The executor's
+//! series model reads the device once (its energy profile, wear channels
+//! and utilisation law) and builds each rate's dimensioner from those
+//! parts
+//! ([`CapabilityModel::dimensioner_at`](memstream_core::CapabilityModel::dimensioner_at)),
+//! so the per-rate arithmetic makes no call into the device. The executor's
 //! `parallel_matches_serial_exactly` plus this module's equivalence tests
 //! pin the outputs to [`crate::eval::evaluate`] bit for bit.
 
@@ -92,10 +94,7 @@ pub(crate) struct SeriesRun {
 enum SeriesModel<'a> {
     /// The device exposes every capability the full pipeline needs; the
     /// capacity minimum of each of the grid's goals rides along.
-    Full(
-        CapabilityModel<'a>,
-        Vec<Result<Option<DataSize>, ModelError>>,
-    ),
+    Full(CapabilityModel, Vec<Result<Option<DataSize>, ModelError>>),
     /// The device only exposes energy (the classic 1.8″ disk mask).
     EnergyOnly(&'a dyn EnergyModelled),
     /// No usable capability; the (rate-independent) error.
@@ -156,8 +155,7 @@ impl SeriesModel<'_> {
         let goals = &grid.goals()[first_goal..];
         match self {
             SeriesModel::Full(model, capacities) => {
-                let at_rate = model.with_rate(rate);
-                let dim = at_rate.dimensioner();
+                let dim = model.dimensioner_at(rate);
                 fill(row, |k| {
                     match dim.plan(&goals[k], &capacities[first_goal + k]) {
                         Ok(plan) => {

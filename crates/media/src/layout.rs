@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use memstream_device::MemsDevice;
 use memstream_units::{DataSize, Ratio};
 
 use crate::ecc::EccPolicy;
@@ -61,16 +60,9 @@ impl SectorFormat {
         })
     }
 
-    /// Derives the format for a device: stripes across its active probes,
-    /// with the paper's ECC and sync-bit assumptions.
-    #[must_use]
-    pub fn for_device(device: &MemsDevice) -> Self {
-        SectorFormat::for_stripe_width(device.array().active_probes())
-    }
-
-    /// Derives the format from a bare striping width, with the paper's ECC
-    /// and sync-bit assumptions — the capability-seam entry point for
-    /// devices the media crate has no concrete type for.
+    /// Derives a device's format from its striping width (the active
+    /// probes a sector spans), with the paper's ECC and sync-bit
+    /// assumptions.
     ///
     /// # Panics
     ///
@@ -334,12 +326,6 @@ mod tests {
             u.fraction() < 0.20,
             "73-byte sectors should waste >80% of the medium, got {u}"
         );
-    }
-
-    #[test]
-    fn for_device_uses_active_probes() {
-        let fmt = SectorFormat::for_device(&MemsDevice::table1());
-        assert_eq!(fmt.stripe_width(), 1024);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Timeline tracing: per-thread event buffers and a Chrome/Perfetto exporter.
+//! Timeline tracing: one bounded event buffer and a Chrome/Perfetto exporter.
 //!
-//! A [`Tracer`] collects begin/end/instant events into per-thread buffers so
-//! the hot path never contends: each recording thread owns its own buffer and
-//! takes an uncontended mutex (a single CAS) to push. A disabled tracer is a
-//! `None` check and nothing else. Buffers are bounded — once a thread fills
-//! its quota further events are counted as dropped rather than growing
-//! without limit.
+//! A [`Tracer`] collects begin/end/instant events into one buffer behind
+//! one lock. The traffic is light: a traced run records one begin/end pair
+//! per span and per evaluated series, whatever the grid's size. A disabled
+//! tracer is a `None` check and nothing else. The buffer is bounded — once
+//! it holds its quota further events are counted as dropped rather than
+//! growing without limit.
 //!
 //! Timestamps are microseconds since the Unix epoch, derived from a
 //! `(SystemTime, Instant)` pair captured when the tracer is created: every
@@ -17,28 +17,17 @@
 //! snapshots merge into the coordinator's because every event carries its own
 //! process id.
 
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex};
+use std::thread::{self, ThreadId};
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 use crate::json::{Json, JsonError, JsonObject};
 
-/// Default per-thread event quota. Spans are coarse (one begin/end pair per
+/// Default event quota per tracer. Spans are coarse (one begin/end pair per
 /// exploration phase or evaluated series), so this is generous headroom; a
 /// runaway emitter is counted in [`TraceSnapshot::dropped`] instead of
 /// exhausting memory.
-const DEFAULT_EVENTS_PER_THREAD: usize = 1 << 16;
-
-/// Hands out unique ids so thread-local buffer caches can tell tracers apart.
-static NEXT_TRACER_ID: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// Per-thread cache of (tracer id, buffer) pairs. Usually holds a single
-    /// entry; entries whose tracer has been dropped are pruned on lookup.
-    static THREAD_BUFFERS: RefCell<Vec<(u64, Weak<ThreadBuffer>)>> =
-        const { RefCell::new(Vec::new()) };
-}
+const DEFAULT_EVENTS: usize = 1 << 16;
 
 /// The event phase, mirroring the Chrome trace-event `ph` field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,7 +70,8 @@ pub struct TraceEvent {
     pub ts_micros: u64,
     /// Operating-system process id of the recording process.
     pub pid: u32,
-    /// Tracer-local thread id (sequential from 1 in registration order).
+    /// Tracer-local thread id (sequential from 1, in the order the
+    /// threads first recorded).
     pub tid: u64,
 }
 
@@ -94,63 +84,29 @@ impl TraceEvent {
     }
 }
 
-#[derive(Debug)]
-struct ThreadBuffer {
-    tid: u64,
-    capacity: usize,
-    events: Mutex<Vec<TraceEvent>>,
-    dropped: AtomicU64,
-}
-
-impl ThreadBuffer {
-    fn push(&self, event: TraceEvent) {
-        let mut events = self.events.lock().unwrap_or_else(|e| e.into_inner());
-        if events.len() < self.capacity {
-            events.push(event);
-        } else {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-        }
-    }
+/// What a tracer has recorded so far.
+#[derive(Debug, Default)]
+struct Recorded {
+    events: Vec<TraceEvent>,
+    dropped: u64,
+    /// The recording threads, in the order they first recorded: a
+    /// thread's tid is its position, counting from 1.
+    threads: Vec<ThreadId>,
 }
 
 #[derive(Debug)]
 struct TracerInner {
-    id: u64,
     pid: u32,
     epoch_unix_micros: u64,
     epoch: Instant,
-    events_per_thread: usize,
-    threads: Mutex<Vec<Arc<ThreadBuffer>>>,
+    capacity: usize,
+    recorded: Mutex<Recorded>,
 }
 
 impl TracerInner {
     fn now_micros(&self) -> u64 {
         let elapsed = u64::try_from(self.epoch.elapsed().as_micros()).unwrap_or(u64::MAX);
         self.epoch_unix_micros.saturating_add(elapsed)
-    }
-
-    fn buffer_for_current_thread(self: &Arc<Self>) -> Arc<ThreadBuffer> {
-        THREAD_BUFFERS.with(|cache| {
-            let mut cache = cache.borrow_mut();
-            cache.retain(|(_, weak)| weak.strong_count() > 0);
-            if let Some(buffer) = cache
-                .iter()
-                .find(|(id, _)| *id == self.id)
-                .and_then(|(_, weak)| weak.upgrade())
-            {
-                return buffer;
-            }
-            let mut threads = self.threads.lock().unwrap_or_else(|e| e.into_inner());
-            let buffer = Arc::new(ThreadBuffer {
-                tid: threads.len() as u64 + 1,
-                capacity: self.events_per_thread,
-                events: Mutex::new(Vec::new()),
-                dropped: AtomicU64::new(0),
-            });
-            threads.push(Arc::clone(&buffer));
-            cache.push((self.id, Arc::downgrade(&buffer)));
-            buffer
-        })
     }
 }
 
@@ -168,29 +124,28 @@ impl Tracer {
         Self { inner: None }
     }
 
-    /// A live tracer with the default per-thread event quota.
+    /// A live tracer with the default event quota.
     #[must_use]
     pub fn enabled() -> Self {
-        Self::with_capacity(DEFAULT_EVENTS_PER_THREAD)
+        Self::with_capacity(DEFAULT_EVENTS)
     }
 
-    /// A live tracer that keeps at most `events_per_thread` events per
-    /// recording thread; the overflow is tallied in
+    /// A live tracer that keeps at most `events` events, from all
+    /// recording threads together; the overflow is tallied in
     /// [`TraceSnapshot::dropped`].
     #[must_use]
-    pub fn with_capacity(events_per_thread: usize) -> Self {
+    pub fn with_capacity(events: usize) -> Self {
         let epoch_unix_micros = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| u64::try_from(d.as_micros()).unwrap_or(u64::MAX))
             .unwrap_or(0);
         Self {
             inner: Some(Arc::new(TracerInner {
-                id: NEXT_TRACER_ID.fetch_add(1, Ordering::Relaxed),
                 pid: std::process::id(),
                 epoch_unix_micros,
                 epoch: Instant::now(),
-                events_per_thread,
-                threads: Mutex::new(Vec::new()),
+                capacity: events,
+                recorded: Mutex::new(Recorded::default()),
             })),
         }
     }
@@ -204,14 +159,26 @@ impl Tracer {
     fn record(&self, name: &str, phase: TracePhase, ts_micros: Option<u64>) {
         let Some(inner) = &self.inner else { return };
         let ts_micros = ts_micros.unwrap_or_else(|| inner.now_micros());
-        let buffer = inner.buffer_for_current_thread();
-        buffer.push(TraceEvent {
-            name: name.to_string(),
-            phase,
-            ts_micros,
-            pid: inner.pid,
-            tid: buffer.tid,
-        });
+        let thread = thread::current().id();
+        let mut recorded = inner.recorded.lock().unwrap_or_else(|e| e.into_inner());
+        let position = match recorded.threads.iter().position(|&t| t == thread) {
+            Some(position) => position,
+            None => {
+                recorded.threads.push(thread);
+                recorded.threads.len() - 1
+            }
+        };
+        if recorded.events.len() < inner.capacity {
+            recorded.events.push(TraceEvent {
+                name: name.to_string(),
+                phase,
+                ts_micros,
+                pid: inner.pid,
+                tid: position as u64 + 1,
+            });
+        } else {
+            recorded.dropped += 1;
+        }
     }
 
     /// Opens a span on the calling thread.
@@ -246,22 +213,13 @@ impl Tracer {
         let Some(inner) = &self.inner else {
             return TraceSnapshot::default();
         };
-        let threads = inner.threads.lock().unwrap_or_else(|e| e.into_inner());
-        let mut events = Vec::new();
-        let mut dropped = 0u64;
-        for buffer in threads.iter() {
-            events.extend(
-                buffer
-                    .events
-                    .lock()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .iter()
-                    .cloned(),
-            );
-            dropped += buffer.dropped.load(Ordering::Relaxed);
-        }
+        let recorded = inner.recorded.lock().unwrap_or_else(|e| e.into_inner());
+        let mut events = recorded.events.clone();
         events.sort_by_key(|e| e.ts_micros);
-        TraceSnapshot { events, dropped }
+        TraceSnapshot {
+            events,
+            dropped: recorded.dropped,
+        }
     }
 }
 
@@ -271,7 +229,7 @@ impl Tracer {
 pub struct TraceSnapshot {
     /// All recorded events, sorted by timestamp.
     pub events: Vec<TraceEvent>,
-    /// Events discarded because a per-thread buffer was full.
+    /// Events discarded because the tracer's buffer was full.
     pub dropped: u64,
 }
 
@@ -410,6 +368,24 @@ mod tests {
         let snap = tracer.snapshot();
         assert_eq!(snap.events.len(), 2);
         assert_eq!(snap.dropped, 3);
+    }
+
+    #[test]
+    fn the_quota_covers_every_recording_thread_together() {
+        let tracer = Tracer::with_capacity(3);
+        tracer.instant("main");
+        tracer.instant("main");
+        let clone = tracer.clone();
+        std::thread::spawn(move || {
+            clone.instant("worker");
+            clone.instant("worker");
+        })
+        .join()
+        .expect("worker thread");
+        let snap = tracer.snapshot();
+        let tids: Vec<u64> = snap.events.iter().map(|e| e.tid).collect();
+        assert_eq!(tids, [1, 1, 2]);
+        assert_eq!(snap.dropped, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use memstream_core::{
     buffer_sensitivity, duty_cycle_lifetime, min_buffer_for_duty_cycles, DesignGoal, SystemModel,
 };
 use memstream_device::{DiskDevice, MemsDevice};
-use memstream_media::{stripe_width_sweep, EccPolicy, SectorFormat};
+use memstream_media::{stripe_width_sweep, EccPolicy};
 use memstream_sim::{SimConfig, StreamingSimulation};
 use memstream_units::{BitRate, DataSize, Duration, Ratio, Years};
 use memstream_workload::{PlaybackCalendar, StreamMix, StreamSpec, Workload};
@@ -27,9 +27,7 @@ fn stream_mix_feeds_the_dimensioner() {
         Ratio::from_percent(5.0),
     )
     .unwrap();
-    let device = MemsDevice::table1();
-    let format = SectorFormat::for_device(&device);
-    let model = SystemModel::new(device, workload, format, None, Default::default());
+    let model = SystemModel::new(MemsDevice::table1(), workload, None, Default::default());
     let plan = model.dimension(&DesignGoal::fig3b()).unwrap();
     assert!(plan.buffer() > DataSize::ZERO);
     // The mix writes 224/1024 of the traffic; probes wear slower than the

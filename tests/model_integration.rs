@@ -210,3 +210,82 @@ fn x_axis_helpers_cover_the_paper_range() {
         (31.9..=4096.1).contains(&k)
     }));
 }
+
+#[test]
+fn the_paper_system_plans_every_mems_grid_cell_as_the_grid_does() {
+    // `harness custom` answers through `SystemModel`, the grid through
+    // its per-series capability model. On every cell `custom` can name
+    // (a concrete MEMS device, any reference workload, rate and goal),
+    // the two must agree to the last bit, infeasibility errors included.
+    use memstream_core::BestEffortPolicy;
+    use memstream_device::DramModel;
+    use memstream_grid::{CellOutcome, DeviceEntry, GridExecutor, ScenarioGrid};
+
+    let devices = [
+        ("table1", MemsDevice::table1()),
+        (
+            "wear-hardened",
+            MemsDevice::table1()
+                .with_probe_write_cycles(200.0)
+                .with_spring_duty_cycles(1e12),
+        ),
+        (
+            "prototype",
+            MemsDevice::table1()
+                .with_probe_write_cycles(50.0)
+                .with_spring_duty_cycles(1e7),
+        ),
+    ];
+    let baseline = ScenarioGrid::paper_baseline(64);
+    let mut grid = ScenarioGrid::new().with_rates(baseline.rates().iter().copied());
+    for (name, device) in &devices {
+        grid = grid.device(DeviceEntry::new(*name, device.clone()));
+    }
+    for profile in baseline.workloads() {
+        grid = grid.workload(profile.clone());
+    }
+    for goal in baseline.goals() {
+        grid = grid.goal(*goal);
+    }
+    assert_eq!(grid.len(), 1152);
+
+    let results = GridExecutor::serial().explore(&grid).expect("explore");
+    let (mut feasible, mut infeasible) = (0, 0);
+    for cell in grid.cells() {
+        let device = devices[cell.device].1.clone();
+        let workload = grid.workloads()[cell.workload]
+            .workload()
+            .with_rate(grid.rates()[cell.rate]);
+        let model = SystemModel::new(
+            device,
+            workload,
+            Some(DramModel::micron_ddr_mobile()),
+            BestEffortPolicy::AtReadWrite,
+        );
+        let at = format!("cell {} ({cell:?})", cell.index);
+        match (
+            model.dimension(&grid.goals()[cell.goal]),
+            results.outcome(cell.index),
+        ) {
+            (Ok(plan), CellOutcome::Feasible(point)) => {
+                let b = plan.buffer();
+                assert_eq!(b.bits(), point.buffer.bits(), "{at}");
+                assert_eq!(plan.dominant().label(), point.dominant, "{at}");
+                assert_eq!(model.saving(b).ok(), point.saving, "{at}");
+                assert_eq!(model.utilization(b), point.utilization, "{at}");
+                assert_eq!(
+                    model.device_lifetime(b).get().to_bits(),
+                    point.lifetime.get().to_bits(),
+                    "{at}"
+                );
+                feasible += 1;
+            }
+            (Err(err), CellOutcome::Infeasible(grid_err)) => {
+                assert_eq!(&err, grid_err, "{at}");
+                infeasible += 1;
+            }
+            (ours, theirs) => panic!("{at}: SystemModel says {ours:?}, the grid {theirs:?}"),
+        }
+    }
+    assert!(feasible > 0 && infeasible > 0, "{feasible} / {infeasible}");
+}

@@ -590,15 +590,18 @@ fn grid(args: &[String]) {
             Explored::Table(results) => report::grid_stdout(results, true),
         }
     };
-    shared.emit_stats(&metrics);
-    shared.emit_trace(&tracer, Vec::new());
-    print!("{stdout}");
-    if let Some(seconds) = validate {
+    let validation = validate.map(|seconds| {
         let summary = match &explored {
             Explored::Summary(summary) => summary,
             Explored::Table(results) => results,
         };
-        let validation = memstream_grid::validate_frontier(summary, seconds);
+        let _validate = metrics.span("grid.validate").start();
+        memstream_grid::validate_frontier(summary, seconds)
+    });
+    shared.emit_stats(&metrics);
+    shared.emit_trace(&tracer, Vec::new());
+    print!("{stdout}");
+    if let Some(validation) = validation {
         println!(
             "sim validation: {} of {} frontier cells simulated ({} skipped)",
             validation.rows.len(),

@@ -12,8 +12,6 @@
 //! [`SystemModel`](crate::SystemModel) is this model of a
 //! [`memstream_device::MemsDevice`].
 
-use std::sync::Arc;
-
 use memstream_device::{DramModel, StorageDevice, UtilizationSpec, WearChannel};
 use memstream_media::SectorFormat;
 use memstream_units::{BitRate, DataSize, EnergyPerBit, Ratio, Years};
@@ -51,7 +49,7 @@ use crate::lifetime::LifetimeModel;
 #[derive(Debug, Clone)]
 pub struct CapabilityModel {
     energy: EnergyProfile,
-    wear: Arc<[WearChannel]>,
+    wear: Box<[WearChannel]>,
     capacity: CapacityModel,
     workload: Workload,
     dram: Option<DramModel>,
@@ -153,8 +151,8 @@ impl CapabilityModel {
 
     /// The lifetime component model (§III-C).
     #[must_use]
-    pub fn lifetime_model(&self) -> LifetimeModel {
-        LifetimeModel::from_channels(Arc::clone(&self.wear), self.workload, self.capacity)
+    pub fn lifetime_model(&self) -> LifetimeModel<'_> {
+        LifetimeModel::from_channels(&self.wear, self.workload, self.capacity)
     }
 
     /// The combined dimensioner (§IV-C) at this model's stream rate.
@@ -165,6 +163,7 @@ impl CapabilityModel {
 
     /// The combined dimensioner (§IV-C) at stream rate `rate`, built from
     /// the parts [`CapabilityModel::new`] read: no call into the device.
+    /// It borrows the model's wear channels, so building it copies none.
     ///
     /// # Panics
     ///
@@ -175,7 +174,7 @@ impl CapabilityModel {
         BufferDimensioner::new(
             EnergyModel::from_profile(self.energy, workload, self.policy, self.dram.as_ref()),
             self.capacity,
-            LifetimeModel::from_channels(Arc::clone(&self.wear), workload, self.capacity),
+            LifetimeModel::from_channels(&self.wear, workload, self.capacity),
         )
     }
 

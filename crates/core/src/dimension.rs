@@ -8,7 +8,7 @@ use crate::capacity::CapacityModel;
 use crate::energy::EnergyModel;
 use crate::error::ModelError;
 use crate::goal::{DesignGoal, Requirement};
-use crate::lifetime::LifetimeModel;
+use crate::lifetime::{LifetimeModel, WearDemands};
 
 /// The answer to "what buffer does this design goal need?": the minimal
 /// buffer, the per-requirement minimums behind it, and which requirement
@@ -96,12 +96,16 @@ impl fmt::Display for BufferPlan {
 pub struct BufferDimensioner<'a> {
     energy: EnergyModel<'a>,
     capacity: CapacityModel,
-    lifetime: LifetimeModel,
+    lifetime: LifetimeModel<'a>,
 }
 
 impl<'a> BufferDimensioner<'a> {
     /// Creates a dimensioner from the three component models.
-    pub fn new(energy: EnergyModel<'a>, capacity: CapacityModel, lifetime: LifetimeModel) -> Self {
+    pub fn new(
+        energy: EnergyModel<'a>,
+        capacity: CapacityModel,
+        lifetime: LifetimeModel<'a>,
+    ) -> Self {
         BufferDimensioner {
             energy,
             capacity,
@@ -123,7 +127,7 @@ impl<'a> BufferDimensioner<'a> {
 
     /// The lifetime component.
     #[must_use]
-    pub fn lifetime(&self) -> &LifetimeModel {
+    pub fn lifetime(&self) -> &LifetimeModel<'a> {
         &self.lifetime
     }
 
@@ -174,34 +178,109 @@ impl<'a> BufferDimensioner<'a> {
         goal: &DesignGoal,
         capacity: &Result<Option<DataSize>, ModelError>,
     ) -> Result<BufferPlan, ModelError> {
+        let mut requirements = Vec::new();
+        let (buffer, dominant, cycle_floor) =
+            self.walk(goal, capacity, None, |requirement, buffer| {
+                requirements.push((requirement, buffer));
+            })?;
+        Ok(BufferPlan {
+            goal: *goal,
+            buffer,
+            dominant,
+            requirements,
+            cycle_floor,
+        })
+    }
+
+    /// [`BufferDimensioner::plan`]'s buffer and dominant requirement, with
+    /// no [`BufferPlan`] and so no heap allocation. A goal with a lifetime
+    /// target plans on `wear`, that target's
+    /// [`LifetimeModel::demands`] at this dimensioner's rate, which every
+    /// goal with the same target can share; with `None` they are measured
+    /// here, as `plan` does.
+    ///
+    /// # Errors
+    ///
+    /// As for [`BufferDimensioner::plan`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `wear` was measured for another lifetime target than the
+    /// goal's.
+    pub fn plan_buffer(
+        &self,
+        goal: &DesignGoal,
+        capacity: &Result<Option<DataSize>, ModelError>,
+        wear: Option<&WearDemands>,
+    ) -> Result<(DataSize, Requirement), ModelError> {
+        self.walk(goal, capacity, wear, |_, _| {})
+            .map(|(buffer, dominant, _)| (buffer, dominant))
+    }
+
+    /// The one plan behind [`BufferDimensioner::plan`] and
+    /// [`BufferDimensioner::plan_buffer`]. It checks the goal's
+    /// requirements in order (capacity, energy, then each binding wear
+    /// channel in device order), hands each minimum to `visit` and keeps
+    /// the largest as it goes, a later one winning a tie as
+    /// [`Iterator::max_by`] does. Then it raises the buffer to the cycle
+    /// floor and walks it up the utilisation sawtooth. Returns the buffer,
+    /// the dominant requirement and the cycle floor.
+    fn walk(
+        &self,
+        goal: &DesignGoal,
+        capacity: &Result<Option<DataSize>, ModelError>,
+        wear: Option<&WearDemands>,
+        mut visit: impl FnMut(Requirement, DataSize),
+    ) -> Result<(DataSize, Requirement, DataSize), ModelError> {
         if goal.is_empty() {
             return Err(ModelError::EmptyGoal);
         }
 
-        let mut requirements: Vec<(Requirement, DataSize)> = Vec::new();
+        let mut largest: Option<(Requirement, DataSize)> = None;
+        let mut take = |requirement: Requirement, buffer: DataSize| {
+            visit(requirement, buffer);
+            largest = match largest {
+                Some(kept) if kept.1.partial_cmp(&buffer).expect("finite buffers").is_gt() => {
+                    Some(kept)
+                }
+                _ => Some((requirement, buffer)),
+            };
+        };
 
         if let Some(b) = capacity.clone()? {
-            requirements.push((Requirement::Capacity, b));
+            take(Requirement::Capacity, b);
         }
         if let Some(e) = goal.energy_saving_target() {
-            requirements.push((Requirement::Energy, self.energy.min_buffer_for_saving(e)?));
+            take(Requirement::Energy, self.energy.min_buffer_for_saving(e)?);
         }
-        if let Some(l) = goal.lifetime_target() {
-            // One entry per wear channel that binds: springs then probes
-            // for the MEMS pair, a single erase budget for flash.
-            for channel in self.lifetime.channels() {
-                if let Some(b) = self.lifetime.min_buffer_for_channel(channel, l)? {
-                    requirements.push((LifetimeModel::channel_requirement(channel), b));
-                }
+        // One entry per wear channel that binds: springs then probes for
+        // the MEMS pair, a single erase budget for flash.
+        let measured;
+        let wear = match (goal.lifetime_target(), wear) {
+            (None, _) => None,
+            (Some(l), Some(wear)) => {
+                assert!(
+                    wear.target().get().to_bits() == l.get().to_bits(),
+                    "wear demands of {} planning a goal of {l}",
+                    wear.target()
+                );
+                Some(wear)
+            }
+            (Some(l), None) => {
+                measured = self.lifetime.demands(l);
+                Some(&measured)
+            }
+        };
+        if let Some(wear) = wear {
+            for &(requirement, buffer) in &wear.buffers {
+                take(requirement, buffer);
+            }
+            if let Some(err) = &wear.failure {
+                return Err(err.clone());
             }
         }
 
-        let (dominant, largest) = match requirements
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("finite buffers"))
-            .copied()
-        {
-            Some(winner) => winner,
+        let (dominant, largest) = largest.unwrap_or_else(|| {
             // The goal constrains only wear channels that never bind under
             // this workload (e.g. a lifetime goal over a read-only stream
             // on a write-wear device): any cycle-capable buffer satisfies
@@ -209,17 +288,15 @@ impl<'a> BufferDimensioner<'a> {
             // device's own first wear channel so reports never claim a
             // mechanism the device does not have (a springless flash part
             // must not read "Lsp").
-            None => {
-                let requirement = self
-                    .lifetime
-                    .channels()
-                    .first()
-                    .map_or(Requirement::SpringsLifetime, |c| {
-                        LifetimeModel::channel_requirement(c)
-                    });
-                (requirement, DataSize::ZERO)
-            }
-        };
+            let requirement = self
+                .lifetime
+                .channels()
+                .first()
+                .map_or(Requirement::SpringsLifetime, |c| {
+                    LifetimeModel::channel_requirement(c)
+                });
+            (requirement, DataSize::ZERO)
+        });
 
         let cycle_floor = self.energy.cycle_floor()?;
         let mut buffer = largest.max(cycle_floor);
@@ -231,8 +308,8 @@ impl<'a> BufferDimensioner<'a> {
         // requirements above, so the buffer already covers it and the bump
         // walks on from there without solving it again.
         let mut required_u = goal.capacity_target();
-        if let Some(l) = goal.lifetime_target() {
-            if let Some(u) = self.lifetime.required_utilization_for_probes(l)? {
+        if let Some(wear) = wear {
+            if let Some(u) = wear.probes.clone()? {
                 required_u = Some(required_u.map_or(u, |c| c.max(u)));
             }
         }
@@ -242,13 +319,7 @@ impl<'a> BufferDimensioner<'a> {
                 .min_buffer_for_utilization_at_least(u, buffer)?;
         }
 
-        Ok(BufferPlan {
-            goal: *goal,
-            buffer,
-            dominant,
-            requirements,
-            cycle_floor,
-        })
+        Ok((buffer, dominant, cycle_floor))
     }
 }
 

@@ -65,7 +65,7 @@ pub use explore::{
     SweepBuilder,
 };
 pub use goal::{DesignGoal, Requirement};
-pub use lifetime::{duty_cycle_lifetime, min_buffer_for_duty_cycles, LifetimeModel};
+pub use lifetime::{duty_cycle_lifetime, min_buffer_for_duty_cycles, LifetimeModel, WearDemands};
 pub use plot::{csv_field, render_ascii_chart, to_csv, write_fixed, AsciiChart, Axis, Series};
 pub use report::{BufferPointReport, DesignReport};
 pub use sensitivity::{buffer_sensitivity, SensitivityRow, SENSITIVITY_PARAMETERS};

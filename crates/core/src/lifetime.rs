@@ -7,8 +7,8 @@
 //! model here folds any set of [`WearChannel`]s into years, which is how
 //! the flash backend's erase-block budget reuses the machinery unchanged.
 
+use std::borrow::Cow;
 use std::fmt;
-use std::sync::Arc;
 
 use memstream_device::{WearChannel, WearModelled};
 use memstream_units::{DataSize, Ratio, Years};
@@ -88,30 +88,36 @@ pub fn min_buffer_for_duty_cycles(rating: f64, target: Years, workload: &Workloa
 /// assert!((years.get() - 7.0).abs() < 0.2);
 /// ```
 #[derive(Debug, Clone)]
-pub struct LifetimeModel {
+pub struct LifetimeModel<'a> {
     workload: Workload,
     capacity: CapacityModel,
-    channels: Arc<[WearChannel]>,
+    channels: Cow<'a, [WearChannel]>,
 }
 
-impl LifetimeModel {
+impl LifetimeModel<'static> {
     /// Creates a lifetime model from the device's wear channels, read once.
     /// The capacity model supplies `u(B)` (and Eq. (6)'s sector size `S`).
     pub fn new(device: &dyn WearModelled, workload: Workload, capacity: CapacityModel) -> Self {
-        Self::from_channels(device.wear_channels().into(), workload, capacity)
+        LifetimeModel {
+            workload,
+            capacity,
+            channels: Cow::Owned(device.wear_channels()),
+        }
     }
+}
 
-    /// Creates a lifetime model over wear channels already read, shared
-    /// with every other model built from them: a clone copies no channel.
+impl<'a> LifetimeModel<'a> {
+    /// Creates a lifetime model over wear channels already read, borrowed
+    /// from their owner: building or cloning it copies no channel.
     pub(crate) fn from_channels(
-        channels: Arc<[WearChannel]>,
+        channels: &'a [WearChannel],
         workload: Workload,
         capacity: CapacityModel,
     ) -> Self {
         LifetimeModel {
             workload,
             capacity,
-            channels,
+            channels: Cow::Borrowed(channels),
         }
     }
 
@@ -366,6 +372,45 @@ impl LifetimeModel {
         }
     }
 
+    /// What the wear channels demand of the buffer for `target` years:
+    /// the part of a plan that every goal with this lifetime target shares
+    /// at this model's stream rate.
+    #[must_use]
+    pub fn demands(&self, target: Years) -> WearDemands {
+        let mut demands = WearDemands {
+            target,
+            buffers: Vec::new(),
+            failure: None,
+            probes: Ok(None),
+        };
+        self.measure(&mut demands);
+        demands
+    }
+
+    /// Measures `demands` again under this model, for the same target,
+    /// reusing its storage: what [`LifetimeModel::demands`] returns.
+    pub fn measure(&self, demands: &mut WearDemands) {
+        let target = demands.target;
+        demands.buffers.clear();
+        demands.failure = None;
+        for channel in self.channels.iter() {
+            match self.min_buffer_for_channel(channel, target) {
+                Ok(Some(buffer)) => demands
+                    .buffers
+                    .push((Self::channel_requirement(channel), buffer)),
+                Ok(None) => {}
+                Err(err) => {
+                    demands.failure = Some(err);
+                    break;
+                }
+            }
+        }
+        demands.probes = match demands.failure {
+            None => self.required_utilization_for_probes(target),
+            Some(_) => Ok(None),
+        };
+    }
+
     fn required_utilization_for_channel(
         &self,
         channel: &WearChannel,
@@ -400,7 +445,33 @@ impl LifetimeModel {
     }
 }
 
-impl fmt::Display for LifetimeModel {
+/// What a device's wear channels demand of the buffer for one lifetime
+/// target at one stream rate ([`LifetimeModel::demands`]): each binding
+/// channel's minimum buffer, in device order, and the utilisation the
+/// probes need, which the sawtooth bump of a plan walks to. The first
+/// channel that cannot reach the target ends the list, as it ends a plan.
+#[derive(Debug, Clone, PartialEq)]
+pub struct WearDemands {
+    target: Years,
+    /// Each binding channel's minimum buffer, under the requirement it
+    /// dictates, in device order; up to the first failing channel.
+    pub(crate) buffers: Vec<(Requirement, DataSize)>,
+    /// The first channel's failure to reach the target, if one failed.
+    pub(crate) failure: Option<ModelError>,
+    /// [`LifetimeModel::required_utilization_for_probes`] of the target,
+    /// when no channel failed (`Ok(None)` otherwise).
+    pub(crate) probes: Result<Option<Ratio>, ModelError>,
+}
+
+impl WearDemands {
+    /// The lifetime target the demands were measured for.
+    #[must_use]
+    pub fn target(&self) -> Years {
+        self.target
+    }
+}
+
+impl fmt::Display for LifetimeModel<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -418,7 +489,7 @@ mod tests {
     use memstream_units::BitRate;
     use proptest::prelude::*;
 
-    fn model(device: &MemsDevice, kbps: f64) -> LifetimeModel {
+    fn model(device: &MemsDevice, kbps: f64) -> LifetimeModel<'static> {
         LifetimeModel::new(
             device,
             Workload::paper_default(BitRate::from_kbps(kbps)),
@@ -426,7 +497,7 @@ mod tests {
         )
     }
 
-    fn flash_model(device: &FlashDevice, kbps: f64) -> LifetimeModel {
+    fn flash_model(device: &FlashDevice, kbps: f64) -> LifetimeModel<'static> {
         LifetimeModel::new(
             device,
             Workload::paper_default(BitRate::from_kbps(kbps)),

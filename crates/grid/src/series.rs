@@ -20,9 +20,16 @@
 //! built at the first miss and serves every later one. Validation and
 //! each goal's capacity solve depend on no rate, so they run once per
 //! series
-//! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum)),
-//! and one [`BufferDimensioner`](memstream_core::BufferDimensioner) per
-//! rate plans every goal missed at that rate. The series counts its
+//! ([`BufferDimensioner::capacity_minimum`](memstream_core::BufferDimensioner::capacity_minimum)).
+//! Each rate row is planned once: one
+//! [`BufferDimensioner`](memstream_core::BufferDimensioner) per rate
+//! measures the [`WearDemands`] of each distinct lifetime target among
+//! the goals once, in storage the series reuses from row to row, and
+//! plans every goal missed at that rate on them with
+//! [`plan_buffer`](memstream_core::BufferDimensioner::plan_buffer),
+//! which collects nothing: the series allocates nothing per cell. A goal
+//! that plans the same buffer as the row's last planned goal takes that
+//! goal's energy, saving, utilisation and lifetime. The series counts its
 //! outcomes by kind and sweeps them to its own Pareto front, whose
 //! members carry their planned points; it keeps the outcomes themselves,
 //! in canonical order, only for an exploration that returns every cell's
@@ -40,7 +47,7 @@
 
 use std::ops::Range;
 
-use memstream_core::{CapabilityModel, DesignGoal, EnergyModel, ModelError};
+use memstream_core::{CapabilityModel, DesignGoal, EnergyModel, ModelError, WearDemands};
 use memstream_device::{DramModel, EnergyModelled, StorageDevice};
 use memstream_units::{BitRate, DataSize};
 use memstream_workload::Workload;
@@ -92,13 +99,26 @@ pub(crate) struct SeriesRun {
 
 /// The per-series model, built once and swept over rates.
 enum SeriesModel<'a> {
-    /// The device exposes every capability the full pipeline needs; the
-    /// capacity minimum of each of the grid's goals rides along.
-    Full(CapabilityModel, Vec<Result<Option<DataSize>, ModelError>>),
+    /// The device exposes every capability the full pipeline needs.
+    Full(Box<FullSeries>),
     /// The device only exposes energy (the classic 1.8″ disk mask).
     EnergyOnly(&'a dyn EnergyModelled),
     /// No usable capability; the (rate-independent) error.
     Unmodelled(ModelError),
+}
+
+/// A full-pipeline series: the model, and what each goal of the grid
+/// keeps from one rate to the next.
+struct FullSeries {
+    model: CapabilityModel,
+    /// Each goal's capacity minimum, which depends on no rate.
+    capacities: Vec<Result<Option<DataSize>, ModelError>>,
+    /// For each goal with a lifetime target, the index of that target's
+    /// entry in `wear`.
+    targets: Vec<Option<usize>>,
+    /// One entry per distinct lifetime target among the goals, measured
+    /// again at every rate row.
+    wear: Vec<WearDemands>,
 }
 
 /// Builds the series model for `device`, solving every goal's capacity
@@ -113,14 +133,32 @@ fn build_model<'a>(
     let dram = grid.dram_enabled().then(DramModel::micron_ddr_mobile);
     match CapabilityModel::new(device, workload, dram, grid.best_effort_policy()) {
         Ok(model) => {
-            let capacities = {
-                let dim = model.dimensioner();
-                grid.goals()
-                    .iter()
-                    .map(|goal| dim.capacity_minimum(goal))
-                    .collect()
-            };
-            SeriesModel::Full(model, capacities)
+            let dim = model.dimensioner();
+            let mut wear: Vec<WearDemands> = Vec::new();
+            let targets = grid
+                .goals()
+                .iter()
+                .map(|goal| {
+                    let target = goal.lifetime_target()?;
+                    let same =
+                        |d: &WearDemands| d.target().get().to_bits() == target.get().to_bits();
+                    Some(wear.iter().position(same).unwrap_or_else(|| {
+                        wear.push(dim.lifetime().demands(target));
+                        wear.len() - 1
+                    }))
+                })
+                .collect();
+            let capacities = grid
+                .goals()
+                .iter()
+                .map(|goal| dim.capacity_minimum(goal))
+                .collect();
+            SeriesModel::Full(Box::new(FullSeries {
+                capacities,
+                targets,
+                wear,
+                model,
+            }))
         }
         Err(err) => degraded(device, &err),
     }
@@ -143,9 +181,12 @@ fn degraded<'a>(device: &'a dyn StorageDevice, err: &ModelError) -> SeriesModel<
 impl SeriesModel<'_> {
     /// Evaluates the empty slots of `row`, the cells at `rate` whose goals
     /// start at `grid.goals()[first_goal]`: one dimensioner (or energy
-    /// model) serves them all.
+    /// model) serves them all. A full-pipeline row measures each lifetime
+    /// target's wear demands once, for every goal with that target, and a
+    /// goal that plans the buffer of the row's last planned goal takes
+    /// that goal's metrics.
     fn fill_row(
-        &self,
+        &mut self,
         grid: &ScenarioGrid,
         workload: &Workload,
         rate: BitRate,
@@ -154,21 +195,40 @@ impl SeriesModel<'_> {
     ) {
         let goals = &grid.goals()[first_goal..];
         match self {
-            SeriesModel::Full(model, capacities) => {
-                let dim = model.dimensioner_at(rate);
+            SeriesModel::Full(series) => {
+                let dim = series.model.dimensioner_at(rate);
+                for demands in &mut series.wear {
+                    dim.lifetime().measure(demands);
+                }
+                let mut last: Option<PlannedPoint> = None;
                 fill(row, |k| {
-                    match dim.plan(&goals[k], &capacities[first_goal + k]) {
-                        Ok(plan) => {
-                            let b = plan.buffer();
-                            let energy_per_bit = dim.energy().per_bit_energy(b).ok();
-                            CellOutcome::Feasible(PlannedPoint {
-                                buffer: b,
-                                dominant: plan.dominant().label(),
-                                saving: energy_per_bit.map(|e| dim.energy().saving_of(e)),
-                                utilization: dim.capacity().utilization(b),
-                                lifetime: dim.lifetime().device_lifetime(b),
-                                energy_per_bit,
-                            })
+                    let goal = first_goal + k;
+                    let wear = series.targets[goal].map(|t| &series.wear[t]);
+                    match dim.plan_buffer(&goals[k], &series.capacities[goal], wear) {
+                        Ok((b, dominant)) => {
+                            let point = match last.take() {
+                                Some(point)
+                                    if point.buffer.bits().to_bits() == b.bits().to_bits() =>
+                                {
+                                    PlannedPoint {
+                                        dominant: dominant.label(),
+                                        ..point
+                                    }
+                                }
+                                _ => {
+                                    let energy_per_bit = dim.energy().per_bit_energy(b).ok();
+                                    PlannedPoint {
+                                        buffer: b,
+                                        dominant: dominant.label(),
+                                        saving: energy_per_bit.map(|e| dim.energy().saving_of(e)),
+                                        utilization: dim.capacity().utilization(b),
+                                        lifetime: dim.lifetime().device_lifetime(b),
+                                        energy_per_bit,
+                                    }
+                                }
+                            };
+                            last = Some(point.clone());
+                            CellOutcome::Feasible(point)
                         }
                         Err(err) => CellOutcome::Infeasible(err),
                     }
@@ -376,6 +436,40 @@ mod tests {
             .rate_span(64.0, 2048.0, 6)
             .goal(memstream_core::DesignGoal::fig3b());
         assert_series_matches_reference(&grid);
+    }
+
+    #[test]
+    fn rows_whose_goals_switch_targets_match_per_cell_evaluation() {
+        // A row shares wear demands between goals with one lifetime target
+        // and metrics between goals that plan one buffer. Here neighbouring
+        // goals change targets (7, 4, 7, none, 10 years, and an empty
+        // goal), over every device family, with and without DRAM.
+        use memstream_device::{DiskDevice, FlashDevice};
+        use memstream_units::{Ratio, Years};
+
+        let grid = ScenarioGrid::new()
+            .device(DeviceEntry::new("mems", MemsDevice::table1()))
+            .device(DeviceEntry::new("flash", FlashDevice::mobile_mlc()))
+            .device(DeviceEntry::new("disk", DiskDevice::calibrated_1p8_inch()))
+            .device(DeviceEntry::new(
+                "masked",
+                EnergyOnly::new(MemsDevice::table1()),
+            ))
+            .workload(WorkloadProfile::paper())
+            .workload(ScenarioGrid::paper_baseline(2).workloads()[2].clone())
+            .rate_span(32.0, 4096.0, 48)
+            .goal(DesignGoal::fig3a())
+            .goal(DesignGoal::new().lifetime(Years::new(4.0)))
+            .goal(DesignGoal::fig3b())
+            .goal(DesignGoal::new().capacity_utilization(Ratio::from_percent(80.0)))
+            .goal(
+                DesignGoal::new()
+                    .energy_saving(Ratio::from_percent(70.0))
+                    .lifetime(Years::new(10.0)),
+            )
+            .goal(DesignGoal::new());
+        assert_series_matches_reference(&grid);
+        assert_series_matches_reference(&grid.without_dram());
     }
 
     #[test]

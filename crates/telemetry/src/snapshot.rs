@@ -8,8 +8,9 @@ use crate::json::{Json, JsonError, JsonObject};
 /// The snapshot JSON schema version, bumped on any incompatible change
 /// (see `docs/OBSERVABILITY.md` for the evolution rules). v2 added the
 /// `histograms` section; v3 redefined the frontier counters; v4 made a
-/// grid series a `(device, workload)` block.
-pub const SNAPSHOT_SCHEMA: &str = "memstream-telemetry v4";
+/// grid series a `(device, workload)` block; v5 cut each power of two of
+/// a histogram into 8 linear sub-buckets.
+pub const SNAPSHOT_SCHEMA: &str = "memstream-telemetry v5";
 
 /// One counter's sampled value.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,7 +142,7 @@ impl Snapshot {
     /// The snapshot as a versioned JSON document:
     ///
     /// ```json
-    /// {"schema": "memstream-telemetry v4",
+    /// {"schema": "memstream-telemetry v5",
     ///  "counters": {"cache.hits": 600},
     ///  "spans": {"grid.eval": {"entries": 1, "seconds": 0.0123}},
     ///  "histograms": {"grid.series_eval": {"count": 30, "sum_nanos": 91230,
@@ -200,8 +201,8 @@ impl Snapshot {
 }
 
 /// Extracts the histogram samples from a snapshot JSON document (any
-/// schema version; documents without a `histograms` section yield an
-/// empty vector). The shard coordinator uses this to fold each worker's
+/// schema version, its buckets read in this version's layout; documents
+/// without a `histograms` section yield an empty vector). The shard coordinator uses this to fold each worker's
 /// latency distributions into its own registry.
 pub fn parse_histograms(text: &str) -> Result<Vec<HistogramSample>, JsonError> {
     let doc = crate::json::parse(text)?;
